@@ -10,7 +10,6 @@ endomorphisms.
 
 from .braids import (
     BraidWord,
-    PropagationResult,
     TorusLinkSpec,
     closure_system,
     parse_link,
@@ -90,7 +89,6 @@ __all__ = [
     "InternalConsistencyError",
     "IsoResult",
     "NonAffineEndomorphismWarning",
-    "PropagationResult",
     "QuiverForm",
     "SnfResult",
     "TorusLinkSpec",

@@ -76,8 +76,17 @@ def torus_braid(spec, q: int | None = None) -> BraidWord:
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
-def parse_link(text: str) -> BraidWord:
-    """Parse 'torus:p,q' or a braid word like 's1 s2 -s1'.
+def link_word(link: BraidWord | TorusLinkSpec) -> BraidWord:
+    """The braid word whose closure is the link."""
+    if isinstance(link, TorusLinkSpec):
+        return torus_braid(link)
+    if isinstance(link, BraidWord):
+        return link
+    raise TypeError(f"expected TorusLinkSpec or BraidWord, got {type(link).__name__}")
+
+
+def parse_link(text: str) -> BraidWord | TorusLinkSpec:
+    """Parse 'torus:p,q' into a TorusLinkSpec, or a braid word like 's1 s2 -s1'.
 
     For explicit words the strand count is max generator index + 1.
     """
@@ -87,7 +96,7 @@ def parse_link(text: str) -> BraidWord:
         parts = body.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected torus:p,q, got {text!r}")
-        return torus_braid(int(parts[0]), int(parts[1]))
+        return TorusLinkSpec(int(parts[0]), int(parts[1]))
     letters = []
     for token in text.split():
         sign = 1
@@ -106,14 +115,8 @@ def parse_link(text: str) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-@dataclass(frozen=True)
-class PropagationResult:
-    bottom: tuple[int, ...]
-    states: tuple[tuple[int, ...], ...]  # states[0] is the top, states[-1] the bottom
-
-
-def propagate(word: BraidWord, quandle: FiniteQuandle, top) -> PropagationResult:
-    """Push a top color state through every crossing of the word."""
+def propagate(word: BraidWord, quandle: FiniteQuandle, top) -> tuple[int, ...]:
+    """Push a top color state through every crossing; return the bottom state."""
     state = [int(c) for c in top]
     if len(state) != word.strands:
         raise ValueError(
@@ -124,7 +127,6 @@ def propagate(word: BraidWord, quandle: FiniteQuandle, top) -> PropagationResult
             raise ValueError(f"color {c} outside 0..{quandle.size - 1}")
     table = quandle.table
     inverse = quandle.inverse_table if any(l < 0 for l in word.letters) else None
-    states = [tuple(state)]
     for letter in word.letters:
         i = abs(letter) - 1
         x, y = state[i], state[i + 1]
@@ -132,8 +134,7 @@ def propagate(word: BraidWord, quandle: FiniteQuandle, top) -> PropagationResult
             state[i], state[i + 1] = y, table[x][y]
         else:
             state[i], state[i + 1] = inverse[y][x], x
-        states.append(tuple(state))
-    return PropagationResult(bottom=states[-1], states=tuple(states))
+    return tuple(state)
 
 
 def propagation_matrix(word: BraidWord) -> IntMatrix:

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 clean, 2 a computed/predicted or backend mismatch,
-3 ambiguity encountered (and nothing worse), 4 a size cap exceeded.
+Exit codes: 0 clean, 2 a computed/predicted or backend mismatch or a bad
+request, 3 ambiguity encountered (and nothing worse), 4 a size cap exceeded.
+A bad request is rejected before any work, with one line on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -9,18 +11,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braids import BraidWord, TorusLinkSpec, parse_link, torus_braid
-from .colorings import enumerate_colorings_linear, enumerate_colorings_oracle
+from .braids import TorusLinkSpec, parse_link
+from .colorings import enumerate_colorings_linear
+from .config import check_environment
 from .counting import (
-    STATUS_MISMATCH,
+    STATUS_AMBIGUOUS,
     STATUS_AMBIGUOUS_RESOLVED,
+    STATUS_MATCH,
+    STATUS_MISMATCH,
+    evaluate_cells,
     is_odd_prime,
     predict_count,
     verify_counts,
 )
 from .errors import AmbiguousCountError, CapExceededError
-from .export import ExportOptions, to_csv, to_dot, to_json, quiver_to_dict
-from .quandles import DihedralQuandle, affine_endomorphisms, brute_force_endomorphisms
+from .export import ExportOptions, to_csv, to_dot, to_json
+from .quandles import affine_endomorphisms, brute_force_endomorphisms
 from .quivers import build_quiver, isomorphic, quiver_form_for_count, realize
 
 EXIT_OK = 0
@@ -29,30 +35,37 @@ EXIT_AMBIGUOUS = 3
 EXIT_CAP = 4
 
 
+class BadRequest(Exception):
+    """Input rejected before any work: exit 2, one line on stderr, nothing on stdout."""
+
+
+def _request(parse, *args):
+    """Call a parser of request input; the ValueError it raises is a bad request."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise BadRequest(exc) from None
+
+
+def _moduli(ns: list[int]) -> list[int]:
+    if ns[0] < 2:
+        raise BadRequest(f"n must be at least 2, got {ns[0]}")
+    return ns
+
+
 def parse_int_list(text: str) -> list[int]:
     """'5,7' / '0..20' / '1,4..6' -> sorted unique ints."""
     out: set[int] = set()
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty range {part!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(part))
-    if not out:
-        raise ValueError(f"no integers in {text!r}")
+        try:
+            lo, hi = (int(x) for x in part.split("..")) if ".." in part else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"expected an integer or a range like 2..9, got {part!r}") from None
+        if hi < lo:
+            raise ValueError(f"empty range {part!r}")
+        out.update(range(lo, hi + 1))
     return sorted(out)
-
-
-def _torus_params(word: BraidWord, link_text: str) -> tuple[int, int] | None:
-    text = link_text.strip()
-    if text.startswith("torus:"):
-        p, q = text[len("torus:"):].split(",")
-        return int(p), int(q)
-    return None
 
 
 def _write(path: str | None, text: str):
@@ -63,102 +76,86 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-def cmd_count(args) -> int:
-    word = parse_link(args.link)
-    torus = _torus_params(word, args.link)
-    backends = (
-        ["formula", "linear", "oracle"] if args.backend == "all" else [args.backend]
-    )
-    exit_code = EXIT_OK
-    records = []
-    for n in parse_int_list(args.n):
-        row: dict = {"link": args.link.strip(), "n": n}
-        values: dict[str, int] = {}
-        prediction = None
-        for backend in backends:
-            if backend == "formula":
-                if torus is None or not is_odd_prime(torus[0]):
-                    if args.backend == "formula":
-                        print(
-                            "count: the formula backend needs torus:p,q with p an odd prime",
-                            file=sys.stderr,
-                        )
-                        return EXIT_MISMATCH
-                    continue
-                prediction = predict_count(torus[0], torus[1], n)
-                row["case"] = prediction.case
-                if prediction.ambiguous:
-                    row["predicted"] = list(prediction.candidates)
-                else:
-                    values["formula"] = prediction.n_colorings
-                    row["predicted"] = prediction.n_colorings
-            elif backend == "linear":
-                try:
-                    values["linear"] = enumerate_colorings_linear(
-                        word, n, count_only=True
-                    ).count
-                except CapExceededError as exc:
-                    print(f"count: {exc}", file=sys.stderr)
-                    return EXIT_CAP
-            elif backend == "oracle":
-                try:
-                    values["oracle"] = enumerate_colorings_oracle(
-                        word, DihedralQuandle(n), cap=args.oracle_cap, count_only=True
-                    ).count
-                except CapExceededError as exc:
-                    print(f"count: {exc}", file=sys.stderr)
-                    return EXIT_CAP
-        computed = {v for k, v in values.items() if k != "formula"}
-        if len(computed) > 1:
-            print(
-                f"count: backend disagreement for n={n}: "
-                + ", ".join(f"{k}={v}" for k, v in sorted(values.items())),
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
-        if prediction is not None and prediction.ambiguous:
-            if computed:
-                winner = computed.pop()
-                row["count"] = winner
-                row["status"] = (
-                    STATUS_AMBIGUOUS_RESOLVED
-                    if winner in prediction.candidates
-                    else STATUS_MISMATCH
-                )
-                if row["status"] == STATUS_MISMATCH:
-                    exit_code = EXIT_MISMATCH
-                elif exit_code == EXIT_OK:
-                    exit_code = EXIT_AMBIGUOUS
-                print(
-                    f"{row['link']} n={n}: candidates "
-                    f"{prediction.candidates}, computed {winner} [{row['status']}]"
-                )
-            else:
-                row["status"] = "ambiguous"
-                if exit_code == EXIT_OK:
-                    exit_code = EXIT_AMBIGUOUS
-                print(f"{row['link']} n={n}: ambiguous, candidates {prediction.candidates}")
+def _exit_code(statuses) -> int:
+    if STATUS_MISMATCH in statuses:
+        return EXIT_MISMATCH
+    if STATUS_AMBIGUOUS in statuses or STATUS_AMBIGUOUS_RESOLVED in statuses:
+        return EXIT_AMBIGUOUS
+    return EXIT_OK
+
+
+def _count_row(link: str, cell) -> dict:
+    """Print one count line and return its JSON record."""
+    prediction = cell.prediction
+    status = "ok" if cell.status == STATUS_MATCH else cell.status
+    count = cell.computed if cell.computed is not None else prediction.n_colorings
+    row: dict = {"link": link, "n": cell.n}
+    if prediction is not None:
+        row["case"] = prediction.case
+        row["predicted"] = prediction.predicted
+    if count is not None:
+        row["count"] = count
+    row["status"] = status
+    if prediction is not None and prediction.ambiguous:
+        if count is None:
+            print(f"{link} n={cell.n}: ambiguous, candidates {prediction.candidates}")
         else:
-            if "formula" in values and computed and values["formula"] not in computed:
-                row["status"] = STATUS_MISMATCH
-                exit_code = EXIT_MISMATCH
-            else:
-                row["status"] = "ok"
-            count = computed.pop() if computed else values.get("formula")
-            row["count"] = count
-            case = f" case={row['case']}" if "case" in row else ""
-            print(f"{row['link']} n={n}: N={count}{case} [{row['status']}]")
-        records.append(row)
+            print(f"{link} n={cell.n}: candidates {prediction.candidates}, computed {count} [{status}]")
+    else:
+        case = f" case={prediction.case}" if prediction is not None else ""
+        print(f"{link} n={cell.n}: N={count}{case} [{status}]")
+    return row
+
+
+def cmd_count(args) -> int:
+    link = _request(parse_link, args.link)
+    ns = _moduli(_request(parse_int_list, args.n))
+    if args.backend == "formula" and not (
+        isinstance(link, TorusLinkSpec) and is_odd_prime(link.p)
+    ):
+        raise BadRequest("the formula backend needs torus:p,q with p an odd prime")
+    routes = ("formula", "linear", "oracle") if args.backend == "all" else (args.backend,)
+    cells = evaluate_cells(
+        link,
+        ns,
+        formula="formula" in routes,
+        linear="linear" in routes,
+        oracle_ns=ns if "oracle" in routes else (),
+        cap=args.oracle_cap,
+    )
+    records = []
+    try:
+        for cell in cells:
+            if cell.routes_disagree:
+                counts = {
+                    "formula": cell.prediction and cell.prediction.n_colorings,
+                    "linear": cell.computed_linear,
+                    "oracle": cell.computed_oracle,
+                }
+                print(
+                    f"count: backend disagreement for n={cell.n}: "
+                    + ", ".join(f"{k}={v}" for k, v in counts.items() if v is not None),
+                    file=sys.stderr,
+                )
+                return EXIT_MISMATCH
+            records.append(_count_row(args.link.strip(), cell))
+    except CapExceededError as exc:
+        print(f"count: {exc}", file=sys.stderr)
+        return EXIT_CAP
     if args.json:
         _write(args.json, to_json(records))
-    return exit_code
+    return _exit_code({row["status"] for row in records})
 
 
 def cmd_quiver(args) -> int:
-    word = parse_link(args.link)
-    n = int(args.n)
-    torus = _torus_params(word, args.link)
-    coloring_set = enumerate_colorings_linear(word, n, cap=args.enum_cap)
+    link = _request(parse_link, args.link)
+    [n] = _moduli([args.n])
+    torus = link if isinstance(link, TorusLinkSpec) else None
+    if args.compare and torus is None:
+        raise BadRequest("--compare needs a torus:p,q link")
+    if args.collapse and args.format != "dot":
+        raise BadRequest("--collapse applies to dot output only")
+    coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
     if coloring_set.colorings is None:
         print(
             f"quiver: {coloring_set.count} colorings exceed the enumeration cap",
@@ -177,10 +174,7 @@ def cmd_quiver(args) -> int:
 
     exit_code = EXIT_OK
     if args.compare:
-        if torus is None:
-            print("quiver: --compare needs a torus:p,q link", file=sys.stderr)
-            return EXIT_MISMATCH
-        p, q = torus
+        p, q = torus.p, torus.q
         ambiguous = False
         if is_odd_prime(p):
             prediction = predict_count(p, q, n)
@@ -209,29 +203,23 @@ def cmd_quiver(args) -> int:
     if args.format == "dot":
         _write(args.out, to_dot(quiver, options))
     else:
-        if args.collapse:
-            print("quiver: --collapse applies to dot output only", file=sys.stderr)
-            return EXIT_MISMATCH
         params = {"n": n}
         if torus is not None:
-            params = {"p": torus[0], "q": torus[1], "n": n}
+            params = {"p": torus.p, "q": torus.q, "n": n}
         _write(args.out, to_json(quiver, params=params))
     return exit_code
 
 
 def cmd_verify(args) -> int:
-    ps = parse_int_list(args.p)
+    ps = _request(parse_int_list, args.p)
+    qs = _request(parse_int_list, args.q)
+    ns = _moduli(_request(parse_int_list, args.n))
     for p in ps:
         if not is_odd_prime(p):
-            print(f"verify: p must be odd primes, got {p}", file=sys.stderr)
-            return EXIT_MISMATCH
-    report = verify_counts(
-        ps,
-        parse_int_list(args.q),
-        parse_int_list(args.n),
-        cap=args.oracle_cap,
-        jobs=args.jobs,
-    )
+            raise BadRequest(f"p must be odd primes, got {p}")
+    if qs[0] < 0:
+        raise BadRequest(f"q must be nonnegative, got {qs[0]}")
+    report = verify_counts(ps, qs, ns, cap=args.oracle_cap, jobs=args.jobs)
     mismatches = [r for r in report if r.status == STATUS_MISMATCH]
     resolved = [r for r in report if r.status == STATUS_AMBIGUOUS_RESOLVED]
     print(
@@ -247,11 +235,7 @@ def cmd_verify(args) -> int:
         _write(args.out, to_json(report))
     if args.csv:
         _write(args.csv, to_csv(report))
-    if mismatches:
-        return EXIT_MISMATCH
-    if resolved:
-        return EXIT_AMBIGUOUS
-    return EXIT_OK
+    return _exit_code({r.status for r in report})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _request(check_environment)
         return args.func(args)
+    except BadRequest as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

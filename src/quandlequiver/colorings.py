@@ -10,19 +10,12 @@ which is what makes their agreement meaningful.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .braids import BraidWord, TorusLinkSpec, closure_system, torus_braid
+from .braids import BraidWord, closure_system, link_word
 from .config import oracle_cap
 from .errors import CapExceededError
-from .linalg import (
-    SnfResult,
-    kernel_count_from_snf,
-    kernel_enumerate_mod,
-    smith_normal_form,
-)
+from .linalg import kernel_count_from_snf, kernel_enumerate_mod, smith_normal_form
 from .quandles import DihedralQuandle, FiniteQuandle
 
 TRIVIAL = "trivial"
@@ -143,12 +136,6 @@ def enumerate_colorings_oracle(
     return ColoringSet(word, quandle, count, colorings)
 
 
-@lru_cache(maxsize=None)
-def _torus_snf(p: int, q: int):
-    system = closure_system(torus_braid(p, q))
-    return system, smith_normal_form(system)
-
-
 def enumerate_colorings_linear(
     link,
     n: int,
@@ -157,20 +144,13 @@ def enumerate_colorings_linear(
 ) -> ColoringSet:
     """Solve the closure system (M - I) y = 0 mod n for a dihedral target.
 
-    `link` is a TorusLinkSpec or any BraidWord.  The Smith form of a torus
-    closure system is computed once per (p, q) and specialized to each
-    modulus via gcds.  If the solution count is above the enumeration cap
-    the result is returned count-only, with the coloring list omitted.
+    `link` is a TorusLinkSpec or any BraidWord.  If the solution count is
+    above the enumeration cap the result is returned count-only, with the
+    coloring list omitted.
     """
-    if isinstance(link, TorusLinkSpec):
-        word = torus_braid(link)
-        system, snf = _torus_snf(link.p, link.q)
-    elif isinstance(link, BraidWord):
-        word = link
-        system = closure_system(word)
-        snf = smith_normal_form(system)
-    else:
-        raise TypeError(f"expected TorusLinkSpec or BraidWord, got {type(link).__name__}")
+    word = link_word(link)
+    system = closure_system(word)
+    snf = smith_normal_form(system)
     count = kernel_count_from_snf(snf, n)
     quandle = DihedralQuandle(n)
     if count_only:

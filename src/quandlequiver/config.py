@@ -21,10 +21,15 @@ def _get(name: str) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return _DEFAULTS[name]
-    value = int(raw)
-    if value < 1:
+    if not raw.strip().isdigit() or int(raw) < 1:
         raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return value
+    return int(raw)
+
+
+def check_environment() -> None:
+    """Read every cap once, so a malformed variable fails before any work."""
+    for name in _DEFAULTS:
+        _get(name)
 
 
 def enumeration_cap() -> int:

@@ -18,19 +18,22 @@ quandle R_n depends only on q mod 2p, gcd(n, p), and the parity of n:
                            recorded as ambiguous with both candidates
 
 Ambiguous cells never get a silent winner here: predict_count carries both
-candidates and verify_counts resolves them against computed counts,
-reporting the resolution explicitly.
+candidates and the computed counts resolve them, reporting the resolution
+explicitly.  evaluate_cells is the one place where a cell's routes are run
+and its status decided; verify_counts and the CLI's count both use it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .braids import TorusLinkSpec, torus_braid
-from .colorings import enumerate_colorings_linear, enumerate_colorings_oracle
+from .braids import BraidWord, TorusLinkSpec, closure_system, link_word
+from .colorings import enumerate_colorings_oracle
 from .config import oracle_cap
+from .linalg import kernel_count_from_snf, smith_normal_form
 from .quandles import DihedralQuandle
 
 CASE_FREE = "free"
@@ -40,14 +43,17 @@ CASE_HALF_PERIOD = "half-period"
 CASE_AMBIGUOUS = "ambiguous"
 
 STATUS_MATCH = "match"
+STATUS_AMBIGUOUS = "ambiguous"  # a prediction with no computed count to settle it
 STATUS_AMBIGUOUS_RESOLVED = "ambiguous-resolved"
 STATUS_MISMATCH = "mismatch"
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+    return p != 2 and is_prime(p)
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,11 @@ class CountPrediction:
     @property
     def n_colorings(self) -> int | None:
         return None if self.ambiguous else self.candidates[0]
+
+    @property
+    def predicted(self) -> int | list[int]:
+        """The predicted count, or the candidate list when ambiguous."""
+        return list(self.candidates) if self.ambiguous else self.n_colorings
 
 
 def predict_count(p: int, q: int, n: int) -> CountPrediction:
@@ -126,67 +137,96 @@ def predict_count(p: int, q: int, n: int) -> CountPrediction:
 
 @dataclass(frozen=True)
 class CellRecord:
-    """One grid cell of a prediction-versus-computation sweep."""
+    """One (link, n) cell: the count from each route that ran, and its status.
 
-    p: int
-    q: int
+    `prediction` is None unless the link is T(p, q) with p an odd prime;
+    a count is None when its route did not run.
+    """
+
     n: int
-    prediction: CountPrediction
-    computed_linear: int
+    prediction: CountPrediction | None
+    computed_linear: int | None
     computed_oracle: int | None
-    status: str
 
     @property
-    def computed(self) -> int:
+    def p(self) -> int:
+        return self.prediction.p
+
+    @property
+    def q(self) -> int:
+        return self.prediction.q
+
+    @property
+    def computed(self) -> int | None:
         return self.computed_oracle if self.computed_oracle is not None else self.computed_linear
 
+    @property
+    def routes_disagree(self) -> bool:
+        return None not in (self.computed_linear, self.computed_oracle) and (
+            self.computed_linear != self.computed_oracle
+        )
+
+    @property
+    def status(self) -> str:
+        """The one status rule: routes must agree, then match the prediction."""
+        prediction, computed = self.prediction, self.computed
+        if self.routes_disagree:
+            return STATUS_MISMATCH
+        if prediction is None:
+            return STATUS_MATCH
+        if computed is None:
+            return STATUS_AMBIGUOUS if prediction.ambiguous else STATUS_MATCH
+        if computed not in prediction.candidates:
+            return STATUS_MISMATCH
+        return STATUS_AMBIGUOUS_RESOLVED if prediction.ambiguous else STATUS_MATCH
+
     def to_dict(self) -> dict:
-        predicted: int | list[int]
-        if self.prediction.ambiguous:
-            predicted = list(self.prediction.candidates)
-        else:
-            predicted = self.prediction.n_colorings
         return {
             "p": self.p,
             "q": self.q,
             "n": self.n,
-            "predicted": predicted,
+            "predicted": self.prediction.predicted,
             "case": self.prediction.case,
             "computed": self.computed,
             "status": self.status,
         }
 
 
-def _cell_status(prediction: CountPrediction, computed_linear: int, computed_oracle: int | None) -> str:
-    if computed_oracle is not None and computed_oracle != computed_linear:
-        return STATUS_MISMATCH
-    computed = computed_oracle if computed_oracle is not None else computed_linear
-    if prediction.ambiguous:
-        if computed in prediction.candidates:
-            return STATUS_AMBIGUOUS_RESOLVED
-        return STATUS_MISMATCH
-    return STATUS_MATCH if computed == prediction.n_colorings else STATUS_MISMATCH
+def evaluate_cells(
+    link: BraidWord | TorusLinkSpec,
+    ns,
+    formula: bool = True,
+    linear: bool = True,
+    oracle_ns=(),
+    cap: int | None = None,
+) -> Iterator[CellRecord]:
+    """Evaluate one link at each modulus in `ns`, one cell at a time.
+
+    The linear route builds the closure system and takes its Smith form
+    once for the whole list.  The oracle runs on its own for each modulus
+    in `oracle_ns` and raises CapExceededError above `cap`.  The formula
+    prediction is added only for T(p, q) with p an odd prime.
+    """
+    torus = link if isinstance(link, TorusLinkSpec) else None
+    predict = formula and torus is not None and is_odd_prime(torus.p)
+    word = link_word(link)
+    if linear:
+        snf = smith_normal_form(closure_system(word))
+    for n in ns:
+        prediction = predict_count(torus.p, torus.q, n) if predict else None
+        count = kernel_count_from_snf(snf, n) if linear else None
+        oracle = (
+            enumerate_colorings_oracle(word, DihedralQuandle(n), cap=cap, count_only=True).count
+            if n in oracle_ns
+            else None
+        )
+        yield CellRecord(n, prediction, count, oracle)
 
 
-def _verify_cell(args: tuple[int, int, int, int]) -> CellRecord:
-    p, q, n, cap = args
-    prediction = predict_count(p, q, n)
-    linear = enumerate_colorings_linear(TorusLinkSpec(p, q), n, count_only=True).count
-    oracle = None
-    if n**p <= cap:
-        oracle = enumerate_colorings_oracle(
-            torus_braid(p, q), DihedralQuandle(n), cap=cap, count_only=True
-        ).count
-    status = _cell_status(prediction, linear, oracle)
-    return CellRecord(
-        p=p,
-        q=q,
-        n=n,
-        prediction=prediction,
-        computed_linear=linear,
-        computed_oracle=oracle,
-        status=status,
-    )
+def _verify_link(task: tuple[int, int, list[int], int]) -> list[CellRecord]:
+    p, q, ns, cap = task
+    oracle_ns = [n for n in ns if n**p <= cap]
+    return list(evaluate_cells(TorusLinkSpec(p, q), ns, oracle_ns=oracle_ns, cap=cap))
 
 
 def verify_counts(
@@ -202,11 +242,15 @@ def verify_counts(
     backend alone.  Results come back sorted by (p, q, n) regardless of
     worker scheduling.
     """
+    for p in ps:
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
     limit = oracle_cap() if cap is None else cap
-    cells = sorted((p, q, n, limit) for p in ps for q in qs for n in ns)
+    ns = sorted(ns)
+    tasks = [(p, q, ns, limit) for p, q in sorted((p, q) for p in ps for q in qs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_verify_cell, cells, chunksize=8))
+            links = list(pool.map(_verify_link, tasks))
     else:
-        records = [_verify_cell(cell) for cell in cells]
-    return records
+        links = [_verify_link(task) for task in tasks]
+    return [record for cells in links for record in cells]

@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .colorings import ColoringSet
-from .counting import CellRecord, CountPrediction
+from .counting import CellRecord
 from .quivers import BlockDecomposition, WeightedQuiver, detect_blocks
 
 
@@ -64,19 +63,12 @@ def _blocks_dict(decomposition: BlockDecomposition) -> dict:
     }
 
 
-def quiver_to_dict(
-    quiver: WeightedQuiver,
-    params: dict | None = None,
-    case: str | None = None,
-    include_colorings: bool = True,
-) -> dict:
+def quiver_to_dict(quiver: WeightedQuiver, params: dict | None = None) -> dict:
     out: dict = {}
     if params is not None:
         out["params"] = dict(params)
     out["count"] = quiver.n_vertices
-    if case is not None:
-        out["case"] = case
-    if include_colorings and quiver.labels is not None:
+    if quiver.labels is not None:
         out["colorings"] = [list(c) for c in quiver.labels]
     out["weights"] = [list(t) for t in quiver.weight_triples()]
     if quiver.n_vertices:
@@ -96,41 +88,10 @@ def quiver_from_json(text: str) -> WeightedQuiver:
     return quiver
 
 
-def coloring_set_to_dict(cs: ColoringSet) -> dict:
-    out = {
-        "strands": cs.word.strands,
-        "letters": list(cs.word.letters),
-        "quandle_size": cs.quandle.size,
-        "count": cs.count,
-    }
-    if cs.colorings is not None:
-        out["colorings"] = [list(c) for c in cs.colorings]
-    return out
-
-
-def prediction_to_dict(prediction: CountPrediction) -> dict:
-    predicted: int | list[int]
-    if prediction.ambiguous:
-        predicted = list(prediction.candidates)
-    else:
-        predicted = prediction.n_colorings
-    return {
-        "p": prediction.p,
-        "q": prediction.q,
-        "n": prediction.n,
-        "predicted": predicted,
-        "case": prediction.case,
-    }
-
-
 def to_json(obj, **options) -> str:
-    """Stable JSON for quivers, coloring sets, predictions, and sweep reports."""
+    """Stable JSON for quivers, sweep reports, and lists of plain records."""
     if isinstance(obj, WeightedQuiver):
         payload = quiver_to_dict(obj, **options)
-    elif isinstance(obj, ColoringSet):
-        payload = coloring_set_to_dict(obj)
-    elif isinstance(obj, CountPrediction):
-        payload = prediction_to_dict(obj)
     elif isinstance(obj, CellRecord):
         payload = obj.to_dict()
     elif isinstance(obj, (list, tuple)):
@@ -140,10 +101,6 @@ def to_json(obj, **options) -> str:
     else:
         raise TypeError(f"no JSON serialization for {type(obj).__name__}")
     return json.dumps(payload, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> list[dict]:
-    return json.loads(text)
 
 
 CSV_HEADER = "p,q,n,predicted,case,computed,status"
@@ -157,10 +114,9 @@ def to_csv(report: list[CellRecord]) -> str:
     """
     lines = [CSV_HEADER]
     for record in sorted(report, key=lambda r: (r.p, r.q, r.n)):
-        if record.prediction.ambiguous:
-            predicted = "|".join(str(c) for c in record.prediction.candidates)
-        else:
-            predicted = str(record.prediction.n_colorings)
+        predicted = record.prediction.predicted
+        if isinstance(predicted, list):
+            predicted = "|".join(map(str, predicted))
         lines.append(
             f"{record.p},{record.q},{record.n},{predicted},"
             f"{record.prediction.case},{record.computed},{record.status}"

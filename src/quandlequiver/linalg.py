@@ -39,9 +39,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)])
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -67,39 +64,6 @@ class IntMatrix:
         return IntMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
-
-    def apply(self, vector, modulus: int | None = None) -> tuple[int, ...]:
-        """Matrix-vector product, optionally reduced mod `modulus`."""
-        vector = list(vector)
-        if len(vector) != self.cols:
-            raise ValueError("vector length must equal column count")
-        out = [sum(a * b for a, b in zip(row, vector)) for row in self.data]
-        if modulus is not None:
-            out = [x % modulus for x in out]
-        return tuple(out)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        a = [row[:] for row in self.data]
-        n = self.rows
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __repr__(self):
         return f"IntMatrix({self.data!r})"

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colorings import ColoringSet, classify, TRIVIAL
+from .colorings import ColoringSet
 from .config import iso_budget
-from .counting import predict_count
+from .counting import is_prime, predict_count
 from .errors import AmbiguousCountError, InternalConsistencyError
 from .quandles import DihedralQuandle, Endomorphism
 
@@ -241,12 +241,6 @@ def realize(form: QuiverForm) -> WeightedQuiver:
     return quiver
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n**0.5) + 1))
-
-
 def quiver_form_for_count(p: int, n: int, count: int) -> QuiverForm:
     """The closed-form quiver shape for a torus link with a known count.
 
@@ -254,7 +248,7 @@ def quiver_form_for_count(p: int, n: int, count: int) -> QuiverForm:
     and for comparing against computed counts in cells where the count
     formula itself is ambiguous.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -269,7 +263,7 @@ def quiver_form_for_count(p: int, n: int, count: int) -> QuiverForm:
         blocks = disjoint_union(complete_form(n, n // 2), 2 ** (p - 1) - 1)
         return join_form(trivial, blocks, n // 2)
     if count == n**p:
-        if not _is_prime(n):
+        if not is_prime(n):
             raise ValueError(
                 f"no closed-form quiver for count n^p with composite n = {n}"
             )

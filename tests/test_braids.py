@@ -10,6 +10,7 @@ import random
 from itertools import product
 
 import pytest
+from intmatrix_reference import apply, det
 
 from quandlequiver.braids import (
     BraidWord,
@@ -64,29 +65,25 @@ def test_torus_braid_words():
 
 
 def test_parse_link():
-    assert parse_link("torus:5,2") == torus_braid(5, 2)
+    assert parse_link("torus:5,2") == TorusLinkSpec(5, 2)
     w = parse_link("s1 s2 -s1")
     assert w.strands == 3
     assert w.letters == (1, 2, -1)
     assert parse_link("  -s1   s1 ") == BraidWord(2, (-1, 1))
-    for bad in ("x3", "s0", "", "torus:5", "torus:a,b", "s1 t2"):
+    for bad in ("x3", "s0", "", "torus:5", "torus:a,b", "s1 t2", "torus:1,2", "torus:5,-1"):
         with pytest.raises(ValueError):
             parse_link(bad)
 
 
 def test_propagate_single_positive_crossing():
     r5 = DihedralQuandle(5)
-    result = propagate(BraidWord(2, (1,)), r5, (1, 3))
-    assert result.bottom == (3, 0)
-    assert result.states == ((1, 3), (3, 0))
+    assert propagate(BraidWord(2, (1,)), r5, (1, 3)) == (3, 0)
 
 
 def test_propagate_empty_word_is_identity():
     r7 = DihedralQuandle(7)
     for top in ((0, 0, 0, 0), (1, 2, 3, 4), (6, 6, 0, 1)):
-        result = propagate(BraidWord(4, ()), r7, top)
-        assert result.bottom == top
-        assert result.states == (top,)
+        assert propagate(BraidWord(4, ()), r7, top) == top
 
 
 def test_propagate_input_validation():
@@ -103,7 +100,7 @@ def test_letter_times_inverse_is_identity(quandle):
     for letters in ((1, -1), (-1, 1), (2, -2), (-2, 2)):
         word = BraidWord(3, letters)
         for top in product(range(n), repeat=3):
-            assert propagate(word, quandle, top).bottom == top
+            assert propagate(word, quandle, top) == top
 
 
 def test_negative_crossing_on_kei_uses_op_itself():
@@ -112,14 +109,14 @@ def test_negative_crossing_on_kei_uses_op_itself():
     word = BraidWord(2, (-1,))
     for x in range(7):
         for y in range(7):
-            assert propagate(word, r7, (x, y)).bottom == (r7.op(y, x), x)
+            assert propagate(word, r7, (x, y)) == (r7.op(y, x), x)
 
 
 def test_braid_relation_on_colors():
     w1, w2 = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
     for quandle in (DihedralQuandle(5), alexander_mod5()):
         for top in product(range(quandle.size), repeat=3):
-            assert propagate(w1, quandle, top).bottom == propagate(w2, quandle, top).bottom
+            assert propagate(w1, quandle, top) == propagate(w2, quandle, top)
 
 
 def test_matrix_empty_word():
@@ -154,7 +151,7 @@ def test_matrix_concatenation_and_determinant():
         uv = BraidWord(strands, u.letters + v.letters)
         mu, mv = propagation_matrix(u), propagation_matrix(v)
         assert propagation_matrix(uv) == mv @ mu
-        assert mu.det() == 1
+        assert det(mu) == 1
 
 
 def test_propagation_matches_matrix_on_torus_grid():
@@ -167,7 +164,7 @@ def test_propagation_matches_matrix_on_torus_grid():
                 quandle = DihedralQuandle(n)
                 for _ in range(5):
                     top = tuple(rng.randrange(n) for _ in range(p))
-                    assert propagate(word, quandle, top).bottom == tuple(m.apply(top, n))
+                    assert propagate(word, quandle, top) == apply(m, top, n)
 
 
 def test_propagation_matches_matrix_on_signed_words():
@@ -179,4 +176,4 @@ def test_propagation_matches_matrix_on_signed_words():
         n = rng.randint(2, 9)
         quandle = DihedralQuandle(n)
         top = tuple(rng.randrange(n) for _ in range(strands))
-        assert propagate(word, quandle, top).bottom == tuple(m.apply(top, n))
+        assert propagate(word, quandle, top) == apply(m, top, n)

@@ -1,10 +1,16 @@
 """Tests for the command-line interface: exit codes, output formats, files."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
@@ -14,6 +20,7 @@ from quandlequiver.cli import (
     main,
     parse_int_list,
 )
+from quandlequiver.counting import STATUS_MATCH, verify_counts
 
 
 def test_parse_int_list():
@@ -203,3 +210,109 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "N=9" in proc.stdout
+
+
+BAD_REQUESTS = [
+    (["count", "--link", "s1 x2", "--n", "5"], {}),
+    (["count", "--link", "torus:5,2", "--n", "1"], {}),
+    (["count", "--link", "torus:5,2", "--n", "1", "--backend", "oracle"], {}),
+    (["count", "--link", "torus:1,2", "--n", "5"], {}),
+    (["count", "--link", "torus:5,2", "--n", "5.."], {}),
+    (["quiver", "--link", "torus:5,2", "--n", "1"], {}),
+    (["quiver", "--link", "torus:5,2", "--n", "5"], {"QUANDLEQUIVER_ENUM_CAP": "abc"}),
+    (["verify", "--p", "3", "--q=-1..2", "--n", "2..4"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "0..4"], {}),
+]
+
+
+@pytest.mark.parametrize("argv,env", BAD_REQUESTS)
+def test_bad_request_exits_2_with_one_stderr_line(argv, env, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(argv[0] + ": ")
+    for name in env:
+        assert name in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json", "--collapse", "--compare"],
+        ["quiver", "--link", "s1 s1 s1", "--n", "3", "--compare"],
+    ],
+)
+def test_quiver_rejects_flag_combinations_before_building(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started for a rejected request")
+
+    monkeypatch.setattr("quandlequiver.cli.enumerate_colorings_linear", no_work)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def _count_records(tmp_path, *argv):
+    path = tmp_path / "counts.json"
+    main(["count", *argv, "--json", str(path)])
+    return json.loads(path.read_text())
+
+
+def test_count_json_key_order(tmp_path, capsys):
+    # clean and ambiguous-resolved rows share one shape
+    clean, resolved = _count_records(tmp_path, "--link", "torus:3,2", "--n", "2,3")
+    assert list(clean) == list(resolved) == ["link", "n", "case", "predicted", "count", "status"]
+    [unresolved] = _count_records(tmp_path, "--link", "torus:5,2", "--n", "5", "--backend", "formula")
+    assert list(unresolved) == ["link", "n", "case", "predicted", "status"]
+    [word] = _count_records(tmp_path, "--link", "s1 -s2 s1 -s2", "--n", "5")
+    assert list(word) == ["link", "n", "count", "status"]
+
+
+def test_count_backend_disagreement_exits_2(monkeypatch, capsys):
+    from quandlequiver import counting
+
+    real = counting.enumerate_colorings_oracle
+
+    def off_by_one(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.count += 1
+        return result
+
+    monkeypatch.setattr(counting, "enumerate_colorings_oracle", off_by_one)
+    code = main(["count", "--link", "torus:5,4", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert captured.err == "count: backend disagreement for n=3: formula=3, linear=3, oracle=4\n"
+
+
+DIFF_CAP = 10**6  # keeps the 7^8- and 7^9-state oracle cells (4 s and 10 s) out of the suite
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, 2 * p), st.integers(2, 9))
+    )
+)
+def test_count_rows_agree_with_verify_records(cell):
+    p, q, n = cell
+    [record] = verify_counts([p], [q], [n], cap=DIFF_CAP)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "row.json")
+        code = main(["count", "--link", f"torus:{p},{q}", "--n", str(n),
+                     "--oracle-cap", str(DIFF_CAP), "--json", path])
+        rows = json.loads(open(path).read()) if code != EXIT_CAP else []
+    if n**p > DIFF_CAP:
+        # count refuses the oracle above its cap; verify checks the cell linearly
+        assert code == EXIT_CAP and record.computed_oracle is None
+        return
+    [row] = rows
+    assert row["count"] == record.computed
+    assert row["status"] == ("ok" if record.status == STATUS_MATCH else record.status)

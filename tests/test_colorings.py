@@ -89,7 +89,7 @@ def test_colorings_are_lex_sorted_and_closed():
     cs = enumerate_colorings_oracle(word, quandle)
     assert cs.colorings == sorted(set(cs.colorings))
     for c in cs.colorings:
-        assert propagate(word, quandle, c).bottom == c
+        assert propagate(word, quandle, c) == c
 
 
 def test_trivial_colorings_are_the_constants():
@@ -106,7 +106,7 @@ def test_oracle_works_on_non_dihedral_tables():
     quandle = alexander
     assert cs.count == len(cs.colorings)
     for c in cs.colorings:
-        assert propagate(FIGURE_EIGHT, quandle, c).bottom == c
+        assert propagate(FIGURE_EIGHT, quandle, c) == c
 
 
 def test_oracle_cap_raises_naming_count():

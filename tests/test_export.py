@@ -10,11 +10,8 @@ from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.export import (
     CSV_HEADER,
     ExportOptions,
-    coloring_set_to_dict,
-    prediction_to_dict,
     quiver_from_json,
     quiver_to_dict,
-    report_from_json,
     to_csv,
     to_dot,
     to_json,
@@ -87,8 +84,8 @@ def test_quiver_json_round_trip_without_labels():
 
 def test_quiver_json_key_order_and_fields():
     quiver = torus_quiver(5, 2, 5)
-    d = quiver_to_dict(quiver, params={"p": 5, "q": 2, "n": 5}, case="ambiguous")
-    assert list(d) == ["params", "count", "case", "colorings", "weights", "blocks"]
+    d = quiver_to_dict(quiver, params={"p": 5, "q": 2, "n": 5})
+    assert list(d) == ["params", "count", "colorings", "weights", "blocks"]
     assert d["count"] == 25
     assert len(d["weights"]) == len(quiver.weight_triples())
     assert d["weights"] == sorted(d["weights"])
@@ -111,19 +108,17 @@ def test_json_ends_with_newline_and_is_deterministic():
 
 def test_coloring_set_and_prediction_dicts():
     cs = enumerate_colorings_oracle(torus_braid(2, 3), DihedralQuandle(3))
-    d = coloring_set_to_dict(cs)
-    assert d["count"] == 9
-    assert d["colorings"][0] == [0, 0]
-    pd = prediction_to_dict(predict_count(5, 2, 5))
-    assert pd["case"] == "ambiguous"
-    assert pd["predicted"] == [5, 25]
-    pd = prediction_to_dict(predict_count(5, 10, 4))
-    assert pd["predicted"] == 1024
+    assert cs.count == 9
+    assert cs.colorings[0] == (0, 0)
+    pd = predict_count(5, 2, 5)
+    assert pd.case == "ambiguous"
+    assert pd.predicted == [5, 25]
+    assert predict_count(5, 10, 4).predicted == 1024
 
 
 def test_report_json_round_trip():
     report = verify_counts([5], [2, 3], [5, 6], cap=1)
-    parsed = report_from_json(to_json(report))
+    parsed = json.loads(to_json(report))
     assert parsed == [rec.to_dict() for rec in report]
 
 

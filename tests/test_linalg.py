@@ -14,6 +14,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from intmatrix_reference import det
 
 from quandlequiver.braids import closure_system, torus_braid
 from quandlequiver.errors import CapExceededError
@@ -33,8 +34,8 @@ def diag_embed(diag, rows, cols):
 
 def assert_valid_snf(a, s):
     assert s.left @ a @ s.right == diag_embed(s.diag, a.rows, a.cols)
-    assert s.left.det() in (1, -1)
-    assert s.right.det() in (1, -1)
+    assert det(s.left) in (1, -1)
+    assert det(s.right) in (1, -1)
     assert all(d >= 0 for d in s.diag)
     assert s.rank == sum(1 for d in s.diag if d != 0)
     # nonzero entries come first and each divides the next
@@ -135,7 +136,7 @@ def minors_gcd_diag(a):
         for ri in combinations(range(a.rows), k):
             for ci in combinations(range(a.cols), k):
                 sub = IntMatrix([[a.data[i][j] for j in ci] for i in ri])
-                g = math.gcd(g, sub.det())
+                g = math.gcd(g, det(sub))
         if g == 0:
             out.extend([0] * (r - len(out)))
             break
@@ -247,4 +248,4 @@ def test_int_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix([[1], [2, 3]])
     with pytest.raises(ValueError):
-        IntMatrix.zeros(2, 3).det()
+        det(IntMatrix.zeros(2, 3))
