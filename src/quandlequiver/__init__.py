@@ -58,7 +58,6 @@ from .quandles import (
 )
 from .quivers import (
     BlockFamily,
-    IsoResult,
     QuiverForm,
     WeightedQuiver,
     build_quiver,
@@ -87,7 +86,6 @@ __all__ = [
     "FiniteQuandle",
     "IntMatrix",
     "InternalConsistencyError",
-    "IsoResult",
     "NonAffineEndomorphismWarning",
     "QuiverForm",
     "SnfResult",

@@ -21,13 +21,14 @@ from .counting import (
     STATUS_MISMATCH,
     evaluate_cells,
     is_odd_prime,
+    is_prime,
     predict_count,
     verify_counts,
 )
 from .errors import AmbiguousCountError, CapExceededError
 from .export import ExportOptions, to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
-from .quivers import build_quiver, isomorphic, quiver_form_for_count, realize
+from .quivers import build_quiver, isomorphic, quiver_form_for_count
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -37,6 +38,14 @@ EXIT_CAP = 4
 
 class BadRequest(Exception):
     """Input rejected before any work: exit 2, one line on stderr, nothing on stdout."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a bad request, not as a usage block and SystemExit."""
+
+    def error(self, message):
+        # a subcommand's parser is named "quandlequiver <command>"
+        raise BadRequest(f"{self.prog.split()[-1]}: {message}")
 
 
 def _request(parse, *args):
@@ -153,6 +162,8 @@ def cmd_quiver(args) -> int:
     torus = link if isinstance(link, TorusLinkSpec) else None
     if args.compare and torus is None:
         raise BadRequest("--compare needs a torus:p,q link")
+    if args.compare and not is_prime(torus.p):
+        raise BadRequest(f"--compare needs p prime, got {torus.p}")
     if args.collapse and args.format != "dot":
         raise BadRequest("--collapse applies to dot output only")
     coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
@@ -184,18 +195,14 @@ def cmd_quiver(args) -> int:
         except ValueError as exc:
             print(f"quiver: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
-        result = isomorphic(quiver, realize(form))
-        if result.verdict is True:
+        if isomorphic(quiver, form) is None:
+            print("isomorphic=false")
+            exit_code = EXIT_MISMATCH
+        else:
             note = " (ambiguous count, resolved by computation)" if ambiguous else ""
             print(f"isomorphic=true{note}")
             if ambiguous:
                 exit_code = EXIT_AMBIGUOUS
-        elif result.verdict is False:
-            print("isomorphic=false")
-            exit_code = EXIT_MISMATCH
-        else:
-            print(f"isomorphic=undecided after {result.expansions} expansions")
-            exit_code = EXIT_MISMATCH
 
     options = ExportOptions(
         collapse_blocks=args.collapse, include_loops=not args.no_loops
@@ -239,7 +246,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quandlequiver",
         description="Count quandle colorings of braid closures and draw their quivers.",
     )
@@ -285,7 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except BadRequest as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_MISMATCH
     try:
         _request(check_environment)
         return args.func(args)

@@ -13,7 +13,6 @@ _DEFAULTS = {
     "QUANDLEQUIVER_ENUM_CAP": 10**6,      # kernel vectors materialized per call
     "QUANDLEQUIVER_ORACLE_CAP": 10**7,    # candidate top states propagated per call
     "QUANDLEQUIVER_ENDO_CAP": 10**6,      # naive m**m bound for brute-force search
-    "QUANDLEQUIVER_ISO_BUDGET": 10**7,    # node expansions in isomorphism search
 }
 
 
@@ -43,6 +42,3 @@ def oracle_cap() -> int:
 def endo_cap() -> int:
     return _get("QUANDLEQUIVER_ENDO_CAP")
 
-
-def iso_budget() -> int:
-    return _get("QUANDLEQUIVER_ISO_BUDGET")

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .counting import CellRecord
-from .quivers import BlockDecomposition, WeightedQuiver, detect_blocks
+from .quivers import QuiverForm, WeightedQuiver, detect_blocks
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,10 @@ def to_dot(quiver: WeightedQuiver, options: ExportOptions | None = None) -> str:
     options = options or ExportOptions()
     lines = ["digraph quiver {"]
     if options.collapse_blocks:
-        decomposition = detect_blocks(quiver)
-        for bi, (block, w) in enumerate(
-            zip(decomposition.blocks, decomposition.weights)
-        ):
-            lines.append(f'  b{bi} [label="K{len(block)} w={w}"];')
-        for (bi, bj), d in sorted(decomposition.cross.items()):
+        form, _ = detect_blocks(quiver)
+        for bi, f in enumerate(form.families):
+            lines.append(f'  b{bi} [label="K{f.size} w={f.weight}"];')
+        for bi, bj, d in form.cross:
             lines.append(f'  b{bi} -> b{bj} [label="{d}"];')
     else:
         for v in range(quiver.n_vertices):
@@ -53,13 +51,10 @@ def to_dot(quiver: WeightedQuiver, options: ExportOptions | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _blocks_dict(decomposition: BlockDecomposition) -> dict:
+def _blocks_dict(form: QuiverForm) -> dict:
     return {
-        "blocks": [
-            {"size": len(block), "weight": w}
-            for block, w in zip(decomposition.blocks, decomposition.weights)
-        ],
-        "cross": [[i, j, d] for (i, j), d in sorted(decomposition.cross.items())],
+        "blocks": [{"size": f.size, "weight": f.weight} for f in form.families],
+        "cross": [list(t) for t in form.cross],
     }
 
 
@@ -72,7 +67,7 @@ def quiver_to_dict(quiver: WeightedQuiver, params: dict | None = None) -> dict:
         out["colorings"] = [list(c) for c in quiver.labels]
     out["weights"] = [list(t) for t in quiver.weight_triples()]
     if quiver.n_vertices:
-        out["blocks"] = _blocks_dict(detect_blocks(quiver))
+        out["blocks"] = _blocks_dict(detect_blocks(quiver)[0])
     return out
 
 

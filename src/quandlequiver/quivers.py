@@ -1,4 +1,4 @@
-"""Coloring quivers: construction, closed-form shapes, and isomorphism.
+"""Coloring quivers: construction, closed-form shapes, blocks, and comparison.
 
 The quiver of a coloring set has one vertex per coloring and, for each
 endomorphism phi of the target quandle, one arrow f -> phi . f; arrows
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colorings import ColoringSet
-from .config import iso_budget
 from .counting import is_prime, predict_count
 from .errors import AmbiguousCountError, InternalConsistencyError
 from .quandles import DihedralQuandle, Endomorphism
@@ -138,16 +137,21 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos:
 
 @dataclass(frozen=True)
 class BlockFamily:
-    """`copies` disjoint complete blocks on `size` vertices of one weight."""
+    """`copies` disjoint complete blocks on `size` vertices of one weight.
+
+    Weight 0 is allowed only for a single vertex: one without a loop.
+    """
 
     copies: int
     size: int
     weight: int
 
     def __post_init__(self):
-        if self.copies < 1 or self.size < 1 or self.weight < 1:
+        bad_weight = self.weight < 0 or (self.weight == 0 and self.size > 1)
+        if self.copies < 1 or self.size < 1 or bad_weight:
             raise ValueError(
-                f"block family needs copies, size, weight >= 1, got {self}"
+                f"block family needs copies, size >= 1 and weight >= 1 "
+                f"(0 for a single vertex), got {self}"
             )
 
 
@@ -226,6 +230,8 @@ def realize(form: QuiverForm) -> WeightedQuiver:
             pos += f.size
         spans.append(copies)
     for f, family_spans in zip(form.families, spans):
+        if not f.weight:
+            continue
         for a, b in family_spans:
             for i in range(a, b):
                 row = quiver.rows[i]
@@ -286,213 +292,92 @@ def predict_quiver(p: int, q: int, n: int) -> QuiverForm:
     return quiver_form_for_count(p, n, prediction.n_colorings)
 
 
-# --- isomorphism ---------------------------------------------------------
+# --- block structure -----------------------------------------------------
 
 
-@dataclass
-class IsoResult:
-    """verdict True/False, or None when the node budget ran out first."""
+def _refine(quiver: WeightedQuiver) -> list[int]:
+    """Iterated colour refinement by (loop, out-profile, in-profile).
 
-    verdict: bool | None
-    mapping: tuple[int, ...] | None
-    expansions: int
-
-
-def _joint_colors(quivers: list[WeightedQuiver]) -> list[list[int]]:
-    """Iterated refinement by (loop, out-profile, in-profile), shared ordinals.
-
-    Signatures are computed over all graphs together each round, so equal
-    colors mean equal local structure across graphs.
+    Colours are ordinals of sorted signatures, so vertices with equal local
+    structure get equal colours whatever their labels.
     """
-    outs = [q.rows for q in quivers]
-    ins = [q.in_rows() for q in quivers]
-
-    def initial(qi, v):
-        loop = outs[qi][v].get(v, 0)
-        out_profile = tuple(sorted(outs[qi][v].values()))
-        in_profile = tuple(sorted(ins[qi][v].values()))
-        return (loop, out_profile, in_profile)
-
+    outs = quiver.rows
+    ins = quiver.in_rows()
     signatures = [
-        [initial(qi, v) for v in range(q.n_vertices)] for qi, q in enumerate(quivers)
+        (outs[v].get(v, 0), tuple(sorted(outs[v].values())), tuple(sorted(ins[v].values())))
+        for v in range(quiver.n_vertices)
     ]
-    colors = _canonicalize(signatures)
-    n_colors = len(set(c for graph in colors for c in graph))
+    colors, n_colors = _canonicalize(signatures)
     while True:
-        signatures = []
-        for qi, q in enumerate(quivers):
-            graph_colors = colors[qi]
-            sigs = []
-            for v in range(q.n_vertices):
-                out_sig = tuple(
-                    sorted((w, graph_colors[u]) for u, w in outs[qi][v].items())
-                )
-                in_sig = tuple(
-                    sorted((w, graph_colors[u]) for u, w in ins[qi][v].items())
-                )
-                sigs.append((graph_colors[v], out_sig, in_sig))
-            signatures.append(sigs)
-        colors = _canonicalize(signatures)
-        new_count = len(set(c for graph in colors for c in graph))
+        signatures = [
+            (
+                colors[v],
+                tuple(sorted((w, colors[u]) for u, w in outs[v].items())),
+                tuple(sorted((w, colors[u]) for u, w in ins[v].items())),
+            )
+            for v in range(quiver.n_vertices)
+        ]
+        colors, new_count = _canonicalize(signatures)
         if new_count == n_colors:
             return colors
         n_colors = new_count
 
 
-def _canonicalize(signatures):
-    ordering = {
-        sig: i
-        for i, sig in enumerate(sorted(set(s for graph in signatures for s in graph)))
-    }
-    return [[ordering[s] for s in graph] for graph in signatures]
+def _canonicalize(signatures) -> tuple[list[int], int]:
+    ordering = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return [ordering[s] for s in signatures], len(ordering)
 
 
-def isomorphic(
-    qa: WeightedQuiver, qb: WeightedQuiver, budget: int | None = None
-) -> IsoResult:
-    """Weight-preserving digraph isomorphism by refinement plus backtracking.
+def _block_profiles(quiver: WeightedQuiver, blocks: list[list[int]]) -> list[dict[int, int]] | None:
+    """Per block, the one weight its vertices send to each block they reach.
 
-    Returns verdict True with a vertex mapping, False when refinement or
-    exhausted search rules a bijection out, and None (undecided) when the
-    expansion budget is hit first.
+    A vertex's row tally holds, for each block its arrows reach, their
+    count and their single weight.  The blocks are complete and uniform
+    exactly when every tally covers whole blocks and all vertices of a
+    block share one; otherwise None.  O(E).
     """
-    limit = iso_budget() if budget is None else budget
-    if qa.n_vertices != qb.n_vertices:
-        return IsoResult(False, None, 0)
-    n = qa.n_vertices
-    if n == 0:
-        return IsoResult(True, (), 0)
-    colors_a, colors_b = _joint_colors([qa, qb])
-    from collections import Counter
-
-    if Counter(colors_a) != Counter(colors_b):
-        return IsoResult(False, None, 0)
-
-    candidates: dict[int, list[int]] = {}
-    for u, c in enumerate(colors_b):
-        candidates.setdefault(c, []).append(u)
-    class_size = Counter(colors_a)
-
-    # order: smallest candidate classes first, preferring vertices adjacent
-    # to already-ordered ones so weight constraints bind early
-    ins_a = qa.in_rows()
-    ins_b = qb.in_rows()
-    order: list[int] = []
-    placed = [False] * n
-    frontier: set[int] = set()
-    for _ in range(n):
-        pool = frontier if frontier else set(v for v in range(n) if not placed[v])
-        v = min(pool, key=lambda x: (class_size[colors_a[x]], colors_a[x], x))
-        order.append(v)
-        placed[v] = True
-        frontier.discard(v)
-        for u in qa.rows[v]:
-            if not placed[u]:
-                frontier.add(u)
-        for u in ins_a[v]:
-            if not placed[u]:
-                frontier.add(u)
-
-    mapping = [-1] * n
-    inverse: dict[int, int] = {}
-    used = [False] * n
-    expansions = 0
-
-    class _Budget(Exception):
-        pass
-
-    def feasible(v: int, u: int) -> bool:
-        # arrows between v and every already-mapped vertex must match in
-        # weight and existence, both directions; checking each side's
-        # nonzero rows also rules out extra arrows on the other side
-        for w, wt in qa.rows[v].items():
-            mw = u if w == v else mapping[w]
-            if mw >= 0 and qb.rows[u].get(mw, 0) != wt:
-                return False
-        for w, wt in qb.rows[u].items():
-            src = v if w == u else inverse.get(w, -1)
-            if src >= 0 and qa.rows[v].get(src, 0) != wt:
-                return False
-        for w, wt in ins_a[v].items():
-            mw = u if w == v else mapping[w]
-            if mw >= 0 and ins_b[u].get(mw, 0) != wt:
-                return False
-        for w, wt in ins_b[u].items():
-            src = v if w == u else inverse.get(w, -1)
-            if src >= 0 and ins_a[v].get(src, 0) != wt:
-                return False
-        return True
-
-    def backtrack(k: int) -> bool:
-        nonlocal expansions
-        if k == n:
-            return True
-        v = order[k]
-        for u in candidates[colors_a[v]]:
-            if used[u]:
-                continue
-            expansions += 1
-            if expansions > limit:
-                raise _Budget()
-            if feasible(v, u):
-                mapping[v] = u
-                used[u] = True
-                inverse[u] = v
-                if backtrack(k + 1):
-                    return True
-                mapping[v] = -1
-                used[u] = False
-                del inverse[u]
-        return False
-
-    try:
-        found = backtrack(0)
-    except _Budget:
-        return IsoResult(None, None, expansions)
-    if not found:
-        return IsoResult(False, None, expansions)
-    # re-verify the completed mapping edge by edge
-    for v in range(n):
-        row = qa.rows[v]
-        mapped_row = qb.rows[mapping[v]]
-        if len(row) != len(mapped_row):
-            raise InternalConsistencyError("isomorphism verification failed")
-        for w, wt in row.items():
-            if mapped_row.get(mapping[w], 0) != wt:
-                raise InternalConsistencyError("isomorphism verification failed")
-    return IsoResult(True, tuple(mapping), expansions)
+    block_of = [0] * quiver.n_vertices
+    for b, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = b
+    profiles = []
+    for block in blocks:
+        shared = None
+        for v in block:
+            counts: dict[int, int] = {}
+            profile: dict[int, int] = {}
+            for u, w in quiver.rows[v].items():
+                if not w:
+                    continue
+                b = block_of[u]
+                if profile.setdefault(b, w) != w:
+                    return None
+                counts[b] = counts.get(b, 0) + 1
+            if any(count != len(blocks[b]) for b, count in counts.items()):
+                return None
+            if shared is None:
+                shared = profile
+            elif profile != shared:
+                return None
+        profiles.append(shared)
+    return profiles
 
 
-# --- block structure -----------------------------------------------------
+def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
+    """Group vertices into complete blocks with uniform internal and cross weights.
 
-
-@dataclass
-class BlockDecomposition:
-    """Partition into complete blocks with uniform internal and cross weights.
-
-    blocks[i] is a sorted vertex list; weights[i] the internal weight
-    (loop weight for singletons); cross[(i, j)] the uniform weight of
-    arrows from every vertex of block i to every vertex of block j,
-    nonzero entries only.
-    """
-
-    blocks: list[list[int]]
-    weights: list[int]
-    cross: dict[tuple[int, int], int]
-
-
-def detect_blocks(quiver: WeightedQuiver) -> BlockDecomposition:
-    """Group vertices into strongly-uniform weight classes.
-
-    Vertices sharing a refinement color are merged along nonzero arrows,
+    Vertices sharing a refinement colour are merged along nonzero arrows,
     then every candidate block is checked for one uniform internal weight
     and uniform cross weights; any failure drops the decomposition to
-    singletons, which is always valid.
+    singletons, which always hold.
+
+    Returns (form, blocks): `form` has one single-copy family per block,
+    carrying its internal weight (a singleton's loop weight, possibly 0),
+    and `cross` triples over block indices; blocks[i] is the sorted vertex
+    list of block i.  Blocks are ordered by smallest vertex.
     """
     n = quiver.n_vertices
-    if n == 0:
-        return BlockDecomposition([], [], {})
-    colors = _joint_colors([quiver])[0]
+    colors = _refine(quiver)
     parent = list(range(n))
 
     def find(x):
@@ -501,52 +386,89 @@ def detect_blocks(quiver: WeightedQuiver) -> BlockDecomposition:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     for i, row in enumerate(quiver.rows):
         for j, w in row.items():
             if w and i != j and colors[i] == colors[j]:
-                union(i, j)
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     blocks = sorted(groups.values())
-
-    def uniform(block_i, block_j) -> int | None:
-        values = {quiver.weight(i, j) for i in block_i for j in block_j}
-        return values.pop() if len(values) == 1 else None
-
-    weights = []
-    ok = True
-    for block in blocks:
-        w = uniform(block, block)
-        if w is None:
-            ok = False
-            break
-        weights.append(w)
-    cross: dict[tuple[int, int], int] = {}
-    if ok:
-        for bi, block_i in enumerate(blocks):
-            for bj, block_j in enumerate(blocks):
-                if bi == bj:
-                    continue
-                d = uniform(block_i, block_j)
-                if d is None:
-                    ok = False
-                    break
-                if d:
-                    cross[(bi, bj)] = d
-            if not ok:
-                break
-    if not ok:
+    profiles = _block_profiles(quiver, blocks)
+    if profiles is None:
         blocks = [[v] for v in range(n)]
-        weights = [quiver.weight(v, v) for v in range(n)]
-        cross = {}
-        for i, row in enumerate(quiver.rows):
-            for j, w in row.items():
-                if w and i != j:
-                    cross[(i, j)] = w
-    return BlockDecomposition(blocks=blocks, weights=weights, cross=cross)
+        profiles = _block_profiles(quiver, blocks)
+    form = QuiverForm(
+        families=tuple(
+            BlockFamily(1, len(block), profile.get(b, 0))
+            for b, (block, profile) in enumerate(zip(blocks, profiles))
+        ),
+        cross=tuple(
+            (b, c, d)
+            for b, profile in enumerate(profiles)
+            for c, d in sorted(profile.items())
+            if c != b
+        ),
+    )
+    return form, blocks
+
+
+# --- comparison ----------------------------------------------------------
+
+
+def isomorphic(quiver: WeightedQuiver, form: QuiverForm) -> tuple[int, ...] | None:
+    """A weight-preserving vertex mapping of `quiver` onto realize(form), or None.
+
+    The mapping sends each vertex to its image in realize(form)'s
+    block-major order.  Each block detect_blocks finds in `quiver` is
+    matched to a free copy of the form's family with the same size and
+    weight, and the mapping is then checked arrow by arrow, so a returned
+    mapping is always an isomorphism.
+
+    None is an exact refutation when the form's families have distinct
+    weights (a form with two families of one weight raises ValueError):
+
+    - refinement starts from each vertex's loop weight, the weight of its
+      family, so it never merges two families; copies of one family have
+      no arrows between them; so detect_blocks(realize(form)) returns
+      exactly the form's copies;
+    - detect_blocks commutes with isomorphism, so a quiver isomorphic to
+      realize(form) decomposes into blocks matching those copies;
+    - vertices within a copy, and copies within a family, are
+      interchangeable, so when any isomorphism exists the matched mapping
+      is one.
+
+    Every shape quiver_form_for_count returns has distinct weights: n with
+    n/p, n/2 or 1.
+    """
+    weights = [f.weight for f in form.families]
+    if len(set(weights)) < len(weights):
+        raise ValueError(f"the form's families need distinct weights, got {weights}")
+    if quiver.n_vertices != form.n_vertices:
+        return None
+    target = realize(form)
+    free: dict[tuple[int, int], list[int]] = {}
+    start = 0
+    for f in form.families:
+        for _ in range(f.copies):
+            free.setdefault((f.size, f.weight), []).append(start)
+            start += f.size
+    detected, blocks = detect_blocks(quiver)
+    mapping = [0] * quiver.n_vertices
+    for family, block in zip(detected.families, blocks):
+        starts = free.get((family.size, family.weight))
+        if not starts:
+            return None
+        start = starts.pop()
+        for k, v in enumerate(block):
+            mapping[v] = start + k
+    for v, row in enumerate(quiver.rows):
+        mapped_row = target.rows[mapping[v]]
+        if len(row) != len(mapped_row):
+            return None
+        for u, w in row.items():
+            if mapped_row.get(mapping[u], 0) != w:
+                return None
+    return tuple(mapping)

@@ -1,0 +1,78 @@
+"""Reference block detection used by the tests: uniformity by O(N^2) weight lookups.
+
+`detect_blocks` checks uniformity with per-row block tallies in O(E); this
+is the direct check it must agree with, on the same refinement colours.
+"""
+
+from quandlequiver.quivers import _refine
+
+
+def detect_blocks(quiver):
+    """(blocks, weights, cross) of the complete uniform blocks, else of singletons.
+
+    blocks[i] is a sorted vertex list; weights[i] the internal weight
+    (loop weight for singletons); cross[(i, j)] the uniform weight of
+    arrows from every vertex of block i to every vertex of block j,
+    nonzero entries only.
+    """
+    n = quiver.n_vertices
+    if n == 0:
+        return [], [], {}
+    colors = _refine(quiver)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for i, row in enumerate(quiver.rows):
+        for j, w in row.items():
+            if w and i != j and colors[i] == colors[j]:
+                union(i, j)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    blocks = sorted(groups.values())
+
+    def uniform(block_i, block_j):
+        values = {quiver.weight(i, j) for i in block_i for j in block_j}
+        return values.pop() if len(values) == 1 else None
+
+    weights = []
+    ok = True
+    for block in blocks:
+        w = uniform(block, block)
+        if w is None:
+            ok = False
+            break
+        weights.append(w)
+    cross: dict[tuple[int, int], int] = {}
+    if ok:
+        for bi, block_i in enumerate(blocks):
+            for bj, block_j in enumerate(blocks):
+                if bi == bj:
+                    continue
+                d = uniform(block_i, block_j)
+                if d is None:
+                    ok = False
+                    break
+                if d:
+                    cross[(bi, bj)] = d
+            if not ok:
+                break
+    if not ok:
+        blocks = [[v] for v in range(n)]
+        weights = [quiver.weight(v, v) for v in range(n)]
+        cross = {}
+        for i, row in enumerate(quiver.rows):
+            for j, w in row.items():
+                if w and i != j:
+                    cross[(i, j)] = w
+    return blocks, weights, cross

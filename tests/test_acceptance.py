@@ -53,12 +53,12 @@ def check_quiver_matches_form(p, q, n, expected_count, families, cross):
     form = quiver_form_for_count(p, n, cs.count)
     assert tuple((f.copies, f.size, f.weight) for f in form.families) == families
     assert form.cross == cross
-    result = isomorphic(quiver, realize(form))
-    assert result.verdict is True
+    mapping = isomorphic(quiver, form)
+    assert mapping is not None
     target = realize(form)
-    for i in range(quiver.n_vertices):
-        for j in range(quiver.n_vertices):
-            assert quiver.weight(i, j) == target.weight(result.mapping[i], result.mapping[j])
+    assert sorted(mapping) == list(range(target.n_vertices))
+    mapped = sorted((mapping[i], mapping[j], w) for i, j, w in quiver.weight_triples())
+    assert mapped == target.weight_triples()
     return form
 
 

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quandlequiver
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CAP,
@@ -134,6 +136,14 @@ def test_quiver_compare_ambiguous_exits_3(capsys):
     assert "isomorphic=true (ambiguous count, resolved by computation)" in out
 
 
+def test_quiver_compare_large_quiver(tmp_path, capsys):
+    # N = 3125 vertices, more than one stack frame per vertex allows
+    code = main(["quiver", "--link", "torus:5,10", "--n", "5", "--compare",
+                 "--out", str(tmp_path / "quiver.dot")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.startswith("isomorphic=true")
+
+
 def test_quiver_json_out(tmp_path):
     path = tmp_path / "quiver.json"
     code = main(["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json", "--out", str(path)])
@@ -203,10 +213,12 @@ def test_repeat_runs_are_byte_identical(capsys):
 
 
 def test_module_entry_point():
+    # run from the directory holding the package, so an uninstalled checkout finds it too
     proc = subprocess.run(
         [sys.executable, "-m", "quandlequiver", "count", "--link", "torus:2,3", "--n", "3"],
         capture_output=True,
         text=True,
+        cwd=Path(quandlequiver.__file__).parents[1],
     )
     assert proc.returncode == EXIT_OK
     assert "N=9" in proc.stdout
@@ -222,6 +234,8 @@ BAD_REQUESTS = [
     (["quiver", "--link", "torus:5,2", "--n", "5"], {"QUANDLEQUIVER_ENUM_CAP": "abc"}),
     (["verify", "--p", "3", "--q=-1..2", "--n", "2..4"], {}),
     (["verify", "--p", "3", "--q", "2", "--n", "0..4"], {}),
+    (["verify", "--p", "3", "--q", "-1..2", "--n", "2..4"], {}),
+    (["quiver", "--link", "torus:5,2"], {}),
 ]
 
 
@@ -244,6 +258,7 @@ def test_bad_request_exits_2_with_one_stderr_line(argv, env, monkeypatch, capsys
     [
         ["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json", "--collapse", "--compare"],
         ["quiver", "--link", "s1 s1 s1", "--n", "3", "--compare"],
+        ["quiver", "--link", "torus:4,2", "--n", "4", "--compare"],
     ],
 )
 def test_quiver_rejects_flag_combinations_before_building(argv, monkeypatch, capsys):
@@ -256,6 +271,13 @@ def test_quiver_rejects_flag_combinations_before_building(argv, monkeypatch, cap
     assert code == EXIT_MISMATCH
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quandlequiver quiver")
 
 
 def _count_records(tmp_path, *argv):

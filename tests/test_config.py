@@ -4,7 +4,7 @@ import pytest
 
 from quandlequiver.braids import torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
-from quandlequiver.config import endo_cap, enumeration_cap, iso_budget, oracle_cap
+from quandlequiver.config import endo_cap, enumeration_cap, oracle_cap
 from quandlequiver.errors import CapExceededError
 from quandlequiver.quandles import DihedralQuandle
 
@@ -13,18 +13,15 @@ def test_defaults():
     assert enumeration_cap() == 10**6
     assert oracle_cap() == 10**7
     assert endo_cap() == 10**6
-    assert iso_budget() == 10**7
 
 
 def test_env_overrides_read_at_call_time(monkeypatch):
     monkeypatch.setenv("QUANDLEQUIVER_ENUM_CAP", "123")
     monkeypatch.setenv("QUANDLEQUIVER_ORACLE_CAP", "456")
     monkeypatch.setenv("QUANDLEQUIVER_ENDO_CAP", "789")
-    monkeypatch.setenv("QUANDLEQUIVER_ISO_BUDGET", "99")
     assert enumeration_cap() == 123
     assert oracle_cap() == 456
     assert endo_cap() == 789
-    assert iso_budget() == 99
 
 
 def test_invalid_override_rejected(monkeypatch):

@@ -1,8 +1,10 @@
 """Byte-identity of CLI output: sha256 digests of stdout and output files.
 
-The digests were recorded from the program before `count` and `verify`
-were routed through one cell evaluator; any change to these bytes is a
-change of the documented output, not a refactor.
+The digests of `count` and `verify` output were recorded from the program
+before those commands were routed through one cell evaluator, and those of
+the block exports (collapsed DOT, JSON `blocks`) before block detection
+checked uniformity by row tallies; any change to these bytes is a change
+of the documented output, not a refactor.
 """
 
 import hashlib
@@ -46,11 +48,26 @@ GOLDEN = [
         "2f821836cf4e84721604ef4fa71b2d8ad35192ca3888470091f65de747384c41",
         {},
     ),
+    (
+        ["quiver", "--link", "torus:3,4", "--n", "9", "--collapse"],
+        0,
+        "c744e081db7754c9024e17fce914ecd662ab8f418437b16367a687aa45ad6f7c",
+        {},
+    ),
+    (
+        # 64 blocks: K8(w8) joined from 63 blocks K8(w4)
+        ["quiver", "--link", "torus:7,7", "--n", "8", "--format", "json"],
+        0,
+        "ad5209604f0482c21558b459443ddf08988e1b15e05575912fae035fadab5615",
+        {},
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,exit_code,stdout,files", GOLDEN, ids=["count_torus", "count_word", "verify", "quiver_json"]
+    "argv,exit_code,stdout,files",
+    GOLDEN,
+    ids=["count_torus", "count_word", "verify", "quiver_json", "quiver_collapse", "quiver_json_blocks"],
 )
 def test_output_bytes_unchanged(argv, exit_code, stdout, files, tmp_path, capsys):
     code = main([a.replace("{out}", str(tmp_path)) for a in argv])

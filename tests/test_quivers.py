@@ -1,8 +1,11 @@
-"""Tests for quiver construction, closed-form shapes, isomorphism, and blocks."""
+"""Tests for quiver construction, closed-form shapes, blocks, and comparison."""
 
 import random
 
 import pytest
+from blocks_reference import detect_blocks as reference_blocks
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quandlequiver.braids import torus_braid
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_oracle
@@ -29,11 +32,12 @@ def dihedral_quiver(p, q, n):
     return cs, build_quiver(cs, affine_endomorphisms(n))
 
 
-def assert_valid_mapping(qa, qb, mapping):
-    assert sorted(mapping) == list(range(qb.n_vertices))
-    for i in range(qa.n_vertices):
-        for j in range(qa.n_vertices):
-            assert qa.weight(i, j) == qb.weight(mapping[i], mapping[j])
+def assert_valid_mapping(quiver, form, mapping):
+    """The mapping carries every weighted arrow of quiver onto realize(form), in O(E)."""
+    target = realize(form)
+    assert sorted(mapping) == list(range(target.n_vertices))
+    mapped = sorted((mapping[i], mapping[j], w) for i, j, w in quiver.weight_triples())
+    assert mapped == target.weight_triples()
 
 
 def permuted_copy(quiver, seed):
@@ -192,78 +196,156 @@ def test_predict_quiver():
 
 
 def test_isomorphic_self():
-    quiver = realize(quiver_form_for_count(5, 5, 25))
-    res = isomorphic(quiver, quiver)
-    assert res.verdict is True
-    assert_valid_mapping(quiver, quiver, res.mapping)
+    form = quiver_form_for_count(5, 5, 25)
+    quiver = realize(form)
+    mapping = isomorphic(quiver, form)
+    assert_valid_mapping(quiver, form, mapping)
 
 
 def test_isomorphic_under_permutation():
-    base = realize(quiver_form_for_count(5, 6, 96))
-    shuffled = permuted_copy(base, seed=7)
-    res = isomorphic(base, shuffled)
-    assert res.verdict is True
-    assert_valid_mapping(base, shuffled, res.mapping)
+    form = quiver_form_for_count(5, 6, 96)
+    shuffled = permuted_copy(realize(form), seed=7)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form))
 
 
 def test_isomorphic_detects_weight_change():
-    base = realize(quiver_form_for_count(5, 5, 25))
-    tweaked = permuted_copy(base, seed=3)
+    form = quiver_form_for_count(5, 5, 25)
+    tweaked = permuted_copy(realize(form), seed=3)
     tweaked.rows[17][4] = tweaked.weight(17, 4) + 1
-    assert isomorphic(base, tweaked).verdict is False
+    assert isomorphic(tweaked, form) is None
+    # the same blocks without the join's cross arrows
+    assert isomorphic(realize(QuiverForm(form.families)), form) is None
 
 
 def test_isomorphic_distinguishes_uniform_weights():
-    assert isomorphic(realize(complete_form(2, 1)), realize(complete_form(2, 2))).verdict is False
-    assert isomorphic(realize(complete_form(2, 1)), realize(complete_form(3, 1))).verdict is False
+    assert isomorphic(realize(complete_form(2, 1)), complete_form(2, 2)) is None
+    assert isomorphic(realize(complete_form(2, 1)), complete_form(3, 1)) is None
+    assert isomorphic(realize(complete_form(3, 1)), complete_form(2, 1)) is None
 
 
 def test_isomorphic_symmetry():
-    a = realize(quiver_form_for_count(5, 5, 25))
+    # mappings of a quiver and of its relabelled copy onto one form compose
+    # into an isomorphism between the two, in either direction
+    form = quiver_form_for_count(5, 5, 25)
+    a = realize(form)
     b = permuted_copy(a, seed=9)
-    assert isomorphic(a, b).verdict is True
-    assert isomorphic(b, a).verdict is True
+    to_a, to_b = isomorphic(a, form), isomorphic(b, form)
+    inverse_b = {t: v for v, t in enumerate(to_b)}
+    inverse_a = {t: v for v, t in enumerate(to_a)}
+    a_to_b = [inverse_b[t] for t in to_a]
+    b_to_a = [inverse_a[t] for t in to_b]
+    assert sorted((a_to_b[i], a_to_b[j], w) for i, j, w in a.weight_triples()) == b.weight_triples()
+    assert sorted((b_to_a[i], b_to_a[j], w) for i, j, w in b.weight_triples()) == a.weight_triples()
 
 
-def test_isomorphic_budget_returns_undecided():
-    a = realize(complete_form(8, 1))
-    b = realize(complete_form(8, 1))
-    res = isomorphic(a, b, budget=1)
-    assert res.verdict is None
-    assert res.mapping is None
-    assert isomorphic(a, b).verdict is True
+def test_isomorphic_large_relabelled_shape():
+    # N = 3125: one block K5(w5) joined from 156 blocks K20(w1)
+    form = quiver_form_for_count(5, 5, 3125)
+    shuffled = permuted_copy(realize(form), seed=11)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form))
+    i, j, w = shuffled.weight_triples()[1000]
+    shuffled.rows[i][j] = w + 1
+    assert isomorphic(shuffled, form) is None
+
+
+def test_isomorphic_rejects_forms_with_equal_family_weights():
+    form = QuiverForm((BlockFamily(1, 2, 1), BlockFamily(2, 3, 1)), ((1, 0, 1),))
+    with pytest.raises(ValueError):
+        isomorphic(realize(form), form)
 
 
 def test_built_quiver_matches_predicted_form():
     cs, quiver = dihedral_quiver(5, 2, 5)
-    target = realize(quiver_form_for_count(5, 5, 25))
-    res = isomorphic(quiver, target)
-    assert res.verdict is True
-    assert_valid_mapping(quiver, target, res.mapping)
+    form = quiver_form_for_count(5, 5, 25)
+    assert_valid_mapping(quiver, form, isomorphic(quiver, form))
 
 
 def test_detect_blocks_on_join():
-    quiver = realize(quiver_form_for_count(5, 5, 25))
-    blocks = detect_blocks(quiver)
-    assert sorted(len(b) for b in blocks.blocks) == [5, 20]
-    assert sorted(blocks.weights) == [1, 5]
-    assert list(blocks.cross.values()) == [1]
+    form, blocks = detect_blocks(realize(quiver_form_for_count(5, 5, 25)))
+    assert blocks == [list(range(5)), list(range(5, 25))]
+    assert form.families == (BlockFamily(1, 5, 5), BlockFamily(1, 20, 1))
+    assert form.cross == ((1, 0, 1),)
 
 
 def test_detect_blocks_on_built_quiver():
     cs, quiver = dihedral_quiver(5, 5, 6)
-    blocks = detect_blocks(quiver)
-    assert sorted(len(b) for b in blocks.blocks) == [6] * 16
-    assert sorted(blocks.weights) == [3] * 15 + [6]
-    assert len(blocks.cross) == 15
-    assert set(blocks.cross.values()) == {3}
+    form, blocks = detect_blocks(quiver)
+    assert sorted(len(b) for b in blocks) == [6] * 16
+    assert all(f.copies == 1 and f.size == 6 for f in form.families)
+    assert sorted(f.weight for f in form.families) == [3] * 15 + [6]
+    assert len(form.cross) == 15
+    assert {d for _, _, d in form.cross} == {3}
 
 
 def test_detect_blocks_falls_back_to_singletons():
     cycle = WeightedQuiver(4)
     for i in range(4):
         cycle.add(i, (i + 1) % 4, 1)
-    blocks = detect_blocks(cycle)
-    assert blocks.blocks == [[0], [1], [2], [3]]
-    assert blocks.weights == [0, 0, 0, 0]
-    assert blocks.cross == {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1}
+    form, blocks = detect_blocks(cycle)
+    assert blocks == [[0], [1], [2], [3]]
+    assert form.families == (BlockFamily(1, 1, 0),) * 4
+    assert form.cross == ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1))
+    assert realize(form) == cycle
+
+
+def assert_blocks_match_reference(quiver):
+    form, blocks = detect_blocks(quiver)
+    ref_blocks, ref_weights, ref_cross = reference_blocks(quiver)
+    assert blocks == ref_blocks
+    assert form.families == tuple(BlockFamily(1, len(b), w) for b, w in zip(ref_blocks, ref_weights))
+    assert form.cross == tuple((i, j, d) for (i, j), d in sorted(ref_cross.items()))
+
+
+def has_shape(p, n, count):
+    try:
+        quiver_form_for_count(p, n, count)
+    except ValueError:
+        return False
+    return True
+
+
+# (p, n, count) of every closed-form shape with p <= 5, n <= 9 and at most 250 vertices
+SHAPES = sorted(
+    {
+        (p, n, count)
+        for p in (2, 3, 5)
+        for n in range(2, 10)
+        for count in (n, p * n, 2 ** (p - 1) * n, n**p)
+        if count <= 250 and has_shape(p, n, count)
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, perturb, data):
+    quiver = permuted_copy(realize(quiver_form_for_count(*shape)), seed)
+    if perturb:
+        n = quiver.n_vertices
+        quiver.add(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), 1)
+    assert_blocks_match_reference(quiver)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.permutations(range(n)), st.integers(1, 2)), max_size=3),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3),
+        )
+    )
+)
+# a complete block {0, 1} whose two vertices reach different blocks, {2} and {3}
+@example((4, [([0, 1, 2, 3], 1), ([1, 0, 2, 3], 1), ([2, 3, 0, 1], 1)], [(2, 1), (3, 0)]))
+def test_detect_blocks_matches_reference_on_sparse_quivers(case):
+    # unions of weighted permutations are regular, so refinement leaves
+    # classes that blocks only partly cover; a few stray arrows break the regularity
+    n, permutations, strays = case
+    quiver = WeightedQuiver(n)
+    for perm, w in permutations:
+        for i in range(n):
+            quiver.add(i, perm[i], w)
+    for i, j in strays:
+        quiver.add(i, j, 1)
+    assert_blocks_match_reference(quiver)
