@@ -28,7 +28,7 @@ from .counting import (
 from .errors import AmbiguousCountError, CapExceededError
 from .export import ExportOptions, to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
-from .quivers import build_quiver, isomorphic, quiver_form_for_count
+from .quivers import build_quiver, detect_blocks, isomorphic, quiver_form_for_count
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -182,6 +182,12 @@ def cmd_quiver(args) -> int:
     else:
         endos = affine_endomorphisms(n)
     quiver = build_quiver(coloring_set, endos)
+    # one block detection serves both the comparison and the export
+    detected = (
+        detect_blocks(quiver)
+        if args.compare or args.collapse or args.format == "json"
+        else None
+    )
 
     exit_code = EXIT_OK
     if args.compare:
@@ -195,7 +201,7 @@ def cmd_quiver(args) -> int:
         except ValueError as exc:
             print(f"quiver: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
-        if isomorphic(quiver, form) is None:
+        if isomorphic(quiver, form, detected) is None:
             print("isomorphic=false")
             exit_code = EXIT_MISMATCH
         else:
@@ -208,12 +214,12 @@ def cmd_quiver(args) -> int:
         collapse_blocks=args.collapse, include_loops=not args.no_loops
     )
     if args.format == "dot":
-        _write(args.out, to_dot(quiver, options))
+        _write(args.out, to_dot(quiver, options, detected))
     else:
         params = {"n": n}
         if torus is not None:
             params = {"p": torus.p, "q": torus.q, "n": n}
-        _write(args.out, to_json(quiver, params=params))
+        _write(args.out, to_json(quiver, params=params, detected=detected))
     return exit_code
 
 

@@ -77,7 +77,91 @@ class ColoringSet:
         )
 
 
-_SLAB = 1 << 16  # candidate rows propagated per batch
+_SLAB = 1 << 16  # state indices handled per batch
+
+# State maps of one periodic factor, ((factor, strands), table) -> map: the
+# rows of a sweep share a factor across q, so one factor's maps (4 bytes
+# per state) are kept and replaced when the factor changes.
+_state_maps: dict[tuple, np.ndarray] = {}
+
+
+def _factor_power(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(factor, q) with letters == factor * q and the factor shortest; q = 0 for ()."""
+    length = len(letters)
+    for d in range(1, length + 1):
+        if length % d == 0 and letters[:d] * (length // d) == letters:
+            return letters[:d], length // d
+    return (), 0
+
+
+def _index_type(total: int):
+    return np.int32 if total < 2**31 else np.int64
+
+
+def _digits(indices: np.ndarray, m: int, strands: int, dtype) -> list[np.ndarray]:
+    """The colours of the states with these indices, one column per strand.
+
+    A state's index reads its colours as base-m digits, strand 1 first, so
+    index order is lexicographic order.
+    """
+    columns = [None] * strands
+    for j in reversed(range(strands)):
+        columns[j] = (indices % m).astype(dtype)
+        indices = indices // m
+    return columns
+
+
+def _state_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
+    """map[k]: the bottom-state index of top-state index k under `factor`.
+
+    Only the Cayley table (and, for negative letters, its inverse) is
+    consulted.
+    """
+    m = quandle.size
+    total = m**strands
+    colour = np.min_scalar_type(m - 1)
+    table = np.asarray(quandle.table, dtype=colour)
+    inverse = (
+        np.asarray(quandle.inverse_table, dtype=colour)
+        if any(l < 0 for l in factor)
+        else None
+    )
+    out = np.empty(total, dtype=_index_type(total))
+    for start in range(0, total, _SLAB):
+        tops = np.arange(start, min(start + _SLAB, total), dtype=out.dtype)
+        columns = _digits(tops, m, strands, colour)
+        for letter in factor:
+            i = abs(letter) - 1
+            x, y = columns[i], columns[i + 1]
+            if letter > 0:
+                columns[i], columns[i + 1] = y, table[x, y]
+            else:
+                columns[i], columns[i + 1] = inverse[y, x], x
+        bottoms = out[start : start + len(tops)]
+        bottoms[:] = columns[0]
+        for column in columns[1:]:
+            bottoms *= m
+            bottoms += column
+    out.flags.writeable = False
+    return out
+
+
+def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, q: int) -> np.ndarray:
+    """The factor's state map, from `_state_maps` if there.
+
+    A new map is kept only for q >= 2: the map of an aperiodic word is
+    seldom needed again and would only hold memory.
+    """
+    key = ((factor, strands), quandle.table)
+    found = _state_maps.get(key)
+    if found is not None:
+        return found
+    state_map = _state_map(factor, strands, quandle)
+    if q >= 2:
+        if _state_maps and next(iter(_state_maps))[0] != key[0]:
+            _state_maps.clear()
+        _state_maps[key] = state_map
+    return state_map
 
 
 def enumerate_colorings_oracle(
@@ -86,10 +170,13 @@ def enumerate_colorings_oracle(
     cap: int | None = None,
     count_only: bool = False,
 ) -> ColoringSet:
-    """Brute force: propagate every one of size**strands candidate tops.
+    """Brute force over all size**strands candidate tops.
 
-    Candidates are generated in lexicographic order and filtered on
-    bottom == top, so the surviving list is already sorted.
+    The word is written as factor**q; the factor's state map is built by
+    pushing every top state through its letters, and a top is a coloring
+    iff the q-th power of that map fixes it.  Fixed indices are found in
+    increasing order, which is lexicographic order of the tops, so the
+    list is already sorted.
     """
     m = quandle.size
     p = word.strands
@@ -100,40 +187,26 @@ def enumerate_colorings_oracle(
             f"{m}^{p} = {total} candidate tops exceed the oracle cap {limit}",
             count=total,
         )
-    table = np.asarray(quandle.table, dtype=np.int64)
-    inverse = (
-        np.asarray(quandle.inverse_table, dtype=np.int64)
-        if any(l < 0 for l in word.letters)
-        else None
-    )
-    powers = [m ** (p - 1 - j) for j in range(p)]
+    factor, q = _factor_power(word.letters)
+    state_map = _factor_map(factor, p, quandle, q) if q else None
+    index = _index_type(total)
     count = 0
     kept: list[np.ndarray] = []
     for start in range(0, total, _SLAB):
-        ks = np.arange(start, min(start + _SLAB, total), dtype=np.int64)
-        tops = np.empty((len(ks), p), dtype=np.int64)
-        for j, power in enumerate(powers):
-            tops[:, j] = (ks // power) % m
-        state = tops.copy()
-        for letter in word.letters:
-            i = abs(letter) - 1
-            x = state[:, i].copy()
-            y = state[:, i + 1].copy()
-            if letter > 0:
-                state[:, i] = y
-                state[:, i + 1] = table[x, y]
-            else:
-                state[:, i] = inverse[y, x]
-                state[:, i + 1] = x
-        mask = (state == tops).all(axis=1)
-        count += int(mask.sum())
-        if not count_only:
-            kept.append(tops[mask])
+        tops = np.arange(start, min(start + _SLAB, total), dtype=index)
+        bottoms = tops
+        for _ in range(q):
+            bottoms = state_map[bottoms]
+        fixed = bottoms == tops
+        if count_only:
+            count += int(np.count_nonzero(fixed))
+        else:
+            kept.append(tops[fixed])
     if count_only:
         return ColoringSet(word, quandle, count, None)
-    rows = np.concatenate(kept) if kept else np.empty((0, p), dtype=np.int64)
+    rows = np.stack(_digits(np.concatenate(kept), m, p, np.int64), axis=1)
     colorings = [tuple(row) for row in rows.tolist()]
-    return ColoringSet(word, quandle, count, colorings)
+    return ColoringSet(word, quandle, len(colorings), colorings)
 
 
 def enumerate_colorings_linear(

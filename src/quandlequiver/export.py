@@ -25,17 +25,22 @@ def _label(vertex: int, labels) -> str:
     return ",".join(str(c) for c in labels[vertex])
 
 
-def to_dot(quiver: WeightedQuiver, options: ExportOptions | None = None) -> str:
+def to_dot(
+    quiver: WeightedQuiver,
+    options: ExportOptions | None = None,
+    detected: tuple[QuiverForm, list[list[int]]] | None = None,
+) -> str:
     """Graphviz text for a quiver, full or collapsed to uniform blocks.
 
     Full mode emits one labeled edge per ordered vertex pair of nonzero
     weight.  Collapsed mode draws one node per detected block, annotated
     with size and internal weight, and one edge per uniform cross weight.
+    `detected` is detect_blocks(quiver), when the caller already has it.
     """
     options = options or ExportOptions()
     lines = ["digraph quiver {"]
     if options.collapse_blocks:
-        form, _ = detect_blocks(quiver)
+        form, _ = detected or detect_blocks(quiver)
         for bi, f in enumerate(form.families):
             lines.append(f'  b{bi} [label="K{f.size} w={f.weight}"];')
         for bi, bj, d in form.cross:
@@ -58,7 +63,11 @@ def _blocks_dict(form: QuiverForm) -> dict:
     }
 
 
-def quiver_to_dict(quiver: WeightedQuiver, params: dict | None = None) -> dict:
+def quiver_to_dict(
+    quiver: WeightedQuiver,
+    params: dict | None = None,
+    detected: tuple[QuiverForm, list[list[int]]] | None = None,
+) -> dict:
     out: dict = {}
     if params is not None:
         out["params"] = dict(params)
@@ -67,7 +76,7 @@ def quiver_to_dict(quiver: WeightedQuiver, params: dict | None = None) -> dict:
         out["colorings"] = [list(c) for c in quiver.labels]
     out["weights"] = [list(t) for t in quiver.weight_triples()]
     if quiver.n_vertices:
-        out["blocks"] = _blocks_dict(detect_blocks(quiver)[0])
+        out["blocks"] = _blocks_dict((detected or detect_blocks(quiver))[0])
     return out
 
 

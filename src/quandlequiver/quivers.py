@@ -418,8 +418,14 @@ def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
 # --- comparison ----------------------------------------------------------
 
 
-def isomorphic(quiver: WeightedQuiver, form: QuiverForm) -> tuple[int, ...] | None:
+def isomorphic(
+    quiver: WeightedQuiver,
+    form: QuiverForm,
+    detected: tuple[QuiverForm, list[list[int]]] | None = None,
+) -> tuple[int, ...] | None:
     """A weight-preserving vertex mapping of `quiver` onto realize(form), or None.
+
+    `detected` is detect_blocks(quiver), when the caller already has it.
 
     The mapping sends each vertex to its image in realize(form)'s
     block-major order.  Each block detect_blocks finds in `quiver` is
@@ -455,7 +461,7 @@ def isomorphic(quiver: WeightedQuiver, form: QuiverForm) -> tuple[int, ...] | No
         for _ in range(f.copies):
             free.setdefault((f.size, f.weight), []).append(start)
             start += f.size
-    detected, blocks = detect_blocks(quiver)
+    detected, blocks = detected or detect_blocks(quiver)
     mapping = [0] * quiver.n_vertices
     for family, block in zip(detected.families, blocks):
         starts = free.get((family.size, family.weight))

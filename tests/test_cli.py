@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlequiver
+from quandlequiver import cli, export, quivers
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CAP,
@@ -142,6 +143,29 @@ def test_quiver_compare_large_quiver(tmp_path, capsys):
                  "--out", str(tmp_path / "quiver.dot")])
     assert code == EXIT_OK
     assert capsys.readouterr().out.startswith("isomorphic=true")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver", "--link", "torus:5,10", "--n", "5", "--compare", "--format", "json"],
+        ["quiver", "--link", "torus:3,4", "--n", "9", "--compare", "--collapse"],
+    ],
+)
+def test_quiver_compare_detects_blocks_once(argv, monkeypatch, tmp_path, capsys):
+    calls = []
+    original = quivers.detect_blocks
+
+    def counted(quiver):
+        calls.append(quiver.n_vertices)
+        return original(quiver)
+
+    for module in (quivers, export, cli):
+        monkeypatch.setattr(module, "detect_blocks", counted)
+    code = main(argv + ["--out", str(tmp_path / "quiver.out")])
+    assert code in (EXIT_OK, EXIT_AMBIGUOUS)
+    assert capsys.readouterr().out.startswith("isomorphic=true")
+    assert len(calls) == 1
 
 
 def test_quiver_json_out(tmp_path):

@@ -6,8 +6,13 @@ agreement between them is the strongest internal check the suite has.
 
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_reference import enumerate_colorings as reference_colorings
+from quandlequiver import colorings
 from quandlequiver.braids import BraidWord, TorusLinkSpec, propagate, torus_braid
 from quandlequiver.colorings import (
     NONTRIVIAL,
@@ -17,10 +22,18 @@ from quandlequiver.colorings import (
     enumerate_colorings_linear,
     enumerate_colorings_oracle,
 )
+from quandlequiver.counting import verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
+ALEXANDER_5 = FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
+
+
+@pytest.fixture(autouse=True)
+def empty_state_maps(monkeypatch):
+    """Each test starts from, and leaves behind, its own empty map cache."""
+    monkeypatch.setattr(colorings, "_state_maps", {})
 
 
 def test_classify():
@@ -101,18 +114,105 @@ def test_trivial_colorings_are_the_constants():
 
 
 def test_oracle_works_on_non_dihedral_tables():
-    alexander = FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
-    cs = enumerate_colorings_oracle(FIGURE_EIGHT, alexander)
-    quandle = alexander
+    cs = enumerate_colorings_oracle(FIGURE_EIGHT, ALEXANDER_5)
     assert cs.count == len(cs.colorings)
     for c in cs.colorings:
-        assert propagate(FIGURE_EIGHT, quandle, c) == c
+        assert propagate(FIGURE_EIGHT, ALEXANDER_5, c) == c
+
+
+def factors(signed=True):
+    """(strands, factor letters): a word of up to 5 letters on 1 to 4 strands."""
+
+    def letter(strands):
+        k = st.integers(1, strands - 1)
+        return k.flatmap(lambda k: st.sampled_from((k, -k))) if signed else k
+
+    return st.integers(1, 4).flatmap(
+        lambda strands: st.tuples(
+            st.just(strands),
+            st.lists(letter(strands), max_size=5) if strands > 1 else st.just([]),
+        )
+    )
+
+
+def assert_oracle_matches_reference(word, quandle):
+    expected = reference_colorings(word, quandle)
+    cs = enumerate_colorings_oracle(word, quandle)
+    assert cs.colorings == expected
+    assert cs.count == len(expected)
+    assert enumerate_colorings_oracle(word, quandle, count_only=True).count == len(expected)
+    return cs
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors(), st.integers(0, 6), st.integers(2, 9))
+def test_oracle_matches_reference_on_dihedral_powers(factor, q, n):
+    strands, letters = factor
+    word = BraidWord(strands, tuple(letters) * q)
+    cs = assert_oracle_matches_reference(word, DihedralQuandle(n))
+    assert cs.colorings == enumerate_colorings_linear(word, n).colorings
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors(), st.integers(0, 6))
+def test_oracle_matches_reference_on_non_dihedral_quandle(factor, q):
+    strands, letters = factor
+    assert_oracle_matches_reference(BraidWord(strands, tuple(letters) * q), ALEXANDER_5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors(signed=False),
+    st.integers(0, 6),
+    st.integers(2, 5).flatmap(
+        lambda m: st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m), min_size=m, max_size=m)
+    ),
+)
+def test_oracle_matches_reference_on_non_bijective_tables(factor, q, table):
+    # rows and columns need not be permutations; positive letters never read the inverse
+    strands, letters = factor
+    assert_oracle_matches_reference(BraidWord(strands, tuple(letters) * q), FiniteQuandle(table))
 
 
 def test_oracle_cap_raises_naming_count():
     with pytest.raises(CapExceededError) as exc:
         enumerate_colorings_oracle(torus_braid(5, 2), DihedralQuandle(17), cap=100)
     assert exc.value.count == 17**5
+
+
+def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
+    def fail(*args):
+        raise AssertionError("state map built over the cap")
+
+    monkeypatch.setattr(colorings, "_state_map", fail)
+    with pytest.raises(CapExceededError):
+        enumerate_colorings_oracle(torus_braid(5, 2), DihedralQuandle(17), cap=100)
+    with pytest.raises(CapExceededError):
+        enumerate_colorings_oracle(BraidWord(3, (1, -2, 1)), DihedralQuandle(5), cap=124)
+
+
+def test_state_maps_hold_one_factor():
+    verify_counts([5], range(4), range(2, 5))
+    assert {key[0] for key in colorings._state_maps} == {((1, 2, 3, 4), 5)}
+    verify_counts([7], range(4), range(2, 5))
+    assert {key[0] for key in colorings._state_maps} == {((1, 2, 3, 4, 5, 6), 7)}
+    assert sorted(len(m) for m in colorings._state_maps.values()) == [2**7, 3**7, 4**7]
+
+
+def test_aperiodic_words_never_enter_the_state_maps():
+    for word in (BraidWord(3, (1, -2, 1)), torus_braid(5, 1), torus_braid(5, 0)):
+        enumerate_colorings_oracle(word, DihedralQuandle(5))
+    assert colorings._state_maps == {}
+    enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5))  # (s1 s2^-1)^2
+    assert [key[0] for key in colorings._state_maps] == [((1, -2), 3)]
+
+
+def test_cached_state_maps_are_read_only():
+    enumerate_colorings_oracle(torus_braid(5, 3), DihedralQuandle(5))
+    [state_map] = colorings._state_maps.values()
+    assert state_map.dtype == np.int32
+    with pytest.raises(ValueError):
+        state_map[0] = 1
 
 
 def test_linear_cap_degrades_to_count_only():

@@ -3,8 +3,10 @@
 The digests of `count` and `verify` output were recorded from the program
 before those commands were routed through one cell evaluator, and those of
 the block exports (collapsed DOT, JSON `blocks`) before block detection
-checked uniformity by row tallies; any change to these bytes is a change
-of the documented output, not a refactor.
+checked uniformity by row tallies, and those of the p = 7 verify grid
+before the oracle counted fixed points of a power of a state map; any
+change to these bytes is a change of the documented output, not a
+refactor.
 """
 
 import hashlib
@@ -43,6 +45,17 @@ GOLDEN = [
         },
     ),
     (
+        # every 7^7-state oracle cell of the criterion-5 grid
+        ["verify", "--p", "7", "--q", "0..14", "--n", "2..7", "--oracle-cap", "1000000",
+         "--csv", "{out}/p7.csv", "--out", "{out}/p7.json"],
+        3,
+        "9887d6efc73b13c11b43185b82b0c6f1911c5a626fa872752ed2e48f8b0dbfae",
+        {
+            "p7.csv": "0861b53b8ef83c158fa42722055f9128e1c792b3f3ab92282ccfc392947b72b8",
+            "p7.json": "3008352aaa28c3d074615b5faa8596149b3acfb7e1483999d2486f3f365bab28",
+        },
+    ),
+    (
         ["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json"],
         0,
         "2f821836cf4e84721604ef4fa71b2d8ad35192ca3888470091f65de747384c41",
@@ -67,7 +80,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv,exit_code,stdout,files",
     GOLDEN,
-    ids=["count_torus", "count_word", "verify", "quiver_json", "quiver_collapse", "quiver_json_blocks"],
+    ids=["count_torus", "count_word", "verify", "verify_p7", "quiver_json", "quiver_collapse", "quiver_json_blocks"],
 )
 def test_output_bytes_unchanged(argv, exit_code, stdout, files, tmp_path, capsys):
     code = main([a.replace("{out}", str(tmp_path)) for a in argv])
