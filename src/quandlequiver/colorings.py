@@ -111,14 +111,15 @@ def _digits(indices: np.ndarray, m: int, strands: int, dtype) -> list[np.ndarray
     return columns
 
 
-def _state_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
-    """map[k]: the bottom-state index of top-state index k under `factor`.
+def _bottom_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle):
+    """Slab by slab, the top-state indices and their bottom-state indices under `factor`.
 
     Only the Cayley table (and, for negative letters, its inverse) is
     consulted.
     """
     m = quandle.size
     total = m**strands
+    index = _index_type(total)
     colour = np.min_scalar_type(m - 1)
     table = np.asarray(quandle.table, dtype=colour)
     inverse = (
@@ -126,9 +127,10 @@ def _state_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) ->
         if any(l < 0 for l in factor)
         else None
     )
-    out = np.empty(total, dtype=_index_type(total))
-    for start in range(0, total, _SLAB):
-        tops = np.arange(start, min(start + _SLAB, total), dtype=out.dtype)
+
+    # the colour columns are push's locals, so a yielded slab holds only
+    # its tops and bottoms
+    def push(tops: np.ndarray) -> np.ndarray:
         columns = _digits(tops, m, strands, colour)
         for letter in factor:
             i = abs(letter) - 1
@@ -137,31 +139,54 @@ def _state_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) ->
                 columns[i], columns[i + 1] = y, table[x, y]
             else:
                 columns[i], columns[i + 1] = inverse[y, x], x
-        bottoms = out[start : start + len(tops)]
-        bottoms[:] = columns[0]
+        bottoms = columns[0].astype(index)
         for column in columns[1:]:
             bottoms *= m
             bottoms += column
-    out.flags.writeable = False
-    return out
+        return bottoms
+
+    for start in range(0, total, _SLAB):
+        tops = np.arange(start, min(start + _SLAB, total), dtype=index)
+        yield tops, push(tops)
 
 
-def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, q: int) -> np.ndarray:
-    """The factor's state map, from `_state_maps` if there.
-
-    A new map is kept only for q >= 2: the map of an aperiodic word is
-    seldom needed again and would only hold memory.
+def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
+    """The factor's state map, map[k] the bottom-state index of top-state
+    index k, read-only and kept in `_state_maps`.
     """
     key = ((factor, strands), quandle.table)
     found = _state_maps.get(key)
     if found is not None:
         return found
-    state_map = _state_map(factor, strands, quandle)
-    if q >= 2:
-        if _state_maps and next(iter(_state_maps))[0] != key[0]:
-            _state_maps.clear()
-        _state_maps[key] = state_map
+    total = quandle.size**strands
+    state_map = np.empty(total, dtype=_index_type(total))
+    for tops, bottoms in _bottom_slabs(factor, strands, quandle):
+        state_map[tops[0] : tops[0] + len(tops)] = bottoms
+    state_map.flags.writeable = False
+    if _state_maps and next(iter(_state_maps))[0] != key[0]:
+        _state_maps.clear()
+    _state_maps[key] = state_map
     return state_map
+
+
+def _power_slabs(factor: tuple[int, ...], q: int, strands: int, quandle: FiniteQuandle):
+    """(tops, bottoms) slab by slab under factor**q.
+
+    An aperiodic word (q = 1) reads each bottom once, so its slabs are
+    compared as they are made; only q >= 2 assembles the factor's map and
+    gathers through it q times.
+    """
+    if q == 1:
+        yield from _bottom_slabs(factor, strands, quandle)
+        return
+    total = quandle.size**strands
+    state_map = _factor_map(factor, strands, quandle) if q else None
+    for start in range(0, total, _SLAB):
+        tops = np.arange(start, min(start + _SLAB, total), dtype=_index_type(total))
+        bottoms = tops
+        for _ in range(q):
+            bottoms = state_map[bottoms]
+        yield tops, bottoms
 
 
 def enumerate_colorings_oracle(
@@ -172,11 +197,11 @@ def enumerate_colorings_oracle(
 ) -> ColoringSet:
     """Brute force over all size**strands candidate tops.
 
-    The word is written as factor**q; the factor's state map is built by
-    pushing every top state through its letters, and a top is a coloring
-    iff the q-th power of that map fixes it.  Fixed indices are found in
-    increasing order, which is lexicographic order of the tops, so the
-    list is already sorted.
+    The word is written as factor**q; every top state is pushed through
+    the factor's letters, and a top is a coloring iff the q-th power of
+    that state map fixes it.  Fixed indices are found in increasing order,
+    which is lexicographic order of the tops, so the list is already
+    sorted.
     """
     m = quandle.size
     p = word.strands
@@ -188,15 +213,9 @@ def enumerate_colorings_oracle(
             count=total,
         )
     factor, q = _factor_power(word.letters)
-    state_map = _factor_map(factor, p, quandle, q) if q else None
-    index = _index_type(total)
     count = 0
     kept: list[np.ndarray] = []
-    for start in range(0, total, _SLAB):
-        tops = np.arange(start, min(start + _SLAB, total), dtype=index)
-        bottoms = tops
-        for _ in range(q):
-            bottoms = state_map[bottoms]
+    for tops, bottoms in _power_slabs(factor, q, p, quandle):
         fixed = bottoms == tops
         if count_only:
             count += int(np.count_nonzero(fixed))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .counting import CellRecord
 from .quivers import QuiverForm, WeightedQuiver, detect_blocks
@@ -48,7 +49,7 @@ def to_dot(
     else:
         for v in range(quiver.n_vertices):
             lines.append(f'  v{v} [label="{_label(v, quiver.labels)}"];')
-        for i, j, w in quiver.weight_triples():
+        for i, j, w in quiver.arrows():
             if i == j and not options.include_loops:
                 continue
             lines.append(f'  v{i} -> v{j} [label="{w}"];')
@@ -74,7 +75,7 @@ def quiver_to_dict(
     out["count"] = quiver.n_vertices
     if quiver.labels is not None:
         out["colorings"] = [list(c) for c in quiver.labels]
-    out["weights"] = [list(t) for t in quiver.weight_triples()]
+    out["weights"] = [[i, j, w] for i, j, w in quiver.arrows()]
     if quiver.n_vertices:
         out["blocks"] = _blocks_dict((detected or detect_blocks(quiver))[0])
     return out
@@ -104,7 +105,14 @@ def to_json(obj, **options) -> str:
         ]
     else:
         raise TypeError(f"no JSON serialization for {type(obj).__name__}")
-    return json.dumps(payload, indent=2) + "\n"
+    # the indenting encoder yields one string per token; joining them in
+    # batches holds a few thousand at a time instead of all of them
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    parts = []
+    while batch := "".join(islice(chunks, 8192)):
+        parts.append(batch)
+    parts.append("\n")
+    return "".join(parts)
 
 
 CSV_HEADER = "p,q,n,predicted,case,computed,status"

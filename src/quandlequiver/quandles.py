@@ -5,6 +5,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import endo_cap
 from .errors import CapExceededError, NonAffineEndomorphismWarning
 
@@ -30,6 +32,8 @@ class FiniteQuandle:
                     raise ValueError(f"table entry {x} outside 0..{m - 1}")
         self.size = m
         self.table = tuple(tuple(row) for row in table)
+        self._table_array = np.array(self.table, dtype=np.intp)
+        self._table_array.flags.writeable = False
         self._inverse: tuple[tuple[int, ...], ...] | None = None
 
     def _check_element(self, x: int):
@@ -174,22 +178,20 @@ class Endomorphism:
     __slots__ = ("images", "affine")
 
     def __init__(self, quandle: FiniteQuandle, images, affine: tuple[int, int] | None = None):
-        images = tuple(int(v) for v in images)
+        images = tuple(map(int, images))
         m = quandle.size
         if len(images) != m:
             raise ValueError(f"image table has length {len(images)}, expected {m}")
-        for v in images:
-            if not 0 <= v < m:
-                raise ValueError(f"image {v} outside 0..{m - 1}")
-        t = quandle.table
-        for x in range(m):
-            fx = images[x]
-            row = t[x]
-            for y in range(m):
-                if images[row[y]] != t[fx][images[y]]:
-                    raise ValueError(
-                        f"not a homomorphism: phi({x}*{y}) != phi({x})*phi({y})"
-                    )
+        if min(images) < 0 or max(images) >= m:
+            v = next(v for v in images if not 0 <= v < m)
+            raise ValueError(f"image {v} outside 0..{m - 1}")
+        t = quandle._table_array
+        phi = np.array(images, dtype=np.intp)
+        # phi(x*y) against phi(x)*phi(y), all pairs at once
+        lhs, rhs = phi.take(t), t.take(phi, axis=0).take(phi, axis=1)
+        if lhs.tobytes() != rhs.tobytes():
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise ValueError(f"not a homomorphism: phi({x}*{y}) != phi({x})*phi({y})")
         self.images = images
         self.affine = affine
 
@@ -220,13 +222,12 @@ def affine_endomorphisms(n: int) -> list[Endomorphism]:
     a*(2y - x) + b == 2*(a*y + b) - (a*x + b).
     """
     q = DihedralQuandle(n)
-    out = []
-    for a in range(n):
-        for b in range(n):
-            out.append(
-                Endomorphism(q, [(a * x + b) % n for x in range(n)], affine=(a, b))
-            )
-    return out
+    coefficient = np.arange(n)
+    # images[a][b][x] = a*x + b mod n
+    images = ((coefficient[:, None, None] * coefficient + coefficient[:, None]) % n).tolist()
+    return [
+        Endomorphism(q, images[a][b], affine=(a, b)) for a in range(n) for b in range(n)
+    ]
 
 
 def _affine_coefficients(q: FiniteQuandle, images: tuple[int, ...]) -> tuple[int, int] | None:

@@ -9,6 +9,9 @@ all equal the number of endomorphisms supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .colorings import ColoringSet
 from .counting import is_prime, predict_count
@@ -47,21 +50,16 @@ class WeightedQuiver:
     def row_sum(self, i: int) -> int:
         return sum(self.rows[i].values())
 
-    def in_rows(self) -> list[dict[int, int]]:
-        rev: list[dict[int, int]] = [dict() for _ in range(self.n_vertices)]
+    def arrows(self):
+        """(source, target, weight) of each nonzero weight, in sorted order, read row by row."""
         for i, row in enumerate(self.rows):
-            for j, w in row.items():
-                rev[j][i] = w
-        return rev
+            for j, w in sorted(row.items()):
+                if w:
+                    yield i, j, w
 
     def weight_triples(self) -> list[tuple[int, int, int]]:
         """Sorted sparse (source, target, weight) triples."""
-        return [
-            (i, j, w)
-            for i, row in enumerate(self.rows)
-            for j, w in sorted(row.items())
-            if w
-        ]
+        return list(self.arrows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedQuiver):
@@ -78,33 +76,88 @@ class WeightedQuiver:
         return f"WeightedQuiver({self.n_vertices} vertices, {edges} weighted edges)"
 
 
+# arrows handled per batch; at 1 << 16 the freed batch arrays left 2.5 MB
+# more resident after an N = 3125 build
+_SLAB = 1 << 13
+
+
+def _row_keys(rows: np.ndarray, m: int, key_type) -> np.ndarray:
+    """Each row of colours read as base-m digits, the first most significant.
+
+    Key order is lexicographic row order.
+    """
+    keys = rows[..., 0].astype(key_type)
+    for j in range(1, rows.shape[-1]):
+        keys *= m
+        keys += rows[..., j].astype(key_type)
+    return keys
+
+
+def _fill_rows(rows: list[dict[int, int]], start: int, targets: np.ndarray, vertices: np.ndarray):
+    """rows[start + i] from targets[i], the sorted targets of vertex i's arrows.
+
+    Runs of one target merge into its weight.  Targets are taken from
+    `vertices`, one int object per vertex, so the rows share them.
+    """
+    n_rows, per_row = targets.shape
+    if not per_row:
+        return
+    flat = targets.ravel()
+    new_run = np.ones(flat.size, dtype=bool)
+    new_run[1:] = flat[1:] != flat[:-1]
+    new_run[::per_row] = True
+    run_starts = np.flatnonzero(new_run)
+    weights = np.diff(run_starts, append=flat.size).tolist()
+    bounds = np.searchsorted(run_starts, np.arange(0, flat.size + 1, per_row)).tolist()
+    ends = vertices[flat[run_starts]].tolist()
+    for i in range(n_rows):
+        a, b = bounds[i], bounds[i + 1]
+        rows[start + i] = dict(zip(ends[a:b], weights[a:b]))
+
+
 def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     """Apply every endomorphism to every coloring and record the arrows.
 
-    The coloring list must be closed under each endomorphism (it is, for
-    the full endomorphism monoid of the target); a landing outside the
-    list means the inputs are inconsistent and raises.  Structural laws
-    that hold by construction are re-checked on every build.
+    Each coloring is keyed by its colours in base m; the image rows of a
+    slab of colorings under all endomorphisms are gathered at once and
+    found among the keys by binary search.  The coloring list must be
+    sorted and closed under each endomorphism (it is, for the full
+    endomorphism monoid of the target); a landing outside the list means
+    the inputs are inconsistent and raises.  Structural laws that hold by
+    construction are re-checked on every build.
     """
     if coloring_set.colorings is None:
         raise ValueError("cannot build a quiver from a count-only coloring set")
     endos = list(endos)
-    size = coloring_set.quandle.size
+    m = coloring_set.quandle.size
     for phi in endos:
-        if not isinstance(phi, Endomorphism) or len(phi.images) != size:
+        if not isinstance(phi, Endomorphism) or len(phi.images) != m:
             raise ValueError("endomorphisms must act on the coloring set's quandle")
     colorings = coloring_set.colorings
-    index = {c: k for k, c in enumerate(colorings)}
-    quiver = WeightedQuiver(len(colorings), labels=list(colorings))
-    for phi in endos:
-        for k, f in enumerate(colorings):
-            g = phi.apply(f)
-            j = index.get(g)
-            if j is None:
-                raise InternalConsistencyError(
-                    f"image {g} of coloring {f} under {phi!r} is not itself a coloring"
-                )
-            quiver.add(k, j)
+    n_vertices = len(colorings)
+    strands = coloring_set.word.strands
+    colour = np.min_scalar_type(m - 1)
+    key_type = np.int64 if m**strands < 2**63 else object
+    points = np.array(colorings, dtype=colour).reshape(n_vertices, strands)
+    keys = _row_keys(points, m, key_type)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("colorings must be sorted and distinct")
+    images = np.array([phi.images for phi in endos], dtype=colour).reshape(len(endos), m)
+    quiver = WeightedQuiver(n_vertices, labels=list(colorings))
+    vertices = np.arange(n_vertices).astype(object)
+    slab_rows = max(1, _SLAB // max(1, len(endos)))
+    for start in range(0, n_vertices, slab_rows):
+        image_keys = _row_keys(images[:, points[start : start + slab_rows]], m, key_type)
+        targets = np.searchsorted(keys, image_keys)
+        missing = keys[np.minimum(targets, n_vertices - 1)] != image_keys
+        if missing.any():
+            e, k = np.argwhere(missing)[0]
+            f = colorings[start + k]
+            raise InternalConsistencyError(
+                f"image {endos[e].apply(f)} of coloring {f} under {endos[e]!r} "
+                "is not itself a coloring"
+            )
+        _fill_rows(quiver.rows, start, np.sort(targets.T, axis=1), vertices)
     _check_structure(quiver, coloring_set, len(endos))
     return quiver
 
@@ -298,34 +351,65 @@ def predict_quiver(p: int, q: int, n: int) -> QuiverForm:
 def _refine(quiver: WeightedQuiver) -> list[int]:
     """Iterated colour refinement by (loop, out-profile, in-profile).
 
-    Colours are ordinals of sorted signatures, so vertices with equal local
-    structure get equal colours whatever their labels.
+    The first signature of a vertex is its loop weight with the multisets
+    of its out- and in-weights; each later one its colour with the
+    multisets of (weight, neighbour colour) over its out- and in-arrows,
+    until the number of colours stops growing.  A signature is packed as
+    the sorted segments of its arrows' values, one int64 each, and
+    compared exactly as bytes, so the partition into colours depends on
+    local structure only, never on vertex labels.  Colours number the
+    signatures in order of first appearance.
     """
-    outs = quiver.rows
-    ins = quiver.in_rows()
-    signatures = [
-        (outs[v].get(v, 0), tuple(sorted(outs[v].values())), tuple(sorted(ins[v].values())))
-        for v in range(quiver.n_vertices)
-    ]
-    colors, n_colors = _canonicalize(signatures)
+    n = quiver.n_vertices
+    rows = quiver.rows
+    out_degree = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    n_edges = int(out_degree.sum())
+    src = np.repeat(np.arange(n), out_degree)
+    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n_edges)
+    weights = np.fromiter(
+        chain.from_iterable(row.values() for row in rows), dtype=np.int64, count=n_edges
+    )
+    # weight ranks keep order and equality and bound the packed values;
+    # the appended 0 ranks the weight of a missing loop
+    _, rank = np.unique(np.append(weights, 0), return_inverse=True)
+    loop = np.full(n, rank[-1])
+    is_loop = src == dst
+    loop[src[is_loop]] = rank[:-1][is_loop]
+    rank = rank[:-1]
+    by_dst = np.argsort(dst, kind="stable")
+    in_owner, in_other, in_rank = dst[by_dst], src[by_dst], rank[by_dst]
+    in_degree = np.bincount(dst, minlength=n)
+
+    # vertex v's signature: [head, out-degree, sorted out values, sorted in values]
+    sizes = 2 + out_degree + in_degree
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    edge = np.arange(n_edges)
+    out_first = np.cumsum(out_degree) - out_degree
+    in_first = np.cumsum(in_degree) - in_degree
+    out_pos = offsets[src] + 2 + edge - out_first[src]
+    in_pos = offsets[in_owner] + 2 + out_degree[in_owner] + edge - in_first[in_owner]
+    packed = np.empty(int(offsets[-1]), dtype=np.int64)
+    packed[offsets[:-1] + 1] = out_degree
+    spans = (offsets * packed.itemsize).tolist()
+
+    def classes(head, out_values, in_values):
+        packed[offsets[:-1]] = head
+        packed[out_pos] = out_values[np.lexsort((out_values, src))]
+        packed[in_pos] = in_values[np.lexsort((in_values, in_owner))]
+        data = packed.tobytes()
+        seen: dict[bytes, int] = {}
+        colors = [seen.setdefault(data[a:b], len(seen)) for a, b in zip(spans, spans[1:])]
+        return colors, len(seen)
+
+    colors, n_colors = classes(loop, rank, in_rank)
     while True:
-        signatures = [
-            (
-                colors[v],
-                tuple(sorted((w, colors[u]) for u, w in outs[v].items())),
-                tuple(sorted((w, colors[u]) for u, w in ins[v].items())),
-            )
-            for v in range(quiver.n_vertices)
-        ]
-        colors, new_count = _canonicalize(signatures)
+        current = np.array(colors, dtype=np.int64)
+        colors, new_count = classes(
+            current, rank * n_colors + current[dst], in_rank * n_colors + current[in_other]
+        )
         if new_count == n_colors:
             return colors
         n_colors = new_count
-
-
-def _canonicalize(signatures) -> tuple[list[int], int]:
-    ordering = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return [ordering[s] for s in signatures], len(ordering)
 
 
 def _block_profiles(quiver: WeightedQuiver, blocks: list[list[int]]) -> list[dict[int, int]] | None:

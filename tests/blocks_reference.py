@@ -1,10 +1,46 @@
-"""Reference block detection used by the tests: uniformity by O(N^2) weight lookups.
+"""Reference block detection used by the tests: dict-based colour refinement
+and uniformity by O(N^2) weight lookups.
 
-`detect_blocks` checks uniformity with per-row block tallies in O(E); this
-is the direct check it must agree with, on the same refinement colours.
+`detect_blocks` refines colours over edge arrays and checks uniformity with
+per-row block tallies in O(E); these are the direct computations it must
+agree with.
 """
 
-from quandlequiver.quivers import _refine
+
+def refine(quiver) -> list[int]:
+    """Iterated colour refinement by (loop, out-profile, in-profile).
+
+    Colours are ordinals of sorted signatures, so vertices with equal local
+    structure get equal colours whatever their labels.
+    """
+    outs = quiver.rows
+    ins = [dict() for _ in range(quiver.n_vertices)]
+    for i, row in enumerate(outs):
+        for j, w in row.items():
+            ins[j][i] = w
+    signatures = [
+        (outs[v].get(v, 0), tuple(sorted(outs[v].values())), tuple(sorted(ins[v].values())))
+        for v in range(quiver.n_vertices)
+    ]
+    colors, n_colors = _canonicalize(signatures)
+    while True:
+        signatures = [
+            (
+                colors[v],
+                tuple(sorted((w, colors[u]) for u, w in outs[v].items())),
+                tuple(sorted((w, colors[u]) for u, w in ins[v].items())),
+            )
+            for v in range(quiver.n_vertices)
+        ]
+        colors, new_count = _canonicalize(signatures)
+        if new_count == n_colors:
+            return colors
+        n_colors = new_count
+
+
+def _canonicalize(signatures) -> tuple[list[int], int]:
+    ordering = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return [ordering[s] for s in signatures], len(ordering)
 
 
 def detect_blocks(quiver):
@@ -18,7 +54,7 @@ def detect_blocks(quiver):
     n = quiver.n_vertices
     if n == 0:
         return [], [], {}
-    colors = _refine(quiver)
+    colors = refine(quiver)
     parent = list(range(n))
 
     def find(x):

@@ -341,7 +341,7 @@ def test_count_backend_disagreement_exits_2(monkeypatch, capsys):
 DIFF_CAP = 10**6  # keeps the 7^8- and 7^9-state oracle cells (4 s and 10 s) out of the suite
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     st.sampled_from([3, 5, 7]).flatmap(
         lambda p: st.tuples(st.just(p), st.integers(0, 2 * p), st.integers(2, 9))

@@ -4,6 +4,7 @@ The two backends share nothing but the crossing convention, so list-level
 agreement between them is the strongest internal check the suite has.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -144,7 +145,7 @@ def assert_oracle_matches_reference(word, quandle):
     return cs
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(factors(), st.integers(0, 6), st.integers(2, 9))
 def test_oracle_matches_reference_on_dihedral_powers(factor, q, n):
     strands, letters = factor
@@ -153,14 +154,14 @@ def test_oracle_matches_reference_on_dihedral_powers(factor, q, n):
     assert cs.colorings == enumerate_colorings_linear(word, n).colorings
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(factors(), st.integers(0, 6))
 def test_oracle_matches_reference_on_non_dihedral_quandle(factor, q):
     strands, letters = factor
     assert_oracle_matches_reference(BraidWord(strands, tuple(letters) * q), ALEXANDER_5)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     factors(signed=False),
     st.integers(0, 6),
@@ -184,7 +185,7 @@ def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
     def fail(*args):
         raise AssertionError("state map built over the cap")
 
-    monkeypatch.setattr(colorings, "_state_map", fail)
+    monkeypatch.setattr(colorings, "_bottom_slabs", fail)
     with pytest.raises(CapExceededError):
         enumerate_colorings_oracle(torus_braid(5, 2), DihedralQuandle(17), cap=100)
     with pytest.raises(CapExceededError):
@@ -205,6 +206,19 @@ def test_aperiodic_words_never_enter_the_state_maps():
     assert colorings._state_maps == {}
     enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5))  # (s1 s2^-1)^2
     assert [key[0] for key in colorings._state_maps] == [((1, -2), 3)]
+
+
+def test_aperiodic_word_holds_no_state_map():
+    # 5^9 states: a whole state map would take 4 bytes each
+    word = BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8, -1))
+    tracemalloc.start()
+    try:
+        count = enumerate_colorings_oracle(word, DihedralQuandle(5), count_only=True).count
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 25
+    assert peak < 2 * 5**9
 
 
 def test_cached_state_maps_are_read_only():

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quandlequiver.braids import torus_braid
-from quandlequiver.colorings import enumerate_colorings_oracle
+from quandlequiver.braids import TorusLinkSpec, torus_braid
+from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
 from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.export import (
     CSV_HEADER,
@@ -143,3 +145,13 @@ def test_csv_deterministic_bytes():
     a = to_csv(verify_counts([5], range(0, 11), range(2, 8), cap=1))
     b = to_csv(verify_counts([5], range(0, 11), range(2, 8), cap=1))
     assert a == b
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 5), st.integers(0, 10), st.integers(2, 9))
+def test_json_round_trip_on_torus_quivers(p, q, n):
+    coloring_set = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=500)
+    assume(coloring_set.colorings is not None)
+    quiver = build_quiver(coloring_set, affine_endomorphisms(n))
+    assert quiver.labels == coloring_set.colorings
+    assert quiver_from_json(to_json(quiver, params={"p": p, "q": q, "n": n})) == quiver

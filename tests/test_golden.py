@@ -3,8 +3,10 @@
 The digests of `count` and `verify` output were recorded from the program
 before those commands were routed through one cell evaluator, and those of
 the block exports (collapsed DOT, JSON `blocks`) before block detection
-checked uniformity by row tallies, and those of the p = 7 verify grid
-before the oracle counted fixed points of a power of a state map; any
+checked uniformity by row tallies, those of the p = 7 verify grid
+before the oracle counted fixed points of a power of a state map, and
+those of the R_30 comparison and the N = 3125 JSON export before the
+quiver was built by key search and refined over edge arrays; any
 change to these bytes is a change of the documented output, not a
 refactor.
 """
@@ -74,13 +76,28 @@ GOLDEN = [
         "ad5209604f0482c21558b459443ddf08988e1b15e05575912fae035fadab5615",
         {},
     ),
+    (
+        # R_30: 900 affine endomorphisms
+        ["quiver", "--link", "torus:5,5", "--n", "30", "--compare", "--out", "{out}/r30.dot"],
+        0,
+        "087da7dc05ef9f80559ddf63b3b2287bc690f183beaf63e1ba09656c4000ae0b",
+        {"r30.dot": "67a53022742acb81ad8d2da55f58229b6cad947a1434e64b46b7ea75f98bd5d6"},
+    ),
+    (
+        # N = 3125
+        ["quiver", "--link", "torus:5,10", "--n", "5", "--format", "json", "--out", "{out}/t5_10.json"],
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {"t5_10.json": "fc5c3d517bea925df031b8a4e0bffef30b61d6aacbcb1b261ee1e8fa8c520276"},
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,exit_code,stdout,files",
     GOLDEN,
-    ids=["count_torus", "count_word", "verify", "verify_p7", "quiver_json", "quiver_collapse", "quiver_json_blocks"],
+    ids=["count_torus", "count_word", "verify", "verify_p7", "quiver_json", "quiver_collapse",
+         "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125"],
 )
 def test_output_bytes_unchanged(argv, exit_code, stdout, files, tmp_path, capsys):
     code = main([a.replace("{out}", str(tmp_path)) for a in argv])

@@ -160,13 +160,13 @@ def int_matrices(draw, max_dim=4, max_entry=9):
 
 
 @given(int_matrices())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_snf_transforms_and_chain(a):
     assert_valid_snf(a, smith_normal_form(a))
 
 
 @given(int_matrices(max_dim=3, max_entry=6))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_snf_matches_minors_gcd(a):
     assert smith_normal_form(a).diag == minors_gcd_diag(a)
 
@@ -180,7 +180,7 @@ def brute_kernel(a, n):
 
 
 @given(int_matrices(max_dim=4, max_entry=3), st.integers(2, 6))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_kernel_count_and_enumeration_match_brute_force(a, n):
     expected = brute_kernel(a, n)
     assert kernel_count_mod(a, n) == len(expected)

@@ -4,6 +4,8 @@ import warnings
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlequiver.errors import CapExceededError, NonAffineEndomorphismWarning
 from quandlequiver.quandles import (
@@ -147,6 +149,33 @@ def test_brute_force_on_alexander_quandle():
 def test_endomorphism_rejects_non_homomorphism():
     with pytest.raises(ValueError):
         Endomorphism(DihedralQuandle(5), [0, 0, 1, 1, 2])
+
+
+def first_broken_pair(quandle, images):
+    """The first (x, y) with phi(x*y) != phi(x)*phi(y), pair by pair, or None."""
+    t = quandle.table
+    for x in range(quandle.size):
+        for y in range(quandle.size):
+            if images[t[x][y]] != t[images[x]][images[y]]:
+                return x, y
+    return None
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([DihedralQuandle(n) for n in range(1, 8)] + [alexander_mod5()]).flatmap(
+        lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q.size - 1), min_size=q.size, max_size=q.size))
+    )
+)
+def test_endomorphism_check_matches_pairwise_loop(case):
+    quandle, images = case
+    broken = first_broken_pair(quandle, images)
+    if broken is None:
+        assert Endomorphism(quandle, images).images == tuple(images)
+    else:
+        x, y = broken
+        with pytest.raises(ValueError, match=rf"phi\({x}\*{y}\) != phi\({x}\)\*phi\({y}\)"):
+            Endomorphism(quandle, images)
 
 
 def test_endomorphism_rejects_out_of_range_images():

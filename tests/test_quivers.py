@@ -4,17 +4,30 @@ import random
 
 import pytest
 from blocks_reference import detect_blocks as reference_blocks
-from hypothesis import example, given, settings
+from blocks_reference import refine as reference_refine
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from quiver_reference import build_quiver as reference_build
 
-from quandlequiver.braids import torus_braid
-from quandlequiver.colorings import ColoringSet, enumerate_colorings_oracle
+from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
+from quandlequiver.colorings import (
+    ColoringSet,
+    enumerate_colorings_linear,
+    enumerate_colorings_oracle,
+)
 from quandlequiver.errors import AmbiguousCountError, InternalConsistencyError
-from quandlequiver.quandles import DihedralQuandle, Endomorphism, affine_endomorphisms
+from quandlequiver.quandles import (
+    DihedralQuandle,
+    Endomorphism,
+    affine_endomorphisms,
+    brute_force_endomorphisms,
+)
 from quandlequiver.quivers import (
     BlockFamily,
     QuiverForm,
     WeightedQuiver,
+    _check_structure,
+    _refine,
     build_quiver,
     complete_form,
     detect_blocks,
@@ -58,7 +71,6 @@ def test_weighted_quiver_add_and_validation():
     assert w.row_sum(0) == 5
     w.add(1, 1, 0)  # zero weight is a no-op
     assert w.weight_triples() == [(0, 1, 5)]
-    assert w.in_rows()[1] == {0: 5}
     with pytest.raises(ValueError):
         w.add(0, 3, 1)
     with pytest.raises(ValueError):
@@ -107,6 +119,94 @@ def test_build_quiver_rejects_non_closed_set():
     bad = ColoringSet(word, r3, 2, [(0, 0), (0, 1)])
     with pytest.raises(InternalConsistencyError):
         build_quiver(bad, affine_endomorphisms(3))
+
+
+def test_build_quiver_rejects_unsorted_colorings():
+    r3 = DihedralQuandle(3)
+    colorings = enumerate_colorings_oracle(torus_braid(2, 3), r3).colorings
+    for bad in (colorings[::-1], colorings + colorings[-1:]):
+        with pytest.raises(ValueError):
+            build_quiver(ColoringSet(torus_braid(2, 3), r3, len(bad), bad), affine_endomorphisms(3))
+
+
+def test_build_quiver_keys_past_int64():
+    # 31^13 > 2^63: the row keys are Python ints
+    cs = enumerate_colorings_linear(TorusLinkSpec(13, 1), 31)
+    endos = affine_endomorphisms(31)
+    quiver = build_quiver(cs, endos)
+    assert quiver == reference_build(cs, endos)
+    assert quiver.weight_triples() == [(i, j, 31) for i in range(31) for j in range(31)]
+
+
+def outcome(build, coloring_set, endos):
+    try:
+        return build(coloring_set, endos)
+    except InternalConsistencyError:
+        return "not closed"
+
+
+@st.composite
+def coloring_sets(draw):
+    """All colorings by R_n, n <= 6, of a torus link or of a signed braid word, at most 400."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 5))
+        link = TorusLinkSpec(p, draw(st.integers(0, 2 * p)))
+    else:
+        strands = draw(st.integers(2, 4))
+        letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+        link = BraidWord(strands, tuple(draw(st.lists(letter, max_size=8))))
+    coloring_set = enumerate_colorings_linear(link, n, cap=400)
+    assume(coloring_set.colorings is not None)
+    return coloring_set
+
+
+@settings(max_examples=150)
+@given(coloring_sets(), st.booleans(), st.booleans(), st.booleans(), st.data())
+def test_build_quiver_matches_reference(coloring_set, brute, whole_family, drop, data):
+    n = coloring_set.quandle.size
+    family = brute_force_endomorphisms(coloring_set.quandle) if brute else affine_endomorphisms(n)
+    endos = family
+    if not whole_family:
+        picked = data.draw(st.sets(st.integers(0, len(family) - 1), min_size=1))
+        endos = [family[i] for i in sorted(picked)]
+    if drop:
+        colorings = list(coloring_set.colorings)
+        del colorings[data.draw(st.integers(0, len(colorings) - 1))]
+        coloring_set = ColoringSet(coloring_set.word, coloring_set.quandle, len(colorings), colorings)
+    built = outcome(build_quiver, coloring_set, endos)
+    assert built == outcome(reference_build, coloring_set, endos)
+    if drop and whole_family:
+        # the translations alone carry some coloring onto the dropped one
+        assert built == "not closed"
+    if built != "not closed":
+        assert partition(_refine(built)) == partition(reference_refine(built))
+
+
+def test_check_structure_enforces_each_law():
+    cs, quiver = dihedral_quiver(5, 2, 5)
+    trivial, nontrivial = cs.trivial_indices, cs.nontrivial_indices
+    t, u, v = trivial[0], trivial[1], nontrivial[0]
+
+    def broken(edits, n_endos=25, base=quiver):
+        copy = WeightedQuiver(base.n_vertices)
+        for i, j, w in base.weight_triples():
+            copy.add(i, j, w)
+        for i, j, dw in edits:
+            copy.rows[i][j] = copy.weight(i, j) + dw
+        return _check_structure(copy, cs, n_endos)
+
+    broken([])
+    with pytest.raises(InternalConsistencyError, match="sums to"):
+        broken([(v, v, 1)])
+    with pytest.raises(InternalConsistencyError, match="trivial block weight"):
+        broken([(t, u, -1), (t, t, 1)])
+    # two endomorphisms, so the trivial block law does not apply
+    r5 = DihedralQuandle(5)
+    pair = build_quiver(cs, [Endomorphism(r5, range(5)), Endomorphism(r5, [0, 4, 3, 2, 1])])
+    broken([], n_endos=2, base=pair)
+    with pytest.raises(InternalConsistencyError, match="from trivial coloring"):
+        broken([(t, t, -1), (t, v, 1)], n_endos=2, base=pair)
 
 
 def test_form_constructors_and_validation():
@@ -288,7 +388,14 @@ def test_detect_blocks_falls_back_to_singletons():
     assert realize(form) == cycle
 
 
+def partition(colors):
+    """Each vertex's first vertex of its colour: equal exactly for equal partitions."""
+    first = {}
+    return [first.setdefault(c, v) for v, c in enumerate(colors)]
+
+
 def assert_blocks_match_reference(quiver):
+    assert partition(_refine(quiver)) == partition(reference_refine(quiver))
     form, blocks = detect_blocks(quiver)
     ref_blocks, ref_weights, ref_cross = reference_blocks(quiver)
     assert blocks == ref_blocks
@@ -316,7 +423,7 @@ SHAPES = sorted(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.booleans(), st.data())
 def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, perturb, data):
     quiver = permuted_copy(realize(quiver_form_for_count(*shape)), seed)
@@ -326,7 +433,7 @@ def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, pertu
     assert_blocks_match_reference(quiver)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 8).flatmap(
         lambda n: st.tuples(
