@@ -13,7 +13,6 @@ from .braids import (
     TorusLinkSpec,
     closure_system,
     parse_link,
-    propagate,
     propagation_matrix,
     torus_braid,
 )
@@ -40,7 +39,6 @@ from .export import ExportOptions, quiver_from_json, to_csv, to_dot, to_json
 from .linalg import (
     IntMatrix,
     SnfResult,
-    kernel_count_mod,
     kernel_enumerate_mod,
     smith_normal_form,
 )
@@ -50,10 +48,7 @@ from .quandles import (
     Endomorphism,
     FiniteQuandle,
     affine_endomorphisms,
-    audit_affine_completeness,
     brute_force_endomorphisms,
-    dihedral_op,
-    is_involutive,
     verify_quandle_axioms,
 )
 from .quivers import (
@@ -92,27 +87,22 @@ __all__ = [
     "TorusLinkSpec",
     "WeightedQuiver",
     "affine_endomorphisms",
-    "audit_affine_completeness",
     "brute_force_endomorphisms",
     "build_quiver",
     "classify",
     "closure_system",
     "complete_form",
     "detect_blocks",
-    "dihedral_op",
     "disjoint_union",
     "enumerate_colorings_linear",
     "enumerate_colorings_oracle",
-    "is_involutive",
     "is_odd_prime",
     "isomorphic",
     "join_form",
-    "kernel_count_mod",
     "kernel_enumerate_mod",
     "parse_link",
     "predict_count",
     "predict_quiver",
-    "propagate",
     "propagation_matrix",
     "quiver_form_for_count",
     "quiver_from_json",

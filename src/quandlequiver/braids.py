@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import IntMatrix
-from .quandles import FiniteQuandle
 
 
 @dataclass(frozen=True)
@@ -113,28 +112,6 @@ def parse_link(text: str) -> BraidWord | TorusLinkSpec:
         raise ValueError("empty braid word; use torus:p,q for an unlink")
     strands = max(abs(l) for l in letters) + 1
     return BraidWord(strands, tuple(letters))
-
-
-def propagate(word: BraidWord, quandle: FiniteQuandle, top) -> tuple[int, ...]:
-    """Push a top color state through every crossing; return the bottom state."""
-    state = [int(c) for c in top]
-    if len(state) != word.strands:
-        raise ValueError(
-            f"top state has {len(state)} colors, word has {word.strands} strands"
-        )
-    for c in state:
-        if not 0 <= c < quandle.size:
-            raise ValueError(f"color {c} outside 0..{quandle.size - 1}")
-    table = quandle.table
-    inverse = quandle.inverse_table if any(l < 0 for l in word.letters) else None
-    for letter in word.letters:
-        i = abs(letter) - 1
-        x, y = state[i], state[i + 1]
-        if letter > 0:
-            state[i], state[i + 1] = y, table[x][y]
-        else:
-            state[i], state[i + 1] = inverse[y][x], x
-    return tuple(state)
 
 
 def propagation_matrix(word: BraidWord) -> IntMatrix:

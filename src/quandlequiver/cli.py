@@ -1,19 +1,21 @@
 """Command-line interface.
 
-Exit codes: 0 clean, 2 a computed/predicted or backend mismatch or a bad
-request, 3 ambiguity encountered (and nothing worse), 4 a size cap exceeded.
-A bad request is rejected before any work, with one line on stderr and
-nothing on stdout.
+Exit codes: 0 clean, 2 a computed/predicted or backend mismatch, a bad
+request or an output file that cannot be written, 3 ambiguity encountered
+(and nothing worse), 4 a size cap exceeded.  A bad request is rejected
+before any work, with one line on stderr and nothing on stdout; a failed
+write also ends with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .braids import TorusLinkSpec, parse_link
 from .colorings import enumerate_colorings_linear
-from .config import check_environment
+from .config import check_environment, positive_integer
 from .counting import (
     STATUS_AMBIGUOUS,
     STATUS_AMBIGUOUS_RESOLVED,
@@ -40,6 +42,10 @@ class BadRequest(Exception):
     """Input rejected before any work: exit 2, one line on stderr, nothing on stdout."""
 
 
+class WriteFailed(Exception):
+    """An output file could not be written: exit 2, one line on stderr."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as a bad request, not as a usage block and SystemExit."""
 
@@ -54,6 +60,26 @@ def _request(parse, *args):
         return parse(*args)
     except ValueError as exc:
         raise BadRequest(exc) from None
+
+
+def _positive(text: str) -> int:
+    """argparse type of the caps and --jobs: the rule the cap variables follow."""
+    try:
+        return positive_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_outputs(args):
+    """Reject an output path whose directory does not exist, before any work."""
+    # every command's output path options; "-" means stdout
+    for dest in ("out", "csv", "json"):
+        path = getattr(args, dest, None)
+        if path is None or path == "-":
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise BadRequest(f"--{dest}: no such directory {directory!r}")
 
 
 def _moduli(ns: list[int]) -> list[int]:
@@ -81,8 +107,11 @@ def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WriteFailed(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _exit_code(statuses) -> int:
@@ -166,6 +195,8 @@ def cmd_quiver(args) -> int:
         raise BadRequest(f"--compare needs p prime, got {torus.p}")
     if args.collapse and args.format != "dot":
         raise BadRequest("--collapse applies to dot output only")
+    if args.no_loops and (args.collapse or args.format != "dot"):
+        raise BadRequest("--no-loops applies to full dot output only")
     coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
     if coloring_set.colorings is None:
         print(
@@ -266,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["formula", "linear", "oracle", "all"],
         default="all",
     )
-    count.add_argument("--oracle-cap", type=int, default=None)
+    count.add_argument("--oracle-cap", type=_positive, default=None)
     count.add_argument("--json", default=None, help="write records to this JSON file")
     count.set_defaults(func=cmd_count)
 
@@ -281,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="collapse uniform blocks (dot only)")
     quiver.add_argument("--no-loops", action="store_true",
                         help="omit loop edges from full dot output")
-    quiver.add_argument("--enum-cap", type=int, default=None)
+    quiver.add_argument("--enum-cap", type=_positive, default=None)
     quiver.add_argument("--out", default=None, help="output path (default stdout)")
     quiver.set_defaults(func=cmd_quiver)
 
@@ -289,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", required=True, help="odd primes, e.g. 5,7")
     verify.add_argument("--q", required=True, help="range, e.g. 0..20")
     verify.add_argument("--n", required=True, help="range, e.g. 2..9")
-    verify.add_argument("--oracle-cap", type=int, default=None)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--oracle-cap", type=_positive, default=None)
+    verify.add_argument("--jobs", type=_positive, default=1)
     verify.add_argument("--out", default=None, help="JSON report path")
     verify.add_argument("--csv", default=None, help="CSV report path")
     verify.set_defaults(func=cmd_verify)
@@ -305,8 +336,9 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     try:
         _request(check_environment)
+        _check_outputs(args)
         return args.func(args)
-    except BadRequest as exc:
+    except (BadRequest, WriteFailed) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except CapExceededError as exc:

@@ -16,13 +16,22 @@ _DEFAULTS = {
 }
 
 
+def positive_integer(raw: str) -> int:
+    """A cap or count given as text: decimal digits for an integer of at least 1."""
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise ValueError(f"must be a positive integer, got {raw!r}")
+    return int(text)
+
+
 def _get(name: str) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return _DEFAULTS[name]
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
+    try:
+        return positive_integer(raw)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
 
 
 def check_environment() -> None:

@@ -2,6 +2,10 @@
 
 All outputs are deterministic for a given input (fixed key order, sorted
 edges, trailing newline), so identical runs yield byte-identical files.
+
+A quiver's DOT and JSON are written straight from its arrays: the records
+of a chunk of rows (vertices, arrows, blocks) fill one `%d` template, laid
+out exactly as the standard library's indenting encoder lays out JSON.
 """
 
 from __future__ import annotations
@@ -10,8 +14,13 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 
+import numpy as np
+
 from .counting import CellRecord
 from .quivers import QuiverForm, WeightedQuiver, detect_blocks
+
+# records filled per template
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -20,10 +29,35 @@ class ExportOptions:
     include_loops: bool = True
 
 
-def _label(vertex: int, labels) -> str:
-    if labels is None:
-        return str(vertex)
-    return ",".join(str(c) for c in labels[vertex])
+def _records(template: str, sep: str, rows: int, columns):
+    """Yield the text of `rows` records joined by `sep`, a chunk of records at a time.
+
+    Record k is `template` filled with column[k] of each column in turn.
+    A chunk's records share one repeated template, filled by a single `%`
+    from the chunk's values, so per record only its ints are made.
+    """
+    full = sep.join([template] * _CHUNK)
+    for start in range(0, rows, _CHUNK):
+        if start:
+            yield sep
+        count = min(_CHUNK, rows - start)
+        values = ()
+        if columns:
+            values = np.column_stack([c[start : start + count] for c in columns]).ravel().tolist()
+        yield (full if count == _CHUNK else sep.join([template] * count)) % tuple(values)
+
+
+def _label_columns(labels) -> list[np.ndarray]:
+    """The labels' colours, one array per position."""
+    width = len(labels[0]) if labels else 0
+    return list(np.array(labels, dtype=np.int64).reshape(len(labels), width).T)
+
+
+def _form_columns(form: QuiverForm) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(size, weight) of each block and (src, dst, d) of each cross entry, as columns."""
+    families = np.array([(f.size, f.weight) for f in form.families], dtype=np.int64)
+    cross = np.array(form.cross, dtype=np.int64)
+    return list(families.reshape(-1, 2).T), list(cross.reshape(-1, 3).T)
 
 
 def to_dot(
@@ -39,46 +73,79 @@ def to_dot(
     `detected` is detect_blocks(quiver), when the caller already has it.
     """
     options = options or ExportOptions()
-    lines = ["digraph quiver {"]
+    parts = ["digraph quiver {\n"]
     if options.collapse_blocks:
         form, _ = detected or detect_blocks(quiver)
-        for bi, f in enumerate(form.families):
-            lines.append(f'  b{bi} [label="K{f.size} w={f.weight}"];')
-        for bi, bj, d in form.cross:
-            lines.append(f'  b{bi} -> b{bj} [label="{d}"];')
+        families, cross = _form_columns(form)
+        blocks = [np.arange(len(form.families)), *families]
+        parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", len(form.families), blocks))
+        parts.extend(_records('  b%d -> b%d [label="%d"];\n', "", len(form.cross), cross))
     else:
-        for v in range(quiver.n_vertices):
-            lines.append(f'  v{v} [label="{_label(v, quiver.labels)}"];')
-        for i, j, w in quiver.arrows():
-            if i == j and not options.include_loops:
-                continue
-            lines.append(f'  v{i} -> v{j} [label="{w}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        n = quiver.n_vertices
+        vertex = np.arange(n)
+        if quiver.labels is None:
+            label, columns = "%d", [vertex, vertex]
+        else:
+            colours = _label_columns(quiver.labels)
+            label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
+        parts.extend(_records(f'  v%d [label="{label}"];\n', "", n, columns))
+        src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
+        if not options.include_loops:
+            keep = src != dst
+            src, dst, weight = src[keep], dst[keep], weight[keep]
+        parts.extend(_records('  v%d -> v%d [label="%d"];\n', "", src.size, [src, dst, weight]))
+    parts.append("}\n")
+    return "".join(parts)
 
 
-def _blocks_dict(form: QuiverForm) -> dict:
-    return {
-        "blocks": [{"size": f.size, "weight": f.weight} for f in form.families],
-        "cross": [list(t) for t in form.cross],
-    }
+def _indent(level: int) -> str:
+    return "  " * level
 
 
-def quiver_to_dict(
+def _int_list(width: int, level: int) -> str:
+    """Template of a JSON list of `width` ints whose brackets sit at `level`."""
+    if not width:
+        return _indent(level) + "[]"
+    items = ",\n".join([_indent(level + 1) + "%d"] * width)
+    return f"{_indent(level)}[\n{items}\n{_indent(level)}]"
+
+
+def _json_list(item: str, rows: int, columns, level: int) -> list[str]:
+    """A JSON list of `rows` records of template `item`, held by a key at `level`."""
+    if not rows:
+        return ["[]"]
+    return ["[\n", *_records(item, ",\n", rows, columns), "\n" + _indent(level) + "]"]
+
+
+def _quiver_json_parts(
     quiver: WeightedQuiver,
     params: dict | None = None,
     detected: tuple[QuiverForm, list[list[int]]] | None = None,
-) -> dict:
-    out: dict = {}
+) -> list[str]:
+    """The pieces of a quiver's JSON: params, count, colorings, weights, blocks."""
+    parts = ["{\n"]
     if params is not None:
-        out["params"] = dict(params)
-    out["count"] = quiver.n_vertices
+        # a nested value is the value on its own, each line indented one level
+        parts += ['  "params": ', json.dumps(dict(params), indent=2).replace("\n", "\n  "), ",\n"]
+    parts.append(f'  "count": {quiver.n_vertices}')
     if quiver.labels is not None:
-        out["colorings"] = [list(c) for c in quiver.labels]
-    out["weights"] = [[i, j, w] for i, j, w in quiver.arrows()]
+        colours = _label_columns(quiver.labels)
+        parts.append(',\n  "colorings": ')
+        parts += _json_list(_int_list(len(colours), 2), quiver.n_vertices, colours, 1)
+    arrows = [quiver.sources(), quiver.dst, quiver.weight]
+    parts.append(',\n  "weights": ')
+    parts += _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
     if quiver.n_vertices:
-        out["blocks"] = _blocks_dict((detected or detect_blocks(quiver))[0])
-    return out
+        form, _ = detected or detect_blocks(quiver)
+        families, cross = _form_columns(form)
+        block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
+        parts.append(',\n  "blocks": {\n    "blocks": ')
+        parts += _json_list(block, len(form.families), families, 2)
+        parts.append(',\n    "cross": ')
+        parts += _json_list(_int_list(3, 3), len(form.cross), cross, 2)
+        parts.append("\n  }")
+    parts.append("\n}\n")
+    return parts
 
 
 def quiver_from_json(text: str) -> WeightedQuiver:
@@ -87,17 +154,15 @@ def quiver_from_json(text: str) -> WeightedQuiver:
     labels = None
     if "colorings" in payload:
         labels = [tuple(c) for c in payload["colorings"]]
-    quiver = WeightedQuiver(payload["count"], labels=labels)
-    for i, j, w in payload["weights"]:
-        quiver.add(i, j, w)
-    return quiver
+    arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
+    return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=labels)
 
 
 def to_json(obj, **options) -> str:
     """Stable JSON for quivers, sweep reports, and lists of plain records."""
     if isinstance(obj, WeightedQuiver):
-        payload = quiver_to_dict(obj, **options)
-    elif isinstance(obj, CellRecord):
+        return "".join(_quiver_json_parts(obj, **options))
+    if isinstance(obj, CellRecord):
         payload = obj.to_dict()
     elif isinstance(obj, (list, tuple)):
         payload = [

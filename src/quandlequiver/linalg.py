@@ -215,11 +215,6 @@ def kernel_count_from_snf(snf: SnfResult, n: int) -> int:
     return count * n ** (cols - len(snf.diag))
 
 
-def kernel_count_mod(a: IntMatrix, n: int) -> int:
-    """Count y in (Z_n)^cols with A*y = 0 mod n, without enumerating."""
-    return kernel_count_from_snf(smith_normal_form(a), n)
-
-
 def kernel_enumerate_mod(
     a: IntMatrix,
     n: int,

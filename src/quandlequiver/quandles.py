@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import endo_cap
-from .errors import CapExceededError, NonAffineEndomorphismWarning
+from .errors import CapExceededError
 
 
 class FiniteQuandle:
@@ -73,15 +72,6 @@ class FiniteQuandle:
 
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
-
-
-def dihedral_op(n: int, x: int, y: int) -> int:
-    """x * y = 2y - x mod n."""
-    if n < 1:
-        raise ValueError(f"modulus must be at least 1, got {n}")
-    if not 0 <= x < n or not 0 <= y < n:
-        raise ValueError(f"elements ({x}, {y}) outside 0..{n - 1}")
-    return (2 * y - x) % n
 
 
 class DihedralQuandle(FiniteQuandle):
@@ -156,14 +146,6 @@ def verify_quandle_axioms(q: FiniteQuandle) -> AxiomReport:
             break
 
     return AxiomReport(distributive, invertible, idempotent)
-
-
-def is_involutive(q: FiniteQuandle) -> bool:
-    """(x*y)*y == x for all pairs."""
-    t = q.table
-    return all(
-        t[t[x][y]][y] == x for x in range(q.size) for y in range(q.size)
-    )
 
 
 class Endomorphism:
@@ -287,27 +269,3 @@ def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> list[
 
     search(0)
     return found
-
-
-def audit_affine_completeness(n: int, cap: int | None = None) -> list[Endomorphism]:
-    """Compare brute-force endomorphisms of R_n against the affine family.
-
-    Returns the non-affine surplus (empty whenever the families agree) and
-    raises a NonAffineEndomorphismWarning when the surplus is nonempty, so
-    extra endomorphisms are surfaced rather than silently dropped.
-    """
-    q = DihedralQuandle(n)
-    brute = brute_force_endomorphisms(q, cap=cap)
-    affine = set(e.images for e in affine_endomorphisms(n))
-    missing = affine - set(e.images for e in brute)
-    if missing:
-        raise_internal = ", ".join(map(str, sorted(missing)))
-        raise AssertionError(f"brute-force search missed affine maps: {raise_internal}")
-    surplus = [e for e in brute if e.images not in affine]
-    if surplus:
-        warnings.warn(
-            f"R_{n} has {len(surplus)} endomorphisms outside the affine family",
-            NonAffineEndomorphismWarning,
-            stacklevel=2,
-        )
-    return surplus

@@ -20,42 +20,68 @@ from .quandles import DihedralQuandle, Endomorphism
 
 
 class WeightedQuiver:
-    """Weighted directed graph on vertices 0..n_vertices-1.
+    """Immutable weighted directed graph on vertices 0..n_vertices-1, as CSR arrays.
 
-    Rows are sparse dicts target -> weight holding only nonzero weights.
-    `labels`, when present, names each vertex by its coloring vector.
+    Row i's arrows go to dst[indptr[i]:indptr[i + 1]], strictly increasing,
+    with the positive weights weight[indptr[i]:indptr[i + 1]]; the arrays
+    are int64 and read-only.  `labels`, when present, names each vertex by
+    its coloring vector, all of one length.  Build one with `from_arrows`.
     """
 
-    def __init__(self, n_vertices: int, labels: list[tuple[int, ...]] | None = None):
-        if n_vertices < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if labels is not None and len(labels) != n_vertices:
-            raise ValueError("labels must match the vertex count")
+    __slots__ = ("n_vertices", "indptr", "dst", "weight", "labels")
+
+    def __init__(self, n_vertices: int, indptr, dst, weight, labels):
+        # trusted: from_arrows has validated and canonicalized the arrays
         self.n_vertices = n_vertices
-        self.rows: list[dict[int, int]] = [dict() for _ in range(n_vertices)]
+        self.indptr, self.dst, self.weight = indptr, dst, weight
         self.labels = labels
 
-    def add(self, i: int, j: int, w: int = 1):
-        if not (0 <= i < self.n_vertices and 0 <= j < self.n_vertices):
-            raise ValueError(f"edge ({i}, {j}) outside 0..{self.n_vertices - 1}")
-        if w < 0:
-            raise ValueError(f"weight must be nonnegative, got {w}")
-        if w:
-            row = self.rows[i]
-            row[j] = row.get(j, 0) + w
+    @classmethod
+    def from_arrows(cls, n: int, src, dst, weight, labels=None) -> WeightedQuiver:
+        """The quiver on n vertices with arrows src[k] -> dst[k] of weight weight[k].
 
-    def weight(self, i: int, j: int) -> int:
-        return self.rows[i].get(j, 0)
+        Arrows with the same endpoints are summed and zero weights dropped.
+        A vertex outside 0..n-1 or a negative weight raises ValueError.
+        """
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        if labels is not None:
+            labels = list(labels)
+            if len(labels) != n:
+                raise ValueError("labels must match the vertex count")
+            if len(set(map(len, labels))) > 1:
+                raise ValueError("labels must all have one length")
+        src, dst, weight = (np.array(a, dtype=np.int64).reshape(-1) for a in (src, dst, weight))
+        if not src.size == dst.size == weight.size:
+            raise ValueError("src, dst and weight must have one length")
+        outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if outside.any():
+            k = np.argmax(outside)
+            raise ValueError(f"edge ({src[k]}, {dst[k]}) outside 0..{n - 1}")
+        if (weight < 0).any():
+            raise ValueError(f"weight must be nonnegative, got {weight[np.argmax(weight < 0)]}")
+        key = src * n + dst
+        if np.any(key[1:] <= key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key, src, dst, weight = key[order], src[order], dst[order], weight[order]
+            first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+            src, dst, weight = src[first], dst[first], np.add.reduceat(weight, first)
+        if not weight.all():
+            keep = weight != 0
+            src, dst, weight = src[keep], dst[keep], weight[keep]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        for a in (indptr, dst, weight):
+            a.flags.writeable = False
+        return cls(n, indptr, dst, weight, labels)
 
-    def row_sum(self, i: int) -> int:
-        return sum(self.rows[i].values())
+    def sources(self) -> np.ndarray:
+        """The source vertex of each arrow, aligned with dst and weight."""
+        return np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
 
     def arrows(self):
-        """(source, target, weight) of each nonzero weight, in sorted order, read row by row."""
-        for i, row in enumerate(self.rows):
-            for j, w in sorted(row.items()):
-                if w:
-                    yield i, j, w
+        """(source, target, weight) of each arrow, in sorted order, read row by row."""
+        return zip(self.sources().tolist(), self.dst.tolist(), self.weight.tolist())
 
     def weight_triples(self) -> list[tuple[int, int, int]]:
         """Sorted sparse (source, target, weight) triples."""
@@ -67,13 +93,13 @@ class WeightedQuiver:
         return (
             self.n_vertices == other.n_vertices
             and self.labels == other.labels
-            and [{j: w for j, w in row.items() if w} for row in self.rows]
-            == [{j: w for j, w in row.items() if w} for row in other.rows]
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.weight, other.weight)
         )
 
     def __repr__(self):
-        edges = sum(len(r) for r in self.rows)
-        return f"WeightedQuiver({self.n_vertices} vertices, {edges} weighted edges)"
+        return f"WeightedQuiver({self.n_vertices} vertices, {self.dst.size} weighted edges)"
 
 
 # arrows handled per batch; at 1 << 16 the freed batch arrays left 2.5 MB
@@ -93,38 +119,17 @@ def _row_keys(rows: np.ndarray, m: int, key_type) -> np.ndarray:
     return keys
 
 
-def _fill_rows(rows: list[dict[int, int]], start: int, targets: np.ndarray, vertices: np.ndarray):
-    """rows[start + i] from targets[i], the sorted targets of vertex i's arrows.
-
-    Runs of one target merge into its weight.  Targets are taken from
-    `vertices`, one int object per vertex, so the rows share them.
-    """
-    n_rows, per_row = targets.shape
-    if not per_row:
-        return
-    flat = targets.ravel()
-    new_run = np.ones(flat.size, dtype=bool)
-    new_run[1:] = flat[1:] != flat[:-1]
-    new_run[::per_row] = True
-    run_starts = np.flatnonzero(new_run)
-    weights = np.diff(run_starts, append=flat.size).tolist()
-    bounds = np.searchsorted(run_starts, np.arange(0, flat.size + 1, per_row)).tolist()
-    ends = vertices[flat[run_starts]].tolist()
-    for i in range(n_rows):
-        a, b = bounds[i], bounds[i + 1]
-        rows[start + i] = dict(zip(ends[a:b], weights[a:b]))
-
-
 def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     """Apply every endomorphism to every coloring and record the arrows.
 
     Each coloring is keyed by its colours in base m; the image rows of a
     slab of colorings under all endomorphisms are gathered at once and
-    found among the keys by binary search.  The coloring list must be
-    sorted and closed under each endomorphism (it is, for the full
-    endomorphism monoid of the target); a landing outside the list means
-    the inputs are inconsistent and raises.  Structural laws that hold by
-    construction are re-checked on every build.
+    found among the keys by binary search.  Sorting each vertex's targets
+    and taking run lengths gives its arrows and their weights.  The
+    coloring list must be sorted and closed under each endomorphism (it
+    is, for the full endomorphism monoid of the target); a landing outside
+    the list means the inputs are inconsistent and raises.  Structural
+    laws that hold by construction are re-checked on every build.
     """
     if coloring_set.colorings is None:
         raise ValueError("cannot build a quiver from a count-only coloring set")
@@ -143,11 +148,11 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
     images = np.array([phi.images for phi in endos], dtype=colour).reshape(len(endos), m)
-    quiver = WeightedQuiver(n_vertices, labels=list(colorings))
-    vertices = np.arange(n_vertices).astype(object)
-    slab_rows = max(1, _SLAB // max(1, len(endos)))
-    for start in range(0, n_vertices, slab_rows):
-        image_keys = _row_keys(images[:, points[start : start + slab_rows]], m, key_type)
+    per_row = len(endos)
+    slabs = range(0, n_vertices, max(1, _SLAB // per_row)) if per_row else ()
+    src, dst, weight = [], [], []
+    for start in slabs:
+        image_keys = _row_keys(images[:, points[start : start + slabs.step]], m, key_type)
         targets = np.searchsorted(keys, image_keys)
         missing = keys[np.minimum(targets, n_vertices - 1)] != image_keys
         if missing.any():
@@ -157,35 +162,54 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
                 f"image {endos[e].apply(f)} of coloring {f} under {endos[e]!r} "
                 "is not itself a coloring"
             )
-        _fill_rows(quiver.rows, start, np.sort(targets.T, axis=1), vertices)
-    _check_structure(quiver, coloring_set, len(endos))
+        # each run of one target in a vertex's sorted targets is one arrow
+        flat = np.sort(targets.T, axis=1).ravel()
+        new_run = np.ones(flat.size, dtype=bool)
+        new_run[1:] = flat[1:] != flat[:-1]
+        new_run[::per_row] = True
+        run_starts = np.flatnonzero(new_run)
+        src.append(start + run_starts // per_row)
+        dst.append(flat[run_starts])
+        weight.append(np.diff(run_starts, append=flat.size))
+    arrays = (np.concatenate(a) if a else () for a in (src, dst, weight))
+    quiver = WeightedQuiver.from_arrows(n_vertices, *arrays, labels=colorings)
+    _check_structure(quiver, coloring_set, per_row)
     return quiver
 
 
 def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos: int):
-    for i in range(quiver.n_vertices):
-        if quiver.row_sum(i) != n_endos:
-            raise InternalConsistencyError(
-                f"row {i} sums to {quiver.row_sum(i)}, expected {n_endos}"
-            )
-    trivial = set(coloring_set.trivial_indices)
-    for i in trivial:
-        for j, w in quiver.rows[i].items():
-            if j not in trivial and w:
-                raise InternalConsistencyError(
-                    f"arrow from trivial coloring {i} to nontrivial {j}"
-                )
+    src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
+    sums = np.diff(np.append(0, np.cumsum(weight))[quiver.indptr])
+    bad = np.flatnonzero(sums != n_endos)
+    if bad.size:
+        i = bad[0]
+        raise InternalConsistencyError(f"row {i} sums to {sums[i]}, expected {n_endos}")
+    trivial = np.asarray(coloring_set.trivial_indices, dtype=np.int64)
+    is_trivial = np.zeros(quiver.n_vertices, dtype=bool)
+    is_trivial[trivial] = True
+    leaving = np.flatnonzero(is_trivial[src] & ~is_trivial[dst])
+    if leaving.size:
+        k = leaving[0]
+        raise InternalConsistencyError(
+            f"arrow from trivial coloring {src[k]} to nontrivial {dst[k]}"
+        )
     # with the full affine family over R_n, every trivial -> trivial
     # weight is exactly n
     quandle = coloring_set.quandle
     if isinstance(quandle, DihedralQuandle) and n_endos == quandle.n**2:
-        for i in trivial:
-            for j in trivial:
-                if quiver.weight(i, j) != quandle.n:
-                    raise InternalConsistencyError(
-                        f"trivial block weight at ({i}, {j}) is "
-                        f"{quiver.weight(i, j)}, expected {quandle.n}"
-                    )
+        position = np.full(quiver.n_vertices, -1)
+        position[trivial] = np.arange(trivial.size)
+        # no arrow leaves the trivial colorings, so these all end there
+        inside = np.flatnonzero(is_trivial[src])
+        block = np.zeros((trivial.size, trivial.size), dtype=np.int64)
+        block[position[src[inside]], position[dst[inside]]] = weight[inside]
+        bad = np.argwhere(block != quandle.n)
+        if bad.size:
+            a, b = bad[0]
+            raise InternalConsistencyError(
+                f"trivial block weight at ({trivial[a]}, {trivial[b]}) is "
+                f"{block[a, b]}, expected {quandle.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -273,31 +297,20 @@ def join_form(g1: QuiverForm, g2: QuiverForm, d: int) -> QuiverForm:
 
 def realize(form: QuiverForm) -> WeightedQuiver:
     """Expand a form to an explicit quiver, vertices in block-major order."""
-    quiver = WeightedQuiver(form.n_vertices)
-    spans: list[list[tuple[int, int]]] = []
-    pos = 0
-    for f in form.families:
-        copies = []
-        for _ in range(f.copies):
-            copies.append((pos, pos + f.size))
-            pos += f.size
-        spans.append(copies)
-    for f, family_spans in zip(form.families, spans):
-        if not f.weight:
-            continue
-        for a, b in family_spans:
-            for i in range(a, b):
-                row = quiver.rows[i]
-                for j in range(a, b):
-                    row[j] = f.weight
-    for src, dst, d in form.cross:
-        for a, b in spans[src]:
-            for i in range(a, b):
-                row = quiver.rows[i]
-                for c, e in spans[dst]:
-                    for j in range(c, e):
-                        row[j] = row.get(j, 0) + d
-    return quiver
+    # family k holds vertices bounds[k] .. bounds[k + 1] - 1, copy by copy
+    bounds = np.cumsum([0] + [f.copies * f.size for f in form.families]).tolist()
+    family = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
+    src, dst, weight = [], [], []
+    for f, vertices in zip(form.families, family):
+        src.append(np.repeat(vertices, f.size))
+        dst.append(np.tile(vertices.reshape(f.copies, f.size), f.size).ravel())
+        weight.append(np.full(vertices.size * f.size, f.weight))
+    for a, b, d in form.cross:
+        src.append(np.repeat(family[a], family[b].size))
+        dst.append(np.tile(family[b], family[a].size))
+        weight.append(np.full(family[a].size * family[b].size, d))
+    arrays = (np.concatenate(a) if a else () for a in (src, dst, weight))
+    return WeightedQuiver.from_arrows(form.n_vertices, *arrays)
 
 
 def quiver_form_for_count(p: int, n: int, count: int) -> QuiverForm:
@@ -348,30 +361,37 @@ def predict_quiver(p: int, q: int, n: int) -> QuiverForm:
 # --- block structure -----------------------------------------------------
 
 
-def _refine(quiver: WeightedQuiver) -> list[int]:
+def _byte_classes(packed: np.ndarray, offsets: np.ndarray) -> tuple[list[int], int]:
+    """Number the segments packed[offsets[v]:offsets[v + 1]] by first appearance.
+
+    Segments are compared exactly as bytes: equal segments, equal numbers.
+    Returns the numbers and how many distinct segments there are.
+    """
+    data = packed.tobytes()
+    spans = (offsets * packed.itemsize).tolist()
+    seen: dict[bytes, int] = {}
+    classes = [seen.setdefault(data[a:b], len(seen)) for a, b in zip(spans, spans[1:])]
+    return classes, len(seen)
+
+
+def _refine(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> list[int]:
     """Iterated colour refinement by (loop, out-profile, in-profile).
 
-    The first signature of a vertex is its loop weight with the multisets
-    of its out- and in-weights; each later one its colour with the
-    multisets of (weight, neighbour colour) over its out- and in-arrows,
-    until the number of colours stops growing.  A signature is packed as
-    the sorted segments of its arrows' values, one int64 each, and
-    compared exactly as bytes, so the partition into colours depends on
-    local structure only, never on vertex labels.  Colours number the
-    signatures in order of first appearance.
+    The arrows src[k] -> dst[k] of weight weight[k] come in CSR order:
+    sorted by source.  The first signature of a vertex is its loop weight
+    with the multisets of its out- and in-weights; each later one its
+    colour with the multisets of (weight, neighbour colour) over its out-
+    and in-arrows, until the number of colours stops growing.  A
+    signature is packed as the sorted segments of its arrows' values, one
+    int64 each, and compared exactly as bytes, so the partition into
+    colours depends on local structure only, never on vertex labels.
+    Colours number the signatures in order of first appearance.
     """
-    n = quiver.n_vertices
-    rows = quiver.rows
-    out_degree = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-    n_edges = int(out_degree.sum())
-    src = np.repeat(np.arange(n), out_degree)
-    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n_edges)
-    weights = np.fromiter(
-        chain.from_iterable(row.values() for row in rows), dtype=np.int64, count=n_edges
-    )
+    n_edges = src.size
+    out_degree = np.bincount(src, minlength=n)
     # weight ranks keep order and equality and bound the packed values;
     # the appended 0 ranks the weight of a missing loop
-    _, rank = np.unique(np.append(weights, 0), return_inverse=True)
+    _, rank = np.unique(np.append(weight, 0), return_inverse=True)
     loop = np.full(n, rank[-1])
     is_loop = src == dst
     loop[src[is_loop]] = rank[:-1][is_loop]
@@ -390,16 +410,12 @@ def _refine(quiver: WeightedQuiver) -> list[int]:
     in_pos = offsets[in_owner] + 2 + out_degree[in_owner] + edge - in_first[in_owner]
     packed = np.empty(int(offsets[-1]), dtype=np.int64)
     packed[offsets[:-1] + 1] = out_degree
-    spans = (offsets * packed.itemsize).tolist()
 
     def classes(head, out_values, in_values):
         packed[offsets[:-1]] = head
         packed[out_pos] = out_values[np.lexsort((out_values, src))]
         packed[in_pos] = in_values[np.lexsort((in_values, in_owner))]
-        data = packed.tobytes()
-        seen: dict[bytes, int] = {}
-        colors = [seen.setdefault(data[a:b], len(seen)) for a, b in zip(spans, spans[1:])]
-        return colors, len(seen)
+        return _byte_classes(packed, offsets)
 
     colors, n_colors = classes(loop, rank, in_rank)
     while True:
@@ -412,48 +428,80 @@ def _refine(quiver: WeightedQuiver) -> list[int]:
         n_colors = new_count
 
 
-def _block_profiles(quiver: WeightedQuiver, blocks: list[list[int]]) -> list[dict[int, int]] | None:
-    """Per block, the one weight its vertices send to each block they reach.
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each vertex's smallest vertex in its component of the undirected graph a[k] - b[k].
 
-    A vertex's row tally holds, for each block its arrows reach, their
-    count and their single weight.  The blocks are complete and uniform
-    exactly when every tally covers whole blocks and all vertices of a
-    block share one; otherwise None.  O(E).
+    Min-label propagation with pointer jumping: every label is a vertex of
+    the same component no larger than its own.  A round hooks each root to
+    the smallest label across its edges, then jumps pointers until every
+    label is a root; no edge joining two roots is left when it ends.
     """
-    block_of = [0] * quiver.n_vertices
-    for b, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = b
-    profiles = []
-    for block in blocks:
-        shared = None
-        for v in block:
-            counts: dict[int, int] = {}
-            profile: dict[int, int] = {}
-            for u, w in quiver.rows[v].items():
-                if not w:
-                    continue
-                b = block_of[u]
-                if profile.setdefault(b, w) != w:
-                    return None
-                counts[b] = counts.get(b, 0) + 1
-            if any(count != len(blocks[b]) for b, count in counts.items()):
-                return None
-            if shared is None:
-                shared = profile
-            elif profile != shared:
-                return None
-        profiles.append(shared)
-    return profiles
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        la, lb = la[differ], lb[differ]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
+def _block_profiles(
+    src: np.ndarray, dst: np.ndarray, weight: np.ndarray, block_of: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per block, its internal weight and the one weight it sends to each block it reaches.
+
+    A vertex's profile holds, for each block its arrows reach, that block
+    and the single weight of those arrows, which must number the block's
+    size.  The blocks are complete and uniform exactly when every vertex
+    has such a profile and all vertices of a block share one, compared
+    exactly as bytes; otherwise None.  One grouped pass over (source,
+    target block, weight).
+
+    Returns (internal, cross): internal[b] the weight inside block b (0
+    when it has no arrows inside), cross the rows (b, c, d) of the weight
+    d that block b sends to each other block c, sorted.
+    """
+    n, n_blocks = block_of.size, sizes.size
+    reach = block_of[dst]
+    order = np.lexsort((reach, src))
+    src, reach, weight = src[order], reach[order], weight[order]
+    new_group = np.ones(src.size, dtype=bool)
+    new_group[1:] = (src[1:] != src[:-1]) | (reach[1:] != reach[:-1])
+    first = np.flatnonzero(new_group)
+    count = np.diff(first, append=src.size)
+    src, reach, group_weight = src[first], reach[first], weight[first]
+    if np.any(weight != np.repeat(group_weight, count)) or np.any(count != sizes[reach]):
+        return None
+    offsets = np.append(0, np.cumsum(2 * np.bincount(src, minlength=n)))
+    classes, _ = _byte_classes(np.column_stack((reach, group_weight)).ravel(), offsets)
+    classes = np.array(classes, dtype=np.int64)
+    # each block's smallest vertex speaks for it
+    speaker = np.full(n_blocks, n)
+    np.minimum.at(speaker, block_of, np.arange(n))
+    if np.any(classes != classes[speaker[block_of]]):
+        return None
+    spoken = np.zeros(n, dtype=bool)
+    spoken[speaker] = True
+    chosen = spoken[src]
+    block, reach, group_weight = block_of[src[chosen]], reach[chosen], group_weight[chosen]
+    internal = np.zeros(n_blocks, dtype=np.int64)
+    inside = block == reach
+    internal[block[inside]] = group_weight[inside]
+    return internal, np.column_stack((block, reach, group_weight))[~inside]
 
 
 def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
     """Group vertices into complete blocks with uniform internal and cross weights.
 
-    Vertices sharing a refinement colour are merged along nonzero arrows,
-    then every candidate block is checked for one uniform internal weight
-    and uniform cross weights; any failure drops the decomposition to
-    singletons, which always hold.
+    Vertices sharing a refinement colour are joined along arrows into
+    components, then every candidate block is checked for one uniform
+    internal weight and uniform cross weights; any failure drops the
+    decomposition to singletons, which always hold.
 
     Returns (form, blocks): `form` has one single-copy family per block,
     carrying its internal weight (a singleton's loop weight, possibly 0),
@@ -461,42 +509,23 @@ def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
     list of block i.  Blocks are ordered by smallest vertex.
     """
     n = quiver.n_vertices
-    colors = _refine(quiver)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, row in enumerate(quiver.rows):
-        for j, w in row.items():
-            if w and i != j and colors[i] == colors[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    blocks = sorted(groups.values())
-    profiles = _block_profiles(quiver, blocks)
-    if profiles is None:
-        blocks = [[v] for v in range(n)]
-        profiles = _block_profiles(quiver, blocks)
-    form = QuiverForm(
-        families=tuple(
-            BlockFamily(1, len(block), profile.get(b, 0))
-            for b, (block, profile) in enumerate(zip(blocks, profiles))
-        ),
-        cross=tuple(
-            (b, c, d)
-            for b, profile in enumerate(profiles)
-            for c, d in sorted(profile.items())
-            if c != b
-        ),
+    src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
+    colors = np.array(_refine(n, src, dst, weight), dtype=np.int64)
+    same = (src != dst) & (colors[src] == colors[dst])
+    # the roots are the blocks' smallest vertices, so unique orders the blocks
+    _, block_of, sizes = np.unique(
+        _components(n, src[same], dst[same]), return_inverse=True, return_counts=True
     )
-    return form, blocks
+    profiles = _block_profiles(src, dst, weight, block_of, sizes)
+    if profiles is None:
+        block_of, sizes = np.arange(n), np.ones(n, dtype=np.int64)
+        profiles = _block_profiles(src, dst, weight, block_of, sizes)
+    internal, cross = profiles
+    members = np.argsort(block_of, kind="stable").tolist()
+    bounds = np.cumsum(np.append(0, sizes)).tolist()
+    families = (BlockFamily(1, size, w) for size, w in zip(sizes.tolist(), internal.tolist()))
+    form = QuiverForm(families=tuple(families), cross=tuple(map(tuple, cross.tolist())))
+    return form, [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # --- comparison ----------------------------------------------------------
@@ -514,8 +543,9 @@ def isomorphic(
     The mapping sends each vertex to its image in realize(form)'s
     block-major order.  Each block detect_blocks finds in `quiver` is
     matched to a free copy of the form's family with the same size and
-    weight, and the mapping is then checked arrow by arrow, so a returned
-    mapping is always an isomorphism.
+    weight; the mapped arrows, sorted, must then equal realize(form)'s
+    arrows and weights in one array comparison, so a returned mapping is
+    always an isomorphism.
 
     None is an exact refutation when the form's families have distinct
     weights (a form with two families of one weight raises ValueError):
@@ -536,9 +566,9 @@ def isomorphic(
     weights = [f.weight for f in form.families]
     if len(set(weights)) < len(weights):
         raise ValueError(f"the form's families need distinct weights, got {weights}")
-    if quiver.n_vertices != form.n_vertices:
+    n = quiver.n_vertices
+    if n != form.n_vertices:
         return None
-    target = realize(form)
     free: dict[tuple[int, int], list[int]] = {}
     start = 0
     for f in form.families:
@@ -546,19 +576,25 @@ def isomorphic(
             free.setdefault((f.size, f.weight), []).append(start)
             start += f.size
     detected, blocks = detected or detect_blocks(quiver)
-    mapping = [0] * quiver.n_vertices
-    for family, block in zip(detected.families, blocks):
+    block_start = []
+    for family in detected.families:
         starts = free.get((family.size, family.weight))
         if not starts:
             return None
-        start = starts.pop()
-        for k, v in enumerate(block):
-            mapping[v] = start + k
-    for v, row in enumerate(quiver.rows):
-        mapped_row = target.rows[mapping[v]]
-        if len(row) != len(mapped_row):
-            return None
-        for u, w in row.items():
-            if mapped_row.get(mapping[u], 0) != w:
-                return None
-    return tuple(mapping)
+        block_start.append(starts.pop())
+    # vertex k of block b goes to block_start[b] + k; with the blocks laid
+    # end to end it sits at position (cumsum(sizes) - sizes)[b] + k
+    sizes = np.array([f.size for f in detected.families], dtype=np.int64)
+    offset = np.array(block_start, dtype=np.int64) - (np.cumsum(sizes) - sizes)
+    mapping = np.empty(n, dtype=np.int64)
+    mapping[np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=n)] = (
+        np.repeat(offset, sizes) + np.arange(n)
+    )
+    target = realize(form)
+    key = mapping[quiver.sources()] * n + mapping[quiver.dst]
+    order = np.argsort(key)
+    if np.array_equal(key[order], target.sources() * n + target.dst) and np.array_equal(
+        quiver.weight[order], target.weight
+    ):
+        return tuple(mapping.tolist())
+    return None

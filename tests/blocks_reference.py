@@ -3,8 +3,10 @@ and uniformity by O(N^2) weight lookups.
 
 `detect_blocks` refines colours over edge arrays and checks uniformity with
 per-row block tallies in O(E); these are the direct computations it must
-agree with.
+agree with.  Both read the quiver as row dicts.
 """
+
+from quiver_reference import DictQuiver
 
 
 def refine(quiver) -> list[int]:
@@ -13,7 +15,7 @@ def refine(quiver) -> list[int]:
     Colours are ordinals of sorted signatures, so vertices with equal local
     structure get equal colours whatever their labels.
     """
-    outs = quiver.rows
+    outs = DictQuiver.of(quiver).rows
     ins = [dict() for _ in range(quiver.n_vertices)]
     for i, row in enumerate(outs):
         for j, w in row.items():
@@ -55,6 +57,7 @@ def detect_blocks(quiver):
     if n == 0:
         return [], [], {}
     colors = refine(quiver)
+    quiver = DictQuiver.of(quiver)
     parent = list(range(n))
 
     def find(x):

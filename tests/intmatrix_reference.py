@@ -1,4 +1,7 @@
-"""Reference checks on IntMatrix used by the tests: determinant and matrix-vector product."""
+"""Reference checks on IntMatrix used by the tests: determinant, matrix-vector
+product, and the kernel count of a matrix mod n."""
+
+from quandlequiver.linalg import kernel_count_from_snf, smith_normal_form
 
 
 def det(m) -> int:
@@ -31,3 +34,8 @@ def apply(m, vector, modulus: int) -> tuple[int, ...]:
     if len(vector) != m.cols:
         raise ValueError("vector length must equal column count")
     return tuple(sum(a * b for a, b in zip(row, vector)) % modulus for row in m.data)
+
+
+def kernel_count_mod(a, n: int) -> int:
+    """Count y in (Z_n)^cols with A*y = 0 mod n, without enumerating."""
+    return kernel_count_from_snf(smith_normal_form(a), n)

@@ -2,7 +2,8 @@
 
 `enumerate_colorings_oracle` builds the state map of the word's repeated
 factor once and counts the fixed points of its q-th power; this is the
-direct per-letter propagation it must agree with.
+direct per-letter propagation it must agree with.  `propagate` pushes one
+top state through the word, crossing by crossing.
 """
 
 import numpy as np
@@ -41,3 +42,25 @@ def enumerate_colorings(word, quandle) -> list[tuple[int, ...]]:
                 state[:, i + 1] = x
         kept.append(tops[(state == tops).all(axis=1)])
     return [tuple(row) for row in np.concatenate(kept).tolist()]
+
+
+def propagate(word, quandle, top) -> tuple[int, ...]:
+    """Push a top color state through every crossing; return the bottom state."""
+    state = [int(c) for c in top]
+    if len(state) != word.strands:
+        raise ValueError(
+            f"top state has {len(state)} colors, word has {word.strands} strands"
+        )
+    for c in state:
+        if not 0 <= c < quandle.size:
+            raise ValueError(f"color {c} outside 0..{quandle.size - 1}")
+    table = quandle.table
+    inverse = quandle.inverse_table if any(l < 0 for l in word.letters) else None
+    for letter in word.letters:
+        i = abs(letter) - 1
+        x, y = state[i], state[i + 1]
+        if letter > 0:
+            state[i], state[i + 1] = y, table[x][y]
+        else:
+            state[i], state[i + 1] = inverse[y][x], x
+    return tuple(state)

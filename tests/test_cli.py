@@ -260,6 +260,22 @@ BAD_REQUESTS = [
     (["verify", "--p", "3", "--q", "2", "--n", "0..4"], {}),
     (["verify", "--p", "3", "--q", "-1..2", "--n", "2..4"], {}),
     (["quiver", "--link", "torus:5,2"], {}),
+    # caps and --jobs follow the rule of the cap variables: at least 1
+    (["quiver", "--link", "torus:5,2", "--n", "5", "--enum-cap", "0"], {}),
+    (["quiver", "--link", "torus:5,2", "--n", "5", "--enum-cap", "-1"], {}),
+    (["count", "--link", "torus:5,2", "--n", "5", "--oracle-cap", "0"], {}),
+    (["count", "--link", "torus:5,2", "--n", "5", "--oracle-cap", "-1"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "3", "--oracle-cap", "-1"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "3", "--jobs", "0"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "3", "--jobs", "-1"], {}),
+    # --no-loops applies to full DOT only
+    (["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops", "--format", "json"], {}),
+    (["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops", "--collapse"], {}),
+    # an output path in a directory that does not exist
+    (["quiver", "--link", "torus:3,3", "--n", "3", "--out", "no-such-dir/x.dot"], {}),
+    (["count", "--link", "torus:3,3", "--n", "3", "--json", "no-such-dir/x.json"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "3", "--out", "no-such-dir/x.json"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "3", "--csv", "no-such-dir/x.csv"], {}),
 ]
 
 
@@ -283,6 +299,9 @@ def test_bad_request_exits_2_with_one_stderr_line(argv, env, monkeypatch, capsys
         ["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json", "--collapse", "--compare"],
         ["quiver", "--link", "s1 s1 s1", "--n", "3", "--compare"],
         ["quiver", "--link", "torus:4,2", "--n", "4", "--compare"],
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops", "--format", "json"],
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops", "--collapse"],
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--out", "no-such-dir/x.dot"],
     ],
 )
 def test_quiver_rejects_flag_combinations_before_building(argv, monkeypatch, capsys):
@@ -294,6 +313,33 @@ def test_quiver_rejects_flag_combinations_before_building(argv, monkeypatch, cap
     captured = capsys.readouterr()
     assert code == EXIT_MISMATCH
     assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--link", "torus:5,2", "--n", "5", "--json", "no-such-dir/x.json"],
+        ["verify", "--p", "3", "--q", "2", "--n", "3", "--csv", "no-such-dir/x.csv"],
+    ],
+)
+def test_output_directory_checked_before_any_work(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a rejected request")
+
+    monkeypatch.setattr(cli, "evaluate_cells", no_work)
+    monkeypatch.setattr(cli, "verify_counts", no_work)
+    assert main(argv) == EXIT_MISMATCH
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_failed_write_ends_in_one_line(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    code = main(["quiver", "--link", "torus:3,3", "--n", "3", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert captured.err.startswith("quiver: cannot write ")
     assert len(captured.err.splitlines()) == 1
 
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_reference import enumerate_colorings as reference_colorings
+from oracle_reference import propagate
 from quandlequiver import colorings
-from quandlequiver.braids import BraidWord, TorusLinkSpec, propagate, torus_braid
+from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
 from quandlequiver.colorings import (
     NONTRIVIAL,
     TRIVIAL,

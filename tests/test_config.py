@@ -4,7 +4,7 @@ import pytest
 
 from quandlequiver.braids import torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
-from quandlequiver.config import endo_cap, enumeration_cap, oracle_cap
+from quandlequiver.config import endo_cap, enumeration_cap, oracle_cap, positive_integer
 from quandlequiver.errors import CapExceededError
 from quandlequiver.quandles import DihedralQuandle
 
@@ -31,6 +31,14 @@ def test_invalid_override_rejected(monkeypatch):
     monkeypatch.setenv("QUANDLEQUIVER_ENUM_CAP", "-5")
     with pytest.raises(ValueError):
         enumeration_cap()
+
+
+def test_positive_integer_rule():
+    assert positive_integer("7") == 7
+    assert positive_integer(" 12 ") == 12
+    for raw in ("0", "-1", "+5", "1.5", "abc", ""):
+        with pytest.raises(ValueError, match="positive integer"):
+            positive_integer(raw)
 
 
 def test_env_cap_governs_backends(monkeypatch):

@@ -1,19 +1,23 @@
 """Tests for DOT, JSON, and CSV export: exact formats and determinism."""
 
 import json
+import tracemalloc
+from unittest import mock
 
+import export_reference
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quandlequiver.braids import TorusLinkSpec, torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
 from quandlequiver.counting import predict_count, verify_counts
+from quandlequiver import export
 from quandlequiver.export import (
     CSV_HEADER,
     ExportOptions,
     quiver_from_json,
-    quiver_to_dict,
     to_csv,
     to_dot,
     to_json,
@@ -23,6 +27,7 @@ from quandlequiver.quivers import (
     WeightedQuiver,
     build_quiver,
     complete_form,
+    detect_blocks,
     quiver_form_for_count,
     realize,
 )
@@ -86,7 +91,7 @@ def test_quiver_json_round_trip_without_labels():
 
 def test_quiver_json_key_order_and_fields():
     quiver = torus_quiver(5, 2, 5)
-    d = quiver_to_dict(quiver, params={"p": 5, "q": 2, "n": 5})
+    d = json.loads(to_json(quiver, params={"p": 5, "q": 2, "n": 5}))
     assert list(d) == ["params", "count", "colorings", "weights", "blocks"]
     assert d["count"] == 25
     assert len(d["weights"]) == len(quiver.weight_triples())
@@ -96,7 +101,8 @@ def test_quiver_json_key_order_and_fields():
 
 
 def test_empty_quiver_dict():
-    assert quiver_to_dict(WeightedQuiver(0)) == {"count": 0, "weights": []}
+    empty = WeightedQuiver.from_arrows(0, [], [], [])
+    assert json.loads(to_json(empty)) == {"count": 0, "weights": []}
 
 
 def test_json_ends_with_newline_and_is_deterministic():
@@ -155,3 +161,60 @@ def test_json_round_trip_on_torus_quivers(p, q, n):
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
     assert quiver.labels == coloring_set.colorings
     assert quiver_from_json(to_json(quiver, params={"p": p, "q": q, "n": n})) == quiver
+
+
+@st.composite
+def random_quivers(draw):
+    """Up to 12 vertices and 40 arrows, with labels of one width (possibly 0) or none."""
+    n = draw(st.integers(0, 12))
+    vertex = st.integers(0, max(n - 1, 0))
+    triples = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3 * 10**4)), max_size=40 if n else 0))
+    labels = None
+    if draw(st.booleans()):
+        width = draw(st.integers(0, 3))
+        colour = st.integers(0, 10**3)
+        labels = draw(st.lists(st.tuples(*[colour] * width), min_size=n, max_size=n))
+    src, dst, weight = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return WeightedQuiver.from_arrows(n, src, dst, weight, labels=labels)
+
+
+@settings(max_examples=200)
+@given(random_quivers(), st.booleans(), st.booleans(), st.integers(1, 5),
+       st.none() | st.dictionaries(st.sampled_from("pqn"), st.integers(0, 99)))
+@example(WeightedQuiver.from_arrows(0, [], [], []), True, False, 1, None)
+@example(WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]), False, False, 1, {})
+def test_writers_match_reference(quiver, loops, collapse, chunk, params):
+    # a chunk of 1 to 5 records puts chunk boundaries inside every list
+    detected = detect_blocks(quiver)
+    options = ExportOptions(collapse_blocks=collapse, include_loops=loops)
+    with mock.patch.object(export, "_CHUNK", chunk):
+        assert to_dot(quiver, options, detected) == export_reference.to_dot(quiver, options, detected)
+        assert to_json(quiver, params=params, detected=detected) == export_reference.to_json(
+            quiver, params, detected
+        )
+
+
+def test_writers_match_reference_across_default_chunks():
+    # 78025 arrows and 3125 vertices: many chunks of the default size
+    quiver = torus_quiver(5, 10, 5)
+    detected = detect_blocks(quiver)
+    for options in (ExportOptions(), ExportOptions(include_loops=False)):
+        assert to_dot(quiver, options, detected) == export_reference.to_dot(quiver, options, detected)
+    assert to_json(quiver, params={"n": 5}, detected=detected) == export_reference.to_json(
+        quiver, {"n": 5}, detected
+    )
+
+
+def test_json_writer_peak_memory():
+    # T(5,10) by R_5: 3.5 MB of JSON; the output itself and the pieces it
+    # is joined from are two of the 2.5 lengths allowed
+    quiver = torus_quiver(5, 10, 5)
+    detected = detect_blocks(quiver)
+    tracemalloc.start()
+    try:
+        text = to_json(quiver, params={"p": 5, "q": 10, "n": 5}, detected=detected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 3 * 10**6
+    assert peak < 2.5 * len(text)

@@ -6,7 +6,9 @@ the block exports (collapsed DOT, JSON `blocks`) before block detection
 checked uniformity by row tallies, those of the p = 7 verify grid
 before the oracle counted fixed points of a power of a state map, and
 those of the R_30 comparison and the N = 3125 JSON export before the
-quiver was built by key search and refined over edge arrays; any
+quiver was built by key search and refined over edge arrays, and the
+braid-word JSON, loop-free DOT and N = 2187 exports before the quiver
+was held as CSR arrays and written by chunked templates; any
 change to these bytes is a change of the documented output, not a
 refactor.
 """
@@ -90,6 +92,32 @@ GOLDEN = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         {"t5_10.json": "fc5c3d517bea925df031b8a4e0bffef30b61d6aacbcb1b261ee1e8fa8c520276"},
     ),
+    (
+        # braid-word params: {"n": 5} only
+        ["quiver", "--link", "s1 -s2 s1 -s2", "--n", "5", "--format", "json"],
+        0,
+        "066d05c755e325d6281f824ee2d693d6c0512a37e5f9fa576b3d565061fbf300",
+        {},
+    ),
+    (
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops"],
+        0,
+        "18dfc25b85c6e1695d1d5218be72833f30999ec0ae24a7336dae93b39a7f6d8d",
+        {},
+    ),
+    (
+        # N = 2187
+        ["quiver", "--link", "torus:7,14", "--n", "3", "--format", "json", "--out", "{out}/t7_14.json"],
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {"t7_14.json": "9479c30f356627de3489e4131ac83465e78bf02d873e1bd6d53a330f167d3392"},
+    ),
+    (
+        ["quiver", "--link", "torus:7,14", "--n", "3", "--collapse", "--out", "{out}/t7_14.dot"],
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {"t7_14.dot": "cfbb446bc7d1c8627da132404e41101e3cfcf1d3e59607e73ab9575066ee0646"},
+    ),
 ]
 
 
@@ -97,7 +125,8 @@ GOLDEN = [
     "argv,exit_code,stdout,files",
     GOLDEN,
     ids=["count_torus", "count_word", "verify", "verify_p7", "quiver_json", "quiver_collapse",
-         "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125"],
+         "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125", "quiver_json_word",
+         "quiver_dot_no_loops", "quiver_json_n2187", "quiver_collapse_n2187"],
 )
 def test_output_bytes_unchanged(argv, exit_code, stdout, files, tmp_path, capsys):
     code = main([a.replace("{out}", str(tmp_path)) for a in argv])

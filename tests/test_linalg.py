@@ -14,13 +14,12 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from intmatrix_reference import det
+from intmatrix_reference import det, kernel_count_mod
 
 from quandlequiver.braids import closure_system, torus_braid
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import (
     IntMatrix,
-    kernel_count_mod,
     kernel_enumerate_mod,
     smith_normal_form,
 )

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quandle_reference import audit_affine_completeness, dihedral_op, is_involutive
 
 from quandlequiver.errors import CapExceededError, NonAffineEndomorphismWarning
 from quandlequiver.quandles import (
@@ -13,10 +14,7 @@ from quandlequiver.quandles import (
     Endomorphism,
     FiniteQuandle,
     affine_endomorphisms,
-    audit_affine_completeness,
     brute_force_endomorphisms,
-    dihedral_op,
-    is_involutive,
     verify_quandle_axioms,
 )
 

@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 from blocks_reference import detect_blocks as reference_blocks
 from blocks_reference import refine as reference_refine
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from quiver_reference import dense
 from quiver_reference import build_quiver as reference_build
 
 from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
@@ -27,6 +29,7 @@ from quandlequiver.quivers import (
     QuiverForm,
     WeightedQuiver,
     _check_structure,
+    _components,
     _refine,
     build_quiver,
     complete_form,
@@ -53,32 +56,53 @@ def assert_valid_mapping(quiver, form, mapping):
     assert mapped == target.weight_triples()
 
 
+def arrows(triples):
+    """src, dst, weight columns of (i, j, w) triples."""
+    return np.array(triples, dtype=np.int64).reshape(-1, 3).T
+
+
+def quiver_of(n, triples):
+    return WeightedQuiver.from_arrows(n, *arrows(triples))
+
+
 def permuted_copy(quiver, seed):
     rng = random.Random(seed)
     perm = list(range(quiver.n_vertices))
     rng.shuffle(perm)
-    out = WeightedQuiver(quiver.n_vertices)
-    for i, j, w in quiver.weight_triples():
-        out.add(perm[i], perm[j], w)
-    return out
+    return quiver_of(quiver.n_vertices, [(perm[i], perm[j], w) for i, j, w in quiver.weight_triples()])
+
+
+def edited(quiver, edits):
+    """A copy of quiver with dw added to the weight of each (i, j, dw) of edits."""
+    weights = {(i, j): w for i, j, w in quiver.weight_triples()}
+    for i, j, dw in edits:
+        weights[i, j] = weights.get((i, j), 0) + dw
+    return quiver_of(quiver.n_vertices, [(i, j, w) for (i, j), w in weights.items()])
 
 
 def test_weighted_quiver_add_and_validation():
-    w = WeightedQuiver(3)
-    w.add(0, 1, 2)
-    w.add(0, 1, 3)
-    assert w.weight(0, 1) == 5
-    assert w.row_sum(0) == 5
-    w.add(1, 1, 0)  # zero weight is a no-op
-    assert w.weight_triples() == [(0, 1, 5)]
+    # duplicates are summed, a zero weight is dropped, rows come out sorted
+    w = quiver_of(3, [(2, 0, 1), (0, 1, 2), (1, 1, 0), (0, 1, 3)])
+    assert dense(w)[0, 1] == 5
+    assert dense(w).sum(axis=1).tolist() == [5, 0, 1]
+    assert w.weight_triples() == [(0, 1, 5), (2, 0, 1)]
+    assert w.indptr.tolist() == [0, 1, 1, 2]
+    assert w == quiver_of(3, [(0, 1, 5), (2, 0, 1)])
+    with pytest.raises(ValueError, match="outside"):
+        quiver_of(3, [(0, 3, 1)])
+    with pytest.raises(ValueError, match="outside"):
+        quiver_of(3, [(-1, 0, 1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        quiver_of(3, [(0, 1, -1)])
     with pytest.raises(ValueError):
-        w.add(0, 3, 1)
+        WeightedQuiver.from_arrows(2, [], [], [], labels=[(0,)])
     with pytest.raises(ValueError):
-        w.add(-1, 0, 1)
+        WeightedQuiver.from_arrows(2, [], [], [], labels=[(0,), (0, 1)])
     with pytest.raises(ValueError):
-        w.add(0, 1, -1)
+        WeightedQuiver.from_arrows(2, [0], [0, 1], [1, 1])
+    # the arrays are read-only
     with pytest.raises(ValueError):
-        WeightedQuiver(2, labels=[(0,)])
+        w.weight[0] = 1
 
 
 def test_unknot_quiver_is_complete_with_uniform_weight():
@@ -93,17 +117,18 @@ def test_torus_5_2_quiver_structure():
     trivial = set(cs.trivial_indices)
     assert quiver.n_vertices == 25
     assert len(trivial) == 5
+    weight = dense(quiver)
     for i in range(25):
-        assert quiver.row_sum(i) == n_endos
-        assert quiver.weight(i, i) >= 1
+        assert weight[i].sum() == n_endos
+        assert weight[i, i] >= 1
     for i in range(25):
         for j in range(25):
             if i in trivial and j in trivial:
-                assert quiver.weight(i, j) == 5
+                assert weight[i, j] == 5
             elif i in trivial and j not in trivial:
-                assert quiver.weight(i, j) == 0
+                assert weight[i, j] == 0
             elif i not in trivial and j in trivial:
-                assert quiver.weight(i, j) == 1
+                assert weight[i, j] == 1
 
 
 def test_build_quiver_identity_only_endos():
@@ -180,7 +205,7 @@ def test_build_quiver_matches_reference(coloring_set, brute, whole_family, drop,
         # the translations alone carry some coloring onto the dropped one
         assert built == "not closed"
     if built != "not closed":
-        assert partition(_refine(built)) == partition(reference_refine(built))
+        assert partition(refine(built)) == partition(reference_refine(built))
 
 
 def test_check_structure_enforces_each_law():
@@ -189,12 +214,7 @@ def test_check_structure_enforces_each_law():
     t, u, v = trivial[0], trivial[1], nontrivial[0]
 
     def broken(edits, n_endos=25, base=quiver):
-        copy = WeightedQuiver(base.n_vertices)
-        for i, j, w in base.weight_triples():
-            copy.add(i, j, w)
-        for i, j, dw in edits:
-            copy.rows[i][j] = copy.weight(i, j) + dw
-        return _check_structure(copy, cs, n_endos)
+        return _check_structure(edited(base, edits), cs, n_endos)
 
     broken([])
     with pytest.raises(InternalConsistencyError, match="sums to"):
@@ -310,11 +330,13 @@ def test_isomorphic_under_permutation():
 
 def test_isomorphic_detects_weight_change():
     form = quiver_form_for_count(5, 5, 25)
-    tweaked = permuted_copy(realize(form), seed=3)
-    tweaked.rows[17][4] = tweaked.weight(17, 4) + 1
+    tweaked = edited(permuted_copy(realize(form), seed=3), [(17, 4, 1)])
     assert isomorphic(tweaked, form) is None
     # the same blocks without the join's cross arrows
     assert isomorphic(realize(QuiverForm(form.families)), form) is None
+    # the same blocks and arrows, with cross weight 2 instead of 1
+    heavier = join_form(complete_form(5, 5), complete_form(20, 1), 2)
+    assert isomorphic(realize(heavier), form) is None
 
 
 def test_isomorphic_distinguishes_uniform_weights():
@@ -344,8 +366,7 @@ def test_isomorphic_large_relabelled_shape():
     shuffled = permuted_copy(realize(form), seed=11)
     assert_valid_mapping(shuffled, form, isomorphic(shuffled, form))
     i, j, w = shuffled.weight_triples()[1000]
-    shuffled.rows[i][j] = w + 1
-    assert isomorphic(shuffled, form) is None
+    assert isomorphic(edited(shuffled, [(i, j, 1)]), form) is None
 
 
 def test_isomorphic_rejects_forms_with_equal_family_weights():
@@ -378,14 +399,23 @@ def test_detect_blocks_on_built_quiver():
 
 
 def test_detect_blocks_falls_back_to_singletons():
-    cycle = WeightedQuiver(4)
-    for i in range(4):
-        cycle.add(i, (i + 1) % 4, 1)
+    cycle = quiver_of(4, [(i, (i + 1) % 4, 1) for i in range(4)])
     form, blocks = detect_blocks(cycle)
     assert blocks == [[0], [1], [2], [3]]
     assert form.families == (BlockFamily(1, 1, 0),) * 4
     assert form.cross == ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1))
     assert realize(form) == cycle
+
+
+def test_components_are_undirected():
+    # a directed path, numbered against its direction in part, and a lone vertex
+    label = _components(6, np.array([0, 3, 2, 5]), np.array([3, 2, 1, 1]))
+    assert label.tolist() == [0, 0, 0, 0, 4, 0]
+    assert _components(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64)).tolist() == [0, 1, 2]
+
+
+def refine(quiver):
+    return _refine(quiver.n_vertices, quiver.sources(), quiver.dst, quiver.weight)
 
 
 def partition(colors):
@@ -395,7 +425,7 @@ def partition(colors):
 
 
 def assert_blocks_match_reference(quiver):
-    assert partition(_refine(quiver)) == partition(reference_refine(quiver))
+    assert partition(refine(quiver)) == partition(reference_refine(quiver))
     form, blocks = detect_blocks(quiver)
     ref_blocks, ref_weights, ref_cross = reference_blocks(quiver)
     assert blocks == ref_blocks
@@ -429,7 +459,20 @@ def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, pertu
     quiver = permuted_copy(realize(quiver_form_for_count(*shape)), seed)
     if perturb:
         n = quiver.n_vertices
-        quiver.add(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), 1)
+        quiver = edited(quiver, [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), 1)])
+    assert_blocks_match_reference(quiver)
+
+
+def test_detect_blocks_needs_one_weight_into_each_block():
+    # blocks {0, 1} and {4, 5} each send weights 1 and 2 into block {2, 3},
+    # so each vertex's first arrow into it has the same weight, yet no
+    # uniform cross weight exists: only singletons hold
+    inside = [(a, b, w) for block, w in (((0, 1), 3), ((4, 5), 3), ((2, 3), 5))
+              for a in block for b in block]
+    cross = [(0, 2, 1), (0, 3, 2), (1, 2, 1), (1, 3, 2), (4, 2, 2), (4, 3, 1), (5, 2, 2), (5, 3, 1)]
+    quiver = quiver_of(6, inside + cross)
+    form, blocks = detect_blocks(quiver)
+    assert blocks == [[v] for v in range(6)]
     assert_blocks_match_reference(quiver)
 
 
@@ -449,10 +492,6 @@ def test_detect_blocks_matches_reference_on_sparse_quivers(case):
     # unions of weighted permutations are regular, so refinement leaves
     # classes that blocks only partly cover; a few stray arrows break the regularity
     n, permutations, strays = case
-    quiver = WeightedQuiver(n)
-    for perm, w in permutations:
-        for i in range(n):
-            quiver.add(i, perm[i], w)
-    for i, j in strays:
-        quiver.add(i, j, 1)
-    assert_blocks_match_reference(quiver)
+    triples = [(i, perm[i], w) for perm, w in permutations for i in range(n)]
+    triples += [(i, j, 1) for i, j in strays]
+    assert_blocks_match_reference(quiver_of(n, triples))
