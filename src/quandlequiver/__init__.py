@@ -33,7 +33,6 @@ from .errors import (
     AmbiguousCountError,
     CapExceededError,
     InternalConsistencyError,
-    NonAffineEndomorphismWarning,
 )
 from .export import ExportOptions, quiver_from_json, to_csv, to_dot, to_json
 from .linalg import (
@@ -81,7 +80,6 @@ __all__ = [
     "FiniteQuandle",
     "IntMatrix",
     "InternalConsistencyError",
-    "NonAffineEndomorphismWarning",
     "QuiverForm",
     "SnfResult",
     "TorusLinkSpec",

@@ -78,6 +78,7 @@ class ColoringSet:
 
 
 _SLAB = 1 << 16  # state indices handled per batch
+_WINDOW_STATES = 1 << 16  # largest window table: m**k entries
 
 # State maps of one periodic factor, ((factor, strands), table) -> map: the
 # rows of a sweep share a factor across q, so one factor's maps (4 bytes
@@ -111,15 +112,70 @@ def _digits(indices: np.ndarray, m: int, strands: int, dtype) -> list[np.ndarray
     return columns
 
 
-def _bottom_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle):
-    """Slab by slab, the top-state indices and their bottom-state indices under `factor`.
+def _push(indices: np.ndarray, letters, m: int, strands: int, table, inverse) -> np.ndarray:
+    """The indices of the states `letters` makes of the states with these indices.
 
-    Only the Cayley table (and, for negative letters, its inverse) is
+    Letter by letter, one Cayley-table gather on the states' colour
+    columns; only the table (and, for negative letters, its inverse) is
     consulted.
     """
+    columns = _digits(indices, m, strands, table.dtype)
+    for letter in letters:
+        i = abs(letter) - 1
+        x, y = columns[i], columns[i + 1]
+        if letter > 0:
+            columns[i], columns[i + 1] = y, table[x, y]
+        else:
+            columns[i], columns[i + 1] = inverse[y, x], x
+    states = columns[0].astype(indices.dtype)
+    for column in columns[1:]:
+        states *= m
+        states += column
+    return states
+
+
+def _cover(factor: tuple[int, ...], k: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The factor cut, in word order, into maximal runs of letters that stay
+    inside k adjacent strands: (first strand from 0, strands spanned, letters)
+    per run.
+    """
+    cover = []
+    for letter in factor:
+        i = abs(letter) - 1
+        if cover:
+            lo, width, letters = cover[-1]
+            first, last = min(lo, i), max(lo + width, i + 2)
+            if last - first <= k:
+                cover[-1] = (first, last - first, letters + (letter,))
+                continue
+        cover.append((i, 2, (letter,)))
+    return cover
+
+
+def _windows(factor: tuple[int, ...], strands: int, m: int):
+    """(k, cover of the factor by k-strand windows) for the widest k <= strands
+    with m**k <= _WINDOW_STATES whose tables hold at most m**strands / 4
+    entries in all; k = 2 when no width fits.
+    """
+    k = strands
+    while k > 2 and m**k > _WINDOW_STATES:
+        k -= 1
+    for k in range(k, 1, -1):
+        cover = _cover(factor, k)
+        if k == 2 or 4 * sum(m**width for _, width, _ in cover) <= m**strands:
+            return k, cover
+
+
+def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index):
+    """One (place value, digit modulus or None, delta table) per window.
+
+    A window on strands lo..lo+width-1 reads its digits as
+    s // base % m**width of a state index s, and moves s to
+    s + delta[digits]: the delta is the window's bottom digits minus its
+    top digits, times the place value base.  The modulus is None for a
+    window on strand 1, whose digits are the leading ones.
+    """
     m = quandle.size
-    total = m**strands
-    index = _index_type(total)
     colour = np.min_scalar_type(m - 1)
     table = np.asarray(quandle.table, dtype=colour)
     inverse = (
@@ -127,27 +183,47 @@ def _bottom_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle)
         if any(l < 0 for l in factor)
         else None
     )
+    steps = []
+    for lo, width, letters in _windows(factor, strands, m)[1]:
+        base = m ** (strands - lo - width)
+        shifted = tuple(l - lo if l > 0 else l + lo for l in letters)
+        size = m**width
+        delta = np.empty(size, dtype=index)
+        for start in range(0, size, _SLAB):
+            tops = np.arange(start, min(start + _SLAB, size), dtype=index)
+            delta[start : start + len(tops)] = _push(tops, shifted, m, width, table, inverse) - tops
+        delta *= base
+        steps.append((base, size if lo else None, delta))
+    return steps
 
-    # the colour columns are push's locals, so a yielded slab holds only
-    # its tops and bottoms
-    def push(tops: np.ndarray) -> np.ndarray:
-        columns = _digits(tops, m, strands, colour)
-        for letter in factor:
-            i = abs(letter) - 1
-            x, y = columns[i], columns[i + 1]
-            if letter > 0:
-                columns[i], columns[i + 1] = y, table[x, y]
-            else:
-                columns[i], columns[i + 1] = inverse[y, x], x
-        bottoms = columns[0].astype(index)
-        for column in columns[1:]:
-            bottoms *= m
-            bottoms += column
-        return bottoms
 
+def _bottom_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle):
+    """Slab by slab, the top-state indices and their bottom-state indices under `factor`.
+
+    The factor is compiled into window tables once; each slab then takes
+    one gather per window on its index array.
+    """
+    total = quandle.size**strands
+    index = _index_type(total)
+    steps = _window_steps(factor, strands, quandle, index)
+    buffers = np.empty((2, min(_SLAB, total)), dtype=index)
     for start in range(0, total, _SLAB):
         tops = np.arange(start, min(start + _SLAB, total), dtype=index)
-        yield tops, push(tops)
+        bottoms = tops.copy()
+        digits, scratch = buffers[:, : len(tops)]
+        for base, modulus, delta in steps:
+            # s // base % modulus as s // base - s // (base * modulus) * modulus:
+            # numpy divides by a scalar fast, but takes a remainder slowly
+            np.floor_divide(bottoms, base, out=digits)
+            if modulus:
+                np.floor_divide(bottoms, base * modulus, out=scratch)
+                scratch *= modulus
+                digits -= scratch
+            # digits are in range by construction; "clip" lets take write
+            # into scratch without buffering it
+            np.take(delta, digits, out=scratch, mode="clip")
+            bottoms += scratch
+        yield tops, bottoms
 
 
 def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
@@ -198,8 +274,8 @@ def enumerate_colorings_oracle(
     """Brute force over all size**strands candidate tops.
 
     The word is written as factor**q; every top state is pushed through
-    the factor's letters, and a top is a coloring iff the q-th power of
-    that state map fixes it.  Fixed indices are found in increasing order,
+    the factor's window tables, and a top is a coloring iff the q-th power
+    of that state map fixes it.  Fixed indices are found in increasing order,
     which is lexicographic order of the tops, so the list is already
     sorted.
     """

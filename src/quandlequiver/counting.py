@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .braids import BraidWord, TorusLinkSpec, closure_system, link_word
@@ -249,6 +248,8 @@ def verify_counts(
     ns = sorted(ns)
     tasks = [(p, q, ns, limit) for p, q in sorted((p, q) for p in ps for q in qs)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             links = list(pool.map(_verify_link, tasks))
     else:

@@ -25,7 +25,3 @@ class AmbiguousCountError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A structural invariant that should hold by construction failed."""
-
-
-class NonAffineEndomorphismWarning(UserWarning):
-    """Brute-force search found endomorphisms outside the affine family."""

@@ -3,8 +3,11 @@ single elements, the kei law, and an audit of the affine endomorphisms."""
 
 import warnings
 
-from quandlequiver.errors import NonAffineEndomorphismWarning
 from quandlequiver.quandles import DihedralQuandle, affine_endomorphisms, brute_force_endomorphisms
+
+
+class NonAffineEndomorphismWarning(UserWarning):
+    """Brute-force search found endomorphisms outside the affine family."""
 
 
 def dihedral_op(n: int, x: int, y: int) -> int:

@@ -248,6 +248,19 @@ def test_module_entry_point():
     assert "N=9" in proc.stdout
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only verify --jobs above 1 uses a process pool, so only it pays the import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quandlequiver.cli; "
+         "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        cwd=Path(quandlequiver.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 BAD_REQUESTS = [
     (["count", "--link", "s1 x2", "--n", "5"], {}),
     (["count", "--link", "torus:5,2", "--n", "1"], {}),

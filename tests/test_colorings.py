@@ -4,6 +4,7 @@ The two backends share nothing but the crossing convention, so list-level
 agreement between them is the strongest internal check the suite has.
 """
 
+import random
 import tracemalloc
 from itertools import product
 
@@ -122,58 +123,106 @@ def test_oracle_works_on_non_dihedral_tables():
         assert propagate(FIGURE_EIGHT, ALEXANDER_5, c) == c
 
 
-def factors(signed=True):
-    """(strands, factor letters): a word of up to 5 letters on 1 to 4 strands."""
+def factors(signed=True, strands=(1, 6), letters=12):
+    """(strands, factor letters): a word of up to `letters` letters on a
+    number of strands in the range `strands`."""
 
     def letter(strands):
         k = st.integers(1, strands - 1)
         return k.flatmap(lambda k: st.sampled_from((k, -k))) if signed else k
 
-    return st.integers(1, 4).flatmap(
+    return st.integers(*strands).flatmap(
         lambda strands: st.tuples(
             st.just(strands),
-            st.lists(letter(strands), max_size=5) if strands > 1 else st.just([]),
+            st.lists(letter(strands), max_size=letters) if strands > 1 else st.just([]),
         )
     )
 
 
-def assert_oracle_matches_reference(word, quandle):
+@st.composite
+def dihedral_cells(draw):
+    """(strands, factor letters, n) with n in 2..9 and n**strands <= 6**6."""
+    strands, letters = draw(factors())
+    n = draw(st.integers(2, max(m for m in range(2, 10) if m**strands <= 6**6)))
+    return strands, letters, n
+
+
+# window table sizes: below m**2 every window is one run on two strands, and
+# small sizes make short words cross many window boundaries
+WINDOW_STATES = (1, 4, 8, 27, 64, 1 << 16)
+
+
+def assert_oracle_matches_reference(word, quandle, window_states):
     expected = reference_colorings(word, quandle)
-    cs = enumerate_colorings_oracle(word, quandle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        mp.setattr(colorings, "_state_maps", {})
+        cs = enumerate_colorings_oracle(word, quandle)
+        count = enumerate_colorings_oracle(word, quandle, count_only=True).count
     assert cs.colorings == expected
-    assert cs.count == len(expected)
-    assert enumerate_colorings_oracle(word, quandle, count_only=True).count == len(expected)
+    assert cs.count == count == len(expected)
     return cs
 
 
 @settings(max_examples=150)
-@given(factors(), st.integers(0, 6), st.integers(2, 9))
-def test_oracle_matches_reference_on_dihedral_powers(factor, q, n):
-    strands, letters = factor
+@given(dihedral_cells(), st.integers(0, 6), st.sampled_from(WINDOW_STATES))
+def test_oracle_matches_reference_on_dihedral_powers(cell, q, window_states):
+    strands, letters, n = cell
     word = BraidWord(strands, tuple(letters) * q)
-    cs = assert_oracle_matches_reference(word, DihedralQuandle(n))
+    cs = assert_oracle_matches_reference(word, DihedralQuandle(n), window_states)
     assert cs.colorings == enumerate_colorings_linear(word, n).colorings
 
 
 @settings(max_examples=60)
-@given(factors(), st.integers(0, 6))
-def test_oracle_matches_reference_on_non_dihedral_quandle(factor, q):
+@given(factors(), st.integers(0, 6), st.sampled_from(WINDOW_STATES))
+def test_oracle_matches_reference_on_non_dihedral_quandle(factor, q, window_states):
     strands, letters = factor
-    assert_oracle_matches_reference(BraidWord(strands, tuple(letters) * q), ALEXANDER_5)
+    word = BraidWord(strands, tuple(letters) * q)
+    assert_oracle_matches_reference(word, ALEXANDER_5, window_states)
 
 
 @settings(max_examples=60)
 @given(
     factors(signed=False),
     st.integers(0, 6),
+    st.sampled_from(WINDOW_STATES),
     st.integers(2, 5).flatmap(
         lambda m: st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m), min_size=m, max_size=m)
     ),
 )
-def test_oracle_matches_reference_on_non_bijective_tables(factor, q, table):
+def test_oracle_matches_reference_on_non_bijective_tables(factor, q, window_states, table):
     # rows and columns need not be permutations; positive letters never read the inverse
     strands, letters = factor
-    assert_oracle_matches_reference(BraidWord(strands, tuple(letters) * q), FiniteQuandle(table))
+    word = BraidWord(strands, tuple(letters) * q)
+    assert_oracle_matches_reference(word, FiniteQuandle(table), window_states)
+
+
+def table_entries(cover, m):
+    return sum(m**width for _, width, _ in cover)
+
+
+@settings(max_examples=200)
+@given(factors(strands=(2, 9), letters=40), st.integers(2, 16), st.sampled_from(WINDOW_STATES))
+def test_window_cover(factor, m, window_states):
+    strands, letters = factor
+    letters = tuple(letters)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        k, cover = colorings._windows(letters, strands, m)
+    assert 2 <= k <= strands
+    assert k == 2 or m**k <= window_states
+    assert tuple(l for _, _, run in cover for l in run) == letters
+    for lo, width, run in cover:
+        touched = [abs(l) - 1 for l in run]
+        assert (lo, lo + width) == (min(touched), max(touched) + 2)
+        assert width <= k
+    for (lo, width, _), (lo2, width2, _) in zip(cover, cover[1:]):
+        assert max(lo + width, lo2 + width2) - min(lo, lo2) > k  # could not merge
+    # the table budget holds, and no wider window would have kept it
+    assert k == 2 or 4 * table_entries(cover, m) <= m**strands
+    for wider in range(k + 1, strands + 1):
+        if m**wider <= window_states:
+            assert 4 * table_entries(colorings._cover(letters, wider), m) > m**strands
 
 
 def test_oracle_cap_raises_naming_count():
@@ -210,16 +259,25 @@ def test_aperiodic_words_never_enter_the_state_maps():
 
 
 def test_aperiodic_word_holds_no_state_map():
-    # 5^9 states: a whole state map would take 4 bytes each
-    word = BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8, -1))
-    tracemalloc.start()
-    try:
-        count = enumerate_colorings_oracle(word, DihedralQuandle(5), count_only=True).count
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert count == 25
-    assert peak < 2 * 5**9
+    # 5^9 states: a whole state map would take 4 bytes each, and the window
+    # tables of the 400-letter word may take at most 1
+    rng = random.Random(9)
+    long_word = BraidWord(9, tuple(rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(400)))
+    assert colorings._factor_power(long_word.letters)[1] == 1
+    assert colorings._windows(long_word.letters, 9, 5)[0] > 2
+    cells = [
+        (BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8, -1)), 25),
+        (long_word, enumerate_colorings_linear(long_word, 5, count_only=True).count),
+    ]
+    for word, expected in cells:
+        tracemalloc.start()
+        try:
+            count = enumerate_colorings_oracle(word, DihedralQuandle(5), count_only=True).count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == expected
+        assert peak < 2 * 5**9
 
 
 def test_cached_state_maps_are_read_only():

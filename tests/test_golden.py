@@ -6,9 +6,11 @@ the block exports (collapsed DOT, JSON `blocks`) before block detection
 checked uniformity by row tallies, those of the p = 7 verify grid
 before the oracle counted fixed points of a power of a state map, and
 those of the R_30 comparison and the N = 3125 JSON export before the
-quiver was built by key search and refined over edge arrays, and the
+quiver was built by key search and refined over edge arrays, the
 braid-word JSON, loop-free DOT and N = 2187 exports before the quiver
-was held as CSR arrays and written by chunked templates; any
+was held as CSR arrays and written by chunked templates, and the count of
+an aperiodic 6-strand word before the oracle applied its factor by
+window tables; any
 change to these bytes is a change of the documented output, not a
 refactor.
 """
@@ -23,6 +25,11 @@ from quandlequiver.cli import main
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
+
+APERIODIC_WORD = (
+    "s3 -s1 s5 -s2 -s4 -s5 -s5 -s4 -s3 -s2 -s5 -s2 -s2 -s5 -s1 s4 -s2 s3 "
+    "-s4 s5 -s2 -s5 s4 -s2 -s2 s4 -s5 -s3 -s2 s1 s4 -s2 -s4 -s3 -s1 s5"
+)
 
 # (argv, exit code, stdout digest, {output file: digest}); {out} is a scratch directory
 GOLDEN = [
@@ -58,6 +65,13 @@ GOLDEN = [
             "p7.csv": "0861b53b8ef83c158fa42722055f9128e1c792b3f3ab92282ccfc392947b72b8",
             "p7.json": "3008352aaa28c3d074615b5faa8596149b3acfb7e1483999d2486f3f365bab28",
         },
+    ),
+    (
+        # a 36-letter aperiodic 6-strand word, every route
+        ["count", "--link", APERIODIC_WORD, "--n", "2..10", "--backend", "all"],
+        0,
+        "a70944b048856da69b9fac89228c4525b13bbf3bae15e72cebbb67cc82673686",
+        {},
     ),
     (
         ["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json"],
@@ -124,8 +138,8 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv,exit_code,stdout,files",
     GOLDEN,
-    ids=["count_torus", "count_word", "verify", "verify_p7", "quiver_json", "quiver_collapse",
-         "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125", "quiver_json_word",
+    ids=["count_torus", "count_word", "verify", "verify_p7", "count_aperiodic_word", "quiver_json",
+         "quiver_collapse", "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125", "quiver_json_word",
          "quiver_dot_no_loops", "quiver_json_n2187", "quiver_collapse_n2187"],
 )
 def test_output_bytes_unchanged(argv, exit_code, stdout, files, tmp_path, capsys):

@@ -6,9 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from quandle_reference import audit_affine_completeness, dihedral_op, is_involutive
+from quandle_reference import (
+    NonAffineEndomorphismWarning,
+    audit_affine_completeness,
+    dihedral_op,
+    is_involutive,
+)
 
-from quandlequiver.errors import CapExceededError, NonAffineEndomorphismWarning
+from quandlequiver.errors import CapExceededError
 from quandlequiver.quandles import (
     DihedralQuandle,
     Endomorphism,
