@@ -80,11 +80,6 @@ class ColoringSet:
 _SLAB = 1 << 16  # state indices handled per batch
 _WINDOW_STATES = 1 << 16  # largest window table: m**k entries
 
-# State maps of one periodic factor, ((factor, strands), table) -> map: the
-# rows of a sweep share a factor across q, so one factor's maps (4 bytes
-# per state) are kept and replaced when the factor changes.
-_state_maps: dict[tuple, np.ndarray] = {}
-
 
 def _factor_power(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(factor, q) with letters == factor * q and the factor shortest; q = 0 for ()."""
@@ -173,7 +168,8 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
     s // base % m**width of a state index s, and moves s to
     s + delta[digits]: the delta is the window's bottom digits minus its
     top digits, times the place value base.  The modulus is None for a
-    window on strand 1, whose digits are the leading ones.
+    window on strand 1, whose digits are the leading ones.  Runs with the
+    same strands and letters share one table.
     """
     m = quandle.size
     colour = np.min_scalar_type(m - 1)
@@ -184,15 +180,19 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
         else None
     )
     steps = []
+    tables: dict[tuple, np.ndarray] = {}
     for lo, width, letters in _windows(factor, strands, m)[1]:
         base = m ** (strands - lo - width)
         shifted = tuple(l - lo if l > 0 else l + lo for l in letters)
         size = m**width
-        delta = np.empty(size, dtype=index)
-        for start in range(0, size, _SLAB):
-            tops = np.arange(start, min(start + _SLAB, size), dtype=index)
-            delta[start : start + len(tops)] = _push(tops, shifted, m, width, table, inverse) - tops
-        delta *= base
+        delta = tables.get((lo, width, shifted))
+        if delta is None:
+            delta = np.empty(size, dtype=index)
+            for start in range(0, size, _SLAB):
+                tops = np.arange(start, min(start + _SLAB, size), dtype=index)
+                delta[start : start + len(tops)] = _push(tops, shifted, m, width, table, inverse) - tops
+            delta *= base
+            tables[lo, width, shifted] = delta
         steps.append((base, size if lo else None, delta))
     return steps
 
@@ -227,42 +227,64 @@ def _bottom_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle)
 
 
 def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
-    """The factor's state map, map[k] the bottom-state index of top-state
-    index k, read-only and kept in `_state_maps`.
-    """
-    key = ((factor, strands), quandle.table)
-    found = _state_maps.get(key)
-    if found is not None:
-        return found
+    """The factor's state map: map[k] is the bottom-state index of top-state index k."""
     total = quandle.size**strands
     state_map = np.empty(total, dtype=_index_type(total))
     for tops, bottoms in _bottom_slabs(factor, strands, quandle):
         state_map[tops[0] : tops[0] + len(tops)] = bottoms
-    state_map.flags.writeable = False
-    if _state_maps and next(iter(_state_maps))[0] != key[0]:
-        _state_maps.clear()
-    _state_maps[key] = state_map
     return state_map
 
 
-def _power_slabs(factor: tuple[int, ...], q: int, strands: int, quandle: FiniteQuandle):
-    """(tops, bottoms) slab by slab under factor**q.
+def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, powers):
+    """(power, tops, bottoms) slab by slab, for each power in ascending order,
+    the bottoms being the tops' images under factor**power.
 
-    An aperiodic word (q = 1) reads each bottom once, so its slabs are
-    compared as they are made; only q >= 2 assembles the factor's map and
-    gathers through it q times.
+    The factor's state map is built once, or not at all when every power is
+    0, and each slab walks through it once, up to the largest power.  The
+    bottoms live in two alternating buffers: read them before the next item.
     """
-    if q == 1:
-        yield from _bottom_slabs(factor, strands, quandle)
-        return
+    powers = sorted(set(powers))
     total = quandle.size**strands
-    state_map = _factor_map(factor, strands, quandle) if q else None
+    index = _index_type(total)
+    state_map = _factor_map(factor, strands, quandle) if any(powers) else None
+    buffers = np.empty((2, min(_SLAB, total)), dtype=index)
     for start in range(0, total, _SLAB):
-        tops = np.arange(start, min(start + _SLAB, total), dtype=_index_type(total))
-        bottoms = tops
-        for _ in range(q):
-            bottoms = state_map[bottoms]
-        yield tops, bottoms
+        tops = np.arange(start, min(start + _SLAB, total), dtype=index)
+        bottoms, walked = tops, 0
+        for power in powers:
+            for step in range(walked, power):
+                # indices are in range by construction; "clip" lets take
+                # write into the buffer without buffering it
+                bottoms = np.take(state_map, bottoms, out=buffers[step % 2, : len(tops)], mode="clip")
+            walked = power
+            yield power, tops, bottoms
+
+
+def check_oracle_cap(m: int, strands: int, cap: int | None):
+    """Raise CapExceededError when m**strands candidate tops exceed the cap."""
+    total = m**strands
+    limit = oracle_cap() if cap is None else cap
+    if total > limit:
+        raise CapExceededError(
+            f"{m}^{strands} = {total} candidate tops exceed the oracle cap {limit}",
+            count=total,
+        )
+
+
+def oracle_counts(word: BraidWord, quandle: FiniteQuandle, powers, cap: int | None = None) -> dict[int, int]:
+    """{k: number of colorings of the closure of word**k} for each k in `powers`.
+
+    The word is written as factor**r, and one walk through the factor's
+    state map counts the fixed points of factor**(r*k) for every k at
+    once; power 0 fixes every top.  The cap is checked before any map is
+    built.
+    """
+    check_oracle_cap(quandle.size, word.strands, cap)
+    factor, r = _factor_power(word.letters)
+    fixed = dict.fromkeys((r * k for k in powers), 0)
+    for power, tops, bottoms in _power_slabs(factor, word.strands, quandle, fixed):
+        fixed[power] += int(np.count_nonzero(bottoms == tops))
+    return {k: fixed[r * k] for k in powers}
 
 
 def enumerate_colorings_oracle(
@@ -275,23 +297,22 @@ def enumerate_colorings_oracle(
 
     The word is written as factor**q; every top state is pushed through
     the factor's window tables, and a top is a coloring iff the q-th power
-    of that state map fixes it.  Fixed indices are found in increasing order,
-    which is lexicographic order of the tops, so the list is already
-    sorted.
+    of that state map fixes it.  An aperiodic word (q = 1) compares each
+    slab of bottoms with its tops as it is made; only q >= 2 assembles the
+    factor's map.  Fixed indices are found in increasing order, which is
+    lexicographic order of the tops, so the list is already sorted.
     """
     m = quandle.size
     p = word.strands
-    total = m**p
-    limit = oracle_cap() if cap is None else cap
-    if total > limit:
-        raise CapExceededError(
-            f"{m}^{p} = {total} candidate tops exceed the oracle cap {limit}",
-            count=total,
-        )
+    check_oracle_cap(m, p, cap)
     factor, q = _factor_power(word.letters)
+    if q == 1:
+        slabs = _bottom_slabs(factor, p, quandle)
+    else:
+        slabs = ((tops, bottoms) for _, tops, bottoms in _power_slabs(factor, p, quandle, [q]))
     count = 0
     kept: list[np.ndarray] = []
-    for tops, bottoms in _power_slabs(factor, q, p, quandle):
+    for tops, bottoms in slabs:
         fixed = bottoms == tops
         if count_only:
             count += int(np.count_nonzero(fixed))

@@ -21,16 +21,19 @@ Ambiguous cells never get a silent winner here: predict_count carries both
 candidates and the computed counts resolve them, reporting the resolution
 explicitly.  evaluate_cells is the one place where a cell's routes are run
 and its status decided; verify_counts and the CLI's count both use it.
+verify_counts works one p at a time (the unit `--jobs` splits): since
+T(p, q) closes the q-th power of one factor, it runs one oracle walk per
+(p, n) for all q of the grid and fills those counts into the cells.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .braids import BraidWord, TorusLinkSpec, closure_system, link_word
-from .colorings import enumerate_colorings_oracle
+from .braids import BraidWord, TorusLinkSpec, closure_system, link_word, torus_braid
+from .colorings import check_oracle_cap, enumerate_colorings_oracle, oracle_counts
 from .config import oracle_cap
 from .linalg import kernel_count_from_snf, smith_normal_form
 from .quandles import DihedralQuandle
@@ -203,12 +206,15 @@ def evaluate_cells(
 
     The linear route builds the closure system and takes its Smith form
     once for the whole list.  The oracle runs on its own for each modulus
-    in `oracle_ns` and raises CapExceededError above `cap`.  The formula
-    prediction is added only for T(p, q) with p an odd prime.
+    in `oracle_ns`; the largest of them is checked against `cap` before
+    any route runs, raising CapExceededError.  The formula prediction is
+    added only for T(p, q) with p an odd prime.
     """
     torus = link if isinstance(link, TorusLinkSpec) else None
     predict = formula and torus is not None and is_odd_prime(torus.p)
     word = link_word(link)
+    if oracle_ns:
+        check_oracle_cap(max(oracle_ns), word.strands, cap)
     if linear:
         snf = smith_normal_form(closure_system(word))
     for n in ns:
@@ -222,10 +228,20 @@ def evaluate_cells(
         yield CellRecord(n, prediction, count, oracle)
 
 
-def _verify_link(task: tuple[int, int, list[int], int]) -> list[CellRecord]:
-    p, q, ns, cap = task
-    oracle_ns = [n for n in ns if n**p <= cap]
-    return list(evaluate_cells(TorusLinkSpec(p, q), ns, oracle_ns=oracle_ns, cap=cap))
+def _verify_p(task: tuple[int, list[int], list[int], int]) -> list[CellRecord]:
+    """The cells of one p, sorted by (q, n): one oracle walk per modulus
+    within the cap counts every q at once."""
+    p, qs, ns, cap = task
+    links = [TorusLinkSpec(p, q) for q in qs]  # rejects a negative q before any walk
+    factor = torus_braid(p, 1)
+    oracle = {
+        n: oracle_counts(factor, DihedralQuandle(n), qs, cap=cap) for n in ns if n**p <= cap
+    }
+    return [
+        replace(cell, computed_oracle=oracle[cell.n][link.q]) if cell.n in oracle else cell
+        for link in links
+        for cell in evaluate_cells(link, ns)
+    ]
 
 
 def verify_counts(
@@ -238,20 +254,21 @@ def verify_counts(
     """Sweep a (p, q, n) grid, comparing backends against predictions.
 
     Cells with n**p above the oracle cap are checked with the linear
-    backend alone.  Results come back sorted by (p, q, n) regardless of
-    worker scheduling.
+    backend alone.  Each p is one task, so `jobs` workers split the grid by
+    p.  Results come back sorted by (p, q, n) regardless of worker
+    scheduling.
     """
     for p in ps:
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
     limit = oracle_cap() if cap is None else cap
     ns = sorted(ns)
-    tasks = [(p, q, ns, limit) for p, q in sorted((p, q) for p in ps for q in qs)]
+    tasks = [(p, sorted(qs), ns, limit) for p in sorted(ps)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            links = list(pool.map(_verify_link, tasks))
+            grids = list(pool.map(_verify_p, tasks))
     else:
-        links = [_verify_link(task) for task in tasks]
-    return [record for cells in links for record in cells]
+        grids = [_verify_p(task) for task in tasks]
+    return [record for cells in grids for record in cells]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlequiver
-from quandlequiver import cli, export, quivers
+from quandlequiver import cli, colorings, export, quivers
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CAP,
@@ -82,6 +82,24 @@ def test_count_oracle_cap_exits_4(capsys):
     )
     assert code == EXIT_CAP
     assert "1419857" in capsys.readouterr().err
+
+
+def test_count_oracle_cap_is_checked_before_any_row(monkeypatch, tmp_path, capsys):
+    # 11**5 is the first modulus over the cap; no oracle runs, no row is printed
+    def fail(*args):
+        raise AssertionError("oracle ran before the cap check")
+
+    monkeypatch.setattr(colorings, "_bottom_slabs", fail)
+    path = tmp_path / "counts.json"
+    code = main(
+        ["count", "--link", "torus:5,2", "--n", "2..12", "--backend", "all",
+         "--oracle-cap", "100000", "--json", str(path)]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "12^5 = 248832" in captured.err
+    assert not path.exists()
 
 
 def test_count_range_and_json(tmp_path, capsys):

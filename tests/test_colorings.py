@@ -8,7 +8,6 @@ import random
 import tracemalloc
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,12 +30,6 @@ from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
 ALEXANDER_5 = FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
-
-
-@pytest.fixture(autouse=True)
-def empty_state_maps(monkeypatch):
-    """Each test starts from, and leaves behind, its own empty map cache."""
-    monkeypatch.setattr(colorings, "_state_maps", {})
 
 
 def test_classify():
@@ -156,7 +149,6 @@ def assert_oracle_matches_reference(word, quandle, window_states):
     expected = reference_colorings(word, quandle)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
-        mp.setattr(colorings, "_state_maps", {})
         cs = enumerate_colorings_oracle(word, quandle)
         count = enumerate_colorings_oracle(word, quandle, count_only=True).count
     assert cs.colorings == expected
@@ -195,6 +187,47 @@ def test_oracle_matches_reference_on_non_bijective_tables(factor, q, window_stat
     strands, letters = factor
     word = BraidWord(strands, tuple(letters) * q)
     assert_oracle_matches_reference(word, FiniteQuandle(table), window_states)
+
+
+@st.composite
+def oracle_quandles(draw):
+    """(strands, factor letters, quandle): a dihedral quandle, ALEXANDER_5, or
+    a table whose rows and columns need not be permutations (positive
+    letters only), with at most 6**6 states."""
+    kind = draw(st.sampled_from(("dihedral", "alexander", "table")))
+    strands, letters = draw(factors(signed=kind != "table", letters=8))
+    if kind == "dihedral":
+        quandle = DihedralQuandle(draw(st.integers(2, max(m for m in range(2, 10) if m**strands <= 6**6))))
+    elif kind == "alexander":
+        quandle = ALEXANDER_5
+    else:
+        m = draw(st.integers(2, 5))
+        row = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
+        quandle = FiniteQuandle(draw(st.lists(row, min_size=m, max_size=m)))
+    return strands, tuple(letters), quandle
+
+
+@settings(max_examples=100)
+@given(
+    oracle_quandles(),
+    st.integers(0, 2),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.sampled_from(WINDOW_STATES),
+)
+def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
+    # powers may repeat, come unsorted, or hold 0 and 1; the word is factor**r
+    strands, letters, quandle = cell
+    word = BraidWord(strands, letters * r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        counts = colorings.oracle_counts(word, quandle, powers)
+        per_power = {
+            k: enumerate_colorings_oracle(BraidWord(strands, word.letters * k), quandle, count_only=True).count
+            for k in powers
+        }
+    assert counts == per_power
+    for k in set(powers):
+        assert counts[k] == len(reference_colorings(BraidWord(strands, word.letters * k), quandle))
 
 
 def table_entries(cover, m):
@@ -242,20 +275,59 @@ def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
         enumerate_colorings_oracle(BraidWord(3, (1, -2, 1)), DihedralQuandle(5), cap=124)
 
 
-def test_state_maps_hold_one_factor():
-    verify_counts([5], range(4), range(2, 5))
-    assert {key[0] for key in colorings._state_maps} == {((1, 2, 3, 4), 5)}
-    verify_counts([7], range(4), range(2, 5))
-    assert {key[0] for key in colorings._state_maps} == {((1, 2, 3, 4, 5, 6), 7)}
-    assert sorted(len(m) for m in colorings._state_maps.values()) == [2**7, 3**7, 4**7]
+def test_batched_cap_is_checked_before_any_map_is_built(monkeypatch):
+    def fail(*args):
+        raise AssertionError("state map built over the cap")
+
+    monkeypatch.setattr(colorings, "_bottom_slabs", fail)
+    monkeypatch.setattr(colorings, "_factor_map", fail)
+    with pytest.raises(CapExceededError) as exc:
+        colorings.oracle_counts(torus_braid(5, 1), DihedralQuandle(17), range(10), cap=100)
+    assert exc.value.count == 17**5
 
 
-def test_aperiodic_words_never_enter_the_state_maps():
+def built_state_maps(monkeypatch) -> list[tuple[int, int]]:
+    """Record (strands, quandle size) of every state map built from now on."""
+    built = []
+    build = colorings._factor_map
+
+    def recording(factor, strands, quandle):
+        built.append((strands, quandle.size))
+        return build(factor, strands, quandle)
+
+    monkeypatch.setattr(colorings, "_factor_map", recording)
+    return built
+
+
+def test_verify_builds_one_state_map_per_oracle_modulus(monkeypatch):
+    built = built_state_maps(monkeypatch)
+    verify_counts([7], range(15), range(2, 8), cap=10**6)
+    assert sorted(built) == [(7, n) for n in range(2, 8)]
+
+
+def test_only_periodic_words_build_a_state_map(monkeypatch):
+    built = built_state_maps(monkeypatch)
     for word in (BraidWord(3, (1, -2, 1)), torus_braid(5, 1), torus_braid(5, 0)):
         enumerate_colorings_oracle(word, DihedralQuandle(5))
-    assert colorings._state_maps == {}
+    assert built == []
     enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5))  # (s1 s2^-1)^2
-    assert [key[0] for key in colorings._state_maps] == [((1, -2), 3)]
+    assert built == [(3, 5)]
+
+
+def peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_grid_holds_one_state_map_at_a_time():
+    # a 7**7 map takes 4 bytes per state and its window tables at most 1;
+    # keeping every modulus's map of the factor would take 5.8
+    peak = peak_bytes(lambda: verify_counts([7], range(15), range(2, 8), cap=10**6))
+    assert peak < 7.5 * 7**7
 
 
 def test_aperiodic_word_holds_no_state_map():
@@ -280,12 +352,20 @@ def test_aperiodic_word_holds_no_state_map():
         assert peak < 2 * 5**9
 
 
-def test_cached_state_maps_are_read_only():
-    enumerate_colorings_oracle(torus_braid(5, 3), DihedralQuandle(5))
-    [state_map] = colorings._state_maps.values()
-    assert state_map.dtype == np.int32
-    with pytest.raises(ValueError):
-        state_map[0] = 1
+def test_repeated_window_runs_share_one_table():
+    # on 3 strands by R_100 every window is a run on two strands (k = 2) with
+    # a 10**4-entry table; a random 400-letter word has 196 runs, 52 distinct
+    rng = random.Random(3)
+    word = BraidWord(3, tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(400)))
+    assert colorings._factor_power(word.letters)[1] == 1
+    assert colorings._windows(word.letters, 3, 100)[0] == 2
+    expected = enumerate_colorings_linear(word, 100, count_only=True).count
+    counts = []
+    peak = peak_bytes(
+        lambda: counts.append(enumerate_colorings_oracle(word, DihedralQuandle(100), count_only=True).count)
+    )
+    assert counts == [expected]
+    assert peak < 6 * 100**3
 
 
 def test_linear_cap_degrades_to_count_only():

@@ -140,6 +140,19 @@ def test_verify_counts_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_verify_counts_parallel_matches_serial_with_the_oracle():
+    # 5**5 <= 4000 < 4**7: p = 3 and 5 run the oracle at every n, p = 7 at n <= 3
+    serial = verify_counts([3, 5, 7], range(0, 15), [2, 3, 4, 5], cap=4000, jobs=1)
+    parallel = verify_counts([3, 5, 7], range(0, 15), [2, 3, 4, 5], cap=4000, jobs=2)
+    assert serial == parallel
+    assert [(r.p, r.q, r.n) for r in serial] == sorted(
+        (p, q, n) for p in (3, 5, 7) for q in range(15) for n in (2, 3, 4, 5)
+    )
+    for rec in serial:
+        assert (rec.computed_oracle is not None) == (rec.n**rec.p <= 4000)
+        assert rec.computed_oracle in (None, rec.computed_linear)
+
+
 def test_cell_record_to_dict():
     rec = verify_counts([5], [4], [3], cap=1)[0]
     assert rec.to_dict() == {

@@ -10,7 +10,8 @@ quiver was built by key search and refined over edge arrays, the
 braid-word JSON, loop-free DOT and N = 2187 exports before the quiver
 was held as CSR arrays and written by chunked templates, and the count of
 an aperiodic 6-strand word before the oracle applied its factor by
-window tables; any
+window tables, and those of the benchmark's p = 3, 5, 7 verify sweep
+before verify walked each factor once for its whole q range; any
 change to these bytes is a change of the documented output, not a
 refactor.
 """
@@ -64,6 +65,17 @@ GOLDEN = [
         {
             "p7.csv": "0861b53b8ef83c158fa42722055f9128e1c792b3f3ab92282ccfc392947b72b8",
             "p7.json": "3008352aaa28c3d074615b5faa8596149b3acfb7e1483999d2486f3f365bab28",
+        },
+    ),
+    (
+        # the benchmark sweep: every oracle cell of p = 3, 5, 7 over q = 0..14
+        ["verify", "--p", "3,5,7", "--q", "0..14", "--n", "2..9", "--oracle-cap", "1000000",
+         "--jobs", "1", "--csv", "{out}/sweep.csv", "--out", "{out}/sweep.json"],
+        3,
+        "aca9b4b5f8305339f5212f6e01145df0e73a0bfbc2308775acc95d9a087b0513",
+        {
+            "sweep.csv": "c26c3f54aeb6f91ba3641eada8bab6c6c8335416bab85b3856be4375f2a555e2",
+            "sweep.json": "2ddbea5cdea936e03559cd8505d967dc3a7f2b3d16a7ccad1e58900055fb3b9b",
         },
     ),
     (
@@ -138,7 +150,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv,exit_code,stdout,files",
     GOLDEN,
-    ids=["count_torus", "count_word", "verify", "verify_p7", "count_aperiodic_word", "quiver_json",
+    ids=["count_torus", "count_word", "verify", "verify_p7", "verify_sweep", "count_aperiodic_word", "quiver_json",
          "quiver_collapse", "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125", "quiver_json_word",
          "quiver_dot_no_loops", "quiver_json_n2187", "quiver_collapse_n2187"],
 )
