@@ -55,11 +55,8 @@ from .quivers import (
     QuiverForm,
     WeightedQuiver,
     build_quiver,
-    complete_form,
     detect_blocks,
-    disjoint_union,
     isomorphic,
-    join_form,
     predict_quiver,
     quiver_form_for_count,
     realize,
@@ -89,14 +86,11 @@ __all__ = [
     "build_quiver",
     "classify",
     "closure_system",
-    "complete_form",
     "detect_blocks",
-    "disjoint_union",
     "enumerate_colorings_linear",
     "enumerate_colorings_oracle",
     "is_odd_prime",
     "isomorphic",
-    "join_form",
     "kernel_enumerate_mod",
     "parse_link",
     "predict_count",

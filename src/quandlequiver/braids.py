@@ -63,22 +63,16 @@ class TorusLinkSpec:
             raise ValueError(f"q must be nonnegative, got {self.q}")
 
 
-def torus_braid(spec, q: int | None = None) -> BraidWord:
+def torus_braid(p: int, q: int) -> BraidWord:
     """Braid word (s_1 s_2 ... s_{p-1})^q; q = 0 gives the p-strand unlink."""
-    if isinstance(spec, TorusLinkSpec):
-        p, q = spec.p, spec.q
-    else:
-        if q is None:
-            raise TypeError("torus_braid needs a TorusLinkSpec or (p, q)")
-        p, q = spec, q
-        TorusLinkSpec(p, q)  # validate ranges
+    TorusLinkSpec(p, q)  # validate ranges
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
 def link_word(link: BraidWord | TorusLinkSpec) -> BraidWord:
     """The braid word whose closure is the link."""
     if isinstance(link, TorusLinkSpec):
-        return torus_braid(link)
+        return torus_braid(link.p, link.q)
     if isinstance(link, BraidWord):
         return link
     raise TypeError(f"expected TorusLinkSpec or BraidWord, got {type(link).__name__}")

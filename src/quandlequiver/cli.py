@@ -197,12 +197,10 @@ def cmd_quiver(args) -> int:
         raise BadRequest("--collapse applies to dot output only")
     if args.no_loops and (args.collapse or args.format != "dot"):
         raise BadRequest("--no-loops applies to full dot output only")
-    coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
-    if coloring_set.colorings is None:
-        print(
-            f"quiver: {coloring_set.count} colorings exceed the enumeration cap",
-            file=sys.stderr,
-        )
+    try:
+        coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
+    except CapExceededError as exc:
+        print(f"quiver: {exc.count} colorings exceed the enumeration cap", file=sys.stderr)
         return EXIT_CAP
     if args.endos == "brute":
         try:

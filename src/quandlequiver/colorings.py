@@ -6,6 +6,13 @@ knows nothing about linearity.  The linear backend solves the closure
 system (M - I) y = 0 mod n through the Smith normal form and is specific
 to dihedral targets.  The two share nothing past the crossing convention,
 which is what makes their agreement meaningful.
+
+The oracle has one walk: every top state, slab by slab, through the
+word's shortest repeated factor, by the factor's window tables when no
+power above 1 is asked for, and by its state map, built once, when one
+is.  oracle_counts (the counts) and enumerate_colorings_oracle (the
+list) both take it.  Either enumerator raises CapExceededError, naming
+the count, rather than return a partial list over its cap.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 from .braids import BraidWord, closure_system, link_word
 from .config import oracle_cap
 from .errors import CapExceededError
-from .linalg import kernel_count_from_snf, kernel_enumerate_mod, smith_normal_form
+from .linalg import kernel_enumerate_mod
 from .quandles import DihedralQuandle, FiniteQuandle
 
 TRIVIAL = "trivial"
@@ -36,44 +43,32 @@ def classify(coloring) -> str:
 class ColoringSet:
     """Colorings of one braid closure by one quandle, in canonical order.
 
-    `colorings` is the lexicographically sorted list of top-state vectors,
-    or None for a count-only result.  Distinct backends produce identical
-    lists, so list equality is set equality.
+    `colorings` is the lexicographically sorted list of top-state vectors.
+    Distinct backends produce identical lists, so list equality is set
+    equality.
     """
 
-    def __init__(
-        self,
-        word: BraidWord,
-        quandle: FiniteQuandle,
-        count: int,
-        colorings: list[tuple[int, ...]] | None,
-    ):
-        if colorings is not None and len(colorings) != count:
-            raise ValueError(
-                f"count {count} disagrees with list length {len(colorings)}"
-            )
+    def __init__(self, word: BraidWord, quandle: FiniteQuandle, colorings: list[tuple[int, ...]]):
         self.word = word
         self.quandle = quandle
-        self.count = count
         self.colorings = colorings
 
     @property
+    def count(self) -> int:
+        return len(self.colorings)
+
+    @property
     def trivial_indices(self) -> list[int]:
-        if self.colorings is None:
-            raise ValueError("count-only result has no coloring list")
         return [i for i, c in enumerate(self.colorings) if classify(c) == TRIVIAL]
 
     @property
     def nontrivial_indices(self) -> list[int]:
-        if self.colorings is None:
-            raise ValueError("count-only result has no coloring list")
         return [i for i, c in enumerate(self.colorings) if classify(c) == NONTRIVIAL]
 
     def __repr__(self):
-        kind = "count-only" if self.colorings is None else "full"
         return (
             f"ColoringSet({self.count} colorings of a {self.word.strands}-strand "
-            f"closure by size-{self.quandle.size} quandle, {kind})"
+            f"closure by size-{self.quandle.size} quandle)"
         )
 
 
@@ -197,41 +192,45 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
     return steps
 
 
-def _bottom_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle):
-    """Slab by slab, the top-state indices and their bottom-state indices under `factor`.
+def _window_push(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index):
+    """The factor as a step on slabs of state indices: push(states, out) writes
+    the bottom-state indices of the top states `states` into `out`.
 
     The factor is compiled into window tables once; each slab then takes
     one gather per window on its index array.
     """
-    total = quandle.size**strands
-    index = _index_type(total)
     steps = _window_steps(factor, strands, quandle, index)
-    buffers = np.empty((2, min(_SLAB, total)), dtype=index)
-    for start in range(0, total, _SLAB):
-        tops = np.arange(start, min(start + _SLAB, total), dtype=index)
-        bottoms = tops.copy()
-        digits, scratch = buffers[:, : len(tops)]
+    buffers = np.empty((2, min(_SLAB, quandle.size**strands)), dtype=index)
+
+    def push(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, states)
+        digits, scratch = buffers[:, : len(states)]
         for base, modulus, delta in steps:
             # s // base % modulus as s // base - s // (base * modulus) * modulus:
             # numpy divides by a scalar fast, but takes a remainder slowly
-            np.floor_divide(bottoms, base, out=digits)
+            np.floor_divide(out, base, out=digits)
             if modulus:
-                np.floor_divide(bottoms, base * modulus, out=scratch)
+                np.floor_divide(out, base * modulus, out=scratch)
                 scratch *= modulus
                 digits -= scratch
             # digits are in range by construction; "clip" lets take write
             # into scratch without buffering it
             np.take(delta, digits, out=scratch, mode="clip")
-            bottoms += scratch
-        yield tops, bottoms
+            out += scratch
+        return out
+
+    return push
 
 
 def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
     """The factor's state map: map[k] is the bottom-state index of top-state index k."""
     total = quandle.size**strands
-    state_map = np.empty(total, dtype=_index_type(total))
-    for tops, bottoms in _bottom_slabs(factor, strands, quandle):
-        state_map[tops[0] : tops[0] + len(tops)] = bottoms
+    index = _index_type(total)
+    push = _window_push(factor, strands, quandle, index)
+    state_map = np.empty(total, dtype=index)
+    for start in range(0, total, _SLAB):
+        stop = min(start + _SLAB, total)
+        push(np.arange(start, stop, dtype=index), state_map[start:stop])
     return state_map
 
 
@@ -239,23 +238,33 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
     """(power, tops, bottoms) slab by slab, for each power in ascending order,
     the bottoms being the tops' images under factor**power.
 
-    The factor's state map is built once, or not at all when every power is
-    0, and each slab walks through it once, up to the largest power.  The
-    bottoms live in two alternating buffers: read them before the next item.
+    When some power is 2 or more, the factor's state map is built once and
+    each slab walks through it, up to the largest power.  Otherwise each
+    slab is pushed through the window tables as it goes, and no map is
+    held.  Power 0 takes no step, so an empty factor never reaches the
+    window tables.  The bottoms live in two alternating buffers: read them
+    before the next item.
     """
     powers = sorted(set(powers))
     total = quandle.size**strands
     index = _index_type(total)
-    state_map = _factor_map(factor, strands, quandle) if any(powers) else None
+    if max(powers, default=0) >= 2:
+        state_map = _factor_map(factor, strands, quandle)
+
+        def step(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+            # indices are in range by construction; "clip" lets take write
+            # into out without buffering it
+            return np.take(state_map, states, out=out, mode="clip")
+
+    elif 1 in powers:
+        step = _window_push(factor, strands, quandle, index)
     buffers = np.empty((2, min(_SLAB, total)), dtype=index)
     for start in range(0, total, _SLAB):
         tops = np.arange(start, min(start + _SLAB, total), dtype=index)
         bottoms, walked = tops, 0
         for power in powers:
-            for step in range(walked, power):
-                # indices are in range by construction; "clip" lets take
-                # write into the buffer without buffering it
-                bottoms = np.take(state_map, bottoms, out=buffers[step % 2, : len(tops)], mode="clip")
+            for k in range(walked, power):
+                bottoms = step(bottoms, buffers[k % 2, : len(tops)])
             walked = power
             yield power, tops, bottoms
 
@@ -274,10 +283,9 @@ def check_oracle_cap(m: int, strands: int, cap: int | None):
 def oracle_counts(word: BraidWord, quandle: FiniteQuandle, powers, cap: int | None = None) -> dict[int, int]:
     """{k: number of colorings of the closure of word**k} for each k in `powers`.
 
-    The word is written as factor**r, and one walk through the factor's
-    state map counts the fixed points of factor**(r*k) for every k at
-    once; power 0 fixes every top.  The cap is checked before any map is
-    built.
+    The one oracle count: the word is written as factor**r, and one walk
+    counts the fixed points of factor**(r*k) for every k at once; power 0
+    fixes every top.  The cap is checked before any table or map is built.
     """
     check_oracle_cap(quandle.size, word.strands, cap)
     factor, r = _factor_power(word.letters)
@@ -287,65 +295,28 @@ def oracle_counts(word: BraidWord, quandle: FiniteQuandle, powers, cap: int | No
     return {k: fixed[r * k] for k in powers}
 
 
-def enumerate_colorings_oracle(
-    word: BraidWord,
-    quandle: FiniteQuandle,
-    cap: int | None = None,
-    count_only: bool = False,
-) -> ColoringSet:
+def enumerate_colorings_oracle(word: BraidWord, quandle: FiniteQuandle, cap: int | None = None) -> ColoringSet:
     """Brute force over all size**strands candidate tops.
 
-    The word is written as factor**q; every top state is pushed through
-    the factor's window tables, and a top is a coloring iff the q-th power
-    of that state map fixes it.  An aperiodic word (q = 1) compares each
-    slab of bottoms with its tops as it is made; only q >= 2 assembles the
-    factor's map.  Fixed indices are found in increasing order, which is
+    The word is written as factor**q, and a top is a coloring iff
+    factor**q fixes it; the slabs come from the same walk oracle_counts
+    takes.  Fixed indices are found in increasing order, which is
     lexicographic order of the tops, so the list is already sorted.
     """
-    m = quandle.size
-    p = word.strands
-    check_oracle_cap(m, p, cap)
+    m, strands = quandle.size, word.strands
+    check_oracle_cap(m, strands, cap)
     factor, q = _factor_power(word.letters)
-    if q == 1:
-        slabs = _bottom_slabs(factor, p, quandle)
-    else:
-        slabs = ((tops, bottoms) for _, tops, bottoms in _power_slabs(factor, p, quandle, [q]))
-    count = 0
-    kept: list[np.ndarray] = []
-    for tops, bottoms in slabs:
-        fixed = bottoms == tops
-        if count_only:
-            count += int(np.count_nonzero(fixed))
-        else:
-            kept.append(tops[fixed])
-    if count_only:
-        return ColoringSet(word, quandle, count, None)
-    rows = np.stack(_digits(np.concatenate(kept), m, p, np.int64), axis=1)
-    colorings = [tuple(row) for row in rows.tolist()]
-    return ColoringSet(word, quandle, len(colorings), colorings)
+    kept = [tops[bottoms == tops] for _, tops, bottoms in _power_slabs(factor, strands, quandle, [q])]
+    rows = np.stack(_digits(np.concatenate(kept), m, strands, np.int64), axis=1)
+    return ColoringSet(word, quandle, [tuple(row) for row in rows.tolist()])
 
 
-def enumerate_colorings_linear(
-    link,
-    n: int,
-    cap: int | None = None,
-    count_only: bool = False,
-) -> ColoringSet:
+def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> ColoringSet:
     """Solve the closure system (M - I) y = 0 mod n for a dihedral target.
 
-    `link` is a TorusLinkSpec or any BraidWord.  If the solution count is
-    above the enumeration cap the result is returned count-only, with the
-    coloring list omitted.
+    `link` is a TorusLinkSpec or any BraidWord.  Raises CapExceededError,
+    naming the solution count, when that count is above the enumeration
+    cap.
     """
     word = link_word(link)
-    system = closure_system(word)
-    snf = smith_normal_form(system)
-    count = kernel_count_from_snf(snf, n)
-    quandle = DihedralQuandle(n)
-    if count_only:
-        return ColoringSet(word, quandle, count, None)
-    try:
-        vectors = kernel_enumerate_mod(system, n, cap=cap, snf=snf)
-    except CapExceededError:
-        return ColoringSet(word, quandle, count, None)
-    return ColoringSet(word, quandle, count, vectors)
+    return ColoringSet(word, DihedralQuandle(n), kernel_enumerate_mod(closure_system(word), n, cap=cap))

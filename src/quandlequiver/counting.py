@@ -21,9 +21,11 @@ Ambiguous cells never get a silent winner here: predict_count carries both
 candidates and the computed counts resolve them, reporting the resolution
 explicitly.  evaluate_cells is the one place where a cell's routes are run
 and its status decided; verify_counts and the CLI's count both use it.
-verify_counts works one p at a time (the unit `--jobs` splits): since
-T(p, q) closes the q-th power of one factor, it runs one oracle walk per
-(p, n) for all q of the grid and fills those counts into the cells.
+Both count through colorings.oracle_counts, the one oracle count entry:
+count asks it for the word itself (power 1), and verify_counts, working
+one p at a time (the unit `--jobs` splits), asks it for every q of the
+grid at once, since T(p, q) closes the q-th power of one factor; it runs
+one oracle walk per (p, n) and fills those counts into the cells.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .braids import BraidWord, TorusLinkSpec, closure_system, link_word, torus_braid
-from .colorings import check_oracle_cap, enumerate_colorings_oracle, oracle_counts
+from .colorings import check_oracle_cap, oracle_counts
 from .config import oracle_cap
 from .linalg import kernel_count_from_snf, smith_normal_form
 from .quandles import DihedralQuandle
@@ -72,7 +74,6 @@ class CountPrediction:
     n: int
     residue: int  # q mod 2p
     gcd_np: int
-    n_is_even: bool
     case: str
     candidates: tuple[int, ...]
 
@@ -109,7 +110,6 @@ def predict_count(p: int, q: int, n: int) -> CountPrediction:
             n=n,
             residue=residue,
             gcd_np=gcd_np,
-            n_is_even=even,
             case=case,
             candidates=tuple(sorted(candidates)),
         )
@@ -205,10 +205,11 @@ def evaluate_cells(
     """Evaluate one link at each modulus in `ns`, one cell at a time.
 
     The linear route builds the closure system and takes its Smith form
-    once for the whole list.  The oracle runs on its own for each modulus
-    in `oracle_ns`; the largest of them is checked against `cap` before
-    any route runs, raising CapExceededError.  The formula prediction is
-    added only for T(p, q) with p an odd prime.
+    once for the whole list.  The oracle counts each modulus in
+    `oracle_ns` through oracle_counts, as verify_counts does; the largest
+    of them is checked against `cap` before any route runs, raising
+    CapExceededError.  The formula prediction is added only for T(p, q)
+    with p an odd prime.
     """
     torus = link if isinstance(link, TorusLinkSpec) else None
     predict = formula and torus is not None and is_odd_prime(torus.p)
@@ -220,11 +221,7 @@ def evaluate_cells(
     for n in ns:
         prediction = predict_count(torus.p, torus.q, n) if predict else None
         count = kernel_count_from_snf(snf, n) if linear else None
-        oracle = (
-            enumerate_colorings_oracle(word, DihedralQuandle(n), cap=cap, count_only=True).count
-            if n in oracle_ns
-            else None
-        )
+        oracle = oracle_counts(word, DihedralQuandle(n), [1], cap=cap)[1] if n in oracle_ns else None
         yield CellRecord(n, prediction, count, oracle)
 
 

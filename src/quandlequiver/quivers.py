@@ -131,8 +131,6 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     the list means the inputs are inconsistent and raises.  Structural
     laws that hold by construction are re-checked on every build.
     """
-    if coloring_set.colorings is None:
-        raise ValueError("cannot build a quiver from a count-only coloring set")
     endos = list(endos)
     m = coloring_set.quandle.size
     for phi in endos:
@@ -262,39 +260,6 @@ class QuiverForm:
         return sum(f.copies for f in self.families)
 
 
-def complete_form(size: int, weight: int) -> QuiverForm:
-    """One complete block: every ordered pair (loops included) at `weight`."""
-    return QuiverForm(families=(BlockFamily(1, size, weight),))
-
-
-def disjoint_union(form: QuiverForm, m: int) -> QuiverForm:
-    """m disjoint copies of a cross-free form."""
-    if m < 1:
-        raise ValueError(f"multiplicity must be at least 1, got {m}")
-    if form.cross:
-        raise ValueError("disjoint union of joined forms is not supported")
-    return QuiverForm(
-        families=tuple(
-            BlockFamily(f.copies * m, f.size, f.weight) for f in form.families
-        )
-    )
-
-
-def join_form(g1: QuiverForm, g2: QuiverForm, d: int) -> QuiverForm:
-    """Disjoint union of g1 and g2 plus d arrows from each g2 vertex to each g1 vertex."""
-    if d < 1:
-        raise ValueError(f"join weight must be at least 1, got {d}")
-    offset = len(g1.families)
-    cross = list(g1.cross)
-    cross.extend((s + offset, t + offset, w) for s, t, w in g2.cross)
-    cross.extend(
-        (j + offset, i, d)
-        for j in range(len(g2.families))
-        for i in range(len(g1.families))
-    )
-    return QuiverForm(families=g1.families + g2.families, cross=tuple(cross))
-
-
 def realize(form: QuiverForm) -> WeightedQuiver:
     """Expand a form to an explicit quiver, vertices in block-major order."""
     # family k holds vertices bounds[k] .. bounds[k + 1] - 1, copy by copy
@@ -318,31 +283,31 @@ def quiver_form_for_count(p: int, n: int, count: int) -> QuiverForm:
 
     Dispatches on how the count relates to n; used both by predict_quiver
     and for comparing against computed counts in cells where the count
-    formula itself is ambiguous.
+    formula itself is ambiguous.  Every shape is the trivial block K_n of
+    weight n, plus at most one family of `copies` blocks of one `size` and
+    `weight`, each of whose vertices sends that weight to every trivial
+    vertex.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    trivial = complete_form(n, n)
+    trivial = BlockFamily(1, n, n)
     if count == n:
-        return trivial
+        return QuiverForm((trivial,))
     if count == p * n:
-        # gcd(n, p) = p here, so the cross weight n/p is integral
-        return join_form(trivial, complete_form((p - 1) * n, n // p), n // p)
-    if count == 2 ** (p - 1) * n:
+        # gcd(n, p) = p here, so the weight n/p is integral
+        copies, size, weight = 1, (p - 1) * n, n // p
+    elif count == 2 ** (p - 1) * n:
         # n is even in this regime
-        blocks = disjoint_union(complete_form(n, n // 2), 2 ** (p - 1) - 1)
-        return join_form(trivial, blocks, n // 2)
-    if count == n**p:
+        copies, size, weight = 2 ** (p - 1) - 1, n, n // 2
+    elif count == n**p:
         if not is_prime(n):
-            raise ValueError(
-                f"no closed-form quiver for count n^p with composite n = {n}"
-            )
-        m = (n**p - n) // (n * (n - 1))
-        blocks = disjoint_union(complete_form(n * (n - 1), 1), m)
-        return join_form(trivial, blocks, 1)
-    raise ValueError(f"count {count} matches no closed-form quiver shape for (p={p}, n={n})")
+            raise ValueError(f"no closed-form quiver for count n^p with composite n = {n}")
+        copies, size, weight = (n**p - n) // (n * (n - 1)), n * (n - 1), 1
+    else:
+        raise ValueError(f"count {count} matches no closed-form quiver shape for (p={p}, n={n})")
+    return QuiverForm((trivial, BlockFamily(copies, size, weight)), ((1, 0, weight),))
 
 
 def predict_quiver(p: int, q: int, n: int) -> QuiverForm:

@@ -1,8 +1,9 @@
 """Reference oracle used by the tests: every candidate top through every letter.
 
-`enumerate_colorings_oracle` builds the state map of the word's repeated
-factor once and counts the fixed points of its q-th power; this is the
-direct per-letter propagation it must agree with.  `propagate` pushes one
+The package's oracle walks every top through the window tables (or the
+state map) of the word's repeated factor and keeps the fixed points of
+its q-th power; this is the direct per-letter propagation it must agree
+with.  `propagate` pushes one
 top state through the word, crossing by crossing.
 """
 

@@ -59,7 +59,7 @@ def test_torus_spec_validation():
 
 def test_torus_braid_words():
     assert torus_braid(3, 2).letters == (1, 2, 1, 2)
-    assert torus_braid(TorusLinkSpec(5, 1)).letters == (1, 2, 3, 4)
+    assert torus_braid(5, 1).letters == (1, 2, 3, 4)
     assert torus_braid(5, 0) == BraidWord(5, ())
     assert torus_braid(2, 3).letters == (1, 1, 1)
 

@@ -89,7 +89,7 @@ def test_count_oracle_cap_is_checked_before_any_row(monkeypatch, tmp_path, capsy
     def fail(*args):
         raise AssertionError("oracle ran before the cap check")
 
-    monkeypatch.setattr(colorings, "_bottom_slabs", fail)
+    monkeypatch.setattr(colorings, "_window_steps", fail)
     path = tmp_path / "counts.json"
     code = main(
         ["count", "--link", "torus:5,2", "--n", "2..12", "--backend", "all",
@@ -200,6 +200,16 @@ def test_quiver_collapse_requires_dot(capsys):
     code = main(["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json", "--collapse"])
     assert code == EXIT_MISMATCH
     assert "dot output only" in capsys.readouterr().err
+
+
+def test_quiver_over_enumeration_cap_exits_4(tmp_path, capsys):
+    path = tmp_path / "q.dot"
+    code = main(["quiver", "--link", "torus:5,0", "--n", "9", "--enum-cap", "100", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    assert captured.err == "quiver: 59049 colorings exceed the enumeration cap\n"
+    assert not path.exists()
 
 
 def test_quiver_brute_endos_match_affine(capsys):
@@ -400,14 +410,12 @@ def test_count_json_key_order(tmp_path, capsys):
 def test_count_backend_disagreement_exits_2(monkeypatch, capsys):
     from quandlequiver import counting
 
-    real = counting.enumerate_colorings_oracle
+    real = counting.oracle_counts
 
     def off_by_one(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.count += 1
-        return result
+        return {k: count + 1 for k, count in real(*args, **kwargs).items()}
 
-    monkeypatch.setattr(counting, "enumerate_colorings_oracle", off_by_one)
+    monkeypatch.setattr(counting, "oracle_counts", off_by_one)
     code = main(["count", "--link", "torus:5,4", "--n", "3"])
     captured = capsys.readouterr()
     assert code == EXIT_MISMATCH

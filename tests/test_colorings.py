@@ -15,17 +15,17 @@ from hypothesis import strategies as st
 from oracle_reference import enumerate_colorings as reference_colorings
 from oracle_reference import propagate
 from quandlequiver import colorings
-from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
+from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, torus_braid
 from quandlequiver.colorings import (
     NONTRIVIAL,
     TRIVIAL,
-    ColoringSet,
     classify,
     enumerate_colorings_linear,
     enumerate_colorings_oracle,
 )
 from quandlequiver.counting import verify_counts
 from quandlequiver.errors import CapExceededError
+from quandlequiver.linalg import kernel_count_from_snf, smith_normal_form
 from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
@@ -150,7 +150,7 @@ def assert_oracle_matches_reference(word, quandle, window_states):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         cs = enumerate_colorings_oracle(word, quandle)
-        count = enumerate_colorings_oracle(word, quandle, count_only=True).count
+        count = colorings.oracle_counts(word, quandle, [1])[1]
     assert cs.colorings == expected
     assert cs.count == count == len(expected)
     return cs
@@ -222,7 +222,7 @@ def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         counts = colorings.oracle_counts(word, quandle, powers)
         per_power = {
-            k: enumerate_colorings_oracle(BraidWord(strands, word.letters * k), quandle, count_only=True).count
+            k: enumerate_colorings_oracle(BraidWord(strands, word.letters * k), quandle).count
             for k in powers
         }
     assert counts == per_power
@@ -266,9 +266,9 @@ def test_oracle_cap_raises_naming_count():
 
 def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
     def fail(*args):
-        raise AssertionError("state map built over the cap")
+        raise AssertionError("window tables built over the cap")
 
-    monkeypatch.setattr(colorings, "_bottom_slabs", fail)
+    monkeypatch.setattr(colorings, "_window_steps", fail)
     with pytest.raises(CapExceededError):
         enumerate_colorings_oracle(torus_braid(5, 2), DihedralQuandle(17), cap=100)
     with pytest.raises(CapExceededError):
@@ -279,7 +279,7 @@ def test_batched_cap_is_checked_before_any_map_is_built(monkeypatch):
     def fail(*args):
         raise AssertionError("state map built over the cap")
 
-    monkeypatch.setattr(colorings, "_bottom_slabs", fail)
+    monkeypatch.setattr(colorings, "_window_steps", fail)
     monkeypatch.setattr(colorings, "_factor_map", fail)
     with pytest.raises(CapExceededError) as exc:
         colorings.oracle_counts(torus_braid(5, 1), DihedralQuandle(17), range(10), cap=100)
@@ -330,6 +330,10 @@ def test_verify_grid_holds_one_state_map_at_a_time():
     assert peak < 7.5 * 7**7
 
 
+def linear_count(word, n) -> int:
+    return kernel_count_from_snf(smith_normal_form(closure_system(word)), n)
+
+
 def test_aperiodic_word_holds_no_state_map():
     # 5^9 states: a whole state map would take 4 bytes each, and the window
     # tables of the 400-letter word may take at most 1
@@ -339,12 +343,12 @@ def test_aperiodic_word_holds_no_state_map():
     assert colorings._windows(long_word.letters, 9, 5)[0] > 2
     cells = [
         (BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8, -1)), 25),
-        (long_word, enumerate_colorings_linear(long_word, 5, count_only=True).count),
+        (long_word, linear_count(long_word, 5)),
     ]
     for word, expected in cells:
         tracemalloc.start()
         try:
-            count = enumerate_colorings_oracle(word, DihedralQuandle(5), count_only=True).count
+            count = colorings.oracle_counts(word, DihedralQuandle(5), [1])[1]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -359,27 +363,17 @@ def test_repeated_window_runs_share_one_table():
     word = BraidWord(3, tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(400)))
     assert colorings._factor_power(word.letters)[1] == 1
     assert colorings._windows(word.letters, 3, 100)[0] == 2
-    expected = enumerate_colorings_linear(word, 100, count_only=True).count
+    expected = linear_count(word, 100)
     counts = []
-    peak = peak_bytes(
-        lambda: counts.append(enumerate_colorings_oracle(word, DihedralQuandle(100), count_only=True).count)
-    )
+    peak = peak_bytes(lambda: counts.append(colorings.oracle_counts(word, DihedralQuandle(100), [1])[1]))
     assert counts == [expected]
     assert peak < 6 * 100**3
 
 
-def test_linear_cap_degrades_to_count_only():
-    cs = enumerate_colorings_linear(torus_braid(5, 0), 9, cap=100)
-    assert cs.count == 9**5
-    assert cs.colorings is None
-    with pytest.raises(ValueError):
-        cs.trivial_indices
-
-
-def test_oracle_count_only_skips_list():
-    cs = enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5), count_only=True)
-    assert cs.count == 25
-    assert cs.colorings is None
+def test_linear_cap_raises_naming_count():
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_colorings_linear(torus_braid(5, 0), 9, cap=100)
+    assert exc.value.count == 9**5
 
 
 def test_linear_accepts_spec_and_word():
@@ -387,9 +381,3 @@ def test_linear_accepts_spec_and_word():
     by_word = enumerate_colorings_linear(torus_braid(3, 4), 9)
     assert by_spec.count == by_word.count
     assert by_spec.colorings == by_word.colorings
-
-
-def test_coloring_set_count_consistency():
-    word = torus_braid(2, 3)
-    with pytest.raises(ValueError):
-        ColoringSet(word, DihedralQuandle(3), 4, [(0, 0)])

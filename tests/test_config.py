@@ -46,6 +46,6 @@ def test_env_cap_governs_backends(monkeypatch):
     with pytest.raises(CapExceededError):
         enumerate_colorings_oracle(torus_braid(3, 0), DihedralQuandle(5))
     monkeypatch.setenv("QUANDLEQUIVER_ENUM_CAP", "100")
-    degraded = enumerate_colorings_linear(torus_braid(3, 0), 5)
-    assert degraded.count == 125
-    assert degraded.colorings is None
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_colorings_linear(torus_braid(3, 0), 5)
+    assert exc.value.count == 125

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from quandlequiver.braids import TorusLinkSpec, torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
 from quandlequiver.counting import predict_count, verify_counts
+from quandlequiver.errors import CapExceededError
 from quandlequiver import export
 from quandlequiver.export import (
     CSV_HEADER,
@@ -24,9 +25,10 @@ from quandlequiver.export import (
 )
 from quandlequiver.quandles import DihedralQuandle, affine_endomorphisms
 from quandlequiver.quivers import (
+    BlockFamily,
+    QuiverForm,
     WeightedQuiver,
     build_quiver,
-    complete_form,
     detect_blocks,
     quiver_form_for_count,
     realize,
@@ -39,7 +41,7 @@ def torus_quiver(p, q, n):
 
 
 def test_dot_full_complete_2():
-    text = to_dot(realize(complete_form(2, 2)))
+    text = to_dot(realize(QuiverForm((BlockFamily(1, 2, 2),))))
     assert text.startswith("digraph quiver {")
     assert text.rstrip().endswith("}")
     assert '  v0 -> v0 [label="2"];' in text
@@ -51,7 +53,7 @@ def test_dot_full_complete_2():
 
 
 def test_dot_without_loops():
-    text = to_dot(realize(complete_form(2, 2)), ExportOptions(include_loops=False))
+    text = to_dot(realize(QuiverForm((BlockFamily(1, 2, 2),))), ExportOptions(include_loops=False))
     assert "v0 -> v0" not in text
     assert "v1 -> v1" not in text
     assert text.count("->") == 2
@@ -156,8 +158,10 @@ def test_csv_deterministic_bytes():
 @settings(max_examples=40)
 @given(st.integers(2, 5), st.integers(0, 10), st.integers(2, 9))
 def test_json_round_trip_on_torus_quivers(p, q, n):
-    coloring_set = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=500)
-    assume(coloring_set.colorings is not None)
+    try:
+        coloring_set = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=500)
+    except CapExceededError:
+        assume(False)
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
     assert quiver.labels == coloring_set.colorings
     assert quiver_from_json(to_json(quiver, params={"p": p, "q": q, "n": n})) == quiver
