@@ -18,7 +18,6 @@ from .braids import (
 )
 from .colorings import (
     ColoringSet,
-    classify,
     enumerate_colorings_linear,
     enumerate_colorings_oracle,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "affine_endomorphisms",
     "brute_force_endomorphisms",
     "build_quiver",
-    "classify",
     "closure_system",
     "detect_blocks",
     "enumerate_colorings_linear",

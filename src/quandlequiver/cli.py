@@ -27,7 +27,7 @@ from .counting import (
     predict_count,
     verify_counts,
 )
-from .errors import AmbiguousCountError, CapExceededError
+from .errors import CapExceededError
 from .export import ExportOptions, to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
 from .quivers import build_quiver, detect_blocks, isomorphic, quiver_form_for_count
@@ -342,9 +342,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except AmbiguousCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
 
 
 def entry():

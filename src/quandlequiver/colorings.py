@@ -11,8 +11,9 @@ The oracle has one walk: every top state, slab by slab, through the
 word's shortest repeated factor, by the factor's window tables when no
 power above 1 is asked for, and by its state map, built once, when one
 is.  oracle_counts (the counts) and enumerate_colorings_oracle (the
-list) both take it.  Either enumerator raises CapExceededError, naming
-the count, rather than return a partial list over its cap.
+colorings) both take it.  Either enumerator returns its colorings as one
+read-only (count, strands) int64 array, and raises CapExceededError,
+naming the count, rather than return part of them over its cap.
 """
 
 from __future__ import annotations
@@ -25,30 +26,21 @@ from .errors import CapExceededError
 from .linalg import kernel_enumerate_mod
 from .quandles import DihedralQuandle, FiniteQuandle
 
-TRIVIAL = "trivial"
-NONTRIVIAL = "nontrivial"
-
-
-def classify(coloring) -> str:
-    """A coloring is trivial iff it colors every strand the same."""
-    first = None
-    for c in coloring:
-        if first is None:
-            first = c
-        elif c != first:
-            return NONTRIVIAL
-    return TRIVIAL
-
 
 class ColoringSet:
     """Colorings of one braid closure by one quandle, in canonical order.
 
-    `colorings` is the lexicographically sorted list of top-state vectors.
-    Distinct backends produce identical lists, so list equality is set
-    equality.
+    `colorings` is a read-only int64 array with one row per coloring, its
+    strands' colours, rows in lexicographic order.  Distinct backends
+    produce identical arrays, so array equality is set equality.  A row
+    whose width is not the word's strand count raises ValueError.
     """
 
-    def __init__(self, word: BraidWord, quandle: FiniteQuandle, colorings: list[tuple[int, ...]]):
+    def __init__(self, word: BraidWord, quandle: FiniteQuandle, colorings):
+        colorings = np.asarray(colorings, dtype=np.int64).view()
+        if colorings.ndim != 2 or colorings.shape[1] != word.strands:
+            raise ValueError(f"coloring rows need {word.strands} colours, got {colorings.shape}")
+        colorings.flags.writeable = False
         self.word = word
         self.quandle = quandle
         self.colorings = colorings
@@ -58,12 +50,9 @@ class ColoringSet:
         return len(self.colorings)
 
     @property
-    def trivial_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.colorings) if classify(c) == TRIVIAL]
-
-    @property
-    def nontrivial_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.colorings) if classify(c) == NONTRIVIAL]
+    def trivial_indices(self) -> np.ndarray:
+        """The rows that colour every strand the same."""
+        return np.flatnonzero((self.colorings == self.colorings[:, :1]).all(axis=1))
 
     def __repr__(self):
         return (
@@ -301,14 +290,14 @@ def enumerate_colorings_oracle(word: BraidWord, quandle: FiniteQuandle, cap: int
     The word is written as factor**q, and a top is a coloring iff
     factor**q fixes it; the slabs come from the same walk oracle_counts
     takes.  Fixed indices are found in increasing order, which is
-    lexicographic order of the tops, so the list is already sorted.
+    lexicographic order of the tops, so the rows are already sorted.
     """
     m, strands = quandle.size, word.strands
     check_oracle_cap(m, strands, cap)
     factor, q = _factor_power(word.letters)
     kept = [tops[bottoms == tops] for _, tops, bottoms in _power_slabs(factor, strands, quandle, [q])]
     rows = np.stack(_digits(np.concatenate(kept), m, strands, np.int64), axis=1)
-    return ColoringSet(word, quandle, [tuple(row) for row in rows.tolist()])
+    return ColoringSet(word, quandle, rows)
 
 
 def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> ColoringSet:

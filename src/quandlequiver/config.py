@@ -1,7 +1,7 @@
 """Default size caps, overridable through environment variables.
 
 Every cap guards an enumeration whose size is known before any work is
-done, so exceeding one raises (or degrades) immediately instead of
+done, so exceeding one raises CapExceededError immediately instead of
 grinding away at a hopeless loop.
 """
 

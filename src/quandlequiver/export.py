@@ -42,15 +42,9 @@ def _records(template: str, sep: str, rows: int, columns):
             yield sep
         count = min(_CHUNK, rows - start)
         values = ()
-        if columns:
+        if len(columns):
             values = np.column_stack([c[start : start + count] for c in columns]).ravel().tolist()
         yield (full if count == _CHUNK else sep.join([template] * count)) % tuple(values)
-
-
-def _label_columns(labels) -> list[np.ndarray]:
-    """The labels' colours, one array per position."""
-    width = len(labels[0]) if labels else 0
-    return list(np.array(labels, dtype=np.int64).reshape(len(labels), width).T)
 
 
 def _form_columns(form: QuiverForm) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -86,7 +80,7 @@ def to_dot(
         if quiver.labels is None:
             label, columns = "%d", [vertex, vertex]
         else:
-            colours = _label_columns(quiver.labels)
+            colours = quiver.labels.T
             label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
         parts.extend(_records(f'  v%d [label="{label}"];\n', "", n, columns))
         src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
@@ -129,7 +123,7 @@ def _quiver_json_parts(
         parts += ['  "params": ', json.dumps(dict(params), indent=2).replace("\n", "\n  "), ",\n"]
     parts.append(f'  "count": {quiver.n_vertices}')
     if quiver.labels is not None:
-        colours = _label_columns(quiver.labels)
+        colours = quiver.labels.T
         parts.append(',\n  "colorings": ')
         parts += _json_list(_int_list(len(colours), 2), quiver.n_vertices, colours, 1)
     arrows = [quiver.sources(), quiver.dst, quiver.weight]
@@ -151,11 +145,8 @@ def _quiver_json_parts(
 def quiver_from_json(text: str) -> WeightedQuiver:
     """Rebuild a quiver from its to_json output (params/blocks are derived)."""
     payload = json.loads(text)
-    labels = None
-    if "colorings" in payload:
-        labels = [tuple(c) for c in payload["colorings"]]
     arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
-    return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=labels)
+    return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))
 
 
 def to_json(obj, **options) -> str:

@@ -3,13 +3,15 @@
 Everything here runs on Python's arbitrary-precision integers.  Propagation
 matrices of long braid words have entries that grow geometrically with the
 word length, so fixed-width arithmetic would overflow silently; exactness
-is the whole point of this backend.
+is the whole point of this backend; only kernel vectors mod n are int64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import enumeration_cap
 from .errors import CapExceededError, InternalConsistencyError
@@ -215,22 +217,19 @@ def kernel_count_from_snf(snf: SnfResult, n: int) -> int:
     return count * n ** (cols - len(snf.diag))
 
 
-def kernel_enumerate_mod(
-    a: IntMatrix,
-    n: int,
-    cap: int | None = None,
-    snf: SnfResult | None = None,
-) -> list[tuple[int, ...]]:
-    """All y in (Z_n)^cols with A*y = 0 mod n, sorted lexicographically.
+def kernel_enumerate_mod(a: IntMatrix, n: int, cap: int | None = None) -> np.ndarray:
+    """All y in (Z_n)^cols with A*y = 0 mod n, as the rows of a read-only
+    (count, cols) int64 array in lexicographic order.
 
     Solutions are generated through the Smith form: with U*A*V = D the
     substitution y = V*z turns the system into independent congruences
-    d_i * z_i = 0 mod n.  Raises CapExceededError before generating
-    anything when the solution count is above the cap.
+    d_i * z_i = 0 mod n, and each column of V, times each allowed z_i, is
+    added to every partial sum at once.  Raises CapExceededError before
+    generating anything when the solution count is above the cap.
     """
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
-    s = snf if snf is not None else smith_normal_form(a)
+    s = smith_normal_form(a)
     total = kernel_count_from_snf(s, n)
     limit = enumeration_cap() if cap is None else cap
     if total > limit:
@@ -240,29 +239,18 @@ def kernel_enumerate_mod(
         )
     c = s.right.rows
     diag = list(s.diag) + [0] * (c - len(s.diag))
-    choices = []
-    for d in diag:
-        g = math.gcd(d, n)
-        choices.append(range(0, n, n // g))
-    # columns of V reduced mod n; y accumulates one scaled column per level
-    cols = [[s.right.data[i][j] % n for i in range(c)] for j in range(c)]
-    out: list[tuple[int, ...]] = []
-
-    def descend(j, acc):
-        if j == c:
-            out.append(tuple(acc))
-            return
-        col = cols[j]
-        for z in choices[j]:
-            if z == 0:
-                descend(j + 1, acc)
-            else:
-                descend(j + 1, [(acc[i] + z * col[i]) % n for i in range(c)])
-
-    descend(0, [0] * c)
+    # V's entries, and their multiples, can pass int64: they are reduced
+    # mod n as Python ints, and sums of two entries below n stay below 2n
+    right = np.array(s.right.data, dtype=object)
+    out = np.zeros((1, c), dtype=np.int64)
+    for j, d in enumerate(diag):
+        multiples = np.arange(0, n, n // math.gcd(d, n))[:, None] * right[:, j] % n
+        out = ((out[:, None] + multiples.astype(np.int64)) % n).reshape(-1, c)
     if len(out) != total:
         raise InternalConsistencyError(
             f"enumerated {len(out)} kernel vectors, expected {total}"
         )
-    out.sort()
+    # lexsort's last key is the primary one
+    out = out[np.lexsort(out.T[::-1])]
+    out.flags.writeable = False
     return out

@@ -24,8 +24,8 @@ class WeightedQuiver:
 
     Row i's arrows go to dst[indptr[i]:indptr[i + 1]], strictly increasing,
     with the positive weights weight[indptr[i]:indptr[i + 1]]; the arrays
-    are int64 and read-only.  `labels`, when present, names each vertex by
-    its coloring vector, all of one length.  Build one with `from_arrows`.
+    are int64 and read-only.  `labels`, when present, is a read-only int64
+    array naming vertex i by its coloring labels[i].  Build one with `from_arrows`.
     """
 
     __slots__ = ("n_vertices", "indptr", "dst", "weight", "labels")
@@ -41,16 +41,18 @@ class WeightedQuiver:
         """The quiver on n vertices with arrows src[k] -> dst[k] of weight weight[k].
 
         Arrows with the same endpoints are summed and zero weights dropped.
-        A vertex outside 0..n-1 or a negative weight raises ValueError.
+        A vertex outside 0..n-1, a negative weight, or labels that are not
+        n rows of one width raise ValueError.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if labels is not None:
-            labels = list(labels)
-            if len(labels) != n:
-                raise ValueError("labels must match the vertex count")
-            if len(set(map(len, labels))) > 1:
-                raise ValueError("labels must all have one length")
+            labels = np.asarray(labels, dtype=np.int64).view()
+            if labels.shape == (0,):
+                labels = labels.reshape(0, 0)
+            if labels.ndim != 2 or len(labels) != n:
+                raise ValueError(f"labels must be {n} rows of one width, got shape {labels.shape}")
+            labels.flags.writeable = False
         src, dst, weight = (np.array(a, dtype=np.int64).reshape(-1) for a in (src, dst, weight))
         if not src.size == dst.size == weight.size:
             raise ValueError("src, dst and weight must have one length")
@@ -79,20 +81,16 @@ class WeightedQuiver:
         """The source vertex of each arrow, aligned with dst and weight."""
         return np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
 
-    def arrows(self):
-        """(source, target, weight) of each arrow, in sorted order, read row by row."""
-        return zip(self.sources().tolist(), self.dst.tolist(), self.weight.tolist())
-
     def weight_triples(self) -> list[tuple[int, int, int]]:
-        """Sorted sparse (source, target, weight) triples."""
-        return list(self.arrows())
+        """(source, target, weight) of each arrow, in sorted order, read row by row."""
+        return list(zip(self.sources().tolist(), self.dst.tolist(), self.weight.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedQuiver):
             return NotImplemented
         return (
             self.n_vertices == other.n_vertices
-            and self.labels == other.labels
+            and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.weight, other.weight)
@@ -126,10 +124,10 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     slab of colorings under all endomorphisms are gathered at once and
     found among the keys by binary search.  Sorting each vertex's targets
     and taking run lengths gives its arrows and their weights.  The
-    coloring list must be sorted and closed under each endomorphism (it
-    is, for the full endomorphism monoid of the target); a landing outside
-    the list means the inputs are inconsistent and raises.  Structural
-    laws that hold by construction are re-checked on every build.
+    colorings must be sorted and closed under each endomorphism (they
+    are, for the full endomorphism monoid of the target); a landing outside
+    them means the inputs are inconsistent and raises.  Structural laws
+    that hold by construction are re-checked on every build.
     """
     endos = list(endos)
     m = coloring_set.quandle.size
@@ -137,11 +135,10 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
         if not isinstance(phi, Endomorphism) or len(phi.images) != m:
             raise ValueError("endomorphisms must act on the coloring set's quandle")
     colorings = coloring_set.colorings
-    n_vertices = len(colorings)
-    strands = coloring_set.word.strands
+    n_vertices, strands = colorings.shape
     colour = np.min_scalar_type(m - 1)
     key_type = np.int64 if m**strands < 2**63 else object
-    points = np.array(colorings, dtype=colour).reshape(n_vertices, strands)
+    points = colorings.astype(colour)
     keys = _row_keys(points, m, key_type)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
@@ -155,7 +152,7 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
         missing = keys[np.minimum(targets, n_vertices - 1)] != image_keys
         if missing.any():
             e, k = np.argwhere(missing)[0]
-            f = colorings[start + k]
+            f = tuple(colorings[start + k].tolist())
             raise InternalConsistencyError(
                 f"image {endos[e].apply(f)} of coloring {f} under {endos[e]!r} "
                 "is not itself a coloring"
@@ -182,7 +179,7 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos:
     if bad.size:
         i = bad[0]
         raise InternalConsistencyError(f"row {i} sums to {sums[i]}, expected {n_endos}")
-    trivial = np.asarray(coloring_set.trivial_indices, dtype=np.int64)
+    trivial = coloring_set.trivial_indices
     is_trivial = np.zeros(quiver.n_vertices, dtype=bool)
     is_trivial[trivial] = True
     leaving = np.flatnonzero(is_trivial[src] & ~is_trivial[dst])

@@ -30,7 +30,7 @@ def to_dot(quiver, options=None, detected=None):
     else:
         for v in range(quiver.n_vertices):
             lines.append(f'  v{v} [label="{_label(v, quiver.labels)}"];')
-        for i, j, w in quiver.arrows():
+        for i, j, w in quiver.weight_triples():
             if i == j and not options.include_loops:
                 continue
             lines.append(f'  v{i} -> v{j} [label="{w}"];')
@@ -44,8 +44,8 @@ def quiver_to_dict(quiver, params=None, detected=None):
         out["params"] = dict(params)
     out["count"] = quiver.n_vertices
     if quiver.labels is not None:
-        out["colorings"] = [list(c) for c in quiver.labels]
-    out["weights"] = [[i, j, w] for i, j, w in quiver.arrows()]
+        out["colorings"] = quiver.labels.tolist()
+    out["weights"] = [[i, j, w] for i, j, w in quiver.weight_triples()]
     if quiver.n_vertices:
         form = (detected or detect_blocks(quiver))[0]
         out["blocks"] = {

@@ -28,7 +28,7 @@ class DictQuiver:
     def of(cls, quiver):
         """The rows of a WeightedQuiver as dicts."""
         out = cls(quiver.n_vertices, quiver.labels)
-        for i, j, w in quiver.arrows():
+        for i, j, w in quiver.weight_triples():
             out.add(i, j, w)
         return out
 
@@ -62,9 +62,9 @@ def dense(quiver):
 
 def build_quiver(coloring_set, endos):
     """The quiver with one arrow f -> phi . f per coloring f and endomorphism phi."""
-    colorings = coloring_set.colorings
+    colorings = list(map(tuple, coloring_set.colorings.tolist()))
     index = {c: k for k, c in enumerate(colorings)}
-    quiver = DictQuiver(len(colorings), labels=list(colorings))
+    quiver = DictQuiver(len(colorings), labels=colorings)
     for phi in endos:
         for k, f in enumerate(colorings):
             g = phi.apply(f)

@@ -8,6 +8,7 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,25 +18,18 @@ from oracle_reference import propagate
 from quandlequiver import colorings
 from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, torus_braid
 from quandlequiver.colorings import (
-    NONTRIVIAL,
-    TRIVIAL,
-    classify,
+    ColoringSet,
     enumerate_colorings_linear,
     enumerate_colorings_oracle,
 )
 from quandlequiver.counting import verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import kernel_count_from_snf, smith_normal_form
-from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
+from quandlequiver.quandles import DihedralQuandle, FiniteQuandle, affine_endomorphisms
+from quandlequiver.quivers import build_quiver
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
 ALEXANDER_5 = FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
-
-
-def test_classify():
-    assert classify((2, 2, 2)) == TRIVIAL
-    assert classify((0,)) == TRIVIAL
-    assert classify((1, 2, 1)) == NONTRIVIAL
 
 
 def test_trefoil_has_nine_colorings_mod_3():
@@ -43,14 +37,14 @@ def test_trefoil_has_nine_colorings_mod_3():
     oracle = enumerate_colorings_oracle(word, DihedralQuandle(3))
     linear = enumerate_colorings_linear(word, 3)
     assert oracle.count == linear.count == 9
-    assert oracle.colorings == linear.colorings
+    assert np.array_equal(oracle.colorings, linear.colorings)
 
 
 def test_figure_eight_has_25_colorings_mod_5():
     oracle = enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5))
     linear = enumerate_colorings_linear(FIGURE_EIGHT, 5)
     assert oracle.count == linear.count == 25
-    assert oracle.colorings == linear.colorings
+    assert np.array_equal(oracle.colorings, linear.colorings)
     assert len(oracle.trivial_indices) == 5
 
 
@@ -61,8 +55,8 @@ def test_unknot_closure_has_only_constant_colorings(n):
     oracle = enumerate_colorings_oracle(word, DihedralQuandle(n))
     linear = enumerate_colorings_linear(TorusLinkSpec(5, 1), n)
     expected = [(c,) * 5 for c in range(n)]
-    assert oracle.colorings == expected
-    assert linear.colorings == expected
+    assert np.array_equal(oracle.colorings, expected)
+    assert np.array_equal(linear.colorings, expected)
 
 
 @pytest.mark.parametrize("n", list(range(2, 10)))
@@ -70,7 +64,7 @@ def test_figure_eight_backends_agree(n):
     oracle = enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(n))
     linear = enumerate_colorings_linear(FIGURE_EIGHT, n)
     assert oracle.count == linear.count
-    assert oracle.colorings == linear.colorings
+    assert np.array_equal(oracle.colorings, linear.colorings)
 
 
 def test_backends_agree_on_torus_grid():
@@ -81,7 +75,7 @@ def test_backends_agree_on_torus_grid():
                 oracle = enumerate_colorings_oracle(word, DihedralQuandle(n))
                 linear = enumerate_colorings_linear(word, n)
                 assert oracle.count == linear.count, (p, q, n)
-                assert oracle.colorings == linear.colorings, (p, q, n)
+                assert np.array_equal(oracle.colorings, linear.colorings), (p, q, n)
 
 
 @pytest.mark.parametrize("p,q,n", [(5, 2, 5), (5, 5, 6), (5, 10, 3), (7, 2, 3)])
@@ -89,30 +83,29 @@ def test_backends_agree_on_wider_cells(p, q, n):
     word = torus_braid(p, q)
     oracle = enumerate_colorings_oracle(word, DihedralQuandle(n))
     linear = enumerate_colorings_linear(word, n)
-    assert oracle.colorings == linear.colorings
+    assert np.array_equal(oracle.colorings, linear.colorings)
 
 
 def test_colorings_are_lex_sorted_and_closed():
     word = torus_braid(5, 2)
     quandle = DihedralQuandle(5)
     cs = enumerate_colorings_oracle(word, quandle)
-    assert cs.colorings == sorted(set(cs.colorings))
-    for c in cs.colorings:
+    rows = list(map(tuple, cs.colorings.tolist()))
+    assert rows == sorted(set(rows))
+    for c in rows:
         assert propagate(word, quandle, c) == c
 
 
 def test_trivial_colorings_are_the_constants():
     word = torus_braid(5, 5)
     cs = enumerate_colorings_linear(word, 6)
-    trivial = [cs.colorings[i] for i in cs.trivial_indices]
-    assert trivial == [(c,) * 5 for c in range(6)]
-    assert len(cs.nontrivial_indices) == cs.count - 6
+    assert np.array_equal(cs.colorings[cs.trivial_indices], [(c,) * 5 for c in range(6)])
 
 
 def test_oracle_works_on_non_dihedral_tables():
     cs = enumerate_colorings_oracle(FIGURE_EIGHT, ALEXANDER_5)
     assert cs.count == len(cs.colorings)
-    for c in cs.colorings:
+    for c in map(tuple, cs.colorings.tolist()):
         assert propagate(FIGURE_EIGHT, ALEXANDER_5, c) == c
 
 
@@ -151,7 +144,7 @@ def assert_oracle_matches_reference(word, quandle, window_states):
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         cs = enumerate_colorings_oracle(word, quandle)
         count = colorings.oracle_counts(word, quandle, [1])[1]
-    assert cs.colorings == expected
+    assert np.array_equal(cs.colorings, expected)
     assert cs.count == count == len(expected)
     return cs
 
@@ -162,7 +155,7 @@ def test_oracle_matches_reference_on_dihedral_powers(cell, q, window_states):
     strands, letters, n = cell
     word = BraidWord(strands, tuple(letters) * q)
     cs = assert_oracle_matches_reference(word, DihedralQuandle(n), window_states)
-    assert cs.colorings == enumerate_colorings_linear(word, n).colorings
+    assert np.array_equal(cs.colorings, enumerate_colorings_linear(word, n).colorings)
 
 
 @settings(max_examples=60)
@@ -380,4 +373,33 @@ def test_linear_accepts_spec_and_word():
     by_spec = enumerate_colorings_linear(TorusLinkSpec(3, 4), 9)
     by_word = enumerate_colorings_linear(torus_braid(3, 4), 9)
     assert by_spec.count == by_word.count
-    assert by_spec.colorings == by_word.colorings
+    assert np.array_equal(by_spec.colorings, by_word.colorings)
+
+
+def test_linear_colorings_hold_one_int64_per_colour():
+    # T(5,10) by R_9: 59049 colorings of 5 strands, 40 bytes of colours each
+    tracemalloc.start()
+    try:
+        cs = enumerate_colorings_linear(TorusLinkSpec(5, 10), 9)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cs.count == 9**5
+    assert held <= 48 * cs.count
+
+
+def test_coloring_rows_must_span_the_strands():
+    word = torus_braid(3, 2)
+    r3 = DihedralQuandle(3)
+    assert ColoringSet(word, r3, [(0, 1, 2)]).colorings.shape == (1, 3)
+    for bad in ([(0, 1)], [(0, 1, 2, 0)], [0, 1, 2], [(0, 1, 2), (0, 1)]):
+        with pytest.raises(ValueError):
+            ColoringSet(word, r3, bad)
+
+
+def test_colorings_and_labels_are_read_only():
+    cs = enumerate_colorings_linear(TorusLinkSpec(3, 2), 3)
+    quiver = build_quiver(cs, affine_endomorphisms(3))
+    for array in (cs.colorings, quiver.labels, enumerate_colorings_oracle(cs.word, cs.quandle).colorings):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1

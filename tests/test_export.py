@@ -119,7 +119,7 @@ def test_json_ends_with_newline_and_is_deterministic():
 def test_coloring_set_and_prediction_dicts():
     cs = enumerate_colorings_oracle(torus_braid(2, 3), DihedralQuandle(3))
     assert cs.count == 9
-    assert cs.colorings[0] == (0, 0)
+    assert cs.colorings[0].tolist() == [0, 0]
     pd = predict_count(5, 2, 5)
     assert pd.case == "ambiguous"
     assert pd.predicted == [5, 25]
@@ -163,7 +163,7 @@ def test_json_round_trip_on_torus_quivers(p, q, n):
     except CapExceededError:
         assume(False)
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
-    assert quiver.labels == coloring_set.colorings
+    assert np.array_equal(quiver.labels, coloring_set.colorings)
     assert quiver_from_json(to_json(quiver, params={"p": p, "q": q, "n": n})) == quiver
 
 
@@ -186,6 +186,7 @@ def random_quivers(draw):
 @given(random_quivers(), st.booleans(), st.booleans(), st.integers(1, 5),
        st.none() | st.dictionaries(st.sampled_from("pqn"), st.integers(0, 99)))
 @example(WeightedQuiver.from_arrows(0, [], [], []), True, False, 1, None)
+@example(WeightedQuiver.from_arrows(0, [], [], [], labels=[]), True, False, 1, None)
 @example(WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]), False, False, 1, {})
 def test_writers_match_reference(quiver, loops, collapse, chunk, params):
     # a chunk of 1 to 5 records puts chunk boundaries inside every list
@@ -196,6 +197,7 @@ def test_writers_match_reference(quiver, loops, collapse, chunk, params):
         assert to_json(quiver, params=params, detected=detected) == export_reference.to_json(
             quiver, params, detected
         )
+    assert quiver_from_json(to_json(quiver)) == quiver
 
 
 def test_writers_match_reference_across_default_chunks():

@@ -8,15 +8,17 @@ over Z_n^p.
 """
 
 import math
+import random
 from collections import deque
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from intmatrix_reference import det, kernel_count_mod
 
-from quandlequiver.braids import closure_system, torus_braid
+from quandlequiver.braids import BraidWord, closure_system, torus_braid
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import (
     IntMatrix,
@@ -183,7 +185,7 @@ def brute_kernel(a, n):
 def test_kernel_count_and_enumeration_match_brute_force(a, n):
     expected = brute_kernel(a, n)
     assert kernel_count_mod(a, n) == len(expected)
-    assert kernel_enumerate_mod(a, n) == expected
+    assert np.array_equal(kernel_enumerate_mod(a, n), expected)
 
 
 def test_kernel_count_zero_matrix():
@@ -200,27 +202,43 @@ def test_kernel_count_torus_5_2_mod_10():
 
 
 def test_kernel_enumerate_identity():
-    assert kernel_enumerate_mod(IntMatrix.identity(5), 5) == [(0, 0, 0, 0, 0)]
+    assert np.array_equal(kernel_enumerate_mod(IntMatrix.identity(5), 5), [(0, 0, 0, 0, 0)])
 
 
 def test_kernel_enumerate_zero_2x2():
-    assert kernel_enumerate_mod(IntMatrix.zeros(2, 2), 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    vectors = kernel_enumerate_mod(IntMatrix.zeros(2, 2), 2)
+    assert vectors.dtype == np.int64 and not vectors.flags.writeable
+    assert vectors.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_kernel_enumerate_torus_5_2_mod_5():
     a = closure_system(torus_braid(5, 2))
     vectors = kernel_enumerate_mod(a, 5)
     assert len(vectors) == 25
-    assert vectors == brute_kernel(a, 5)
+    assert np.array_equal(vectors, brute_kernel(a, 5))
     for y in vectors:
         assert y[0] == y[2] == y[4]
         assert y[1] == y[3]
 
 
+def test_kernel_enumerate_is_exact_past_int64():
+    # z = 5 * 10**9 times V's entry -2 = 10**10 - 2 mod n passes 2**63
+    a = IntMatrix([[2, 4], [6, 10]])
+    half = 5 * 10**9
+    expected = [(0, 0), (0, half), (half, 0), (half, half)]
+    assert np.array_equal(kernel_enumerate_mod(a, 10**10), expected)
+    # a 160-letter word's Smith transform has entries past 2**63
+    rng = random.Random(160)
+    a = closure_system(BraidWord(4, tuple(rng.choice((1, 2, 3)) for _ in range(160))))
+    assert max(abs(x) for row in smith_normal_form(a).right.data for x in row) >= 2**63
+    assert np.array_equal(kernel_enumerate_mod(a, 6), brute_kernel(a, 6))
+
+
 def test_kernel_enumerate_sorted_and_distinct():
     a = closure_system(torus_braid(3, 2))
     vectors = kernel_enumerate_mod(a, 6)
-    assert vectors == sorted(set(vectors))
+    rows = list(map(tuple, vectors.tolist()))
+    assert rows == sorted(set(rows))
     assert len(vectors) == kernel_count_mod(a, 6)
 
 
