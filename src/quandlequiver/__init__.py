@@ -2,10 +2,10 @@
 
 The package computes colorings of torus links (and arbitrary braid
 closures) by dihedral quandles three independent ways: brute-force
-propagation over a Cayley table, exact integer linear algebra through the
-Smith normal form, and closed-form count/quiver formulas; and it builds,
-compares, and exports the coloring quivers induced by quandle
-endomorphisms.
+propagation over a Cayley table, linear algebra through the Smith normal
+form mod n on bounded integers, and closed-form count/quiver formulas;
+and it builds, compares, and exports the coloring quivers induced by
+quandle endomorphisms.
 """
 
 from .braids import (
@@ -35,8 +35,6 @@ from .errors import (
 )
 from .export import ExportOptions, quiver_from_json, to_csv, to_dot, to_json
 from .linalg import (
-    IntMatrix,
-    SnfResult,
     kernel_enumerate_mod,
     smith_normal_form,
 )
@@ -74,10 +72,8 @@ __all__ = [
     "Endomorphism",
     "ExportOptions",
     "FiniteQuandle",
-    "IntMatrix",
     "InternalConsistencyError",
     "QuiverForm",
-    "SnfResult",
     "TorusLinkSpec",
     "WeightedQuiver",
     "affine_endomorphisms",

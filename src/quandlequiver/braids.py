@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import IntMatrix
-
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -108,25 +106,29 @@ def parse_link(text: str) -> BraidWord | TorusLinkSpec:
     return BraidWord(strands, tuple(letters))
 
 
-def propagation_matrix(word: BraidWord) -> IntMatrix:
-    """Exact integer matrix M with bottom = M * top for dihedral targets.
+def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:
+    """Matrix M with bottom = M * top for dihedral targets R_n, n | modulus.
 
     The dihedral rule is linear in both signs: a positive letter sends
     (x, y) to (y, 2y - x), a negative one to (2x - y, x), so the whole
-    word composes to one matrix over Z, independent of the modulus.
+    word composes to one integer matrix.  Its entries grow geometrically
+    with the word, so the rows are reduced mod `modulus` after every
+    letter and M is returned as rows of ints in 0..modulus-1.
     """
     p = word.strands
-    m = [[int(i == j) for j in range(p)] for i in range(p)]
+    m = [[int(i == j) % modulus for j in range(p)] for i in range(p)]
     for letter in word.letters:
         i = abs(letter) - 1
         ri, rj = m[i], m[i + 1]
         if letter > 0:
-            m[i], m[i + 1] = rj[:], [2 * b - a for a, b in zip(ri, rj)]
+            m[i], m[i + 1] = rj, [(2 * b - a) % modulus for a, b in zip(ri, rj)]
         else:
-            m[i], m[i + 1] = [2 * a - b for a, b in zip(ri, rj)], ri[:]
-    return IntMatrix(m)
+            m[i], m[i + 1] = [(2 * a - b) % modulus for a, b in zip(ri, rj)], ri
+    return m
 
 
-def closure_system(word: BraidWord) -> IntMatrix:
-    """M - I: colorings of the braid closure are its kernel mod n."""
-    return propagation_matrix(word) - IntMatrix.identity(word.strands)
+def closure_system(word: BraidWord, modulus: int) -> list[list[int]]:
+    """M - I mod `modulus`: colorings of the braid closure by R_n, for any
+    n dividing the modulus, are its kernel mod n."""
+    m = propagation_matrix(word, modulus)
+    return [[(x - (i == j)) % modulus for j, x in enumerate(row)] for i, row in enumerate(m)]

@@ -308,4 +308,5 @@ def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> Coloring
     cap.
     """
     word = link_word(link)
-    return ColoringSet(word, DihedralQuandle(n), kernel_enumerate_mod(closure_system(word), n, cap=cap))
+    kernel = kernel_enumerate_mod(closure_system(word, n), n, cap=cap)
+    return ColoringSet(word, DihedralQuandle(n), kernel)

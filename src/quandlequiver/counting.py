@@ -21,6 +21,8 @@ Ambiguous cells never get a silent winner here: predict_count carries both
 candidates and the computed counts resolve them, reporting the resolution
 explicitly.  evaluate_cells is the one place where a cell's routes are run
 and its status decided; verify_counts and the CLI's count both use it.
+Its linear route reads every modulus's count off one Smith form of the
+closure system, taken mod the lcm of the moduli.
 Both count through colorings.oracle_counts, the one oracle count entry:
 count asks it for the word itself (power 1), and verify_counts, working
 one p at a time (the unit `--jobs` splits), asks it for every q of the
@@ -205,7 +207,7 @@ def evaluate_cells(
     """Evaluate one link at each modulus in `ns`, one cell at a time.
 
     The linear route builds the closure system and takes its Smith form
-    once for the whole list.  The oracle counts each modulus in
+    once for the whole list, both mod the lcm of `ns`.  The oracle counts each modulus in
     `oracle_ns` through oracle_counts, as verify_counts does; the largest
     of them is checked against `cap` before any route runs, raising
     CapExceededError.  The formula prediction is added only for T(p, q)
@@ -217,7 +219,8 @@ def evaluate_cells(
     if oracle_ns:
         check_oracle_cap(max(oracle_ns), word.strands, cap)
     if linear:
-        snf = smith_normal_form(closure_system(word))
+        modulus = math.lcm(*ns)
+        snf = smith_normal_form(closure_system(word, modulus), modulus)
     for n in ns:
         prediction = predict_count(torus.p, torus.q, n) if predict else None
         count = kernel_count_from_snf(snf, n) if linear else None

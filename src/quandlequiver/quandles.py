@@ -51,17 +51,11 @@ class FiniteQuandle:
             m = self.size
             inv = [[-1] * m for _ in range(m)]
             for y in range(m):
-                seen = 0
                 for x in range(m):
                     z = self.table[x][y]
                     if inv[z][y] != -1:
-                        raise ValueError(
-                            f"right translation by {y} is not a bijection"
-                        )
+                        raise ValueError(f"right translation by {y} is not a bijection")
                     inv[z][y] = x
-                    seen += 1
-                if seen != m:
-                    raise ValueError(f"right translation by {y} is not a bijection")
             self._inverse = tuple(tuple(row) for row in inv)
         return self._inverse
 

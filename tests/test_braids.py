@@ -9,8 +9,9 @@ a quandle that is not a kei).
 import random
 from itertools import product
 
+import intmatrix_reference as ref
 import pytest
-from intmatrix_reference import apply, det
+from intmatrix_reference import IntMatrix, apply, det
 from oracle_reference import propagate
 
 from quandlequiver.braids import (
@@ -21,7 +22,6 @@ from quandlequiver.braids import (
     propagation_matrix,
     torus_braid,
 )
-from quandlequiver.linalg import IntMatrix
 from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 
 
@@ -120,26 +120,29 @@ def test_braid_relation_on_colors():
 
 
 def test_matrix_empty_word():
-    assert propagation_matrix(BraidWord(2, ())) == IntMatrix.identity(2)
+    assert propagation_matrix(BraidWord(2, ()), 7) == [[1, 0], [0, 1]]
+    assert propagation_matrix(BraidWord(2, ()), 1) == [[0, 0], [0, 0]]
 
 
 def test_matrix_single_generator():
-    assert propagation_matrix(BraidWord(2, (1,))).data == [[0, 1], [-1, 2]]
+    assert ref.propagation_matrix(BraidWord(2, (1,))).data == [[0, 1], [-1, 2]]
+    assert propagation_matrix(BraidWord(2, (1,)), 5) == [[0, 1], [4, 2]]
 
 
 def test_matrix_torus_5_10_is_identity_over_z():
-    assert propagation_matrix(torus_braid(5, 10)) == IntMatrix.identity(5)
-    zero = closure_system(torus_braid(5, 10))
-    assert all(v == 0 for row in zero.data for v in row)
+    assert ref.propagation_matrix(torus_braid(5, 10)) == IntMatrix.identity(5)
+    assert propagation_matrix(torus_braid(5, 10), 9) == IntMatrix.identity(5).data
+    zero = closure_system(torus_braid(5, 10), 9)
+    assert all(v == 0 for row in zero for v in row)
 
 
 def test_closure_system_is_matrix_minus_identity():
     word = torus_braid(3, 2)
-    m = propagation_matrix(word)
-    s = closure_system(word)
+    m = propagation_matrix(word, 6)
+    s = closure_system(word, 6)
     for i in range(3):
         for j in range(3):
-            assert s.data[i][j] == m.data[i][j] - (i == j)
+            assert s[i][j] == (m[i][j] - (i == j)) % 6
 
 
 def test_matrix_concatenation_and_determinant():
@@ -149,9 +152,15 @@ def test_matrix_concatenation_and_determinant():
         u = random_word(rng, strands, rng.randint(0, 8))
         v = random_word(rng, strands, rng.randint(0, 8))
         uv = BraidWord(strands, u.letters + v.letters)
-        mu, mv = propagation_matrix(u), propagation_matrix(v)
-        assert propagation_matrix(uv) == mv @ mu
-        assert det(mu) == 1
+        big = rng.randint(1, 60)
+        mu, mv = propagation_matrix(u, big), propagation_matrix(v, big)
+        # the matrix mod L is the integer one reduced, entries in 0..L-1
+        assert mu == [[x % big for x in row] for row in ref.propagation_matrix(u).data]
+        # composition and det(M) = 1 hold mod L
+        composed = [[sum(a * b for a, b in zip(row, col)) % big for col in zip(*mu)] for row in mv]
+        assert propagation_matrix(uv, big) == composed
+        assert det(IntMatrix(mu)) % big == 1 % big
+        assert det(ref.propagation_matrix(u)) == 1
 
 
 def test_propagation_matches_matrix_on_torus_grid():
@@ -159,8 +168,8 @@ def test_propagation_matches_matrix_on_torus_grid():
     for p in range(2, 8):
         for q in range(0, 15):
             word = torus_braid(p, q)
-            m = propagation_matrix(word)
             for n in range(2, 10):
+                m = propagation_matrix(word, n)
                 quandle = DihedralQuandle(n)
                 for _ in range(5):
                     top = tuple(rng.randrange(n) for _ in range(p))
@@ -172,8 +181,8 @@ def test_propagation_matches_matrix_on_signed_words():
     for _ in range(60):
         strands = rng.randint(2, 6)
         word = random_word(rng, strands, rng.randint(1, 12))
-        m = propagation_matrix(word)
         n = rng.randint(2, 9)
+        m = propagation_matrix(word, n)
         quandle = DihedralQuandle(n)
         top = tuple(rng.randrange(n) for _ in range(strands))
         assert propagate(word, quandle, top) == apply(m, top, n)

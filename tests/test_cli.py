@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -210,6 +211,39 @@ def test_quiver_over_enumeration_cap_exits_4(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "quiver: 59049 colorings exceed the enumeration cap\n"
     assert not path.exists()
+
+
+def test_quiver_cap_is_checked_before_the_quandle_is_built(capsys):
+    code = main(["quiver", "--link", "torus:3,2", "--n", "99999999999999999999"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    assert captured.err == "quiver: 299999999999999999997 colorings exceed the enumeration cap\n"
+
+
+def random_word_text(strands, length, seed) -> str:
+    rng = random.Random(seed)
+    letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+    return " ".join(("-" if l < 0 else "") + f"s{abs(l)}" for l in letters)
+
+
+@pytest.mark.parametrize(
+    "strands, length, seed, counts",
+    [
+        (16, 200, 1, [16, 27, 32, 5, 432, 49, 64, 81, 80, 11, 864]),
+        (24, 400, 0, [256, 27, 8192, 5, 6912, 7, 131072, 81, 1280, 121, 221184]),
+    ],
+)
+def test_count_long_random_word_linear(strands, length, seed, counts, time_limit, tmp_path, capsys):
+    # the pinned counts come from an independent valuation-pivot elimination;
+    # an exact-integer Smith form of the 24x400 word does not finish
+    time_limit(20)
+    path = tmp_path / "counts.json"
+    code = main(["count", "--link", random_word_text(strands, length, seed), "--n", "2..12",
+                 "--backend", "linear", "--json", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert [r["count"] for r in json.loads(path.read_text())] == counts
 
 
 def test_quiver_brute_endos_match_affine(capsys):

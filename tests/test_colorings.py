@@ -324,7 +324,7 @@ def test_verify_grid_holds_one_state_map_at_a_time():
 
 
 def linear_count(word, n) -> int:
-    return kernel_count_from_snf(smith_normal_form(closure_system(word)), n)
+    return kernel_count_from_snf(smith_normal_form(closure_system(word, n), n), n)
 
 
 def test_aperiodic_word_holds_no_state_map():
@@ -367,6 +367,17 @@ def test_linear_cap_raises_naming_count():
     with pytest.raises(CapExceededError) as exc:
         enumerate_colorings_linear(torus_braid(5, 0), 9, cap=100)
     assert exc.value.count == 9**5
+
+
+def test_linear_cap_is_checked_before_the_quandle_is_built(monkeypatch):
+    # R_n is an n-by-n table: at n = 10**20 building it would never end
+    def refuse(n):
+        raise AssertionError(f"DihedralQuandle({n}) built before the cap check")
+
+    monkeypatch.setattr(colorings, "DihedralQuandle", refuse)
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_colorings_linear(TorusLinkSpec(3, 2), 10**20)
+    assert exc.value.count == 10**20
 
 
 def test_linear_accepts_spec_and_word():
