@@ -207,11 +207,11 @@ def evaluate_cells(
     """Evaluate one link at each modulus in `ns`, one cell at a time.
 
     The linear route builds the closure system and takes its Smith form
-    once for the whole list, both mod the lcm of `ns`.  The oracle counts each modulus in
-    `oracle_ns` through oracle_counts, as verify_counts does; the largest
-    of them is checked against `cap` before any route runs, raising
-    CapExceededError.  The formula prediction is added only for T(p, q)
-    with p an odd prime.
+    once for the whole list, both mod the lcm of `ns`.  The oracle counts
+    each modulus in `oracle_ns` through oracle_counts, as verify_counts
+    does; the largest of them is checked against `cap` before any route
+    runs, raising CapExceededError.  The formula prediction is added only
+    for T(p, q) with p an odd prime.
     """
     torus = link if isinstance(link, TorusLinkSpec) else None
     predict = formula and torus is not None and is_odd_prime(torus.p)

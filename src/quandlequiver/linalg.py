@@ -1,7 +1,7 @@
 """Smith normal form mod L and kernels mod n, on bounded integers.
 
 A coloring count by R_n needs only gcd(e_i, n) of the closure system's
-Smith invariants e_i, and enumeration needs only the Smith transform modulus
+Smith invariants e_i, and enumeration needs only the Smith transform mod
 n.  So the elimination runs mod one modulus L that every requested n
 divides: each row and column operation is invertible mod L, hence the
 cokernel of A mod L is the sum of the Z/gcd(e_i, L), and for n | L,
