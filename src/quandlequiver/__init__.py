@@ -41,7 +41,6 @@ from .linalg import (
 from .quandles import (
     AxiomReport,
     DihedralQuandle,
-    Endomorphism,
     FiniteQuandle,
     affine_endomorphisms,
     brute_force_endomorphisms,
@@ -69,7 +68,6 @@ __all__ = [
     "ColoringSet",
     "CountPrediction",
     "DihedralQuandle",
-    "Endomorphism",
     "ExportOptions",
     "FiniteQuandle",
     "InternalConsistencyError",

@@ -4,7 +4,9 @@ Exit codes: 0 clean, 2 a computed/predicted or backend mismatch, a bad
 request or an output file that cannot be written, 3 ambiguity encountered
 (and nothing worse), 4 a size cap exceeded.  A bad request is rejected
 before any work, with one line on stderr and nothing on stdout; a failed
-write also ends with one line on stderr.
+write also ends with one line on stderr.  A stdout closed before the
+output is written (``| head -c 0``) is a failed write: exit 2, one line
+on stderr, no traceback.
 """
 
 from __future__ import annotations
@@ -335,7 +337,17 @@ def main(argv=None) -> int:
     try:
         _request(check_environment)
         _check_outputs(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at os.devnull, so the interpreter's final flush of
+        # what is still buffered does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"{args.command}: cannot write to stdout: broken pipe", file=sys.stderr)
+        return EXIT_MISMATCH
     except (BadRequest, WriteFailed) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

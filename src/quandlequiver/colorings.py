@@ -157,12 +157,8 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
     """
     m = quandle.size
     colour = np.min_scalar_type(m - 1)
-    table = np.asarray(quandle.table, dtype=colour)
-    inverse = (
-        np.asarray(quandle.inverse_table, dtype=colour)
-        if any(l < 0 for l in factor)
-        else None
-    )
+    table = quandle.table.astype(colour)
+    inverse = quandle.inverse_table.astype(colour) if any(l < 0 for l in factor) else None
     steps = []
     tables: dict[tuple, np.ndarray] = {}
     for lo, width, letters in _windows(factor, strands, m)[1]:

@@ -196,6 +196,19 @@ class CellRecord:
         }
 
 
+def _lcm(ns) -> int:
+    """The lcm of ns by a balanced tree of pairwise lcms.
+
+    Operands of one level have similar sizes, so the cost stays near that
+    of the last product; math.lcm(*ns) folds left and is quadratic in the
+    bits of the result.
+    """
+    ns = list(ns)
+    while len(ns) > 1:
+        ns = [math.lcm(*ns[i : i + 2]) for i in range(0, len(ns), 2)]
+    return math.lcm(*ns)
+
+
 def evaluate_cells(
     link: BraidWord | TorusLinkSpec,
     ns,
@@ -219,7 +232,7 @@ def evaluate_cells(
     if oracle_ns:
         check_oracle_cap(max(oracle_ns), word.strands, cap)
     if linear:
-        modulus = math.lcm(*ns)
+        modulus = _lcm(ns)
         snf = smith_normal_form(closure_system(word, modulus), modulus)
     for n in ns:
         prediction = predict_count(torus.p, torus.q, n) if predict else None

@@ -1,4 +1,10 @@
-"""Finite quandles, the dihedral family, and their endomorphisms."""
+"""Finite quandles, the dihedral family, and their endomorphisms.
+
+A quandle of size m holds its Cayley table as one read-only (m, m) int64
+array.  A family of k endomorphisms is one read-only (k, m) int64 array
+whose row lists a map's images of 0..m-1; `quivers.build_quiver` checks
+each row against the quandle of the colorings it acts on.
+"""
 
 from __future__ import annotations
 
@@ -11,71 +17,57 @@ from .errors import CapExceededError
 
 
 class FiniteQuandle:
-    """A finite magma given by its Cayley table, table[x][y] = x * y.
+    """A finite magma given by its Cayley table, table[x, y] = x * y.
 
-    Construction validates shape and element range only, so deliberately
-    broken tables can still be built and fed to verify_quandle_axioms;
-    anything needing the inverse operation checks bijectivity on demand.
+    `table` is a read-only (m, m) int64 array.  Construction validates
+    shape and element range only, so deliberately broken tables can still
+    be built and fed to verify_quandle_axioms; `inverse_table` checks
+    bijectivity on demand.
     """
 
     def __init__(self, table):
-        table = [[int(x) for x in row] for row in table]
-        m = len(table)
-        if m == 0:
+        table = np.array(table, dtype=np.int64)
+        if not table.size:
             raise ValueError("table must be nonempty")
-        for row in table:
-            if len(row) != m:
-                raise ValueError("table must be square")
-            for x in row:
-                if not 0 <= x < m:
-                    raise ValueError(f"table entry {x} outside 0..{m - 1}")
+        m = len(table)
+        if table.shape != (m, m):
+            raise ValueError("table must be square")
+        outside = (table < 0) | (table >= m)
+        if outside.any():
+            raise ValueError(f"table entry {table[outside][0]} outside 0..{m - 1}")
+        table.flags.writeable = False
         self.size = m
-        self.table = tuple(tuple(row) for row in table)
-        self._table_array = np.array(self.table, dtype=np.intp)
-        self._table_array.flags.writeable = False
-        self._inverse: tuple[tuple[int, ...], ...] | None = None
-
-    def _check_element(self, x: int):
-        if not 0 <= x < self.size:
-            raise ValueError(f"element {x} outside 0..{self.size - 1}")
-
-    def op(self, x: int, y: int) -> int:
-        self._check_element(x)
-        self._check_element(y)
-        return self.table[x][y]
+        self.table = table
+        self._inverse: np.ndarray | None = None
 
     @property
-    def inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        """inverse_table[x][y] is the unique z with z * y == x."""
+    def inverse_table(self) -> np.ndarray:
+        """inverse_table[x, y] is the unique z with z * y == x, as a read-only array."""
         if self._inverse is None:
-            m = self.size
-            inv = [[-1] * m for _ in range(m)]
-            for y in range(m):
-                for x in range(m):
-                    z = self.table[x][y]
-                    if inv[z][y] != -1:
-                        raise ValueError(f"right translation by {y} is not a bijection")
-                    inv[z][y] = x
-            self._inverse = tuple(tuple(row) for row in inv)
+            m, t = self.size, self.table
+            # right translation by y is a bijection when column y is a permutation
+            broken = np.flatnonzero((np.sort(t, axis=0) != np.arange(m)[:, None]).any(axis=0))
+            if broken.size:
+                raise ValueError(f"right translation by {broken[0]} is not a bijection")
+            inverse = np.empty_like(t)
+            inverse[t, np.arange(m)] = np.arange(m)[:, None]
+            inverse.flags.writeable = False
+            self._inverse = inverse
         return self._inverse
-
-    def inv_op(self, x: int, y: int) -> int:
-        self._check_element(x)
-        self._check_element(y)
-        return self.inverse_table[x][y]
 
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
 
 
 class DihedralQuandle(FiniteQuandle):
-    """Z_n with x * y = 2y - x; involutive, so inv_op coincides with op."""
+    """Z_n with x * y = 2y - x; involutive, so inverse_table equals table."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"modulus must be at least 1, got {n}")
         self.n = n
-        super().__init__([[(2 * y - x) % n for y in range(n)] for x in range(n)])
+        x = np.arange(n)
+        super().__init__((2 * x - x[:, None]) % n)
 
 
 @dataclass(frozen=True)
@@ -99,128 +91,77 @@ class AxiomReport:
         )
 
 
+# triples compared per batch of the distributive law: 2^16 keeps each
+# batch's arrays near 1 MB
+_TRIPLES = 1 << 16
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """The index of bad's first True entry in row-major order, or None."""
+    k = int(bad.argmax())
+    return tuple(int(i) for i in np.unravel_index(k, bad.shape)) if bad.flat[k] else None
+
+
 def verify_quandle_axioms(q: FiniteQuandle) -> AxiomReport:
     """Exhaustively check the three quandle axioms, with witnesses.
 
-    Witnesses: (x, y, z) where (x*y)*z != (x*z)*(y*z); (x1, x2, y) where
-    x1*y == x2*y with x1 != x2; (x,) where x*x != x.
+    Witnesses: the first (x, y, z) where (x*y)*z != (x*z)*(y*z); for the
+    first y with a collision, the first x2 and then the first x1 < x2 with
+    x1*y == x2*y, as (x1, x2, y); the first (x,) where x*x != x.
     """
-    t = q.table
-    m = q.size
+    t, m = q.table, q.size
+    elements = np.arange(m)
 
-    distributive = AxiomCheck(True, None)
-    for x in range(m):
-        for y in range(m):
-            xy = t[x][y]
-            for z in range(m):
-                if t[xy][z] != t[t[x][z]][t[y][z]]:
-                    distributive = AxiomCheck(False, (x, y, z))
-                    break
-            if not distributive.passed:
-                break
-        if not distributive.passed:
+    distributive = None
+    step = max(1, _TRIPLES // (m * m))
+    for start in range(0, m, step):
+        xy = t[start : start + step]
+        # (x*y)*z against (x*z)*(y*z) for a batch of x, indexed (x, y, z)
+        distributive = _first(t[xy] != t[xy[:, None, :], t])
+        if distributive is not None:
+            x, y, z = distributive
+            distributive = (start + x, y, z)
             break
 
-    invertible = AxiomCheck(True, None)
-    for y in range(m):
-        hit = [-1] * m
-        for x in range(m):
-            z = t[x][y]
-            if hit[z] != -1:
-                invertible = AxiomCheck(False, (hit[z], x, y))
-                break
-            hit[z] = x
-        if not invertible.passed:
-            break
+    # earlier[x, y] is the least x1 with x1*y == x*y
+    first = np.full((m, m), m)
+    np.minimum.at(first, (t, elements), elements[:, None])
+    earlier = first[t, elements]
+    invertible = _first((earlier < elements[:, None]).T)  # indexed (y, x2)
+    if invertible is not None:
+        y, x2 = invertible
+        invertible = (int(earlier[x2, y]), x2, y)
 
-    idempotent = AxiomCheck(True, None)
-    for x in range(m):
-        if t[x][x] != x:
-            idempotent = AxiomCheck(False, (x,))
-            break
-
-    return AxiomReport(distributive, invertible, idempotent)
+    idempotent = _first(np.diagonal(t) != elements)
+    return AxiomReport(
+        *(AxiomCheck(w is None, w) for w in (distributive, invertible, idempotent))
+    )
 
 
-class Endomorphism:
-    """A quandle homomorphism, stored by its image table.
+def affine_endomorphisms(n: int) -> np.ndarray:
+    """All n^2 maps x -> a*x + b mod n, as a read-only (n^2, n) image array.
 
-    The homomorphism equation phi(x*y) == phi(x)*phi(y) is verified over
-    all pairs at construction time; an Endomorphism cannot exist unless
-    it actually is one.  For dihedral targets built from a coefficient
-    pair, `affine` records (a, b) with phi(x) = a*x + b.
+    Row b*n + c lists phi(0), ..., phi(n - 1) for the map with phi(0) = b
+    and phi(1) = c, that is a = c - b, so the rows are in lexicographic
+    order.  Every affine map is an endomorphism of the dihedral quandle,
+    since a*(2y - x) + b == 2*(a*y + b) - (a*x + b).
     """
-
-    __slots__ = ("images", "affine")
-
-    def __init__(self, quandle: FiniteQuandle, images, affine: tuple[int, int] | None = None):
-        images = tuple(map(int, images))
-        m = quandle.size
-        if len(images) != m:
-            raise ValueError(f"image table has length {len(images)}, expected {m}")
-        if min(images) < 0 or max(images) >= m:
-            v = next(v for v in images if not 0 <= v < m)
-            raise ValueError(f"image {v} outside 0..{m - 1}")
-        t = quandle._table_array
-        phi = np.array(images, dtype=np.intp)
-        # phi(x*y) against phi(x)*phi(y), all pairs at once
-        lhs, rhs = phi.take(t), t.take(phi, axis=0).take(phi, axis=1)
-        if lhs.tobytes() != rhs.tobytes():
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise ValueError(f"not a homomorphism: phi({x}*{y}) != phi({x})*phi({y})")
-        self.images = images
-        self.affine = affine
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def apply(self, colors) -> tuple[int, ...]:
-        images = self.images
-        return tuple(images[c] for c in colors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Endomorphism) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        if self.affine is not None:
-            a, b = self.affine
-            return f"Endomorphism(x -> {a}*x + {b})"
-        return f"Endomorphism({list(self.images)})"
+    if n < 1:
+        raise ValueError(f"modulus must be at least 1, got {n}")
+    x = np.arange(n)
+    # images[b, c, x] = b + (c - b)*x mod n
+    images = (x[:, None, None] + (x[None, :, None] - x[:, None, None]) * x) % n
+    images = images.reshape(n * n, n)
+    images.flags.writeable = False
+    return images
 
 
-def affine_endomorphisms(n: int) -> list[Endomorphism]:
-    """All n^2 maps x -> a*x + b mod n, in (a, b)-lexicographic order.
-
-    Every affine map is an endomorphism of the dihedral quandle, since
-    a*(2y - x) + b == 2*(a*y + b) - (a*x + b).
-    """
-    q = DihedralQuandle(n)
-    coefficient = np.arange(n)
-    # images[a][b][x] = a*x + b mod n
-    images = ((coefficient[:, None, None] * coefficient + coefficient[:, None]) % n).tolist()
-    return [
-        Endomorphism(q, images[a][b], affine=(a, b)) for a in range(n) for b in range(n)
-    ]
-
-
-def _affine_coefficients(q: FiniteQuandle, images: tuple[int, ...]) -> tuple[int, int] | None:
-    n = q.size
-    b = images[0]
-    a = (images[1] - b) % n if n > 1 else 0
-    if all(images[x] == (a * x + b) % n for x in range(n)):
-        return (a, b)
-    return None
-
-
-def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> list[Endomorphism]:
+def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> np.ndarray:
     """All endomorphisms by pruned depth-first search over image tables.
 
-    Output is in image-table lexicographic order.  The naive search space
-    is size**size, checked against the cap up front; pruning keeps the
-    actual visit count far smaller.
+    Returns a read-only (k, m) image array in lexicographic row order.
+    The naive search space is size**size, checked against the cap up
+    front; pruning keeps the actual visit count far smaller.
     """
     m = q.size
     limit = endo_cap() if cap is None else cap
@@ -230,10 +171,9 @@ def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> list[
             f"brute-force search space {m}^{m} = {naive} exceeds the cap {limit}",
             count=naive,
         )
-    t = q.table
-    dihedral = isinstance(q, DihedralQuandle)
+    t = q.table.tolist()
     images = [-1] * m
-    found: list[Endomorphism] = []
+    found: list[list[int]] = []
 
     def consistent(x: int) -> bool:
         fx = images[x]
@@ -251,9 +191,7 @@ def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> list[
 
     def search(x: int):
         if x == m:
-            tbl = tuple(images)
-            affine = _affine_coefficients(q, tbl) if dihedral else None
-            found.append(Endomorphism(q, tbl, affine=affine))
+            found.append(images.copy())
             return
         for v in range(m):
             images[x] = v
@@ -262,4 +200,6 @@ def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> list[
         images[x] = -1
 
     search(0)
-    return found
+    endos = np.array(found, dtype=np.int64).reshape(-1, m)
+    endos.flags.writeable = False
+    return endos

@@ -3,7 +3,10 @@
 The quiver of a coloring set has one vertex per coloring and, for each
 endomorphism phi of the target quandle, one arrow f -> phi . f; arrows
 with the same endpoints merge into an integer weight.  Row sums therefore
-all equal the number of endomorphisms supplied.
+all equal the number of endomorphisms supplied.  The endomorphisms come
+as one (k, m) image array, such as `quandles.affine_endomorphisms`
+returns, and `build_quiver` checks every row against the coloring set's
+own quandle before it builds.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .colorings import ColoringSet
 from .counting import is_prime, predict_count
 from .errors import AmbiguousCountError, InternalConsistencyError
-from .quandles import DihedralQuandle, Endomorphism
+from .quandles import DihedralQuandle, FiniteQuandle
 
 
 class WeightedQuiver:
@@ -117,9 +120,48 @@ def _row_keys(rows: np.ndarray, m: int, key_type) -> np.ndarray:
     return keys
 
 
+# image pairs checked per batch: 2^16 keeps each batch's arrays under 1 MB
+_CHECK_PAIRS = 1 << 16
+
+
+def _endomorphism_images(quandle: FiniteQuandle, endos, colour) -> np.ndarray:
+    """The (k, m) rows of `endos` in colour dtype, each an endomorphism of `quandle`.
+
+    Each row must hold m images in 0..m-1 with phi(x*y) == phi(x)*phi(y)
+    for every pair (x, y).  Rows are checked a batch at a time; the first
+    failing row, and its first failing pair, raise ValueError.
+    """
+    m = quandle.size
+    endos = np.asarray(endos, dtype=np.int64)
+    if endos.shape == (0,):
+        endos = endos.reshape(0, m)
+    if endos.ndim != 2 or endos.shape[1] != m:
+        raise ValueError(f"endomorphisms must be rows of {m} images, got shape {endos.shape}")
+    outside = (endos < 0) | (endos >= m)
+    if outside.any():
+        raise ValueError(f"image {endos[outside][0]} outside 0..{m - 1}")
+    images = endos.astype(colour)
+    table = quandle.table.astype(colour)
+    step = max(1, _CHECK_PAIRS // (m * m))
+    for start in range(0, len(images), step):
+        phi = images[start : start + step]
+        # phi(x*y) against phi(x)*phi(y), indexed (row, x, y)
+        broken = phi[:, table] != table[phi[:, :, None], phi[:, None, :]]
+        if broken.any():
+            e, x, y = np.unravel_index(broken.argmax(), broken.shape)
+            raise ValueError(
+                f"endomorphism {start + e}: not a homomorphism: "
+                f"phi({x}*{y}) != phi({x})*phi({y})"
+            )
+    return images
+
+
 def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     """Apply every endomorphism to every coloring and record the arrows.
 
+    `endos` is a (k, m) array-like whose row lists a map's images of
+    0..m-1; every row is first checked to be an endomorphism of the
+    coloring set's own quandle, and a row that is not raises ValueError.
     Each coloring is keyed by its colours in base m; the image rows of a
     slab of colorings under all endomorphisms are gathered at once and
     found among the keys by binary search.  Sorting each vertex's targets
@@ -129,21 +171,17 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     them means the inputs are inconsistent and raises.  Structural laws
     that hold by construction are re-checked on every build.
     """
-    endos = list(endos)
     m = coloring_set.quandle.size
-    for phi in endos:
-        if not isinstance(phi, Endomorphism) or len(phi.images) != m:
-            raise ValueError("endomorphisms must act on the coloring set's quandle")
+    colour = np.min_scalar_type(m - 1)
+    images = _endomorphism_images(coloring_set.quandle, endos, colour)
     colorings = coloring_set.colorings
     n_vertices, strands = colorings.shape
-    colour = np.min_scalar_type(m - 1)
     key_type = np.int64 if m**strands < 2**63 else object
     points = colorings.astype(colour)
     keys = _row_keys(points, m, key_type)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
-    images = np.array([phi.images for phi in endos], dtype=colour).reshape(len(endos), m)
-    per_row = len(endos)
+    per_row = len(images)
     slabs = range(0, n_vertices, max(1, _SLAB // per_row)) if per_row else ()
     src, dst, weight = [], [], []
     for start in slabs:
@@ -152,10 +190,10 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
         missing = keys[np.minimum(targets, n_vertices - 1)] != image_keys
         if missing.any():
             e, k = np.argwhere(missing)[0]
-            f = tuple(colorings[start + k].tolist())
+            f = points[start + k]
             raise InternalConsistencyError(
-                f"image {endos[e].apply(f)} of coloring {f} under {endos[e]!r} "
-                "is not itself a coloring"
+                f"image {tuple(images[e][f].tolist())} of coloring {tuple(f.tolist())} "
+                f"under endomorphism {e} is not itself a coloring"
             )
         # each run of one target in a vertex's sorted targets is one arrow
         flat = np.sort(targets.T, axis=1).ravel()

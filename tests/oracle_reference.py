@@ -17,12 +17,8 @@ def enumerate_colorings(word, quandle) -> list[tuple[int, ...]]:
     m = quandle.size
     p = word.strands
     total = m**p
-    table = np.asarray(quandle.table, dtype=np.int64)
-    inverse = (
-        np.asarray(quandle.inverse_table, dtype=np.int64)
-        if any(l < 0 for l in word.letters)
-        else None
-    )
+    table = quandle.table
+    inverse = quandle.inverse_table if any(l < 0 for l in word.letters) else None
     powers = [m ** (p - 1 - j) for j in range(p)]
     kept: list[np.ndarray] = []
     for start in range(0, total, _SLAB):
@@ -55,8 +51,8 @@ def propagate(word, quandle, top) -> tuple[int, ...]:
     for c in state:
         if not 0 <= c < quandle.size:
             raise ValueError(f"color {c} outside 0..{quandle.size - 1}")
-    table = quandle.table
-    inverse = quandle.inverse_table if any(l < 0 for l in word.letters) else None
+    table = quandle.table.tolist()
+    inverse = quandle.inverse_table.tolist() if any(l < 0 for l in word.letters) else None
     for letter in word.letters:
         i = abs(letter) - 1
         x, y = state[i], state[i + 1]

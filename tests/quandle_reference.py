@@ -1,9 +1,16 @@
 """Reference quandle checks used by the tests: the dihedral operation on
-single elements, the kei law, and an audit of the affine endomorphisms."""
+single elements, the kei law, the quandle axioms and the homomorphism law
+checked element by element, and an audit of the affine endomorphisms."""
 
 import warnings
 
-from quandlequiver.quandles import DihedralQuandle, affine_endomorphisms, brute_force_endomorphisms
+from quandlequiver.quandles import (
+    AxiomCheck,
+    AxiomReport,
+    DihedralQuandle,
+    affine_endomorphisms,
+    brute_force_endomorphisms,
+)
 
 
 class NonAffineEndomorphismWarning(UserWarning):
@@ -21,10 +28,63 @@ def dihedral_op(n: int, x: int, y: int) -> int:
 
 def is_involutive(q) -> bool:
     """(x*y)*y == x for all pairs."""
-    t = q.table
+    t = q.table.tolist()
     return all(
         t[t[x][y]][y] == x for x in range(q.size) for y in range(q.size)
     )
+
+
+def verify_quandle_axioms(q) -> AxiomReport:
+    """The three quandle axioms checked by loops, with the package's witnesses.
+
+    Witnesses: (x, y, z) where (x*y)*z != (x*z)*(y*z); (x1, x2, y) where
+    x1*y == x2*y with x1 != x2; (x,) where x*x != x.
+    """
+    t = q.table.tolist()
+    m = q.size
+
+    distributive = AxiomCheck(True, None)
+    for x in range(m):
+        for y in range(m):
+            xy = t[x][y]
+            for z in range(m):
+                if t[xy][z] != t[t[x][z]][t[y][z]]:
+                    distributive = AxiomCheck(False, (x, y, z))
+                    break
+            if not distributive.passed:
+                break
+        if not distributive.passed:
+            break
+
+    invertible = AxiomCheck(True, None)
+    for y in range(m):
+        hit = [-1] * m
+        for x in range(m):
+            z = t[x][y]
+            if hit[z] != -1:
+                invertible = AxiomCheck(False, (hit[z], x, y))
+                break
+            hit[z] = x
+        if not invertible.passed:
+            break
+
+    idempotent = AxiomCheck(True, None)
+    for x in range(m):
+        if t[x][x] != x:
+            idempotent = AxiomCheck(False, (x,))
+            break
+
+    return AxiomReport(distributive, invertible, idempotent)
+
+
+def first_broken_pair(q, images):
+    """The first (x, y) with phi(x*y) != phi(x)*phi(y), pair by pair, or None."""
+    t = q.table.tolist()
+    for x in range(q.size):
+        for y in range(q.size):
+            if images[t[x][y]] != t[images[x]][images[y]]:
+                return x, y
+    return None
 
 
 def audit_affine_completeness(n: int, cap: int | None = None):
@@ -36,12 +96,13 @@ def audit_affine_completeness(n: int, cap: int | None = None):
     """
     q = DihedralQuandle(n)
     brute = brute_force_endomorphisms(q, cap=cap)
-    affine = set(e.images for e in affine_endomorphisms(n))
-    missing = affine - set(e.images for e in brute)
+    affine = set(map(tuple, affine_endomorphisms(n).tolist()))
+    brute = list(map(tuple, brute.tolist()))
+    missing = affine - set(brute)
     if missing:
         raise_internal = ", ".join(map(str, sorted(missing)))
         raise AssertionError(f"brute-force search missed affine maps: {raise_internal}")
-    surplus = [e for e in brute if e.images not in affine]
+    surplus = [e for e in brute if e not in affine]
     if surplus:
         warnings.warn(
             f"R_{n} has {len(surplus)} endomorphisms outside the affine family",

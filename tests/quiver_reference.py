@@ -65,13 +65,13 @@ def build_quiver(coloring_set, endos):
     colorings = list(map(tuple, coloring_set.colorings.tolist()))
     index = {c: k for k, c in enumerate(colorings)}
     quiver = DictQuiver(len(colorings), labels=colorings)
-    for phi in endos:
+    for phi in np.asarray(endos).tolist():
         for k, f in enumerate(colorings):
-            g = phi.apply(f)
+            g = tuple(phi[c] for c in f)
             j = index.get(g)
             if j is None:
                 raise InternalConsistencyError(
-                    f"image {g} of coloring {f} under {phi!r} is not itself a coloring"
+                    f"image {g} of coloring {f} under {phi} is not itself a coloring"
                 )
             quiver.add(k, j)
     return quiver.freeze()

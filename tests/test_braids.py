@@ -109,7 +109,7 @@ def test_negative_crossing_on_kei_uses_op_itself():
     word = BraidWord(2, (-1,))
     for x in range(7):
         for y in range(7):
-            assert propagate(word, r7, (x, y)) == (r7.op(y, x), x)
+            assert propagate(word, r7, (x, y)) == (r7.table[y, x], x)
 
 
 def test_braid_relation_on_colors():

@@ -418,6 +418,28 @@ def test_failed_write_ends_in_one_line(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("n", ["2..3", "2..3000"])
+def test_closed_stdout_ends_in_one_line(n):
+    # the pipe's read end is closed before the process starts, so every
+    # write to stdout fails: small output at the final flush, large output
+    # inside the row loop; -X dev would also print an unclosed-file warning
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "quandlequiver", "count", "--link", "torus:5,4",
+             "--n", n, "--backend", "formula"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(quandlequiver.__file__).parents[1],
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_MISMATCH
+    assert proc.stderr == "count: cannot write to stdout: broken pipe\n"
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quiver", "--help"])

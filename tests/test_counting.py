@@ -8,6 +8,8 @@ rather than silently picking one.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quandlequiver.counting import (
     CASE_AMBIGUOUS,
@@ -18,10 +20,16 @@ from quandlequiver.counting import (
     STATUS_AMBIGUOUS_RESOLVED,
     STATUS_MATCH,
     STATUS_MISMATCH,
+    _lcm,
     is_odd_prime,
     predict_count,
     verify_counts,
 )
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=40))
+def test_lcm_tree_equals_math_lcm(ns):
+    assert _lcm(ns) == math.lcm(*ns)
 
 
 def test_is_odd_prime():
