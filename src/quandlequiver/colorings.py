@@ -1,19 +1,23 @@
 """Enumerating quandle colorings of braid closures, two independent ways.
 
-The oracle backend tries every candidate top state and keeps those the
-braid word maps back to themselves; it works for any finite quandle and
-knows nothing about linearity.  The linear backend solves the closure
-system (M - I) y = 0 mod n through the Smith normal form and is specific
-to dihedral targets.  The two share nothing past the crossing convention,
-which is what makes their agreement meaningful.
+The oracle backend pushes candidate top states through the braid word
+and keeps those it maps back to themselves; it works for any finite
+quandle and knows nothing about linearity.  The linear backend solves
+the closure system (M - I) y = 0 mod n through the Smith normal form and
+is specific to dihedral targets.  The two share nothing past the
+crossing convention, which is what makes their agreement meaningful.
 
-The oracle has one walk: every top state, slab by slab, through the
-word's shortest repeated factor, by the factor's window tables when no
-power above 1 is asked for, and by its state map, built once, when one
-is.  oracle_counts (the counts) and enumerate_colorings_oracle (the
-colorings) both take it.  Either enumerator returns its colorings as one
-read-only (count, strands) int64 array, and raises CapExceededError,
-naming the count, rather than return part of them over its cap.
+The oracle has one walk: top states, slab by slab, through the word's
+shortest repeated factor, by the factor's window tables when no power
+above 1 is asked for, and by its state map, built once, when one is.
+oracle_counts (the counts) and enumerate_colorings_oracle (the
+colorings) both take it.  The counts walk one top per orbit of the
+colour shift x -> x + 1 mod m, the tops with strand 1 coloured 0, when
+that shift is an automorphism of the Cayley table, and every top
+otherwise; the colorings always walk every top.  Either enumerator
+returns its colorings as one read-only (count, strands) int64 array, and
+raises CapExceededError, naming the count, rather than return part of
+them over its cap.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class ColoringSet:
 
 _SLAB = 1 << 16  # state indices handled per batch
 _WINDOW_STATES = 1 << 16  # largest window table: m**k entries
+_SHIFT_ENTRIES = 1 << 16  # table entries compared per batch of the shift check
 
 
 def _factor_power(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -219,12 +224,32 @@ def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -
     return state_map
 
 
-def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, powers):
-    """(power, tops, bottoms) slab by slab, for each power in ascending order,
-    the bottoms being the tops' images under factor**power.
+def _shift_orbit(quandle: FiniteQuandle) -> int:
+    """m when the shift x -> x + 1 mod m is an automorphism of the table, else 1.
 
-    When some power is 2 or more, the factor's state map is built once and
-    each slab walks through it, up to the largest power.  Otherwise each
+    Checks table[x + 1, y + 1] == table[x, y] + 1 mod m for every (x, y), a
+    batch of rows at a time, so the check holds a few copies of one batch,
+    never of the whole table.
+    """
+    m, table = quandle.size, quandle.table
+    shift = np.roll(np.arange(m), -1)  # shift[x] = x + 1 mod m
+    step = max(1, _SHIFT_ENTRIES // m)
+    for start in range(0, m, step):
+        # table[x + 1, y + 1] against table[x, y] + 1 for a batch of x
+        rows = shift[start : start + step]
+        if not np.array_equal(table[rows][:, shift], shift[table[start : start + step]]):
+            return 1
+    return m
+
+
+def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, powers, stop: int):
+    """(power, tops, bottoms) slab by slab over the tops 0..stop-1, for each
+    power in ascending order, the bottoms being the tops' images under
+    factor**power.
+
+    When some power is 2 or more, the factor's state map, over all
+    m**strands states whatever `stop` is, is built once and each slab
+    walks through it, up to the largest power.  Otherwise each
     slab is pushed through the window tables as it goes, and no map is
     held.  Power 0 takes no step, so an empty factor never reaches the
     window tables.  The bottoms live in two alternating buffers: read them
@@ -243,9 +268,9 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
 
     elif 1 in powers:
         step = _window_push(factor, strands, quandle, index)
-    buffers = np.empty((2, min(_SLAB, total)), dtype=index)
-    for start in range(0, total, _SLAB):
-        tops = np.arange(start, min(start + _SLAB, total), dtype=index)
+    buffers = np.empty((2, min(_SLAB, stop)), dtype=index)
+    for start in range(0, stop, _SLAB):
+        tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
         bottoms, walked = tops, 0
         for power in powers:
             for k in range(walked, power):
@@ -270,28 +295,41 @@ def oracle_counts(word: BraidWord, quandle: FiniteQuandle, powers, cap: int | No
 
     The one oracle count: the word is written as factor**r, and one walk
     counts the fixed points of factor**(r*k) for every k at once; power 0
-    fixes every top.  The cap is checked before any table or map is built.
+    fixes every top.  The cap, on all m**strands candidate tops, is checked
+    before any table or map is built.
+
+    When the shift x -> x + 1 mod m is an automorphism of the table, the
+    walk takes only the m**(strands - 1) tops with strand 1 coloured 0 and
+    multiplies each count by m.  Crossings read only the table and its
+    inverse, so shifting every strand's colour commutes with the word;
+    the fixed tops of each power are closed under the shift, and each of
+    its orbits holds m tops, one with strand 1 coloured 0.
     """
-    check_oracle_cap(quandle.size, word.strands, cap)
+    m, strands = quandle.size, word.strands
+    check_oracle_cap(m, strands, cap)
     factor, r = _factor_power(word.letters)
+    orbit = _shift_orbit(quandle)
     fixed = dict.fromkeys((r * k for k in powers), 0)
-    for power, tops, bottoms in _power_slabs(factor, word.strands, quandle, fixed):
+    for power, tops, bottoms in _power_slabs(factor, strands, quandle, fixed, m**strands // orbit):
         fixed[power] += int(np.count_nonzero(bottoms == tops))
-    return {k: fixed[r * k] for k in powers}
+    return {k: orbit * fixed[r * k] for k in powers}
 
 
 def enumerate_colorings_oracle(word: BraidWord, quandle: FiniteQuandle, cap: int | None = None) -> ColoringSet:
-    """Brute force over all size**strands candidate tops.
+    """Brute force over all size**strands candidate tops, unreduced.
 
     The word is written as factor**q, and a top is a coloring iff
     factor**q fixes it; the slabs come from the same walk oracle_counts
-    takes.  Fixed indices are found in increasing order, which is
-    lexicographic order of the tops, so the rows are already sorted.
+    takes, but over every top, whatever the table's automorphisms, so
+    each coloring is found by propagation itself.  Fixed indices are found
+    in increasing order, which is lexicographic order of the tops, so the
+    rows are already sorted.
     """
     m, strands = quandle.size, word.strands
     check_oracle_cap(m, strands, cap)
     factor, q = _factor_power(word.letters)
-    kept = [tops[bottoms == tops] for _, tops, bottoms in _power_slabs(factor, strands, quandle, [q])]
+    slabs = _power_slabs(factor, strands, quandle, [q], m**strands)
+    kept = [tops[bottoms == tops] for _, tops, bottoms in slabs]
     rows = np.stack(_digits(np.concatenate(kept), m, strands, np.int64), axis=1)
     return ColoringSet(word, quandle, rows)
 

@@ -27,7 +27,12 @@ Both count through colorings.oracle_counts, the one oracle count entry:
 count asks it for the word itself (power 1), and verify_counts, working
 one p at a time (the unit `--jobs` splits), asks it for every q of the
 grid at once, since T(p, q) closes the q-th power of one factor; it runs
-one oracle walk per (p, n) and fills those counts into the cells.
+one oracle walk per (p, n) and fills those counts into the cells.  On R_n
+that walk takes the n**(p-1) tops with strand 1 coloured 0, one per
+orbit of the colour shift, and multiplies by n; the oracle cap still
+counts all n**p candidate tops.  A torus link becomes a braid word only
+for the linear and oracle routes, so the formula alone never builds its
+(p - 1) * q letters.
 """
 
 from __future__ import annotations
@@ -224,13 +229,16 @@ def evaluate_cells(
     each modulus in `oracle_ns` through oracle_counts, as verify_counts
     does; the largest of them is checked against `cap` before any route
     runs, raising CapExceededError.  The formula prediction is added only
-    for T(p, q) with p an odd prime.
+    for T(p, q) with p an odd prime.  A torus link is expanded to its
+    braid word only when the linear or oracle route runs; the formula
+    reads p and q alone.
     """
     torus = link if isinstance(link, TorusLinkSpec) else None
     predict = formula and torus is not None and is_odd_prime(torus.p)
-    word = link_word(link)
     if oracle_ns:
-        check_oracle_cap(max(oracle_ns), word.strands, cap)
+        check_oracle_cap(max(oracle_ns), torus.p if torus else link_word(link).strands, cap)
+    if linear or oracle_ns:
+        word = link_word(link)
     if linear:
         modulus = _lcm(ns)
         snf = smith_normal_form(closure_system(word, modulus), modulus)

@@ -1,9 +1,10 @@
 """Reference oracle used by the tests: every candidate top through every letter.
 
-The package's oracle walks every top through the window tables (or the
+The package's oracle walks the tops through the window tables (or the
 state map) of the word's repeated factor and keeps the fixed points of
-its q-th power; this is the direct per-letter propagation it must agree
-with.  `propagate` pushes one
+its q-th power, counting one top per orbit of the colour shift when the
+shift is an automorphism of the table; this is the direct per-letter
+propagation over every top that it must agree with.  `propagate` pushes one
 top state through the word, crossing by crossing.
 """
 

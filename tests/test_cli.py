@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlequiver
-from quandlequiver import cli, colorings, export, quivers
+from quandlequiver import braids, cli, colorings, counting, export, quivers
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CAP,
@@ -62,6 +62,35 @@ def test_count_formula_only_ambiguous_has_no_winner(capsys):
     assert code == EXIT_AMBIGUOUS
     assert "candidates (5, 25)" in out
     assert "computed" not in out
+
+
+def refuse_torus_word(monkeypatch):
+    """Make any expansion of a torus link into letters raise: for a huge q
+    it would allocate (p - 1) * q letters."""
+
+    def refuse(*args):
+        raise AssertionError("torus word built")
+
+    monkeypatch.setattr(counting, "link_word", refuse)
+    monkeypatch.setattr(braids, "torus_braid", refuse)
+
+
+def test_count_formula_never_expands_the_torus_word(monkeypatch, capsys):
+    refuse_torus_word(monkeypatch)
+    code = main(["count", "--link", "torus:5,7", "--n", "2..4", "--backend", "formula"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "".join(
+        f"torus:5,7 n={n}: N={n} case=trivial-only [ok]\n" for n in (2, 3, 4)
+    )
+
+
+def test_count_oracle_cap_reads_the_torus_strands_from_p(monkeypatch, capsys):
+    refuse_torus_word(monkeypatch)
+    code = main(
+        ["count", "--link", "torus:5,7", "--n", "17", "--backend", "oracle", "--oracle-cap", "100"]
+    )
+    assert code == EXIT_CAP
+    assert "17^5 = 1419857" in capsys.readouterr().err
 
 
 def test_count_formula_rejects_non_torus(capsys):

@@ -30,6 +30,17 @@ from quandlequiver.quivers import build_quiver
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
 ALEXANDER_5 = FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
+# R_5 with the colours 0 and 1 swapped: still a quandle, but x -> x + 1 is no
+# longer an automorphism of its table
+SWAP = (1, 0, 2, 3, 4)
+RELABELLED_R5 = FiniteQuandle(
+    [[SWAP[(2 * SWAP[y] - SWAP[x]) % 5] for y in range(5)] for x in range(5)]
+)
+
+
+def trivial_quandle(m):
+    """x * y = x on m elements."""
+    return FiniteQuandle([[x] * m for x in range(m)])
 
 
 def test_trefoil_has_nine_colorings_mod_3():
@@ -184,15 +195,20 @@ def test_oracle_matches_reference_on_non_bijective_tables(factor, q, window_stat
 
 @st.composite
 def oracle_quandles(draw):
-    """(strands, factor letters, quandle): a dihedral quandle, ALEXANDER_5, or
-    a table whose rows and columns need not be permutations (positive
-    letters only), with at most 6**6 states."""
-    kind = draw(st.sampled_from(("dihedral", "alexander", "table")))
+    """(strands, factor letters, quandle): a dihedral quandle, ALEXANDER_5, a
+    trivial quandle, RELABELLED_R5, or a table whose rows and columns need
+    not be permutations (positive letters only), with at most 6**6 states."""
+    kind = draw(st.sampled_from(("dihedral", "alexander", "trivial", "relabelled", "table")))
     strands, letters = draw(factors(signed=kind != "table", letters=8))
+    largest = max(m for m in range(2, 10) if m**strands <= 6**6)
     if kind == "dihedral":
-        quandle = DihedralQuandle(draw(st.integers(2, max(m for m in range(2, 10) if m**strands <= 6**6))))
+        quandle = DihedralQuandle(draw(st.integers(2, largest)))
     elif kind == "alexander":
         quandle = ALEXANDER_5
+    elif kind == "trivial":
+        quandle = trivial_quandle(draw(st.integers(1, largest)))
+    elif kind == "relabelled":
+        quandle = RELABELLED_R5
     else:
         m = draw(st.integers(2, 5))
         row = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
@@ -221,6 +237,79 @@ def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
     assert counts == per_power
     for k in set(powers):
         assert counts[k] == len(reference_colorings(BraidWord(strands, word.letters * k), quandle))
+
+
+@settings(max_examples=150)
+@given(oracle_quandles(), st.sampled_from(WINDOW_STATES), st.sampled_from((7, 1 << 16)))
+def test_orbit_counts_match_reference(cell, window_states, slab):
+    # one top per shift orbit times m, or every top when the shift check
+    # fails, must count what the per-letter reference finds on every top
+    strands, letters, quandle = cell
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        mp.setattr(colorings, "_SLAB", slab)
+        counts = colorings.oracle_counts(BraidWord(strands, letters), quandle, [0, 1, 2, 3])
+    assert counts == {
+        k: len(reference_colorings(BraidWord(strands, letters * k), quandle)) for k in range(4)
+    }
+
+
+@pytest.mark.parametrize(
+    "quandle,orbit",
+    [
+        (DihedralQuandle(1), 1),
+        (DihedralQuandle(2), 2),
+        (DihedralQuandle(9), 9),
+        (ALEXANDER_5, 5),
+        (trivial_quandle(4), 4),
+        (RELABELLED_R5, 1),
+        (FiniteQuandle([[0, 0], [0, 0]]), 1),
+    ],
+)
+@pytest.mark.parametrize("batch", [1, 1 << 16])
+def test_shift_check_on_each_table_kind(quandle, orbit, batch, monkeypatch):
+    # a batch of 1 entry checks one row at a time
+    monkeypatch.setattr(colorings, "_SHIFT_ENTRIES", batch)
+    assert colorings._shift_orbit(quandle) == orbit
+
+
+def walked_tops(monkeypatch) -> list[int]:
+    """Record the number of tops of every slab _power_slabs yields from now on."""
+    walked = []
+    slabs = colorings._power_slabs
+
+    def recording(*args):
+        for power, tops, bottoms in slabs(*args):
+            walked.append(len(tops))
+            yield power, tops, bottoms
+
+    monkeypatch.setattr(colorings, "_power_slabs", recording)
+    return walked
+
+
+@pytest.mark.parametrize("power", [1, 3])
+@pytest.mark.parametrize(
+    "quandle,tops", [(DihedralQuandle(5), 5**3), (ALEXANDER_5, 5**3), (RELABELLED_R5, 5**4)]
+)
+def test_counts_walk_one_top_per_shift_orbit(quandle, tops, power, monkeypatch):
+    # the state map of power 3 still spans all 5**4 states; only the walked
+    # tops shrink.  Listing the colorings always walks every top.
+    word = BraidWord(4, (1, -2, 3, 2))
+    walked = walked_tops(monkeypatch)
+    count = colorings.oracle_counts(word, quandle, [power])[power]
+    assert sum(walked) == tops
+    walked.clear()
+    cs = enumerate_colorings_oracle(BraidWord(4, word.letters * power), quandle)
+    assert sum(walked) == 5**4
+    assert count == cs.count
+
+
+def test_shift_check_holds_one_row_batch():
+    # R_3000's table is 72 MB; the check may hold a few copies of one batch
+    quandle = DihedralQuandle(3000)
+    orbits = []
+    assert peak_bytes(lambda: orbits.append(colorings._shift_orbit(quandle))) < 3 * 2**20
+    assert orbits == [3000]
 
 
 def table_entries(cover, m):
