@@ -73,12 +73,14 @@ def _positive(text: str) -> int:
 
 
 def _check_outputs(args):
-    """Reject an output path whose directory does not exist, before any work."""
+    """Reject an output path that is a directory or lies in none, before any work."""
     # every command's output path options; "-" means stdout
     for dest in ("out", "csv", "json"):
         path = getattr(args, dest, None)
         if path is None or path == "-":
             continue
+        if os.path.isdir(path):
+            raise BadRequest(f"cannot write {path!r}: Is a directory")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise BadRequest(f"--{dest}: no such directory {directory!r}")

@@ -290,10 +290,6 @@ class QuiverForm:
     def n_vertices(self) -> int:
         return sum(f.copies * f.size for f in self.families)
 
-    @property
-    def n_blocks(self) -> int:
-        return sum(f.copies for f in self.families)
-
 
 def realize(form: QuiverForm) -> WeightedQuiver:
     """Expand a form to an explicit quiver, vertices in block-major order."""
@@ -361,106 +357,29 @@ def predict_quiver(p: int, q: int, n: int) -> QuiverForm:
 # --- block structure -----------------------------------------------------
 
 
-def _byte_classes(packed: np.ndarray, offsets: np.ndarray) -> tuple[list[int], int]:
+def _byte_classes(packed: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Number the segments packed[offsets[v]:offsets[v + 1]] by first appearance.
 
     Segments are compared exactly as bytes: equal segments, equal numbers.
-    Returns the numbers and how many distinct segments there are.
     """
     data = packed.tobytes()
     spans = (offsets * packed.itemsize).tolist()
     seen: dict[bytes, int] = {}
-    classes = [seen.setdefault(data[a:b], len(seen)) for a, b in zip(spans, spans[1:])]
-    return classes, len(seen)
-
-
-def _refine(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> list[int]:
-    """Iterated colour refinement by (loop, out-profile, in-profile).
-
-    The arrows src[k] -> dst[k] of weight weight[k] come in CSR order:
-    sorted by source.  The first signature of a vertex is its loop weight
-    with the multisets of its out- and in-weights; each later one its
-    colour with the multisets of (weight, neighbour colour) over its out-
-    and in-arrows, until the number of colours stops growing.  A
-    signature is packed as the sorted segments of its arrows' values, one
-    int64 each, and compared exactly as bytes, so the partition into
-    colours depends on local structure only, never on vertex labels.
-    Colours number the signatures in order of first appearance.
-    """
-    n_edges = src.size
-    out_degree = np.bincount(src, minlength=n)
-    # weight ranks keep order and equality and bound the packed values;
-    # the appended 0 ranks the weight of a missing loop
-    _, rank = np.unique(np.append(weight, 0), return_inverse=True)
-    loop = np.full(n, rank[-1])
-    is_loop = src == dst
-    loop[src[is_loop]] = rank[:-1][is_loop]
-    rank = rank[:-1]
-    by_dst = np.argsort(dst, kind="stable")
-    in_owner, in_other, in_rank = dst[by_dst], src[by_dst], rank[by_dst]
-    in_degree = np.bincount(dst, minlength=n)
-
-    # vertex v's signature: [head, out-degree, sorted out values, sorted in values]
-    sizes = 2 + out_degree + in_degree
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    edge = np.arange(n_edges)
-    out_first = np.cumsum(out_degree) - out_degree
-    in_first = np.cumsum(in_degree) - in_degree
-    out_pos = offsets[src] + 2 + edge - out_first[src]
-    in_pos = offsets[in_owner] + 2 + out_degree[in_owner] + edge - in_first[in_owner]
-    packed = np.empty(int(offsets[-1]), dtype=np.int64)
-    packed[offsets[:-1] + 1] = out_degree
-
-    def classes(head, out_values, in_values):
-        packed[offsets[:-1]] = head
-        packed[out_pos] = out_values[np.lexsort((out_values, src))]
-        packed[in_pos] = in_values[np.lexsort((in_values, in_owner))]
-        return _byte_classes(packed, offsets)
-
-    colors, n_colors = classes(loop, rank, in_rank)
-    while True:
-        current = np.array(colors, dtype=np.int64)
-        colors, new_count = classes(
-            current, rank * n_colors + current[dst], in_rank * n_colors + current[in_other]
-        )
-        if new_count == n_colors:
-            return colors
-        n_colors = new_count
-
-
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each vertex's smallest vertex in its component of the undirected graph a[k] - b[k].
-
-    Min-label propagation with pointer jumping: every label is a vertex of
-    the same component no larger than its own.  A round hooks each root to
-    the smallest label across its edges, then jumps pointers until every
-    label is a root; no edge joining two roots is left when it ends.
-    """
-    label = np.arange(n)
-    while True:
-        la, lb = label[a], label[b]
-        differ = la != lb
-        if not differ.any():
-            return label
-        la, lb = la[differ], lb[differ]
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
+    classes = (seen.setdefault(data[a:b], len(seen)) for a, b in zip(spans, spans[1:]))
+    return np.fromiter(classes, dtype=np.int64, count=offsets.size - 1)
 
 
 def _block_profiles(
     src: np.ndarray, dst: np.ndarray, weight: np.ndarray, block_of: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per block, its internal weight and the one weight it sends to each block it reaches.
 
     A vertex's profile holds, for each block its arrows reach, that block
     and the single weight of those arrows, which must number the block's
     size.  The blocks are complete and uniform exactly when every vertex
     has such a profile and all vertices of a block share one, compared
-    exactly as bytes; otherwise None.  One grouped pass over (source,
-    target block, weight).
+    exactly as bytes; blocks that are not raise InternalConsistencyError.
+    One grouped pass over (source, target block, weight).
 
     Returns (internal, cross): internal[b] the weight inside block b (0
     when it has no arrows inside), cross the rows (b, c, d) of the weight
@@ -475,16 +394,17 @@ def _block_profiles(
     first = np.flatnonzero(new_group)
     count = np.diff(first, append=src.size)
     src, reach, group_weight = src[first], reach[first], weight[first]
-    if np.any(weight != np.repeat(group_weight, count)) or np.any(count != sizes[reach]):
-        return None
     offsets = np.append(0, np.cumsum(2 * np.bincount(src, minlength=n)))
-    classes, _ = _byte_classes(np.column_stack((reach, group_weight)).ravel(), offsets)
-    classes = np.array(classes, dtype=np.int64)
+    classes = _byte_classes(np.column_stack((reach, group_weight)).ravel(), offsets)
     # each block's smallest vertex speaks for it
     speaker = np.full(n_blocks, n)
     np.minimum.at(speaker, block_of, np.arange(n))
-    if np.any(classes != classes[speaker[block_of]]):
-        return None
+    if (
+        np.any(weight != np.repeat(group_weight, count))
+        or np.any(count != sizes[reach])
+        or np.any(classes != classes[speaker[block_of]])
+    ):
+        raise InternalConsistencyError("twin classes are not complete blocks of uniform weights")
     spoken = np.zeros(n, dtype=bool)
     spoken[speaker] = True
     chosen = spoken[src]
@@ -498,10 +418,16 @@ def _block_profiles(
 def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
     """Group vertices into complete blocks with uniform internal and cross weights.
 
-    Vertices sharing a refinement colour are joined along arrows into
-    components, then every candidate block is checked for one uniform
-    internal weight and uniform cross weights; any failure drops the
-    decomposition to singletons, which always hold.
+    The blocks are the classes of twins: vertices that have a loop and the
+    same out-row and in-column.  In any decomposition into complete blocks
+    with uniform weights, rows and columns are constant on each block, so
+    every such decomposition refines the twin classes, which form one:
+    they are the unique coarsest.  A vertex without a loop is a block of
+    its own.  A vertex's key, compared exactly as bytes, is one head value
+    (n for a looped vertex, its index otherwise) and its out-degree, which
+    fixes where the column starts, then its row's targets and weights and
+    its column's sources and weights; the blocks' weights are then
+    re-checked by `_block_profiles`.
 
     Returns (form, blocks): `form` has one single-copy family per block,
     carrying its internal weight (a singleton's loop weight, possibly 0),
@@ -510,17 +436,29 @@ def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
     """
     n = quiver.n_vertices
     src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
-    colors = np.array(_refine(n, src, dst, weight), dtype=np.int64)
-    same = (src != dst) & (colors[src] == colors[dst])
-    # the roots are the blocks' smallest vertices, so unique orders the blocks
-    _, block_of, sizes = np.unique(
-        _components(n, src[same], dst[same]), return_inverse=True, return_counts=True
-    )
-    profiles = _block_profiles(src, dst, weight, block_of, sizes)
-    if profiles is None:
-        block_of, sizes = np.arange(n), np.ones(n, dtype=np.int64)
-        profiles = _block_profiles(src, dst, weight, block_of, sizes)
-    internal, cross = profiles
+    head = np.arange(n)
+    head[src[src == dst]] = n
+    # the column of each vertex: its arrows in by target, sources ascending
+    by_dst = np.argsort(dst, kind="stable")
+    out_degree = np.diff(quiver.indptr)
+    in_degree = np.bincount(dst, minlength=n)
+    offsets = np.append(0, np.cumsum(2 + 2 * (out_degree + in_degree)))
+    start = offsets[:-1]
+    # every value lies in 0..max(n, largest weight), so the narrowest such dtype serves
+    packed = np.empty(int(offsets[-1]), dtype=np.min_scalar_type(max(n, weight.max(initial=0))))
+    packed[start] = head
+    packed[start + 1] = out_degree
+    arrow = np.arange(src.size)
+    at = (start + 2 - quiver.indptr[:-1])[src] + arrow
+    packed[at] = dst
+    packed[at + out_degree[src]] = weight
+    owner = dst[by_dst]
+    at = (start + 2 + 2 * out_degree - (np.cumsum(in_degree) - in_degree))[owner] + arrow
+    packed[at] = src[by_dst]
+    packed[at + in_degree[owner]] = weight[by_dst]
+    block_of = _byte_classes(packed, offsets)
+    sizes = np.bincount(block_of)
+    internal, cross = _block_profiles(src, dst, weight, block_of, sizes)
     members = np.argsort(block_of, kind="stable").tolist()
     bounds = np.cumsum(np.append(0, sizes)).tolist()
     families = (BlockFamily(1, size, w) for size, w in zip(sizes.tolist(), internal.tolist()))
@@ -550,10 +488,10 @@ def isomorphic(
     None is an exact refutation when the form's families have distinct
     weights (a form with two families of one weight raises ValueError):
 
-    - refinement starts from each vertex's loop weight, the weight of its
-      family, so it never merges two families; copies of one family have
-      no arrows between them; so detect_blocks(realize(form)) returns
-      exactly the form's copies;
+    - detect_blocks returns the twin classes, and those of realize(form)
+      are exactly its copies: twins have equal loop weights, which
+      separates families of distinct weights, and copies of one family
+      share no arrows, while twins send each other their loop weight;
     - detect_blocks commutes with isomorphism, so a quiver isomorphic to
       realize(form) decomposes into blocks matching those copies;
     - vertices within a copy, and copies within a family, are

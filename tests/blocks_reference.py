@@ -1,12 +1,34 @@
-"""Reference block detection used by the tests: dict-based colour refinement
-and uniformity by O(N^2) weight lookups.
+"""Reference block detection used by the tests: twin classes from row dicts,
+and the old colour-refinement detection with uniformity by O(N^2) weight
+lookups.
 
-`detect_blocks` refines colours over edge arrays and checks uniformity with
-per-row block tallies in O(E); these are the direct computations it must
-agree with.  Both read the quiver as row dicts.
+`detect_blocks` keys each looped vertex by its CSR row and column and
+numbers the keys in one pass; `twin_blocks` is the direct definition it
+must equal.  `detect_blocks` below is the earlier design (refined colours
+joined along arrows, all singletons when the candidates are not uniform);
+wherever it finds a block of two or more vertices it must agree too.
+All of these read the quiver as row dicts.
 """
 
 from quiver_reference import DictQuiver
+
+
+def twin_blocks(quiver) -> list[list[int]]:
+    """Classes of u ~ v: both have loops and equal out-row and in-column dicts.
+
+    A vertex without a loop is a class of its own.  Classes are sorted
+    vertex lists, ordered by smallest vertex.
+    """
+    outs = DictQuiver.of(quiver).rows
+    ins = [dict() for _ in range(quiver.n_vertices)]
+    for i, row in enumerate(outs):
+        for j, w in row.items():
+            ins[j][i] = w
+    classes: dict[object, list[int]] = {}
+    for v in range(quiver.n_vertices):
+        key = (tuple(sorted(outs[v].items())), tuple(sorted(ins[v].items()))) if v in outs[v] else v
+        classes.setdefault(key, []).append(v)
+    return sorted(classes.values())
 
 
 def refine(quiver) -> list[int]:

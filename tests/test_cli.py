@@ -437,9 +437,35 @@ def test_output_directory_checked_before_any_work(argv, monkeypatch, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-def test_failed_write_ends_in_one_line(tmp_path, capsys):
-    # the directory exists, but the path names a directory, not a file
-    code = main(["quiver", "--link", "torus:3,3", "--n", "3", "--out", str(tmp_path)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--link", "torus:5,2", "--n", "5", "--json"],
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--out"],
+        ["verify", "--p", "3", "--q", "0..2", "--n", "2..3", "--out"],
+        ["verify", "--p", "3", "--q", "0..2", "--n", "2..3", "--csv"],
+    ],
+)
+def test_output_path_naming_a_directory_is_rejected_before_any_work(
+    argv, tmp_path, monkeypatch, capsys
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a rejected request")
+
+    for name in ("evaluate_cells", "verify_counts", "enumerate_colorings_linear"):
+        monkeypatch.setattr(cli, name, no_work)
+    code = main(argv + [str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_failed_write_ends_in_one_line(capsys):
+    # the path passes the checks before work, but every write to it fails
+    # (ENOSPC); a path naming a directory is rejected before any work instead
+    code = main(["quiver", "--link", "torus:3,3", "--n", "3", "--out", "/dev/full"])
     captured = capsys.readouterr()
     assert code == EXIT_MISMATCH
     assert captured.out == ""

@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 from blocks_reference import detect_blocks as reference_blocks
-from blocks_reference import refine as reference_refine
+from blocks_reference import twin_blocks
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from quiver_reference import dense
 from quiver_reference import build_quiver as reference_build
 
+from quandlequiver import quivers
 from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
 from quandlequiver.colorings import (
     ColoringSet,
@@ -27,9 +28,8 @@ from quandlequiver.quivers import (
     BlockFamily,
     QuiverForm,
     WeightedQuiver,
+    _block_profiles,
     _check_structure,
-    _components,
-    _refine,
     build_quiver,
     detect_blocks,
     isomorphic,
@@ -202,7 +202,7 @@ def test_build_quiver_matches_reference(coloring_set, brute, whole_family, drop,
         # the translations alone carry some coloring onto the dropped one
         assert built == "not closed"
     if built != "not closed":
-        assert partition(refine(built)) == partition(reference_refine(built))
+        assert_blocks_match_reference(built)
 
 
 def test_check_structure_enforces_each_law():
@@ -230,10 +230,10 @@ def test_form_constructors_and_validation():
     form = QuiverForm((BlockFamily(1, 5, 5),))
     assert form.cross == ()
     assert form.n_vertices == 5
-    assert form.n_blocks == 1
+    assert sum(f.copies for f in form.families) == 1
     joined = QuiverForm((BlockFamily(1, 6, 6), BlockFamily(15, 6, 3)), ((1, 0, 3),))
     assert joined.n_vertices == 96
-    assert joined.n_blocks == 16
+    assert sum(f.copies for f in joined.families) == 16
     assert BlockFamily(1, 1, 0).weight == 0  # a single vertex without a loop
     for copies, size, weight in ((0, 1, 1), (1, 0, 1), (1, 2, 0), (1, 1, -1)):
         with pytest.raises(ValueError):
@@ -390,6 +390,7 @@ def test_detect_blocks_on_built_quiver():
 
 
 def test_detect_blocks_falls_back_to_singletons():
+    # no vertex has a loop, so each is a block of its own
     cycle = quiver_of(4, [(i, (i + 1) % 4, 1) for i in range(4)])
     form, blocks = detect_blocks(cycle)
     assert blocks == [[0], [1], [2], [3]]
@@ -398,30 +399,55 @@ def test_detect_blocks_falls_back_to_singletons():
     assert realize(form) == cycle
 
 
-def test_components_are_undirected():
-    # a directed path, numbered against its direction in part, and a lone vertex
-    label = _components(6, np.array([0, 3, 2, 5]), np.array([3, 2, 1, 1]))
-    assert label.tolist() == [0, 0, 0, 0, 4, 0]
-    assert _components(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64)).tolist() == [0, 1, 2]
+def test_detect_blocks_reads_the_keys_in_one_pass(monkeypatch):
+    # one pass numbers the twin keys, one the block profiles, however many
+    # rounds colour refinement would take (a long path needs one per vertex)
+    calls = []
+    original = quivers._byte_classes
+
+    def counted(packed, offsets):
+        calls.append(offsets.size)
+        return original(packed, offsets)
+
+    monkeypatch.setattr(quivers, "_byte_classes", counted)
+    path = quiver_of(40, [(i, i, 1) for i in range(40)] + [(i, i + 1, 1) for i in range(39)])
+    for quiver in (path, realize(quiver_form_for_count(5, 6, 96)), quiver_of(0, [])):
+        calls.clear()
+        detect_blocks(quiver)
+        assert len(calls) == 2
 
 
-def refine(quiver):
-    return _refine(quiver.n_vertices, quiver.sources(), quiver.dst, quiver.weight)
-
-
-def partition(colors):
-    """Each vertex's first vertex of its colour: equal exactly for equal partitions."""
-    first = {}
-    return [first.setdefault(c, v) for v, c in enumerate(colors)]
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 1), (2, 2, 1)],  # two weights inside {0, 1}
+        [(0, 0, 1), (1, 1, 1), (2, 2, 1)],  # {0, 1} is not complete
+        [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 2, 1), (2, 2, 1)],  # only 0 reaches {2}
+    ],
+)
+def test_block_profiles_reject_blocks_that_are_not_uniform(triples):
+    quiver = quiver_of(3, triples)
+    with pytest.raises(InternalConsistencyError):
+        _block_profiles(
+            quiver.sources(), quiver.dst, quiver.weight, np.array([0, 0, 1]), np.array([2, 1])
+        )
 
 
 def assert_blocks_match_reference(quiver):
-    assert partition(refine(quiver)) == partition(reference_refine(quiver))
+    """detect_blocks finds the twin classes, and the old reference's blocks where
+    that reference finds any block of two or more vertices."""
     form, blocks = detect_blocks(quiver)
+    assert blocks == twin_blocks(quiver)
+    # the block-major relabelling of the quiver is realize(form)
+    position = {v: k for k, v in enumerate(v for block in blocks for v in block)}
+    relabelled = [(position[i], position[j], w) for i, j, w in quiver.weight_triples()]
+    assert quiver_of(quiver.n_vertices, relabelled) == realize(form)
     ref_blocks, ref_weights, ref_cross = reference_blocks(quiver)
-    assert blocks == ref_blocks
-    assert form.families == tuple(BlockFamily(1, len(b), w) for b, w in zip(ref_blocks, ref_weights))
-    assert form.cross == tuple((i, j, d) for (i, j), d in sorted(ref_cross.items()))
+    if any(len(b) > 1 for b in ref_blocks):
+        assert blocks == ref_blocks
+        families = tuple(BlockFamily(1, len(b), w) for b, w in zip(ref_blocks, ref_weights))
+        assert form.families == families
+        assert form.cross == tuple((i, j, d) for (i, j), d in sorted(ref_cross.items()))
 
 
 def has_shape(p, n, count):
@@ -455,15 +481,16 @@ def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, pertu
 
 
 def test_detect_blocks_needs_one_weight_into_each_block():
-    # blocks {0, 1} and {4, 5} each send weights 1 and 2 into block {2, 3},
-    # so each vertex's first arrow into it has the same weight, yet no
-    # uniform cross weight exists: only singletons hold
+    # blocks {0, 1} and {4, 5} each send weights 1 and 2 into {2, 3}, so no
+    # uniform cross weight into {2, 3} exists; 2 and 3 are not twins, since
+    # their in-columns differ (weight 1 from 0 into 2, weight 2 into 3), and
+    # split, while {0, 1} and {4, 5} stay twins
     inside = [(a, b, w) for block, w in (((0, 1), 3), ((4, 5), 3), ((2, 3), 5))
               for a in block for b in block]
     cross = [(0, 2, 1), (0, 3, 2), (1, 2, 1), (1, 3, 2), (4, 2, 2), (4, 3, 1), (5, 2, 2), (5, 3, 1)]
     quiver = quiver_of(6, inside + cross)
     form, blocks = detect_blocks(quiver)
-    assert blocks == [[v] for v in range(6)]
+    assert blocks == [[0, 1], [2], [3], [4, 5]]
     assert_blocks_match_reference(quiver)
 
 
