@@ -1,4 +1,5 @@
-"""Braid words, torus braids, and color propagation through crossings.
+"""Braid words, torus links read as powers of one factor (factor_power),
+and color propagation through crossings.
 
 Crossing convention: at a positive letter s_i the strand entering at
 position i+1 passes over and keeps its color, while the strand entering
@@ -20,6 +21,8 @@ that is what fixes the handedness choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .linalg import product_mod
 
 
 @dataclass(frozen=True)
@@ -63,17 +66,20 @@ class TorusLinkSpec:
 
 def torus_braid(p: int, q: int) -> BraidWord:
     """Braid word (s_1 s_2 ... s_{p-1})^q; q = 0 gives the p-strand unlink."""
-    TorusLinkSpec(p, q)  # validate ranges
-    return BraidWord(p, tuple(range(1, p)) * q)
+    factor, q = factor_power(TorusLinkSpec(p, q))  # validates p and q
+    return BraidWord(p, factor.letters * q)
 
 
-def link_word(link: BraidWord | TorusLinkSpec) -> BraidWord:
-    """The braid word whose closure is the link."""
+def factor_power(link: BraidWord | TorusLinkSpec) -> tuple[BraidWord, int]:
+    """(factor, q), the link being the closure of factor**q: (s_1 ... s_{p-1}, q)
+    for T(p, q), never written out; a braid word's shortest factor, q = 0 if empty."""
     if isinstance(link, TorusLinkSpec):
-        return torus_braid(link.p, link.q)
-    if isinstance(link, BraidWord):
-        return link
-    raise TypeError(f"expected TorusLinkSpec or BraidWord, got {type(link).__name__}")
+        return BraidWord(link.p, tuple(range(1, link.p))), link.q
+    letters, length = link.letters, len(link)
+    for d in range(1, length + 1):
+        if length % d == 0 and letters[:d] * (length // d) == letters:
+            return BraidWord(link.strands, letters[:d]), length // d
+    return link, 0
 
 
 def parse_link(text: str) -> BraidWord | TorusLinkSpec:
@@ -127,8 +133,17 @@ def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:
     return m
 
 
-def closure_system(word: BraidWord, modulus: int) -> list[list[int]]:
-    """M - I mod `modulus`: colorings of the braid closure by R_n, for any
-    n dividing the modulus, are its kernel mod n."""
-    m = propagation_matrix(word, modulus)
-    return [[(x - (i == j)) % modulus for j, x in enumerate(row)] for i, row in enumerate(m)]
+def closure_system(link: BraidWord | TorusLinkSpec, modulus: int) -> list[list[int]]:
+    """M**q - I mod `modulus`, M**q by square-and-multiply from the link's
+    factor (q = 1 takes no product): colorings of the closure by R_n, for
+    any n dividing the modulus, are its kernel mod n."""
+    factor, q = factor_power(link)
+    if not q:  # the trivial braid: every top closes up
+        return [[0] * factor.strands for _ in range(factor.strands)]
+    square, power = propagation_matrix(factor, modulus), None
+    while q:
+        if q & 1:
+            power = square if power is None else product_mod(power, square, modulus)
+        q >>= 1
+        square = product_mod(square, square, modulus) if q else square
+    return [[(x - (i == j)) % modulus for j, x in enumerate(row)] for i, row in enumerate(power)]

@@ -158,7 +158,7 @@ def cmd_count(args) -> int:
         raise BadRequest("the formula backend needs torus:p,q with p an odd prime")
     routes = ("formula", "linear", "oracle") if args.backend == "all" else (args.backend,)
     cells = evaluate_cells(
-        link,
+        [link],
         ns,
         formula="formula" in routes,
         linear="linear" in routes,

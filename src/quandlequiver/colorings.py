@@ -7,24 +7,25 @@ the closure system (M - I) y = 0 mod n through the Smith normal form and
 is specific to dihedral targets.  The two share nothing past the
 crossing convention, which is what makes their agreement meaningful.
 
-The oracle has one walk: top states, slab by slab, through the word's
-shortest repeated factor, by the factor's window tables when no power
-above 1 is asked for, and by its state map, built once, when one is.
-oracle_counts (the counts) and enumerate_colorings_oracle (the
-colorings) both take it.  The counts walk one top per orbit of the
-colour shift x -> x + 1 mod m, the tops with strand 1 coloured 0, when
-that shift is an automorphism of the Cayley table, and every top
-otherwise; the colorings always walk every top.  Either enumerator
-returns its colorings as one read-only (count, strands) int64 array, and
-raises CapExceededError, naming the count, rather than return part of
-them over its cap.
+The oracle has one walk: top states through the link's factor
+(braids.factor_power), slab by slab by the factor's window tables when
+no power above 1 is asked for, and otherwise by its state map, built
+once and squared across long gaps between powers, so a power q costs
+about 2 * log2(q) passes over the map.  oracle_counts (the counts) and
+enumerate_colorings_oracle (the colorings) both take it.  The counts
+walk one top per orbit of the colour shift x -> x + 1 mod m, the tops
+with strand 1 coloured 0, when that shift is an automorphism of the
+Cayley table, and every top otherwise; the colorings always walk every
+top.  Either enumerator returns its colorings as one read-only (count,
+strands) int64 array, and raises CapExceededError, naming the count,
+rather than return part of them over its cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .braids import BraidWord, closure_system, link_word
+from .braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from .config import oracle_cap
 from .errors import CapExceededError
 from .linalg import kernel_enumerate_mod
@@ -32,20 +33,21 @@ from .quandles import DihedralQuandle, FiniteQuandle
 
 
 class ColoringSet:
-    """Colorings of one braid closure by one quandle, in canonical order.
+    """Colorings of one link by one quandle, in canonical order.
 
     `colorings` is a read-only int64 array with one row per coloring, its
     strands' colours, rows in lexicographic order.  Distinct backends
     produce identical arrays, so array equality is set equality.  A row
-    whose width is not the word's strand count raises ValueError.
+    whose width is not the link's strand count raises ValueError.
     """
 
-    def __init__(self, word: BraidWord, quandle: FiniteQuandle, colorings):
+    def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings):
         colorings = np.asarray(colorings, dtype=np.int64).view()
-        if colorings.ndim != 2 or colorings.shape[1] != word.strands:
-            raise ValueError(f"coloring rows need {word.strands} colours, got {colorings.shape}")
+        strands = factor_power(link)[0].strands
+        if colorings.ndim != 2 or colorings.shape[1] != strands:
+            raise ValueError(f"coloring rows need {strands} colours, got {colorings.shape}")
         colorings.flags.writeable = False
-        self.word = word
+        self.link = link
         self.quandle = quandle
         self.colorings = colorings
 
@@ -60,7 +62,7 @@ class ColoringSet:
 
     def __repr__(self):
         return (
-            f"ColoringSet({self.count} colorings of a {self.word.strands}-strand "
+            f"ColoringSet({self.count} colorings of a {self.colorings.shape[1]}-strand "
             f"closure by size-{self.quandle.size} quandle)"
         )
 
@@ -68,15 +70,6 @@ class ColoringSet:
 _SLAB = 1 << 16  # state indices handled per batch
 _WINDOW_STATES = 1 << 16  # largest window table: m**k entries
 _SHIFT_ENTRIES = 1 << 16  # table entries compared per batch of the shift check
-
-
-def _factor_power(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(factor, q) with letters == factor * q and the factor shortest; q = 0 for ()."""
-    length = len(letters)
-    for d in range(1, length + 1):
-        if length % d == 0 and letters[:d] * (length // d) == letters:
-            return letters[:d], length // d
-    return (), 0
 
 
 def _index_type(total: int):
@@ -242,41 +235,49 @@ def _shift_orbit(quandle: FiniteQuandle) -> int:
     return m
 
 
-def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, powers, stop: int):
-    """(power, tops, bottoms) slab by slab over the tops 0..stop-1, for each
-    power in ascending order, the bottoms being the tops' images under
-    factor**power.
+def _gather(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = table[indices[i]] by slabs: take copies int32 indices to intp."""
+    for start in range(0, len(indices), _SLAB):
+        # in range by construction; "clip" lets take write into out unbuffered
+        np.take(table, indices[start : start + _SLAB], out=out[start : start + _SLAB], mode="clip")
+    return out
 
-    When some power is 2 or more, the factor's state map, over all
-    m**strands states whatever `stop` is, is built once and each slab
-    walks through it, up to the largest power.  Otherwise each
-    slab is pushed through the window tables as it goes, and no map is
-    held.  Power 0 takes no step, so an empty factor never reaches the
-    window tables.  The bottoms live in two alternating buffers: read them
-    before the next item.
+
+def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, powers, stop: int):
+    """(power, tops, bottoms) slab by slab over the tops 0..stop-1 for each
+    power in ascending order, the bottoms being the tops under factor**power.
+
+    With no power above 1 each slab is pushed through the window tables,
+    and no map is held; power 0 takes no step.  Otherwise the factor's
+    state map over all m**strands states is built once, and all tops cross
+    each gap between powers together: a gather while the gap is odd or at
+    most states / tops, else a squaring of the map halves it, so a gap g
+    takes about log2(g) squarings.  Read each slab before the next item.
     """
     powers = sorted(set(powers))
-    total = quandle.size**strands
-    index = _index_type(total)
-    if max(powers, default=0) >= 2:
-        state_map = _factor_map(factor, strands, quandle)
-
-        def step(states: np.ndarray, out: np.ndarray) -> np.ndarray:
-            # indices are in range by construction; "clip" lets take write
-            # into out without buffering it
-            return np.take(state_map, states, out=out, mode="clip")
-
-    elif 1 in powers:
-        step = _window_push(factor, strands, quandle, index)
-    buffers = np.empty((2, min(_SLAB, stop)), dtype=index)
-    for start in range(0, stop, _SLAB):
-        tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
-        bottoms, walked = tops, 0
-        for power in powers:
-            for k in range(walked, power):
-                bottoms = step(bottoms, buffers[k % 2, : len(tops)])
-            walked = power
-            yield power, tops, bottoms
+    index = _index_type(quandle.size**strands)
+    if max(powers, default=0) < 2:
+        push = _window_push(factor, strands, quandle, index) if 1 in powers else None
+        buffer = np.empty(min(_SLAB, stop), dtype=index)
+        for start in range(0, stop, _SLAB):
+            tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
+            for power in powers:
+                yield power, tops, push(tops, buffer[: len(tops)]) if power else tops
+        return
+    state_map = _factor_map(factor, strands, quandle)
+    bottoms, spare = np.arange(stop, dtype=index), np.empty(stop, dtype=index)
+    for walked, power in zip([0] + powers, powers):
+        gap, square = power - walked, state_map
+        while gap:
+            if gap % 2 or gap * stop <= len(square):
+                bottoms, spare = _gather(square, bottoms, spare), bottoms
+                gap -= 1
+            else:
+                square = _gather(square, square, np.empty_like(square))
+                gap //= 2
+        for start in range(0, stop, _SLAB):
+            tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
+            yield power, tops, bottoms[start : start + _SLAB]
 
 
 def check_oracle_cap(m: int, strands: int, cap: int | None):
@@ -290,13 +291,13 @@ def check_oracle_cap(m: int, strands: int, cap: int | None):
         )
 
 
-def oracle_counts(word: BraidWord, quandle: FiniteQuandle, powers, cap: int | None = None) -> dict[int, int]:
-    """{k: number of colorings of the closure of word**k} for each k in `powers`.
+def oracle_counts(link, quandle: FiniteQuandle, powers, cap: int | None = None) -> dict[int, int]:
+    """{k: number of colorings of the closure of link**k} for each k in `powers`.
 
-    The one oracle count: the word is written as factor**r, and one walk
-    counts the fixed points of factor**(r*k) for every k at once; power 0
-    fixes every top.  The cap, on all m**strands candidate tops, is checked
-    before any table or map is built.
+    The one oracle count: the link is read as factor**r (factor_power),
+    and one walk counts the fixed points of factor**(r*k) for every k at
+    once; power 0 fixes every top.  The cap, on all m**strands candidate
+    tops, is checked before any table or map is built.
 
     When the shift x -> x + 1 mod m is an automorphism of the table, the
     walk takes only the m**(strands - 1) tops with strand 1 coloured 0 and
@@ -305,42 +306,41 @@ def oracle_counts(word: BraidWord, quandle: FiniteQuandle, powers, cap: int | No
     the fixed tops of each power are closed under the shift, and each of
     its orbits holds m tops, one with strand 1 coloured 0.
     """
-    m, strands = quandle.size, word.strands
+    factor, r = factor_power(link)
+    m, strands = quandle.size, factor.strands
     check_oracle_cap(m, strands, cap)
-    factor, r = _factor_power(word.letters)
     orbit = _shift_orbit(quandle)
     fixed = dict.fromkeys((r * k for k in powers), 0)
-    for power, tops, bottoms in _power_slabs(factor, strands, quandle, fixed, m**strands // orbit):
+    for power, tops, bottoms in _power_slabs(factor.letters, strands, quandle, fixed, m**strands // orbit):
         fixed[power] += int(np.count_nonzero(bottoms == tops))
     return {k: orbit * fixed[r * k] for k in powers}
 
 
-def enumerate_colorings_oracle(word: BraidWord, quandle: FiniteQuandle, cap: int | None = None) -> ColoringSet:
+def enumerate_colorings_oracle(link, quandle: FiniteQuandle, cap: int | None = None) -> ColoringSet:
     """Brute force over all size**strands candidate tops, unreduced.
 
-    The word is written as factor**q, and a top is a coloring iff
-    factor**q fixes it; the slabs come from the same walk oracle_counts
-    takes, but over every top, whatever the table's automorphisms, so
-    each coloring is found by propagation itself.  Fixed indices are found
-    in increasing order, which is lexicographic order of the tops, so the
+    The link is read as factor**q, and a top is a coloring iff factor**q
+    fixes it; the slabs come from the same walk oracle_counts takes, but
+    over every top, whatever the table's automorphisms, so each coloring
+    is found by propagation itself.  Fixed indices are found in
+    increasing order, which is lexicographic order of the tops, so the
     rows are already sorted.
     """
-    m, strands = quandle.size, word.strands
+    factor, q = factor_power(link)
+    m, strands = quandle.size, factor.strands
     check_oracle_cap(m, strands, cap)
-    factor, q = _factor_power(word.letters)
-    slabs = _power_slabs(factor, strands, quandle, [q], m**strands)
+    slabs = _power_slabs(factor.letters, strands, quandle, [q], m**strands)
     kept = [tops[bottoms == tops] for _, tops, bottoms in slabs]
     rows = np.stack(_digits(np.concatenate(kept), m, strands, np.int64), axis=1)
-    return ColoringSet(word, quandle, rows)
+    return ColoringSet(link, quandle, rows)
 
 
 def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> ColoringSet:
-    """Solve the closure system (M - I) y = 0 mod n for a dihedral target.
+    """Solve the closure system (M**q - I) y = 0 mod n for a dihedral target.
 
     `link` is a TorusLinkSpec or any BraidWord.  Raises CapExceededError,
     naming the solution count, when that count is above the enumeration
     cap.
     """
-    word = link_word(link)
-    kernel = kernel_enumerate_mod(closure_system(word, n), n, cap=cap)
-    return ColoringSet(word, DihedralQuandle(n), kernel)
+    kernel = kernel_enumerate_mod(closure_system(link, n), n, cap=cap)
+    return ColoringSet(link, DihedralQuandle(n), kernel)

@@ -19,29 +19,25 @@ quandle R_n depends only on q mod 2p, gcd(n, p), and the parity of n:
 
 Ambiguous cells never get a silent winner here: predict_count carries both
 candidates and the computed counts resolve them, reporting the resolution
-explicitly.  evaluate_cells is the one place where a cell's routes are run
-and its status decided; verify_counts and the CLI's count both use it.
-Its linear route reads every modulus's count off one Smith form of the
-closure system, taken mod the lcm of the moduli.
-Both count through colorings.oracle_counts, the one oracle count entry:
-count asks it for the word itself (power 1), and verify_counts, working
-one p at a time (the unit `--jobs` splits), asks it for every q of the
-grid at once, since T(p, q) closes the q-th power of one factor; it runs
-one oracle walk per (p, n) and fills those counts into the cells.  On R_n
+explicitly.  evaluate_cells is the one place where cells' routes are run
+and their statuses decided; count hands it one link and verify_counts the
+links T(p, q) of one p, all powers of the factor s_1 ... s_{p-1}
+(braids.factor_power).  It takes one Smith form per link, of the closure
+system mod the lcm of the moduli, and one oracle walk per modulus for
+all the links' powers at once, through colorings.oracle_counts.  On R_n
 that walk takes the n**(p-1) tops with strand 1 coloured 0, one per
 orbit of the colour shift, and multiplies by n; the oracle cap still
-counts all n**p candidate tops.  A torus link becomes a braid word only
-for the linear and oracle routes, so the formula alone never builds its
-(p - 1) * q letters.
+counts all n**p candidate tops.  No route writes a torus link out as
+letters, so every backend answers a huge q.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .braids import BraidWord, TorusLinkSpec, closure_system, link_word, torus_braid
+from .braids import TorusLinkSpec, closure_system, factor_power
 from .colorings import check_oracle_cap, oracle_counts
 from .config import oracle_cap
 from .linalg import kernel_count_from_snf, smith_normal_form
@@ -215,38 +211,31 @@ def _lcm(ns) -> int:
 
 
 def evaluate_cells(
-    link: BraidWord | TorusLinkSpec,
+    links,
     ns,
     formula: bool = True,
     linear: bool = True,
     oracle_ns=(),
     cap: int | None = None,
 ) -> Iterator[CellRecord]:
-    """Evaluate one link at each modulus in `ns`, one cell at a time.
-
-    The linear route builds the closure system and takes its Smith form
-    once for the whole list, both mod the lcm of `ns`.  The oracle counts
-    each modulus in `oracle_ns` through oracle_counts, as verify_counts
-    does; the largest of them is checked against `cap` before any route
-    runs, raising CapExceededError.  The formula prediction is added only
-    for T(p, q) with p an odd prime.  A torus link is expanded to its
-    braid word only when the linear or oracle route runs; the formula
-    reads p and q alone.
-    """
-    torus = link if isinstance(link, TorusLinkSpec) else None
-    predict = formula and torus is not None and is_odd_prime(torus.p)
-    if oracle_ns:
-        check_oracle_cap(max(oracle_ns), torus.p if torus else link_word(link).strands, cap)
-    if linear or oracle_ns:
-        word = link_word(link)
-    if linear:
-        modulus = _lcm(ns)
-        snf = smith_normal_form(closure_system(word, modulus), modulus)
-    for n in ns:
-        prediction = predict_count(torus.p, torus.q, n) if predict else None
-        count = kernel_count_from_snf(snf, n) if linear else None
-        oracle = oracle_counts(word, DihedralQuandle(n), [1], cap=cap)[1] if n in oracle_ns else None
-        yield CellRecord(n, prediction, count, oracle)
+    """Evaluate links closing powers of one factor at each modulus in `ns`,
+    link by link: one Smith form per link, mod the lcm of `ns`; one oracle
+    walk per modulus in `oracle_ns` for all the links' powers, the largest
+    checked against `cap` before any route runs (CapExceededError); and
+    the formula, for T(p, q) with p an odd prime."""
+    factors, qs = zip(*(factor_power(link) for link in links))
+    [factor] = set(factors)  # a ValueError unless the links share one factor
+    if oracle_ns:  # before R_n's n-by-n table is built
+        check_oracle_cap(max(oracle_ns), factor.strands, cap)
+    oracle = {n: oracle_counts(factor, DihedralQuandle(n), qs, cap=cap) for n in oracle_ns}
+    modulus = _lcm(ns) if linear else None
+    for link, q in zip(links, qs):
+        predict = formula and isinstance(link, TorusLinkSpec) and is_odd_prime(link.p)
+        snf = smith_normal_form(closure_system(link, modulus), modulus) if linear else None
+        for n in ns:
+            prediction = predict_count(link.p, link.q, n) if predict else None
+            count = kernel_count_from_snf(snf, n) if linear else None
+            yield CellRecord(n, prediction, count, oracle[n][q] if n in oracle else None)
 
 
 def _verify_p(task: tuple[int, list[int], list[int], int]) -> list[CellRecord]:
@@ -254,15 +243,7 @@ def _verify_p(task: tuple[int, list[int], list[int], int]) -> list[CellRecord]:
     within the cap counts every q at once."""
     p, qs, ns, cap = task
     links = [TorusLinkSpec(p, q) for q in qs]  # rejects a negative q before any walk
-    factor = torus_braid(p, 1)
-    oracle = {
-        n: oracle_counts(factor, DihedralQuandle(n), qs, cap=cap) for n in ns if n**p <= cap
-    }
-    return [
-        replace(cell, computed_oracle=oracle[cell.n][link.q]) if cell.n in oracle else cell
-        for link in links
-        for cell in evaluate_cells(link, ns)
-    ]
+    return list(evaluate_cells(links, ns, oracle_ns=[n for n in ns if n**p <= cap], cap=cap))
 
 
 def verify_counts(
@@ -275,20 +256,22 @@ def verify_counts(
     """Sweep a (p, q, n) grid, comparing backends against predictions.
 
     Cells with n**p above the oracle cap are checked with the linear
-    backend alone.  Each p is one task, so `jobs` workers split the grid by
-    p.  Results come back sorted by (p, q, n) regardless of worker
-    scheduling.
+    backend alone.  Each p is one task, so up to `jobs` workers, one per
+    task at most, split the grid by p.  Results come back sorted by
+    (p, q, n) regardless of worker scheduling.
     """
     for p in ps:
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
     limit = oracle_cap() if cap is None else cap
-    ns = sorted(ns)
-    tasks = [(p, sorted(qs), ns, limit) for p in sorted(ps)]
-    if jobs > 1:
+    qs, ns = sorted(qs), sorted(ns)
+    tasks = [(p, qs, ns, limit) for p in sorted(ps) if qs]  # an empty grid has no tasks
+    # the pool forks all its workers at once, so it gets one per task at most
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             grids = list(pool.map(_verify_p, tasks))
     else:
         grids = [_verify_p(task) for task in tasks]

@@ -35,6 +35,11 @@ class SnfResult:
     modulus: int
 
 
+def product_mod(a, b, modulus: int) -> np.ndarray:
+    """The matrix product a*b mod `modulus` on exact integers, as an object array."""
+    return np.array(a, dtype=object) @ np.array(b, dtype=object) % modulus
+
+
 def smith_normal_form(a, modulus: int) -> SnfResult:
     """Diagonalize an integer matrix (a list of rows) mod L = `modulus`.
 
@@ -124,11 +129,8 @@ def smith_normal_form(a, modulus: int) -> SnfResult:
             continue
         t += 1
 
-    def times(x, y):
-        return np.array(x, dtype=object) @ np.array(y, dtype=object) % modulus
-
     want = [[m[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
-    if not np.array_equal(times(u, times(start, v)), want):
+    if not np.array_equal(product_mod(u, product_mod(start, v, modulus), modulus), want):
         raise InternalConsistencyError("U*A*V does not equal the computed diagonal mod L")
     diag = tuple(math.gcd(m[i][i], modulus) if m[i][i] else 0 for i in range(size))
     if any(b % a if a else b for a, b in zip(diag, diag[1:])):

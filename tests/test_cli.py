@@ -71,7 +71,6 @@ def refuse_torus_word(monkeypatch):
     def refuse(*args):
         raise AssertionError("torus word built")
 
-    monkeypatch.setattr(counting, "link_word", refuse)
     monkeypatch.setattr(braids, "torus_braid", refuse)
 
 
@@ -84,13 +83,51 @@ def test_count_formula_never_expands_the_torus_word(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["count", "--link", "torus:5,7", "--n", "2..4", "--backend", "linear"], "torus:5,7 n=4: N=4 [ok]"),
+        (["count", "--link", "torus:5,7", "--n", "2..4", "--backend", "oracle"], "torus:5,7 n=4: N=4 [ok]"),
+        (["count", "--link", "torus:5,7", "--n", "2..4"], "torus:5,7 n=4: N=4 case=trivial-only [ok]"),
+        (["quiver", "--link", "torus:5,10", "--n", "3", "--compare"], "isomorphic=true"),
+        (["quiver", "--link", "torus:5,10", "--n", "3", "--format", "json"], '"q": 10'),
+        (["quiver", "--link", "torus:5,10", "--n", "3", "--collapse"], "digraph"),
+        (["verify", "--p", "5", "--q", "0..10", "--n", "2..4"], "33 cells: 33 match"),
+    ],
+    ids=["linear", "oracle", "all", "compare", "json", "collapse", "verify"],
+)
+def test_no_route_expands_the_torus_word(argv, out, monkeypatch, capsys):
+    refuse_torus_word(monkeypatch)
+    assert main(argv) == EXIT_OK
+    assert out in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", [999_999_999, 10**18 + 5])
+def test_huge_q_answers_on_every_backend(q, monkeypatch, capsys):
+    # q = 3 mod 6 for both: the half-period cell of T(3, q)
+    refuse_torus_word(monkeypatch)
+    link = f"torus:3,{q}"
+    half = " case=half-period"
+    for backend, case in (("formula", half), ("linear", ""), ("oracle", ""), ("all", half)):
+        assert main(["count", "--link", link, "--n", "3,4", "--backend", backend]) == EXIT_OK
+        assert capsys.readouterr().out == f"{link} n=3: N=3{case} [ok]\n{link} n=4: N=16{case} [ok]\n"
+    assert main(["quiver", "--link", link, "--n", "3", "--compare"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("isomorphic=true\n")
+
+
 def test_count_oracle_cap_reads_the_torus_strands_from_p(monkeypatch, capsys):
     refuse_torus_word(monkeypatch)
-    code = main(
-        ["count", "--link", "torus:5,7", "--n", "17", "--backend", "oracle", "--oracle-cap", "100"]
-    )
-    assert code == EXIT_CAP
-    assert "17^5 = 1419857" in capsys.readouterr().err
+
+    def no_table(n):
+        raise AssertionError(f"R_{n} built before the oracle cap check")
+
+    monkeypatch.setattr(counting, "DihedralQuandle", no_table)
+    for backend in ("oracle", "all"):
+        code = main(
+            ["count", "--link", "torus:5,7", "--n", "17", "--backend", backend, "--oracle-cap", "100"]
+        )
+        assert code == EXIT_CAP
+        assert "17^5 = 1419857" in capsys.readouterr().err
 
 
 def test_count_formula_rejects_non_torus(capsys):
@@ -550,7 +587,7 @@ def test_count_rows_agree_with_verify_records(cell):
         path = os.path.join(tmp, "row.json")
         code = main(["count", "--link", f"torus:{p},{q}", "--n", str(n),
                      "--oracle-cap", str(DIFF_CAP), "--json", path])
-        rows = json.loads(open(path).read()) if code != EXIT_CAP else []
+        rows = json.loads(Path(path).read_text()) if code != EXIT_CAP else []
     if n**p > DIFF_CAP:
         # count refuses the oracle above its cap; verify checks the cell linearly
         assert code == EXIT_CAP and record.computed_oracle is None

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracle_reference import enumerate_colorings as reference_colorings
 from oracle_reference import propagate
 from quandlequiver import colorings
-from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, torus_braid
+from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, factor_power, torus_braid
 from quandlequiver.colorings import (
     ColoringSet,
     enumerate_colorings_linear,
@@ -421,7 +421,7 @@ def test_aperiodic_word_holds_no_state_map():
     # tables of the 400-letter word may take at most 1
     rng = random.Random(9)
     long_word = BraidWord(9, tuple(rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(400)))
-    assert colorings._factor_power(long_word.letters)[1] == 1
+    assert factor_power(long_word)[1] == 1
     assert colorings._windows(long_word.letters, 9, 5)[0] > 2
     cells = [
         (BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8, -1)), 25),
@@ -443,7 +443,7 @@ def test_repeated_window_runs_share_one_table():
     # a 10**4-entry table; a random 400-letter word has 196 runs, 52 distinct
     rng = random.Random(3)
     word = BraidWord(3, tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(400)))
-    assert colorings._factor_power(word.letters)[1] == 1
+    assert factor_power(word)[1] == 1
     assert colorings._windows(word.letters, 3, 100)[0] == 2
     expected = linear_count(word, 100)
     counts = []
@@ -500,6 +500,6 @@ def test_coloring_rows_must_span_the_strands():
 def test_colorings_and_labels_are_read_only():
     cs = enumerate_colorings_linear(TorusLinkSpec(3, 2), 3)
     quiver = build_quiver(cs, affine_endomorphisms(3))
-    for array in (cs.colorings, quiver.labels, enumerate_colorings_oracle(cs.word, cs.quandle).colorings):
+    for array in (cs.colorings, quiver.labels, enumerate_colorings_oracle(cs.link, cs.quandle).colorings):
         with pytest.raises(ValueError):
             array[0, 0] = 1

@@ -5,12 +5,15 @@ both candidates, and the sweep must resolve them against computation
 rather than silently picking one.
 """
 
+import concurrent.futures
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import enumerate_colorings as reference_colorings
+from quandlequiver.braids import TorusLinkSpec, torus_braid
 from quandlequiver.counting import (
     CASE_AMBIGUOUS,
     CASE_FREE,
@@ -21,10 +24,12 @@ from quandlequiver.counting import (
     STATUS_MATCH,
     STATUS_MISMATCH,
     _lcm,
+    evaluate_cells,
     is_odd_prime,
     predict_count,
     verify_counts,
 )
+from quandlequiver.quandles import DihedralQuandle
 
 
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=40))
@@ -161,6 +166,33 @@ def test_verify_counts_parallel_matches_serial_with_the_oracle():
         assert rec.computed_oracle in (None, rec.computed_linear)
 
 
+def test_verify_pool_has_at_most_one_worker_per_task(monkeypatch):
+    # the fork pool starts all max_workers processes at its first submit;
+    # this stand-in starts none and maps in the calling process
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = verify_counts([3, 5], range(4), [2, 3], cap=1)
+    assert verify_counts([3, 5], range(4), [2, 3], cap=1, jobs=8) == serial
+    assert pools == [2]
+    assert verify_counts([3], range(4), [2, 3], cap=1, jobs=8) == serial[:8]
+    assert verify_counts([3, 5], [], [2, 3], cap=1, jobs=8) == []
+    assert pools == [2]  # one task or none: no pool
+
+
 def test_cell_record_to_dict():
     rec = verify_counts([5], [4], [3], cap=1)[0]
     assert rec.to_dict() == {
@@ -177,3 +209,49 @@ def test_cell_record_to_dict():
     assert d["predicted"] == [5, 25]
     assert d["computed"] == 25
     assert d["status"] == STATUS_AMBIGUOUS_RESOLVED
+
+
+def torus_cells(ps):
+    """(p, n) for p in ps, with n**p, the oracle's state map, at most 10**5 states."""
+    return st.sampled_from(ps).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(2, max(n for n in range(2, 317) if n**p <= 10**5)))
+    )
+
+
+def routes(p, qs, n):
+    """One cell per q of T(p, q) by R_n, from one evaluate_cells call."""
+    return list(evaluate_cells([TorusLinkSpec(p, q) for q in qs], [n], oracle_ns=[n]))
+
+
+@settings(max_examples=40)
+@given(torus_cells([3, 5, 7]), st.data(), st.integers(0, 10**17))
+def test_huge_odd_p_powers_equal_their_residue(cell, data, k):
+    # for odd p the factor's matrix has M**(2p) = I, so T(p, q) depends on q mod 2p;
+    # one call walks the oracle from r straight to the huge power
+    p, n = cell
+    r = data.draw(st.integers(0, 2 * p - 1))
+    expected = len(reference_colorings(torus_braid(p, r), DihedralQuandle(n)))
+    small, huge = routes(p, [r, r + k * 2 * p], n)
+    for record in (small, huge):
+        assert record.computed_linear == record.computed_oracle == expected
+        assert record.prediction.candidates == predict_count(p, r, n).candidates
+        assert expected in record.prediction.candidates
+
+
+@settings(max_examples=30)
+@given(torus_cells([2, 4, 6]), st.integers(0, 10**18), st.integers(0, 10**18))
+def test_huge_even_p_powers_agree_across_routes(cell, q, q2):
+    p, n = cell
+    for record in routes(p, [q, q2], n):
+        assert record.prediction is None
+        assert record.computed_linear == record.computed_oracle
+
+
+@settings(max_examples=40)
+@given(torus_cells([2, 3, 4, 5, 6, 7]), st.data())
+def test_small_powers_equal_the_reference_on_the_written_word(cell, data):
+    p, n = cell
+    q = data.draw(st.integers(0, 4 * p))
+    [record] = routes(p, [q], n)
+    expected = len(reference_colorings(torus_braid(p, q), DihedralQuandle(n)))
+    assert record.computed_linear == record.computed_oracle == expected

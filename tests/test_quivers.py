@@ -195,7 +195,7 @@ def test_build_quiver_matches_reference(coloring_set, brute, whole_family, drop,
     if drop:
         colorings = list(coloring_set.colorings)
         del colorings[data.draw(st.integers(0, len(colorings) - 1))]
-        coloring_set = ColoringSet(coloring_set.word, coloring_set.quandle, colorings)
+        coloring_set = ColoringSet(coloring_set.link, coloring_set.quandle, colorings)
     built = outcome(build_quiver, coloring_set, endos)
     assert built == outcome(reference_build, coloring_set, endos)
     if drop and whole_family:
