@@ -7,11 +7,17 @@ before any work, with one line on stderr and nothing on stdout; a failed
 write also ends with one line on stderr.  A stdout closed before the
 output is written (``| head -c 0``) is a failed write: exit 2, one line
 on stderr, no traceback.
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built at the first call and shared by the rest.
+Parsing keeps no state in it; each call reads the cap variables afresh
+and gets a new namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -29,7 +35,7 @@ from .counting import (
     predict_count,
     verify_counts,
 )
-from .errors import CapExceededError
+from .errors import SHORT_COUNT, CapExceededError
 from .export import ExportOptions, to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
 from .quivers import build_quiver, detect_blocks, isomorphic, quiver_form_for_count
@@ -152,15 +158,18 @@ def _count_row(link: str, cell) -> dict:
 def cmd_count(args) -> int:
     link = _request(parse_link, args.link)
     ns = _moduli(_request(parse_int_list, args.n))
-    if args.backend == "formula" and not (
-        isinstance(link, TorusLinkSpec) and is_odd_prime(link.p)
-    ):
-        raise BadRequest("the formula backend needs torus:p,q with p an odd prime")
     routes = ("formula", "linear", "oracle") if args.backend == "all" else (args.backend,)
+    formula = (
+        "formula" in routes
+        and isinstance(link, TorusLinkSpec)
+        and _request(is_odd_prime, link.p)  # a p past the test's bound is a bad request
+    )
+    if args.backend == "formula" and not formula:
+        raise BadRequest("the formula backend needs torus:p,q with p an odd prime")
     cells = evaluate_cells(
         [link],
         ns,
-        formula="formula" in routes,
+        formula=formula,
         linear="linear" in routes,
         oracle_ns=ns if "oracle" in routes else (),
         cap=args.oracle_cap,
@@ -195,7 +204,7 @@ def cmd_quiver(args) -> int:
     torus = link if isinstance(link, TorusLinkSpec) else None
     if args.compare and torus is None:
         raise BadRequest("--compare needs a torus:p,q link")
-    if args.compare and not is_prime(torus.p):
+    if args.compare and not _request(is_prime, torus.p):
         raise BadRequest(f"--compare needs p prime, got {torus.p}")
     if args.collapse and args.format != "dot":
         raise BadRequest("--collapse applies to dot output only")
@@ -204,7 +213,8 @@ def cmd_quiver(args) -> int:
     try:
         coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
     except CapExceededError as exc:
-        print(f"quiver: {exc.count} colorings exceed the enumeration cap", file=sys.stderr)
+        size = exc.count if exc.count < SHORT_COUNT else exc.power
+        print(f"quiver: {size} colorings exceed the enumeration cap", file=sys.stderr)
         return EXIT_CAP
     if args.endos == "brute":
         try:
@@ -261,7 +271,7 @@ def cmd_verify(args) -> int:
     qs = _request(parse_int_list, args.q)
     ns = _moduli(_request(parse_int_list, args.n))
     for p in ps:
-        if not is_odd_prime(p):
+        if not _request(is_odd_prime, p):
             raise BadRequest(f"p must be odd primes, got {p}")
     if qs[0] < 0:
         raise BadRequest(f"q must be nonnegative, got {qs[0]}")
@@ -284,7 +294,9 @@ def cmd_verify(args) -> int:
     return _exit_code({r.status for r in report})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built at the first call."""
     parser = _ArgumentParser(
         prog="quandlequiver",
         description="Count quandle colorings of braid closures and draw their quivers.",

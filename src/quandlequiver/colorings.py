@@ -27,7 +27,7 @@ import numpy as np
 
 from .braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from .config import oracle_cap
-from .errors import CapExceededError
+from .errors import CapExceededError, count_text
 from .linalg import kernel_enumerate_mod
 from .quandles import DihedralQuandle, FiniteQuandle
 
@@ -282,12 +282,13 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
 
 def check_oracle_cap(m: int, strands: int, cap: int | None):
     """Raise CapExceededError when m**strands candidate tops exceed the cap."""
-    total = m**strands
+    total, power = m**strands, f"{m}^{strands}"
     limit = oracle_cap() if cap is None else cap
     if total > limit:
         raise CapExceededError(
-            f"{m}^{strands} = {total} candidate tops exceed the oracle cap {limit}",
+            f"{count_text(total, power)} candidate tops exceed the oracle cap {limit}",
             count=total,
+            power=power,
         )
 
 

@@ -55,8 +55,35 @@ STATUS_AMBIGUOUS_RESOLVED = "ambiguous-resolved"
 STATUS_MISMATCH = "mismatch"
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least composite that passes Miller-Rabin to every base above
+_PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin on the prime bases 2..37: exact for every
+    n below _PRIMALITY_BOUND (about 3.3*10**24); a larger n is a ValueError."""
+    if n >= _PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIMALITY_BOUND}")
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_odd_prime(p: int) -> bool:
@@ -223,19 +250,23 @@ def evaluate_cells(
     walk per modulus in `oracle_ns` for all the links' powers, the largest
     checked against `cap` before any route runs (CapExceededError); and
     the formula, for T(p, q) with p an odd prime."""
-    factors, qs = zip(*(factor_power(link) for link in links))
-    [factor] = set(factors)  # a ValueError unless the links share one factor
-    if oracle_ns:  # before R_n's n-by-n table is built
+    oracle = {}  # n -> the oracle count of each link
+    if oracle_ns:  # only the oracle reads the factor: T(p, q)'s has p - 1 letters
+        factors, qs = zip(*(factor_power(link) for link in links))
+        [factor] = set(factors)  # a ValueError unless the links share one factor
+        # before R_n's n-by-n table is built
         check_oracle_cap(max(oracle_ns), factor.strands, cap)
-    oracle = {n: oracle_counts(factor, DihedralQuandle(n), qs, cap=cap) for n in oracle_ns}
+        for n in oracle_ns:
+            counts = oracle_counts(factor, DihedralQuandle(n), qs, cap=cap)
+            oracle[n] = [counts[q] for q in qs]
     modulus = _lcm(ns) if linear else None
-    for link, q in zip(links, qs):
+    for i, link in enumerate(links):
         predict = formula and isinstance(link, TorusLinkSpec) and is_odd_prime(link.p)
         snf = smith_normal_form(closure_system(link, modulus), modulus) if linear else None
         for n in ns:
             prediction = predict_count(link.p, link.q, n) if predict else None
             count = kernel_count_from_snf(snf, n) if linear else None
-            yield CellRecord(n, prediction, count, oracle[n][q] if n in oracle else None)
+            yield CellRecord(n, prediction, count, oracle[n][i] if n in oracle else None)
 
 
 def _verify_p(task: tuple[int, list[int], list[int], int]) -> list[CellRecord]:

@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 
-class CapExceededError(RuntimeError):
-    """A configured size cap would be exceeded; carries the offending count."""
+# a count below this is written out in messages; a larger one is named by
+# the power it was computed as: its digits would fill the line, and past
+# 4300 of them int -> str raises ValueError
+SHORT_COUNT = 10**30
 
-    def __init__(self, message: str, count: int):
+
+def count_text(count: int, power: str) -> str:
+    """`power`, the expression `count` was computed as (such as "5^4"),
+    followed by " = " and the count in decimal when it is short."""
+    return f"{power} = {count}" if count < SHORT_COUNT else power
+
+
+class CapExceededError(RuntimeError):
+    """A configured size cap would be exceeded; carries the offending count,
+    exact, and `power`, the expression it was computed as."""
+
+    def __init__(self, message: str, count: int, power: str):
         super().__init__(message)
         self.count = count
+        self.power = power
 
 
 class AmbiguousCountError(ValueError):

@@ -13,12 +13,13 @@ only kernel vectors mod n are int64.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import enumeration_cap
-from .errors import CapExceededError, InternalConsistencyError
+from .errors import CapExceededError, InternalConsistencyError, count_text
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,15 @@ def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> np.ndarray:
     total = kernel_count_from_snf(s, n)
     limit = enumeration_cap() if cap is None else cap
     if total > limit:
+        # the count as a product of powers, one for each factor gcd(d_i, n) > 1
+        factors = Counter(math.gcd(d, n) for d in s.diag)
+        factors[n] += len(s.right) - len(s.diag)
+        power = "*".join(f"{g}^{e}" for g, e in sorted(factors.items()) if g > 1 and e)
         raise CapExceededError(
-            f"kernel mod {n} has {total} vectors, above the enumeration cap {limit}",
+            f"kernel mod {n} has {count_text(total, power)} vectors, "
+            f"above the enumeration cap {limit}",
             count=total,
+            power=power,
         )
     c = len(s.right)
     diag = list(s.diag) + [0] * (c - len(s.diag))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import endo_cap
-from .errors import CapExceededError
+from .errors import CapExceededError, count_text
 
 
 class FiniteQuandle:
@@ -165,11 +165,12 @@ def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> np.nd
     """
     m = q.size
     limit = endo_cap() if cap is None else cap
-    naive = m**m
+    naive, power = m**m, f"{m}^{m}"
     if naive > limit:
         raise CapExceededError(
-            f"brute-force search space {m}^{m} = {naive} exceeds the cap {limit}",
+            f"brute-force search space {count_text(naive, power)} exceeds the cap {limit}",
             count=naive,
+            power=power,
         )
     t = q.table.tolist()
     images = [-1] * m

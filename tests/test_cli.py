@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, output formats, files."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -149,6 +150,29 @@ def test_count_oracle_cap_exits_4(capsys):
     )
     assert code == EXIT_CAP
     assert "1419857" in capsys.readouterr().err
+
+
+def test_huge_oracle_count_ends_in_one_short_line(capsys):
+    # 5^200000 has about 140000 digits; it is named, not written out
+    code = main(["count", "--link", "torus:200000,2", "--n", "5", "--backend", "oracle"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    assert captured.err == "count: 5^200000 candidate tops exceed the oracle cap 10000000\n"
+
+
+def test_huge_brute_force_search_space_ends_in_one_short_line(capsys):
+    code = main(["quiver", "--link", "torus:3,1", "--n", "1500", "--endos", "brute"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.err == "quiver: brute-force search space 1500^1500 exceeds the cap 1000000\n"
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3])
+def test_formula_answers_a_huge_prime_p(p, capsys):
+    code = main(["count", "--link", f"torus:{p},2", "--n", "5", "--backend", "formula"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == f"torus:{p},2 n=5: N=5 case=gcd-even [ok]\n"
 
 
 def test_count_oracle_cap_is_checked_before_any_row(monkeypatch, tmp_path, capsys):
@@ -389,6 +413,8 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout == "[]\n"
 
 
+PAST_PRIMALITY_BOUND = 3317044064679887385961981
+
 BAD_REQUESTS = [
     (["count", "--link", "s1 x2", "--n", "5"], {}),
     (["count", "--link", "torus:5,2", "--n", "1"], {}),
@@ -417,6 +443,11 @@ BAD_REQUESTS = [
     (["count", "--link", "torus:3,3", "--n", "3", "--json", "no-such-dir/x.json"], {}),
     (["verify", "--p", "3", "--q", "2", "--n", "3", "--out", "no-such-dir/x.json"], {}),
     (["verify", "--p", "3", "--q", "2", "--n", "3", "--csv", "no-such-dir/x.csv"], {}),
+    # a p at or past the bound below which primality is decided
+    (["count", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5", "--backend", "formula"], {}),
+    (["count", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5"], {}),
+    (["quiver", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5", "--compare"], {}),
+    (["verify", "--p", str(PAST_PRIMALITY_BOUND), "--q", "2", "--n", "3"], {}),
 ]
 
 
@@ -595,3 +626,74 @@ def test_count_rows_agree_with_verify_records(cell):
     [row] = rows
     assert row["count"] == record.computed
     assert row["status"] == ("ok" if record.status == STATUS_MATCH else record.status)
+
+
+def test_parser_is_built_at_the_first_call_not_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import quandlequiver.cli as cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        cwd=Path(quandlequiver.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_second_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    argv = ["count", "--link", "torus:3,2", "--n", "2", "--backend", "formula"]
+    assert main(argv) == EXIT_OK
+    assert len(built) == 4  # the root parser and one per command
+    assert main(argv) == EXIT_OK
+    assert main(["verify", "--p", "3", "--q", "0..2", "--n", "2"]) == EXIT_OK
+    assert len(built) == 4
+    capsys.readouterr()
+
+
+# a malformed command line, a good count, a malformed cap variable, a good count
+CALL_SEQUENCE = [
+    (["count", "--link", "torus:5,10", "--n", "3", "--bogus"], {}),
+    (["count", "--link", "torus:5,10", "--n", "2..4"], {}),
+    (["count", "--link", "torus:5,10", "--n", "2..4"], {"QUANDLEQUIVER_ORACLE_CAP": "ten"}),
+    (["count", "--link", "torus:5,10", "--n", "2..4"], {}),
+]
+
+
+def test_calls_in_one_process_match_each_call_alone(monkeypatch, capsys):
+    codes = []
+    for argv, env in CALL_SEQUENCE:
+        alone = subprocess.run(
+            [sys.executable, "-m", "quandlequiver", *argv],
+            capture_output=True,
+            text=True,
+            cwd=Path(quandlequiver.__file__).parents[1],
+            env={**os.environ, **env},
+        )
+        with monkeypatch.context() as patch:
+            for name, value in env.items():
+                patch.setenv(name, value)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [EXIT_MISMATCH, EXIT_OK, EXIT_MISMATCH, EXIT_OK]
+
+
+def test_oracle_cap_flag_does_not_carry_into_the_next_call(capsys):
+    # 4^5 = 1024 candidate tops: over a cap of 100, far under the default
+    argv = ["count", "--link", "torus:5,2", "--n", "4", "--backend", "oracle"]
+    assert main([*argv, "--oracle-cap", "100"]) == EXIT_CAP
+    assert main(argv) == EXIT_OK
+    assert main([*argv, "--oracle-cap", "100"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == "torus:5,2 n=4: N=4 [ok]\n"
+    assert captured.err == "count: 4^5 = 1024 candidate tops exceed the oracle cap 100\n" * 2

@@ -26,6 +26,7 @@ from quandlequiver.counting import (
     _lcm,
     evaluate_cells,
     is_odd_prime,
+    is_prime,
     predict_count,
     verify_counts,
 )
@@ -39,6 +40,29 @@ def test_lcm_tree_equals_math_lcm(ns):
 
 def test_is_odd_prime():
     assert [p for p in range(2, 30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_equals_trial_division():
+    for n in range(-2, 2 * 10**5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the bases 2, 3, 5, 7, and 2 through 23
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 10**18 + 3, 10**18 + 9])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_past_its_bound():
+    # the least composite that every base 2..37 passes
+    assert not is_prime(3317044064679887385961981 - 2)
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        is_prime(3317044064679887385961981)
 
 
 @pytest.mark.parametrize(

@@ -259,6 +259,18 @@ def test_kernel_enumerate_cap_names_count():
     assert "10000" in str(exc.value)
 
 
+def test_kernel_cap_names_a_long_count_by_its_powers():
+    with pytest.raises(CapExceededError) as exc:
+        kernel_enumerate_mod([[0] * 50], 5, cap=100)
+    assert exc.value.count == 5**50
+    assert str(exc.value) == "kernel mod 5 has 5^50 vectors, above the enumeration cap 100"
+    # one power per factor gcd(d_i, n) > 1: 2 from the pivot, 4 from the free column
+    with pytest.raises(CapExceededError) as exc:
+        kernel_enumerate_mod([[2, 0]], 4, cap=2)
+    assert exc.value.count == 8
+    assert str(exc.value) == "kernel mod 4 has 2^1*4^1 = 8 vectors, above the enumeration cap 2"
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_invalid_modulus_rejected(n):
     with pytest.raises(ValueError):

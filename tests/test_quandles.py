@@ -176,6 +176,12 @@ def test_brute_force_cap_error():
     with pytest.raises(CapExceededError) as exc:
         brute_force_endomorphisms(DihedralQuandle(8))
     assert exc.value.count == 8**8
+    assert "8^8 = 16777216" in str(exc.value)
+    # a count past 30 digits is named by its power alone
+    with pytest.raises(CapExceededError) as exc:
+        brute_force_endomorphisms(DihedralQuandle(30))
+    assert exc.value.count == 30**30
+    assert str(exc.value) == "brute-force search space 30^30 exceeds the cap 1000000"
 
 
 def test_brute_force_on_alexander_quandle():
