@@ -35,7 +35,7 @@ from .counting import (
     predict_count,
     verify_counts,
 )
-from .errors import SHORT_COUNT, CapExceededError
+from .errors import CapExceededError
 from .export import ExportOptions, to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
 from .quivers import build_quiver, detect_blocks, isomorphic, quiver_form_for_count
@@ -213,8 +213,7 @@ def cmd_quiver(args) -> int:
     try:
         coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
     except CapExceededError as exc:
-        size = exc.count if exc.count < SHORT_COUNT else exc.power
-        print(f"quiver: {size} colorings exceed the enumeration cap", file=sys.stderr)
+        print(f"quiver: {exc.size} colorings exceed the enumeration cap", file=sys.stderr)
         return EXIT_CAP
     if args.endos == "brute":
         try:

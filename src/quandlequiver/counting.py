@@ -55,13 +55,14 @@ STATUS_AMBIGUOUS_RESOLVED = "ambiguous-resolved"
 STATUS_MISMATCH = "mismatch"
 
 
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the least composite that passes Miller-Rabin to every base above
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least composite that passes Miller-Rabin to every base above; the
+# bases up to 37 alone let 318665857834031151167461 through
 _PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the prime bases 2..37: exact for every
+    """Deterministic Miller-Rabin on the prime bases 2..41: exact for every
     n below _PRIMALITY_BOUND (about 3.3*10**24); a larger n is a ValueError."""
     if n >= _PRIMALITY_BOUND:
         raise ValueError(f"primality is decided only below {_PRIMALITY_BOUND}")
@@ -245,11 +246,13 @@ def evaluate_cells(
     oracle_ns=(),
     cap: int | None = None,
 ) -> Iterator[CellRecord]:
-    """Evaluate links closing powers of one factor at each modulus in `ns`,
-    link by link: one Smith form per link, mod the lcm of `ns`; one oracle
-    walk per modulus in `oracle_ns` for all the links' powers, the largest
-    checked against `cap` before any route runs (CapExceededError); and
-    the formula, for T(p, q) with p an odd prime."""
+    """Evaluate links at each modulus in `ns`, link by link: one Smith form
+    per link, mod the lcm of `ns`; one oracle walk per modulus in
+    `oracle_ns` for all the links' powers, the largest checked against
+    `cap` before any route runs (CapExceededError); and the formula, for
+    T(p, q) with p an odd prime.  The oracle walk needs the links to close
+    powers of one factor (a ValueError otherwise); the formula and the
+    Smith form take each link alone, so they never read its factor."""
     oracle = {}  # n -> the oracle count of each link
     if oracle_ns:  # only the oracle reads the factor: T(p, q)'s has p - 1 letters
         factors, qs = zip(*(factor_power(link) for link in links))

@@ -17,12 +17,13 @@ def count_text(count: int, power: str) -> str:
 
 class CapExceededError(RuntimeError):
     """A configured size cap would be exceeded; carries the offending count,
-    exact, and `power`, the expression it was computed as."""
+    exact, and `size`, the count as a message writes it: in decimal when
+    short, else `power`, the expression it was computed as."""
 
     def __init__(self, message: str, count: int, power: str):
         super().__init__(message)
         self.count = count
-        self.power = power
+        self.size = str(count) if count < SHORT_COUNT else power
 
 
 class AmbiguousCountError(ValueError):

@@ -13,7 +13,6 @@ only kernel vectors mod n are int64.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +144,18 @@ def kernel_count_from_snf(snf: SnfResult, n: int) -> int:
         raise ValueError(f"modulus must be at least 2, got {n}")
     if snf.modulus % n:
         raise ValueError(f"a Smith form mod {snf.modulus} cannot count mod {n}")
-    count = 1
+    return math.prod(g**e for g, e in _kernel_factors(snf, n).items())
+
+
+def _kernel_factors(snf: SnfResult, n: int) -> dict[int, int]:
+    """{g: e}, the kernel count mod n being the product of the g**e: one
+    factor gcd(d_i, n) per diagonal entry and n per free column."""
+    factors: dict[int, int] = {}
     for d in snf.diag:
-        count *= math.gcd(d, n)
-    cols = len(snf.right)
-    return count * n ** (cols - len(snf.diag))
+        g = math.gcd(d, n)
+        factors[g] = factors.get(g, 0) + 1
+    factors[n] = factors.get(n, 0) + len(snf.right) - len(snf.diag)
+    return factors
 
 
 def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> np.ndarray:
@@ -168,10 +174,8 @@ def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> np.ndarray:
     total = kernel_count_from_snf(s, n)
     limit = enumeration_cap() if cap is None else cap
     if total > limit:
-        # the count as a product of powers, one for each factor gcd(d_i, n) > 1
-        factors = Counter(math.gcd(d, n) for d in s.diag)
-        factors[n] += len(s.right) - len(s.diag)
-        power = "*".join(f"{g}^{e}" for g, e in sorted(factors.items()) if g > 1 and e)
+        factors = sorted(_kernel_factors(s, n).items())
+        power = "*".join(f"{g}^{e}" for g, e in factors if g > 1 and e)
         raise CapExceededError(
             f"kernel mod {n} has {count_text(total, power)} vectors, "
             f"above the enumeration cap {limit}",

@@ -47,9 +47,9 @@ def test_is_prime_equals_trial_division():
         assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
 
 
-@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
 def test_is_prime_rejects_strong_pseudoprimes(n):
-    # strong pseudoprimes to the bases 2, 3, 5, 7, and 2 through 23
+    # strong pseudoprimes to the bases 2, 3, 5, 7; 2 through 23; and 2 through 37
     assert not is_prime(n)
 
 
@@ -59,10 +59,18 @@ def test_is_prime_accepts_large_primes(n):
 
 
 def test_is_prime_refuses_past_its_bound():
-    # the least composite that every base 2..37 passes
+    # the least composite that every base 2..41 passes
     assert not is_prime(3317044064679887385961981 - 2)
     with pytest.raises(ValueError, match="primality is decided only below"):
         is_prime(3317044064679887385961981)
+
+
+def test_only_the_oracle_needs_one_factor():
+    links = [TorusLinkSpec(3, 2), TorusLinkSpec(5, 2)]
+    with pytest.raises(ValueError):
+        list(evaluate_cells(links, [5], oracle_ns=[5]))
+    cells = list(evaluate_cells(links, [5]))
+    assert [c.computed_linear for c in cells] == [5, 25]
 
 
 @pytest.mark.parametrize(
