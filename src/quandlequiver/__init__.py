@@ -3,7 +3,7 @@
 The package computes colorings of torus links (and arbitrary braid
 closures) by dihedral quandles three independent ways: brute-force
 propagation over a Cayley table, linear algebra through the Smith normal
-form mod n on bounded integers, and closed-form count/quiver formulas;
+form mod n on bounded integers, and closed-form count formulas;
 and it builds, compares, and exports the coloring quivers induced by
 quandle endomorphisms.
 """
@@ -28,11 +28,7 @@ from .counting import (
     predict_count,
     verify_counts,
 )
-from .errors import (
-    AmbiguousCountError,
-    CapExceededError,
-    InternalConsistencyError,
-)
+from .errors import CapExceededError, InternalConsistencyError
 from .export import ExportOptions, quiver_from_json, to_csv, to_dot, to_json
 from .linalg import (
     kernel_enumerate_mod,
@@ -53,13 +49,11 @@ from .quivers import (
     build_quiver,
     detect_blocks,
     isomorphic,
-    predict_quiver,
-    quiver_form_for_count,
+    lattice_form,
     realize,
 )
 
 __all__ = [
-    "AmbiguousCountError",
     "AxiomReport",
     "BlockFamily",
     "BraidWord",
@@ -84,11 +78,10 @@ __all__ = [
     "is_odd_prime",
     "isomorphic",
     "kernel_enumerate_mod",
+    "lattice_form",
     "parse_link",
     "predict_count",
-    "predict_quiver",
     "propagation_matrix",
-    "quiver_form_for_count",
     "quiver_from_json",
     "realize",
     "smith_normal_form",

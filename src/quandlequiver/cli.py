@@ -31,14 +31,13 @@ from .counting import (
     STATUS_MISMATCH,
     evaluate_cells,
     is_odd_prime,
-    is_prime,
     predict_count,
     verify_counts,
 )
 from .errors import CapExceededError
 from .export import ExportOptions, to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
-from .quivers import build_quiver, detect_blocks, isomorphic, quiver_form_for_count
+from .quivers import build_quiver, isomorphic, lattice_form
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -202,14 +201,18 @@ def cmd_quiver(args) -> int:
     link = _request(parse_link, args.link)
     [n] = _moduli([args.n])
     torus = link if isinstance(link, TorusLinkSpec) else None
-    if args.compare and torus is None:
-        raise BadRequest("--compare needs a torus:p,q link")
-    if args.compare and not _request(is_prime, torus.p):
-        raise BadRequest(f"--compare needs p prime, got {torus.p}")
     if args.collapse and args.format != "dot":
         raise BadRequest("--collapse applies to dot output only")
     if args.no_loops and (args.collapse or args.format != "dot"):
         raise BadRequest("--no-loops applies to full dot output only")
+    # the ambiguity note needs the count formula, which needs p an odd prime;
+    # a p past the primality test's bound is a bad request
+    ambiguous = (
+        args.compare
+        and torus is not None
+        and _request(is_odd_prime, torus.p)
+        and predict_count(torus.p, torus.q, n).ambiguous
+    )
     try:
         coloring_set = enumerate_colorings_linear(link, n, cap=args.enum_cap)
     except CapExceededError as exc:
@@ -224,26 +227,10 @@ def cmd_quiver(args) -> int:
     else:
         endos = affine_endomorphisms(n)
     quiver = build_quiver(coloring_set, endos)
-    # one block detection serves both the comparison and the export
-    detected = (
-        detect_blocks(quiver)
-        if args.compare or args.collapse or args.format == "json"
-        else None
-    )
 
     exit_code = EXIT_OK
     if args.compare:
-        p, q = torus.p, torus.q
-        ambiguous = False
-        if is_odd_prime(p):
-            prediction = predict_count(p, q, n)
-            ambiguous = prediction.ambiguous
-        try:
-            form = quiver_form_for_count(p, n, coloring_set.count)
-        except ValueError as exc:
-            print(f"quiver: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
-        if isomorphic(quiver, form, detected) is None:
+        if isomorphic(quiver, *lattice_form(coloring_set)) is None:
             print("isomorphic=false")
             exit_code = EXIT_MISMATCH
         else:
@@ -256,12 +243,12 @@ def cmd_quiver(args) -> int:
         collapse_blocks=args.collapse, include_loops=not args.no_loops
     )
     if args.format == "dot":
-        _write(args.out, to_dot(quiver, options, detected))
+        _write(args.out, to_dot(quiver, options))
     else:
         params = {"n": n}
         if torus is not None:
             params = {"p": torus.p, "q": torus.q, "n": n}
-        _write(args.out, to_json(quiver, params=params, detected=detected))
+        _write(args.out, to_json(quiver, params=params))
     return exit_code
 
 
@@ -319,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     quiver.add_argument("--n", required=True, type=int)
     quiver.add_argument("--endos", choices=["affine", "brute"], default="affine")
     quiver.add_argument("--compare", action="store_true",
-                        help="check the computed quiver against its closed form")
+                        help="check the quiver against the block form of its colorings")
     quiver.add_argument("--format", choices=["dot", "json"], default="dot")
     quiver.add_argument("--collapse", action="store_true",
                         help="collapse uniform blocks (dot only)")

@@ -26,17 +26,5 @@ class CapExceededError(RuntimeError):
         self.size = str(count) if count < SHORT_COUNT else power
 
 
-class AmbiguousCountError(ValueError):
-    """The closed-form count is ambiguous for these parameters.
-
-    Carries both candidate counts; callers should compute the actual count
-    with a backend and dispatch on that instead.
-    """
-
-    def __init__(self, message: str, candidates: tuple[int, ...]):
-        super().__init__(message)
-        self.candidates = candidates
-
-
 class InternalConsistencyError(RuntimeError):
     """A structural invariant that should hold by construction failed."""

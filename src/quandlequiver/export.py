@@ -54,22 +54,17 @@ def _form_columns(form: QuiverForm) -> tuple[list[np.ndarray], list[np.ndarray]]
     return list(families.reshape(-1, 2).T), list(cross.reshape(-1, 3).T)
 
 
-def to_dot(
-    quiver: WeightedQuiver,
-    options: ExportOptions | None = None,
-    detected: tuple[QuiverForm, list[list[int]]] | None = None,
-) -> str:
+def to_dot(quiver: WeightedQuiver, options: ExportOptions | None = None) -> str:
     """Graphviz text for a quiver, full or collapsed to uniform blocks.
 
     Full mode emits one labeled edge per ordered vertex pair of nonzero
     weight.  Collapsed mode draws one node per detected block, annotated
     with size and internal weight, and one edge per uniform cross weight.
-    `detected` is detect_blocks(quiver), when the caller already has it.
     """
     options = options or ExportOptions()
     parts = ["digraph quiver {\n"]
     if options.collapse_blocks:
-        form, _ = detected or detect_blocks(quiver)
+        form, _ = detect_blocks(quiver)
         families, cross = _form_columns(form)
         blocks = [np.arange(len(form.families)), *families]
         parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", len(form.families), blocks))
@@ -111,12 +106,10 @@ def _json_list(item: str, rows: int, columns, level: int) -> list[str]:
     return ["[\n", *_records(item, ",\n", rows, columns), "\n" + _indent(level) + "]"]
 
 
-def _quiver_json_parts(
-    quiver: WeightedQuiver,
-    params: dict | None = None,
-    detected: tuple[QuiverForm, list[list[int]]] | None = None,
-) -> list[str]:
+def _quiver_json_parts(quiver: WeightedQuiver, params: dict | None = None) -> list[str]:
     """The pieces of a quiver's JSON: params, count, colorings, weights, blocks."""
+    # blocks first, so detection's temporaries are gone before the text grows
+    form = detect_blocks(quiver)[0] if quiver.n_vertices else None
     parts = ["{\n"]
     if params is not None:
         # a nested value is the value on its own, each line indented one level
@@ -129,8 +122,7 @@ def _quiver_json_parts(
     arrows = [quiver.sources(), quiver.dst, quiver.weight]
     parts.append(',\n  "weights": ')
     parts += _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
-    if quiver.n_vertices:
-        form, _ = detected or detect_blocks(quiver)
+    if form is not None:
         families, cross = _form_columns(form)
         block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
         parts.append(',\n  "blocks": {\n    "blocks": ')
@@ -153,9 +145,7 @@ def to_json(obj, **options) -> str:
     """Stable JSON for quivers, sweep reports, and lists of plain records."""
     if isinstance(obj, WeightedQuiver):
         return "".join(_quiver_json_parts(obj, **options))
-    if isinstance(obj, CellRecord):
-        payload = obj.to_dict()
-    elif isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):
         payload = [
             item.to_dict() if isinstance(item, CellRecord) else item for item in obj
         ]

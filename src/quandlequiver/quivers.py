@@ -1,4 +1,4 @@
-"""Coloring quivers: construction, closed-form shapes, blocks, and comparison.
+"""Coloring quivers: construction, block forms, blocks, and comparison.
 
 The quiver of a coloring set has one vertex per coloring and, for each
 endomorphism phi of the target quandle, one arrow f -> phi . f; arrows
@@ -7,18 +7,22 @@ all equal the number of endomorphisms supplied.  The endomorphisms come
 as one (k, m) image array, such as `quandles.affine_endomorphisms`
 returns, and `build_quiver` checks every row against the coloring set's
 own quandle before it builds.
+
+A `QuiverForm` (complete blocks and uniform cross arrows) comes from a
+built quiver by `detect_blocks`, or from the colorings by R_n alone by
+`lattice_form`; `isomorphic` checks a quiver against one, arrow by arrow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .colorings import ColoringSet
-from .counting import is_prime, predict_count
-from .errors import AmbiguousCountError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .quandles import DihedralQuandle, FiniteQuandle
 
 
@@ -108,11 +112,13 @@ class WeightedQuiver:
 _SLAB = 1 << 13
 
 
-def _row_keys(rows: np.ndarray, m: int, key_type) -> np.ndarray:
+def _row_keys(rows: np.ndarray, m: int) -> np.ndarray:
     """Each row of colours read as base-m digits, the first most significant.
 
-    Key order is lexicographic row order.
+    Key order is lexicographic row order.  Keys are int64 when every row
+    of that width fits, Python ints otherwise.
     """
+    key_type = np.int64 if m ** rows.shape[-1] < 2**63 else object
     keys = rows[..., 0].astype(key_type)
     for j in range(1, rows.shape[-1]):
         keys *= m
@@ -175,17 +181,16 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     colour = np.min_scalar_type(m - 1)
     images = _endomorphism_images(coloring_set.quandle, endos, colour)
     colorings = coloring_set.colorings
-    n_vertices, strands = colorings.shape
-    key_type = np.int64 if m**strands < 2**63 else object
+    n_vertices = len(colorings)
     points = colorings.astype(colour)
-    keys = _row_keys(points, m, key_type)
+    keys = _row_keys(points, m)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
     per_row = len(images)
     slabs = range(0, n_vertices, max(1, _SLAB // per_row)) if per_row else ()
     src, dst, weight = [], [], []
     for start in slabs:
-        image_keys = _row_keys(images[:, points[start : start + slabs.step]], m, key_type)
+        image_keys = _row_keys(images[:, points[start : start + slabs.step]], m)
         targets = np.searchsorted(keys, image_keys)
         missing = keys[np.minimum(targets, n_vertices - 1)] != image_keys
         if missing.any():
@@ -247,32 +252,28 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos:
 
 @dataclass(frozen=True)
 class BlockFamily:
-    """`copies` disjoint complete blocks on `size` vertices of one weight.
+    """One complete block on `size` vertices, every ordered pair of them,
+    loops included, carrying `weight`.
 
     Weight 0 is allowed only for a single vertex: one without a loop.
     """
 
-    copies: int
     size: int
     weight: int
 
     def __post_init__(self):
-        bad_weight = self.weight < 0 or (self.weight == 0 and self.size > 1)
-        if self.copies < 1 or self.size < 1 or bad_weight:
+        if self.size < 1 or self.weight < 0 or (self.weight == 0 and self.size > 1):
             raise ValueError(
-                f"block family needs copies, size >= 1 and weight >= 1 "
-                f"(0 for a single vertex), got {self}"
+                f"block needs size >= 1 and weight >= 1 (0 for a single vertex), got {self}"
             )
 
 
 @dataclass(frozen=True)
 class QuiverForm:
-    """A closed-form quiver shape: complete blocks plus uniform cross arrows.
+    """A quiver as complete blocks plus uniform cross arrows.
 
     `cross` entries (src, dst, d) put d parallel arrows from every vertex
-    of every copy in family src to every vertex of every copy in family
-    dst.  Complete blocks carry their weight on every ordered pair of
-    their vertices, loops included.
+    of block src to every vertex of block dst.
     """
 
     families: tuple[BlockFamily, ...] = ()
@@ -288,70 +289,25 @@ class QuiverForm:
 
     @property
     def n_vertices(self) -> int:
-        return sum(f.copies * f.size for f in self.families)
+        return sum(f.size for f in self.families)
 
 
 def realize(form: QuiverForm) -> WeightedQuiver:
-    """Expand a form to an explicit quiver, vertices in block-major order."""
-    # family k holds vertices bounds[k] .. bounds[k + 1] - 1, copy by copy
-    bounds = np.cumsum([0] + [f.copies * f.size for f in form.families]).tolist()
-    family = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
-    src, dst, weight = [], [], []
-    for f, vertices in zip(form.families, family):
-        src.append(np.repeat(vertices, f.size))
-        dst.append(np.tile(vertices.reshape(f.copies, f.size), f.size).ravel())
-        weight.append(np.full(vertices.size * f.size, f.weight))
-    for a, b, d in form.cross:
-        src.append(np.repeat(family[a], family[b].size))
-        dst.append(np.tile(family[b], family[a].size))
-        weight.append(np.full(family[a].size * family[b].size, d))
-    arrays = (np.concatenate(a) if a else () for a in (src, dst, weight))
-    return WeightedQuiver.from_arrows(form.n_vertices, *arrays)
-
-
-def quiver_form_for_count(p: int, n: int, count: int) -> QuiverForm:
-    """The closed-form quiver shape for a torus link with a known count.
-
-    Dispatches on how the count relates to n; used both by predict_quiver
-    and for comparing against computed counts in cells where the count
-    formula itself is ambiguous.  Every shape is the trivial block K_n of
-    weight n, plus at most one family of `copies` blocks of one `size` and
-    `weight`, each of whose vertices sends that weight to every trivial
-    vertex.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    trivial = BlockFamily(1, n, n)
-    if count == n:
-        return QuiverForm((trivial,))
-    if count == p * n:
-        # gcd(n, p) = p here, so the weight n/p is integral
-        copies, size, weight = 1, (p - 1) * n, n // p
-    elif count == 2 ** (p - 1) * n:
-        # n is even in this regime
-        copies, size, weight = 2 ** (p - 1) - 1, n, n // 2
-    elif count == n**p:
-        if not is_prime(n):
-            raise ValueError(f"no closed-form quiver for count n^p with composite n = {n}")
-        copies, size, weight = (n**p - n) // (n * (n - 1)), n * (n - 1), 1
-    else:
-        raise ValueError(f"count {count} matches no closed-form quiver shape for (p={p}, n={n})")
-    return QuiverForm((trivial, BlockFamily(copies, size, weight)), ((1, 0, weight),))
-
-
-def predict_quiver(p: int, q: int, n: int) -> QuiverForm:
-    """Closed-form quiver of T(p, q) colored by R_n, when the count is settled."""
-    prediction = predict_count(p, q, n)
-    if prediction.ambiguous:
-        raise AmbiguousCountError(
-            f"count of T({p},{q}) by R_{n} is ambiguous "
-            f"({' vs '.join(map(str, prediction.candidates))}); compute it and "
-            "dispatch with quiver_form_for_count",
-            candidates=prediction.candidates,
-        )
-    return quiver_form_for_count(p, n, prediction.n_colorings)
+    """Expand a form to an explicit quiver, its blocks laid end to end in order."""
+    sizes = np.array([f.size for f in form.families], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # a block's own weight is an entry from it to itself
+    inside = [(b, b, f.weight) for b, f in enumerate(form.families)]
+    a, b, d = np.array(inside + list(form.cross), dtype=np.int64).reshape(-1, 3).T
+    # entry e holds sizes[a] * sizes[b] arrows; arrow t of it runs from
+    # row t // sizes[b] of block a to column t % sizes[b] of block b
+    span = sizes[a] * sizes[b]
+    entry = np.repeat(np.arange(span.size), span)
+    t = np.arange(entry.size) - np.repeat(np.cumsum(span) - span, span)
+    width = sizes[b][entry]
+    src = starts[a][entry] + t // width
+    dst = starts[b][entry] + t % width
+    return WeightedQuiver.from_arrows(form.n_vertices, src, dst, d[entry])
 
 
 # --- block structure -----------------------------------------------------
@@ -429,10 +385,10 @@ def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
     its column's sources and weights; the blocks' weights are then
     re-checked by `_block_profiles`.
 
-    Returns (form, blocks): `form` has one single-copy family per block,
-    carrying its internal weight (a singleton's loop weight, possibly 0),
-    and `cross` triples over block indices; blocks[i] is the sorted vertex
-    list of block i.  Blocks are ordered by smallest vertex.
+    Returns (form, blocks): `form` has one family per block, carrying its
+    internal weight (a singleton's loop weight, possibly 0), and `cross`
+    triples over block indices; blocks[i] is the sorted vertex list of
+    block i.  Blocks are ordered by smallest vertex.
     """
     n = quiver.n_vertices
     src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
@@ -459,75 +415,95 @@ def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
     block_of = _byte_classes(packed, offsets)
     sizes = np.bincount(block_of)
     internal, cross = _block_profiles(src, dst, weight, block_of, sizes)
+    return _form_and_blocks(block_of, internal, cross)
+
+
+def _form_and_blocks(
+    block_of: np.ndarray, weights: np.ndarray, cross: np.ndarray
+) -> tuple[QuiverForm, list[list[int]]]:
+    """The form of blocks of these weights and cross rows (b, c, d), and
+    each block's vertices in order; vertex v lies in block block_of[v]."""
+    sizes = np.bincount(block_of)
+    families = map(BlockFamily, sizes.tolist(), weights.tolist())
+    form = QuiverForm(tuple(families), tuple(map(tuple, cross.tolist())))
     members = np.argsort(block_of, kind="stable").tolist()
     bounds = np.cumsum(np.append(0, sizes)).tolist()
-    families = (BlockFamily(1, size, w) for size, w in zip(sizes.tolist(), internal.tolist()))
-    form = QuiverForm(families=tuple(families), cross=tuple(map(tuple, cross.tolist())))
     return form, [members[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# --- the cyclic-subgroup lattice ----------------------------------------
+
+
+def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, list[list[int]]]:
+    """detect_blocks(build_quiver(coloring_set, affine_endomorphisms(n))),
+    read off the colorings by R_n alone.
+
+    The colorings K are a subgroup of Z_n^strands and K = K0 + Delta, the
+    trivial colorings Delta and K0 those colouring strand 1 with 0: the
+    first N/n sorted rows.  The maps x -> ax + b sending c to d are one
+    per a with a(c - c_1) = d - d_1, so each cyclic subgroup C = <g> of K0,
+    of order k, is one complete block: the n phi(k) colorings c with <c - c_1> = C,
+    of weight n/k, sending n/k to each block <j g> for the divisors j > 1
+    of k.  The block is named by its least generator, among the u g for
+    units u mod n, which is also its least coloring.  A quandle other than
+    R_n raises ValueError; colorings that are not such a group raise
+    InternalConsistencyError.
+    """
+    quandle = coloring_set.quandle
+    if not isinstance(quandle, DihedralQuandle):
+        raise ValueError(f"the lattice form needs colorings by R_n, got {quandle!r}")
+    n, colorings = quandle.n, coloring_set.colorings
+    count = len(colorings)
+    if not count or count % n:
+        raise InternalConsistencyError(f"{count} colorings, not a multiple of n = {n}")
+    group = colorings[: count // n]
+    keys = _row_keys(group, n)
+
+    def position(rows):  # the row of `group` equal to each of `rows`
+        wanted = _row_keys(rows, n)
+        at = np.searchsorted(keys, wanted)
+        if np.any(keys[np.minimum(at, keys.size - 1)] != wanted):
+            raise InternalConsistencyError(
+                "colorings are not a group holding the trivial colorings"
+            )
+        return at
+
+    block_name = position((colorings - colorings[:, :1]) % n)
+    name = np.arange(len(group))
+    for u in range(2, n):
+        if math.gcd(u, n) == 1:
+            np.minimum(name, position(u * group % n), out=name)
+    names, block_of = np.unique(name[block_name], return_inverse=True)
+    generators = group[names]
+    orders = n // np.gcd(n, np.gcd.reduce(generators, axis=1))
+    # block src sends to the block of <j g> for each divisor j > 1 of its order
+    divisors = np.array([j for j in range(2, n + 1) if n % j == 0], dtype=np.int64)
+    src, j = np.nonzero(orders[:, None] % divisors == 0)
+    dst = np.searchsorted(names, name[position(divisors[j, None] * generators[src] % n)])
+    cross = np.column_stack((src, dst, n // orders[src]))[np.lexsort((dst, src))]
+    return _form_and_blocks(block_of, n // orders, cross)
 
 
 # --- comparison ----------------------------------------------------------
 
 
 def isomorphic(
-    quiver: WeightedQuiver,
-    form: QuiverForm,
-    detected: tuple[QuiverForm, list[list[int]]] | None = None,
+    quiver: WeightedQuiver, form: QuiverForm, blocks: list[list[int]]
 ) -> tuple[int, ...] | None:
-    """A weight-preserving vertex mapping of `quiver` onto realize(form), or None.
-
-    `detected` is detect_blocks(quiver), when the caller already has it.
-
-    The mapping sends each vertex to its image in realize(form)'s
-    block-major order.  Each block detect_blocks finds in `quiver` is
-    matched to a free copy of the form's family with the same size and
-    weight; the mapped arrows, sorted, must then equal realize(form)'s
-    arrows and weights in one array comparison, so a returned mapping is
-    always an isomorphism.
-
-    None is an exact refutation when the form's families have distinct
-    weights (a form with two families of one weight raises ValueError):
-
-    - detect_blocks returns the twin classes, and those of realize(form)
-      are exactly its copies: twins have equal loop weights, which
-      separates families of distinct weights, and copies of one family
-      share no arrows, while twins send each other their loop weight;
-    - detect_blocks commutes with isomorphism, so a quiver isomorphic to
-      realize(form) decomposes into blocks matching those copies;
-    - vertices within a copy, and copies within a family, are
-      interchangeable, so when any isomorphism exists the matched mapping
-      is one.
-
-    Every shape quiver_form_for_count returns has distinct weights: n with
-    n/p, n/2 or 1.
+    """The mapping of vertex k of blocks[b] to vertex k of block b of
+    realize(form), when it carries `quiver` onto realize(form) arrow for
+    arrow and weight for weight (one sorted array comparison); else None,
+    as it is for blocks that do not partition the vertices into the
+    form's block sizes.
     """
-    weights = [f.weight for f in form.families]
-    if len(set(weights)) < len(weights):
-        raise ValueError(f"the form's families need distinct weights, got {weights}")
     n = quiver.n_vertices
-    if n != form.n_vertices:
+    laid = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
+    if [len(b) for b in blocks] != [f.size for f in form.families] or not np.array_equal(
+        np.sort(laid), np.arange(n)
+    ):
         return None
-    free: dict[tuple[int, int], list[int]] = {}
-    start = 0
-    for f in form.families:
-        for _ in range(f.copies):
-            free.setdefault((f.size, f.weight), []).append(start)
-            start += f.size
-    detected, blocks = detected or detect_blocks(quiver)
-    block_start = []
-    for family in detected.families:
-        starts = free.get((family.size, family.weight))
-        if not starts:
-            return None
-        block_start.append(starts.pop())
-    # vertex k of block b goes to block_start[b] + k; with the blocks laid
-    # end to end it sits at position (cumsum(sizes) - sizes)[b] + k
-    sizes = np.array([f.size for f in detected.families], dtype=np.int64)
-    offset = np.array(block_start, dtype=np.int64) - (np.cumsum(sizes) - sizes)
     mapping = np.empty(n, dtype=np.int64)
-    mapping[np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=n)] = (
-        np.repeat(offset, sizes) + np.arange(n)
-    )
+    mapping[laid] = np.arange(n)
     target = realize(form)
     key = mapping[quiver.sources()] * n + mapping[quiver.dst]
     order = np.argsort(key)

@@ -18,11 +18,11 @@ def _label(vertex, labels):
     return ",".join(str(c) for c in labels[vertex])
 
 
-def to_dot(quiver, options=None, detected=None):
+def to_dot(quiver, options=None):
     options = options or ExportOptions()
     lines = ["digraph quiver {"]
     if options.collapse_blocks:
-        form, _ = detected or detect_blocks(quiver)
+        form, _ = detect_blocks(quiver)
         for bi, f in enumerate(form.families):
             lines.append(f'  b{bi} [label="K{f.size} w={f.weight}"];')
         for bi, bj, d in form.cross:
@@ -38,7 +38,7 @@ def to_dot(quiver, options=None, detected=None):
     return "\n".join(lines) + "\n"
 
 
-def quiver_to_dict(quiver, params=None, detected=None):
+def quiver_to_dict(quiver, params=None):
     out = {}
     if params is not None:
         out["params"] = dict(params)
@@ -47,7 +47,7 @@ def quiver_to_dict(quiver, params=None, detected=None):
         out["colorings"] = quiver.labels.tolist()
     out["weights"] = [[i, j, w] for i, j, w in quiver.weight_triples()]
     if quiver.n_vertices:
-        form = (detected or detect_blocks(quiver))[0]
+        form = detect_blocks(quiver)[0]
         out["blocks"] = {
             "blocks": [{"size": f.size, "weight": f.weight} for f in form.families],
             "cross": [list(t) for t in form.cross],
@@ -55,5 +55,5 @@ def quiver_to_dict(quiver, params=None, detected=None):
     return out
 
 
-def to_json(quiver, params=None, detected=None):
-    return json.dumps(quiver_to_dict(quiver, params, detected), indent=2) + "\n"
+def to_json(quiver, params=None):
+    return json.dumps(quiver_to_dict(quiver, params), indent=2) + "\n"

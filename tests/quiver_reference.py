@@ -1,15 +1,21 @@
-"""Reference quiver used by the tests: one dict of target -> weight per row.
+"""Reference quivers used by the tests: one dict of target -> weight per
+row, and the paper's closed-form shapes keyed by the coloring count.
 
 `WeightedQuiver` holds CSR arrays built in one pass by `from_arrows`, and
 `build_quiver` keys the colorings in base m and finds every image row by
 `searchsorted`; these are the direct row-dict quiver and per-arrow build
-they must agree with.
+they must agree with.  `lattice_form` reads the quiver's blocks off the
+cyclic subgroups of the colorings; `quiver_form_for_count` is the paper's
+table of four shapes it must agree with wherever that table has an answer.
 """
+
+from itertools import groupby
 
 import numpy as np
 
+from quandlequiver.counting import is_prime
 from quandlequiver.errors import InternalConsistencyError
-from quandlequiver.quivers import WeightedQuiver
+from quandlequiver.quivers import BlockFamily, QuiverForm, WeightedQuiver
 
 
 class DictQuiver:
@@ -75,3 +81,40 @@ def build_quiver(coloring_set, endos):
                 )
             quiver.add(k, j)
     return quiver.freeze()
+
+
+def quiver_form_for_count(p, n, count):
+    """The paper's quiver of T(p, q) by R_n, as a function of the count.
+
+    Every shape is the trivial block K_n of weight n, first, plus `copies`
+    blocks of one `size` and `weight`, each of which sends that weight to
+    the trivial block.  ValueError for p not prime, for the count n^p with
+    n composite and for a count that matches no shape.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if count == n:
+        copies, size, weight = 0, 1, 1
+    elif count == p * n:
+        # gcd(n, p) = p here, so the weight n/p is integral
+        copies, size, weight = 1, (p - 1) * n, n // p
+    elif count == 2 ** (p - 1) * n:
+        # n is even in this regime
+        copies, size, weight = 2 ** (p - 1) - 1, n, n // 2
+    elif count == n**p:
+        if not is_prime(n):
+            raise ValueError(f"no closed-form quiver for count n^p with composite n = {n}")
+        copies, size, weight = (n**p - n) // (n * (n - 1)), n * (n - 1), 1
+    else:
+        raise ValueError(f"count {count} matches no closed-form quiver shape for (p={p}, n={n})")
+    families = (BlockFamily(n, n),) + (BlockFamily(size, weight),) * copies
+    return QuiverForm(families, tuple((b, 0, weight) for b in range(1, copies + 1)))
+
+
+def runs(form):
+    """(copies, size, weight) of each run of equal consecutive blocks of a form."""
+    return tuple(
+        (len(list(run)), f.size, f.weight) for f, run in groupby(form.families)
+    )

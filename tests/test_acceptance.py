@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from quandle_reference import audit_affine_completeness, is_involutive
-from quiver_reference import dense
+from quiver_reference import dense, quiver_form_for_count, runs
 
 from quandlequiver.braids import BraidWord, torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
@@ -27,12 +27,7 @@ from quandlequiver.quandles import (
     affine_endomorphisms,
     verify_quandle_axioms,
 )
-from quandlequiver.quivers import (
-    build_quiver,
-    isomorphic,
-    quiver_form_for_count,
-    realize,
-)
+from quandlequiver.quivers import build_quiver, isomorphic, lattice_form, realize
 
 
 def report(num, detail, elapsed=None, budget=None):
@@ -50,13 +45,16 @@ def torus_quiver(p, q, n):
     return cs, build_quiver(cs, affine_endomorphisms(n))
 
 
-def check_quiver_matches_form(p, q, n, expected_count, families, cross):
+def check_quiver_matches_form(p, q, n, expected_count, families, d):
+    """The lattice form is the paper's shape: `families` as (copies, size,
+    weight) runs of blocks, every block past the first sending d to it."""
     cs, quiver = torus_quiver(p, q, n)
     assert cs.count == expected_count
-    form = quiver_form_for_count(p, n, cs.count)
-    assert tuple((f.copies, f.size, f.weight) for f in form.families) == families
-    assert form.cross == cross
-    mapping = isomorphic(quiver, form)
+    form, blocks = lattice_form(cs)
+    assert form == quiver_form_for_count(p, n, cs.count)
+    assert runs(form) == families
+    assert form.cross == tuple((b, 0, d) for b in range(1, len(form.families)))
+    mapping = isomorphic(quiver, form, blocks)
     assert mapping is not None
     target = realize(form)
     assert sorted(mapping) == list(range(target.n_vertices))
@@ -67,7 +65,7 @@ def check_quiver_matches_form(p, q, n, expected_count, families, cross):
 
 def test_criterion_1_torus_5_2_quiver():
     start = time.perf_counter()
-    check_quiver_matches_form(5, 2, 5, 25, ((1, 5, 5), (1, 20, 1)), ((1, 0, 1),))
+    check_quiver_matches_form(5, 2, 5, 25, ((1, 5, 5), (1, 20, 1)), 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, "T(5,2) over R_5: N=25, quiver = K_5(w5) joined from K_20(w1) d=1", elapsed, 1.0)
@@ -75,7 +73,7 @@ def test_criterion_1_torus_5_2_quiver():
 
 def test_criterion_2_torus_5_5_quiver():
     start = time.perf_counter()
-    check_quiver_matches_form(5, 5, 6, 96, ((1, 6, 6), (15, 6, 3)), ((1, 0, 3),))
+    check_quiver_matches_form(5, 5, 6, 96, ((1, 6, 6), (15, 6, 3)), 3)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     report(2, "T(5,5) over R_6: N=96, quiver = K_6(w6) joined from 15xK_6(w3) d=3", elapsed, 2.0)
@@ -86,8 +84,8 @@ def test_criterion_3_torus_5_10_quiver():
     n, p = 3, 5
     m = (n**p - n) // (n * (n - 1))
     assert m == 40
-    form = check_quiver_matches_form(5, 10, 3, 243, ((1, 3, 3), (m, 6, 1)), ((1, 0, 1),))
-    assert form.families[1].copies == m
+    form = check_quiver_matches_form(5, 10, 3, 243, ((1, 3, 3), (m, 6, 1)), 1)
+    assert len(form.families) == 1 + m
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(3, "T(5,10) over R_3: N=243, quiver = K_3(w3) joined from 40xK_6(w1) d=1", elapsed, 10.0)
@@ -95,7 +93,7 @@ def test_criterion_3_torus_5_10_quiver():
 
 def test_criterion_4_torus_7_2_quiver():
     start = time.perf_counter()
-    check_quiver_matches_form(7, 2, 14, 98, ((1, 14, 14), (1, 84, 2)), ((1, 0, 2),))
+    check_quiver_matches_form(7, 2, 14, 98, ((1, 14, 14), (1, 84, 2)), 2)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(4, "T(7,2) over R_14: N=98, quiver = K_14(w14) joined from K_84(w2) d=2", elapsed, 10.0)

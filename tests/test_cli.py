@@ -259,6 +259,7 @@ def test_quiver_compare_large_quiver(tmp_path, capsys):
     [
         ["quiver", "--link", "torus:5,10", "--n", "5", "--compare", "--format", "json"],
         ["quiver", "--link", "torus:3,4", "--n", "9", "--compare", "--collapse"],
+        ["quiver", "--link", "torus:5,10", "--n", "5", "--compare"],
     ],
 )
 def test_quiver_compare_detects_blocks_once(argv, monkeypatch, tmp_path, capsys):
@@ -269,12 +270,26 @@ def test_quiver_compare_detects_blocks_once(argv, monkeypatch, tmp_path, capsys)
         calls.append(quiver.n_vertices)
         return original(quiver)
 
-    for module in (quivers, export, cli):
+    for module in (quivers, export):
         monkeypatch.setattr(module, "detect_blocks", counted)
     code = main(argv + ["--out", str(tmp_path / "quiver.out")])
     assert code in (EXIT_OK, EXIT_AMBIGUOUS)
     assert capsys.readouterr().out.startswith("isomorphic=true")
-    assert len(calls) == 1
+    # the comparison reads the colorings; only a JSON or collapsed export
+    # detects blocks
+    assert len(calls) == ("--collapse" in argv or "json" in argv)
+
+
+@pytest.mark.parametrize(
+    "link,n",
+    [("s1 s1 s1", 3), ("torus:4,2", 4), ("torus:9,2", 3), ("torus:3,6", 6)],
+)
+def test_quiver_compare_answers_any_link_and_modulus(link, n, capsys):
+    # a braid word, an even p, a composite p and a composite n with A = Z_6^2
+    code = main(["quiver", "--link", link, "--n", str(n), "--compare"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert captured.out.startswith("isomorphic=true\n")
 
 
 def test_quiver_json_out(tmp_path):
@@ -469,8 +484,8 @@ def test_bad_request_exits_2_with_one_stderr_line(argv, env, monkeypatch, capsys
     "argv",
     [
         ["quiver", "--link", "torus:5,2", "--n", "5", "--format", "json", "--collapse", "--compare"],
-        ["quiver", "--link", "s1 s1 s1", "--n", "3", "--compare"],
-        ["quiver", "--link", "torus:4,2", "--n", "4", "--compare"],
+        ["quiver", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5", "--compare"],
+        ["quiver", "--link", "torus:5,2", "--n", "1", "--compare"],
         ["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops", "--format", "json"],
         ["quiver", "--link", "torus:5,2", "--n", "5", "--no-loops", "--collapse"],
         ["quiver", "--link", "torus:5,2", "--n", "5", "--out", "no-such-dir/x.dot"],

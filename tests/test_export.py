@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from quiver_reference import quiver_form_for_count
 
 from quandlequiver.braids import TorusLinkSpec, torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
@@ -29,8 +30,6 @@ from quandlequiver.quivers import (
     QuiverForm,
     WeightedQuiver,
     build_quiver,
-    detect_blocks,
-    quiver_form_for_count,
     realize,
 )
 
@@ -41,7 +40,7 @@ def torus_quiver(p, q, n):
 
 
 def test_dot_full_complete_2():
-    text = to_dot(realize(QuiverForm((BlockFamily(1, 2, 2),))))
+    text = to_dot(realize(QuiverForm((BlockFamily(2, 2),))))
     assert text.startswith("digraph quiver {")
     assert text.rstrip().endswith("}")
     assert '  v0 -> v0 [label="2"];' in text
@@ -53,7 +52,7 @@ def test_dot_full_complete_2():
 
 
 def test_dot_without_loops():
-    text = to_dot(realize(QuiverForm((BlockFamily(1, 2, 2),))), ExportOptions(include_loops=False))
+    text = to_dot(realize(QuiverForm((BlockFamily(2, 2),))), ExportOptions(include_loops=False))
     assert "v0 -> v0" not in text
     assert "v1 -> v1" not in text
     assert text.count("->") == 2
@@ -190,35 +189,28 @@ def random_quivers(draw):
 @example(WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]), False, False, 1, {})
 def test_writers_match_reference(quiver, loops, collapse, chunk, params):
     # a chunk of 1 to 5 records puts chunk boundaries inside every list
-    detected = detect_blocks(quiver)
     options = ExportOptions(collapse_blocks=collapse, include_loops=loops)
     with mock.patch.object(export, "_CHUNK", chunk):
-        assert to_dot(quiver, options, detected) == export_reference.to_dot(quiver, options, detected)
-        assert to_json(quiver, params=params, detected=detected) == export_reference.to_json(
-            quiver, params, detected
-        )
+        assert to_dot(quiver, options) == export_reference.to_dot(quiver, options)
+        assert to_json(quiver, params=params) == export_reference.to_json(quiver, params)
     assert quiver_from_json(to_json(quiver)) == quiver
 
 
 def test_writers_match_reference_across_default_chunks():
     # 78025 arrows and 3125 vertices: many chunks of the default size
     quiver = torus_quiver(5, 10, 5)
-    detected = detect_blocks(quiver)
     for options in (ExportOptions(), ExportOptions(include_loops=False)):
-        assert to_dot(quiver, options, detected) == export_reference.to_dot(quiver, options, detected)
-    assert to_json(quiver, params={"n": 5}, detected=detected) == export_reference.to_json(
-        quiver, {"n": 5}, detected
-    )
+        assert to_dot(quiver, options) == export_reference.to_dot(quiver, options)
+    assert to_json(quiver, params={"n": 5}) == export_reference.to_json(quiver, {"n": 5})
 
 
 def test_json_writer_peak_memory():
     # T(5,10) by R_5: 3.5 MB of JSON; the output itself and the pieces it
     # is joined from are two of the 2.5 lengths allowed
     quiver = torus_quiver(5, 10, 5)
-    detected = detect_blocks(quiver)
     tracemalloc.start()
     try:
-        text = to_json(quiver, params={"p": 5, "q": 10, "n": 5}, detected=detected)
+        text = to_json(quiver, params={"p": 5, "q": 10, "n": 5})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

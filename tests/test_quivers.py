@@ -1,4 +1,4 @@
-"""Tests for quiver construction, closed-form shapes, blocks, and comparison."""
+"""Tests for quiver construction, the lattice form, blocks, and comparison."""
 
 import random
 
@@ -8,8 +8,8 @@ from blocks_reference import detect_blocks as reference_blocks
 from blocks_reference import twin_blocks
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from quiver_reference import dense
 from quiver_reference import build_quiver as reference_build
+from quiver_reference import dense, quiver_form_for_count, runs
 
 from quandlequiver import quivers
 from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
@@ -18,9 +18,10 @@ from quandlequiver.colorings import (
     enumerate_colorings_linear,
     enumerate_colorings_oracle,
 )
-from quandlequiver.errors import AmbiguousCountError, CapExceededError, InternalConsistencyError
+from quandlequiver.errors import CapExceededError, InternalConsistencyError
 from quandlequiver.quandles import (
     DihedralQuandle,
+    FiniteQuandle,
     affine_endomorphisms,
     brute_force_endomorphisms,
 )
@@ -33,8 +34,7 @@ from quandlequiver.quivers import (
     build_quiver,
     detect_blocks,
     isomorphic,
-    predict_quiver,
-    quiver_form_for_count,
+    lattice_form,
     realize,
 )
 
@@ -61,11 +61,24 @@ def quiver_of(n, triples):
     return WeightedQuiver.from_arrows(n, *arrows(triples))
 
 
-def permuted_copy(quiver, seed):
+def relabelled(quiver, seed, blocks=()):
+    """A copy of quiver with its vertices shuffled, and `blocks` renamed to match."""
     rng = random.Random(seed)
     perm = list(range(quiver.n_vertices))
     rng.shuffle(perm)
-    return quiver_of(quiver.n_vertices, [(perm[i], perm[j], w) for i, j, w in quiver.weight_triples()])
+    triples = [(perm[i], perm[j], w) for i, j, w in quiver.weight_triples()]
+    return quiver_of(quiver.n_vertices, triples), [[perm[v] for v in b] for b in blocks]
+
+
+def laid_out(form):
+    """The blocks of realize(form): consecutive vertex ranges, in order."""
+    bounds = np.cumsum([0] + [f.size for f in form.families]).tolist()
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def shuffled_shape(form, seed):
+    """realize(form) with its vertices shuffled, and its blocks renamed to match."""
+    return relabelled(realize(form), seed, laid_out(form))
 
 
 def edited(quiver, edits):
@@ -227,24 +240,25 @@ def test_check_structure_enforces_each_law():
 
 
 def test_form_constructors_and_validation():
-    form = QuiverForm((BlockFamily(1, 5, 5),))
+    form = QuiverForm((BlockFamily(5, 5),))
     assert form.cross == ()
     assert form.n_vertices == 5
-    assert sum(f.copies for f in form.families) == 1
-    joined = QuiverForm((BlockFamily(1, 6, 6), BlockFamily(15, 6, 3)), ((1, 0, 3),))
+    joined = QuiverForm(
+        (BlockFamily(6, 6),) + (BlockFamily(6, 3),) * 15, tuple((b, 0, 3) for b in range(1, 16))
+    )
     assert joined.n_vertices == 96
-    assert sum(f.copies for f in joined.families) == 16
-    assert BlockFamily(1, 1, 0).weight == 0  # a single vertex without a loop
-    for copies, size, weight in ((0, 1, 1), (1, 0, 1), (1, 2, 0), (1, 1, -1)):
+    assert len(joined.families) == 16
+    assert BlockFamily(1, 0).weight == 0  # a single vertex without a loop
+    for size, weight in ((0, 1), (2, 0), (1, -1)):
         with pytest.raises(ValueError):
-            BlockFamily(copies, size, weight)
+            BlockFamily(size, weight)
     for cross in (((0, 0, 1),), ((1, 0, 0),), ((2, 0, 1),), ((0, -1, 1),)):
         with pytest.raises(ValueError):
-            QuiverForm((BlockFamily(1, 2, 1), BlockFamily(1, 1, 1)), cross)
+            QuiverForm((BlockFamily(2, 1), BlockFamily(1, 1)), cross)
 
 
 def test_realize_join_explicit():
-    quiver = realize(QuiverForm((BlockFamily(1, 2, 3), BlockFamily(1, 1, 1)), ((1, 0, 5),)))
+    quiver = realize(QuiverForm((BlockFamily(2, 3), BlockFamily(1, 1)), ((1, 0, 5),)))
     assert quiver.n_vertices == 3
     assert sorted(quiver.weight_triples()) == [
         (0, 0, 3),
@@ -258,7 +272,7 @@ def test_realize_join_explicit():
 
 
 def test_realize_disjoint_copies_have_no_cross_edges():
-    quiver = realize(QuiverForm((BlockFamily(4, 3, 2),)))
+    quiver = realize(QuiverForm((BlockFamily(3, 2),) * 4))
     assert quiver.n_vertices == 12
     for i, j, w in quiver.weight_triples():
         assert i // 3 == j // 3
@@ -278,9 +292,11 @@ def test_realize_disjoint_copies_have_no_cross_edges():
     ],
 )
 def test_quiver_form_for_count_dispatch(p, n, count, families, cross):
+    # the paper's shapes, as (copies, size, weight) runs of blocks; its cross
+    # entry (1, 0, d) is weight d from each block of the second run
     form = quiver_form_for_count(p, n, count)
-    assert tuple((f.copies, f.size, f.weight) for f in form.families) == families
-    assert form.cross == cross
+    assert runs(form) == families
+    assert form.cross == tuple((b, 0, d) for _, _, d in cross for b in range(1, len(form.families)))
     assert form.n_vertices == count
 
 
@@ -293,47 +309,43 @@ def test_quiver_form_for_count_errors():
         quiver_form_for_count(5, 3, 7)
 
 
-def test_predict_quiver():
-    assert predict_quiver(5, 7, 4) == QuiverForm((BlockFamily(1, 4, 4),))
-    assert predict_quiver(5, 5, 6) == quiver_form_for_count(5, 6, 96)
-    with pytest.raises(AmbiguousCountError) as exc:
-        predict_quiver(5, 2, 5)
-    assert exc.value.candidates == (5, 25)
-    with pytest.raises(ValueError):
-        predict_quiver(5, 10, 4)  # 4^5 colorings, composite n
-
-
 def test_isomorphic_self():
     form = quiver_form_for_count(5, 5, 25)
     quiver = realize(form)
-    mapping = isomorphic(quiver, form)
+    mapping = isomorphic(quiver, form, laid_out(form))
+    assert mapping == tuple(range(25))
     assert_valid_mapping(quiver, form, mapping)
 
 
 def test_isomorphic_under_permutation():
     form = quiver_form_for_count(5, 6, 96)
-    shuffled = permuted_copy(realize(form), seed=7)
-    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form))
+    shuffled, blocks = shuffled_shape(form, seed=7)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
 
 
 def test_isomorphic_detects_weight_change():
     form = quiver_form_for_count(5, 5, 25)
-    tweaked = edited(permuted_copy(realize(form), seed=3), [(17, 4, 1)])
-    assert isomorphic(tweaked, form) is None
+    shuffled, blocks = shuffled_shape(form, seed=3)
+    assert isomorphic(edited(shuffled, [(17, 4, 1)]), form, blocks) is None
+    # one block's weight altered in the form instead
+    lighter = QuiverForm((BlockFamily(5, 4), BlockFamily(20, 1)), form.cross)
+    assert isomorphic(shuffled, lighter, blocks) is None
     # the same blocks without the join's cross arrows
-    assert isomorphic(realize(QuiverForm(form.families)), form) is None
+    assert isomorphic(realize(QuiverForm(form.families)), form, laid_out(form)) is None
     # the same blocks and arrows, with cross weight 2 instead of 1
-    heavier = QuiverForm((BlockFamily(1, 5, 5), BlockFamily(1, 20, 1)), ((1, 0, 2),))
-    assert isomorphic(realize(heavier), form) is None
+    heavier = QuiverForm((BlockFamily(5, 5), BlockFamily(20, 1)), ((1, 0, 2),))
+    assert isomorphic(realize(heavier), form, laid_out(form)) is None
 
 
 def test_isomorphic_distinguishes_uniform_weights():
     def complete(size, weight):
-        return QuiverForm((BlockFamily(1, size, weight),))
+        return QuiverForm((BlockFamily(size, weight),))
 
-    assert isomorphic(realize(complete(2, 1)), complete(2, 2)) is None
-    assert isomorphic(realize(complete(2, 1)), complete(3, 1)) is None
-    assert isomorphic(realize(complete(3, 1)), complete(2, 1)) is None
+    assert isomorphic(realize(complete(2, 1)), complete(2, 2), [[0, 1]]) is None
+    # blocks that do not partition the vertices into the form's sizes
+    assert isomorphic(realize(complete(2, 1)), complete(3, 1), [[0, 1]]) is None
+    assert isomorphic(realize(complete(3, 1)), complete(2, 1), [[0, 1]]) is None
+    assert isomorphic(realize(complete(2, 1)), complete(2, 1), [[0, 0]]) is None
 
 
 def test_isomorphic_symmetry():
@@ -341,8 +353,8 @@ def test_isomorphic_symmetry():
     # into an isomorphism between the two, in either direction
     form = quiver_form_for_count(5, 5, 25)
     a = realize(form)
-    b = permuted_copy(a, seed=9)
-    to_a, to_b = isomorphic(a, form), isomorphic(b, form)
+    b, blocks = shuffled_shape(form, seed=9)
+    to_a, to_b = isomorphic(a, form, laid_out(form)), isomorphic(b, form, blocks)
     inverse_b = {t: v for v, t in enumerate(to_b)}
     inverse_a = {t: v for v, t in enumerate(to_a)}
     a_to_b = [inverse_b[t] for t in to_a]
@@ -354,28 +366,46 @@ def test_isomorphic_symmetry():
 def test_isomorphic_large_relabelled_shape():
     # N = 3125: one block K5(w5) joined from 156 blocks K20(w1)
     form = quiver_form_for_count(5, 5, 3125)
-    shuffled = permuted_copy(realize(form), seed=11)
-    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form))
+    shuffled, blocks = shuffled_shape(form, seed=11)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
     i, j, w = shuffled.weight_triples()[1000]
-    assert isomorphic(edited(shuffled, [(i, j, 1)]), form) is None
+    assert isomorphic(edited(shuffled, [(i, j, 1)]), form, blocks) is None
 
 
-def test_isomorphic_rejects_forms_with_equal_family_weights():
-    form = QuiverForm((BlockFamily(1, 2, 1), BlockFamily(2, 3, 1)), ((1, 0, 1),))
-    with pytest.raises(ValueError):
-        isomorphic(realize(form), form)
+def test_isomorphic_accepts_forms_with_equal_family_weights():
+    form = QuiverForm((BlockFamily(2, 1), BlockFamily(3, 1), BlockFamily(3, 1)), ((1, 0, 1),))
+    shuffled, blocks = shuffled_shape(form, seed=5)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
+
+
+def test_isomorphic_refutes_swapped_blocks_of_one_size():
+    # A = Z_6^2: the order-2 subgroups <(3, 0)> and <(0, 3)> are blocks of
+    # one size and weight, but each lies in different order-6 subgroups
+    cs, quiver = dihedral_quiver(3, 6, 6)
+    form, blocks = lattice_form(cs)
+    assert isomorphic(quiver, form, blocks) is not None
+    halves = [b for b, f in enumerate(form.families) if (f.size, f.weight) == (6, 3)]
+    assert len(halves) == 3
+    for a, b in ((a, b) for a in halves for b in halves if a < b):
+        swapped = list(blocks)
+        swapped[a], swapped[b] = blocks[b], blocks[a]
+        assert isomorphic(quiver, form, swapped) is None
+    # one arrow's weight altered
+    i, j, w = quiver.weight_triples()[0]
+    assert isomorphic(edited(quiver, [(i, j, 1)]), form, blocks) is None
 
 
 def test_built_quiver_matches_predicted_form():
     cs, quiver = dihedral_quiver(5, 2, 5)
-    form = quiver_form_for_count(5, 5, 25)
-    assert_valid_mapping(quiver, form, isomorphic(quiver, form))
+    form, blocks = lattice_form(cs)
+    assert form == quiver_form_for_count(5, 5, 25)
+    assert_valid_mapping(quiver, form, isomorphic(quiver, form, blocks))
 
 
 def test_detect_blocks_on_join():
     form, blocks = detect_blocks(realize(quiver_form_for_count(5, 5, 25)))
     assert blocks == [list(range(5)), list(range(5, 25))]
-    assert form.families == (BlockFamily(1, 5, 5), BlockFamily(1, 20, 1))
+    assert form.families == (BlockFamily(5, 5), BlockFamily(20, 1))
     assert form.cross == ((1, 0, 1),)
 
 
@@ -383,7 +413,7 @@ def test_detect_blocks_on_built_quiver():
     cs, quiver = dihedral_quiver(5, 5, 6)
     form, blocks = detect_blocks(quiver)
     assert sorted(len(b) for b in blocks) == [6] * 16
-    assert all(f.copies == 1 and f.size == 6 for f in form.families)
+    assert all(f.size == 6 for f in form.families)
     assert sorted(f.weight for f in form.families) == [3] * 15 + [6]
     assert len(form.cross) == 15
     assert {d for _, _, d in form.cross} == {3}
@@ -394,7 +424,7 @@ def test_detect_blocks_falls_back_to_singletons():
     cycle = quiver_of(4, [(i, (i + 1) % 4, 1) for i in range(4)])
     form, blocks = detect_blocks(cycle)
     assert blocks == [[0], [1], [2], [3]]
-    assert form.families == (BlockFamily(1, 1, 0),) * 4
+    assert form.families == (BlockFamily(1, 0),) * 4
     assert form.cross == ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1))
     assert realize(form) == cycle
 
@@ -445,7 +475,7 @@ def assert_blocks_match_reference(quiver):
     ref_blocks, ref_weights, ref_cross = reference_blocks(quiver)
     if any(len(b) > 1 for b in ref_blocks):
         assert blocks == ref_blocks
-        families = tuple(BlockFamily(1, len(b), w) for b, w in zip(ref_blocks, ref_weights))
+        families = tuple(BlockFamily(len(b), w) for b, w in zip(ref_blocks, ref_weights))
         assert form.families == families
         assert form.cross == tuple((i, j, d) for (i, j), d in sorted(ref_cross.items()))
 
@@ -473,7 +503,7 @@ SHAPES = sorted(
 @settings(max_examples=60)
 @given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.booleans(), st.data())
 def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, perturb, data):
-    quiver = permuted_copy(realize(quiver_form_for_count(*shape)), seed)
+    quiver, _ = relabelled(realize(quiver_form_for_count(*shape)), seed)
     if perturb:
         n = quiver.n_vertices
         quiver = edited(quiver, [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), 1)])
@@ -513,3 +543,68 @@ def test_detect_blocks_matches_reference_on_sparse_quivers(case):
     triples = [(i, perm[i], w) for perm, w in permutations for i in range(n)]
     triples += [(i, j, 1) for i, j in strays]
     assert_blocks_match_reference(quiver_of(n, triples))
+
+
+def test_lattice_form_matches_the_papers_shapes():
+    # every torus cell with p in {2, 3, 5, 7}, q <= 2p, n <= 12 and at most
+    # 3000 colorings whose count the paper's table answers
+    answered = 0
+    for p in (2, 3, 5, 7):
+        for q in range(2 * p + 1):
+            for n in range(2, 13):
+                try:
+                    cs = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=3000)
+                    paper = quiver_form_for_count(p, n, cs.count)
+                except (CapExceededError, ValueError):
+                    continue
+                form, blocks = lattice_form(cs)
+                assert form == paper, (p, q, n)
+                assert [len(b) for b in blocks] == [f.size for f in form.families]
+                answered += 1
+    assert answered == 358
+
+
+@st.composite
+def word_coloring_sets(draw):
+    """All colorings by R_n, n <= 12, of a signed braid word on 2-4 strands, at most 3000."""
+    n = draw(st.integers(2, 12))
+    strands = draw(st.integers(2, 4))
+    letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+    link = BraidWord(strands, tuple(draw(st.lists(letter, max_size=12))))
+    try:
+        return enumerate_colorings_linear(link, n, cap=3000)
+    except CapExceededError:
+        assume(False)
+
+
+@settings(max_examples=80)
+@given(word_coloring_sets())
+def test_lattice_form_equals_detected_blocks(coloring_set):
+    n = coloring_set.quandle.size
+    quiver = build_quiver(coloring_set, affine_endomorphisms(n))
+    detected = detect_blocks(quiver)
+    assert lattice_form(coloring_set) == detected
+    assert isomorphic(quiver, *detected) is not None
+
+
+def test_lattice_form_keys_past_int64():
+    # 17^17 > 2^63: the row keys are Python ints; A = Z_17, one block of
+    # the 17 * 16 colorings that generate it
+    cs = enumerate_colorings_linear(TorusLinkSpec(17, 2), 17)
+    quiver = build_quiver(cs, affine_endomorphisms(17))
+    form, blocks = lattice_form(cs)
+    assert (form, blocks) == detect_blocks(quiver)
+    assert form == quiver_form_for_count(17, 17, 289)
+    assert isomorphic(quiver, form, blocks) is not None
+
+
+def test_lattice_form_rejects_other_quandles_and_non_groups():
+    r3 = DihedralQuandle(3)
+    word = torus_braid(2, 3)
+    table = r3.table.tolist()
+    with pytest.raises(ValueError):
+        lattice_form(ColoringSet(word, FiniteQuandle(table), [(0, 0)]))
+    # a count that is not a multiple of n; (0, 1) outside the first N/n rows' group
+    for colorings in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 2)]):
+        with pytest.raises(InternalConsistencyError):
+            lattice_form(ColoringSet(word, r3, colorings))
