@@ -29,7 +29,7 @@ from .counting import (
     verify_counts,
 )
 from .errors import CapExceededError, InternalConsistencyError
-from .export import ExportOptions, quiver_from_json, to_csv, to_dot, to_json
+from .export import to_csv, to_dot, to_json
 from .linalg import (
     kernel_enumerate_mod,
     smith_normal_form,
@@ -47,7 +47,6 @@ from .quivers import (
     QuiverForm,
     WeightedQuiver,
     build_quiver,
-    detect_blocks,
     isomorphic,
     lattice_form,
     realize,
@@ -62,7 +61,6 @@ __all__ = [
     "ColoringSet",
     "CountPrediction",
     "DihedralQuandle",
-    "ExportOptions",
     "FiniteQuandle",
     "InternalConsistencyError",
     "QuiverForm",
@@ -72,7 +70,6 @@ __all__ = [
     "brute_force_endomorphisms",
     "build_quiver",
     "closure_system",
-    "detect_blocks",
     "enumerate_colorings_linear",
     "enumerate_colorings_oracle",
     "is_odd_prime",
@@ -82,7 +79,6 @@ __all__ = [
     "parse_link",
     "predict_count",
     "propagation_matrix",
-    "quiver_from_json",
     "realize",
     "smith_normal_form",
     "to_csv",

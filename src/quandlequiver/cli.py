@@ -35,7 +35,7 @@ from .counting import (
     verify_counts,
 )
 from .errors import CapExceededError
-from .export import ExportOptions, to_csv, to_dot, to_json
+from .export import to_csv, to_dot, to_json
 from .quandles import affine_endomorphisms, brute_force_endomorphisms
 from .quivers import build_quiver, isomorphic, lattice_form
 
@@ -227,10 +227,13 @@ def cmd_quiver(args) -> int:
     else:
         endos = affine_endomorphisms(n)
     quiver = build_quiver(coloring_set, endos)
+    # the blocks, read once from the colorings, for each output that needs them
+    if args.compare or args.collapse or args.format == "json":
+        form, blocks = lattice_form(coloring_set)
 
     exit_code = EXIT_OK
     if args.compare:
-        if isomorphic(quiver, *lattice_form(coloring_set)) is None:
+        if isomorphic(quiver, form, blocks) is None:
             print("isomorphic=false")
             exit_code = EXIT_MISMATCH
         else:
@@ -239,16 +242,15 @@ def cmd_quiver(args) -> int:
             if ambiguous:
                 exit_code = EXIT_AMBIGUOUS
 
-    options = ExportOptions(
-        collapse_blocks=args.collapse, include_loops=not args.no_loops
-    )
-    if args.format == "dot":
-        _write(args.out, to_dot(quiver, options))
-    else:
+    if args.format == "json":
         params = {"n": n}
         if torus is not None:
             params = {"p": torus.p, "q": torus.q, "n": n}
-        _write(args.out, to_json(quiver, params=params))
+        _write(args.out, to_json(quiver, form=form, params=params))
+    elif args.collapse:
+        _write(args.out, to_dot(form))
+    else:
+        _write(args.out, to_dot(quiver, include_loops=not args.no_loops))
     return exit_code
 
 

@@ -6,27 +6,23 @@ edges, trailing newline), so identical runs yield byte-identical files.
 A quiver's DOT and JSON are written straight from its arrays: the records
 of a chunk of rows (vertices, arrows, blocks) fill one `%d` template, laid
 out exactly as the standard library's indenting encoder lays out JSON.
+The writers read no block structure of their own: the collapsed DOT and
+the JSON's "blocks" print the `QuiverForm` the caller passes, such as
+`quivers.lattice_form` reads off the colorings.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .counting import CellRecord
-from .quivers import QuiverForm, WeightedQuiver, detect_blocks
+from .quivers import QuiverForm, WeightedQuiver
 
 # records filled per template
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ExportOptions:
-    collapse_blocks: bool = False
-    include_loops: bool = True
 
 
 def _records(template: str, sep: str, rows: int, columns):
@@ -54,22 +50,24 @@ def _form_columns(form: QuiverForm) -> tuple[list[np.ndarray], list[np.ndarray]]
     return list(families.reshape(-1, 2).T), list(cross.reshape(-1, 3).T)
 
 
-def to_dot(quiver: WeightedQuiver, options: ExportOptions | None = None) -> str:
-    """Graphviz text for a quiver, full or collapsed to uniform blocks.
+def to_dot(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) -> str:
+    """Graphviz text for a quiver in full, or for a form collapsed to its blocks.
 
-    Full mode emits one labeled edge per ordered vertex pair of nonzero
-    weight.  Collapsed mode draws one node per detected block, annotated
-    with size and internal weight, and one edge per uniform cross weight.
+    A quiver is drawn with one labeled edge per ordered vertex pair of
+    nonzero weight, loops only with `include_loops`.  A form is drawn with
+    one node per block, annotated with size and internal weight, and one
+    edge per cross entry; it has no loops to leave out.
     """
-    options = options or ExportOptions()
     parts = ["digraph quiver {\n"]
-    if options.collapse_blocks:
-        form, _ = detect_blocks(quiver)
-        families, cross = _form_columns(form)
-        blocks = [np.arange(len(form.families)), *families]
-        parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", len(form.families), blocks))
-        parts.extend(_records('  b%d -> b%d [label="%d"];\n', "", len(form.cross), cross))
+    if isinstance(graph, QuiverForm):
+        if not include_loops:
+            raise ValueError("include_loops applies to a quiver's full drawing only")
+        families, cross = _form_columns(graph)
+        blocks = [np.arange(len(graph.families)), *families]
+        parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", len(graph.families), blocks))
+        parts.extend(_records('  b%d -> b%d [label="%d"];\n', "", len(graph.cross), cross))
     else:
+        quiver = graph
         n = quiver.n_vertices
         vertex = np.arange(n)
         if quiver.labels is None:
@@ -79,7 +77,7 @@ def to_dot(quiver: WeightedQuiver, options: ExportOptions | None = None) -> str:
             label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
         parts.extend(_records(f'  v%d [label="{label}"];\n', "", n, columns))
         src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
-        if not options.include_loops:
+        if not include_loops:
             keep = src != dst
             src, dst, weight = src[keep], dst[keep], weight[keep]
         parts.extend(_records('  v%d -> v%d [label="%d"];\n', "", src.size, [src, dst, weight]))
@@ -106,10 +104,15 @@ def _json_list(item: str, rows: int, columns, level: int) -> list[str]:
     return ["[\n", *_records(item, ",\n", rows, columns), "\n" + _indent(level) + "]"]
 
 
-def _quiver_json_parts(quiver: WeightedQuiver, params: dict | None = None) -> list[str]:
-    """The pieces of a quiver's JSON: params, count, colorings, weights, blocks."""
-    # blocks first, so detection's temporaries are gone before the text grows
-    form = detect_blocks(quiver)[0] if quiver.n_vertices else None
+def _quiver_json_parts(
+    quiver: WeightedQuiver, *, form: QuiverForm, params: dict | None = None
+) -> list[str]:
+    """The pieces of a quiver's JSON: params, count, colorings, weights, and
+    `form` as its blocks."""
+    if form.n_vertices != quiver.n_vertices:
+        raise ValueError(
+            f"a form on {form.n_vertices} vertices for a quiver on {quiver.n_vertices}"
+        )
     parts = ["{\n"]
     if params is not None:
         # a nested value is the value on its own, each line indented one level
@@ -122,27 +125,22 @@ def _quiver_json_parts(quiver: WeightedQuiver, params: dict | None = None) -> li
     arrows = [quiver.sources(), quiver.dst, quiver.weight]
     parts.append(',\n  "weights": ')
     parts += _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
-    if form is not None:
-        families, cross = _form_columns(form)
-        block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
-        parts.append(',\n  "blocks": {\n    "blocks": ')
-        parts += _json_list(block, len(form.families), families, 2)
-        parts.append(',\n    "cross": ')
-        parts += _json_list(_int_list(3, 3), len(form.cross), cross, 2)
-        parts.append("\n  }")
-    parts.append("\n}\n")
+    families, cross = _form_columns(form)
+    block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
+    parts.append(',\n  "blocks": {\n    "blocks": ')
+    parts += _json_list(block, len(form.families), families, 2)
+    parts.append(',\n    "cross": ')
+    parts += _json_list(_int_list(3, 3), len(form.cross), cross, 2)
+    parts.append("\n  }\n}\n")
     return parts
 
 
-def quiver_from_json(text: str) -> WeightedQuiver:
-    """Rebuild a quiver from its to_json output (params/blocks are derived)."""
-    payload = json.loads(text)
-    arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
-    return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))
-
-
 def to_json(obj, **options) -> str:
-    """Stable JSON for quivers, sweep reports, and lists of plain records."""
+    """Stable JSON for quivers, sweep reports, and lists of plain records.
+
+    A quiver needs the keyword `form`, written as its "blocks", and takes
+    `params`, written first.
+    """
     if isinstance(obj, WeightedQuiver):
         return "".join(_quiver_json_parts(obj, **options))
     if isinstance(obj, (list, tuple)):

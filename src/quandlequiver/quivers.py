@@ -8,9 +8,10 @@ as one (k, m) image array, such as `quandles.affine_endomorphisms`
 returns, and `build_quiver` checks every row against the coloring set's
 own quandle before it builds.
 
-A `QuiverForm` (complete blocks and uniform cross arrows) comes from a
-built quiver by `detect_blocks`, or from the colorings by R_n alone by
-`lattice_form`; `isomorphic` checks a quiver against one, arrow by arrow.
+A `QuiverForm` (complete blocks and uniform cross arrows) is read off
+the colorings by R_n alone by `lattice_form`, the one reader of block
+structure: it needs no quiver.  `isomorphic` checks a quiver against a
+form, arrow by arrow, and `realize` expands a form to its quiver.
 """
 
 from __future__ import annotations
@@ -253,19 +254,14 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos:
 @dataclass(frozen=True)
 class BlockFamily:
     """One complete block on `size` vertices, every ordered pair of them,
-    loops included, carrying `weight`.
-
-    Weight 0 is allowed only for a single vertex: one without a loop.
-    """
+    loops included, carrying `weight`."""
 
     size: int
     weight: int
 
     def __post_init__(self):
-        if self.size < 1 or self.weight < 0 or (self.weight == 0 and self.size > 1):
-            raise ValueError(
-                f"block needs size >= 1 and weight >= 1 (0 for a single vertex), got {self}"
-            )
+        if self.size < 1 or self.weight < 1:
+            raise ValueError(f"block needs size >= 1 and weight >= 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -310,133 +306,19 @@ def realize(form: QuiverForm) -> WeightedQuiver:
     return WeightedQuiver.from_arrows(form.n_vertices, src, dst, d[entry])
 
 
-# --- block structure -----------------------------------------------------
-
-
-def _byte_classes(packed: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Number the segments packed[offsets[v]:offsets[v + 1]] by first appearance.
-
-    Segments are compared exactly as bytes: equal segments, equal numbers.
-    """
-    data = packed.tobytes()
-    spans = (offsets * packed.itemsize).tolist()
-    seen: dict[bytes, int] = {}
-    classes = (seen.setdefault(data[a:b], len(seen)) for a, b in zip(spans, spans[1:]))
-    return np.fromiter(classes, dtype=np.int64, count=offsets.size - 1)
-
-
-def _block_profiles(
-    src: np.ndarray, dst: np.ndarray, weight: np.ndarray, block_of: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per block, its internal weight and the one weight it sends to each block it reaches.
-
-    A vertex's profile holds, for each block its arrows reach, that block
-    and the single weight of those arrows, which must number the block's
-    size.  The blocks are complete and uniform exactly when every vertex
-    has such a profile and all vertices of a block share one, compared
-    exactly as bytes; blocks that are not raise InternalConsistencyError.
-    One grouped pass over (source, target block, weight).
-
-    Returns (internal, cross): internal[b] the weight inside block b (0
-    when it has no arrows inside), cross the rows (b, c, d) of the weight
-    d that block b sends to each other block c, sorted.
-    """
-    n, n_blocks = block_of.size, sizes.size
-    reach = block_of[dst]
-    order = np.lexsort((reach, src))
-    src, reach, weight = src[order], reach[order], weight[order]
-    new_group = np.ones(src.size, dtype=bool)
-    new_group[1:] = (src[1:] != src[:-1]) | (reach[1:] != reach[:-1])
-    first = np.flatnonzero(new_group)
-    count = np.diff(first, append=src.size)
-    src, reach, group_weight = src[first], reach[first], weight[first]
-    offsets = np.append(0, np.cumsum(2 * np.bincount(src, minlength=n)))
-    classes = _byte_classes(np.column_stack((reach, group_weight)).ravel(), offsets)
-    # each block's smallest vertex speaks for it
-    speaker = np.full(n_blocks, n)
-    np.minimum.at(speaker, block_of, np.arange(n))
-    if (
-        np.any(weight != np.repeat(group_weight, count))
-        or np.any(count != sizes[reach])
-        or np.any(classes != classes[speaker[block_of]])
-    ):
-        raise InternalConsistencyError("twin classes are not complete blocks of uniform weights")
-    spoken = np.zeros(n, dtype=bool)
-    spoken[speaker] = True
-    chosen = spoken[src]
-    block, reach, group_weight = block_of[src[chosen]], reach[chosen], group_weight[chosen]
-    internal = np.zeros(n_blocks, dtype=np.int64)
-    inside = block == reach
-    internal[block[inside]] = group_weight[inside]
-    return internal, np.column_stack((block, reach, group_weight))[~inside]
-
-
-def detect_blocks(quiver: WeightedQuiver) -> tuple[QuiverForm, list[list[int]]]:
-    """Group vertices into complete blocks with uniform internal and cross weights.
-
-    The blocks are the classes of twins: vertices that have a loop and the
-    same out-row and in-column.  In any decomposition into complete blocks
-    with uniform weights, rows and columns are constant on each block, so
-    every such decomposition refines the twin classes, which form one:
-    they are the unique coarsest.  A vertex without a loop is a block of
-    its own.  A vertex's key, compared exactly as bytes, is one head value
-    (n for a looped vertex, its index otherwise) and its out-degree, which
-    fixes where the column starts, then its row's targets and weights and
-    its column's sources and weights; the blocks' weights are then
-    re-checked by `_block_profiles`.
-
-    Returns (form, blocks): `form` has one family per block, carrying its
-    internal weight (a singleton's loop weight, possibly 0), and `cross`
-    triples over block indices; blocks[i] is the sorted vertex list of
-    block i.  Blocks are ordered by smallest vertex.
-    """
-    n = quiver.n_vertices
-    src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
-    head = np.arange(n)
-    head[src[src == dst]] = n
-    # the column of each vertex: its arrows in by target, sources ascending
-    by_dst = np.argsort(dst, kind="stable")
-    out_degree = np.diff(quiver.indptr)
-    in_degree = np.bincount(dst, minlength=n)
-    offsets = np.append(0, np.cumsum(2 + 2 * (out_degree + in_degree)))
-    start = offsets[:-1]
-    # every value lies in 0..max(n, largest weight), so the narrowest such dtype serves
-    packed = np.empty(int(offsets[-1]), dtype=np.min_scalar_type(max(n, weight.max(initial=0))))
-    packed[start] = head
-    packed[start + 1] = out_degree
-    arrow = np.arange(src.size)
-    at = (start + 2 - quiver.indptr[:-1])[src] + arrow
-    packed[at] = dst
-    packed[at + out_degree[src]] = weight
-    owner = dst[by_dst]
-    at = (start + 2 + 2 * out_degree - (np.cumsum(in_degree) - in_degree))[owner] + arrow
-    packed[at] = src[by_dst]
-    packed[at + in_degree[owner]] = weight[by_dst]
-    block_of = _byte_classes(packed, offsets)
-    sizes = np.bincount(block_of)
-    internal, cross = _block_profiles(src, dst, weight, block_of, sizes)
-    return _form_and_blocks(block_of, internal, cross)
-
-
-def _form_and_blocks(
-    block_of: np.ndarray, weights: np.ndarray, cross: np.ndarray
-) -> tuple[QuiverForm, list[list[int]]]:
-    """The form of blocks of these weights and cross rows (b, c, d), and
-    each block's vertices in order; vertex v lies in block block_of[v]."""
-    sizes = np.bincount(block_of)
-    families = map(BlockFamily, sizes.tolist(), weights.tolist())
-    form = QuiverForm(tuple(families), tuple(map(tuple, cross.tolist())))
-    members = np.argsort(block_of, kind="stable").tolist()
-    bounds = np.cumsum(np.append(0, sizes)).tolist()
-    return form, [members[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 # --- the cyclic-subgroup lattice ----------------------------------------
 
 
 def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, list[list[int]]]:
-    """detect_blocks(build_quiver(coloring_set, affine_endomorphisms(n))),
-    read off the colorings by R_n alone.
+    """The blocks of build_quiver(coloring_set, affine_endomorphisms(n)),
+    read off the colorings by R_n alone, with no quiver.
+
+    Returns (form, blocks): `form` has one family per block and `cross`
+    triples over block indices, sorted; blocks[i] is the sorted coloring
+    list of block i, and blocks are ordered by least coloring.  The
+    blocks are the quiver's twin classes, the vertices with one out-row
+    and one in-column, which are the coarsest complete blocks of uniform
+    weights.
 
     The colorings K are a subgroup of Z_n^strands and K = K0 + Delta, the
     trivial colorings Delta and K0 those colouring strand 1 with 0: the
@@ -481,7 +363,12 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, list[list[int]]
     src, j = np.nonzero(orders[:, None] % divisors == 0)
     dst = np.searchsorted(names, name[position(divisors[j, None] * generators[src] % n)])
     cross = np.column_stack((src, dst, n // orders[src]))[np.lexsort((dst, src))]
-    return _form_and_blocks(block_of, n // orders, cross)
+    sizes = np.bincount(block_of)
+    families = map(BlockFamily, sizes.tolist(), (n // orders).tolist())
+    form = QuiverForm(tuple(families), tuple(map(tuple, cross.tolist())))
+    members = np.argsort(block_of, kind="stable").tolist()
+    bounds = np.cumsum(np.append(0, sizes)).tolist()
+    return form, [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # --- comparison ----------------------------------------------------------

@@ -1,15 +1,18 @@
 """Reference quiver export used by the tests: one Python object per arrow.
 
-`to_dot` and `to_json` write a quiver from its arrays in chunks of rows,
-each filled through one `%d` template; these are the direct writers they
-must match byte for byte: an f-string per DOT line, and the standard
-library's indenting encoder over one small list per arrow.
+`to_dot` and `to_json` write a quiver, or a form, from its arrays in
+chunks of rows, each filled through one `%d` template; these are the
+direct writers they must match byte for byte: an f-string per DOT line,
+and the standard library's indenting encoder over one small list per
+arrow.  Like them, they print the form they are given.  `quiver_from_json`
+reads a quiver back from its JSON.
 """
 
 import json
 
-from quandlequiver.export import ExportOptions
-from quandlequiver.quivers import detect_blocks
+import numpy as np
+
+from quandlequiver.quivers import QuiverForm, WeightedQuiver
 
 
 def _label(vertex, labels):
@@ -18,27 +21,25 @@ def _label(vertex, labels):
     return ",".join(str(c) for c in labels[vertex])
 
 
-def to_dot(quiver, options=None):
-    options = options or ExportOptions()
+def to_dot(graph, include_loops=True):
     lines = ["digraph quiver {"]
-    if options.collapse_blocks:
-        form, _ = detect_blocks(quiver)
-        for bi, f in enumerate(form.families):
+    if isinstance(graph, QuiverForm):
+        for bi, f in enumerate(graph.families):
             lines.append(f'  b{bi} [label="K{f.size} w={f.weight}"];')
-        for bi, bj, d in form.cross:
+        for bi, bj, d in graph.cross:
             lines.append(f'  b{bi} -> b{bj} [label="{d}"];')
     else:
-        for v in range(quiver.n_vertices):
-            lines.append(f'  v{v} [label="{_label(v, quiver.labels)}"];')
-        for i, j, w in quiver.weight_triples():
-            if i == j and not options.include_loops:
+        for v in range(graph.n_vertices):
+            lines.append(f'  v{v} [label="{_label(v, graph.labels)}"];')
+        for i, j, w in graph.weight_triples():
+            if i == j and not include_loops:
                 continue
             lines.append(f'  v{i} -> v{j} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def quiver_to_dict(quiver, params=None):
+def quiver_to_dict(quiver, form, params=None):
     out = {}
     if params is not None:
         out["params"] = dict(params)
@@ -46,14 +47,19 @@ def quiver_to_dict(quiver, params=None):
     if quiver.labels is not None:
         out["colorings"] = quiver.labels.tolist()
     out["weights"] = [[i, j, w] for i, j, w in quiver.weight_triples()]
-    if quiver.n_vertices:
-        form = detect_blocks(quiver)[0]
-        out["blocks"] = {
-            "blocks": [{"size": f.size, "weight": f.weight} for f in form.families],
-            "cross": [list(t) for t in form.cross],
-        }
+    out["blocks"] = {
+        "blocks": [{"size": f.size, "weight": f.weight} for f in form.families],
+        "cross": [list(t) for t in form.cross],
+    }
     return out
 
 
-def to_json(quiver, params=None):
-    return json.dumps(quiver_to_dict(quiver, params), indent=2) + "\n"
+def to_json(quiver, form, params=None):
+    return json.dumps(quiver_to_dict(quiver, form, params), indent=2) + "\n"
+
+
+def quiver_from_json(text):
+    """Rebuild a quiver from its to_json text; its params and blocks are not read."""
+    payload = json.loads(text)
+    arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
+    return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))

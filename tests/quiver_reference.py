@@ -47,9 +47,6 @@ class DictQuiver:
             row = self.rows[i]
             row[j] = row.get(j, 0) + w
 
-    def weight(self, i, j):
-        return self.rows[i].get(j, 0)
-
     def weight_triples(self):
         return [(i, j, w) for i, row in enumerate(self.rows) for j, w in sorted(row.items()) if w]
 

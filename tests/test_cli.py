@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlequiver
-from quandlequiver import braids, cli, colorings, counting, export, quivers
+from quandlequiver import braids, cli, colorings, counting, quivers
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CAP,
@@ -258,26 +258,30 @@ def test_quiver_compare_large_quiver(tmp_path, capsys):
     "argv",
     [
         ["quiver", "--link", "torus:5,10", "--n", "5", "--compare", "--format", "json"],
-        ["quiver", "--link", "torus:3,4", "--n", "9", "--compare", "--collapse"],
+        ["quiver", "--link", "torus:3,4", "--n", "9", "--collapse"],
         ["quiver", "--link", "torus:5,10", "--n", "5", "--compare"],
+        ["quiver", "--link", "torus:5,10", "--n", "5", "--format", "json"],
+        ["quiver", "--link", "torus:3,4", "--n", "9"],
     ],
 )
 def test_quiver_compare_detects_blocks_once(argv, monkeypatch, tmp_path, capsys):
+    # lattice_form is the one reader of blocks: the comparison and the
+    # export share one call, and a full DOT makes none
     calls = []
-    original = quivers.detect_blocks
+    original = quivers.lattice_form
 
-    def counted(quiver):
-        calls.append(quiver.n_vertices)
-        return original(quiver)
+    def counted(coloring_set):
+        calls.append(coloring_set.count)
+        return original(coloring_set)
 
-    for module in (quivers, export):
-        monkeypatch.setattr(module, "detect_blocks", counted)
+    for module in (quivers, cli):
+        monkeypatch.setattr(module, "lattice_form", counted)
     code = main(argv + ["--out", str(tmp_path / "quiver.out")])
     assert code in (EXIT_OK, EXIT_AMBIGUOUS)
-    assert capsys.readouterr().out.startswith("isomorphic=true")
-    # the comparison reads the colorings; only a JSON or collapsed export
-    # detects blocks
-    assert len(calls) == ("--collapse" in argv or "json" in argv)
+    if "--compare" in argv:
+        assert capsys.readouterr().out.startswith("isomorphic=true")
+    needs_blocks = "--compare" in argv or "--collapse" in argv or "json" in argv
+    assert len(calls) == needs_blocks
 
 
 @pytest.mark.parametrize(
@@ -352,12 +356,16 @@ def test_count_long_random_word_linear(strands, length, seed, counts, time_limit
 
 
 def test_quiver_brute_endos_match_affine(capsys):
-    code = main(["quiver", "--link", "torus:2,3", "--n", "3", "--endos", "brute"])
-    brute_out = capsys.readouterr().out
-    code2 = main(["quiver", "--link", "torus:2,3", "--n", "3"])
-    affine_out = capsys.readouterr().out
-    assert code == code2 == EXIT_OK
-    assert brute_out == affine_out
+    # the printed blocks come from the colorings, not the built quiver, so
+    # they must agree with what either endomorphism family builds
+    link = ["quiver", "--link", "torus:2,3", "--n", "3"]
+    for output in ([], ["--format", "json"], ["--collapse"]):
+        code = main(link + output + ["--endos", "brute"])
+        brute_out = capsys.readouterr().out
+        code2 = main(link + output)
+        affine_out = capsys.readouterr().out
+        assert code == code2 == EXIT_OK
+        assert brute_out == affine_out
 
 
 def test_verify_clean_grid_exits_0(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from export_reference import quiver_from_json
 from quiver_reference import quiver_form_for_count
 
 from quandlequiver.braids import TorusLinkSpec, torus_braid
@@ -16,27 +17,22 @@ from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colori
 from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver import export
-from quandlequiver.export import (
-    CSV_HEADER,
-    ExportOptions,
-    quiver_from_json,
-    to_csv,
-    to_dot,
-    to_json,
-)
+from quandlequiver.export import CSV_HEADER, to_csv, to_dot, to_json
 from quandlequiver.quandles import DihedralQuandle, affine_endomorphisms
 from quandlequiver.quivers import (
     BlockFamily,
     QuiverForm,
     WeightedQuiver,
     build_quiver,
+    lattice_form,
     realize,
 )
 
 
 def torus_quiver(p, q, n):
+    """The quiver of T(p, q) by R_n and its lattice form."""
     cs = enumerate_colorings_oracle(torus_braid(p, q), DihedralQuandle(n))
-    return build_quiver(cs, affine_endomorphisms(n))
+    return build_quiver(cs, affine_endomorphisms(n)), lattice_form(cs)[0]
 
 
 def test_dot_full_complete_2():
@@ -52,14 +48,14 @@ def test_dot_full_complete_2():
 
 
 def test_dot_without_loops():
-    text = to_dot(realize(QuiverForm((BlockFamily(2, 2),))), ExportOptions(include_loops=False))
+    text = to_dot(realize(QuiverForm((BlockFamily(2, 2),))), include_loops=False)
     assert "v0 -> v0" not in text
     assert "v1 -> v1" not in text
     assert text.count("->") == 2
 
 
 def test_dot_collapsed_torus_5_2():
-    text = to_dot(torus_quiver(5, 2, 5), ExportOptions(collapse_blocks=True))
+    text = to_dot(torus_quiver(5, 2, 5)[1])
     assert 'b0 [label="K5 w=5"];' in text
     assert 'b1 [label="K20 w=1"];' in text
     assert 'b1 -> b0 [label="1"];' in text
@@ -67,32 +63,33 @@ def test_dot_collapsed_torus_5_2():
 
 
 def test_dot_collapsed_torus_5_5():
-    text = to_dot(torus_quiver(5, 5, 6), ExportOptions(collapse_blocks=True))
+    text = to_dot(torus_quiver(5, 5, 6)[1])
     assert text.count("[label=\"K6") == 16
     assert text.count("->") == 15
 
 
 def test_dot_vertex_labels_are_colorings():
-    quiver = torus_quiver(2, 3, 3)
+    quiver, _ = torus_quiver(2, 3, 3)
     text = to_dot(quiver)
     assert 'v0 [label="0,0"];' in text
     assert 'v8 [label="2,2"];' in text
 
 
 def test_quiver_json_round_trip():
-    quiver = torus_quiver(5, 2, 5)
-    again = quiver_from_json(to_json(quiver))
+    quiver, form = torus_quiver(5, 2, 5)
+    again = quiver_from_json(to_json(quiver, form=form))
     assert again == quiver
 
 
 def test_quiver_json_round_trip_without_labels():
-    quiver = realize(quiver_form_for_count(5, 6, 96))
-    assert quiver_from_json(to_json(quiver)) == quiver
+    form = quiver_form_for_count(5, 6, 96)
+    quiver = realize(form)
+    assert quiver_from_json(to_json(quiver, form=form)) == quiver
 
 
 def test_quiver_json_key_order_and_fields():
-    quiver = torus_quiver(5, 2, 5)
-    d = json.loads(to_json(quiver, params={"p": 5, "q": 2, "n": 5}))
+    quiver, form = torus_quiver(5, 2, 5)
+    d = json.loads(to_json(quiver, form=form, params={"p": 5, "q": 2, "n": 5}))
     assert list(d) == ["params", "count", "colorings", "weights", "blocks"]
     assert d["count"] == 25
     assert len(d["weights"]) == len(quiver.weight_triples())
@@ -103,13 +100,33 @@ def test_quiver_json_key_order_and_fields():
 
 def test_empty_quiver_dict():
     empty = WeightedQuiver.from_arrows(0, [], [], [])
-    assert json.loads(to_json(empty)) == {"count": 0, "weights": []}
+    assert json.loads(to_json(empty, form=QuiverForm())) == {
+        "count": 0,
+        "weights": [],
+        "blocks": {"blocks": [], "cross": []},
+    }
+
+
+def test_writers_print_the_form_they_are_given():
+    quiver, form = torus_quiver(5, 2, 5)
+    # the form is required, and must be on the quiver's vertices
+    with pytest.raises(TypeError):
+        to_json(quiver)
+    with pytest.raises(ValueError):
+        to_json(quiver, form=quiver_form_for_count(5, 6, 96))
+    # a form has no loops to leave out
+    with pytest.raises(ValueError):
+        to_dot(form, include_loops=False)
+    other = QuiverForm((BlockFamily(20, 1), BlockFamily(5, 5)), ((0, 1, 1),))
+    assert json.loads(to_json(quiver, form=other))["blocks"]["blocks"][0] == {"size": 20, "weight": 1}
+    assert to_dot(other).splitlines()[1] == '  b0 [label="K20 w=1"];'
 
 
 def test_json_ends_with_newline_and_is_deterministic():
-    quiver = torus_quiver(5, 2, 5)
-    first = to_json(quiver)
-    second = to_json(torus_quiver(5, 2, 5))
+    quiver, form = torus_quiver(5, 2, 5)
+    first = to_json(quiver, form=form)
+    again, again_form = torus_quiver(5, 2, 5)
+    second = to_json(again, form=again_form)
     assert first == second
     assert first.endswith("\n")
     json.loads(first)
@@ -162,8 +179,9 @@ def test_json_round_trip_on_torus_quivers(p, q, n):
     except CapExceededError:
         assume(False)
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
+    form, _ = lattice_form(coloring_set)
     assert np.array_equal(quiver.labels, coloring_set.colorings)
-    assert quiver_from_json(to_json(quiver, params={"p": p, "q": q, "n": n})) == quiver
+    assert quiver_from_json(to_json(quiver, form=form, params={"p": p, "q": q, "n": n})) == quiver
 
 
 @st.composite
@@ -181,36 +199,81 @@ def random_quivers(draw):
     return WeightedQuiver.from_arrows(n, src, dst, weight, labels=labels)
 
 
+@st.composite
+def forms(draw, n):
+    """A form on n vertices: blocks of drawn sizes and weights, and up to 6 cross entries."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    sizes = np.diff([0, *cuts, n]).tolist() if n else []
+    weight = st.integers(1, 3 * 10**4)
+    families = tuple(BlockFamily(size, draw(weight)) for size in sizes)
+    block = st.integers(0, max(len(families) - 1, 0))
+    entry = st.tuples(block, block, weight).filter(lambda e: e[0] != e[1])
+    cross = draw(st.lists(entry, max_size=6)) if len(families) > 1 else []
+    return QuiverForm(families, tuple(cross))
+
+
+@st.composite
+def torus_quivers(draw):
+    """The quiver of a torus link by R_n, n <= 9, at most 300 colorings, with its lattice form."""
+    p, q, n = draw(st.integers(2, 5)), draw(st.integers(0, 10)), draw(st.integers(2, 9))
+    try:
+        coloring_set = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=300)
+    except CapExceededError:
+        assume(False)
+    return build_quiver(coloring_set, affine_endomorphisms(n)), lattice_form(coloring_set)[0]
+
+
 @settings(max_examples=200)
-@given(random_quivers(), st.booleans(), st.booleans(), st.integers(1, 5),
-       st.none() | st.dictionaries(st.sampled_from("pqn"), st.integers(0, 99)))
-@example(WeightedQuiver.from_arrows(0, [], [], []), True, False, 1, None)
-@example(WeightedQuiver.from_arrows(0, [], [], [], labels=[]), True, False, 1, None)
-@example(WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]), False, False, 1, {})
-def test_writers_match_reference(quiver, loops, collapse, chunk, params):
+@given(
+    st.one_of(
+        torus_quivers(),
+        random_quivers().flatmap(lambda quiver: st.tuples(st.just(quiver), forms(quiver.n_vertices))),
+    ),
+    st.booleans(),
+    st.integers(1, 5),
+    st.none() | st.dictionaries(st.sampled_from("pqn"), st.integers(0, 99)),
+)
+@example((WeightedQuiver.from_arrows(0, [], [], []), QuiverForm()), True, 1, None)
+@example((WeightedQuiver.from_arrows(0, [], [], [], labels=[]), QuiverForm()), True, 1, None)
+@example(
+    (
+        WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]),
+        QuiverForm((BlockFamily(2, 4),)),
+    ),
+    False,
+    1,
+    {},
+)
+def test_writers_match_reference(quiver_and_form, loops, chunk, params):
     # a chunk of 1 to 5 records puts chunk boundaries inside every list
-    options = ExportOptions(collapse_blocks=collapse, include_loops=loops)
+    quiver, form = quiver_and_form
     with mock.patch.object(export, "_CHUNK", chunk):
-        assert to_dot(quiver, options) == export_reference.to_dot(quiver, options)
-        assert to_json(quiver, params=params) == export_reference.to_json(quiver, params)
-    assert quiver_from_json(to_json(quiver)) == quiver
+        assert to_dot(quiver, include_loops=loops) == export_reference.to_dot(quiver, loops)
+        assert to_dot(form) == export_reference.to_dot(form)
+        assert to_json(quiver, form=form, params=params) == export_reference.to_json(
+            quiver, form, params
+        )
+    assert quiver_from_json(to_json(quiver, form=form)) == quiver
 
 
 def test_writers_match_reference_across_default_chunks():
     # 78025 arrows and 3125 vertices: many chunks of the default size
-    quiver = torus_quiver(5, 10, 5)
-    for options in (ExportOptions(), ExportOptions(include_loops=False)):
-        assert to_dot(quiver, options) == export_reference.to_dot(quiver, options)
-    assert to_json(quiver, params={"n": 5}) == export_reference.to_json(quiver, {"n": 5})
+    quiver, form = torus_quiver(5, 10, 5)
+    for loops in (True, False):
+        assert to_dot(quiver, include_loops=loops) == export_reference.to_dot(quiver, loops)
+    assert to_dot(form) == export_reference.to_dot(form)
+    assert to_json(quiver, form=form, params={"n": 5}) == export_reference.to_json(
+        quiver, form, {"n": 5}
+    )
 
 
 def test_json_writer_peak_memory():
     # T(5,10) by R_5: 3.5 MB of JSON; the output itself and the pieces it
     # is joined from are two of the 2.5 lengths allowed
-    quiver = torus_quiver(5, 10, 5)
+    quiver, form = torus_quiver(5, 10, 5)
     tracemalloc.start()
     try:
-        text = to_json(quiver, params={"p": 5, "q": 10, "n": 5})
+        text = to_json(quiver, form=form, params={"p": 5, "q": 10, "n": 5})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

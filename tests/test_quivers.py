@@ -4,14 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from blocks_reference import detect_blocks as reference_blocks
 from blocks_reference import twin_blocks
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from quiver_reference import build_quiver as reference_build
 from quiver_reference import dense, quiver_form_for_count, runs
 
-from quandlequiver import quivers
 from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
 from quandlequiver.colorings import (
     ColoringSet,
@@ -29,10 +27,8 @@ from quandlequiver.quivers import (
     BlockFamily,
     QuiverForm,
     WeightedQuiver,
-    _block_profiles,
     _check_structure,
     build_quiver,
-    detect_blocks,
     isomorphic,
     lattice_form,
     realize,
@@ -214,8 +210,12 @@ def test_build_quiver_matches_reference(coloring_set, brute, whole_family, drop,
     if drop and whole_family:
         # the translations alone carry some coloring onto the dropped one
         assert built == "not closed"
-    if built != "not closed":
-        assert_blocks_match_reference(built)
+    elif whole_family:
+        # the whole family, brute-force or affine, builds the quiver whose
+        # twin classes the colorings' lattice form reads
+        form, blocks = lattice_form(coloring_set)
+        assert blocks == twin_blocks(built)
+        assert isomorphic(built, form, blocks) is not None
 
 
 def test_check_structure_enforces_each_law():
@@ -248,8 +248,7 @@ def test_form_constructors_and_validation():
     )
     assert joined.n_vertices == 96
     assert len(joined.families) == 16
-    assert BlockFamily(1, 0).weight == 0  # a single vertex without a loop
-    for size, weight in ((0, 1), (2, 0), (1, -1)):
+    for size, weight in ((0, 1), (2, 0), (1, 0), (1, -1)):
         with pytest.raises(ValueError):
             BlockFamily(size, weight)
     for cross in (((0, 0, 1),), ((1, 0, 0),), ((2, 0, 1),), ((0, -1, 1),)):
@@ -402,149 +401,6 @@ def test_built_quiver_matches_predicted_form():
     assert_valid_mapping(quiver, form, isomorphic(quiver, form, blocks))
 
 
-def test_detect_blocks_on_join():
-    form, blocks = detect_blocks(realize(quiver_form_for_count(5, 5, 25)))
-    assert blocks == [list(range(5)), list(range(5, 25))]
-    assert form.families == (BlockFamily(5, 5), BlockFamily(20, 1))
-    assert form.cross == ((1, 0, 1),)
-
-
-def test_detect_blocks_on_built_quiver():
-    cs, quiver = dihedral_quiver(5, 5, 6)
-    form, blocks = detect_blocks(quiver)
-    assert sorted(len(b) for b in blocks) == [6] * 16
-    assert all(f.size == 6 for f in form.families)
-    assert sorted(f.weight for f in form.families) == [3] * 15 + [6]
-    assert len(form.cross) == 15
-    assert {d for _, _, d in form.cross} == {3}
-
-
-def test_detect_blocks_falls_back_to_singletons():
-    # no vertex has a loop, so each is a block of its own
-    cycle = quiver_of(4, [(i, (i + 1) % 4, 1) for i in range(4)])
-    form, blocks = detect_blocks(cycle)
-    assert blocks == [[0], [1], [2], [3]]
-    assert form.families == (BlockFamily(1, 0),) * 4
-    assert form.cross == ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1))
-    assert realize(form) == cycle
-
-
-def test_detect_blocks_reads_the_keys_in_one_pass(monkeypatch):
-    # one pass numbers the twin keys, one the block profiles, however many
-    # rounds colour refinement would take (a long path needs one per vertex)
-    calls = []
-    original = quivers._byte_classes
-
-    def counted(packed, offsets):
-        calls.append(offsets.size)
-        return original(packed, offsets)
-
-    monkeypatch.setattr(quivers, "_byte_classes", counted)
-    path = quiver_of(40, [(i, i, 1) for i in range(40)] + [(i, i + 1, 1) for i in range(39)])
-    for quiver in (path, realize(quiver_form_for_count(5, 6, 96)), quiver_of(0, [])):
-        calls.clear()
-        detect_blocks(quiver)
-        assert len(calls) == 2
-
-
-@pytest.mark.parametrize(
-    "triples",
-    [
-        [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 1), (2, 2, 1)],  # two weights inside {0, 1}
-        [(0, 0, 1), (1, 1, 1), (2, 2, 1)],  # {0, 1} is not complete
-        [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 2, 1), (2, 2, 1)],  # only 0 reaches {2}
-    ],
-)
-def test_block_profiles_reject_blocks_that_are_not_uniform(triples):
-    quiver = quiver_of(3, triples)
-    with pytest.raises(InternalConsistencyError):
-        _block_profiles(
-            quiver.sources(), quiver.dst, quiver.weight, np.array([0, 0, 1]), np.array([2, 1])
-        )
-
-
-def assert_blocks_match_reference(quiver):
-    """detect_blocks finds the twin classes, and the old reference's blocks where
-    that reference finds any block of two or more vertices."""
-    form, blocks = detect_blocks(quiver)
-    assert blocks == twin_blocks(quiver)
-    # the block-major relabelling of the quiver is realize(form)
-    position = {v: k for k, v in enumerate(v for block in blocks for v in block)}
-    relabelled = [(position[i], position[j], w) for i, j, w in quiver.weight_triples()]
-    assert quiver_of(quiver.n_vertices, relabelled) == realize(form)
-    ref_blocks, ref_weights, ref_cross = reference_blocks(quiver)
-    if any(len(b) > 1 for b in ref_blocks):
-        assert blocks == ref_blocks
-        families = tuple(BlockFamily(len(b), w) for b, w in zip(ref_blocks, ref_weights))
-        assert form.families == families
-        assert form.cross == tuple((i, j, d) for (i, j), d in sorted(ref_cross.items()))
-
-
-def has_shape(p, n, count):
-    try:
-        quiver_form_for_count(p, n, count)
-    except ValueError:
-        return False
-    return True
-
-
-# (p, n, count) of every closed-form shape with p <= 5, n <= 9 and at most 250 vertices
-SHAPES = sorted(
-    {
-        (p, n, count)
-        for p in (2, 3, 5)
-        for n in range(2, 10)
-        for count in (n, p * n, 2 ** (p - 1) * n, n**p)
-        if count <= 250 and has_shape(p, n, count)
-    }
-)
-
-
-@settings(max_examples=60)
-@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.booleans(), st.data())
-def test_detect_blocks_matches_reference_on_relabelled_shapes(shape, seed, perturb, data):
-    quiver, _ = relabelled(realize(quiver_form_for_count(*shape)), seed)
-    if perturb:
-        n = quiver.n_vertices
-        quiver = edited(quiver, [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), 1)])
-    assert_blocks_match_reference(quiver)
-
-
-def test_detect_blocks_needs_one_weight_into_each_block():
-    # blocks {0, 1} and {4, 5} each send weights 1 and 2 into {2, 3}, so no
-    # uniform cross weight into {2, 3} exists; 2 and 3 are not twins, since
-    # their in-columns differ (weight 1 from 0 into 2, weight 2 into 3), and
-    # split, while {0, 1} and {4, 5} stay twins
-    inside = [(a, b, w) for block, w in (((0, 1), 3), ((4, 5), 3), ((2, 3), 5))
-              for a in block for b in block]
-    cross = [(0, 2, 1), (0, 3, 2), (1, 2, 1), (1, 3, 2), (4, 2, 2), (4, 3, 1), (5, 2, 2), (5, 3, 1)]
-    quiver = quiver_of(6, inside + cross)
-    form, blocks = detect_blocks(quiver)
-    assert blocks == [[0, 1], [2], [3], [4, 5]]
-    assert_blocks_match_reference(quiver)
-
-
-@settings(max_examples=200)
-@given(
-    st.integers(1, 8).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.tuples(st.permutations(range(n)), st.integers(1, 2)), max_size=3),
-            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3),
-        )
-    )
-)
-# a complete block {0, 1} whose two vertices reach different blocks, {2} and {3}
-@example((4, [([0, 1, 2, 3], 1), ([1, 0, 2, 3], 1), ([2, 3, 0, 1], 1)], [(2, 1), (3, 0)]))
-def test_detect_blocks_matches_reference_on_sparse_quivers(case):
-    # unions of weighted permutations are regular, so refinement leaves
-    # classes that blocks only partly cover; a few stray arrows break the regularity
-    n, permutations, strays = case
-    triples = [(i, perm[i], w) for perm, w in permutations for i in range(n)]
-    triples += [(i, j, 1) for i, j in strays]
-    assert_blocks_match_reference(quiver_of(n, triples))
-
-
 def test_lattice_form_matches_the_papers_shapes():
     # every torus cell with p in {2, 3, 5, 7}, q <= 2p, n <= 12 and at most
     # 3000 colorings whose count the paper's table answers
@@ -580,11 +436,13 @@ def word_coloring_sets(draw):
 @settings(max_examples=80)
 @given(word_coloring_sets())
 def test_lattice_form_equals_detected_blocks(coloring_set):
+    # the blocks are the built quiver's twin classes, and the form carries
+    # its arrows exactly when laid out by them: together these pin the form
     n = coloring_set.quandle.size
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
-    detected = detect_blocks(quiver)
-    assert lattice_form(coloring_set) == detected
-    assert isomorphic(quiver, *detected) is not None
+    form, blocks = lattice_form(coloring_set)
+    assert blocks == twin_blocks(quiver)
+    assert isomorphic(quiver, form, blocks) is not None
 
 
 def test_lattice_form_keys_past_int64():
@@ -593,7 +451,7 @@ def test_lattice_form_keys_past_int64():
     cs = enumerate_colorings_linear(TorusLinkSpec(17, 2), 17)
     quiver = build_quiver(cs, affine_endomorphisms(17))
     form, blocks = lattice_form(cs)
-    assert (form, blocks) == detect_blocks(quiver)
+    assert blocks == twin_blocks(quiver)
     assert form == quiver_form_for_count(17, 17, 289)
     assert isomorphic(quiver, form, blocks) is not None
 
