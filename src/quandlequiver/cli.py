@@ -227,13 +227,16 @@ def cmd_quiver(args) -> int:
     else:
         endos = affine_endomorphisms(n)
     quiver = build_quiver(coloring_set, endos)
-    # the blocks, read once from the colorings, for each output that needs them
+    # the blocks, read once from the colorings, for each output that needs them;
+    # only the comparison reads their member lists, so the export does not hold them
     if args.compare or args.collapse or args.format == "json":
         form, blocks = lattice_form(coloring_set)
+        matched = args.compare and isomorphic(quiver, form, blocks) is not None
+        del blocks
 
     exit_code = EXIT_OK
     if args.compare:
-        if isomorphic(quiver, form, blocks) is None:
+        if not matched:
             print("isomorphic=false")
             exit_code = EXIT_MISMATCH
         else:

@@ -3,9 +3,12 @@
 All outputs are deterministic for a given input (fixed key order, sorted
 edges, trailing newline), so identical runs yield byte-identical files.
 
-A quiver's DOT and JSON are written straight from its arrays: the records
-of a chunk of rows (vertices, arrows, blocks) fill one `%d` template, laid
-out exactly as the standard library's indenting encoder lays out JSON.
+A quiver's DOT and JSON are written straight from its arrays, laid out
+exactly as the standard library's indenting encoder lays out JSON.  Each
+list (vertices, arrows, blocks) is one record template whose `%d` slots
+are filled from columns: every distinct value of a column is rendered
+once, with the template text after its slot, into a table of pieces, and
+a chunk of records is one gather from each column's table and one join.
 The writers read no block structure of their own: the collapsed DOT and
 the JSON's "blocks" print the `QuiverForm` the caller passes, such as
 `quivers.lattice_form` reads off the colorings.
@@ -21,26 +24,61 @@ import numpy as np
 from .counting import CellRecord
 from .quivers import QuiverForm, WeightedQuiver
 
-# records filled per template
+# records gathered per join
 _CHUNK = 4096
+
+
+def _table(column: np.ndarray, before: str, after: str):
+    """The pieces `before`, value, `after` of each distinct value of `column`,
+    as an object array, and the function taking a slice of `column` to the
+    indices of its pieces.
+
+    Values spanning less than the column's length are tabled over the whole
+    range lo..hi and indexed by value − lo; others over their sorted
+    distinct values, found by binary search.  Either way the table is no
+    longer than the column.
+    """
+    lo, hi = int(column.min()), int(column.max())
+    if hi - lo < column.size:
+        values = range(lo, hi + 1)
+
+        def codes(part):
+            return part - lo
+    else:
+        keys = np.unique(column)
+        values = keys.tolist()
+
+        def codes(part):
+            return np.searchsorted(keys, part)
+    pieces = np.array([f"{before}{v}{after}" for v in values], dtype=object)
+    return pieces, codes
 
 
 def _records(template: str, sep: str, rows: int, columns):
     """Yield the text of `rows` records joined by `sep`, a chunk of records at a time.
 
-    Record k is `template` filled with column[k] of each column in turn.
-    A chunk's records share one repeated template, filled by a single `%`
-    from the chunk's values, so per record only its ints are made.
+    Record k is `template` with its j-th `%d` filled by column[j][k].  Each
+    distinct value of a column is rendered once, into its column's table of
+    pieces: the value followed by the template text after its slot, with
+    `sep` and the template's head in front for column 0.  A chunk is then
+    one gather per column and one join; only the output's first record
+    drops its leading `sep`.
     """
-    full = sep.join([template] * _CHUNK)
+    if not rows:
+        return
+    head, *tails = template.split("%d")
+    tables = [
+        (column, *_table(column, sep + head if j == 0 else "", tail))
+        for j, (column, tail) in enumerate(zip(columns, tails, strict=True))
+    ]
     for start in range(0, rows, _CHUNK):
-        if start:
-            yield sep
-        count = min(_CHUNK, rows - start)
-        values = ()
-        if len(columns):
-            values = np.column_stack([c[start : start + count] for c in columns]).ravel().tolist()
-        yield (full if count == _CHUNK else sep.join([template] * count)) % tuple(values)
+        stop = min(start + _CHUNK, rows)
+        if tables:
+            gathered = [pieces[codes(column[start:stop])] for column, pieces, codes in tables]
+            text = "".join(np.column_stack(gathered).ravel().tolist())
+        else:
+            text = (sep + template) * (stop - start)
+        yield text if start else text[len(sep) :]
 
 
 def _form_columns(form: QuiverForm) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -1,10 +1,10 @@
 """Reference quiver export used by the tests: one Python object per arrow.
 
-`to_dot` and `to_json` write a quiver, or a form, from its arrays in
-chunks of rows, each filled through one `%d` template; these are the
-direct writers they must match byte for byte: an f-string per DOT line,
-and the standard library's indenting encoder over one small list per
-arrow.  Like them, they print the form they are given.  `quiver_from_json`
+`to_dot` and `to_json` write a quiver, or a form, by joining pieces
+gathered from tables that render each distinct value of a column once;
+these are the direct writers they must match byte for byte: an f-string
+per DOT line, and the standard library's indenting encoder over one
+small list per arrow.  Like them, they print the form they are given.  `quiver_from_json`
 reads a quiver back from its JSON.
 """
 

@@ -184,6 +184,16 @@ def test_json_round_trip_on_torus_quivers(p, q, n):
     assert quiver_from_json(to_json(quiver, form=form, params={"p": p, "q": q, "n": n})) == quiver
 
 
+_table = export._table
+
+
+def _short_table(column, before, after):
+    """`export._table`, checked to hold no more pieces than its column has values."""
+    pieces, codes = _table(column, before, after)
+    assert len(pieces) <= len(column)
+    return pieces, codes
+
+
 @st.composite
 def random_quivers(draw):
     """Up to 12 vertices and 40 arrows, with labels of one width (possibly 0) or none."""
@@ -244,10 +254,57 @@ def torus_quivers(draw):
     1,
     {},
 )
+# weights 1 and 30000 span more than their column: tabled by their distinct values
+@example(
+    (
+        WeightedQuiver.from_arrows(2, [0, 1], [1, 0], [1, 30000]),
+        QuiverForm((BlockFamily(1, 1), BlockFamily(1, 1)), ((0, 1, 30000), (1, 0, 1))),
+    ),
+    True,
+    2,
+    None,
+)
+# negative labels
+@example(
+    (
+        WeightedQuiver.from_arrows(3, [0, 2], [2, 1], [5, 3], labels=[(-3, 4), (-7, 0), (2, -1)]),
+        QuiverForm((BlockFamily(3, 2),)),
+    ),
+    True,
+    5,
+    {"n": 3},
+)
+# labels near ±2^62, whose span passes int64
+@example(
+    (
+        WeightedQuiver.from_arrows(2, [0], [1], [2], labels=[(2**62 + 5, -(2**62)), (-(2**62) - 5, 2**62)]),
+        QuiverForm((BlockFamily(2, 1),)),
+    ),
+    True,
+    3,
+    None,
+)
+# a single record in every list
+@example(
+    (WeightedQuiver.from_arrows(1, [0], [0], [7], labels=[(3,)]), QuiverForm((BlockFamily(1, 7),))),
+    True,
+    4,
+    {"p": 1},
+)
+# a chunk of 1 over lists of many records
+@example(
+    (
+        WeightedQuiver.from_arrows(4, [0, 1, 2, 3, 3], [1, 2, 3, 0, 3], [9, 8, 7, 6, 5], labels=[(i,) for i in range(4)]),
+        QuiverForm((BlockFamily(1, 1), BlockFamily(3, 2)), ((0, 1, 4), (1, 0, 6))),
+    ),
+    True,
+    1,
+    None,
+)
 def test_writers_match_reference(quiver_and_form, loops, chunk, params):
     # a chunk of 1 to 5 records puts chunk boundaries inside every list
     quiver, form = quiver_and_form
-    with mock.patch.object(export, "_CHUNK", chunk):
+    with mock.patch.object(export, "_CHUNK", chunk), mock.patch.object(export, "_table", _short_table):
         assert to_dot(quiver, include_loops=loops) == export_reference.to_dot(quiver, loops)
         assert to_dot(form) == export_reference.to_dot(form)
         assert to_json(quiver, form=form, params=params) == export_reference.to_json(
@@ -278,4 +335,18 @@ def test_json_writer_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(text) > 3 * 10**6
+    assert peak < 2.5 * len(text)
+
+
+def test_dot_writer_peak_memory():
+    # T(5,10) by R_5 in full: the output, the pieces it is joined from and
+    # the arrows' sources fit in the 2.5 lengths allowed
+    quiver, _ = torus_quiver(5, 10, 5)
+    tracemalloc.start()
+    try:
+        text = to_dot(quiver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2 * 10**6
     assert peak < 2.5 * len(text)
