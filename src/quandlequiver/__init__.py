@@ -14,7 +14,6 @@ from .braids import (
     closure_system,
     parse_link,
     propagation_matrix,
-    torus_braid,
 )
 from .colorings import (
     ColoringSet,
@@ -49,7 +48,6 @@ from .quivers import (
     build_quiver,
     isomorphic,
     lattice_form,
-    realize,
 )
 
 __all__ = [
@@ -79,12 +77,10 @@ __all__ = [
     "parse_link",
     "predict_count",
     "propagation_matrix",
-    "realize",
     "smith_normal_form",
     "to_csv",
     "to_dot",
     "to_json",
-    "torus_braid",
     "verify_counts",
     "verify_quandle_axioms",
 ]

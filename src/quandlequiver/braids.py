@@ -64,12 +64,6 @@ class TorusLinkSpec:
             raise ValueError(f"q must be nonnegative, got {self.q}")
 
 
-def torus_braid(p: int, q: int) -> BraidWord:
-    """Braid word (s_1 s_2 ... s_{p-1})^q; q = 0 gives the p-strand unlink."""
-    factor, q = factor_power(TorusLinkSpec(p, q))  # validates p and q
-    return BraidWord(p, factor.letters * q)
-
-
 def factor_power(link: BraidWord | TorusLinkSpec) -> tuple[BraidWord, int]:
     """(factor, q), the link being the closure of factor**q: (s_1 ... s_{p-1}, q)
     for T(p, q), never written out; a braid word's shortest factor, q = 0 if empty."""

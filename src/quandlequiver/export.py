@@ -28,7 +28,36 @@ from .quivers import QuiverForm, WeightedQuiver
 _CHUNK = 4096
 
 
-def _table(column: np.ndarray, before: str, after: str):
+class _Sources:
+    """The source vertex of each arrow of the CSR rows `indptr`, as a column
+    `_records` reads.  A slice is made from indptr when asked, one np.repeat
+    over its rows, so the column is held whole only where `_table` needs
+    its distinct values: for fewer arrows than the rows they span.  Sources
+    never decrease, so the first is the least and the last the greatest."""
+
+    def __init__(self, indptr: np.ndarray):
+        self.indptr = indptr
+        self.size = int(indptr[-1])
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        start, stop, _ = part.indices(self.size)
+        # rows first..last-1 hold arrows start..stop-1
+        first = np.searchsorted(self.indptr, start, side="right") - 1
+        last = np.searchsorted(self.indptr, stop, side="left")
+        bounds = np.clip(self.indptr[first : last + 1], start, stop)
+        return np.repeat(np.arange(first, last), np.diff(bounds))
+
+    def min(self) -> int:
+        return self[0:1][0]
+
+    def max(self) -> int:
+        return self[self.size - 1 : self.size][0]
+
+
+def _table(column, before: str, after: str):
     """The pieces `before`, value, `after` of each distinct value of `column`,
     as an object array, and the function taking a slice of `column` to the
     indices of its pieces.
@@ -45,7 +74,7 @@ def _table(column: np.ndarray, before: str, after: str):
         def codes(part):
             return part - lo
     else:
-        keys = np.unique(column)
+        keys = np.unique(column[:])
         values = keys.tolist()
 
         def codes(part):
@@ -114,11 +143,12 @@ def to_dot(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) ->
             colours = quiver.labels.T
             label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
         parts.extend(_records(f'  v%d [label="{label}"];\n', "", n, columns))
-        src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
+        src, dst, weight = _Sources(quiver.indptr), quiver.dst, quiver.weight
         if not include_loops:
+            src = quiver.sources()
             keep = src != dst
             src, dst, weight = src[keep], dst[keep], weight[keep]
-        parts.extend(_records('  v%d -> v%d [label="%d"];\n', "", src.size, [src, dst, weight]))
+        parts.extend(_records('  v%d -> v%d [label="%d"];\n', "", dst.size, [src, dst, weight]))
     parts.append("}\n")
     return "".join(parts)
 
@@ -160,7 +190,7 @@ def _quiver_json_parts(
         colours = quiver.labels.T
         parts.append(',\n  "colorings": ')
         parts += _json_list(_int_list(len(colours), 2), quiver.n_vertices, colours, 1)
-    arrows = [quiver.sources(), quiver.dst, quiver.weight]
+    arrows = [_Sources(quiver.indptr), quiver.dst, quiver.weight]
     parts.append(',\n  "weights": ')
     parts += _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
     families, cross = _form_columns(form)

@@ -6,12 +6,17 @@ with the same endpoints merge into an integer weight.  Row sums therefore
 all equal the number of endomorphisms supplied.  The endomorphisms come
 as one (k, m) image array, such as `quandles.affine_endomorphisms`
 returns, and `build_quiver` checks every row against the coloring set's
-own quandle before it builds.
+own quandle before it builds.  It looks each vertex's distinct images up
+once: runs of one image are one arrow, so the lookup is per arrow, not
+per endomorphism.
 
 A `QuiverForm` (complete blocks and uniform cross arrows) is read off
 the colorings by R_n alone by `lattice_form`, the one reader of block
 structure: it needs no quiver.  `isomorphic` checks a quiver against a
-form, arrow by arrow, and `realize` expands a form to its quiver.
+form in O(E), with no sort and no expansion of the form: each arrow must
+join two blocks the form joins, at the form's weight, and each row must
+hold one arrow per vertex of the blocks its block reaches, which by
+pigeonhole its distinct targets then are.
 """
 
 from __future__ import annotations
@@ -148,19 +153,49 @@ def _endomorphism_images(quandle: FiniteQuandle, endos, colour) -> np.ndarray:
     if outside.any():
         raise ValueError(f"image {endos[outside][0]} outside 0..{m - 1}")
     images = endos.astype(colour)
-    table = quandle.table.astype(colour)
+    flat = quandle.table.astype(colour).ravel()
     step = max(1, _CHECK_PAIRS // (m * m))
     for start in range(0, len(images), step):
         phi = images[start : start + step]
-        # phi(x*y) against phi(x)*phi(y), indexed (row, x, y)
-        broken = phi[:, table] != table[phi[:, :, None], phi[:, None, :]]
+        wide = phi.astype(np.intp)
+        # phi(x*y) against phi(x)*phi(y), pair (x, y) at column x*m + y
+        pairs = (wide[:, :, None] * m + wide[:, None, :]).reshape(len(phi), -1)
+        broken = phi.take(flat, axis=1) != flat.take(pairs)
         if broken.any():
-            e, x, y = np.unravel_index(broken.argmax(), broken.shape)
+            e, pair = np.unravel_index(broken.argmax(), broken.shape)
+            x, y = divmod(int(pair), m)
             raise ValueError(
                 f"endomorphism {start + e}: not a homomorphism: "
                 f"phi({x}*{y}) != phi({x})*phi({y})"
             )
     return images
+
+
+# a key space of at most this many keys per coloring is looked up through a
+# dense inverse table (8 bytes per key), larger ones by binary search
+_DENSE_KEYS = 4
+
+
+def _key_lookup(keys: np.ndarray, key_space: int):
+    """The function taking keys to their positions in the increasing `keys`,
+    and any other key in 0..key_space-1 to -1.
+
+    A key space at most _DENSE_KEYS times as large as `keys` is one dense
+    inverse table; a larger one is searched.  A table lookup costs the same
+    in any order of the keys asked, where binary search is fastest on
+    nearly sorted ones.
+    """
+    if key_space <= _DENSE_KEYS * keys.size:
+        index = np.full(key_space, -1, dtype=np.int64)
+        index[keys] = np.arange(keys.size)
+        return index.__getitem__
+    last = keys.size - 1
+
+    def search(wanted):
+        at = np.searchsorted(keys, wanted)
+        return np.where(keys[np.minimum(at, last)] == wanted, at, -1)
+
+    return search
 
 
 def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
@@ -169,47 +204,62 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     `endos` is a (k, m) array-like whose row lists a map's images of
     0..m-1; every row is first checked to be an endomorphism of the
     coloring set's own quandle, and a row that is not raises ValueError.
-    Each coloring is keyed by its colours in base m; the image rows of a
-    slab of colorings under all endomorphisms are gathered at once and
-    found among the keys by binary search.  Sorting each vertex's targets
-    and taking run lengths gives its arrows and their weights.  The
-    colorings must be sorted and closed under each endomorphism (they
-    are, for the full endomorphism monoid of the target); a landing outside
-    them means the inputs are inconsistent and raises.  Structural laws
-    that hold by construction are re-checked on every build.
+    Each coloring is keyed by its colours in base m, and the k image keys
+    of a slab of colorings come from one (m, k) table of the images by
+    Horner's rule over the strands.  Each vertex's image keys are sorted;
+    a run of one key is one arrow, weighted by the run's length, and only
+    the run heads are looked up: in a dense inverse table when the key
+    space m^strands is at most _DENSE_KEYS keys per coloring, else by
+    binary search among the keys.  T(5,5) by R_30 has 432,000 images but
+    27,900 heads.  The colorings must be sorted and closed under each
+    endomorphism (they are, for the full endomorphism monoid of the
+    target); a landing outside them means the inputs are inconsistent and
+    raises, naming the image, its coloring and an endomorphism giving it.
+    Structural laws that hold by construction are re-checked on every build.
     """
     m = coloring_set.quandle.size
     colour = np.min_scalar_type(m - 1)
     images = _endomorphism_images(coloring_set.quandle, endos, colour)
     colorings = coloring_set.colorings
-    n_vertices = len(colorings)
+    n_vertices, width = colorings.shape
     points = colorings.astype(colour)
     keys = _row_keys(points, m)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
+    lookup = _key_lookup(keys, m**width)
+    # row c of the table holds the images of colour c, in the keys' dtype
+    table = images.T.astype(keys.dtype)
     per_row = len(images)
     slabs = range(0, n_vertices, max(1, _SLAB // per_row)) if per_row else ()
     src, dst, weight = [], [], []
     for start in slabs:
-        image_keys = _row_keys(images[:, points[start : start + slabs.step]], m)
-        targets = np.searchsorted(keys, image_keys)
-        missing = keys[np.minimum(targets, n_vertices - 1)] != image_keys
+        block = points[start : start + slabs.step]
+        image_keys = table[block[:, 0]]
+        for j in range(1, width):
+            image_keys *= m
+            image_keys += table[block[:, j]]
+        # each run of one key in a vertex's sorted image keys is one arrow
+        flat = np.sort(image_keys, axis=1).ravel()
+        new_run = np.ones(flat.size, dtype=bool)
+        new_run[1:] = flat[1:] != flat[:-1]
+        new_run[::per_row] = True
+        run_starts = np.flatnonzero(new_run)
+        targets = lookup(flat[run_starts])
+        missing = targets < 0
         if missing.any():
-            e, k = np.argwhere(missing)[0]
+            # the first missing head, and one endomorphism of its vertex giving it
+            head = run_starts[missing.argmax()]
+            k = head // per_row
+            e = np.argmax(image_keys[k] == flat[head])
             f = points[start + k]
             raise InternalConsistencyError(
                 f"image {tuple(images[e][f].tolist())} of coloring {tuple(f.tolist())} "
                 f"under endomorphism {e} is not itself a coloring"
             )
-        # each run of one target in a vertex's sorted targets is one arrow
-        flat = np.sort(targets.T, axis=1).ravel()
-        new_run = np.ones(flat.size, dtype=bool)
-        new_run[1:] = flat[1:] != flat[:-1]
-        new_run[::per_row] = True
-        run_starts = np.flatnonzero(new_run)
         src.append(start + run_starts // per_row)
-        dst.append(flat[run_starts])
+        dst.append(targets)
         weight.append(np.diff(run_starts, append=flat.size))
+    del lookup  # frees a dense table before the arrays are assembled
     arrays = (np.concatenate(a) if a else () for a in (src, dst, weight))
     quiver = WeightedQuiver.from_arrows(n_vertices, *arrays, labels=colorings)
     _check_structure(quiver, coloring_set, per_row)
@@ -288,24 +338,6 @@ class QuiverForm:
         return sum(f.size for f in self.families)
 
 
-def realize(form: QuiverForm) -> WeightedQuiver:
-    """Expand a form to an explicit quiver, its blocks laid end to end in order."""
-    sizes = np.array([f.size for f in form.families], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    # a block's own weight is an entry from it to itself
-    inside = [(b, b, f.weight) for b, f in enumerate(form.families)]
-    a, b, d = np.array(inside + list(form.cross), dtype=np.int64).reshape(-1, 3).T
-    # entry e holds sizes[a] * sizes[b] arrows; arrow t of it runs from
-    # row t // sizes[b] of block a to column t % sizes[b] of block b
-    span = sizes[a] * sizes[b]
-    entry = np.repeat(np.arange(span.size), span)
-    t = np.arange(entry.size) - np.repeat(np.cumsum(span) - span, span)
-    width = sizes[b][entry]
-    src = starts[a][entry] + t // width
-    dst = starts[b][entry] + t % width
-    return WeightedQuiver.from_arrows(form.n_vertices, src, dst, d[entry])
-
-
 # --- the cyclic-subgroup lattice ----------------------------------------
 
 
@@ -377,25 +409,45 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, list[list[int]]
 def isomorphic(
     quiver: WeightedQuiver, form: QuiverForm, blocks: list[list[int]]
 ) -> tuple[int, ...] | None:
-    """The mapping of vertex k of blocks[b] to vertex k of block b of
-    realize(form), when it carries `quiver` onto realize(form) arrow for
-    arrow and weight for weight (one sorted array comparison); else None,
-    as it is for blocks that do not partition the vertices into the
-    form's block sizes.
+    """The mapping of vertex k of blocks[b] to vertex k of block b of the
+    form laid out end to end, when it carries `quiver` onto that layout
+    arrow for arrow and weight for weight; else None, as it is for blocks
+    that do not partition the vertices into the form's block sizes.
+
+    The check is O(E) and needs no sort of the arrows.  Each arrow (u, v, w)
+    must find its blocks' pair among the form's entries (a block to itself
+    at its weight, and the cross entries, repeated ones summed), at that
+    entry's weight, and each row must hold as many arrows as the blocks its
+    block sends to hold vertices.  A row's targets are distinct, so by
+    pigeonhole they are then every vertex of those blocks: the rows are the
+    layout's rows exactly.
     """
     n = quiver.n_vertices
     laid = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
-    if [len(b) for b in blocks] != [f.size for f in form.families] or not np.array_equal(
+    sizes = np.array([f.size for f in form.families], dtype=np.int64)
+    if [len(b) for b in blocks] != sizes.tolist() or not np.array_equal(
         np.sort(laid), np.arange(n)
     ):
         return None
     mapping = np.empty(n, dtype=np.int64)
     mapping[laid] = np.arange(n)
-    target = realize(form)
-    key = mapping[quiver.sources()] * n + mapping[quiver.dst]
-    order = np.argsort(key)
-    if np.array_equal(key[order], target.sources() * n + target.dst) and np.array_equal(
-        quiver.weight[order], target.weight
+    block_of = np.empty(n, dtype=np.int64)
+    block_of[laid] = np.repeat(np.arange(sizes.size), sizes)
+    # the form's entries (a, b, d), keyed a * blocks + b, repeated keys summed
+    inside = [(b, b, f.weight) for b, f in enumerate(form.families)]
+    a, b, d = np.array(inside + list(form.cross), dtype=np.int64).reshape(-1, 3).T
+    entry_keys, entry = np.unique(a * sizes.size + b, return_inverse=True)
+    entry_weight = np.zeros(entry_keys.size, dtype=np.int64)
+    np.add.at(entry_weight, entry, d)
+    # a row of block a holds one arrow to each vertex of each block it sends to
+    row_length = np.zeros(sizes.size, dtype=np.int64)
+    np.add.at(row_length, entry_keys // sizes.size, sizes[entry_keys % sizes.size])
+    if not np.array_equal(np.diff(quiver.indptr), row_length[block_of]):
+        return None
+    arrow_keys = block_of[quiver.sources()] * sizes.size + block_of[quiver.dst]
+    at = np.minimum(np.searchsorted(entry_keys, arrow_keys), entry_keys.size - 1)
+    if np.array_equal(entry_keys[at], arrow_keys) and np.array_equal(
+        entry_weight[at], quiver.weight
     ):
         return tuple(mapping.tolist())
     return None

@@ -1,15 +1,19 @@
 """Reference quivers used by the tests: one dict of target -> weight per
-row, and the paper's closed-form shapes keyed by the coloring count.
+row, a form expanded to its quiver, and the paper's closed-form shapes
+keyed by the coloring count.
 
 `WeightedQuiver` holds CSR arrays built in one pass by `from_arrows`, and
-`build_quiver` keys the colorings in base m and finds every image row by
-`searchsorted`; these are the direct row-dict quiver and per-arrow build
-they must agree with.  `lattice_form` reads the quiver's blocks off the
-cyclic subgroups of the colorings; `quiver_form_for_count` is the paper's
-table of four shapes it must agree with wherever that table has an answer.
+`build_quiver` keys the colorings in base m and looks up each distinct
+image row once; these are the direct row-dict quiver and per-arrow build
+they must agree with.  `isomorphic` checks the arrows against a form's
+entries in O(E); `reference_isomorphic` compares them with `realize(form)`,
+the form expanded arrow by arrow, in one sorted comparison.
+`lattice_form` reads the quiver's blocks off the cyclic subgroups of the
+colorings; `quiver_form_for_count` is the paper's table of four shapes it
+must agree with wherever that table has an answer.
 """
 
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -78,6 +82,49 @@ def build_quiver(coloring_set, endos):
                 )
             quiver.add(k, j)
     return quiver.freeze()
+
+
+def realize(form):
+    """Expand a form to an explicit quiver, its blocks laid end to end in order."""
+    sizes = np.array([f.size for f in form.families], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # a block's own weight is an entry from it to itself
+    inside = [(b, b, f.weight) for b, f in enumerate(form.families)]
+    a, b, d = np.array(inside + list(form.cross), dtype=np.int64).reshape(-1, 3).T
+    # entry e holds sizes[a] * sizes[b] arrows; arrow t of it runs from
+    # row t // sizes[b] of block a to column t % sizes[b] of block b
+    span = sizes[a] * sizes[b]
+    entry = np.repeat(np.arange(span.size), span)
+    t = np.arange(entry.size) - np.repeat(np.cumsum(span) - span, span)
+    width = sizes[b][entry]
+    src = starts[a][entry] + t // width
+    dst = starts[b][entry] + t % width
+    return WeightedQuiver.from_arrows(form.n_vertices, src, dst, d[entry])
+
+
+def reference_isomorphic(quiver, form, blocks):
+    """The mapping of vertex k of blocks[b] to vertex k of block b of
+    realize(form), when it carries `quiver` onto realize(form) arrow for
+    arrow and weight for weight (one sorted array comparison); else None,
+    as it is for blocks that do not partition the vertices into the
+    form's block sizes.
+    """
+    n = quiver.n_vertices
+    laid = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
+    if [len(b) for b in blocks] != [f.size for f in form.families] or not np.array_equal(
+        np.sort(laid), np.arange(n)
+    ):
+        return None
+    mapping = np.empty(n, dtype=np.int64)
+    mapping[laid] = np.arange(n)
+    target = realize(form)
+    key = mapping[quiver.sources()] * n + mapping[quiver.dst]
+    order = np.argsort(key)
+    if np.array_equal(key[order], target.sources() * n + target.dst) and np.array_equal(
+        quiver.weight[order], target.weight
+    ):
+        return tuple(mapping.tolist())
+    return None
 
 
 def quiver_form_for_count(p, n, count):

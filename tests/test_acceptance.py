@@ -10,10 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from braid_reference import torus_braid
 from quandle_reference import audit_affine_completeness, is_involutive
-from quiver_reference import dense, quiver_form_for_count, runs
+from quiver_reference import dense, quiver_form_for_count, realize, runs
 
-from quandlequiver.braids import BraidWord, torus_braid
+from quandlequiver.braids import BraidWord
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
 from quandlequiver.counting import (
     CASE_AMBIGUOUS,
@@ -27,7 +28,7 @@ from quandlequiver.quandles import (
     affine_endomorphisms,
     verify_quandle_axioms,
 )
-from quandlequiver.quivers import build_quiver, isomorphic, lattice_form, realize
+from quandlequiver.quivers import build_quiver, isomorphic, lattice_form
 
 
 def report(num, detail, elapsed=None, budget=None):

@@ -11,6 +11,7 @@ from itertools import product
 
 import intmatrix_reference as ref
 import pytest
+from braid_reference import torus_braid
 from intmatrix_reference import IntMatrix, apply, det
 from oracle_reference import propagate
 
@@ -20,7 +21,6 @@ from quandlequiver.braids import (
     closure_system,
     parse_link,
     propagation_matrix,
-    torus_braid,
 )
 from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 

@@ -67,12 +67,17 @@ def test_count_formula_only_ambiguous_has_no_winner(capsys):
 
 def refuse_torus_word(monkeypatch):
     """Make any expansion of a torus link into letters raise: for a huge q
-    it would allocate (p - 1) * q letters."""
+    it would allocate (p - 1) * q letters.  The links of these tests are
+    all torus links, whose factor has p - 1 letters on p strands, so a word
+    of p letters or more is one written out."""
+    check = braids.BraidWord.__post_init__
 
-    def refuse(*args):
-        raise AssertionError("torus word built")
+    def refuse(word):
+        if len(word.letters) >= word.strands:
+            raise AssertionError("torus word built")
+        check(word)
 
-    monkeypatch.setattr(braids, "torus_braid", refuse)
+    monkeypatch.setattr(braids.BraidWord, "__post_init__", refuse)
 
 
 def test_count_formula_never_expands_the_torus_word(monkeypatch, capsys):

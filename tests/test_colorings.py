@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braid_reference import torus_braid
 from oracle_reference import enumerate_colorings as reference_colorings
 from oracle_reference import propagate
 from quandlequiver import colorings
-from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, factor_power, torus_braid
+from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from quandlequiver.colorings import (
     ColoringSet,
     enumerate_colorings_linear,

@@ -1,8 +1,8 @@
 """Tests for environment-variable cap overrides."""
 
 import pytest
+from braid_reference import torus_braid
 
-from quandlequiver.braids import torus_braid
 from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
 from quandlequiver.config import endo_cap, enumeration_cap, oracle_cap, positive_integer
 from quandlequiver.errors import CapExceededError

@@ -17,11 +17,12 @@ from itertools import combinations, product
 import intmatrix_reference as ref
 import numpy as np
 import pytest
+from braid_reference import torus_braid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from intmatrix_reference import IntMatrix, det, kernel_count_mod
 
-from quandlequiver.braids import BraidWord, closure_system, torus_braid
+from quandlequiver.braids import BraidWord, closure_system
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import kernel_count_from_snf, kernel_enumerate_mod, smith_normal_form
 

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from braid_reference import torus_braid
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from quandle_reference import (
@@ -17,7 +18,6 @@ from quandle_reference import (
 from quandle_reference import verify_quandle_axioms as reference_axioms
 
 from quandlequiver import quandles
-from quandlequiver.braids import torus_braid
 from quandlequiver.colorings import enumerate_colorings_oracle
 from quandlequiver.errors import CapExceededError
 from quandlequiver.quandles import (

@@ -1,16 +1,19 @@
 """Tests for quiver construction, the lattice form, blocks, and comparison."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 from blocks_reference import twin_blocks
+from braid_reference import torus_braid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from quiver_reference import build_quiver as reference_build
-from quiver_reference import dense, quiver_form_for_count, runs
+from quandle_reference import first_broken_pair
+from quiver_reference import dense, quiver_form_for_count, realize, reference_isomorphic, runs
 
-from quandlequiver.braids import BraidWord, TorusLinkSpec, torus_braid
+from quandlequiver.braids import BraidWord, TorusLinkSpec
 from quandlequiver.colorings import (
     ColoringSet,
     enumerate_colorings_linear,
@@ -23,6 +26,7 @@ from quandlequiver.quandles import (
     affine_endomorphisms,
     brute_force_endomorphisms,
 )
+from quandlequiver import quivers
 from quandlequiver.quivers import (
     BlockFamily,
     QuiverForm,
@@ -31,7 +35,6 @@ from quandlequiver.quivers import (
     build_quiver,
     isomorphic,
     lattice_form,
-    realize,
 )
 
 
@@ -166,6 +169,64 @@ def test_build_quiver_keys_past_int64():
     quiver = build_quiver(cs, endos)
     assert quiver == reference_build(cs, endos)
     assert quiver.weight_triples() == [(i, j, 31) for i in range(31) for j in range(31)]
+
+
+@pytest.mark.parametrize(
+    "p,q,n,brute",
+    [
+        # key space n^p at most 4N: the dense inverse table
+        (3, 6, 7, False),
+        (3, 6, 7, True),
+        (7, 14, 3, False),
+        (7, 14, 3, True),
+        # key space far above N: binary search among the keys
+        (7, 2, 14, False),
+        (5, 5, 30, False),
+        (7, 2, 7, True),
+    ],
+)
+def test_build_quiver_matches_reference_on_both_lookups(p, q, n, brute):
+    cs = enumerate_colorings_linear(TorusLinkSpec(p, q), n)
+    dense_side = (p, q, n) in ((3, 6, 7), (7, 14, 3))
+    assert (n**p <= quivers._DENSE_KEYS * cs.count) == dense_side
+    endos = brute_force_endomorphisms(cs.quandle) if brute else affine_endomorphisms(n)
+    assert build_quiver(cs, endos) == reference_build(cs, endos)
+
+
+def test_build_quiver_names_the_first_broken_row_in_a_later_batch():
+    # R_30 checks 72 rows per batch; row 800 breaks at a pair with x != y
+    # (x * x = x in R_n, so phi(x*x) = phi(x)*phi(x) for every map)
+    r30 = DihedralQuandle(30)
+    endos = affine_endomorphisms(30).copy()
+    endos[800, 7] = (endos[800, 7] + 1) % 30
+    x, y = first_broken_pair(r30, endos[800].tolist())
+    assert x != y
+    assert all(first_broken_pair(r30, row) is None for row in endos[:800].tolist())
+    cs = enumerate_colorings_linear(TorusLinkSpec(5, 5), 30)
+    message = f"endomorphism 800: not a homomorphism: phi({x}*{y}) != phi({x})*phi({y})"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        build_quiver(cs, endos)
+
+
+@pytest.mark.parametrize("p,q,n,drop", [(3, 6, 7, 100), (7, 2, 14, 50), (13, 1, 31, 5)])
+def test_build_quiver_names_a_real_missing_image(p, q, n, drop):
+    # one lookup by the dense table, one by binary search, one on Python-int keys
+    full = enumerate_colorings_linear(TorusLinkSpec(p, q), n)
+    kept = np.delete(full.colorings, drop, axis=0)
+    cs = ColoringSet(full.link, full.quandle, kept)
+    endos = affine_endomorphisms(n)
+    with pytest.raises(InternalConsistencyError) as raised:
+        build_quiver(cs, endos)
+    named = re.fullmatch(
+        r"image \((.*)\) of coloring \((.*)\) under endomorphism (\d+) is not itself a coloring",
+        str(raised.value),
+    )
+    image, coloring = (tuple(map(int, g.split(","))) for g in named.group(1, 2))
+    e = int(named.group(3))
+    members = set(map(tuple, kept.tolist()))
+    assert coloring in members
+    assert image not in members
+    assert image == tuple(endos[e][list(coloring)].tolist())
 
 
 def outcome(build, coloring_set, endos):
@@ -392,6 +453,75 @@ def test_isomorphic_refutes_swapped_blocks_of_one_size():
     # one arrow's weight altered
     i, j, w = quiver.weight_triples()[0]
     assert isomorphic(edited(quiver, [(i, j, 1)]), form, blocks) is None
+
+
+@st.composite
+def small_forms(draw):
+    """1-5 blocks of 1-4 vertices and weight 1-3, and up to 6 cross entries
+    of weight 1-3, a pair of blocks possibly repeated."""
+    k = draw(st.integers(1, 5))
+    families = tuple(
+        BlockFamily(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(k)
+    )
+    entry = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 3))
+    cross = draw(st.lists(entry.filter(lambda e: e[0] != e[1]), max_size=6)) if k > 1 else []
+    return QuiverForm(families, tuple(cross))
+
+
+@settings(max_examples=300)
+@given(
+    small_forms(),
+    st.integers(0, 2**16),
+    st.sampled_from(["none", "weight", "outside", "short", "swap"]),
+    st.data(),
+)
+def test_isomorphic_equals_reference(form, seed, change, data):
+    quiver, blocks = shuffled_shape(form, seed)
+    triples = quiver.weight_triples()
+    i, j, w = data.draw(st.sampled_from(triples))
+    if change == "weight":  # one unit of weight moved to another arrow of the row
+        others = [t for s, t, _ in triples if s == i and t != j]
+        assume(others)
+        quiver = edited(quiver, [(i, j, -1), (i, data.draw(st.sampled_from(others)), 1)])
+    elif change == "outside":  # an arrow moved into a block its block does not send to
+        block_of = {v: b for b, members in enumerate(blocks) for v in members}
+        reached = {block_of[t] for s, t, _ in triples if s == i}
+        outside = [v for v in range(quiver.n_vertices) if block_of[v] not in reached]
+        assume(outside)
+        quiver = edited(quiver, [(i, j, -w), (i, data.draw(st.sampled_from(outside)), w)])
+    elif change == "short":  # a row one arrow short
+        quiver = edited(quiver, [(i, j, -w)])
+    elif change == "swap":  # two blocks of one size exchanged
+        same = [
+            (a, b)
+            for a in range(len(blocks))
+            for b in range(a + 1, len(blocks))
+            if len(blocks[a]) == len(blocks[b])
+        ]
+        assume(same)
+        a, b = data.draw(st.sampled_from(same))
+        blocks[a], blocks[b] = blocks[b], blocks[a]
+    expected = reference_isomorphic(quiver, form, blocks)
+    assert isomorphic(quiver, form, blocks) == expected
+    if change == "none":
+        assert expected is not None
+    elif change != "swap":
+        assert expected is None
+
+
+def test_isomorphic_sums_repeated_cross_entries():
+    # two entries from block 1 to block 0 carry their sum, as in realize
+    families = (BlockFamily(2, 2), BlockFamily(3, 1))
+    form = QuiverForm(families, ((1, 0, 1), (1, 0, 2)))
+    shuffled, blocks = shuffled_shape(form, seed=4)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
+    assert isomorphic(shuffled, form, blocks) == reference_isomorphic(shuffled, form, blocks)
+    # each entry on its own is one weight short of the quiver
+    for cross in (((1, 0, 1),), ((1, 0, 2),), ((1, 0, 3),)):
+        single = QuiverForm(families, cross)
+        expected = reference_isomorphic(shuffled, single, blocks)
+        assert isomorphic(shuffled, single, blocks) == expected
+        assert (expected is None) == (cross != ((1, 0, 3),))
 
 
 def test_built_quiver_matches_predicted_form():
