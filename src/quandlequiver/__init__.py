@@ -34,15 +34,12 @@ from .linalg import (
     smith_normal_form,
 )
 from .quandles import (
-    AxiomReport,
     DihedralQuandle,
     FiniteQuandle,
     affine_endomorphisms,
     brute_force_endomorphisms,
-    verify_quandle_axioms,
 )
 from .quivers import (
-    BlockFamily,
     QuiverForm,
     WeightedQuiver,
     build_quiver,
@@ -51,8 +48,6 @@ from .quivers import (
 )
 
 __all__ = [
-    "AxiomReport",
-    "BlockFamily",
     "BraidWord",
     "CapExceededError",
     "CellRecord",
@@ -82,5 +77,4 @@ __all__ = [
     "to_dot",
     "to_json",
     "verify_counts",
-    "verify_quandle_axioms",
 ]

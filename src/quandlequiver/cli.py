@@ -228,11 +228,11 @@ def cmd_quiver(args) -> int:
         endos = affine_endomorphisms(n)
     quiver = build_quiver(coloring_set, endos)
     # the blocks, read once from the colorings, for each output that needs them;
-    # only the comparison reads their member lists, so the export does not hold them
+    # only the comparison reads their members array, so the export does not hold it
     if args.compare or args.collapse or args.format == "json":
-        form, blocks = lattice_form(coloring_set)
-        matched = args.compare and isomorphic(quiver, form, blocks) is not None
-        del blocks
+        form, members = lattice_form(coloring_set)
+        matched = args.compare and isomorphic(quiver, form, members) is not None
+        del members
 
     exit_code = EXIT_OK
     if args.compare:

@@ -11,7 +11,8 @@ once, with the template text after its slot, into a table of pieces, and
 a chunk of records is one gather from each column's table and one join.
 The writers read no block structure of their own: the collapsed DOT and
 the JSON's "blocks" print the `QuiverForm` the caller passes, such as
-`quivers.lattice_form` reads off the colorings.
+`quivers.lattice_form` reads off the colorings, straight from its
+columns (sizes, weights, and the three columns of its cross rows).
 """
 
 from __future__ import annotations
@@ -110,13 +111,6 @@ def _records(template: str, sep: str, rows: int, columns):
         yield text if start else text[len(sep) :]
 
 
-def _form_columns(form: QuiverForm) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(size, weight) of each block and (src, dst, d) of each cross entry, as columns."""
-    families = np.array([(f.size, f.weight) for f in form.families], dtype=np.int64)
-    cross = np.array(form.cross, dtype=np.int64)
-    return list(families.reshape(-1, 2).T), list(cross.reshape(-1, 3).T)
-
-
 def to_dot(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) -> str:
     """Graphviz text for a quiver in full, or for a form collapsed to its blocks.
 
@@ -129,10 +123,10 @@ def to_dot(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) ->
     if isinstance(graph, QuiverForm):
         if not include_loops:
             raise ValueError("include_loops applies to a quiver's full drawing only")
-        families, cross = _form_columns(graph)
-        blocks = [np.arange(len(graph.families)), *families]
-        parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", len(graph.families), blocks))
-        parts.extend(_records('  b%d -> b%d [label="%d"];\n', "", len(graph.cross), cross))
+        k = graph.sizes.size
+        blocks = [np.arange(k), graph.sizes, graph.weights]
+        parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", k, blocks))
+        parts.extend(_records('  b%d -> b%d [label="%d"];\n', "", len(graph.cross), graph.cross.T))
     else:
         quiver = graph
         n = quiver.n_vertices
@@ -193,12 +187,11 @@ def _quiver_json_parts(
     arrows = [_Sources(quiver.indptr), quiver.dst, quiver.weight]
     parts.append(',\n  "weights": ')
     parts += _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
-    families, cross = _form_columns(form)
     block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
     parts.append(',\n  "blocks": {\n    "blocks": ')
-    parts += _json_list(block, len(form.families), families, 2)
+    parts += _json_list(block, form.sizes.size, [form.sizes, form.weights], 2)
     parts.append(',\n    "cross": ')
-    parts += _json_list(_int_list(3, 3), len(form.cross), cross, 2)
+    parts += _json_list(_int_list(3, 3), len(form.cross), form.cross.T, 2)
     parts.append("\n  }\n}\n")
     return parts
 

@@ -8,8 +8,6 @@ each row against the quandle of the colorings it acts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import endo_cap
@@ -20,9 +18,9 @@ class FiniteQuandle:
     """A finite magma given by its Cayley table, table[x, y] = x * y.
 
     `table` is a read-only (m, m) int64 array.  Construction validates
-    shape and element range only, so deliberately broken tables can still
-    be built and fed to verify_quandle_axioms; `inverse_table` checks
-    bijectivity on demand.
+    shape and element range only, not the quandle axioms, so tables that
+    break them can still be built; `inverse_table` checks bijectivity on
+    demand.
     """
 
     def __init__(self, table):
@@ -68,74 +66,6 @@ class DihedralQuandle(FiniteQuandle):
         self.n = n
         x = np.arange(n)
         super().__init__((2 * x - x[:, None]) % n)
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    passed: bool
-    witness: tuple | None
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    right_distributive: AxiomCheck
-    invertible: AxiomCheck
-    idempotent: AxiomCheck
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.right_distributive.passed
-            and self.invertible.passed
-            and self.idempotent.passed
-        )
-
-
-# triples compared per batch of the distributive law: 2^16 keeps each
-# batch's arrays near 1 MB
-_TRIPLES = 1 << 16
-
-
-def _first(bad: np.ndarray) -> tuple[int, ...] | None:
-    """The index of bad's first True entry in row-major order, or None."""
-    k = int(bad.argmax())
-    return tuple(int(i) for i in np.unravel_index(k, bad.shape)) if bad.flat[k] else None
-
-
-def verify_quandle_axioms(q: FiniteQuandle) -> AxiomReport:
-    """Exhaustively check the three quandle axioms, with witnesses.
-
-    Witnesses: the first (x, y, z) where (x*y)*z != (x*z)*(y*z); for the
-    first y with a collision, the first x2 and then the first x1 < x2 with
-    x1*y == x2*y, as (x1, x2, y); the first (x,) where x*x != x.
-    """
-    t, m = q.table, q.size
-    elements = np.arange(m)
-
-    distributive = None
-    step = max(1, _TRIPLES // (m * m))
-    for start in range(0, m, step):
-        xy = t[start : start + step]
-        # (x*y)*z against (x*z)*(y*z) for a batch of x, indexed (x, y, z)
-        distributive = _first(t[xy] != t[xy[:, None, :], t])
-        if distributive is not None:
-            x, y, z = distributive
-            distributive = (start + x, y, z)
-            break
-
-    # earlier[x, y] is the least x1 with x1*y == x*y
-    first = np.full((m, m), m)
-    np.minimum.at(first, (t, elements), elements[:, None])
-    earlier = first[t, elements]
-    invertible = _first((earlier < elements[:, None]).T)  # indexed (y, x2)
-    if invertible is not None:
-        y, x2 = invertible
-        invertible = (int(earlier[x2, y]), x2, y)
-
-    idempotent = _first(np.diagonal(t) != elements)
-    return AxiomReport(
-        *(AxiomCheck(w is None, w) for w in (distributive, invertible, idempotent))
-    )
 
 
 def affine_endomorphisms(n: int) -> np.ndarray:

@@ -10,20 +10,21 @@ own quandle before it builds.  It looks each vertex's distinct images up
 once: runs of one image are one arrow, so the lookup is per arrow, not
 per endomorphism.
 
-A `QuiverForm` (complete blocks and uniform cross arrows) is read off
-the colorings by R_n alone by `lattice_form`, the one reader of block
-structure: it needs no quiver.  `isomorphic` checks a quiver against a
-form in O(E), with no sort and no expansion of the form: each arrow must
-join two blocks the form joins, at the form's weight, and each row must
-hold one arrow per vertex of the blocks its block reaches, which by
-pigeonhole its distinct targets then are.
+A `QuiverForm` (complete blocks and uniform cross arrows) is three int64
+columns: block sizes, block weights and (src, dst, d) cross rows.  It is
+read off the colorings by R_n alone by `lattice_form`, the one reader of
+block structure, with the blocks' members as one array: it needs no
+quiver.  `isomorphic` checks a quiver against a form in O(E), with no
+sort and no expansion of the form: each arrow must join two blocks the
+form joins, at the form's weight, and each row must hold one arrow per
+vertex of the blocks its block reaches, which by pigeonhole its distinct
+targets then are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -301,53 +302,78 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos:
             )
 
 
-@dataclass(frozen=True)
-class BlockFamily:
-    """One complete block on `size` vertices, every ordered pair of them,
-    loops included, carrying `weight`."""
-
-    size: int
-    weight: int
-
-    def __post_init__(self):
-        if self.size < 1 or self.weight < 1:
-            raise ValueError(f"block needs size >= 1 and weight >= 1, got {self}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuiverForm:
-    """A quiver as complete blocks plus uniform cross arrows.
+    """A quiver as complete blocks plus uniform cross arrows, as read-only int64 columns.
 
-    `cross` entries (src, dst, d) put d parallel arrows from every vertex
-    of block src to every vertex of block dst.
+    Block b is complete on sizes[b] vertices, every ordered pair of them,
+    loops included, carrying weights[b].  Each row (src, dst, d) of the
+    (E, 3) `cross` puts d parallel arrows from every vertex of block src to
+    every vertex of block dst.  Columns of different lengths, a `cross`
+    not of shape (E, 3), a size or weight below 1, a cross entry outside
+    the blocks or from a block to itself, and a cross weight below 1
+    raise ValueError.
     """
 
-    families: tuple[BlockFamily, ...] = ()
-    cross: tuple[tuple[int, int, int], ...] = ()
+    sizes: np.ndarray = ()
+    weights: np.ndarray = ()
+    cross: np.ndarray = ()
 
     def __post_init__(self):
-        k = len(self.families)
-        for src, dst, d in self.cross:
-            if not (0 <= src < k and 0 <= dst < k) or src == dst:
-                raise ValueError(f"bad cross entry ({src}, {dst}, {d})")
-            if d < 1:
-                raise ValueError(f"cross weight must be at least 1, got {d}")
+        sizes, weights, cross = (
+            np.array(a, dtype=np.int64) for a in (self.sizes, self.weights, self.cross)
+        )
+        if cross.shape == (0,):
+            cross = cross.reshape(0, 3)
+        if sizes.ndim != 1 or weights.shape != sizes.shape:
+            raise ValueError(
+                f"sizes and weights must be columns of one length, "
+                f"got shapes {sizes.shape} and {weights.shape}"
+            )
+        if cross.ndim != 2 or cross.shape[1] != 3:
+            raise ValueError(f"cross must have shape (E, 3), got {cross.shape}")
+        small = (sizes < 1) | (weights < 1)
+        if small.any():
+            b = small.argmax()
+            raise ValueError(
+                f"block {b} needs size >= 1 and weight >= 1, got {sizes[b]} and {weights[b]}"
+            )
+        src, dst, d = cross.T
+        bad = (src < 0) | (src >= sizes.size) | (dst < 0) | (dst >= sizes.size) | (src == dst)
+        if bad.any():
+            raise ValueError(f"bad cross entry {tuple(cross[bad.argmax()].tolist())}")
+        if (d < 1).any():
+            raise ValueError(f"cross weight must be at least 1, got {d[(d < 1).argmax()]}")
+        for name, column in (("sizes", sizes), ("weights", weights), ("cross", cross)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n_vertices(self) -> int:
-        return sum(f.size for f in self.families)
+        return int(self.sizes.sum())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuiverForm):
+            return NotImplemented
+        return (
+            np.array_equal(self.sizes, other.sizes)
+            and np.array_equal(self.weights, other.weights)
+            and np.array_equal(self.cross, other.cross)
+        )
 
 
 # --- the cyclic-subgroup lattice ----------------------------------------
 
 
-def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, list[list[int]]]:
+def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     """The blocks of build_quiver(coloring_set, affine_endomorphisms(n)),
     read off the colorings by R_n alone, with no quiver.
 
-    Returns (form, blocks): `form` has one family per block and `cross`
-    triples over block indices, sorted; blocks[i] is the sorted coloring
-    list of block i, and blocks are ordered by least coloring.  The
+    Returns (form, members): `form` has one block per twin class and its
+    `cross` rows sorted; `members` is one read-only int64 array listing
+    the colorings of each block in turn, each block's sorted, so block b
+    is members[bounds[b]:bounds[b + 1]] for the bounds 0 and
+    np.cumsum(form.sizes).  Blocks are ordered by least coloring.  The
     blocks are the quiver's twin classes, the vertices with one out-row
     and one in-column, which are the coarsest complete blocks of uniform
     weights.
@@ -395,24 +421,22 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, list[list[int]]
     src, j = np.nonzero(orders[:, None] % divisors == 0)
     dst = np.searchsorted(names, name[position(divisors[j, None] * generators[src] % n)])
     cross = np.column_stack((src, dst, n // orders[src]))[np.lexsort((dst, src))]
-    sizes = np.bincount(block_of)
-    families = map(BlockFamily, sizes.tolist(), (n // orders).tolist())
-    form = QuiverForm(tuple(families), tuple(map(tuple, cross.tolist())))
-    members = np.argsort(block_of, kind="stable").tolist()
-    bounds = np.cumsum(np.append(0, sizes)).tolist()
-    return form, [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    form = QuiverForm(np.bincount(block_of), n // orders, cross)
+    members = np.argsort(block_of, kind="stable").astype(np.int64, copy=False)
+    members.flags.writeable = False
+    return form, members
 
 
 # --- comparison ----------------------------------------------------------
 
 
-def isomorphic(
-    quiver: WeightedQuiver, form: QuiverForm, blocks: list[list[int]]
-) -> tuple[int, ...] | None:
-    """The mapping of vertex k of blocks[b] to vertex k of block b of the
-    form laid out end to end, when it carries `quiver` onto that layout
-    arrow for arrow and weight for weight; else None, as it is for blocks
-    that do not partition the vertices into the form's block sizes.
+def isomorphic(quiver: WeightedQuiver, form: QuiverForm, members) -> np.ndarray | None:
+    """The mapping of the k-th vertex of members, as lattice_form lists
+    them block by block, to vertex k of the form's blocks laid end to end,
+    when it carries `quiver` onto that layout arrow for arrow and weight
+    for weight; else None, as it is when `members` is not a permutation of
+    the quiver's vertices or the form is on another number of them.  The
+    mapping is a read-only int64 array, mapping[v] the layout vertex of v.
 
     The check is O(E) and needs no sort of the arrows.  Each arrow (u, v, w)
     must find its blocks' pair among the form's entries (a block to itself
@@ -422,32 +446,33 @@ def isomorphic(
     pigeonhole they are then every vertex of those blocks: the rows are the
     layout's rows exactly.
     """
-    n = quiver.n_vertices
-    laid = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
-    sizes = np.array([f.size for f in form.families], dtype=np.int64)
-    if [len(b) for b in blocks] != sizes.tolist() or not np.array_equal(
-        np.sort(laid), np.arange(n)
-    ):
+    n, sizes, k = quiver.n_vertices, form.sizes, form.sizes.size
+    members = np.asarray(members, dtype=np.int64)
+    if members.shape != (n,) or form.n_vertices != n or np.any((members < 0) | (members >= n)):
         return None
-    mapping = np.empty(n, dtype=np.int64)
-    mapping[laid] = np.arange(n)
+    mapping = np.full(n, -1, dtype=np.int64)
+    mapping[members] = np.arange(n)
+    if np.any(mapping < 0):  # a vertex listed twice leaves another unlisted
+        return None
     block_of = np.empty(n, dtype=np.int64)
-    block_of[laid] = np.repeat(np.arange(sizes.size), sizes)
-    # the form's entries (a, b, d), keyed a * blocks + b, repeated keys summed
-    inside = [(b, b, f.weight) for b, f in enumerate(form.families)]
-    a, b, d = np.array(inside + list(form.cross), dtype=np.int64).reshape(-1, 3).T
-    entry_keys, entry = np.unique(a * sizes.size + b, return_inverse=True)
+    block_of[members] = np.repeat(np.arange(k), sizes)
+    # the form's entries (a, b, d), each block to itself and then the cross
+    # rows, keyed a * k + b, repeated keys summed
+    own = np.arange(k)
+    a, b, d = np.concatenate((np.column_stack((own, own, form.weights)), form.cross)).T
+    entry_keys, entry = np.unique(a * k + b, return_inverse=True)
     entry_weight = np.zeros(entry_keys.size, dtype=np.int64)
     np.add.at(entry_weight, entry, d)
     # a row of block a holds one arrow to each vertex of each block it sends to
-    row_length = np.zeros(sizes.size, dtype=np.int64)
-    np.add.at(row_length, entry_keys // sizes.size, sizes[entry_keys % sizes.size])
+    row_length = np.zeros(k, dtype=np.int64)
+    np.add.at(row_length, entry_keys // k, sizes[entry_keys % k])
     if not np.array_equal(np.diff(quiver.indptr), row_length[block_of]):
         return None
-    arrow_keys = block_of[quiver.sources()] * sizes.size + block_of[quiver.dst]
+    arrow_keys = block_of[quiver.sources()] * k + block_of[quiver.dst]
     at = np.minimum(np.searchsorted(entry_keys, arrow_keys), entry_keys.size - 1)
     if np.array_equal(entry_keys[at], arrow_keys) and np.array_equal(
         entry_weight[at], quiver.weight
     ):
-        return tuple(mapping.tolist())
+        mapping.flags.writeable = False
+        return mapping
     return None

@@ -24,9 +24,9 @@ def _label(vertex, labels):
 def to_dot(graph, include_loops=True):
     lines = ["digraph quiver {"]
     if isinstance(graph, QuiverForm):
-        for bi, f in enumerate(graph.families):
-            lines.append(f'  b{bi} [label="K{f.size} w={f.weight}"];')
-        for bi, bj, d in graph.cross:
+        for bi, (size, weight) in enumerate(zip(graph.sizes.tolist(), graph.weights.tolist())):
+            lines.append(f'  b{bi} [label="K{size} w={weight}"];')
+        for bi, bj, d in graph.cross.tolist():
             lines.append(f'  b{bi} -> b{bj} [label="{d}"];')
     else:
         for v in range(graph.n_vertices):
@@ -48,8 +48,11 @@ def quiver_to_dict(quiver, form, params=None):
         out["colorings"] = quiver.labels.tolist()
     out["weights"] = [[i, j, w] for i, j, w in quiver.weight_triples()]
     out["blocks"] = {
-        "blocks": [{"size": f.size, "weight": f.weight} for f in form.families],
-        "cross": [list(t) for t in form.cross],
+        "blocks": [
+            {"size": size, "weight": weight}
+            for size, weight in zip(form.sizes.tolist(), form.weights.tolist())
+        ],
+        "cross": form.cross.tolist(),
     }
     return out
 

@@ -3,14 +3,34 @@ single elements, the kei law, the quandle axioms and the homomorphism law
 checked element by element, and an audit of the affine endomorphisms."""
 
 import warnings
+from dataclasses import dataclass
 
 from quandlequiver.quandles import (
-    AxiomCheck,
-    AxiomReport,
     DihedralQuandle,
     affine_endomorphisms,
     brute_force_endomorphisms,
 )
+
+
+@dataclass(frozen=True)
+class AxiomCheck:
+    passed: bool
+    witness: tuple | None
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    right_distributive: AxiomCheck
+    invertible: AxiomCheck
+    idempotent: AxiomCheck
+
+    @property
+    def all_pass(self) -> bool:
+        return (
+            self.right_distributive.passed
+            and self.invertible.passed
+            and self.idempotent.passed
+        )
 
 
 class NonAffineEndomorphismWarning(UserWarning):
@@ -35,7 +55,7 @@ def is_involutive(q) -> bool:
 
 
 def verify_quandle_axioms(q) -> AxiomReport:
-    """The three quandle axioms checked by loops, with the package's witnesses.
+    """The three quandle axioms checked by loops, with witnesses.
 
     Witnesses: (x, y, z) where (x*y)*z != (x*z)*(y*z); (x1, x2, y) where
     x1*y == x2*y with x1 != x2; (x,) where x*x != x.

@@ -6,20 +6,20 @@ keyed by the coloring count.
 `build_quiver` keys the colorings in base m and looks up each distinct
 image row once; these are the direct row-dict quiver and per-arrow build
 they must agree with.  `isomorphic` checks the arrows against a form's
-entries in O(E); `reference_isomorphic` compares them with `realize(form)`,
+columns in O(E); `reference_isomorphic` compares them with `realize(form)`,
 the form expanded arrow by arrow, in one sorted comparison.
 `lattice_form` reads the quiver's blocks off the cyclic subgroups of the
 colorings; `quiver_form_for_count` is the paper's table of four shapes it
 must agree with wherever that table has an answer.
 """
 
-from itertools import chain, groupby
+from itertools import groupby
 
 import numpy as np
 
 from quandlequiver.counting import is_prime
 from quandlequiver.errors import InternalConsistencyError
-from quandlequiver.quivers import BlockFamily, QuiverForm, WeightedQuiver
+from quandlequiver.quivers import QuiverForm, WeightedQuiver
 
 
 class DictQuiver:
@@ -86,11 +86,12 @@ def build_quiver(coloring_set, endos):
 
 def realize(form):
     """Expand a form to an explicit quiver, its blocks laid end to end in order."""
-    sizes = np.array([f.size for f in form.families], dtype=np.int64)
+    sizes = form.sizes
     starts = np.cumsum(sizes) - sizes
     # a block's own weight is an entry from it to itself
-    inside = [(b, b, f.weight) for b, f in enumerate(form.families)]
-    a, b, d = np.array(inside + list(form.cross), dtype=np.int64).reshape(-1, 3).T
+    own = np.arange(sizes.size)
+    inside = np.column_stack((own, own, form.weights))
+    a, b, d = np.concatenate((inside, form.cross)).T
     # entry e holds sizes[a] * sizes[b] arrows; arrow t of it runs from
     # row t // sizes[b] of block a to column t % sizes[b] of block b
     span = sizes[a] * sizes[b]
@@ -102,28 +103,26 @@ def realize(form):
     return WeightedQuiver.from_arrows(form.n_vertices, src, dst, d[entry])
 
 
-def reference_isomorphic(quiver, form, blocks):
-    """The mapping of vertex k of blocks[b] to vertex k of block b of
-    realize(form), when it carries `quiver` onto realize(form) arrow for
-    arrow and weight for weight (one sorted array comparison); else None,
-    as it is for blocks that do not partition the vertices into the
-    form's block sizes.
+def reference_isomorphic(quiver, form, members):
+    """The mapping of members[k] to vertex k of realize(form), as an int64
+    array, when it carries `quiver` onto realize(form) arrow for arrow and
+    weight for weight (one sorted array comparison); else None, as it is
+    when `members` is not a permutation of the vertices or the form is on
+    another number of them.
     """
     n = quiver.n_vertices
-    laid = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
-    if [len(b) for b in blocks] != [f.size for f in form.families] or not np.array_equal(
-        np.sort(laid), np.arange(n)
-    ):
+    members = np.asarray(members, dtype=np.int64)
+    if form.n_vertices != n or not np.array_equal(np.sort(members), np.arange(n)):
         return None
     mapping = np.empty(n, dtype=np.int64)
-    mapping[laid] = np.arange(n)
+    mapping[members] = np.arange(n)
     target = realize(form)
     key = mapping[quiver.sources()] * n + mapping[quiver.dst]
     order = np.argsort(key)
     if np.array_equal(key[order], target.sources() * n + target.dst) and np.array_equal(
         quiver.weight[order], target.weight
     ):
-        return tuple(mapping.tolist())
+        return mapping
     return None
 
 
@@ -153,12 +152,11 @@ def quiver_form_for_count(p, n, count):
         copies, size, weight = (n**p - n) // (n * (n - 1)), n * (n - 1), 1
     else:
         raise ValueError(f"count {count} matches no closed-form quiver shape for (p={p}, n={n})")
-    families = (BlockFamily(n, n),) + (BlockFamily(size, weight),) * copies
-    return QuiverForm(families, tuple((b, 0, weight) for b in range(1, copies + 1)))
+    sizes, weights = [n] + [size] * copies, [n] + [weight] * copies
+    return QuiverForm(sizes, weights, [(b, 0, weight) for b in range(1, copies + 1)])
 
 
 def runs(form):
     """(copies, size, weight) of each run of equal consecutive blocks of a form."""
-    return tuple(
-        (len(list(run)), f.size, f.weight) for f, run in groupby(form.families)
-    )
+    blocks = zip(form.sizes.tolist(), form.weights.tolist())
+    return tuple((len(list(run)), size, weight) for (size, weight), run in groupby(blocks))

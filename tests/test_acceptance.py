@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from braid_reference import torus_braid
-from quandle_reference import audit_affine_completeness, is_involutive
+from quandle_reference import audit_affine_completeness, is_involutive, verify_quandle_axioms
 from quiver_reference import dense, quiver_form_for_count, realize, runs
 
 from quandlequiver.braids import BraidWord
@@ -26,7 +26,6 @@ from quandlequiver.counting import (
 from quandlequiver.quandles import (
     DihedralQuandle,
     affine_endomorphisms,
-    verify_quandle_axioms,
 )
 from quandlequiver.quivers import build_quiver, isomorphic, lattice_form
 
@@ -51,12 +50,13 @@ def check_quiver_matches_form(p, q, n, expected_count, families, d):
     weight) runs of blocks, every block past the first sending d to it."""
     cs, quiver = torus_quiver(p, q, n)
     assert cs.count == expected_count
-    form, blocks = lattice_form(cs)
+    form, members = lattice_form(cs)
     assert form == quiver_form_for_count(p, n, cs.count)
     assert runs(form) == families
-    assert form.cross == tuple((b, 0, d) for b in range(1, len(form.families)))
-    mapping = isomorphic(quiver, form, blocks)
+    assert form.cross.tolist() == [[b, 0, d] for b in range(1, form.sizes.size)]
+    mapping = isomorphic(quiver, form, members)
     assert mapping is not None
+    mapping = mapping.tolist()
     target = realize(form)
     assert sorted(mapping) == list(range(target.n_vertices))
     mapped = sorted((mapping[i], mapping[j], w) for i, j, w in quiver.weight_triples())
@@ -86,7 +86,7 @@ def test_criterion_3_torus_5_10_quiver():
     m = (n**p - n) // (n * (n - 1))
     assert m == 40
     form = check_quiver_matches_form(5, 10, 3, 243, ((1, 3, 3), (m, 6, 1)), 1)
-    assert len(form.families) == 1 + m
+    assert form.sizes.size == 1 + m
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(3, "T(5,10) over R_3: N=243, quiver = K_3(w3) joined from 40xK_6(w1) d=1", elapsed, 10.0)

@@ -20,13 +20,7 @@ from quandlequiver.errors import CapExceededError
 from quandlequiver import export
 from quandlequiver.export import CSV_HEADER, to_csv, to_dot, to_json
 from quandlequiver.quandles import DihedralQuandle, affine_endomorphisms
-from quandlequiver.quivers import (
-    BlockFamily,
-    QuiverForm,
-    WeightedQuiver,
-    build_quiver,
-    lattice_form,
-)
+from quandlequiver.quivers import QuiverForm, WeightedQuiver, build_quiver, lattice_form
 
 
 def torus_quiver(p, q, n):
@@ -36,7 +30,7 @@ def torus_quiver(p, q, n):
 
 
 def test_dot_full_complete_2():
-    text = to_dot(realize(QuiverForm((BlockFamily(2, 2),))))
+    text = to_dot(realize(QuiverForm([2], [2])))
     assert text.startswith("digraph quiver {")
     assert text.rstrip().endswith("}")
     assert '  v0 -> v0 [label="2"];' in text
@@ -48,7 +42,7 @@ def test_dot_full_complete_2():
 
 
 def test_dot_without_loops():
-    text = to_dot(realize(QuiverForm((BlockFamily(2, 2),))), include_loops=False)
+    text = to_dot(realize(QuiverForm([2], [2])), include_loops=False)
     assert "v0 -> v0" not in text
     assert "v1 -> v1" not in text
     assert text.count("->") == 2
@@ -117,7 +111,7 @@ def test_writers_print_the_form_they_are_given():
     # a form has no loops to leave out
     with pytest.raises(ValueError):
         to_dot(form, include_loops=False)
-    other = QuiverForm((BlockFamily(20, 1), BlockFamily(5, 5)), ((0, 1, 1),))
+    other = QuiverForm([20, 5], [1, 5], [(0, 1, 1)])
     assert json.loads(to_json(quiver, form=other))["blocks"]["blocks"][0] == {"size": 20, "weight": 1}
     assert to_dot(other).splitlines()[1] == '  b0 [label="K20 w=1"];'
 
@@ -215,11 +209,11 @@ def forms(draw, n):
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
     sizes = np.diff([0, *cuts, n]).tolist() if n else []
     weight = st.integers(1, 3 * 10**4)
-    families = tuple(BlockFamily(size, draw(weight)) for size in sizes)
-    block = st.integers(0, max(len(families) - 1, 0))
+    weights = [draw(weight) for _ in sizes]
+    block = st.integers(0, max(len(sizes) - 1, 0))
     entry = st.tuples(block, block, weight).filter(lambda e: e[0] != e[1])
-    cross = draw(st.lists(entry, max_size=6)) if len(families) > 1 else []
-    return QuiverForm(families, tuple(cross))
+    cross = draw(st.lists(entry, max_size=6)) if len(sizes) > 1 else []
+    return QuiverForm(sizes, weights, cross)
 
 
 @st.composite
@@ -248,7 +242,7 @@ def torus_quivers(draw):
 @example(
     (
         WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]),
-        QuiverForm((BlockFamily(2, 4),)),
+        QuiverForm([2], [4]),
     ),
     False,
     1,
@@ -258,7 +252,7 @@ def torus_quivers(draw):
 @example(
     (
         WeightedQuiver.from_arrows(2, [0, 1], [1, 0], [1, 30000]),
-        QuiverForm((BlockFamily(1, 1), BlockFamily(1, 1)), ((0, 1, 30000), (1, 0, 1))),
+        QuiverForm([1, 1], [1, 1], [(0, 1, 30000), (1, 0, 1)]),
     ),
     True,
     2,
@@ -268,7 +262,7 @@ def torus_quivers(draw):
 @example(
     (
         WeightedQuiver.from_arrows(3, [0, 2], [2, 1], [5, 3], labels=[(-3, 4), (-7, 0), (2, -1)]),
-        QuiverForm((BlockFamily(3, 2),)),
+        QuiverForm([3], [2]),
     ),
     True,
     5,
@@ -278,7 +272,7 @@ def torus_quivers(draw):
 @example(
     (
         WeightedQuiver.from_arrows(2, [0], [1], [2], labels=[(2**62 + 5, -(2**62)), (-(2**62) - 5, 2**62)]),
-        QuiverForm((BlockFamily(2, 1),)),
+        QuiverForm([2], [1]),
     ),
     True,
     3,
@@ -286,7 +280,7 @@ def torus_quivers(draw):
 )
 # a single record in every list
 @example(
-    (WeightedQuiver.from_arrows(1, [0], [0], [7], labels=[(3,)]), QuiverForm((BlockFamily(1, 7),))),
+    (WeightedQuiver.from_arrows(1, [0], [0], [7], labels=[(3,)]), QuiverForm([1], [7])),
     True,
     4,
     {"p": 1},
@@ -295,7 +289,7 @@ def torus_quivers(draw):
 @example(
     (
         WeightedQuiver.from_arrows(4, [0, 1, 2, 3, 3], [1, 2, 3, 0, 3], [9, 8, 7, 6, 5], labels=[(i,) for i in range(4)]),
-        QuiverForm((BlockFamily(1, 1), BlockFamily(3, 2)), ((0, 1, 4), (1, 0, 6))),
+        QuiverForm([1, 3], [1, 2], [(0, 1, 4), (1, 0, 6)]),
     ),
     True,
     1,

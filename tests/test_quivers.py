@@ -28,7 +28,6 @@ from quandlequiver.quandles import (
 )
 from quandlequiver import quivers
 from quandlequiver.quivers import (
-    BlockFamily,
     QuiverForm,
     WeightedQuiver,
     _check_structure,
@@ -44,8 +43,11 @@ def dihedral_quiver(p, q, n):
 
 
 def assert_valid_mapping(quiver, form, mapping):
-    """The mapping carries every weighted arrow of quiver onto realize(form), in O(E)."""
+    """The mapping, a read-only int64 array, carries every weighted arrow of
+    quiver onto realize(form)."""
     target = realize(form)
+    assert mapping.dtype == np.int64 and not mapping.flags.writeable
+    mapping = mapping.tolist()
     assert sorted(mapping) == list(range(target.n_vertices))
     mapped = sorted((mapping[i], mapping[j], w) for i, j, w in quiver.weight_triples())
     assert mapped == target.weight_triples()
@@ -60,24 +62,45 @@ def quiver_of(n, triples):
     return WeightedQuiver.from_arrows(n, *arrows(triples))
 
 
-def relabelled(quiver, seed, blocks=()):
-    """A copy of quiver with its vertices shuffled, and `blocks` renamed to match."""
+def relabelled(quiver, seed, members):
+    """A copy of quiver with its vertices shuffled, and `members` renamed to match."""
     rng = random.Random(seed)
     perm = list(range(quiver.n_vertices))
     rng.shuffle(perm)
     triples = [(perm[i], perm[j], w) for i, j, w in quiver.weight_triples()]
-    return quiver_of(quiver.n_vertices, triples), [[perm[v] for v in b] for b in blocks]
+    return quiver_of(quiver.n_vertices, triples), np.array(perm, dtype=np.int64)[members]
 
 
 def laid_out(form):
-    """The blocks of realize(form): consecutive vertex ranges, in order."""
-    bounds = np.cumsum([0] + [f.size for f in form.families]).tolist()
-    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    """The members of realize(form)'s blocks: its vertices, in order."""
+    return np.arange(form.n_vertices)
 
 
 def shuffled_shape(form, seed):
-    """realize(form) with its vertices shuffled, and its blocks renamed to match."""
+    """realize(form) with its vertices shuffled, and its members renamed to match."""
     return relabelled(realize(form), seed, laid_out(form))
+
+
+def member_lists(form, members):
+    """Each block's members as a list, split at the bounds np.cumsum(form.sizes)."""
+    return [block.tolist() for block in np.split(members, np.cumsum(form.sizes)[:-1])]
+
+
+def swapped_blocks(form, members, a, b):
+    """A copy of members with blocks a and b, of one size, exchanged."""
+    starts = np.cumsum(form.sizes) - form.sizes
+    span = np.arange(form.sizes[a])
+    out = np.array(members)
+    out[starts[a] + span], out[starts[b] + span] = members[starts[b] + span], members[starts[a] + span]
+    return out
+
+
+def assert_same_result(result, expected):
+    """Two results of isomorphic: both None, or equal mappings."""
+    if expected is None:
+        assert result is None
+    else:
+        assert np.array_equal(result, expected)
 
 
 def edited(quiver, edits):
@@ -274,9 +297,9 @@ def test_build_quiver_matches_reference(coloring_set, brute, whole_family, drop,
     elif whole_family:
         # the whole family, brute-force or affine, builds the quiver whose
         # twin classes the colorings' lattice form reads
-        form, blocks = lattice_form(coloring_set)
-        assert blocks == twin_blocks(built)
-        assert isomorphic(built, form, blocks) is not None
+        form, members = lattice_form(coloring_set)
+        assert member_lists(form, members) == twin_blocks(built)
+        assert isomorphic(built, form, members) is not None
 
 
 def test_check_structure_enforces_each_law():
@@ -301,24 +324,52 @@ def test_check_structure_enforces_each_law():
 
 
 def test_form_constructors_and_validation():
-    form = QuiverForm((BlockFamily(5, 5),))
-    assert form.cross == ()
+    form = QuiverForm([5], [5])
+    assert form.cross.shape == (0, 3)
     assert form.n_vertices == 5
-    joined = QuiverForm(
-        (BlockFamily(6, 6),) + (BlockFamily(6, 3),) * 15, tuple((b, 0, 3) for b in range(1, 16))
-    )
+    joined = QuiverForm([6] * 16, [6] + [3] * 15, [(b, 0, 3) for b in range(1, 16)])
     assert joined.n_vertices == 96
-    assert len(joined.families) == 16
-    for size, weight in ((0, 1), (2, 0), (1, 0), (1, -1)):
+    assert joined.sizes.size == 16
+    # the columns are read-only int64 copies of what was given
+    sizes = np.array([6] * 16)
+    assert QuiverForm(sizes, joined.weights, joined.cross) == joined
+    sizes[0] = 7
+    assert joined.sizes[0] == 6
+    for column in (joined.sizes, joined.weights, joined.cross):
+        assert column.dtype == np.int64
         with pytest.raises(ValueError):
-            BlockFamily(size, weight)
-    for cross in (((0, 0, 1),), ((1, 0, 0),), ((2, 0, 1),), ((0, -1, 1),)):
+            column[0] = 1
+    with pytest.raises(AttributeError):
+        joined.sizes = sizes
+    # the empty form; equal columns compare equal, and unequal ones do not
+    empty = QuiverForm()
+    assert (empty.sizes.shape, empty.weights.shape, empty.cross.shape) == ((0,), (0,), (0, 3))
+    assert empty.n_vertices == 0
+    assert empty == QuiverForm([], [], np.zeros((0, 3), dtype=np.int64))
+    assert joined == QuiverForm(joined.sizes.tolist(), joined.weights.tolist(), joined.cross.tolist())
+    assert joined != QuiverForm(joined.sizes, joined.weights)
+    assert form != QuiverForm([5], [4]) and form != empty
+    bad = [
+        ([2, 1], [1]),  # sizes and weights of different lengths
+        ([[2, 1]], [[1, 1]]),  # columns that are not 1-D
+        ([2, 1], [1, 1], [(1, 0)]),  # cross not of shape (E, 3)
+        ([2, 1], [1, 1], [1, 0, 1]),
+        ([2, 1], [1, 1], [(2, 0, 1)]),  # a block out of range
+        ([2, 1], [1, 1], [(0, -1, 1)]),
+        ([2, 1], [1, 1], [(0, 0, 1)]),  # a block to itself
+        ([2, 1], [1, 1], [(1, 0, 0)]),  # cross weight 0
+        ([2, 1], [1, 1], [(1, 0, -1)]),
+        ([0, 1], [1, 1]),  # size 0
+        ([2, 1], [1, 0]),  # weight 0
+        ([2, 1], [-1, 1]),
+    ]
+    for columns in bad:
         with pytest.raises(ValueError):
-            QuiverForm((BlockFamily(2, 1), BlockFamily(1, 1)), cross)
+            QuiverForm(*columns)
 
 
 def test_realize_join_explicit():
-    quiver = realize(QuiverForm((BlockFamily(2, 3), BlockFamily(1, 1)), ((1, 0, 5),)))
+    quiver = realize(QuiverForm([2, 1], [3, 1], [(1, 0, 5)]))
     assert quiver.n_vertices == 3
     assert sorted(quiver.weight_triples()) == [
         (0, 0, 3),
@@ -332,7 +383,7 @@ def test_realize_join_explicit():
 
 
 def test_realize_disjoint_copies_have_no_cross_edges():
-    quiver = realize(QuiverForm((BlockFamily(3, 2),) * 4))
+    quiver = realize(QuiverForm([3] * 4, [2] * 4))
     assert quiver.n_vertices == 12
     for i, j, w in quiver.weight_triples():
         assert i // 3 == j // 3
@@ -356,7 +407,7 @@ def test_quiver_form_for_count_dispatch(p, n, count, families, cross):
     # entry (1, 0, d) is weight d from each block of the second run
     form = quiver_form_for_count(p, n, count)
     assert runs(form) == families
-    assert form.cross == tuple((b, 0, d) for _, _, d in cross for b in range(1, len(form.families)))
+    assert form.cross.tolist() == [[b, 0, d] for _, _, d in cross for b in range(1, form.sizes.size)]
     assert form.n_vertices == count
 
 
@@ -373,39 +424,43 @@ def test_isomorphic_self():
     form = quiver_form_for_count(5, 5, 25)
     quiver = realize(form)
     mapping = isomorphic(quiver, form, laid_out(form))
-    assert mapping == tuple(range(25))
+    assert np.array_equal(mapping, np.arange(25))
     assert_valid_mapping(quiver, form, mapping)
 
 
 def test_isomorphic_under_permutation():
     form = quiver_form_for_count(5, 6, 96)
-    shuffled, blocks = shuffled_shape(form, seed=7)
-    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
+    shuffled, members = shuffled_shape(form, seed=7)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, members))
 
 
 def test_isomorphic_detects_weight_change():
     form = quiver_form_for_count(5, 5, 25)
-    shuffled, blocks = shuffled_shape(form, seed=3)
-    assert isomorphic(edited(shuffled, [(17, 4, 1)]), form, blocks) is None
+    shuffled, members = shuffled_shape(form, seed=3)
+    assert isomorphic(edited(shuffled, [(17, 4, 1)]), form, members) is None
     # one block's weight altered in the form instead
-    lighter = QuiverForm((BlockFamily(5, 4), BlockFamily(20, 1)), form.cross)
-    assert isomorphic(shuffled, lighter, blocks) is None
+    lighter = QuiverForm([5, 20], [4, 1], form.cross)
+    assert isomorphic(shuffled, lighter, members) is None
     # the same blocks without the join's cross arrows
-    assert isomorphic(realize(QuiverForm(form.families)), form, laid_out(form)) is None
+    assert isomorphic(realize(QuiverForm(form.sizes, form.weights)), form, laid_out(form)) is None
     # the same blocks and arrows, with cross weight 2 instead of 1
-    heavier = QuiverForm((BlockFamily(5, 5), BlockFamily(20, 1)), ((1, 0, 2),))
+    heavier = QuiverForm([5, 20], [5, 1], [(1, 0, 2)])
     assert isomorphic(realize(heavier), form, laid_out(form)) is None
 
 
 def test_isomorphic_distinguishes_uniform_weights():
     def complete(size, weight):
-        return QuiverForm((BlockFamily(size, weight),))
+        return QuiverForm([size], [weight])
 
-    assert isomorphic(realize(complete(2, 1)), complete(2, 2), [[0, 1]]) is None
-    # blocks that do not partition the vertices into the form's sizes
-    assert isomorphic(realize(complete(2, 1)), complete(3, 1), [[0, 1]]) is None
-    assert isomorphic(realize(complete(3, 1)), complete(2, 1), [[0, 1]]) is None
-    assert isomorphic(realize(complete(2, 1)), complete(2, 1), [[0, 0]]) is None
+    assert isomorphic(realize(complete(2, 1)), complete(2, 2), [0, 1]) is None
+    # members that are not a permutation of the vertices, or a form on
+    # another number of them
+    assert isomorphic(realize(complete(2, 1)), complete(3, 1), [0, 1]) is None
+    assert isomorphic(realize(complete(3, 1)), complete(2, 1), [0, 1]) is None
+    assert isomorphic(realize(complete(3, 1)), complete(3, 1), [0, 1]) is None
+    assert isomorphic(realize(complete(2, 1)), complete(2, 1), [0, 0]) is None
+    assert isomorphic(realize(complete(2, 1)), complete(2, 1), [0, 2]) is None
+    assert isomorphic(realize(complete(2, 1)), complete(2, 1), [-1, 0]) is None
 
 
 def test_isomorphic_symmetry():
@@ -413,12 +468,10 @@ def test_isomorphic_symmetry():
     # into an isomorphism between the two, in either direction
     form = quiver_form_for_count(5, 5, 25)
     a = realize(form)
-    b, blocks = shuffled_shape(form, seed=9)
-    to_a, to_b = isomorphic(a, form, laid_out(form)), isomorphic(b, form, blocks)
-    inverse_b = {t: v for v, t in enumerate(to_b)}
-    inverse_a = {t: v for v, t in enumerate(to_a)}
-    a_to_b = [inverse_b[t] for t in to_a]
-    b_to_a = [inverse_a[t] for t in to_b]
+    b, members = shuffled_shape(form, seed=9)
+    to_a, to_b = isomorphic(a, form, laid_out(form)), isomorphic(b, form, members)
+    a_to_b = np.argsort(to_b)[to_a].tolist()
+    b_to_a = np.argsort(to_a)[to_b].tolist()
     assert sorted((a_to_b[i], a_to_b[j], w) for i, j, w in a.weight_triples()) == b.weight_triples()
     assert sorted((b_to_a[i], b_to_a[j], w) for i, j, w in b.weight_triples()) == a.weight_triples()
 
@@ -426,33 +479,31 @@ def test_isomorphic_symmetry():
 def test_isomorphic_large_relabelled_shape():
     # N = 3125: one block K5(w5) joined from 156 blocks K20(w1)
     form = quiver_form_for_count(5, 5, 3125)
-    shuffled, blocks = shuffled_shape(form, seed=11)
-    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
+    shuffled, members = shuffled_shape(form, seed=11)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, members))
     i, j, w = shuffled.weight_triples()[1000]
-    assert isomorphic(edited(shuffled, [(i, j, 1)]), form, blocks) is None
+    assert isomorphic(edited(shuffled, [(i, j, 1)]), form, members) is None
 
 
 def test_isomorphic_accepts_forms_with_equal_family_weights():
-    form = QuiverForm((BlockFamily(2, 1), BlockFamily(3, 1), BlockFamily(3, 1)), ((1, 0, 1),))
-    shuffled, blocks = shuffled_shape(form, seed=5)
-    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
+    form = QuiverForm([2, 3, 3], [1, 1, 1], [(1, 0, 1)])
+    shuffled, members = shuffled_shape(form, seed=5)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, members))
 
 
 def test_isomorphic_refutes_swapped_blocks_of_one_size():
     # A = Z_6^2: the order-2 subgroups <(3, 0)> and <(0, 3)> are blocks of
     # one size and weight, but each lies in different order-6 subgroups
     cs, quiver = dihedral_quiver(3, 6, 6)
-    form, blocks = lattice_form(cs)
-    assert isomorphic(quiver, form, blocks) is not None
-    halves = [b for b, f in enumerate(form.families) if (f.size, f.weight) == (6, 3)]
+    form, members = lattice_form(cs)
+    assert isomorphic(quiver, form, members) is not None
+    halves = np.flatnonzero((form.sizes == 6) & (form.weights == 3)).tolist()
     assert len(halves) == 3
     for a, b in ((a, b) for a in halves for b in halves if a < b):
-        swapped = list(blocks)
-        swapped[a], swapped[b] = blocks[b], blocks[a]
-        assert isomorphic(quiver, form, swapped) is None
+        assert isomorphic(quiver, form, swapped_blocks(form, members, a, b)) is None
     # one arrow's weight altered
     i, j, w = quiver.weight_triples()[0]
-    assert isomorphic(edited(quiver, [(i, j, 1)]), form, blocks) is None
+    assert isomorphic(edited(quiver, [(i, j, 1)]), form, members) is None
 
 
 @st.composite
@@ -460,12 +511,11 @@ def small_forms(draw):
     """1-5 blocks of 1-4 vertices and weight 1-3, and up to 6 cross entries
     of weight 1-3, a pair of blocks possibly repeated."""
     k = draw(st.integers(1, 5))
-    families = tuple(
-        BlockFamily(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(k)
-    )
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    weights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     entry = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 3))
     cross = draw(st.lists(entry.filter(lambda e: e[0] != e[1]), max_size=6)) if k > 1 else []
-    return QuiverForm(families, tuple(cross))
+    return QuiverForm(sizes, weights, cross)
 
 
 @settings(max_examples=300)
@@ -476,7 +526,7 @@ def small_forms(draw):
     st.data(),
 )
 def test_isomorphic_equals_reference(form, seed, change, data):
-    quiver, blocks = shuffled_shape(form, seed)
+    quiver, members = shuffled_shape(form, seed)
     triples = quiver.weight_triples()
     i, j, w = data.draw(st.sampled_from(triples))
     if change == "weight":  # one unit of weight moved to another arrow of the row
@@ -484,7 +534,9 @@ def test_isomorphic_equals_reference(form, seed, change, data):
         assume(others)
         quiver = edited(quiver, [(i, j, -1), (i, data.draw(st.sampled_from(others)), 1)])
     elif change == "outside":  # an arrow moved into a block its block does not send to
-        block_of = {v: b for b, members in enumerate(blocks) for v in members}
+        block_of = np.empty(quiver.n_vertices, dtype=np.int64)
+        block_of[members] = np.repeat(np.arange(form.sizes.size), form.sizes)
+        block_of = block_of.tolist()
         reached = {block_of[t] for s, t, _ in triples if s == i}
         outside = [v for v in range(quiver.n_vertices) if block_of[v] not in reached]
         assume(outside)
@@ -492,17 +544,17 @@ def test_isomorphic_equals_reference(form, seed, change, data):
     elif change == "short":  # a row one arrow short
         quiver = edited(quiver, [(i, j, -w)])
     elif change == "swap":  # two blocks of one size exchanged
+        sizes = form.sizes.tolist()
         same = [
             (a, b)
-            for a in range(len(blocks))
-            for b in range(a + 1, len(blocks))
-            if len(blocks[a]) == len(blocks[b])
+            for a in range(len(sizes))
+            for b in range(a + 1, len(sizes))
+            if sizes[a] == sizes[b]
         ]
         assume(same)
-        a, b = data.draw(st.sampled_from(same))
-        blocks[a], blocks[b] = blocks[b], blocks[a]
-    expected = reference_isomorphic(quiver, form, blocks)
-    assert isomorphic(quiver, form, blocks) == expected
+        members = swapped_blocks(form, members, *data.draw(st.sampled_from(same)))
+    expected = reference_isomorphic(quiver, form, members)
+    assert_same_result(isomorphic(quiver, form, members), expected)
     if change == "none":
         assert expected is not None
     elif change != "swap":
@@ -511,24 +563,23 @@ def test_isomorphic_equals_reference(form, seed, change, data):
 
 def test_isomorphic_sums_repeated_cross_entries():
     # two entries from block 1 to block 0 carry their sum, as in realize
-    families = (BlockFamily(2, 2), BlockFamily(3, 1))
-    form = QuiverForm(families, ((1, 0, 1), (1, 0, 2)))
-    shuffled, blocks = shuffled_shape(form, seed=4)
-    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, blocks))
-    assert isomorphic(shuffled, form, blocks) == reference_isomorphic(shuffled, form, blocks)
+    form = QuiverForm([2, 3], [2, 1], [(1, 0, 1), (1, 0, 2)])
+    shuffled, members = shuffled_shape(form, seed=4)
+    assert_valid_mapping(shuffled, form, isomorphic(shuffled, form, members))
+    assert_same_result(isomorphic(shuffled, form, members), reference_isomorphic(shuffled, form, members))
     # each entry on its own is one weight short of the quiver
     for cross in (((1, 0, 1),), ((1, 0, 2),), ((1, 0, 3),)):
-        single = QuiverForm(families, cross)
-        expected = reference_isomorphic(shuffled, single, blocks)
-        assert isomorphic(shuffled, single, blocks) == expected
+        single = QuiverForm(form.sizes, form.weights, cross)
+        expected = reference_isomorphic(shuffled, single, members)
+        assert_same_result(isomorphic(shuffled, single, members), expected)
         assert (expected is None) == (cross != ((1, 0, 3),))
 
 
 def test_built_quiver_matches_predicted_form():
     cs, quiver = dihedral_quiver(5, 2, 5)
-    form, blocks = lattice_form(cs)
+    form, members = lattice_form(cs)
     assert form == quiver_form_for_count(5, 5, 25)
-    assert_valid_mapping(quiver, form, isomorphic(quiver, form, blocks))
+    assert_valid_mapping(quiver, form, isomorphic(quiver, form, members))
 
 
 def test_lattice_form_matches_the_papers_shapes():
@@ -543,9 +594,9 @@ def test_lattice_form_matches_the_papers_shapes():
                     paper = quiver_form_for_count(p, n, cs.count)
                 except (CapExceededError, ValueError):
                     continue
-                form, blocks = lattice_form(cs)
+                form, members = lattice_form(cs)
                 assert form == paper, (p, q, n)
-                assert [len(b) for b in blocks] == [f.size for f in form.families]
+                assert np.array_equal(np.sort(members), np.arange(cs.count))
                 answered += 1
     assert answered == 358
 
@@ -570,20 +621,30 @@ def test_lattice_form_equals_detected_blocks(coloring_set):
     # its arrows exactly when laid out by them: together these pin the form
     n = coloring_set.quandle.size
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
-    form, blocks = lattice_form(coloring_set)
-    assert blocks == twin_blocks(quiver)
-    assert isomorphic(quiver, form, blocks) is not None
+    form, members = lattice_form(coloring_set)
+    assert member_lists(form, members) == twin_blocks(quiver)
+    assert isomorphic(quiver, form, members) is not None
 
 
-def test_lattice_form_keys_past_int64():
-    # 17^17 > 2^63: the row keys are Python ints; A = Z_17, one block of
-    # the 17 * 16 colorings that generate it
-    cs = enumerate_colorings_linear(TorusLinkSpec(17, 2), 17)
-    quiver = build_quiver(cs, affine_endomorphisms(17))
-    form, blocks = lattice_form(cs)
-    assert blocks == twin_blocks(quiver)
-    assert form == quiver_form_for_count(17, 17, 289)
-    assert isomorphic(quiver, form, blocks) is not None
+@pytest.mark.parametrize(
+    "p,q,n",
+    [
+        # 17^17 > 2^63: the row keys are Python ints; A = Z_17, one block
+        # of the 17 * 16 colorings that generate it
+        pytest.param(17, 2, 17, id="keys_past_int64"),
+        # A = Z_2^10: 1,024 blocks of two colorings each
+        pytest.param(11, 11, 2, id="many_blocks"),
+    ],
+)
+def test_lattice_form_on_large_cells(p, q, n):
+    cs = enumerate_colorings_linear(TorusLinkSpec(p, q), n)
+    quiver = build_quiver(cs, affine_endomorphisms(n))
+    form, members = lattice_form(cs)
+    assert members.dtype == np.int64 and not members.flags.writeable
+    assert member_lists(form, members) == twin_blocks(quiver)
+    assert form == quiver_form_for_count(p, n, cs.count)
+    mapping = isomorphic(quiver, form, members)
+    assert np.array_equal(np.sort(mapping), np.arange(cs.count))
 
 
 def test_lattice_form_rejects_other_quandles_and_non_groups():
