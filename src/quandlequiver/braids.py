@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import product_mod
 
 
@@ -66,14 +68,18 @@ class TorusLinkSpec:
 
 def factor_power(link: BraidWord | TorusLinkSpec) -> tuple[BraidWord, int]:
     """(factor, q), the link being the closure of factor**q: (s_1 ... s_{p-1}, q)
-    for T(p, q), never written out; a braid word's shortest factor, q = 0 if empty."""
+    for T(p, q), never written out; a braid word's shortest factor, the word
+    itself with q = 1 if it has no shorter period, q = 0 if empty."""
     if isinstance(link, TorusLinkSpec):
         return BraidWord(link.p, tuple(range(1, link.p))), link.q
     letters, length = link.letters, len(link)
-    for d in range(1, length + 1):
-        if length % d == 0 and letters[:d] * (length // d) == letters:
+    if not length:
+        return link, 0
+    for d in range(1, length):
+        # a period d shifts the word onto itself
+        if length % d == 0 and letters[d] == letters[0] and letters[d:] == letters[:-d]:
             return BraidWord(link.strands, letters[:d]), length // d
-    return link, 0
+    return link, 1
 
 
 def parse_link(text: str) -> BraidWord | TorusLinkSpec:
@@ -140,4 +146,7 @@ def closure_system(link: BraidWord | TorusLinkSpec, modulus: int) -> list[list[i
             power = square if power is None else product_mod(power, square, modulus)
         q >>= 1
         square = product_mod(square, square, modulus) if q else square
+    if isinstance(power, np.ndarray):
+        # the elimination runs on Python ints, not numpy scalars
+        power = power.tolist()
     return [[(x - (i == j)) % modulus for j, x in enumerate(row)] for i, row in enumerate(power)]

@@ -112,13 +112,23 @@ def parse_int_list(text: str) -> list[int]:
     return sorted(out)
 
 
+# characters per write: a text file encodes each write into one more
+# bytes object, so one whole-text write would hold the text twice
+_WRITE_SLICE = 1 << 20
+
+
+def _write_slices(fh, text: str):
+    for at in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[at:at + _WRITE_SLICE])
+
+
 def _write(path: str | None, text: str):
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_slices(fh, text)
         except OSError as exc:
             raise WriteFailed(f"cannot write {path!r}: {exc.strerror or exc}") from None
 

@@ -8,6 +8,12 @@ cokernel of A mod L is the sum of the Z/gcd(e_i, L), and for n | L,
 gcd(gcd(e_i, L), n) = gcd(e_i, n).  Every entry of the working matrix and
 of the transforms is kept in 0..L-1, so no number grows with the word;
 only kernel vectors mod n are int64.
+
+Each entry is cleared in one exact step when the pivot's gcd with L
+divides it, by the pivot's inverse mod L/g; only the others take a Euclid
+step.  The U*A*V check multiplies in int64 when no dot product can pass
+2**63, and on Python ints otherwise.  Kernel vectors are sorted by their
+base-n row keys (`row_keys`), which the quivers module reads too.
 """
 
 from __future__ import annotations
@@ -36,106 +42,148 @@ class SnfResult:
 
 
 def product_mod(a, b, modulus: int) -> np.ndarray:
-    """The matrix product a*b mod `modulus` on exact integers, as an object array."""
-    return np.array(a, dtype=object) @ np.array(b, dtype=object) % modulus
+    """The matrix product a*b mod `modulus` of matrices with entries in
+    0..modulus-1, exact: in int64 when every dot product fits,
+    inner * (modulus - 1)**2 < 2**63, on Python ints (an object array)
+    otherwise."""
+    inner = len(b)
+    dtype = np.int64 if inner * (modulus - 1) ** 2 < 2**63 else object
+    return np.array(a, dtype=dtype) @ np.array(b, dtype=dtype) % modulus
+
+
+def _identity(size: int, modulus: int) -> list[list[int]]:
+    rows = [[0] * size for _ in range(size)]
+    for i, row in enumerate(rows):
+        row[i] = 1 % modulus
+    return rows
 
 
 def smith_normal_form(a, modulus: int) -> SnfResult:
     """Diagonalize an integer matrix (a list of rows) mod L = `modulus`.
 
-    Euclid-pivot elimination with every entry kept in 0..modulus-1.  The
-    diagonal entry d left at a position need not divide L; what later
-    reductions mod L keep is that every later entry is a multiple of
-    gcd(d, L), so the reported diagonal is those gcds.  The chain, and
-    U*A*V == D mod L, are re-verified before returning.
+    At each position the pivot is the first entry, in row-major order, of
+    least gcd(x, L).  With g = gcd(p, L), an entry b that g divides is
+    cleared in one exact step, by q = (b/g)*((p/g)^-1 mod L/g), since
+    q*p == b mod L; any other entry takes a Euclid step whose remainder,
+    below the pivot, becomes the pivot, so the pivot's value falls on
+    every such step.  The diagonal entry d left at a position need not
+    divide L; what later reductions mod L keep is that every later entry
+    is a multiple of gcd(d, L), so the reported diagonal is those gcds.
+    The chain, and U*A*V == D mod L, are re-verified before returning.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")
-    start = [[x % modulus for x in row] for row in a]
+    start = [[int(x) % modulus for x in row] for row in a]
     m = [row[:] for row in start]
     nr, nc = len(m), len(m[0])
-    u = [[int(i == j) % modulus for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) % modulus for j in range(nc)] for i in range(nc)]
+    u = _identity(nr, modulus)
+    # V held transposed: vt[j] is column j of V, so a column operation is
+    # one list comprehension
+    vt = _identity(nc, modulus)
 
     def row_sub(i, k, q):
         m[i] = [(x - q * y) % modulus for x, y in zip(m[i], m[k])]
         u[i] = [(x - q * y) % modulus for x, y in zip(u[i], u[k])]
-
-    def col_sub(j, k, q):
-        for row in m:
-            row[j] = (row[j] - q * row[k]) % modulus
-        for row in v:
-            row[j] = (row[j] - q * row[k]) % modulus
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
         u[i], u[k] = u[k], u[i]
 
     def col_swap(j, k):
-        for row in m:
+        # rows above t are zero in every column from t on
+        for row in m[t:]:
             row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        vt[j], vt[k] = vt[k], vt[j]
 
     size = min(nr, nc)
     t = 0
     while t < size:
-        # the smallest nonzero entry, the first in row-major order on ties
-        nonzero = [(m[i][j], i, j) for i in range(t, nr) for j in range(t, nc) if m[i][j]]
-        if not nonzero:
+        best, pi, pj = modulus, -1, -1
+        for i in range(t, nr):
+            row = m[i]
+            for j in range(t, nc):
+                if row[j]:
+                    g = math.gcd(row[j], modulus)
+                    if g < best:
+                        best, pi, pj = g, i, j
+                        if g == 1:
+                            break
+            if best == 1:
+                break
+        if pi < 0:
             break
-        _, pi, pj = min(nonzero)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
 
-        # each subtraction leaves the integer remainder, below the pivot,
-        # so the pivot falls until it divides its row and column
         while True:
-            i = t + 1
-            while i < nr:
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
+            # clear column t below the pivot, then row t right of it; a
+            # Euclid step's remainder, below the pivot, becomes the pivot
+            # and clearing starts over
+            p = m[t][t]
+            g = math.gcd(p, modulus)
+            inverse = pow(p // g, -1, modulus // g)
+            restart = False
+            for i in range(t + 1, nr):
+                b = m[i][t]
+                if b:
+                    q = b // g * inverse % modulus if b % g == 0 else b // p
                     if q:
                         row_sub(i, t, q)
                     if m[i][t]:
-                        # remainder became the smaller pivot
                         row_swap(t, i)
-                        i = t + 1
-                        continue
-                i += 1
-            j = t + 1
-            while j < nc:
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            pivot_row, pivot_col = m[t], vt[t]
+            for j in range(t + 1, nc):
+                b = pivot_row[j]
+                if b:
+                    q = b // g * inverse % modulus if b % g == 0 else b // p
+                    # column t is zero below the pivot, so a column
+                    # operation changes only m[t][j] of the working matrix
                     if q:
-                        col_sub(j, t, q)
-                    if m[t][j]:
+                        pivot_row[j] = (b - q * p) % modulus
+                        vt[j] = [(x - q * y) % modulus for x, y in zip(vt[j], pivot_col)]
+                    if pivot_row[j]:
                         col_swap(t, j)
-                        j = t + 1
-                        continue
-                j += 1
-            if not any(m[i][t] for i in range(t + 1, nr)) and not any(m[t][t + 1:]):
-                break
+                        restart = True
+                        break
+            if restart:
+                continue
 
-        # the pivot must divide everything that remains in Z/L, that is
-        # gcd(pivot, L) must divide it; if not, fold the offending row in
-        # and rerun this position with a smaller pivot
-        g = math.gcd(m[t][t], modulus)
-        offender = next((i for i in range(t + 1, nr) if any(x % g for x in m[i][t + 1:])), None)
-        if offender is not None:
+            # the pivot must divide everything that remains in Z/L, that
+            # is gcd(pivot, L) must divide it; if not, fold the offending
+            # row in, which leaves the pivot a Euclid step to take
+            offender = None if g == 1 else next(
+                (i for i in range(t + 1, nr) if any(x % g for x in m[i][t + 1:])), None)
+            if offender is None:
+                break
             row_sub(t, offender, -1)
-            continue
         t += 1
 
+    right = [list(row) for row in zip(*vt)]
     want = [[m[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
-    if not np.array_equal(product_mod(u, product_mod(start, v, modulus), modulus), want):
+    if not np.array_equal(product_mod(u, product_mod(start, right, modulus), modulus), want):
         raise InternalConsistencyError("U*A*V does not equal the computed diagonal mod L")
     diag = tuple(math.gcd(m[i][i], modulus) if m[i][i] else 0 for i in range(size))
     if any(b % a if a else b for a, b in zip(diag, diag[1:])):
         raise InternalConsistencyError(f"divisibility chain broken: {diag}")
-    return SnfResult(diag=diag, right=v, modulus=modulus)
+    return SnfResult(diag=diag, right=right, modulus=modulus)
+
+
+def row_keys(rows: np.ndarray, m: int) -> np.ndarray:
+    """Each row of digits 0..m-1 read as a base-m number, the first digit
+    most significant, so key order is lexicographic row order.  Keys are
+    int64 when every row of that width fits, Python ints otherwise."""
+    key_type = np.int64 if m ** rows.shape[-1] < 2**63 else object
+    keys = rows[..., 0].astype(key_type)
+    for j in range(1, rows.shape[-1]):
+        keys *= m
+        keys += rows[..., j].astype(key_type)
+    return keys
 
 
 def kernel_count_from_snf(snf: SnfResult, n: int) -> int:
@@ -191,12 +239,14 @@ def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> np.ndarray:
     out = np.zeros((1, c), dtype=np.int64)
     for j, d in enumerate(diag):
         multiples = np.arange(0, n, n // math.gcd(d, n))[:, None] * right[:, j] % n
-        out = ((out[:, None] + multiples.astype(np.int64)) % n).reshape(-1, c)
+        out = out[:, None] + multiples.astype(np.int64)
+        out %= n
+        out = out.reshape(-1, c)
     if len(out) != total:
         raise InternalConsistencyError(
             f"enumerated {len(out)} kernel vectors, expected {total}"
         )
-    # lexsort's last key is the primary one
-    out = out[np.lexsort(out.T[::-1])]
+    # one stable argsort of base-n keys is the lexicographic order
+    out = out[np.argsort(row_keys(out, n), kind="stable")]
     out.flags.writeable = False
     return out

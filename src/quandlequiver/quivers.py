@@ -30,6 +30,7 @@ import numpy as np
 
 from .colorings import ColoringSet
 from .errors import InternalConsistencyError
+from .linalg import row_keys
 from .quandles import DihedralQuandle, FiniteQuandle
 
 
@@ -117,20 +118,6 @@ class WeightedQuiver:
 # arrows handled per batch; at 1 << 16 the freed batch arrays left 2.5 MB
 # more resident after an N = 3125 build
 _SLAB = 1 << 13
-
-
-def _row_keys(rows: np.ndarray, m: int) -> np.ndarray:
-    """Each row of colours read as base-m digits, the first most significant.
-
-    Key order is lexicographic row order.  Keys are int64 when every row
-    of that width fits, Python ints otherwise.
-    """
-    key_type = np.int64 if m ** rows.shape[-1] < 2**63 else object
-    keys = rows[..., 0].astype(key_type)
-    for j in range(1, rows.shape[-1]):
-        keys *= m
-        keys += rows[..., j].astype(key_type)
-    return keys
 
 
 # image pairs checked per batch: 2^16 keeps each batch's arrays under 1 MB
@@ -224,7 +211,7 @@ def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
     colorings = coloring_set.colorings
     n_vertices, width = colorings.shape
     points = colorings.astype(colour)
-    keys = _row_keys(points, m)
+    keys = row_keys(points, m)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
     lookup = _key_lookup(keys, m**width)
@@ -397,10 +384,10 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     if not count or count % n:
         raise InternalConsistencyError(f"{count} colorings, not a multiple of n = {n}")
     group = colorings[: count // n]
-    keys = _row_keys(group, n)
+    keys = row_keys(group, n)
 
     def position(rows):  # the row of `group` equal to each of `rows`
-        wanted = _row_keys(rows, n)
+        wanted = row_keys(rows, n)
         at = np.searchsorted(keys, wanted)
         if np.any(keys[np.minimum(at, keys.size - 1)] != wanted):
             raise InternalConsistencyError(

@@ -19,6 +19,7 @@ from quandlequiver.braids import (
     BraidWord,
     TorusLinkSpec,
     closure_system,
+    factor_power,
     parse_link,
     propagation_matrix,
 )
@@ -62,6 +63,25 @@ def test_torus_braid_words():
     assert torus_braid(5, 1).letters == (1, 2, 3, 4)
     assert torus_braid(5, 0) == BraidWord(5, ())
     assert torus_braid(2, 3).letters == (1, 1, 1)
+
+
+def test_factor_power_finds_the_shortest_period():
+    rng = random.Random(5)
+    for _ in range(300):
+        factor = random_word(rng, 4, rng.randint(1, 6))
+        q = rng.randint(1, 5)
+        word = BraidWord(4, factor.letters * q)
+        length = len(word)
+        # the reference: the shortest prefix whose power is the word
+        d = next(d for d in range(1, length + 1)
+                 if length % d == 0 and word.letters[:d] * (length // d) == word.letters)
+        assert factor_power(word) == (BraidWord(4, word.letters[:d]), length // d)
+    # an aperiodic word is its own factor, returned as it is
+    word = BraidWord(3, (1, 2, 1, 1, 2))
+    assert factor_power(word)[0] is word and factor_power(word)[1] == 1
+    assert factor_power(BraidWord(3, ())) == (BraidWord(3, ()), 0)
+    assert factor_power(BraidWord(3, (2, 2, 2))) == (BraidWord(3, (2,)), 3)
+    assert factor_power(TorusLinkSpec(4, 6)) == (BraidWord(4, (1, 2, 3)), 6)
 
 
 def test_parse_link():

@@ -557,6 +557,43 @@ def test_output_path_naming_a_directory_is_rejected_before_any_work(
     assert len(captured.err.splitlines()) == 1
 
 
+class RecordingWriter:
+    """A text stream that records the length of each write it passes on."""
+
+    def __init__(self, stream, sizes):
+        self.stream, self.sizes = stream, sizes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return self.stream.write(text)
+
+
+def test_write_goes_out_in_slices(monkeypatch, tmp_path):
+    # a whole-text write would encode one more copy of the text at once
+    text = "é→q\n" * (5 * cli._WRITE_SLICE // 8)
+    full = cli._WRITE_SLICE
+    sizes = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: RecordingWriter(open(*a, **k), sizes),
+                        raising=False)
+    path = tmp_path / "out.txt"
+    cli._write(str(path), text)
+    assert sizes == [full, full, full // 2]
+    assert path.read_bytes() == text.encode("utf-8")
+
+    sizes.clear()
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", RecordingWriter(stdout, sizes))
+    cli._write(None, text)
+    assert sizes == [full, full, full // 2]
+    assert stdout.getvalue() == text
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
 def test_failed_write_ends_in_one_line(capsys):
     # the path passes the checks before work, but every write to it fails

@@ -22,9 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from intmatrix_reference import IntMatrix, det, kernel_count_mod
 
-from quandlequiver.braids import BraidWord, closure_system
-from quandlequiver.errors import CapExceededError
-from quandlequiver.linalg import kernel_count_from_snf, kernel_enumerate_mod, smith_normal_form
+from quandlequiver import linalg
+from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system
+from quandlequiver.counting import predict_count
+from quandlequiver.errors import CapExceededError, InternalConsistencyError
+from quandlequiver.linalg import (
+    kernel_count_from_snf,
+    kernel_enumerate_mod,
+    product_mod,
+    smith_normal_form,
+)
 
 
 def linear_count(rows, n):
@@ -334,6 +341,88 @@ def test_form_mod_lcm_matches_integer_reference_on_words(word, ns):
 @settings(max_examples=150)
 def test_form_mod_lcm_matches_integer_reference_on_matrices(a, ns):
     assert_matches_reference(a, ns)
+
+
+# moduli whose divisors' gcds with an entry form no chain, so the least
+# gcd(x, L) is not the least entry and the exact step and the Euclid step
+# both run
+CHAINLESS_MODULI = (6, 30, 210, 2310, 30030, 2520)
+
+
+@given(int_matrices(max_dim=8, max_entry=60), st.sampled_from(CHAINLESS_MODULI))
+@settings(max_examples=150, deadline=None)
+def test_form_matches_reference_on_chainless_moduli(a, big):
+    s = smith_normal_form(a.data, big)
+    assert s.diag == bounded_diag(ref.smith_normal_form(a).diag, big)
+    assert all(0 <= x < big for row in s.right for x in row)
+    assert math.gcd(det(IntMatrix(s.right)), big) == 1
+
+
+@pytest.mark.parametrize("p", [31, 61])
+def test_torus_forms_give_the_predicted_counts(p):
+    # one form mod lcm(2..12) per link counts every n; ambiguous cells must
+    # give one of their candidates
+    big = math.lcm(*range(2, 13))
+    for q in (0, 1, 2, 3, 4, p - 1, p, p + 2, 2 * p, 2 * p + 1, 3 * p):
+        s = smith_normal_form(closure_system(TorusLinkSpec(p, q), big), big)
+        for n in range(2, 13):
+            count = kernel_count_from_snf(s, n)
+            prediction = predict_count(p, q, n)
+            if prediction.ambiguous:
+                assert count in prediction.candidates
+            else:
+                assert count == prediction.n_colorings, (p, q, n)
+
+
+def int64_edge(inner):
+    """The largest modulus whose products of `inner` terms run in int64."""
+    return math.isqrt((2**63 - 1) // inner) + 1
+
+
+@pytest.mark.parametrize("inner", [1, 3, 12])
+@pytest.mark.parametrize("over", [0, 1])
+def test_product_mod_is_exact_on_both_sides_of_the_int64_bound(inner, over):
+    modulus = int64_edge(inner) + over
+    rng = random.Random(inner)
+    top = modulus - 1
+    a = [[top] * inner] + [[rng.randrange(modulus) for _ in range(inner)] for _ in range(3)]
+    b = [[top] * 5] + [[rng.randrange(modulus) for _ in range(5)] for _ in range(inner - 1)]
+    product = product_mod(a, b, modulus)
+    assert product.dtype == (object if over else np.int64)
+    exact = [[sum(x * y for x, y in zip(row, col)) % modulus for col in zip(*b)] for row in a]
+    assert product.tolist() == exact
+    assert all(type(x) is int for row in product.tolist() for x in row)
+
+
+def test_form_past_2_to_the_32_checks_on_python_ints(monkeypatch):
+    big = 2**32 * 3 * 5
+    dtypes = []
+
+    def recording(a, b, modulus):
+        product = product_mod(a, b, modulus)
+        dtypes.append(product.dtype)
+        return product
+
+    monkeypatch.setattr(linalg, "product_mod", recording)
+    a = IntMatrix([[2**33 + 6, 4, 10], [6, 2**40 + 9, 15], [2**35, 12, 2**32 + 30]])
+    s = smith_normal_form(a.data, big)
+    assert dtypes == [object, object]
+    assert s.diag == bounded_diag(ref.smith_normal_form(a).diag, big)
+
+
+def test_corrupted_transform_fails_the_check(monkeypatch):
+    a = [[2, 4, 4], [6, 8, 10], [3, 5, 7]]
+    assert smith_normal_form(a, 30).diag == (1, 2, 6)
+
+    def sheared(size, modulus):
+        # U and V start one shear away from the identity
+        rows = [[int(i == j) for j in range(size)] for i in range(size)]
+        rows[0][-1] = 1
+        return rows
+
+    monkeypatch.setattr(linalg, "_identity", sheared)
+    with pytest.raises(InternalConsistencyError, match="U\\*A\\*V"):
+        smith_normal_form(a, 30)
 
 
 def test_int_matrix_validation():
