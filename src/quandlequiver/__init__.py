@@ -1,11 +1,11 @@
 """Quandle coloring counts and coloring quivers of braid-closure links.
 
-The package computes colorings of torus links (and arbitrary braid
+The package counts colorings of torus links (and arbitrary braid
 closures) by dihedral quandles three independent ways: brute-force
 propagation over a Cayley table, linear algebra through the Smith normal
 form mod n on bounded integers, and closed-form count formulas;
 and it builds, compares, and exports the coloring quivers induced by
-quandle endomorphisms.
+the endomorphisms of R_n, its n^2 affine maps.
 """
 
 from .braids import (
@@ -15,11 +15,7 @@ from .braids import (
     parse_link,
     propagation_matrix,
 )
-from .colorings import (
-    ColoringSet,
-    enumerate_colorings_linear,
-    enumerate_colorings_oracle,
-)
+from .colorings import ColoringSet, enumerate_colorings_linear
 from .counting import (
     CellRecord,
     CountPrediction,
@@ -37,7 +33,6 @@ from .quandles import (
     DihedralQuandle,
     FiniteQuandle,
     affine_endomorphisms,
-    brute_force_endomorphisms,
 )
 from .quivers import (
     QuiverForm,
@@ -60,11 +55,9 @@ __all__ = [
     "TorusLinkSpec",
     "WeightedQuiver",
     "affine_endomorphisms",
-    "brute_force_endomorphisms",
     "build_quiver",
     "closure_system",
     "enumerate_colorings_linear",
-    "enumerate_colorings_oracle",
     "is_odd_prime",
     "isomorphic",
     "kernel_enumerate_mod",

@@ -36,7 +36,7 @@ from .counting import (
 )
 from .errors import CapExceededError
 from .export import to_csv, to_dot, to_json
-from .quandles import affine_endomorphisms, brute_force_endomorphisms
+from .quandles import affine_endomorphisms
 from .quivers import build_quiver, isomorphic, lattice_form
 
 EXIT_OK = 0
@@ -228,15 +228,7 @@ def cmd_quiver(args) -> int:
     except CapExceededError as exc:
         print(f"quiver: {exc.size} colorings exceed the enumeration cap", file=sys.stderr)
         return EXIT_CAP
-    if args.endos == "brute":
-        try:
-            endos = brute_force_endomorphisms(coloring_set.quandle)
-        except CapExceededError as exc:
-            print(f"quiver: {exc}", file=sys.stderr)
-            return EXIT_CAP
-    else:
-        endos = affine_endomorphisms(n)
-    quiver = build_quiver(coloring_set, endos)
+    quiver = build_quiver(coloring_set, affine_endomorphisms(n))
     # the blocks, read once from the colorings, for each output that needs them;
     # only the comparison reads their members array, so the export does not hold it
     if args.compare or args.collapse or args.format == "json":
@@ -319,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     quiver = sub.add_parser("quiver", help="build the coloring quiver")
     quiver.add_argument("--link", required=True)
     quiver.add_argument("--n", required=True, type=int)
-    quiver.add_argument("--endos", choices=["affine", "brute"], default="affine")
     quiver.add_argument("--compare", action="store_true",
                         help="check the quiver against the block form of its colorings")
     quiver.add_argument("--format", choices=["dot", "json"], default="dot")

@@ -1,7 +1,7 @@
-"""Enumerating quandle colorings of braid closures, two independent ways.
+"""Quandle colorings of braid closures, found two independent ways.
 
 The oracle backend pushes candidate top states through the braid word
-and keeps those it maps back to themselves; it works for any finite
+and counts those it maps back to themselves; it works for any finite
 quandle and knows nothing about linearity.  The linear backend solves
 the closure system (M - I) y = 0 mod n through the Smith normal form and
 is specific to dihedral targets.  The two share nothing past the
@@ -11,14 +11,13 @@ The oracle has one walk: top states through the link's factor
 (braids.factor_power), slab by slab by the factor's window tables when
 no power above 1 is asked for, and otherwise by its state map, built
 once and squared across long gaps between powers, so a power q costs
-about 2 * log2(q) passes over the map.  oracle_counts (the counts) and
-enumerate_colorings_oracle (the colorings) both take it.  The counts
-walk one top per orbit of the colour shift x -> x + 1 mod m, the tops
-with strand 1 coloured 0, when that shift is an automorphism of the
-Cayley table, and every top otherwise; the colorings always walk every
-top.  Either enumerator returns its colorings as one read-only (count,
-strands) int64 array, and raises CapExceededError, naming the count,
-rather than return part of them over its cap.
+about 2 * log2(q) passes over the map.  oracle_counts, the oracle's one
+entry, takes it, walking one top per orbit of the colour shift
+x -> x + 1 mod m, the tops with strand 1 coloured 0, when that shift is
+an automorphism of the Cayley table, and every top otherwise.  The
+linear backend lists the colorings, as one read-only (count, strands)
+int64 array.  Each raises CapExceededError, naming the count, rather
+than return part of its answer over its cap.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ class ColoringSet:
     """Colorings of one link by one quandle, in canonical order.
 
     `colorings` is a read-only int64 array with one row per coloring, its
-    strands' colours, rows in lexicographic order.  Distinct backends
-    produce identical arrays, so array equality is set equality.  A row
-    whose width is not the link's strand count raises ValueError.
+    strands' colours, rows in lexicographic order, so array equality is
+    set equality.  A row whose width is not the link's strand count raises
+    ValueError.
     """
 
     def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings):
@@ -315,25 +314,6 @@ def oracle_counts(link, quandle: FiniteQuandle, powers, cap: int | None = None) 
     for power, tops, bottoms in _power_slabs(factor.letters, strands, quandle, fixed, m**strands // orbit):
         fixed[power] += int(np.count_nonzero(bottoms == tops))
     return {k: orbit * fixed[r * k] for k in powers}
-
-
-def enumerate_colorings_oracle(link, quandle: FiniteQuandle, cap: int | None = None) -> ColoringSet:
-    """Brute force over all size**strands candidate tops, unreduced.
-
-    The link is read as factor**q, and a top is a coloring iff factor**q
-    fixes it; the slabs come from the same walk oracle_counts takes, but
-    over every top, whatever the table's automorphisms, so each coloring
-    is found by propagation itself.  Fixed indices are found in
-    increasing order, which is lexicographic order of the tops, so the
-    rows are already sorted.
-    """
-    factor, q = factor_power(link)
-    m, strands = quandle.size, factor.strands
-    check_oracle_cap(m, strands, cap)
-    slabs = _power_slabs(factor.letters, strands, quandle, [q], m**strands)
-    kept = [tops[bottoms == tops] for _, tops, bottoms in slabs]
-    rows = np.stack(_digits(np.concatenate(kept), m, strands, np.int64), axis=1)
-    return ColoringSet(link, quandle, rows)
 
 
 def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> ColoringSet:

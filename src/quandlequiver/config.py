@@ -2,7 +2,9 @@
 
 Every cap guards an enumeration whose size is known before any work is
 done, so exceeding one raises CapExceededError immediately instead of
-grinding away at a hopeless loop.
+grinding away at a hopeless loop.  There are two:
+QUANDLEQUIVER_ENUM_CAP on the colorings the linear backend lists, and
+QUANDLEQUIVER_ORACLE_CAP on the candidate tops the oracle walks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import os
 _DEFAULTS = {
     "QUANDLEQUIVER_ENUM_CAP": 10**6,      # kernel vectors materialized per call
     "QUANDLEQUIVER_ORACLE_CAP": 10**7,    # candidate top states propagated per call
-    "QUANDLEQUIVER_ENDO_CAP": 10**6,      # naive m**m bound for brute-force search
 }
 
 
@@ -46,8 +47,4 @@ def enumeration_cap() -> int:
 
 def oracle_cap() -> int:
     return _get("QUANDLEQUIVER_ORACLE_CAP")
-
-
-def endo_cap() -> int:
-    return _get("QUANDLEQUIVER_ENDO_CAP")
 

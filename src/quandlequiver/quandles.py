@@ -1,17 +1,16 @@
-"""Finite quandles, the dihedral family, and their endomorphisms.
+"""Finite quandles, the dihedral family, and its affine endomorphisms.
 
 A quandle of size m holds its Cayley table as one read-only (m, m) int64
 array.  A family of k endomorphisms is one read-only (k, m) int64 array
 whose row lists a map's images of 0..m-1; `quivers.build_quiver` checks
-each row against the quandle of the colorings it acts on.
+each row against the quandle of the colorings it acts on.  The n^2
+affine maps x -> a*x + b are all the endomorphisms of R_n; the tests
+check this against an exhaustive search.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .config import endo_cap
-from .errors import CapExceededError, count_text
 
 
 class FiniteQuandle:
@@ -85,52 +84,3 @@ def affine_endomorphisms(n: int) -> np.ndarray:
     images.flags.writeable = False
     return images
 
-
-def brute_force_endomorphisms(q: FiniteQuandle, cap: int | None = None) -> np.ndarray:
-    """All endomorphisms by pruned depth-first search over image tables.
-
-    Returns a read-only (k, m) image array in lexicographic row order.
-    The naive search space is size**size, checked against the cap up
-    front; pruning keeps the actual visit count far smaller.
-    """
-    m = q.size
-    limit = endo_cap() if cap is None else cap
-    naive, power = m**m, f"{m}^{m}"
-    if naive > limit:
-        raise CapExceededError(
-            f"brute-force search space {count_text(naive, power)} exceeds the cap {limit}",
-            count=naive,
-            power=power,
-        )
-    t = q.table.tolist()
-    images = [-1] * m
-    found: list[list[int]] = []
-
-    def consistent(x: int) -> bool:
-        fx = images[x]
-        for y in range(m):
-            fy = images[y]
-            if fy < 0:
-                continue
-            z = t[x][y]
-            if images[z] >= 0 and images[z] != t[fx][fy]:
-                return False
-            z = t[y][x]
-            if images[z] >= 0 and images[z] != t[fy][fx]:
-                return False
-        return True
-
-    def search(x: int):
-        if x == m:
-            found.append(images.copy())
-            return
-        for v in range(m):
-            images[x] = v
-            if consistent(x):
-                search(x + 1)
-        images[x] = -1
-
-    search(0)
-    endos = np.array(found, dtype=np.int64).reshape(-1, m)
-    endos.flags.writeable = False
-    return endos

@@ -4,11 +4,15 @@ The package's oracle walks the tops through the window tables (or the
 state map) of the word's repeated factor and keeps the fixed points of
 its q-th power, counting one top per orbit of the colour shift when the
 shift is an automorphism of the table; this is the direct per-letter
-propagation over every top that it must agree with.  `propagate` pushes one
-top state through the word, crossing by crossing.
+propagation over every top that it must agree with.  `coloring_set` holds
+its colorings in the package's ColoringSet, for tests that compare them
+with the linear backend's or build a quiver on them.  `propagate` pushes
+one top state through the word, crossing by crossing.
 """
 
 import numpy as np
+
+from quandlequiver.colorings import ColoringSet
 
 _SLAB = 1 << 16  # candidate rows propagated per batch
 
@@ -40,6 +44,12 @@ def enumerate_colorings(word, quandle) -> list[tuple[int, ...]]:
                 state[:, i + 1] = x
         kept.append(tops[(state == tops).all(axis=1)])
     return [tuple(row) for row in np.concatenate(kept).tolist()]
+
+
+def coloring_set(word, quandle) -> ColoringSet:
+    """enumerate_colorings as a ColoringSet; (0, strands) rows when no top is fixed."""
+    rows = np.array(enumerate_colorings(word, quandle), dtype=np.int64).reshape(-1, word.strands)
+    return ColoringSet(word, quandle, rows)
 
 
 def propagate(word, quandle, top) -> tuple[int, ...]:

@@ -11,11 +11,12 @@ from functools import lru_cache
 import numpy as np
 
 from braid_reference import torus_braid
+from oracle_reference import coloring_set as reference_set
 from quandle_reference import audit_affine_completeness, is_involutive, verify_quandle_axioms
 from quiver_reference import dense, quiver_form_for_count, realize, runs
 
 from quandlequiver.braids import BraidWord
-from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
+from quandlequiver.colorings import enumerate_colorings_linear, oracle_counts
 from quandlequiver.counting import (
     CASE_AMBIGUOUS,
     STATUS_AMBIGUOUS_RESOLVED,
@@ -177,10 +178,10 @@ def test_criterion_6_property_suite():
 def test_criterion_7_oracle_fixtures_with_negative_crossings():
     trefoil = BraidWord(2, (1, 1, 1))
     fig8 = BraidWord(3, (1, -2, 1, -2))
-    t = enumerate_colorings_oracle(trefoil, DihedralQuandle(3))
-    f = enumerate_colorings_oracle(fig8, DihedralQuandle(5))
-    assert t.count == 9
-    assert f.count == 25
+    t = reference_set(trefoil, DihedralQuandle(3))
+    f = reference_set(fig8, DihedralQuandle(5))
+    assert t.count == oracle_counts(trefoil, DihedralQuandle(3), [1])[1] == 9
+    assert f.count == oracle_counts(fig8, DihedralQuandle(5), [1])[1] == 25
     assert np.array_equal(enumerate_colorings_linear(trefoil, 3).colorings, t.colorings)
     assert np.array_equal(enumerate_colorings_linear(fig8, 5).colorings, f.colorings)
     report(7, "trefoil over R_3 has 9 colorings, figure-eight over R_5 has 25 (oracle, signed words)")

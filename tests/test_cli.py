@@ -166,13 +166,6 @@ def test_huge_oracle_count_ends_in_one_short_line(capsys):
     assert captured.err == "count: 5^200000 candidate tops exceed the oracle cap 10000000\n"
 
 
-def test_huge_brute_force_search_space_ends_in_one_short_line(capsys):
-    code = main(["quiver", "--link", "torus:3,1", "--n", "1500", "--endos", "brute"])
-    captured = capsys.readouterr()
-    assert code == EXIT_CAP
-    assert captured.err == "quiver: brute-force search space 1500^1500 exceeds the cap 1000000\n"
-
-
 @pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3])
 def test_formula_answers_a_huge_prime_p(p, capsys):
     code = main(["count", "--link", f"torus:{p},2", "--n", "5", "--backend", "formula"])
@@ -360,19 +353,6 @@ def test_count_long_random_word_linear(strands, length, seed, counts, time_limit
     assert [r["count"] for r in json.loads(path.read_text())] == counts
 
 
-def test_quiver_brute_endos_match_affine(capsys):
-    # the printed blocks come from the colorings, not the built quiver, so
-    # they must agree with what either endomorphism family builds
-    link = ["quiver", "--link", "torus:2,3", "--n", "3"]
-    for output in ([], ["--format", "json"], ["--collapse"]):
-        code = main(link + output + ["--endos", "brute"])
-        brute_out = capsys.readouterr().out
-        code2 = main(link + output)
-        affine_out = capsys.readouterr().out
-        assert code == code2 == EXIT_OK
-        assert brute_out == affine_out
-
-
 def test_verify_clean_grid_exits_0(capsys):
     code = main(["verify", "--p", "5", "--q", "1,3", "--n", "2..4", "--oracle-cap", "1"])
     out = capsys.readouterr().out
@@ -491,6 +471,16 @@ def test_bad_request_exits_2_with_one_stderr_line(argv, env, monkeypatch, capsys
     assert captured.err.startswith(argv[0] + ": ")
     for name in env:
         assert name in captured.err
+
+
+def test_endomorphism_family_option_is_a_bad_request(capsys):
+    # the affine maps are the only family, so there is no option to pick one;
+    # argparse reports an unknown argument from the top-level parser
+    code = main(["quiver", "--link", "torus:2,3", "--n", "3", "--endos", "brute"])
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert captured.err == "quandlequiver: unrecognized arguments: --endos brute\n"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
-"""Tests for coloring enumeration: brute-force oracle vs linear-algebra backend.
+"""Tests for colorings: the brute-force oracle's counts and the linear
+backend's listing, against the per-letter reference and each other.
 
-The two backends share nothing but the crossing convention, so list-level
-agreement between them is the strongest internal check the suite has.
+The two backends share nothing but the crossing convention, so agreement
+between them, and of the linear listing with the reference's, is the
+strongest internal check the suite has.
 """
 
 import random
@@ -14,15 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braid_reference import torus_braid
+from oracle_reference import coloring_set as reference_set
 from oracle_reference import enumerate_colorings as reference_colorings
 from oracle_reference import propagate
 from quandlequiver import colorings
 from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, factor_power
-from quandlequiver.colorings import (
-    ColoringSet,
-    enumerate_colorings_linear,
-    enumerate_colorings_oracle,
-)
+from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.counting import verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import kernel_count_from_snf, smith_normal_form
@@ -44,64 +43,55 @@ def trivial_quandle(m):
     return FiniteQuandle([[x] * m for x in range(m)])
 
 
+def assert_backends_agree(word, n):
+    """The linear listing equals the reference's, and the oracle counts it."""
+    reference = reference_set(word, DihedralQuandle(n))
+    linear = enumerate_colorings_linear(word, n)
+    assert np.array_equal(reference.colorings, linear.colorings)
+    assert colorings.oracle_counts(word, DihedralQuandle(n), [1]) == {1: linear.count}
+    return linear
+
+
 def test_trefoil_has_nine_colorings_mod_3():
-    word = torus_braid(2, 3)
-    oracle = enumerate_colorings_oracle(word, DihedralQuandle(3))
-    linear = enumerate_colorings_linear(word, 3)
-    assert oracle.count == linear.count == 9
-    assert np.array_equal(oracle.colorings, linear.colorings)
+    assert assert_backends_agree(torus_braid(2, 3), 3).count == 9
 
 
 def test_figure_eight_has_25_colorings_mod_5():
-    oracle = enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5))
-    linear = enumerate_colorings_linear(FIGURE_EIGHT, 5)
-    assert oracle.count == linear.count == 25
-    assert np.array_equal(oracle.colorings, linear.colorings)
-    assert len(oracle.trivial_indices) == 5
+    linear = assert_backends_agree(FIGURE_EIGHT, 5)
+    assert linear.count == 25
+    assert len(linear.trivial_indices) == 5
 
 
 @pytest.mark.parametrize("n", list(range(2, 10)))
 def test_unknot_closure_has_only_constant_colorings(n):
     # T(5,1) closes to an unknot; only the n trivial colorings survive
     word = torus_braid(5, 1)
-    oracle = enumerate_colorings_oracle(word, DihedralQuandle(n))
-    linear = enumerate_colorings_linear(TorusLinkSpec(5, 1), n)
     expected = [(c,) * 5 for c in range(n)]
-    assert np.array_equal(oracle.colorings, expected)
-    assert np.array_equal(linear.colorings, expected)
+    assert np.array_equal(assert_backends_agree(word, n).colorings, expected)
+    assert np.array_equal(enumerate_colorings_linear(TorusLinkSpec(5, 1), n).colorings, expected)
 
 
 @pytest.mark.parametrize("n", list(range(2, 10)))
 def test_figure_eight_backends_agree(n):
-    oracle = enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(n))
-    linear = enumerate_colorings_linear(FIGURE_EIGHT, n)
-    assert oracle.count == linear.count
-    assert np.array_equal(oracle.colorings, linear.colorings)
+    assert_backends_agree(FIGURE_EIGHT, n)
 
 
 def test_backends_agree_on_torus_grid():
     for p in (2, 3):
         for q in range(0, 8):
-            word = torus_braid(p, q)
             for n in range(2, 8):
-                oracle = enumerate_colorings_oracle(word, DihedralQuandle(n))
-                linear = enumerate_colorings_linear(word, n)
-                assert oracle.count == linear.count, (p, q, n)
-                assert np.array_equal(oracle.colorings, linear.colorings), (p, q, n)
+                assert_backends_agree(torus_braid(p, q), n)
 
 
 @pytest.mark.parametrize("p,q,n", [(5, 2, 5), (5, 5, 6), (5, 10, 3), (7, 2, 3)])
 def test_backends_agree_on_wider_cells(p, q, n):
-    word = torus_braid(p, q)
-    oracle = enumerate_colorings_oracle(word, DihedralQuandle(n))
-    linear = enumerate_colorings_linear(word, n)
-    assert np.array_equal(oracle.colorings, linear.colorings)
+    assert_backends_agree(torus_braid(p, q), n)
 
 
 def test_colorings_are_lex_sorted_and_closed():
     word = torus_braid(5, 2)
     quandle = DihedralQuandle(5)
-    cs = enumerate_colorings_oracle(word, quandle)
+    cs = enumerate_colorings_linear(word, 5)
     rows = list(map(tuple, cs.colorings.tolist()))
     assert rows == sorted(set(rows))
     for c in rows:
@@ -115,9 +105,9 @@ def test_trivial_colorings_are_the_constants():
 
 
 def test_oracle_works_on_non_dihedral_tables():
-    cs = enumerate_colorings_oracle(FIGURE_EIGHT, ALEXANDER_5)
-    assert cs.count == len(cs.colorings)
-    for c in map(tuple, cs.colorings.tolist()):
+    expected = reference_colorings(FIGURE_EIGHT, ALEXANDER_5)
+    assert colorings.oracle_counts(FIGURE_EIGHT, ALEXANDER_5, [1]) == {1: len(expected)}
+    for c in expected:
         assert propagate(FIGURE_EIGHT, ALEXANDER_5, c) == c
 
 
@@ -151,14 +141,13 @@ WINDOW_STATES = (1, 4, 8, 27, 64, 1 << 16)
 
 
 def assert_oracle_matches_reference(word, quandle, window_states):
-    expected = reference_colorings(word, quandle)
+    """The oracle counts the reference's colorings; returns them as a ColoringSet."""
+    expected = reference_set(word, quandle)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
-        cs = enumerate_colorings_oracle(word, quandle)
         count = colorings.oracle_counts(word, quandle, [1])[1]
-    assert np.array_equal(cs.colorings, expected)
-    assert cs.count == count == len(expected)
-    return cs
+    assert count == expected.count
+    return expected
 
 
 @settings(max_examples=150)
@@ -232,7 +221,7 @@ def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         counts = colorings.oracle_counts(word, quandle, powers)
         per_power = {
-            k: enumerate_colorings_oracle(BraidWord(strands, word.letters * k), quandle).count
+            k: colorings.oracle_counts(BraidWord(strands, word.letters * k), quandle, [1])[1]
             for k in powers
         }
     assert counts == per_power
@@ -294,15 +283,12 @@ def walked_tops(monkeypatch) -> list[int]:
 )
 def test_counts_walk_one_top_per_shift_orbit(quandle, tops, power, monkeypatch):
     # the state map of power 3 still spans all 5**4 states; only the walked
-    # tops shrink.  Listing the colorings always walks every top.
+    # tops shrink, and the count is still that of every top
     word = BraidWord(4, (1, -2, 3, 2))
     walked = walked_tops(monkeypatch)
     count = colorings.oracle_counts(word, quandle, [power])[power]
     assert sum(walked) == tops
-    walked.clear()
-    cs = enumerate_colorings_oracle(BraidWord(4, word.letters * power), quandle)
-    assert sum(walked) == 5**4
-    assert count == cs.count
+    assert count == len(reference_colorings(BraidWord(4, word.letters * power), quandle))
 
 
 def test_shift_check_holds_one_row_batch():
@@ -343,7 +329,7 @@ def test_window_cover(factor, m, window_states):
 
 def test_oracle_cap_raises_naming_count():
     with pytest.raises(CapExceededError) as exc:
-        enumerate_colorings_oracle(torus_braid(5, 2), DihedralQuandle(17), cap=100)
+        colorings.oracle_counts(torus_braid(5, 2), DihedralQuandle(17), [1], cap=100)
     assert exc.value.count == 17**5
 
 
@@ -353,9 +339,9 @@ def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
 
     monkeypatch.setattr(colorings, "_window_steps", fail)
     with pytest.raises(CapExceededError):
-        enumerate_colorings_oracle(torus_braid(5, 2), DihedralQuandle(17), cap=100)
+        colorings.oracle_counts(torus_braid(5, 2), DihedralQuandle(17), [1], cap=100)
     with pytest.raises(CapExceededError):
-        enumerate_colorings_oracle(BraidWord(3, (1, -2, 1)), DihedralQuandle(5), cap=124)
+        colorings.oracle_counts(BraidWord(3, (1, -2, 1)), DihedralQuandle(5), [1], cap=124)
 
 
 def test_batched_cap_is_checked_before_any_map_is_built(monkeypatch):
@@ -391,9 +377,9 @@ def test_verify_builds_one_state_map_per_oracle_modulus(monkeypatch):
 def test_only_periodic_words_build_a_state_map(monkeypatch):
     built = built_state_maps(monkeypatch)
     for word in (BraidWord(3, (1, -2, 1)), torus_braid(5, 1), torus_braid(5, 0)):
-        enumerate_colorings_oracle(word, DihedralQuandle(5))
+        colorings.oracle_counts(word, DihedralQuandle(5), [1])
     assert built == []
-    enumerate_colorings_oracle(FIGURE_EIGHT, DihedralQuandle(5))  # (s1 s2^-1)^2
+    colorings.oracle_counts(FIGURE_EIGHT, DihedralQuandle(5), [1])  # (s1 s2^-1)^2
     assert built == [(3, 5)]
 
 
@@ -501,6 +487,6 @@ def test_coloring_rows_must_span_the_strands():
 def test_colorings_and_labels_are_read_only():
     cs = enumerate_colorings_linear(TorusLinkSpec(3, 2), 3)
     quiver = build_quiver(cs, affine_endomorphisms(3))
-    for array in (cs.colorings, quiver.labels, enumerate_colorings_oracle(cs.link, cs.quandle).colorings):
+    for array in (cs.colorings, quiver.labels):
         with pytest.raises(ValueError):
             array[0, 0] = 1

@@ -3,8 +3,8 @@
 import pytest
 from braid_reference import torus_braid
 
-from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
-from quandlequiver.config import endo_cap, enumeration_cap, oracle_cap, positive_integer
+from quandlequiver.colorings import enumerate_colorings_linear, oracle_counts
+from quandlequiver.config import enumeration_cap, oracle_cap, positive_integer
 from quandlequiver.errors import CapExceededError
 from quandlequiver.quandles import DihedralQuandle
 
@@ -12,16 +12,13 @@ from quandlequiver.quandles import DihedralQuandle
 def test_defaults():
     assert enumeration_cap() == 10**6
     assert oracle_cap() == 10**7
-    assert endo_cap() == 10**6
 
 
 def test_env_overrides_read_at_call_time(monkeypatch):
     monkeypatch.setenv("QUANDLEQUIVER_ENUM_CAP", "123")
     monkeypatch.setenv("QUANDLEQUIVER_ORACLE_CAP", "456")
-    monkeypatch.setenv("QUANDLEQUIVER_ENDO_CAP", "789")
     assert enumeration_cap() == 123
     assert oracle_cap() == 456
-    assert endo_cap() == 789
 
 
 def test_invalid_override_rejected(monkeypatch):
@@ -44,7 +41,7 @@ def test_positive_integer_rule():
 def test_env_cap_governs_backends(monkeypatch):
     monkeypatch.setenv("QUANDLEQUIVER_ORACLE_CAP", "100")
     with pytest.raises(CapExceededError):
-        enumerate_colorings_oracle(torus_braid(3, 0), DihedralQuandle(5))
+        oracle_counts(torus_braid(3, 0), DihedralQuandle(5), [1])
     monkeypatch.setenv("QUANDLEQUIVER_ENUM_CAP", "100")
     with pytest.raises(CapExceededError) as exc:
         enumerate_colorings_linear(torus_braid(3, 0), 5)

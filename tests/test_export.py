@@ -14,18 +14,18 @@ from export_reference import quiver_from_json
 from quiver_reference import quiver_form_for_count, realize
 
 from quandlequiver.braids import TorusLinkSpec
-from quandlequiver.colorings import enumerate_colorings_linear, enumerate_colorings_oracle
+from quandlequiver.colorings import enumerate_colorings_linear
 from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver import export
 from quandlequiver.export import CSV_HEADER, to_csv, to_dot, to_json
-from quandlequiver.quandles import DihedralQuandle, affine_endomorphisms
+from quandlequiver.quandles import affine_endomorphisms
 from quandlequiver.quivers import QuiverForm, WeightedQuiver, build_quiver, lattice_form
 
 
 def torus_quiver(p, q, n):
     """The quiver of T(p, q) by R_n and its lattice form."""
-    cs = enumerate_colorings_oracle(torus_braid(p, q), DihedralQuandle(n))
+    cs = enumerate_colorings_linear(torus_braid(p, q), n)
     return build_quiver(cs, affine_endomorphisms(n)), lattice_form(cs)[0]
 
 
@@ -127,7 +127,7 @@ def test_json_ends_with_newline_and_is_deterministic():
 
 
 def test_coloring_set_and_prediction_dicts():
-    cs = enumerate_colorings_oracle(torus_braid(2, 3), DihedralQuandle(3))
+    cs = enumerate_colorings_linear(torus_braid(2, 3), 3)
     assert cs.count == 9
     assert cs.colorings[0].tolist() == [0, 0]
     pd = predict_count(5, 2, 5)

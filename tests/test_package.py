@@ -1,5 +1,8 @@
 """Tests for the package's public namespace."""
 
+import ast
+from pathlib import Path
+
 import quandlequiver
 
 
@@ -9,3 +12,21 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from quandlequiver import *", namespace)
     assert set(quandlequiver.__all__) <= set(namespace)
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # each public name is read by some module of the package (as a name, an
+    # attribute or an import), so none is there only for the tests to call
+    package = Path(quandlequiver.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(quandlequiver.__all__) - used) == []

@@ -9,23 +9,15 @@ from blocks_reference import twin_blocks
 from braid_reference import torus_braid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle_reference import coloring_set as reference_set
 from quiver_reference import build_quiver as reference_build
-from quandle_reference import first_broken_pair
+from quandle_reference import brute_force_endomorphisms, first_broken_pair
 from quiver_reference import dense, quiver_form_for_count, realize, reference_isomorphic, runs
 
 from quandlequiver.braids import BraidWord, TorusLinkSpec
-from quandlequiver.colorings import (
-    ColoringSet,
-    enumerate_colorings_linear,
-    enumerate_colorings_oracle,
-)
+from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.errors import CapExceededError, InternalConsistencyError
-from quandlequiver.quandles import (
-    DihedralQuandle,
-    FiniteQuandle,
-    affine_endomorphisms,
-    brute_force_endomorphisms,
-)
+from quandlequiver.quandles import DihedralQuandle, FiniteQuandle, affine_endomorphisms
 from quandlequiver import quivers
 from quandlequiver.quivers import (
     QuiverForm,
@@ -38,7 +30,7 @@ from quandlequiver.quivers import (
 
 
 def dihedral_quiver(p, q, n):
-    cs = enumerate_colorings_oracle(torus_braid(p, q), DihedralQuandle(n))
+    cs = reference_set(torus_braid(p, q), DihedralQuandle(n))
     return cs, build_quiver(cs, affine_endomorphisms(n))
 
 
@@ -163,8 +155,7 @@ def test_torus_5_2_quiver_structure():
 
 
 def test_build_quiver_identity_only_endos():
-    r3 = DihedralQuandle(3)
-    cs = enumerate_colorings_oracle(torus_braid(2, 3), r3)
+    cs = enumerate_colorings_linear(torus_braid(2, 3), 3)
     quiver = build_quiver(cs, [[0, 1, 2]])
     assert quiver.weight_triples() == [(i, i, 1) for i in range(9)]
 
@@ -179,7 +170,7 @@ def test_build_quiver_rejects_non_closed_set():
 
 def test_build_quiver_rejects_unsorted_colorings():
     r3 = DihedralQuandle(3)
-    colorings = enumerate_colorings_oracle(torus_braid(2, 3), r3).colorings
+    colorings = enumerate_colorings_linear(torus_braid(2, 3), 3).colorings
     for bad in (colorings[::-1], np.concatenate((colorings, colorings[-1:]))):
         with pytest.raises(ValueError):
             build_quiver(ColoringSet(torus_braid(2, 3), r3, bad), affine_endomorphisms(3))
