@@ -24,7 +24,7 @@ from .counting import (
     verify_counts,
 )
 from .errors import CapExceededError, InternalConsistencyError
-from .export import to_csv, to_dot, to_json
+from .export import csv_chunks, dot_chunks, json_chunks
 from .linalg import (
     kernel_enumerate_mod,
     smith_normal_form,
@@ -57,17 +57,17 @@ __all__ = [
     "affine_endomorphisms",
     "build_quiver",
     "closure_system",
+    "csv_chunks",
+    "dot_chunks",
     "enumerate_colorings_linear",
     "is_odd_prime",
     "isomorphic",
+    "json_chunks",
     "kernel_enumerate_mod",
     "lattice_form",
     "parse_link",
     "predict_count",
     "propagation_matrix",
     "smith_normal_form",
-    "to_csv",
-    "to_dot",
-    "to_json",
     "verify_counts",
 ]

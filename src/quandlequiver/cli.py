@@ -8,6 +8,11 @@ write also ends with one line on stderr.  A stdout closed before the
 output is written (``| head -c 0``) is a failed write: exit 2, one line
 on stderr, no traceback.
 
+Outputs are written a chunk at a time: each command calls its writer,
+which checks its arguments before the output is opened, and `_write`
+writes each chunk the writer makes as it comes, so no output is held
+whole.
+
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built at the first call and shared by the rest.
 Parsing keeps no state in it; each call reads the cap variables afresh
@@ -35,7 +40,7 @@ from .counting import (
     verify_counts,
 )
 from .errors import CapExceededError
-from .export import to_csv, to_dot, to_json
+from .export import csv_chunks, dot_chunks, json_chunks
 from .quandles import affine_endomorphisms
 from .quivers import build_quiver, isomorphic, lattice_form
 
@@ -59,6 +64,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         # a subcommand's parser is named "quandlequiver <command>"
         raise BadRequest(f"{self.prog.split()[-1]}: {message}")
+
+    def parse_args(self, args=None, namespace=None):
+        # a subcommand's parser hands its unknown arguments up to this one,
+        # so they are reported here, under the command's name
+        args, unknown = self.parse_known_args(args, namespace)
+        if unknown:
+            raise BadRequest(f"{args.command}: unrecognized arguments: {' '.join(unknown)}")
+        return args
 
 
 def _request(parse, *args):
@@ -112,23 +125,16 @@ def parse_int_list(text: str) -> list[int]:
     return sorted(out)
 
 
-# characters per write: a text file encodes each write into one more
-# bytes object, so one whole-text write would hold the text twice
-_WRITE_SLICE = 1 << 20
-
-
-def _write_slices(fh, text: str):
-    for at in range(0, len(text), _WRITE_SLICE):
-        fh.write(text[at:at + _WRITE_SLICE])
-
-
-def _write(path: str | None, text: str):
+def _write(path: str | None, chunks):
+    """Write each chunk to stdout ("-" or None) or to the utf-8 file `path` as it comes."""
     if path is None or path == "-":
-        _write_slices(sys.stdout, text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                _write_slices(fh, text)
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as exc:
             raise WriteFailed(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
@@ -203,7 +209,7 @@ def cmd_count(args) -> int:
         print(f"count: {exc}", file=sys.stderr)
         return EXIT_CAP
     if args.json:
-        _write(args.json, to_json(records))
+        _write(args.json, json_chunks(records))
     return _exit_code({row["status"] for row in records})
 
 
@@ -251,11 +257,11 @@ def cmd_quiver(args) -> int:
         params = {"n": n}
         if torus is not None:
             params = {"p": torus.p, "q": torus.q, "n": n}
-        _write(args.out, to_json(quiver, form=form, params=params))
+        _write(args.out, json_chunks(quiver, form=form, params=params))
     elif args.collapse:
-        _write(args.out, to_dot(form))
+        _write(args.out, dot_chunks(form))
     else:
-        _write(args.out, to_dot(quiver, include_loops=not args.no_loops))
+        _write(args.out, dot_chunks(quiver, include_loops=not args.no_loops))
     return exit_code
 
 
@@ -281,9 +287,9 @@ def cmd_verify(args) -> int:
             f"predicted {record.prediction.candidates}, computed {record.computed}"
         )
     if args.out:
-        _write(args.out, to_json(report))
+        _write(args.out, json_chunks(report))
     if args.csv:
-        _write(args.csv, to_csv(report))
+        _write(args.csv, csv_chunks(report))
     return _exit_code({r.status for r in report})
 
 

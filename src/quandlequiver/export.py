@@ -13,11 +13,19 @@ The writers read no block structure of their own: the collapsed DOT and
 the JSON's "blocks" print the `QuiverForm` the caller passes, such as
 `quivers.lattice_form` reads off the colorings, straight from its
 columns (sizes, weights, and the three columns of its cross rows).
+
+The writers `dot_chunks`, `json_chunks` and `csv_chunks` check their
+arguments when called and return an iterator of `str` chunks whose join
+is the text.  No writer joins the whole text: a caller that writes each
+chunk as it comes holds one chunk of records at a time, besides the
+tables.  The loop-free DOT drops the loops of each chunk of arrows as it
+is gathered.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import islice
 
 import numpy as np
@@ -84,7 +92,7 @@ def _table(column, before: str, after: str):
     return pieces, codes
 
 
-def _records(template: str, sep: str, rows: int, columns):
+def _records(template: str, sep: str, rows: int, columns, *, loops: bool = True):
     """Yield the text of `rows` records joined by `sep`, a chunk of records at a time.
 
     Record k is `template` with its j-th `%d` filled by column[j][k].  Each
@@ -92,7 +100,9 @@ def _records(template: str, sep: str, rows: int, columns):
     pieces: the value followed by the template text after its slot, with
     `sep` and the template's head in front for column 0.  A chunk is then
     one gather per column and one join; only the output's first record
-    drops its leading `sep`.
+    drops its leading `sep`.  Without `loops`, a record whose first two
+    columns are equal is left out, chunk by chunk, and a chunk that keeps
+    no record yields nothing.
     """
     if not rows:
         return
@@ -101,50 +111,64 @@ def _records(template: str, sep: str, rows: int, columns):
         (column, *_table(column, sep + head if j == 0 else "", tail))
         for j, (column, tail) in enumerate(zip(columns, tails, strict=True))
     ]
+    lead = len(sep)
     for start in range(0, rows, _CHUNK):
         stop = min(start + _CHUNK, rows)
         if tables:
-            gathered = [pieces[codes(column[start:stop])] for column, pieces, codes in tables]
+            parts = [column[start:stop] for column, _, _ in tables]
+            if not loops:
+                keep = parts[0] != parts[1]
+                if not keep.any():
+                    continue
+                parts = [part[keep] for part in parts]
+            gathered = [pieces[codes(part)] for part, (_, pieces, codes) in zip(parts, tables)]
             text = "".join(np.column_stack(gathered).ravel().tolist())
         else:
             text = (sep + template) * (stop - start)
-        yield text if start else text[len(sep) :]
+        yield text[lead:]
+        lead = 0
 
 
-def to_dot(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) -> str:
-    """Graphviz text for a quiver in full, or for a form collapsed to its blocks.
+def dot_chunks(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) -> Iterator[str]:
+    """Graphviz text for a quiver in full, or for a form collapsed to its blocks,
+    as an iterator of chunks whose join is the text.
 
     A quiver is drawn with one labeled edge per ordered vertex pair of
     nonzero weight, loops only with `include_loops`.  A form is drawn with
     one node per block, annotated with size and internal weight, and one
-    edge per cross entry; it has no loops to leave out.
+    edge per cross entry; it has no loops to leave out.  The arguments are
+    checked at the call, before any chunk is made.
     """
-    parts = ["digraph quiver {\n"]
     if isinstance(graph, QuiverForm):
         if not include_loops:
             raise ValueError("include_loops applies to a quiver's full drawing only")
-        k = graph.sizes.size
-        blocks = [np.arange(k), graph.sizes, graph.weights]
-        parts.extend(_records('  b%d [label="K%d w=%d"];\n', "", k, blocks))
-        parts.extend(_records('  b%d -> b%d [label="%d"];\n', "", len(graph.cross), graph.cross.T))
+        return _form_dot(graph)
+    if isinstance(graph, WeightedQuiver):
+        return _quiver_dot(graph, include_loops)
+    raise TypeError(f"no DOT drawing for {type(graph).__name__}")
+
+
+def _form_dot(form: QuiverForm):
+    yield "digraph quiver {\n"
+    k = form.sizes.size
+    yield from _records('  b%d [label="K%d w=%d"];\n', "", k, [np.arange(k), form.sizes, form.weights])
+    yield from _records('  b%d -> b%d [label="%d"];\n', "", len(form.cross), form.cross.T)
+    yield "}\n"
+
+
+def _quiver_dot(quiver: WeightedQuiver, include_loops: bool):
+    yield "digraph quiver {\n"
+    n = quiver.n_vertices
+    vertex = np.arange(n)
+    if quiver.labels is None:
+        label, columns = "%d", [vertex, vertex]
     else:
-        quiver = graph
-        n = quiver.n_vertices
-        vertex = np.arange(n)
-        if quiver.labels is None:
-            label, columns = "%d", [vertex, vertex]
-        else:
-            colours = quiver.labels.T
-            label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
-        parts.extend(_records(f'  v%d [label="{label}"];\n', "", n, columns))
-        src, dst, weight = _Sources(quiver.indptr), quiver.dst, quiver.weight
-        if not include_loops:
-            src = quiver.sources()
-            keep = src != dst
-            src, dst, weight = src[keep], dst[keep], weight[keep]
-        parts.extend(_records('  v%d -> v%d [label="%d"];\n', "", dst.size, [src, dst, weight]))
-    parts.append("}\n")
-    return "".join(parts)
+        colours = quiver.labels.T
+        label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
+    yield from _records(f'  v%d [label="{label}"];\n', "", n, columns)
+    arrows = [_Sources(quiver.indptr), quiver.dst, quiver.weight]
+    yield from _records('  v%d -> v%d [label="%d"];\n', "", quiver.dst.size, arrows, loops=include_loops)
+    yield "}\n"
 
 
 def _indent(level: int) -> str:
@@ -159,83 +183,85 @@ def _int_list(width: int, level: int) -> str:
     return f"{_indent(level)}[\n{items}\n{_indent(level)}]"
 
 
-def _json_list(item: str, rows: int, columns, level: int) -> list[str]:
-    """A JSON list of `rows` records of template `item`, held by a key at `level`."""
+def _json_list(item: str, rows: int, columns, level: int):
+    """Yield a JSON list of `rows` records of template `item`, held by a key at `level`."""
     if not rows:
-        return ["[]"]
-    return ["[\n", *_records(item, ",\n", rows, columns), "\n" + _indent(level) + "]"]
+        yield "[]"
+        return
+    yield "[\n"
+    yield from _records(item, ",\n", rows, columns)
+    yield "\n" + _indent(level) + "]"
 
 
-def _quiver_json_parts(
-    quiver: WeightedQuiver, *, form: QuiverForm, params: dict | None = None
-) -> list[str]:
-    """The pieces of a quiver's JSON: params, count, colorings, weights, and
-    `form` as its blocks."""
-    if form.n_vertices != quiver.n_vertices:
-        raise ValueError(
-            f"a form on {form.n_vertices} vertices for a quiver on {quiver.n_vertices}"
-        )
-    parts = ["{\n"]
-    if params is not None:
-        # a nested value is the value on its own, each line indented one level
-        parts += ['  "params": ', json.dumps(dict(params), indent=2).replace("\n", "\n  "), ",\n"]
-    parts.append(f'  "count": {quiver.n_vertices}')
+def _quiver_json(quiver: WeightedQuiver, form: QuiverForm, params: str):
+    """Yield a quiver's JSON: the `params` entry (laid out already, or empty),
+    count, colorings, weights, and `form` as its blocks."""
+    yield "{\n" + params
+    yield f'  "count": {quiver.n_vertices}'
     if quiver.labels is not None:
         colours = quiver.labels.T
-        parts.append(',\n  "colorings": ')
-        parts += _json_list(_int_list(len(colours), 2), quiver.n_vertices, colours, 1)
+        yield ',\n  "colorings": '
+        yield from _json_list(_int_list(len(colours), 2), quiver.n_vertices, colours, 1)
     arrows = [_Sources(quiver.indptr), quiver.dst, quiver.weight]
-    parts.append(',\n  "weights": ')
-    parts += _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
+    yield ',\n  "weights": '
+    yield from _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
     block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
-    parts.append(',\n  "blocks": {\n    "blocks": ')
-    parts += _json_list(block, form.sizes.size, [form.sizes, form.weights], 2)
-    parts.append(',\n    "cross": ')
-    parts += _json_list(_int_list(3, 3), len(form.cross), form.cross.T, 2)
-    parts.append("\n  }\n}\n")
-    return parts
+    yield ',\n  "blocks": {\n    "blocks": '
+    yield from _json_list(block, form.sizes.size, [form.sizes, form.weights], 2)
+    yield ',\n    "cross": '
+    yield from _json_list(_int_list(3, 3), len(form.cross), form.cross.T, 2)
+    yield "\n  }\n}\n"
 
 
-def to_json(obj, **options) -> str:
-    """Stable JSON for quivers, sweep reports, and lists of plain records.
-
-    A quiver needs the keyword `form`, written as its "blocks", and takes
-    `params`, written first.
-    """
-    if isinstance(obj, WeightedQuiver):
-        return "".join(_quiver_json_parts(obj, **options))
-    if isinstance(obj, (list, tuple)):
-        payload = [
-            item.to_dict() if isinstance(item, CellRecord) else item for item in obj
-        ]
-    else:
-        raise TypeError(f"no JSON serialization for {type(obj).__name__}")
+def _plain_json(payload: list):
     # the indenting encoder yields one string per token; joining them in
     # batches holds a few thousand at a time instead of all of them
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    parts = []
-    while batch := "".join(islice(chunks, 8192)):
-        parts.append(batch)
-    parts.append("\n")
-    return "".join(parts)
+    tokens = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(tokens, 8192)):
+        yield batch
+    yield "\n"
+
+
+def json_chunks(obj, *, form: QuiverForm | None = None, params: dict | None = None) -> Iterator[str]:
+    """Stable JSON for quivers, sweep reports, and lists of plain records,
+    as an iterator of chunks whose join is the text.
+
+    A quiver needs `form`, on its vertices, written as its "blocks", and
+    takes `params`, written first.  The arguments are checked at the call,
+    before any chunk is made.
+    """
+    if isinstance(obj, WeightedQuiver):
+        if form is None:
+            raise TypeError("a quiver's JSON needs the form to write as its blocks")
+        if form.n_vertices != obj.n_vertices:
+            raise ValueError(
+                f"a form on {form.n_vertices} vertices for a quiver on {obj.n_vertices}"
+            )
+        # a nested value is the value on its own, each line indented one level
+        head = "" if params is None else (
+            '  "params": ' + json.dumps(dict(params), indent=2).replace("\n", "\n  ") + ",\n"
+        )
+        return _quiver_json(obj, form, head)
+    if isinstance(obj, (list, tuple)):
+        return _plain_json([item.to_dict() if isinstance(item, CellRecord) else item for item in obj])
+    raise TypeError(f"no JSON serialization for {type(obj).__name__}")
 
 
 CSV_HEADER = "p,q,n,predicted,case,computed,status"
 
 
-def to_csv(report: list[CellRecord]) -> str:
-    """Sweep report as CSV, rows sorted by (p, q, n).
+def csv_chunks(report: list[CellRecord]) -> Iterator[str]:
+    """Sweep report as CSV, rows sorted by (p, q, n), one chunk per line.
 
     Ambiguous cells show both candidates joined by '|' in the predicted
     column; the computed column always carries the resolved value.
     """
-    lines = [CSV_HEADER]
+    yield CSV_HEADER + "\n"
     for record in sorted(report, key=lambda r: (r.p, r.q, r.n)):
         predicted = record.prediction.predicted
         if isinstance(predicted, list):
             predicted = "|".join(map(str, predicted))
-        lines.append(
+        yield (
             f"{record.p},{record.q},{record.n},{predicted},"
-            f"{record.prediction.case},{record.computed},{record.status}"
+            f"{record.prediction.case},{record.computed},{record.status}\n"
         )
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,12 @@
 """Reference quiver export used by the tests: one Python object per arrow.
 
-`to_dot` and `to_json` write a quiver, or a form, by joining pieces
-gathered from tables that render each distinct value of a column once;
-these are the direct writers they must match byte for byte: an f-string
-per DOT line, and the standard library's indenting encoder over one
-small list per arrow.  Like them, they print the form they are given.  `quiver_from_json`
-reads a quiver back from its JSON.
+`export.dot_chunks` and `export.json_chunks` write a quiver, or a form,
+as chunks of pieces gathered from tables that render each distinct value
+of a column once; these are the direct writers whose text the chunks
+must join to, byte for byte: an f-string per DOT line, and the standard
+library's indenting encoder over one small list per arrow.  Like them,
+they print the form they are given.  `quiver_from_json` reads a quiver
+back from its JSON.
 """
 
 import json
@@ -62,7 +63,7 @@ def to_json(quiver, form, params=None):
 
 
 def quiver_from_json(text):
-    """Rebuild a quiver from its to_json text; its params and blocks are not read."""
+    """Rebuild a quiver from its JSON text; its params and blocks are not read."""
     payload = json.loads(text)
     arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
     return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -456,6 +457,11 @@ BAD_REQUESTS = [
     (["count", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5"], {}),
     (["quiver", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5", "--compare"], {}),
     (["verify", "--p", str(PAST_PRIMALITY_BOUND), "--q", "2", "--n", "3"], {}),
+    # an unknown option, reported under its command's name; the affine maps
+    # are the only endomorphism family, so there is no option to pick one
+    (["quiver", "--link", "torus:2,3", "--n", "3", "--endos", "brute"], {}),
+    (["count", "--link", "torus:2,3", "--n", "3", "--bogus"], {}),
+    (["verify", "--p", "3", "--q", "2", "--n", "3", "--bogus"], {}),
 ]
 
 
@@ -471,16 +477,6 @@ def test_bad_request_exits_2_with_one_stderr_line(argv, env, monkeypatch, capsys
     assert captured.err.startswith(argv[0] + ": ")
     for name in env:
         assert name in captured.err
-
-
-def test_endomorphism_family_option_is_a_bad_request(capsys):
-    # the affine maps are the only family, so there is no option to pick one;
-    # argparse reports an unknown argument from the top-level parser
-    code = main(["quiver", "--link", "torus:2,3", "--n", "3", "--endos", "brute"])
-    captured = capsys.readouterr()
-    assert code == EXIT_MISMATCH
-    assert captured.out == ""
-    assert captured.err == "quandlequiver: unrecognized arguments: --endos brute\n"
 
 
 @pytest.mark.parametrize(
@@ -564,24 +560,51 @@ class RecordingWriter:
         return self.stream.write(text)
 
 
-def test_write_goes_out_in_slices(monkeypatch, tmp_path):
-    # a whole-text write would encode one more copy of the text at once
-    text = "é→q\n" * (5 * cli._WRITE_SLICE // 8)
-    full = cli._WRITE_SLICE
+def test_write_goes_out_a_chunk_at_a_time(monkeypatch, tmp_path):
+    # each chunk is one write, as it comes: no output is joined whole
+    chunks = ["é→q\n" * k for k in (3, 1, 7)] + ["→"]
     sizes = []
     monkeypatch.setattr(cli, "open", lambda *a, **k: RecordingWriter(open(*a, **k), sizes),
                         raising=False)
     path = tmp_path / "out.txt"
-    cli._write(str(path), text)
-    assert sizes == [full, full, full // 2]
-    assert path.read_bytes() == text.encode("utf-8")
+    cli._write(str(path), iter(chunks))
+    assert sizes == [len(chunk) for chunk in chunks]
+    assert path.read_bytes() == "".join(chunks).encode("utf-8")
 
     sizes.clear()
     stdout = io.StringIO()
     monkeypatch.setattr(sys, "stdout", RecordingWriter(stdout, sizes))
-    cli._write(None, text)
-    assert sizes == [full, full, full // 2]
-    assert stdout.getvalue() == text
+    cli._write(None, iter(chunks))
+    assert sizes == [len(chunk) for chunk in chunks]
+    assert stdout.getvalue() == "".join(chunks)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("flags", [["--format", "json"], ["--no-loops"]])
+def test_quiver_output_adds_nothing_to_the_build_peak(flags, tmp_path):
+    # T(5,10) by R_5: the 2-4 MB text goes out a chunk at a time, so the
+    # command peaks where building the quiver and its form does
+    path = str(tmp_path / "quiver.out")
+    argv = ["quiver", "--link", "torus:5,10", "--n", "5", *flags, "--out", path]
+    assert main(["quiver", "--link", "torus:3,3", "--n", "3", *flags, "--out", path]) == EXIT_OK
+
+    def build():
+        coloring_set = colorings.enumerate_colorings_linear(braids.TorusLinkSpec(5, 10), 5)
+        quiver = quivers.build_quiver(coloring_set, quandlequiver.affine_endomorphisms(5))
+        return quiver, quivers.lattice_form(coloring_set)
+
+    built = _traced_peak(build)
+    peak = _traced_peak(lambda: main(argv))
+    assert os.path.getsize(path) > 2 * 10**6
+    assert peak <= 1.05 * built
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")

@@ -1,5 +1,6 @@
 """Tests for DOT, JSON, and CSV export: exact formats and determinism."""
 
+import hashlib
 import json
 import tracemalloc
 from unittest import mock
@@ -18,9 +19,21 @@ from quandlequiver.colorings import enumerate_colorings_linear
 from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver import export
-from quandlequiver.export import CSV_HEADER, to_csv, to_dot, to_json
+from quandlequiver.export import CSV_HEADER, csv_chunks, dot_chunks, json_chunks
 from quandlequiver.quandles import affine_endomorphisms
 from quandlequiver.quivers import QuiverForm, WeightedQuiver, build_quiver, lattice_form
+
+
+def dot_text(graph, **options):
+    return "".join(dot_chunks(graph, **options))
+
+
+def json_text(obj, **options):
+    return "".join(json_chunks(obj, **options))
+
+
+def csv_text(report):
+    return "".join(csv_chunks(report))
 
 
 def torus_quiver(p, q, n):
@@ -30,7 +43,7 @@ def torus_quiver(p, q, n):
 
 
 def test_dot_full_complete_2():
-    text = to_dot(realize(QuiverForm([2], [2])))
+    text = dot_text(realize(QuiverForm([2], [2])))
     assert text.startswith("digraph quiver {")
     assert text.rstrip().endswith("}")
     assert '  v0 -> v0 [label="2"];' in text
@@ -42,14 +55,14 @@ def test_dot_full_complete_2():
 
 
 def test_dot_without_loops():
-    text = to_dot(realize(QuiverForm([2], [2])), include_loops=False)
+    text = dot_text(realize(QuiverForm([2], [2])), include_loops=False)
     assert "v0 -> v0" not in text
     assert "v1 -> v1" not in text
     assert text.count("->") == 2
 
 
 def test_dot_collapsed_torus_5_2():
-    text = to_dot(torus_quiver(5, 2, 5)[1])
+    text = dot_text(torus_quiver(5, 2, 5)[1])
     assert 'b0 [label="K5 w=5"];' in text
     assert 'b1 [label="K20 w=1"];' in text
     assert 'b1 -> b0 [label="1"];' in text
@@ -57,33 +70,33 @@ def test_dot_collapsed_torus_5_2():
 
 
 def test_dot_collapsed_torus_5_5():
-    text = to_dot(torus_quiver(5, 5, 6)[1])
+    text = dot_text(torus_quiver(5, 5, 6)[1])
     assert text.count("[label=\"K6") == 16
     assert text.count("->") == 15
 
 
 def test_dot_vertex_labels_are_colorings():
     quiver, _ = torus_quiver(2, 3, 3)
-    text = to_dot(quiver)
+    text = dot_text(quiver)
     assert 'v0 [label="0,0"];' in text
     assert 'v8 [label="2,2"];' in text
 
 
 def test_quiver_json_round_trip():
     quiver, form = torus_quiver(5, 2, 5)
-    again = quiver_from_json(to_json(quiver, form=form))
+    again = quiver_from_json(json_text(quiver, form=form))
     assert again == quiver
 
 
 def test_quiver_json_round_trip_without_labels():
     form = quiver_form_for_count(5, 6, 96)
     quiver = realize(form)
-    assert quiver_from_json(to_json(quiver, form=form)) == quiver
+    assert quiver_from_json(json_text(quiver, form=form)) == quiver
 
 
 def test_quiver_json_key_order_and_fields():
     quiver, form = torus_quiver(5, 2, 5)
-    d = json.loads(to_json(quiver, form=form, params={"p": 5, "q": 2, "n": 5}))
+    d = json.loads(json_text(quiver, form=form, params={"p": 5, "q": 2, "n": 5}))
     assert list(d) == ["params", "count", "colorings", "weights", "blocks"]
     assert d["count"] == 25
     assert len(d["weights"]) == len(quiver.weight_triples())
@@ -94,7 +107,7 @@ def test_quiver_json_key_order_and_fields():
 
 def test_empty_quiver_dict():
     empty = WeightedQuiver.from_arrows(0, [], [], [])
-    assert json.loads(to_json(empty, form=QuiverForm())) == {
+    assert json.loads(json_text(empty, form=QuiverForm())) == {
         "count": 0,
         "weights": [],
         "blocks": {"blocks": [], "cross": []},
@@ -102,25 +115,17 @@ def test_empty_quiver_dict():
 
 
 def test_writers_print_the_form_they_are_given():
-    quiver, form = torus_quiver(5, 2, 5)
-    # the form is required, and must be on the quiver's vertices
-    with pytest.raises(TypeError):
-        to_json(quiver)
-    with pytest.raises(ValueError):
-        to_json(quiver, form=quiver_form_for_count(5, 6, 96))
-    # a form has no loops to leave out
-    with pytest.raises(ValueError):
-        to_dot(form, include_loops=False)
+    quiver, _ = torus_quiver(5, 2, 5)
     other = QuiverForm([20, 5], [1, 5], [(0, 1, 1)])
-    assert json.loads(to_json(quiver, form=other))["blocks"]["blocks"][0] == {"size": 20, "weight": 1}
-    assert to_dot(other).splitlines()[1] == '  b0 [label="K20 w=1"];'
+    assert json.loads(json_text(quiver, form=other))["blocks"]["blocks"][0] == {"size": 20, "weight": 1}
+    assert dot_text(other).splitlines()[1] == '  b0 [label="K20 w=1"];'
 
 
 def test_json_ends_with_newline_and_is_deterministic():
     quiver, form = torus_quiver(5, 2, 5)
-    first = to_json(quiver, form=form)
+    first = json_text(quiver, form=form)
     again, again_form = torus_quiver(5, 2, 5)
-    second = to_json(again, form=again_form)
+    second = json_text(again, form=again_form)
     assert first == second
     assert first.endswith("\n")
     json.loads(first)
@@ -138,13 +143,13 @@ def test_coloring_set_and_prediction_dicts():
 
 def test_report_json_round_trip():
     report = verify_counts([5], [2, 3], [5, 6], cap=1)
-    parsed = json.loads(to_json(report))
+    parsed = json.loads(json_text(report))
     assert parsed == [rec.to_dict() for rec in report]
 
 
 def test_csv_format():
     report = verify_counts([5], [2], [5, 6], cap=1)
-    text = to_csv(report)
+    text = csv_text(report)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER == "p,q,n,predicted,case,computed,status"
     assert lines[1] == "5,2,5,5|25,ambiguous,25,ambiguous-resolved"
@@ -154,14 +159,14 @@ def test_csv_format():
 
 def test_csv_rows_sorted_by_cell():
     report = verify_counts([3, 5], [2, 4], [3, 2], cap=1)
-    text = to_csv(report)
+    text = csv_text(report)
     cells = [tuple(map(int, line.split(",")[:3])) for line in text.splitlines()[1:]]
     assert cells == sorted(cells)
 
 
 def test_csv_deterministic_bytes():
-    a = to_csv(verify_counts([5], range(0, 11), range(2, 8), cap=1))
-    b = to_csv(verify_counts([5], range(0, 11), range(2, 8), cap=1))
+    a = csv_text(verify_counts([5], range(0, 11), range(2, 8), cap=1))
+    b = csv_text(verify_counts([5], range(0, 11), range(2, 8), cap=1))
     assert a == b
 
 
@@ -175,7 +180,7 @@ def test_json_round_trip_on_torus_quivers(p, q, n):
     quiver = build_quiver(coloring_set, affine_endomorphisms(n))
     form, _ = lattice_form(coloring_set)
     assert np.array_equal(quiver.labels, coloring_set.colorings)
-    assert quiver_from_json(to_json(quiver, form=form, params={"p": p, "q": q, "n": n})) == quiver
+    assert quiver_from_json(json_text(quiver, form=form, params={"p": p, "q": q, "n": n})) == quiver
 
 
 _table = export._table
@@ -295,55 +300,100 @@ def torus_quivers(draw):
     1,
     None,
 )
+# without loops: a first chunk of arrows that are all loops
+@example(
+    (
+        WeightedQuiver.from_arrows(3, [0, 1, 1, 2], [0, 1, 2, 2], [3, 4, 5, 6]),
+        QuiverForm([3], [1]),
+    ),
+    False,
+    2,
+    None,
+)
+# without loops: a quiver whose arrows are all loops
+@example(
+    (WeightedQuiver.from_arrows(2, [0, 1], [0, 1], [3, 4], labels=[(1,), (0,)]), QuiverForm([1, 1], [3, 4])),
+    False,
+    1,
+    None,
+)
 def test_writers_match_reference(quiver_and_form, loops, chunk, params):
     # a chunk of 1 to 5 records puts chunk boundaries inside every list
     quiver, form = quiver_and_form
     with mock.patch.object(export, "_CHUNK", chunk), mock.patch.object(export, "_table", _short_table):
-        assert to_dot(quiver, include_loops=loops) == export_reference.to_dot(quiver, loops)
-        assert to_dot(form) == export_reference.to_dot(form)
-        assert to_json(quiver, form=form, params=params) == export_reference.to_json(
+        chunks = list(dot_chunks(quiver, include_loops=loops))
+        assert "" not in chunks
+        assert "".join(chunks) == export_reference.to_dot(quiver, loops)
+        assert dot_text(form) == export_reference.to_dot(form)
+        assert json_text(quiver, form=form, params=params) == export_reference.to_json(
             quiver, form, params
         )
-    assert quiver_from_json(to_json(quiver, form=form)) == quiver
+    assert quiver_from_json(json_text(quiver, form=form)) == quiver
 
 
 def test_writers_match_reference_across_default_chunks():
     # 78025 arrows and 3125 vertices: many chunks of the default size
     quiver, form = torus_quiver(5, 10, 5)
     for loops in (True, False):
-        assert to_dot(quiver, include_loops=loops) == export_reference.to_dot(quiver, loops)
-    assert to_dot(form) == export_reference.to_dot(form)
-    assert to_json(quiver, form=form, params={"n": 5}) == export_reference.to_json(
+        assert dot_text(quiver, include_loops=loops) == export_reference.to_dot(quiver, loops)
+    assert dot_text(form) == export_reference.to_dot(form)
+    assert json_text(quiver, form=form, params={"n": 5}) == export_reference.to_json(
         quiver, form, {"n": 5}
     )
 
 
-def test_json_writer_peak_memory():
-    # T(5,10) by R_5: 3.5 MB of JSON; the output itself and the pieces it
-    # is joined from are two of the 2.5 lengths allowed
-    quiver, form = torus_quiver(5, 10, 5)
+def _peak_and_length(chunks):
+    """The tracemalloc peak of consuming `chunks` into a sha256, and their total length."""
+    digest, length = hashlib.sha256(), 0
     tracemalloc.start()
     try:
-        text = to_json(quiver, form=form, params={"p": 5, "q": 10, "n": 5})
+        for chunk in chunks():
+            digest.update(chunk.encode("utf-8"))
+            length += len(chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 3 * 10**6
-    assert peak < 2.5 * len(text)
+    return peak, length
+
+
+def test_json_writer_peak_memory():
+    # T(5,10) by R_5: 3.5 MB of JSON, never held whole; what is held at
+    # once is the columns' tables and one chunk of records
+    quiver, form = torus_quiver(5, 10, 5)
+    peak, length = _peak_and_length(
+        lambda: json_chunks(quiver, form=form, params={"p": 5, "q": 10, "n": 5})
+    )
+    assert length > 3 * 10**6
+    assert peak < 0.5 * length
 
 
 def test_dot_writer_peak_memory():
-    # T(5,10) by R_5 in full: the output and the pieces it is joined from,
-    # 2.01 lengths; the arrows' sources are made a chunk at a time
+    # T(5,10) by R_5 in full, with and without loops: the arrows' sources
+    # are made, and the loops dropped, a chunk at a time
     quiver, _ = torus_quiver(5, 10, 5)
-    tracemalloc.start()
-    try:
-        text = to_dot(quiver)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(text) > 2 * 10**6
-    assert peak < 2.05 * len(text)
+    for loops in (True, False):
+        peak, length = _peak_and_length(lambda: dot_chunks(quiver, include_loops=loops))
+        assert length > 2 * 10**6
+        assert peak < 0.5 * length
+
+
+def test_writer_argument_errors_are_raised_at_the_call():
+    # each check runs when the writer is called, before any chunk is asked for
+    quiver, form = torus_quiver(5, 2, 5)
+    # the form is required, and must be on the quiver's vertices
+    with pytest.raises(TypeError):
+        json_chunks(quiver)
+    with pytest.raises(ValueError):
+        json_chunks(quiver, form=quiver_form_for_count(5, 6, 96))
+    with pytest.raises(TypeError):
+        json_chunks({"count": 1})
+    with pytest.raises(TypeError):
+        json_chunks(quiver, form=form, params=7)
+    # a form has no loops to leave out
+    with pytest.raises(ValueError):
+        dot_chunks(form, include_loops=False)
+    with pytest.raises(TypeError):
+        dot_chunks([quiver])
 
 
 @settings(max_examples=100)
