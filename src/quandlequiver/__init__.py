@@ -29,11 +29,7 @@ from .linalg import (
     kernel_enumerate_mod,
     smith_normal_form,
 )
-from .quandles import (
-    DihedralQuandle,
-    FiniteQuandle,
-    affine_endomorphisms,
-)
+from .quandles import DihedralQuandle, FiniteQuandle
 from .quivers import (
     QuiverForm,
     WeightedQuiver,
@@ -54,7 +50,6 @@ __all__ = [
     "QuiverForm",
     "TorusLinkSpec",
     "WeightedQuiver",
-    "affine_endomorphisms",
     "build_quiver",
     "closure_system",
     "csv_chunks",

@@ -41,7 +41,6 @@ from .counting import (
 )
 from .errors import CapExceededError
 from .export import csv_chunks, dot_chunks, json_chunks
-from .quandles import affine_endomorphisms
 from .quivers import build_quiver, isomorphic, lattice_form
 
 EXIT_OK = 0
@@ -234,7 +233,7 @@ def cmd_quiver(args) -> int:
     except CapExceededError as exc:
         print(f"quiver: {exc.size} colorings exceed the enumeration cap", file=sys.stderr)
         return EXIT_CAP
-    quiver = build_quiver(coloring_set, affine_endomorphisms(n))
+    quiver = build_quiver(coloring_set)
     # the blocks, read once from the colorings, for each output that needs them;
     # only the comparison reads their members array, so the export does not hold it
     if args.compare or args.collapse or args.format == "json":

@@ -42,7 +42,7 @@ class ColoringSet:
 
     def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings):
         colorings = np.asarray(colorings, dtype=np.int64).view()
-        strands = factor_power(link)[0].strands
+        strands = link.p if isinstance(link, TorusLinkSpec) else link.strands
         if colorings.ndim != 2 or colorings.shape[1] != strands:
             raise ValueError(f"coloring rows need {strands} colours, got {colorings.shape}")
         colorings.flags.writeable = False

@@ -1,11 +1,10 @@
-"""Finite quandles, the dihedral family, and its affine endomorphisms.
+"""Finite quandles and the dihedral family.
 
 A quandle of size m holds its Cayley table as one read-only (m, m) int64
-array.  A family of k endomorphisms is one read-only (k, m) int64 array
-whose row lists a map's images of 0..m-1; `quivers.build_quiver` checks
-each row against the quandle of the colorings it acts on.  The n^2
-affine maps x -> a*x + b are all the endomorphisms of R_n; the tests
-check this against an exhaustive search.
+array.  The n^2 affine maps x -> a*x + b are all the endomorphisms of
+R_n, since a*(2y - x) + b == 2*(a*y + b) - (a*x + b); `quivers.build_quiver`
+applies them through their coefficients, and the tests check that they
+are all against an exhaustive search.
 """
 
 from __future__ import annotations
@@ -65,22 +64,4 @@ class DihedralQuandle(FiniteQuandle):
         self.n = n
         x = np.arange(n)
         super().__init__((2 * x - x[:, None]) % n)
-
-
-def affine_endomorphisms(n: int) -> np.ndarray:
-    """All n^2 maps x -> a*x + b mod n, as a read-only (n^2, n) image array.
-
-    Row b*n + c lists phi(0), ..., phi(n - 1) for the map with phi(0) = b
-    and phi(1) = c, that is a = c - b, so the rows are in lexicographic
-    order.  Every affine map is an endomorphism of the dihedral quandle,
-    since a*(2y - x) + b == 2*(a*y + b) - (a*x + b).
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be at least 1, got {n}")
-    x = np.arange(n)
-    # images[b, c, x] = b + (c - b)*x mod n
-    images = (x[:, None, None] + (x[None, :, None] - x[:, None, None]) * x) % n
-    images = images.reshape(n * n, n)
-    images.flags.writeable = False
-    return images
 

@@ -1,14 +1,14 @@
 """Coloring quivers: construction, block forms, blocks, and comparison.
 
-The quiver of a coloring set has one vertex per coloring and, for each
-endomorphism phi of the target quandle, one arrow f -> phi . f; arrows
-with the same endpoints merge into an integer weight.  Row sums therefore
-all equal the number of endomorphisms supplied.  The endomorphisms come
-as one (k, m) image array, such as `quandles.affine_endomorphisms`
-returns, and `build_quiver` checks every row against the coloring set's
-own quandle before it builds.  It looks each vertex's distinct images up
-once: runs of one image are one arrow, so the lookup is per arrow, not
-per endomorphism.
+The quiver of a coloring set by R_n has one vertex per coloring and, for
+each endomorphism phi of R_n, one arrow f -> phi . f; arrows with the same
+endpoints merge into an integer weight, so every row sums to n^2.  The
+endomorphisms are the affine maps x -> a*x + b, and `build_quiver` builds
+the quiver as a lift of its quotient by translation: K0, the colorings
+with strand 1 coloured 0, holds one coloring c0 of each class c0 + t*1,
+and only the scaling a acts on it.  The N/n x n images a*c0 give one row
+per class, which every translate of c0 shares, spread over the n
+translates of each image.
 
 A `QuiverForm` (complete blocks and uniform cross arrows) is three int64
 columns: block sizes, block weights and (src, dst, d) cross rows.  It is
@@ -31,7 +31,7 @@ import numpy as np
 from .colorings import ColoringSet
 from .errors import InternalConsistencyError
 from .linalg import row_keys
-from .quandles import DihedralQuandle, FiniteQuandle
+from .quandles import DihedralQuandle
 
 
 class WeightedQuiver:
@@ -40,13 +40,14 @@ class WeightedQuiver:
     Row i's arrows go to dst[indptr[i]:indptr[i + 1]], strictly increasing,
     with the positive weights weight[indptr[i]:indptr[i + 1]]; the arrays
     are int64 and read-only.  `labels`, when present, is a read-only int64
-    array naming vertex i by its coloring labels[i].  Build one with `from_arrows`.
+    array naming vertex i by its coloring labels[i].  Build one with
+    `from_arrows`; `build_quiver` makes its arrays canonical itself.
     """
 
     __slots__ = ("n_vertices", "indptr", "dst", "weight", "labels")
 
     def __init__(self, n_vertices: int, indptr, dst, weight, labels):
-        # trusted: from_arrows has validated and canonicalized the arrays
+        # trusted: from_arrows or build_quiver has made the arrays canonical
         self.n_vertices = n_vertices
         self.indptr, self.dst, self.weight = indptr, dst, weight
         self.labels = labels
@@ -96,10 +97,6 @@ class WeightedQuiver:
         """The source vertex of each arrow, aligned with dst and weight."""
         return np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
 
-    def weight_triples(self) -> list[tuple[int, int, int]]:
-        """(source, target, weight) of each arrow, in sorted order, read row by row."""
-        return list(zip(self.sources().tolist(), self.dst.tolist(), self.weight.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedQuiver):
             return NotImplemented
@@ -115,156 +112,112 @@ class WeightedQuiver:
         return f"WeightedQuiver({self.n_vertices} vertices, {self.dst.size} weighted edges)"
 
 
-# arrows handled per batch; at 1 << 16 the freed batch arrays left 2.5 MB
-# more resident after an N = 3125 build
-_SLAB = 1 << 13
+def _positions(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The position of each of `rows` among the rows whose sorted base-n
+    keys are `keys`, and -1 for a row that is not among them."""
+    wanted = row_keys(rows, n)
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[at] == wanted, at, -1)
 
 
-# image pairs checked per batch: 2^16 keeps each batch's arrays under 1 MB
-_CHECK_PAIRS = 1 << 16
+def _not_closed(coloring: np.ndarray, a: int, b: int, n: int) -> InternalConsistencyError:
+    image = (a * coloring + b) % n
+    return InternalConsistencyError(
+        f"image {tuple(image.tolist())} of coloring {tuple(coloring.tolist())} "
+        f"under x -> {a}*x + {b} mod {n} is not itself a coloring"
+    )
 
 
-def _endomorphism_images(quandle: FiniteQuandle, endos, colour) -> np.ndarray:
-    """The (k, m) rows of `endos` in colour dtype, each an endomorphism of `quandle`.
+def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
+    """The quiver of the colorings by R_n under its n^2 affine maps
+    x -> a*x + b, all of End(R_n), lifted from their action on K0.
 
-    Each row must hold m images in 0..m-1 with phi(x*y) == phi(x)*phi(y)
-    for every pair (x, y).  Rows are checked a batch at a time; the first
-    failing row, and its first failing pair, raise ValueError.
+    K0 is the colorings with strand 1 coloured 0, the first rows, and
+    each coloring is c0 + t*1 for one c0 in K0, its class, and one shift
+    t.  The map (a, b) sends it to a*c0 + (a*t + b)*1, so for each a its
+    n maps send every translate of c0 to each translate of d0 = a*c0 once.
+    Every vertex of a class therefore has one row: one arrow to each
+    translate of each distinct a*c0, weighted by the number of a giving
+    it.  The build looks up the N/n x n scalings a*c0 and the n x N/n
+    translates of K0 among the colorings, sorts each class's row once and
+    gathers every vertex's row from its class's, in order.  A quandle
+    other than R_n, or colorings that are not sorted and distinct, raise
+    ValueError.  An image outside the colorings raises
+    InternalConsistencyError naming a coloring, a map (a, b) sending it
+    there and the image.  Structural laws that hold by construction are
+    re-checked on every build.
     """
-    m = quandle.size
-    endos = np.asarray(endos, dtype=np.int64)
-    if endos.shape == (0,):
-        endos = endos.reshape(0, m)
-    if endos.ndim != 2 or endos.shape[1] != m:
-        raise ValueError(f"endomorphisms must be rows of {m} images, got shape {endos.shape}")
-    outside = (endos < 0) | (endos >= m)
-    if outside.any():
-        raise ValueError(f"image {endos[outside][0]} outside 0..{m - 1}")
-    images = endos.astype(colour)
-    flat = quandle.table.astype(colour).ravel()
-    step = max(1, _CHECK_PAIRS // (m * m))
-    for start in range(0, len(images), step):
-        phi = images[start : start + step]
-        wide = phi.astype(np.intp)
-        # phi(x*y) against phi(x)*phi(y), pair (x, y) at column x*m + y
-        pairs = (wide[:, :, None] * m + wide[:, None, :]).reshape(len(phi), -1)
-        broken = phi.take(flat, axis=1) != flat.take(pairs)
-        if broken.any():
-            e, pair = np.unravel_index(broken.argmax(), broken.shape)
-            x, y = divmod(int(pair), m)
-            raise ValueError(
-                f"endomorphism {start + e}: not a homomorphism: "
-                f"phi({x}*{y}) != phi({x})*phi({y})"
-            )
-    return images
-
-
-# a key space of at most this many keys per coloring is looked up through a
-# dense inverse table (8 bytes per key), larger ones by binary search
-_DENSE_KEYS = 4
-
-
-def _key_lookup(keys: np.ndarray, key_space: int):
-    """The function taking keys to their positions in the increasing `keys`,
-    and any other key in 0..key_space-1 to -1.
-
-    A key space at most _DENSE_KEYS times as large as `keys` is one dense
-    inverse table; a larger one is searched.  A table lookup costs the same
-    in any order of the keys asked, where binary search is fastest on
-    nearly sorted ones.
-    """
-    if key_space <= _DENSE_KEYS * keys.size:
-        index = np.full(key_space, -1, dtype=np.int64)
-        index[keys] = np.arange(keys.size)
-        return index.__getitem__
-    last = keys.size - 1
-
-    def search(wanted):
-        at = np.searchsorted(keys, wanted)
-        return np.where(keys[np.minimum(at, last)] == wanted, at, -1)
-
-    return search
-
-
-def build_quiver(coloring_set: ColoringSet, endos) -> WeightedQuiver:
-    """Apply every endomorphism to every coloring and record the arrows.
-
-    `endos` is a (k, m) array-like whose row lists a map's images of
-    0..m-1; every row is first checked to be an endomorphism of the
-    coloring set's own quandle, and a row that is not raises ValueError.
-    Each coloring is keyed by its colours in base m, and the k image keys
-    of a slab of colorings come from one (m, k) table of the images by
-    Horner's rule over the strands.  Each vertex's image keys are sorted;
-    a run of one key is one arrow, weighted by the run's length, and only
-    the run heads are looked up: in a dense inverse table when the key
-    space m^strands is at most _DENSE_KEYS keys per coloring, else by
-    binary search among the keys.  T(5,5) by R_30 has 432,000 images but
-    27,900 heads.  The colorings must be sorted and closed under each
-    endomorphism (they are, for the full endomorphism monoid of the
-    target); a landing outside them means the inputs are inconsistent and
-    raises, naming the image, its coloring and an endomorphism giving it.
-    Structural laws that hold by construction are re-checked on every build.
-    """
-    m = coloring_set.quandle.size
-    colour = np.min_scalar_type(m - 1)
-    images = _endomorphism_images(coloring_set.quandle, endos, colour)
-    colorings = coloring_set.colorings
-    n_vertices, width = colorings.shape
-    points = colorings.astype(colour)
-    keys = row_keys(points, m)
+    quandle, colorings = coloring_set.quandle, coloring_set.colorings
+    keys = row_keys(colorings, quandle.size)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("colorings must be sorted and distinct")
-    lookup = _key_lookup(keys, m**width)
-    # row c of the table holds the images of colour c, in the keys' dtype
-    table = images.T.astype(keys.dtype)
-    per_row = len(images)
-    slabs = range(0, n_vertices, max(1, _SLAB // per_row)) if per_row else ()
-    src, dst, weight = [], [], []
-    for start in slabs:
-        block = points[start : start + slabs.step]
-        image_keys = table[block[:, 0]]
-        for j in range(1, width):
-            image_keys *= m
-            image_keys += table[block[:, j]]
-        # each run of one key in a vertex's sorted image keys is one arrow
-        flat = np.sort(image_keys, axis=1).ravel()
-        new_run = np.ones(flat.size, dtype=bool)
-        new_run[1:] = flat[1:] != flat[:-1]
-        new_run[::per_row] = True
-        run_starts = np.flatnonzero(new_run)
-        targets = lookup(flat[run_starts])
-        missing = targets < 0
-        if missing.any():
-            # the first missing head, and one endomorphism of its vertex giving it
-            head = run_starts[missing.argmax()]
-            k = head // per_row
-            e = np.argmax(image_keys[k] == flat[head])
-            f = points[start + k]
-            raise InternalConsistencyError(
-                f"image {tuple(images[e][f].tolist())} of coloring {tuple(f.tolist())} "
-                f"under endomorphism {e} is not itself a coloring"
-            )
-        src.append(start + run_starts // per_row)
-        dst.append(targets)
-        weight.append(np.diff(run_starts, append=flat.size))
-    del lookup  # frees a dense table before the arrays are assembled
-    arrays = (np.concatenate(a) if a else () for a in (src, dst, weight))
-    quiver = WeightedQuiver.from_arrows(n_vertices, *arrays, labels=colorings)
-    _check_structure(quiver, coloring_set, per_row)
+    if not isinstance(quandle, DihedralQuandle):
+        raise ValueError(f"the quiver needs colorings by R_n, got {quandle!r}")
+    n, count = quandle.n, len(colorings)
+    group = colorings[: np.searchsorted(colorings[:, 0], 1)]  # K0, first when sorted
+    # vertex[s, c] is the coloring K0[c] + s*1, which x -> x + s sends K0[c] to
+    vertex = np.stack([_positions(keys, (group + s) % n, n) for s in range(n)])
+    if np.any(vertex < 0):
+        s, c = np.argwhere(vertex < 0)[0]
+        raise _not_closed(group[c], 1, s, n)
+    class_of = np.full(count, -1)
+    class_of[vertex] = np.arange(len(group))
+    if np.any(class_of < 0):
+        # no translate of K0 reaches v, so v - v_1*1 is no coloring
+        v = colorings[np.argmax(class_of < 0)]
+        raise _not_closed(v, 1, -v[0] % n, n)
+    # scaled[a, c] is the position in K0 of a*K0[c]
+    scaled = np.stack([_positions(keys[: len(group)], a * group % n, n) for a in range(n)])
+    if np.any(scaled < 0):
+        a, c = np.argwhere(scaled < 0)[0]
+        raise _not_closed(group[c], a, 0, n)
+    # a run of one position in a class's sorted images is one image d0,
+    # weighted by the run's length
+    images = np.sort(scaled.T, axis=1)
+    new_run = np.ones(images.shape, dtype=bool)
+    new_run[:, 1:] = images[:, 1:] != images[:, :-1]
+    heads = np.flatnonzero(new_run)
+    owner, image, mult = heads // n, images.ravel()[heads], np.diff(heads, append=images.size)
+    # each class's row: one arrow to each translate of each of its images, in order
+    targets = vertex[:, image]
+    order = np.argsort(owner * count + targets, axis=None)
+    class_dst, class_weight = targets.ravel()[order], mult[order % heads.size]
+    class_length = n * np.bincount(owner, minlength=len(group))
+    class_start = np.cumsum(class_length) - class_length
+    lengths = class_length[class_of]
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    # vertex v's row is its class's row, read from class_start[class_of[v]]
+    at = np.repeat(class_start[class_of] - indptr[:-1], lengths)
+    at += np.arange(at.size)
+    dst, weight = class_dst[at], class_weight[at]
+    del at  # frees its E entries before the structure check
+    for array in (indptr, dst, weight):
+        array.flags.writeable = False
+    # each row is its class's, sorted and merged: the arrays are already canonical
+    quiver = WeightedQuiver(count, indptr, dst, weight, colorings)
+    _check_structure(quiver, coloring_set)
     return quiver
 
 
-def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos: int):
-    src, dst, weight = quiver.sources(), quiver.dst, quiver.weight
-    sums = np.diff(np.append(0, np.cumsum(weight))[quiver.indptr])
-    bad = np.flatnonzero(sums != n_endos)
+def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet):
+    n = coloring_set.quandle.n
+    sums = np.zeros(quiver.dst.size + 1, dtype=np.int64)
+    np.cumsum(quiver.weight, out=sums[1:])
+    sums = np.diff(sums[quiver.indptr])
+    bad = np.flatnonzero(sums != n * n)
     if bad.size:
         i = bad[0]
-        raise InternalConsistencyError(f"row {i} sums to {sums[i]}, expected {n_endos}")
+        raise InternalConsistencyError(f"row {i} sums to {sums[i]}, expected {n * n}")
+    # the arrows of the trivial rows
     trivial = coloring_set.trivial_indices
     is_trivial = np.zeros(quiver.n_vertices, dtype=bool)
     is_trivial[trivial] = True
-    leaving = np.flatnonzero(is_trivial[src] & ~is_trivial[dst])
+    lengths = np.diff(quiver.indptr)
+    arrows = np.flatnonzero(np.repeat(is_trivial, lengths))
+    src = np.repeat(trivial, lengths[trivial])
+    dst, weight = quiver.dst[arrows], quiver.weight[arrows]
+    leaving = np.flatnonzero(~is_trivial[dst])
     if leaving.size:
         k = leaving[0]
         raise InternalConsistencyError(
@@ -272,21 +225,17 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet, n_endos:
         )
     # with the full affine family over R_n, every trivial -> trivial
     # weight is exactly n
-    quandle = coloring_set.quandle
-    if isinstance(quandle, DihedralQuandle) and n_endos == quandle.n**2:
-        position = np.full(quiver.n_vertices, -1)
-        position[trivial] = np.arange(trivial.size)
-        # no arrow leaves the trivial colorings, so these all end there
-        inside = np.flatnonzero(is_trivial[src])
-        block = np.zeros((trivial.size, trivial.size), dtype=np.int64)
-        block[position[src[inside]], position[dst[inside]]] = weight[inside]
-        bad = np.argwhere(block != quandle.n)
-        if bad.size:
-            a, b = bad[0]
-            raise InternalConsistencyError(
-                f"trivial block weight at ({trivial[a]}, {trivial[b]}) is "
-                f"{block[a, b]}, expected {quandle.n}"
-            )
+    position = np.full(quiver.n_vertices, -1)
+    position[trivial] = np.arange(trivial.size)
+    block = np.zeros((trivial.size, trivial.size), dtype=np.int64)
+    block[position[src], position[dst]] = weight
+    bad = np.argwhere(block != n)
+    if bad.size:
+        a, b = bad[0]
+        raise InternalConsistencyError(
+            f"trivial block weight at ({trivial[a]}, {trivial[b]}) is "
+            f"{block[a, b]}, expected {n}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +302,8 @@ class QuiverForm:
 
 
 def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
-    """The blocks of build_quiver(coloring_set, affine_endomorphisms(n)),
-    read off the colorings by R_n alone, with no quiver.
+    """The blocks of build_quiver(coloring_set), read off the colorings by
+    R_n alone, with no quiver.
 
     Returns (form, members): `form` has one block per twin class and its
     `cross` rows sorted; `members` is one read-only int64 array listing
@@ -387,9 +336,8 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     keys = row_keys(group, n)
 
     def position(rows):  # the row of `group` equal to each of `rows`
-        wanted = row_keys(rows, n)
-        at = np.searchsorted(keys, wanted)
-        if np.any(keys[np.minimum(at, keys.size - 1)] != wanted):
+        at = _positions(keys, rows, n)
+        if np.any(at < 0):
             raise InternalConsistencyError(
                 "colorings are not a group holding the trivial colorings"
             )

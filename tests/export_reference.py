@@ -12,6 +12,7 @@ back from its JSON.
 import json
 
 import numpy as np
+from quiver_reference import weight_triples
 
 from quandlequiver.quivers import QuiverForm, WeightedQuiver
 
@@ -32,7 +33,7 @@ def to_dot(graph, include_loops=True):
     else:
         for v in range(graph.n_vertices):
             lines.append(f'  v{v} [label="{_label(v, graph.labels)}"];')
-        for i, j, w in graph.weight_triples():
+        for i, j, w in weight_triples(graph):
             if i == j and not include_loops:
                 continue
             lines.append(f'  v{i} -> v{j} [label="{w}"];')
@@ -47,7 +48,7 @@ def quiver_to_dict(quiver, form, params=None):
     out["count"] = quiver.n_vertices
     if quiver.labels is not None:
         out["colorings"] = quiver.labels.tolist()
-    out["weights"] = [[i, j, w] for i, j, w in quiver.weight_triples()]
+    out["weights"] = [[i, j, w] for i, j, w in weight_triples(quiver)]
     out["blocks"] = {
         "blocks": [
             {"size": size, "weight": weight}

@@ -2,11 +2,12 @@
 row, a form expanded to its quiver, and the paper's closed-form shapes
 keyed by the coloring count.
 
-`WeightedQuiver` holds CSR arrays built in one pass by `from_arrows`, and
-`build_quiver` keys the colorings in base m and looks up each distinct
-image row once; these are the direct row-dict quiver and per-arrow build
-they must agree with.  `isomorphic` checks the arrows against a form's
-columns in O(E); `reference_isomorphic` compares them with `realize(form)`,
+`WeightedQuiver` holds CSR arrays built in one pass by `from_arrows`,
+read back arrow by arrow by `weight_triples`, and `build_quiver` lifts
+the quiver from the scalings of K0 and its translates; these are the
+direct row-dict quiver and the build they must agree with, which applies
+each map of an image array to all N colorings and finds every image among
+them.  `isomorphic` checks the arrows against a form's columns in O(E); `reference_isomorphic` compares them with `realize(form)`,
 the form expanded arrow by arrow, in one sorted comparison.
 `lattice_form` reads the quiver's blocks off the cyclic subgroups of the
 colorings; `quiver_form_for_count` is the paper's table of four shapes it
@@ -25,20 +26,17 @@ from quandlequiver.quivers import QuiverForm, WeightedQuiver
 class DictQuiver:
     """Weighted directed graph on vertices 0..n_vertices-1, one sparse dict per row."""
 
-    def __init__(self, n_vertices, labels=None):
+    def __init__(self, n_vertices):
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        if labels is not None and len(labels) != n_vertices:
-            raise ValueError("labels must match the vertex count")
         self.n_vertices = n_vertices
         self.rows = [dict() for _ in range(n_vertices)]
-        self.labels = labels
 
     @classmethod
     def of(cls, quiver):
         """The rows of a WeightedQuiver as dicts."""
-        out = cls(quiver.n_vertices, quiver.labels)
-        for i, j, w in quiver.weight_triples():
+        out = cls(quiver.n_vertices)
+        for i, j, w in weight_triples(quiver):
             out.add(i, j, w)
         return out
 
@@ -51,13 +49,10 @@ class DictQuiver:
             row = self.rows[i]
             row[j] = row.get(j, 0) + w
 
-    def weight_triples(self):
-        return [(i, j, w) for i, row in enumerate(self.rows) for j, w in sorted(row.items()) if w]
 
-    def freeze(self):
-        """The same quiver as a WeightedQuiver."""
-        triples = np.array(self.weight_triples(), dtype=np.int64).reshape(-1, 3)
-        return WeightedQuiver.from_arrows(self.n_vertices, *triples.T, labels=self.labels)
+def weight_triples(quiver):
+    """(source, target, weight) of each arrow of a WeightedQuiver, in sorted order."""
+    return list(zip(quiver.sources().tolist(), quiver.dst.tolist(), quiver.weight.tolist()))
 
 
 def dense(quiver):
@@ -68,20 +63,35 @@ def dense(quiver):
 
 
 def build_quiver(coloring_set, endos):
-    """The quiver with one arrow f -> phi . f per coloring f and endomorphism phi."""
-    colorings = list(map(tuple, coloring_set.colorings.tolist()))
-    index = {c: k for k, c in enumerate(colorings)}
-    quiver = DictQuiver(len(colorings), labels=colorings)
-    for phi in np.asarray(endos).tolist():
-        for k, f in enumerate(colorings):
-            g = tuple(phi[c] for c in f)
-            j = index.get(g)
-            if j is None:
-                raise InternalConsistencyError(
-                    f"image {g} of coloring {f} under {phi} is not itself a coloring"
-                )
-            quiver.add(k, j)
-    return quiver.freeze()
+    """The quiver with one arrow f -> phi . f per coloring f and endomorphism phi.
+
+    `endos` is an image array, one row per map.  All k maps' N images are
+    read as base-m numbers, int64 when every row fits and Python ints
+    otherwise, and found among the colorings' numbers; equal arrows are
+    counted into one weight.
+    """
+    colorings = coloring_set.colorings
+    m, (count, width) = coloring_set.quandle.size, colorings.shape
+    key_type = np.int64 if m**width < 2**63 else object
+    place = np.array([m**j for j in reversed(range(width))], dtype=key_type)
+    keys = colorings.astype(place.dtype) @ place
+    order = np.argsort(keys)
+    keys = keys[order]
+    endos = np.asarray(endos)
+    images = endos[:, colorings]  # images[e, k] is map e applied to coloring k
+    wanted = images.astype(place.dtype) @ place
+    at = np.minimum(np.searchsorted(keys, wanted), count - 1)
+    missing = keys[at] != wanted
+    if missing.any():
+        e, k = np.unravel_index(missing.argmax(), missing.shape)
+        raise InternalConsistencyError(
+            f"image {tuple(images[e, k].tolist())} of coloring "
+            f"{tuple(colorings[k].tolist())} under {endos[e].tolist()} is not itself a coloring"
+        )
+    arrows = np.arange(count) * count + order[at]
+    arrows, weight = np.unique(arrows, return_counts=True)
+    src, dst = np.divmod(arrows, max(count, 1))
+    return WeightedQuiver.from_arrows(count, src, dst, weight, labels=colorings)
 
 
 def realize(form):

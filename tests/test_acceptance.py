@@ -12,8 +12,13 @@ import numpy as np
 
 from braid_reference import torus_braid
 from oracle_reference import coloring_set as reference_set
-from quandle_reference import audit_affine_completeness, is_involutive, verify_quandle_axioms
-from quiver_reference import dense, quiver_form_for_count, realize, runs
+from quandle_reference import (
+    affine_endomorphisms,
+    audit_affine_completeness,
+    is_involutive,
+    verify_quandle_axioms,
+)
+from quiver_reference import dense, quiver_form_for_count, realize, runs, weight_triples
 
 from quandlequiver.braids import BraidWord
 from quandlequiver.colorings import enumerate_colorings_linear, oracle_counts
@@ -24,10 +29,7 @@ from quandlequiver.counting import (
     predict_count,
     verify_counts,
 )
-from quandlequiver.quandles import (
-    DihedralQuandle,
-    affine_endomorphisms,
-)
+from quandlequiver.quandles import DihedralQuandle
 from quandlequiver.quivers import build_quiver, isomorphic, lattice_form
 
 
@@ -43,7 +45,7 @@ def report(num, detail, elapsed=None, budget=None):
 @lru_cache(maxsize=None)
 def torus_quiver(p, q, n):
     cs = enumerate_colorings_linear(torus_braid(p, q), n)
-    return cs, build_quiver(cs, affine_endomorphisms(n))
+    return cs, build_quiver(cs)
 
 
 def check_quiver_matches_form(p, q, n, expected_count, families, d):
@@ -60,8 +62,8 @@ def check_quiver_matches_form(p, q, n, expected_count, families, d):
     mapping = mapping.tolist()
     target = realize(form)
     assert sorted(mapping) == list(range(target.n_vertices))
-    mapped = sorted((mapping[i], mapping[j], w) for i, j, w in quiver.weight_triples())
-    assert mapped == target.weight_triples()
+    mapped = sorted((mapping[i], mapping[j], w) for i, j, w in weight_triples(quiver))
+    assert mapped == weight_triples(target)
     return form
 
 

@@ -598,7 +598,7 @@ def test_quiver_output_adds_nothing_to_the_build_peak(flags, tmp_path):
 
     def build():
         coloring_set = colorings.enumerate_colorings_linear(braids.TorusLinkSpec(5, 10), 5)
-        quiver = quivers.build_quiver(coloring_set, quandlequiver.affine_endomorphisms(5))
+        quiver = quivers.build_quiver(coloring_set)
         return quiver, quivers.lattice_form(coloring_set)
 
     built = _traced_peak(build)

@@ -25,7 +25,7 @@ from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.counting import verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import kernel_count_from_snf, smith_normal_form
-from quandlequiver.quandles import DihedralQuandle, FiniteQuandle, affine_endomorphisms
+from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 from quandlequiver.quivers import build_quiver
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
@@ -484,9 +484,23 @@ def test_coloring_rows_must_span_the_strands():
             ColoringSet(word, r3, bad)
 
 
+def test_coloring_set_reads_the_strands_off_the_link(monkeypatch):
+    # a torus link's p and a word's strand count, with no factor built or searched
+    def no_factor(link):
+        raise AssertionError("factor_power called")
+
+    monkeypatch.setattr(colorings, "factor_power", no_factor)
+    r3 = DihedralQuandle(3)
+    assert ColoringSet(TorusLinkSpec(4, 3), r3, [(0, 0, 0, 0)]).colorings.shape == (1, 4)
+    word = BraidWord(5, (1, 2) * 50)
+    assert ColoringSet(word, r3, [(1,) * 5]).colorings.shape == (1, 5)
+    with pytest.raises(ValueError, match="need 4 colours"):
+        ColoringSet(TorusLinkSpec(4, 3), r3, [(0, 0, 0)])
+
+
 def test_colorings_and_labels_are_read_only():
     cs = enumerate_colorings_linear(TorusLinkSpec(3, 2), 3)
-    quiver = build_quiver(cs, affine_endomorphisms(3))
+    quiver = build_quiver(cs)
     for array in (cs.colorings, quiver.labels):
         with pytest.raises(ValueError):
             array[0, 0] = 1

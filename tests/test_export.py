@@ -12,7 +12,7 @@ from braid_reference import torus_braid
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from export_reference import quiver_from_json
-from quiver_reference import quiver_form_for_count, realize
+from quiver_reference import quiver_form_for_count, realize, weight_triples
 
 from quandlequiver.braids import TorusLinkSpec
 from quandlequiver.colorings import enumerate_colorings_linear
@@ -20,7 +20,6 @@ from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver import export
 from quandlequiver.export import CSV_HEADER, csv_chunks, dot_chunks, json_chunks
-from quandlequiver.quandles import affine_endomorphisms
 from quandlequiver.quivers import QuiverForm, WeightedQuiver, build_quiver, lattice_form
 
 
@@ -39,7 +38,7 @@ def csv_text(report):
 def torus_quiver(p, q, n):
     """The quiver of T(p, q) by R_n and its lattice form."""
     cs = enumerate_colorings_linear(torus_braid(p, q), n)
-    return build_quiver(cs, affine_endomorphisms(n)), lattice_form(cs)[0]
+    return build_quiver(cs), lattice_form(cs)[0]
 
 
 def test_dot_full_complete_2():
@@ -99,7 +98,7 @@ def test_quiver_json_key_order_and_fields():
     d = json.loads(json_text(quiver, form=form, params={"p": 5, "q": 2, "n": 5}))
     assert list(d) == ["params", "count", "colorings", "weights", "blocks"]
     assert d["count"] == 25
-    assert len(d["weights"]) == len(quiver.weight_triples())
+    assert len(d["weights"]) == len(weight_triples(quiver))
     assert d["weights"] == sorted(d["weights"])
     assert d["blocks"]["blocks"] == [{"size": 5, "weight": 5}, {"size": 20, "weight": 1}]
     assert d["blocks"]["cross"] == [[1, 0, 1]]
@@ -177,7 +176,7 @@ def test_json_round_trip_on_torus_quivers(p, q, n):
         coloring_set = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=500)
     except CapExceededError:
         assume(False)
-    quiver = build_quiver(coloring_set, affine_endomorphisms(n))
+    quiver = build_quiver(coloring_set)
     form, _ = lattice_form(coloring_set)
     assert np.array_equal(quiver.labels, coloring_set.colorings)
     assert quiver_from_json(json_text(quiver, form=form, params={"p": p, "q": q, "n": n})) == quiver
@@ -229,7 +228,7 @@ def torus_quivers(draw):
         coloring_set = enumerate_colorings_linear(TorusLinkSpec(p, q), n, cap=300)
     except CapExceededError:
         assume(False)
-    return build_quiver(coloring_set, affine_endomorphisms(n)), lattice_form(coloring_set)[0]
+    return build_quiver(coloring_set), lattice_form(coloring_set)[0]
 
 
 @settings(max_examples=200)

@@ -4,20 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
-from braid_reference import torus_braid
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from oracle_reference import coloring_set as reference_set
 from quandle_reference import (
+    affine_endomorphisms,
     brute_force_endomorphisms,
     dihedral_op,
-    first_broken_pair,
     is_involutive,
     verify_quandle_axioms,
 )
 
-from quandlequiver.quandles import DihedralQuandle, FiniteQuandle, affine_endomorphisms
-from quandlequiver.quivers import build_quiver
+from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 
 
 def alexander_mod5():
@@ -157,90 +152,6 @@ def test_brute_force_on_alexander_quandle():
         for x in range(5):
             for y in range(5):
                 assert e[t[x, y]] == t[e[x], e[y]]
-
-
-def trivial_colorings(q):
-    """The colorings of the unknot T(2, 1) by q: its m constant pairs."""
-    return reference_set(torus_braid(2, 1), q)
-
-
-def test_endomorphism_rejects_non_homomorphism():
-    with pytest.raises(ValueError, match=r"not a homomorphism: phi\(0\*1\) != phi\(0\)\*phi\(1\)"):
-        build_quiver(trivial_colorings(DihedralQuandle(5)), [[0, 0, 1, 1, 2]])
-
-
-def test_endomorphism_of_another_quandle_is_rejected():
-    # every map is an endomorphism of the trivial quandle x * y = x, but this
-    # one is not an endomorphism of R_5, whose colorings it would act on
-    trivial = FiniteQuandle([[x] * 5 for x in range(5)])
-    assert len(build_quiver(trivial_colorings(trivial), [[0, 0, 1, 1, 2]]).dst) == 5
-    with pytest.raises(ValueError, match=r"phi\(.\*.\) != phi\(.\)\*phi\(.\)"):
-        build_quiver(trivial_colorings(DihedralQuandle(5)), [[0, 0, 1, 1, 2]])
-
-
-def first_broken_row(quandle, rows):
-    """The first (row, x, y) with phi(x*y) != phi(x)*phi(y), row by row, or None."""
-    for k, images in enumerate(rows):
-        broken = first_broken_pair(quandle, images)
-        if broken is not None:
-            return (k, *broken)
-    return None
-
-
-@settings(max_examples=200)
-@given(
-    st.sampled_from([DihedralQuandle(n) for n in range(1, 8)] + [alexander_mod5()]).flatmap(
-        lambda q: st.tuples(
-            st.just(q),
-            st.lists(
-                st.one_of(
-                    st.sampled_from(brute_force_endomorphisms(q).tolist()),
-                    st.lists(st.integers(0, q.size - 1), min_size=q.size, max_size=q.size),
-                ),
-                min_size=1,
-                max_size=6,
-            ),
-        )
-    )
-)
-@example((DihedralQuandle(8), affine_endomorphisms(8).tolist() * 17 + [[0, 0, 1, 1, 2, 2, 3, 3]]))
-def test_endomorphism_check_matches_pairwise_loop(case):
-    # the example's broken row 1088 lies past the first batch of
-    # 2^16 // 8^2 = 1024 rows checked together
-    quandle, rows = case
-    broken = first_broken_row(quandle, rows)
-    colorings = trivial_colorings(quandle)
-    if broken is None:
-        quiver = build_quiver(colorings, rows)
-        assert quiver.weight.sum() == len(rows) * quandle.size
-    else:
-        k, x, y = broken
-        with pytest.raises(
-            ValueError, match=rf"^endomorphism {k}: .* phi\({x}\*{y}\) != phi\({x}\)\*phi\({y}\)$"
-        ):
-            build_quiver(colorings, rows)
-
-
-def test_endomorphism_rejects_out_of_range_images():
-    colorings = trivial_colorings(DihedralQuandle(3))
-    with pytest.raises(ValueError, match="image 5 outside 0..2"):
-        build_quiver(colorings, [[0, 1, 2], [0, 1, 5]])
-    with pytest.raises(ValueError, match="image -1 outside 0..2"):
-        build_quiver(colorings, [[0, -1, 2]])
-    for shape in ([0, 1, 2], [[0, 1]], [[[0, 1, 2]]]):
-        with pytest.raises(ValueError, match="rows of 3 images"):
-            build_quiver(colorings, shape)
-
-
-def test_endomorphism_equality_by_images():
-    # a family is its images: any (k, m) array-like of the same rows builds
-    # the same quiver, and no rows build one with no arrows
-    colorings = trivial_colorings(DihedralQuandle(4))
-    rows = [[0, 1, 2, 3], [0, 3, 2, 1]]
-    quiver = build_quiver(colorings, rows)
-    assert quiver == build_quiver(colorings, tuple(map(tuple, rows)))
-    assert quiver == build_quiver(colorings, np.array(rows, dtype=np.uint8))
-    assert build_quiver(colorings, []).dst.size == 0
 
 
 def test_quandle_table_validation():
