@@ -9,6 +9,8 @@ list (vertices, arrows, blocks) is one record template whose `%d` slots
 are filled from columns: every distinct value of a column is rendered
 once, with the template text after its slot, into a table of pieces, and
 a chunk of records is one gather from each column's table and one join.
+The arrows' columns are the vertex range and the stored `dst` and
+`weight`; `WeightedQuiver.arrows` gathers each chunk, whole rows at a time.
 The writers read no block structure of their own: the collapsed DOT and
 the JSON's "blocks" print the `QuiverForm` the caller passes, such as
 `quivers.lattice_form` reads off the colorings, straight from its
@@ -18,8 +20,7 @@ The writers `dot_chunks`, `json_chunks` and `csv_chunks` check their
 arguments when called and return an iterator of `str` chunks whose join
 is the text.  No writer joins the whole text: a caller that writes each
 chunk as it comes holds one chunk of records at a time, besides the
-tables.  The loop-free DOT drops the loops of each chunk of arrows as it
-is gathered.
+tables.  The loop-free DOT drops the loops of each chunk of arrows.
 """
 
 from __future__ import annotations
@@ -37,39 +38,10 @@ from .quivers import QuiverForm, WeightedQuiver
 _CHUNK = 4096
 
 
-class _Sources:
-    """The source vertex of each arrow of the CSR rows `indptr`, as a column
-    `_records` reads.  A slice is made from indptr when asked, one np.repeat
-    over its rows, so the column is held whole only where `_table` needs
-    its distinct values: for fewer arrows than the rows they span.  Sources
-    never decrease, so the first is the least and the last the greatest."""
-
-    def __init__(self, indptr: np.ndarray):
-        self.indptr = indptr
-        self.size = int(indptr[-1])
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        start, stop, _ = part.indices(self.size)
-        # rows first..last-1 hold arrows start..stop-1
-        first = np.searchsorted(self.indptr, start, side="right") - 1
-        last = np.searchsorted(self.indptr, stop, side="left")
-        bounds = np.clip(self.indptr[first : last + 1], start, stop)
-        return np.repeat(np.arange(first, last), np.diff(bounds))
-
-    def min(self) -> int:
-        return self[0:1][0]
-
-    def max(self) -> int:
-        return self[self.size - 1 : self.size][0]
-
-
-def _table(column, before: str, after: str):
+def _table(column: np.ndarray, before: str, after: str):
     """The pieces `before`, value, `after` of each distinct value of `column`,
-    as an object array, and the function taking a slice of `column` to the
-    indices of its pieces.
+    a nonempty array, as an object array, and the function taking part of
+    `column` to the indices of its pieces.
 
     Values spanning less than the column's length are tabled over the whole
     range lo..hi and indexed by value − lo; others over their sorted
@@ -83,7 +55,8 @@ def _table(column, before: str, after: str):
         def codes(part):
             return part - lo
     else:
-        keys = np.unique(column[:])
+        keys = np.sort(column)
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
         values = keys.tolist()
 
         def codes(part):
@@ -92,41 +65,58 @@ def _table(column, before: str, after: str):
     return pieces, codes
 
 
-def _records(template: str, sep: str, rows: int, columns, *, loops: bool = True):
-    """Yield the text of `rows` records joined by `sep`, a chunk of records at a time.
+def _records(template: str, sep: str, columns, chunks, *, loops: bool = True):
+    """Yield the text of records joined by `sep`, a chunk of records at a time.
 
-    Record k is `template` with its j-th `%d` filled by column[j][k].  Each
-    distinct value of a column is rendered once, into its column's table of
+    The j-th `%d` of `template` takes its values from columns[j], each
+    distinct value of which is rendered once, into its column's table of
     pieces: the value followed by the template text after its slot, with
-    `sep` and the template's head in front for column 0.  A chunk is then
-    one gather per column and one join; only the output's first record
-    drops its leading `sep`.  Without `loops`, a record whose first two
-    columns are equal is left out, chunk by chunk, and a chunk that keeps
-    no record yields nothing.
+    `sep` and the template's head in front for column 0.  `chunks` yields
+    each chunk's record count and parts, part j the chunk's values of slot
+    j; an int `chunks` is a count of records taking the columns' entries
+    in turn.  A chunk is then one gather per column and one join; only the
+    output's first record drops its leading `sep`.  Without `loops`, a
+    record whose first two columns are equal is left out, chunk by chunk,
+    and a chunk that keeps no record yields nothing.
     """
-    if not rows:
-        return
+    if isinstance(chunks, (int, np.integer)):
+        rows = chunks
+        chunks = (
+            (min(_CHUNK, rows - start), [column[start : start + _CHUNK] for column in columns])
+            for start in range(0, rows, _CHUNK)
+        )
+    if not all(len(column) for column in columns):
+        return  # a slot with no values has no records
     head, *tails = template.split("%d")
     tables = [
-        (column, *_table(column, sep + head if j == 0 else "", tail))
+        _table(column, sep + head if j == 0 else "", tail)
         for j, (column, tail) in enumerate(zip(columns, tails, strict=True))
     ]
     lead = len(sep)
-    for start in range(0, rows, _CHUNK):
-        stop = min(start + _CHUNK, rows)
+    for count, parts in chunks:
+        if not loops:
+            keep = parts[0] != parts[1]
+            count, parts = np.count_nonzero(keep), [part[keep] for part in parts]
+        if not count:
+            continue
         if tables:
-            parts = [column[start:stop] for column, _, _ in tables]
-            if not loops:
-                keep = parts[0] != parts[1]
-                if not keep.any():
-                    continue
-                parts = [part[keep] for part in parts]
-            gathered = [pieces[codes(part)] for part, (_, pieces, codes) in zip(parts, tables)]
+            gathered = [pieces[codes(part)] for part, (pieces, codes) in zip(parts, tables)]
             text = "".join(np.column_stack(gathered).ravel().tolist())
         else:
-            text = (sep + template) * (stop - start)
+            text = (sep + template) * count
         yield text[lead:]
         lead = 0
+
+
+def _arrow_chunks(quiver: WeightedQuiver):
+    """The quiver's arrows as `_records` chunks, whole rows at a time: about
+    _CHUNK arrows each, spanning at most twice the last chunk's vertices."""
+    first, step = 0, 1
+    while first < quiver.n_vertices:
+        parts = quiver.arrows(first, first + step)
+        yield parts[0].size, parts
+        first += step
+        step = max(1, min(2 * step, step * _CHUNK // max(parts[0].size, 1)))
 
 
 def dot_chunks(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) -> Iterator[str]:
@@ -151,8 +141,8 @@ def dot_chunks(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True
 def _form_dot(form: QuiverForm):
     yield "digraph quiver {\n"
     k = form.sizes.size
-    yield from _records('  b%d [label="K%d w=%d"];\n', "", k, [np.arange(k), form.sizes, form.weights])
-    yield from _records('  b%d -> b%d [label="%d"];\n', "", len(form.cross), form.cross.T)
+    yield from _records('  b%d [label="K%d w=%d"];\n', "", [np.arange(k), form.sizes, form.weights], k)
+    yield from _records('  b%d -> b%d [label="%d"];\n', "", form.cross.T, len(form.cross))
     yield "}\n"
 
 
@@ -165,9 +155,9 @@ def _quiver_dot(quiver: WeightedQuiver, include_loops: bool):
     else:
         colours = quiver.labels.T
         label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
-    yield from _records(f'  v%d [label="{label}"];\n', "", n, columns)
-    arrows = [_Sources(quiver.indptr), quiver.dst, quiver.weight]
-    yield from _records('  v%d -> v%d [label="%d"];\n', "", quiver.dst.size, arrows, loops=include_loops)
+    yield from _records(f'  v%d [label="{label}"];\n', "", columns, n)
+    arrows = [vertex, quiver.dst, quiver.weight]
+    yield from _records('  v%d -> v%d [label="%d"];\n', "", arrows, _arrow_chunks(quiver), loops=include_loops)
     yield "}\n"
 
 
@@ -183,13 +173,16 @@ def _int_list(width: int, level: int) -> str:
     return f"{_indent(level)}[\n{items}\n{_indent(level)}]"
 
 
-def _json_list(item: str, rows: int, columns, level: int):
-    """Yield a JSON list of `rows` records of template `item`, held by a key at `level`."""
-    if not rows:
+def _json_list(item: str, columns, chunks, level: int):
+    """Yield a JSON list of the records of template `item` that `_records`
+    makes of `columns` and `chunks`, held by a key at `level`."""
+    records = _records(item, ",\n", columns, chunks)
+    first = next(records, None)
+    if first is None:
         yield "[]"
         return
-    yield "[\n"
-    yield from _records(item, ",\n", rows, columns)
+    yield "[\n" + first
+    yield from records
     yield "\n" + _indent(level) + "]"
 
 
@@ -201,15 +194,15 @@ def _quiver_json(quiver: WeightedQuiver, form: QuiverForm, params: str):
     if quiver.labels is not None:
         colours = quiver.labels.T
         yield ',\n  "colorings": '
-        yield from _json_list(_int_list(len(colours), 2), quiver.n_vertices, colours, 1)
-    arrows = [_Sources(quiver.indptr), quiver.dst, quiver.weight]
+        yield from _json_list(_int_list(len(colours), 2), colours, quiver.n_vertices, 1)
+    arrows = [np.arange(quiver.n_vertices), quiver.dst, quiver.weight]
     yield ',\n  "weights": '
-    yield from _json_list(_int_list(3, 2), quiver.dst.size, arrows, 1)
+    yield from _json_list(_int_list(3, 2), arrows, _arrow_chunks(quiver), 1)
     block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
     yield ',\n  "blocks": {\n    "blocks": '
-    yield from _json_list(block, form.sizes.size, [form.sizes, form.weights], 2)
+    yield from _json_list(block, [form.sizes, form.weights], form.sizes.size, 2)
     yield ',\n    "cross": '
-    yield from _json_list(_int_list(3, 3), len(form.cross), form.cross.T, 2)
+    yield from _json_list(_int_list(3, 3), form.cross.T, len(form.cross), 2)
     yield "\n  }\n}\n"
 
 

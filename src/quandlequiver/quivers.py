@@ -7,15 +7,15 @@ endomorphisms are the affine maps x -> a*x + b, and `build_quiver` builds
 the quiver as a lift of its quotient by translation: K0, the colorings
 with strand 1 coloured 0, holds one coloring c0 of each class c0 + t*1,
 and only the scaling a acts on it.  The N/n x n images a*c0 give one row
-per class, which every translate of c0 shares, spread over the n
-translates of each image.
+per class, spread over the n translates of each image, which the
+`WeightedQuiver` stores once for all n translates of c0.
 
 A `QuiverForm` (complete blocks and uniform cross arrows) is three int64
 columns: block sizes, block weights and (src, dst, d) cross rows.  It is
 read off the colorings by R_n alone by `lattice_form`, the one reader of
 block structure, with the blocks' members as one array: it needs no
-quiver.  `isomorphic` checks a quiver against a form in O(E), with no
-sort and no expansion of the form: each arrow must join two blocks the
+quiver.  `isomorphic` checks a quiver's stored rows against a form, with
+no sort and no expansion of the form: each arrow must join two blocks the
 form joins, at the form's weight, and each row must hold one arrow per
 vertex of the blocks its block reaches, which by pigeonhole its distinct
 targets then are.
@@ -35,21 +35,22 @@ from .quandles import DihedralQuandle
 
 
 class WeightedQuiver:
-    """Immutable weighted directed graph on vertices 0..n_vertices-1, as CSR arrays.
+    """Immutable weighted directed graph on vertices 0..n_vertices-1, as stored CSR rows.
 
-    Row i's arrows go to dst[indptr[i]:indptr[i + 1]], strictly increasing,
-    with the positive weights weight[indptr[i]:indptr[i + 1]]; the arrays
-    are int64 and read-only.  `labels`, when present, is a read-only int64
-    array naming vertex i by its coloring labels[i].  Build one with
-    `from_arrows`; `build_quiver` makes its arrays canonical itself.
+    Vertex v's arrows go to dst[indptr[r]:indptr[r + 1]] of its stored row
+    r = row[v], strictly increasing, with the positive weights
+    weight[indptr[r]:indptr[r + 1]]; the arrays are int64 and read-only.
+    `labels`, when present, is a read-only int64 array naming vertex i by
+    its coloring labels[i].  Build one with `from_arrows`, one stored row
+    per vertex; `build_quiver` stores one per translation class itself.
     """
 
-    __slots__ = ("n_vertices", "indptr", "dst", "weight", "labels")
+    __slots__ = ("n_vertices", "row", "indptr", "dst", "weight", "labels")
 
-    def __init__(self, n_vertices: int, indptr, dst, weight, labels):
+    def __init__(self, n_vertices: int, row, indptr, dst, weight, labels):
         # trusted: from_arrows or build_quiver has made the arrays canonical
         self.n_vertices = n_vertices
-        self.indptr, self.dst, self.weight = indptr, dst, weight
+        self.row, self.indptr, self.dst, self.weight = row, indptr, dst, weight
         self.labels = labels
 
     @classmethod
@@ -89,13 +90,17 @@ class WeightedQuiver:
             src, dst, weight = src[keep], dst[keep], weight[keep]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        for a in (indptr, dst, weight):
+        row = np.arange(n)
+        for a in (row, indptr, dst, weight):
             a.flags.writeable = False
-        return cls(n, indptr, dst, weight, labels)
+        return cls(n, row, indptr, dst, weight, labels)
 
-    def sources(self) -> np.ndarray:
-        """The source vertex of each arrow, aligned with dst and weight."""
-        return np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
+    def arrows(self, first: int = 0, last: int | None = None):
+        """The (src, dst, weight) columns of the arrows of vertices first..last-1,
+        in order; by default of every vertex."""
+        last = self.n_vertices if last is None else min(last, self.n_vertices)
+        at, lengths = _row_positions(self.indptr, self.row[first:last])
+        return np.repeat(np.arange(first, last), lengths), self.dst[at], self.weight[at]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedQuiver):
@@ -103,13 +108,20 @@ class WeightedQuiver:
         return (
             self.n_vertices == other.n_vertices
             and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.dst, other.dst)
-            and np.array_equal(self.weight, other.weight)
+            and all(map(np.array_equal, self.arrows(), other.arrows()))
         )
 
     def __repr__(self):
-        return f"WeightedQuiver({self.n_vertices} vertices, {self.dst.size} weighted edges)"
+        edges = np.diff(self.indptr)[self.row].sum()
+        return f"WeightedQuiver({self.n_vertices} vertices, {edges} weighted edges)"
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray):
+    """The positions of the arrows of stored rows `rows`, in turn, and their lengths."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    at = np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(at.size)
+    return at, lengths
 
 
 def _positions(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -140,7 +152,7 @@ def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
     translate of each distinct a*c0, weighted by the number of a giving
     it.  The build looks up the N/n x n scalings a*c0 and the n x N/n
     translates of K0 among the colorings, sorts each class's row once and
-    gathers every vertex's row from its class's, in order.  A quandle
+    stores it as the row of every vertex of the class.  A quandle
     other than R_n, or colorings that are not sorted and distinct, raise
     ValueError.  An image outside the colorings raises
     InternalConsistencyError naming a coloring, a map (a, b) sending it
@@ -181,21 +193,12 @@ def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
     # each class's row: one arrow to each translate of each of its images, in order
     targets = vertex[:, image]
     order = np.argsort(owner * count + targets, axis=None)
-    class_dst, class_weight = targets.ravel()[order], mult[order % heads.size]
-    class_length = n * np.bincount(owner, minlength=len(group))
-    class_start = np.cumsum(class_length) - class_length
-    lengths = class_length[class_of]
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    # vertex v's row is its class's row, read from class_start[class_of[v]]
-    at = np.repeat(class_start[class_of] - indptr[:-1], lengths)
-    at += np.arange(at.size)
-    dst, weight = class_dst[at], class_weight[at]
-    del at  # frees its E entries before the structure check
-    for array in (indptr, dst, weight):
+    dst, weight = targets.ravel()[order], mult[order % heads.size]
+    indptr = np.append(0, np.cumsum(n * np.bincount(owner, minlength=len(group))))
+    for array in (class_of, indptr, dst, weight):
         array.flags.writeable = False
-    # each row is its class's, sorted and merged: the arrays are already canonical
-    quiver = WeightedQuiver(count, indptr, dst, weight, colorings)
+    # each class's row is sorted and merged: the arrays are already canonical
+    quiver = WeightedQuiver(count, class_of, indptr, dst, weight, colorings)
     _check_structure(quiver, coloring_set)
     return quiver
 
@@ -204,20 +207,19 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet):
     n = coloring_set.quandle.n
     sums = np.zeros(quiver.dst.size + 1, dtype=np.int64)
     np.cumsum(quiver.weight, out=sums[1:])
-    sums = np.diff(sums[quiver.indptr])
+    sums = np.diff(sums[quiver.indptr])[quiver.row]
     bad = np.flatnonzero(sums != n * n)
     if bad.size:
         i = bad[0]
         raise InternalConsistencyError(f"row {i} sums to {sums[i]}, expected {n * n}")
     # the arrows of the trivial rows
     trivial = coloring_set.trivial_indices
-    is_trivial = np.zeros(quiver.n_vertices, dtype=bool)
-    is_trivial[trivial] = True
-    lengths = np.diff(quiver.indptr)
-    arrows = np.flatnonzero(np.repeat(is_trivial, lengths))
-    src = np.repeat(trivial, lengths[trivial])
-    dst, weight = quiver.dst[arrows], quiver.weight[arrows]
-    leaving = np.flatnonzero(~is_trivial[dst])
+    position = np.full(quiver.n_vertices, -1)
+    position[trivial] = np.arange(trivial.size)
+    at, lengths = _row_positions(quiver.indptr, quiver.row[trivial])
+    src = np.repeat(trivial, lengths)
+    dst, weight = quiver.dst[at], quiver.weight[at]
+    leaving = np.flatnonzero(position[dst] < 0)
     if leaving.size:
         k = leaving[0]
         raise InternalConsistencyError(
@@ -225,8 +227,6 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet):
         )
     # with the full affine family over R_n, every trivial -> trivial
     # weight is exactly n
-    position = np.full(quiver.n_vertices, -1)
-    position[trivial] = np.arange(trivial.size)
     block = np.zeros((trivial.size, trivial.size), dtype=np.int64)
     block[position[src], position[dst]] = weight
     bad = np.argwhere(block != n)
@@ -373,13 +373,15 @@ def isomorphic(quiver: WeightedQuiver, form: QuiverForm, members) -> np.ndarray 
     the quiver's vertices or the form is on another number of them.  The
     mapping is a read-only int64 array, mapping[v] the layout vertex of v.
 
-    The check is O(E) and needs no sort of the arrows.  Each arrow (u, v, w)
-    must find its blocks' pair among the form's entries (a block to itself
-    at its weight, and the cross entries, repeated ones summed), at that
-    entry's weight, and each row must hold as many arrows as the blocks its
-    block sends to hold vertices.  A row's targets are distinct, so by
-    pigeonhole they are then every vertex of those blocks: the rows are the
-    layout's rows exactly.
+    The check reads each stored row once per block whose vertices read it,
+    O(E/n) on a built quiver, whose blocks are unions of translation
+    classes, and sorts no arrows.  Each arrow (u, v, w) must find its
+    blocks' pair among the form's entries (a block to itself at its
+    weight, and the cross entries, repeated ones summed), at that entry's
+    weight, and each row must hold as many arrows as the blocks its block
+    sends to hold vertices.  A row's targets are distinct, so by pigeonhole
+    they are then every vertex of those blocks: the rows are the layout's
+    rows exactly.
     """
     n, sizes, k = quiver.n_vertices, form.sizes, form.sizes.size
     members = np.asarray(members, dtype=np.int64)
@@ -401,12 +403,17 @@ def isomorphic(quiver: WeightedQuiver, form: QuiverForm, members) -> np.ndarray 
     # a row of block a holds one arrow to each vertex of each block it sends to
     row_length = np.zeros(k, dtype=np.int64)
     np.add.at(row_length, entry_keys // k, sizes[entry_keys % k])
-    if not np.array_equal(np.diff(quiver.indptr), row_length[block_of]):
+    # each distinct (stored row, block) pair is one row of the layout
+    pairs = np.sort(quiver.row * max(k, 1) + block_of)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    rows, blocks = np.divmod(pairs, max(k, 1))
+    at, lengths = _row_positions(quiver.indptr, rows)
+    if not np.array_equal(lengths, row_length[blocks]):
         return None
-    arrow_keys = block_of[quiver.sources()] * k + block_of[quiver.dst]
-    at = np.minimum(np.searchsorted(entry_keys, arrow_keys), entry_keys.size - 1)
-    if np.array_equal(entry_keys[at], arrow_keys) and np.array_equal(
-        entry_weight[at], quiver.weight
+    arrow_keys = np.repeat(blocks, lengths) * k + block_of[quiver.dst[at]]
+    at_entry = np.minimum(np.searchsorted(entry_keys, arrow_keys), entry_keys.size - 1)
+    if np.array_equal(entry_keys[at_entry], arrow_keys) and np.array_equal(
+        entry_weight[at_entry], quiver.weight[at]
     ):
         mapping.flags.writeable = False
         return mapping

@@ -2,8 +2,9 @@
 row, a form expanded to its quiver, and the paper's closed-form shapes
 keyed by the coloring count.
 
-`WeightedQuiver` holds CSR arrays built in one pass by `from_arrows`,
-read back arrow by arrow by `weight_triples`, and `build_quiver` lifts
+`WeightedQuiver` holds stored CSR rows, one per vertex from `from_arrows`
+and one per translation class from `build_quiver`, read back arrow by
+arrow through `arrows()` by `weight_triples`, and `build_quiver` lifts
 the quiver from the scalings of K0 and its translates; these are the
 direct row-dict quiver and the build they must agree with, which applies
 each map of an image array to all N colorings and finds every image among
@@ -52,13 +53,14 @@ class DictQuiver:
 
 def weight_triples(quiver):
     """(source, target, weight) of each arrow of a WeightedQuiver, in sorted order."""
-    return list(zip(quiver.sources().tolist(), quiver.dst.tolist(), quiver.weight.tolist()))
+    return list(zip(*(column.tolist() for column in quiver.arrows())))
 
 
 def dense(quiver):
     """The N x N weight matrix of a WeightedQuiver."""
     out = np.zeros((quiver.n_vertices, quiver.n_vertices), dtype=np.int64)
-    out[quiver.sources(), quiver.dst] = quiver.weight
+    src, dst, weight = quiver.arrows()
+    out[src, dst] = weight
     return out
 
 
@@ -127,10 +129,12 @@ def reference_isomorphic(quiver, form, members):
     mapping = np.empty(n, dtype=np.int64)
     mapping[members] = np.arange(n)
     target = realize(form)
-    key = mapping[quiver.sources()] * n + mapping[quiver.dst]
+    src, dst, weight = quiver.arrows()
+    target_src, target_dst, target_weight = target.arrows()
+    key = mapping[src] * n + mapping[dst]
     order = np.argsort(key)
-    if np.array_equal(key[order], target.sources() * n + target.dst) and np.array_equal(
-        quiver.weight[order], target.weight
+    if np.array_equal(key[order], target_src * n + target_dst) and np.array_equal(
+        weight[order], target_weight
     ):
         return mapping
     return None

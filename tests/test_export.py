@@ -299,6 +299,17 @@ def torus_quivers(draw):
     1,
     None,
 )
+# the first vertices have no arrows, so the first chunks of arrows are
+# empty and the first record written comes later
+@example(
+    (
+        WeightedQuiver.from_arrows(4, [2, 3, 3], [0, 1, 3], [3, 4, 5], labels=[(i,) for i in range(4)]),
+        QuiverForm([4], [1]),
+    ),
+    True,
+    1,
+    None,
+)
 # without loops: a first chunk of arrows that are all loops
 @example(
     (
@@ -396,16 +407,20 @@ def test_writer_argument_errors_are_raised_at_the_call():
 
 
 @settings(max_examples=100)
-@given(st.integers(1, 8), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40))
-def test_sources_column_slices_equal_the_sources(n, pairs):
-    # the arrows' sources as the writers read them, a slice at a time from indptr
-    pairs = [(i % n, j % n) for i, j in pairs]
-    src, dst = (np.array(column, dtype=np.int64) for column in zip(*pairs)) if pairs else ([], [])
-    quiver = WeightedQuiver.from_arrows(n, src, dst, np.ones(len(pairs), dtype=np.int64))
-    sources, column = quiver.sources(), export._Sources(quiver.indptr)
-    assert len(column) == sources.size
-    for start in range(sources.size + 1):
-        for stop in range(start, sources.size + 2):
-            assert np.array_equal(column[start:stop], sources[start:stop])
-    if sources.size:
-        assert (column.min(), column.max()) == (sources.min(), sources.max())
+@given(
+    st.one_of(torus_quivers().map(lambda quiver_and_form: quiver_and_form[0]), random_quivers()),
+    st.lists(st.integers(0, 400), max_size=6),
+)
+# vertices 0, 1 and 2 have no arrows: pieces that start with arrowless vertices
+@example(WeightedQuiver.from_arrows(5, [3, 4, 4], [0, 1, 4], [1, 2, 3]), [1, 2, 4])
+def test_arrow_pieces_concatenate_to_the_arrows(quiver, cuts):
+    # the writers gather the arrows a run of vertices at a time
+    n = quiver.n_vertices
+    bounds = [0, *sorted(cut % (n + 1) for cut in cuts), n]
+    pieces = [quiver.arrows(first, last) for first, last in zip(bounds, bounds[1:])]
+    for first, last, (src, _, _) in zip(bounds, bounds[1:], pieces):
+        assert np.all((first <= src) & (src < last))
+    for j, column in enumerate(quiver.arrows()):
+        assert np.array_equal(np.concatenate([piece[j] for piece in pieces]), column)
+    # a last vertex past the end stops at the end
+    assert all(map(np.array_equal, quiver.arrows(0, n + 5), quiver.arrows()))

@@ -11,7 +11,9 @@ braid-word JSON, loop-free DOT and N = 2187 exports before the quiver
 was held as CSR arrays and written by chunked templates, and the count of
 an aperiodic 6-strand word before the oracle applied its factor by
 window tables, and those of the benchmark's p = 3, 5, 7 verify sweep
-before verify walked each factor once for its whole q range; any
+before verify walked each factor once for its whole q range, and the
+R_14 JSON and the N = 3125 loop-free DOT before the quiver held one
+stored row per translation class; any
 change to these bytes is a change of the documented output, not a
 refactor.
 """
@@ -144,6 +146,20 @@ GOLDEN = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         {"t7_14.dot": "cfbb446bc7d1c8627da132404e41101e3cfcf1d3e59607e73ab9575066ee0646"},
     ),
+    (
+        # block sizes 14 and 84: a column tabled by its distinct values
+        ["quiver", "--link", "torus:7,2", "--n", "14", "--format", "json"],
+        0,
+        "e553430e1b9aba692de5d10cc9dad2fec419e48db7f677134b3b9988b455d429",
+        {},
+    ),
+    (
+        # N = 3125 without loops: many chunks, each with its loops dropped
+        ["quiver", "--link", "torus:5,10", "--n", "5", "--no-loops", "--out", "{out}/t5_10.dot"],
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {"t5_10.dot": "1bd874ffbfe7232b527c2a8f4a60e06b831cbc8a1d632233bf220af8f9a0c577"},
+    ),
 ]
 
 
@@ -152,7 +168,8 @@ GOLDEN = [
     GOLDEN,
     ids=["count_torus", "count_word", "verify", "verify_p7", "verify_sweep", "count_aperiodic_word", "quiver_json",
          "quiver_collapse", "quiver_json_blocks", "quiver_compare_r30", "quiver_json_n3125", "quiver_json_word",
-         "quiver_dot_no_loops", "quiver_json_n2187", "quiver_collapse_n2187"],
+         "quiver_dot_no_loops", "quiver_json_n2187", "quiver_collapse_n2187",
+         "quiver_json_distinct_sizes", "quiver_dot_no_loops_n3125"],
 )
 def test_output_bytes_unchanged(argv, exit_code, stdout, files, tmp_path, capsys):
     code = main([a.replace("{out}", str(tmp_path)) for a in argv])

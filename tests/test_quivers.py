@@ -345,12 +345,25 @@ def test_check_structure_enforces_each_law():
     # before the weights inside it
     with pytest.raises(InternalConsistencyError, match="from trivial coloring"):
         broken([(t, t, -1), (t, v, 1)])
+    # the built quiver stores one row per translation class; v alone reads
+    # a new stored row, one arrow of weight 1, and the error names v
+    stored = quiver.indptr.size - 1
+    assert stored == cs.count // 5 and v != stored
+    row = quiver.row.copy()
+    row[v] = stored
+    indptr = np.append(quiver.indptr, quiver.indptr[-1] + 1)
+    one_short = WeightedQuiver(
+        cs.count, row, indptr, np.append(quiver.dst, v), np.append(quiver.weight, 1), quiver.labels
+    )
+    with pytest.raises(InternalConsistencyError, match=f"row {v} sums to 1,"):
+        _check_structure(one_short, cs)
 
 
 def test_build_quiver_peak_memory():
-    # T(5,10) by R_7: N = 16,807 and E = 823,249.  The build holds its CSR
-    # arrays and, at its peak, one gather index beside them: 30.4 bytes per
-    # arrow measured, where applying all n^2 maps to every coloring took 82
+    # T(5,10) by R_7: N = 16,807 and E = 823,249.  The build stores one row
+    # per translation class, E/n arrows, and at its peak holds the N-length
+    # class index and lookups beside them: 7.4 bytes per arrow measured,
+    # where spreading each class's row over its n vertices took 30.8
     cs = enumerate_colorings_linear(TorusLinkSpec(5, 10), 7)
     tracemalloc.start()
     try:
@@ -358,8 +371,9 @@ def test_build_quiver_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert quiver.dst.size == 823_249
-    assert peak < 40 * quiver.dst.size
+    arrows = quiver.arrows()[0].size
+    assert arrows == 823_249 == 7 * quiver.dst.size
+    assert peak < 10 * arrows
 
 
 def test_form_constructors_and_validation():
@@ -543,6 +557,17 @@ def test_isomorphic_refutes_swapped_blocks_of_one_size():
     # one arrow's weight altered
     i, j, w = weight_triples(quiver)[0]
     assert isomorphic(edited(quiver, [(i, j, 1)]), form, members) is None
+
+
+def test_isomorphic_checks_a_shared_row_once_per_block_reading_it():
+    # vertices 0 and 1 both read stored row 0, a loop at vertex 0 of weight
+    # 3; read as a row of block 1, its arrow joins block 1 to block 0
+    row, indptr, dst, weight = (np.array(a, dtype=np.int64) for a in ([0, 0], [0, 1], [0], [3]))
+    quiver = WeightedQuiver(2, row, indptr, dst, weight, None)
+    form = QuiverForm([1, 1], [3, 3])
+    assert reference_isomorphic(quiver, form, [0, 1]) is None
+    assert isomorphic(quiver, form, [0, 1]) is None
+    assert isomorphic(WeightedQuiver.from_arrows(2, [0, 1], [0, 1], [3, 3]), form, [0, 1]) is not None
 
 
 @st.composite
