@@ -235,11 +235,11 @@ def cmd_quiver(args) -> int:
         return EXIT_CAP
     quiver = build_quiver(coloring_set)
     # the blocks, read once from the colorings, for each output that needs them;
-    # only the comparison reads their members array, so the export does not hold it
+    # only the comparison reads each coloring's block, so the export does not hold it
     if args.compare or args.collapse or args.format == "json":
-        form, members = lattice_form(coloring_set)
-        matched = args.compare and isomorphic(quiver, form, members) is not None
-        del members
+        form, block_of = lattice_form(coloring_set)
+        matched = args.compare and isomorphic(quiver, form, block_of)
+        del block_of
 
     exit_code = EXIT_OK
     if args.compare:

@@ -27,7 +27,7 @@ import numpy as np
 from .braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from .config import oracle_cap
 from .errors import CapExceededError, count_text
-from .linalg import kernel_enumerate_mod
+from .linalg import kernel_enumerate_mod, row_keys
 from .quandles import DihedralQuandle, FiniteQuandle
 
 
@@ -36,8 +36,10 @@ class ColoringSet:
 
     `colorings` is a read-only int64 array with one row per coloring, its
     strands' colours, rows in lexicographic order, so array equality is
-    set equality.  A row whose width is not the link's strand count raises
-    ValueError.
+    set equality.  `keys` holds each row read as a base-m number, m the
+    quandle's size (`row_keys`), read-only and strictly increasing.  A row
+    whose width is not the link's strand count, a colour outside 0..m-1,
+    or rows that are not sorted and distinct raise ValueError.
     """
 
     def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings):
@@ -45,10 +47,16 @@ class ColoringSet:
         strands = link.p if isinstance(link, TorusLinkSpec) else link.strands
         if colorings.ndim != 2 or colorings.shape[1] != strands:
             raise ValueError(f"coloring rows need {strands} colours, got {colorings.shape}")
-        colorings.flags.writeable = False
+        if np.any((colorings < 0) | (colorings >= quandle.size)):
+            raise ValueError(f"colours must lie in 0..{quandle.size - 1}")
+        keys = row_keys(colorings, quandle.size)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("colorings must be sorted and distinct")
+        colorings.flags.writeable = keys.flags.writeable = False
         self.link = link
         self.quandle = quandle
         self.colorings = colorings
+        self.keys = keys
 
     @property
     def count(self) -> int:

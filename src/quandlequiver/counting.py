@@ -103,8 +103,6 @@ class CountPrediction:
     p: int
     q: int
     n: int
-    residue: int  # q mod 2p
-    gcd_np: int
     case: str
     candidates: tuple[int, ...]
 
@@ -135,15 +133,7 @@ def predict_count(p: int, q: int, n: int) -> CountPrediction:
     even = n % 2 == 0
 
     def make(case, *candidates):
-        return CountPrediction(
-            p=p,
-            q=q,
-            n=n,
-            residue=residue,
-            gcd_np=gcd_np,
-            case=case,
-            candidates=tuple(sorted(candidates)),
-        )
+        return CountPrediction(p=p, q=q, n=n, case=case, candidates=tuple(sorted(candidates)))
 
     if residue == 0:
         return make(CASE_FREE, n**p)

@@ -13,12 +13,12 @@ per class, spread over the n translates of each image, which the
 A `QuiverForm` (complete blocks and uniform cross arrows) is three int64
 columns: block sizes, block weights and (src, dst, d) cross rows.  It is
 read off the colorings by R_n alone by `lattice_form`, the one reader of
-block structure, with the blocks' members as one array: it needs no
-quiver.  `isomorphic` checks a quiver's stored rows against a form, with
-no sort and no expansion of the form: each arrow must join two blocks the
-form joins, at the form's weight, and each row must hold one arrow per
-vertex of the blocks its block reaches, which by pigeonhole its distinct
-targets then are.
+block structure, with each coloring's block label: it needs no quiver.
+`isomorphic` checks a quiver's stored rows against a form and those
+labels, with no sort and no expansion of the form: each arrow must join
+two blocks the form joins, at the form's weight, and each row must hold
+one arrow per vertex of the blocks its block reaches, which by
+pigeonhole its distinct targets then are.
 """
 
 from __future__ import annotations
@@ -41,59 +41,17 @@ class WeightedQuiver:
     r = row[v], strictly increasing, with the positive weights
     weight[indptr[r]:indptr[r + 1]]; the arrays are int64 and read-only.
     `labels`, when present, is a read-only int64 array naming vertex i by
-    its coloring labels[i].  Build one with `from_arrows`, one stored row
-    per vertex; `build_quiver` stores one per translation class itself.
+    its coloring labels[i].  `build_quiver` makes one, with one stored row
+    per translation class.
     """
 
     __slots__ = ("n_vertices", "row", "indptr", "dst", "weight", "labels")
 
     def __init__(self, n_vertices: int, row, indptr, dst, weight, labels):
-        # trusted: from_arrows or build_quiver has made the arrays canonical
+        # trusted: the caller has made the arrays canonical
         self.n_vertices = n_vertices
         self.row, self.indptr, self.dst, self.weight = row, indptr, dst, weight
         self.labels = labels
-
-    @classmethod
-    def from_arrows(cls, n: int, src, dst, weight, labels=None) -> WeightedQuiver:
-        """The quiver on n vertices with arrows src[k] -> dst[k] of weight weight[k].
-
-        Arrows with the same endpoints are summed and zero weights dropped.
-        A vertex outside 0..n-1, a negative weight, or labels that are not
-        n rows of one width raise ValueError.
-        """
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64).view()
-            if labels.shape == (0,):
-                labels = labels.reshape(0, 0)
-            if labels.ndim != 2 or len(labels) != n:
-                raise ValueError(f"labels must be {n} rows of one width, got shape {labels.shape}")
-            labels.flags.writeable = False
-        src, dst, weight = (np.array(a, dtype=np.int64).reshape(-1) for a in (src, dst, weight))
-        if not src.size == dst.size == weight.size:
-            raise ValueError("src, dst and weight must have one length")
-        outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if outside.any():
-            k = np.argmax(outside)
-            raise ValueError(f"edge ({src[k]}, {dst[k]}) outside 0..{n - 1}")
-        if (weight < 0).any():
-            raise ValueError(f"weight must be nonnegative, got {weight[np.argmax(weight < 0)]}")
-        key = src * n + dst
-        if np.any(key[1:] <= key[:-1]):
-            order = np.argsort(key, kind="stable")
-            key, src, dst, weight = key[order], src[order], dst[order], weight[order]
-            first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-            src, dst, weight = src[first], dst[first], np.add.reduceat(weight, first)
-        if not weight.all():
-            keep = weight != 0
-            src, dst, weight = src[keep], dst[keep], weight[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        row = np.arange(n)
-        for a in (row, indptr, dst, weight):
-            a.flags.writeable = False
-        return cls(n, row, indptr, dst, weight, labels)
 
     def arrows(self, first: int = 0, last: int | None = None):
         """The (src, dst, weight) columns of the arrows of vertices first..last-1,
@@ -153,16 +111,12 @@ def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
     it.  The build looks up the N/n x n scalings a*c0 and the n x N/n
     translates of K0 among the colorings, sorts each class's row once and
     stores it as the row of every vertex of the class.  A quandle
-    other than R_n, or colorings that are not sorted and distinct, raise
-    ValueError.  An image outside the colorings raises
+    other than R_n raises ValueError.  An image outside the colorings raises
     InternalConsistencyError naming a coloring, a map (a, b) sending it
     there and the image.  Structural laws that hold by construction are
     re-checked on every build.
     """
-    quandle, colorings = coloring_set.quandle, coloring_set.colorings
-    keys = row_keys(colorings, quandle.size)
-    if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError("colorings must be sorted and distinct")
+    quandle, colorings, keys = coloring_set.quandle, coloring_set.colorings, coloring_set.keys
     if not isinstance(quandle, DihedralQuandle):
         raise ValueError(f"the quiver needs colorings by R_n, got {quandle!r}")
     n, count = quandle.n, len(colorings)
@@ -305,11 +259,9 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     """The blocks of build_quiver(coloring_set), read off the colorings by
     R_n alone, with no quiver.
 
-    Returns (form, members): `form` has one block per twin class and its
-    `cross` rows sorted; `members` is one read-only int64 array listing
-    the colorings of each block in turn, each block's sorted, so block b
-    is members[bounds[b]:bounds[b + 1]] for the bounds 0 and
-    np.cumsum(form.sizes).  Blocks are ordered by least coloring.  The
+    Returns (form, block_of): `form` has one block per twin class and its
+    `cross` rows sorted; `block_of` is a read-only int64 array, block_of[v]
+    the block of coloring v.  Blocks are ordered by least coloring.  The
     blocks are the quiver's twin classes, the vertices with one out-row
     and one in-column, which are the coarsest complete blocks of uniform
     weights.
@@ -332,8 +284,7 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     count = len(colorings)
     if not count or count % n:
         raise InternalConsistencyError(f"{count} colorings, not a multiple of n = {n}")
-    group = colorings[: count // n]
-    keys = row_keys(group, n)
+    group, keys = colorings[: count // n], coloring_set.keys[: count // n]
 
     def position(rows):  # the row of `group` equal to each of `rows`
         at = _positions(keys, rows, n)
@@ -356,43 +307,37 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     src, j = np.nonzero(orders[:, None] % divisors == 0)
     dst = np.searchsorted(names, name[position(divisors[j, None] * generators[src] % n)])
     cross = np.column_stack((src, dst, n // orders[src]))[np.lexsort((dst, src))]
-    form = QuiverForm(np.bincount(block_of), n // orders, cross)
-    members = np.argsort(block_of, kind="stable").astype(np.int64, copy=False)
-    members.flags.writeable = False
-    return form, members
+    block_of.flags.writeable = False
+    return QuiverForm(np.bincount(block_of), n // orders, cross), block_of
 
 
 # --- comparison ----------------------------------------------------------
 
 
-def isomorphic(quiver: WeightedQuiver, form: QuiverForm, members) -> np.ndarray | None:
-    """The mapping of the k-th vertex of members, as lattice_form lists
-    them block by block, to vertex k of the form's blocks laid end to end,
-    when it carries `quiver` onto that layout arrow for arrow and weight
-    for weight; else None, as it is when `members` is not a permutation of
-    the quiver's vertices or the form is on another number of them.  The
-    mapping is a read-only int64 array, mapping[v] the layout vertex of v.
+def isomorphic(quiver: WeightedQuiver, form: QuiverForm, block_of) -> bool:
+    """Whether `quiver` is the quiver of the form's blocks, vertex v in
+    block block_of[v], arrow for arrow and weight for weight.  False, too,
+    when `block_of` is not one block in 0..k-1 per vertex, for the form's
+    k blocks, or does not put sizes[b] vertices in block b.
 
     The check reads each stored row once per block whose vertices read it,
-    O(E/n) on a built quiver, whose blocks are unions of translation
+    O(N + E/n) on a built quiver, whose blocks are unions of translation
     classes, and sorts no arrows.  Each arrow (u, v, w) must find its
     blocks' pair among the form's entries (a block to itself at its
     weight, and the cross entries, repeated ones summed), at that entry's
     weight, and each row must hold as many arrows as the blocks its block
     sends to hold vertices.  A row's targets are distinct, so by pigeonhole
-    they are then every vertex of those blocks: the rows are the layout's
-    rows exactly.
+    they are then every vertex of those blocks: laid out block by block,
+    the rows are the form's rows exactly.
     """
     n, sizes, k = quiver.n_vertices, form.sizes, form.sizes.size
-    members = np.asarray(members, dtype=np.int64)
-    if members.shape != (n,) or form.n_vertices != n or np.any((members < 0) | (members >= n)):
-        return None
-    mapping = np.full(n, -1, dtype=np.int64)
-    mapping[members] = np.arange(n)
-    if np.any(mapping < 0):  # a vertex listed twice leaves another unlisted
-        return None
-    block_of = np.empty(n, dtype=np.int64)
-    block_of[members] = np.repeat(np.arange(k), sizes)
+    block_of = np.asarray(block_of, dtype=np.int64)
+    if (
+        block_of.shape != (n,)
+        or np.any((block_of < 0) | (block_of >= k))
+        or not np.array_equal(np.bincount(block_of, minlength=k), sizes)
+    ):
+        return False
     # the form's entries (a, b, d), each block to itself and then the cross
     # rows, keyed a * k + b, repeated keys summed
     own = np.arange(k)
@@ -409,12 +354,9 @@ def isomorphic(quiver: WeightedQuiver, form: QuiverForm, members) -> np.ndarray 
     rows, blocks = np.divmod(pairs, max(k, 1))
     at, lengths = _row_positions(quiver.indptr, rows)
     if not np.array_equal(lengths, row_length[blocks]):
-        return None
+        return False
     arrow_keys = np.repeat(blocks, lengths) * k + block_of[quiver.dst[at]]
     at_entry = np.minimum(np.searchsorted(entry_keys, arrow_keys), entry_keys.size - 1)
-    if np.array_equal(entry_keys[at_entry], arrow_keys) and np.array_equal(
+    return np.array_equal(entry_keys[at_entry], arrow_keys) and np.array_equal(
         entry_weight[at_entry], quiver.weight[at]
-    ):
-        mapping.flags.writeable = False
-        return mapping
-    return None
+    )

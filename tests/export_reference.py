@@ -12,9 +12,9 @@ back from its JSON.
 import json
 
 import numpy as np
-from quiver_reference import weight_triples
+from quiver_reference import from_arrows, weight_triples
 
-from quandlequiver.quivers import QuiverForm, WeightedQuiver
+from quandlequiver.quivers import QuiverForm
 
 
 def _label(vertex, labels):
@@ -67,4 +67,4 @@ def quiver_from_json(text):
     """Rebuild a quiver from its JSON text; its params and blocks are not read."""
     payload = json.loads(text)
     arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
-    return WeightedQuiver.from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))
+    return from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))

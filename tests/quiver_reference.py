@@ -2,17 +2,20 @@
 row, a form expanded to its quiver, and the paper's closed-form shapes
 keyed by the coloring count.
 
-`WeightedQuiver` holds stored CSR rows, one per vertex from `from_arrows`
-and one per translation class from `build_quiver`, read back arrow by
-arrow through `arrows()` by `weight_triples`, and `build_quiver` lifts
-the quiver from the scalings of K0 and its translates; these are the
-direct row-dict quiver and the build they must agree with, which applies
-each map of an image array to all N colorings and finds every image among
-them.  `isomorphic` checks the arrows against a form's columns in O(E); `reference_isomorphic` compares them with `realize(form)`,
-the form expanded arrow by arrow, in one sorted comparison.
-`lattice_form` reads the quiver's blocks off the cyclic subgroups of the
-colorings; `quiver_form_for_count` is the paper's table of four shapes it
-must agree with wherever that table has an answer.
+`WeightedQuiver` holds stored CSR rows, one per translation class from
+`build_quiver` and one per vertex from `from_arrows` here, which builds
+the tests' quivers from arrow lists; `weight_triples` reads them back
+arrow by arrow through `arrows()`.  `build_quiver` lifts the quiver from
+the scalings of K0 and its translates; the build here, which applies
+each map of an image array to all N colorings and finds every image
+among them, is the one it must agree with.  `isomorphic` checks the
+stored rows against a form's columns and each vertex's block label in
+O(N + E/n); `reference_isomorphic` lays the blocks out end to end and
+compares the arrows with `realize(form)`, the form expanded arrow by
+arrow, in one sorted comparison.  `lattice_form` reads the quiver's
+blocks off the cyclic subgroups of the colorings;
+`quiver_form_for_count` is the paper's table of four shapes it must
+agree with wherever that table has an answer.
 """
 
 from itertools import groupby
@@ -49,6 +52,49 @@ class DictQuiver:
         if w:
             row = self.rows[i]
             row[j] = row.get(j, 0) + w
+
+
+def from_arrows(n, src, dst, weight, labels=None):
+    """The quiver on n vertices with arrows src[k] -> dst[k] of weight
+    weight[k], one stored row per vertex.
+
+    Arrows with the same endpoints are summed and zero weights dropped.
+    A vertex outside 0..n-1, a negative weight, or labels that are not
+    n rows of one width raise ValueError.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64).view()
+        if labels.shape == (0,):
+            labels = labels.reshape(0, 0)
+        if labels.ndim != 2 or len(labels) != n:
+            raise ValueError(f"labels must be {n} rows of one width, got shape {labels.shape}")
+        labels.flags.writeable = False
+    src, dst, weight = (np.array(a, dtype=np.int64).reshape(-1) for a in (src, dst, weight))
+    if not src.size == dst.size == weight.size:
+        raise ValueError("src, dst and weight must have one length")
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if outside.any():
+        k = np.argmax(outside)
+        raise ValueError(f"edge ({src[k]}, {dst[k]}) outside 0..{n - 1}")
+    if (weight < 0).any():
+        raise ValueError(f"weight must be nonnegative, got {weight[np.argmax(weight < 0)]}")
+    key = src * n + dst
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, src, dst, weight = key[order], src[order], dst[order], weight[order]
+        first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        src, dst, weight = src[first], dst[first], np.add.reduceat(weight, first)
+    if not weight.all():
+        keep = weight != 0
+        src, dst, weight = src[keep], dst[keep], weight[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    row = np.arange(n)
+    for a in (row, indptr, dst, weight):
+        a.flags.writeable = False
+    return WeightedQuiver(n, row, indptr, dst, weight, labels)
 
 
 def weight_triples(quiver):
@@ -93,7 +139,7 @@ def build_quiver(coloring_set, endos):
     arrows = np.arange(count) * count + order[at]
     arrows, weight = np.unique(arrows, return_counts=True)
     src, dst = np.divmod(arrows, max(count, 1))
-    return WeightedQuiver.from_arrows(count, src, dst, weight, labels=colorings)
+    return from_arrows(count, src, dst, weight, labels=colorings)
 
 
 def realize(form):
@@ -112,32 +158,31 @@ def realize(form):
     width = sizes[b][entry]
     src = starts[a][entry] + t // width
     dst = starts[b][entry] + t % width
-    return WeightedQuiver.from_arrows(form.n_vertices, src, dst, d[entry])
+    return from_arrows(form.n_vertices, src, dst, d[entry])
 
 
-def reference_isomorphic(quiver, form, members):
-    """The mapping of members[k] to vertex k of realize(form), as an int64
-    array, when it carries `quiver` onto realize(form) arrow for arrow and
-    weight for weight (one sorted array comparison); else None, as it is
-    when `members` is not a permutation of the vertices or the form is on
-    another number of them.
+def reference_isomorphic(quiver, form, block_of):
+    """Whether laying the vertices out by their blocks, block_of[v] the
+    block of v, each block's vertices in order, carries `quiver` onto
+    realize(form) arrow for arrow and weight for weight (one sorted array
+    comparison).  False when `block_of` does not put sizes[b] vertices in
+    each block b of the form, and nowhere else.
     """
     n = quiver.n_vertices
-    members = np.asarray(members, dtype=np.int64)
-    if form.n_vertices != n or not np.array_equal(np.sort(members), np.arange(n)):
-        return None
+    block_of = np.asarray(block_of, dtype=np.int64)
+    layout = np.repeat(np.arange(form.sizes.size), form.sizes)
+    if block_of.ndim != 1 or not np.array_equal(np.sort(block_of), layout) or layout.size != n:
+        return False
     mapping = np.empty(n, dtype=np.int64)
-    mapping[members] = np.arange(n)
+    mapping[np.argsort(block_of, kind="stable")] = np.arange(n)
     target = realize(form)
     src, dst, weight = quiver.arrows()
     target_src, target_dst, target_weight = target.arrows()
     key = mapping[src] * n + mapping[dst]
     order = np.argsort(key)
-    if np.array_equal(key[order], target_src * n + target_dst) and np.array_equal(
+    return np.array_equal(key[order], target_src * n + target_dst) and np.array_equal(
         weight[order], target_weight
-    ):
-        return mapping
-    return None
+    )
 
 
 def quiver_form_for_count(p, n, count):

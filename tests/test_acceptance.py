@@ -18,7 +18,7 @@ from quandle_reference import (
     is_involutive,
     verify_quandle_axioms,
 )
-from quiver_reference import dense, quiver_form_for_count, realize, runs, weight_triples
+from quiver_reference import dense, quiver_form_for_count, reference_isomorphic, runs
 
 from quandlequiver.braids import BraidWord
 from quandlequiver.colorings import enumerate_colorings_linear, oracle_counts
@@ -53,17 +53,13 @@ def check_quiver_matches_form(p, q, n, expected_count, families, d):
     weight) runs of blocks, every block past the first sending d to it."""
     cs, quiver = torus_quiver(p, q, n)
     assert cs.count == expected_count
-    form, members = lattice_form(cs)
+    form, block_of = lattice_form(cs)
     assert form == quiver_form_for_count(p, n, cs.count)
     assert runs(form) == families
     assert form.cross.tolist() == [[b, 0, d] for b in range(1, form.sizes.size)]
-    mapping = isomorphic(quiver, form, members)
-    assert mapping is not None
-    mapping = mapping.tolist()
-    target = realize(form)
-    assert sorted(mapping) == list(range(target.n_vertices))
-    mapped = sorted((mapping[i], mapping[j], w) for i, j, w in weight_triples(quiver))
-    assert mapped == weight_triples(target)
+    assert isomorphic(quiver, form, block_of) is True
+    # laid out by its blocks, the quiver is realize(form) arrow for arrow
+    assert reference_isomorphic(quiver, form, block_of)
     return form
 
 

@@ -124,10 +124,9 @@ def test_residue_periodicity():
         for q in range(0, 2 * p):
             for n in range(2, 13):
                 a = predict_count(p, q, n)
-                b = predict_count(p, q + 2 * p, n)
-                assert a.case == b.case
-                assert a.candidates == b.candidates
-                assert a.residue == b.residue == q
+                for period in (1, 2, 7):
+                    b = predict_count(p, q + period * 2 * p, n)
+                    assert (a.case, a.candidates) == (b.case, b.candidates)
 
 
 def test_candidates_are_multiples_of_n():
@@ -138,7 +137,6 @@ def test_candidates_are_multiples_of_n():
                 for value in pred.candidates:
                     assert value >= n
                     assert value % n == 0
-                assert math.gcd(pred.n, pred.p) == pred.gcd_np
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])

@@ -12,7 +12,7 @@ from braid_reference import torus_braid
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from export_reference import quiver_from_json
-from quiver_reference import quiver_form_for_count, realize, weight_triples
+from quiver_reference import from_arrows, quiver_form_for_count, realize, weight_triples
 
 from quandlequiver.braids import TorusLinkSpec
 from quandlequiver.colorings import enumerate_colorings_linear
@@ -20,7 +20,7 @@ from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver import export
 from quandlequiver.export import CSV_HEADER, csv_chunks, dot_chunks, json_chunks
-from quandlequiver.quivers import QuiverForm, WeightedQuiver, build_quiver, lattice_form
+from quandlequiver.quivers import QuiverForm, build_quiver, lattice_form
 
 
 def dot_text(graph, **options):
@@ -105,7 +105,7 @@ def test_quiver_json_key_order_and_fields():
 
 
 def test_empty_quiver_dict():
-    empty = WeightedQuiver.from_arrows(0, [], [], [])
+    empty = from_arrows(0, [], [], [])
     assert json.loads(json_text(empty, form=QuiverForm())) == {
         "count": 0,
         "weights": [],
@@ -204,7 +204,7 @@ def random_quivers(draw):
         colour = st.integers(0, 10**3)
         labels = draw(st.lists(st.tuples(*[colour] * width), min_size=n, max_size=n))
     src, dst, weight = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    return WeightedQuiver.from_arrows(n, src, dst, weight, labels=labels)
+    return from_arrows(n, src, dst, weight, labels=labels)
 
 
 @st.composite
@@ -241,11 +241,11 @@ def torus_quivers(draw):
     st.integers(1, 5),
     st.none() | st.dictionaries(st.sampled_from("pqn"), st.integers(0, 99)),
 )
-@example((WeightedQuiver.from_arrows(0, [], [], []), QuiverForm()), True, 1, None)
-@example((WeightedQuiver.from_arrows(0, [], [], [], labels=[]), QuiverForm()), True, 1, None)
+@example((from_arrows(0, [], [], []), QuiverForm()), True, 1, None)
+@example((from_arrows(0, [], [], [], labels=[]), QuiverForm()), True, 1, None)
 @example(
     (
-        WeightedQuiver.from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]),
+        from_arrows(2, [0, 1], [1, 1], [4, 2], labels=[(), ()]),
         QuiverForm([2], [4]),
     ),
     False,
@@ -255,7 +255,7 @@ def torus_quivers(draw):
 # weights 1 and 30000 span more than their column: tabled by their distinct values
 @example(
     (
-        WeightedQuiver.from_arrows(2, [0, 1], [1, 0], [1, 30000]),
+        from_arrows(2, [0, 1], [1, 0], [1, 30000]),
         QuiverForm([1, 1], [1, 1], [(0, 1, 30000), (1, 0, 1)]),
     ),
     True,
@@ -265,7 +265,7 @@ def torus_quivers(draw):
 # negative labels
 @example(
     (
-        WeightedQuiver.from_arrows(3, [0, 2], [2, 1], [5, 3], labels=[(-3, 4), (-7, 0), (2, -1)]),
+        from_arrows(3, [0, 2], [2, 1], [5, 3], labels=[(-3, 4), (-7, 0), (2, -1)]),
         QuiverForm([3], [2]),
     ),
     True,
@@ -275,7 +275,7 @@ def torus_quivers(draw):
 # labels near ±2^62, whose span passes int64
 @example(
     (
-        WeightedQuiver.from_arrows(2, [0], [1], [2], labels=[(2**62 + 5, -(2**62)), (-(2**62) - 5, 2**62)]),
+        from_arrows(2, [0], [1], [2], labels=[(2**62 + 5, -(2**62)), (-(2**62) - 5, 2**62)]),
         QuiverForm([2], [1]),
     ),
     True,
@@ -284,7 +284,7 @@ def torus_quivers(draw):
 )
 # a single record in every list
 @example(
-    (WeightedQuiver.from_arrows(1, [0], [0], [7], labels=[(3,)]), QuiverForm([1], [7])),
+    (from_arrows(1, [0], [0], [7], labels=[(3,)]), QuiverForm([1], [7])),
     True,
     4,
     {"p": 1},
@@ -292,7 +292,7 @@ def torus_quivers(draw):
 # a chunk of 1 over lists of many records
 @example(
     (
-        WeightedQuiver.from_arrows(4, [0, 1, 2, 3, 3], [1, 2, 3, 0, 3], [9, 8, 7, 6, 5], labels=[(i,) for i in range(4)]),
+        from_arrows(4, [0, 1, 2, 3, 3], [1, 2, 3, 0, 3], [9, 8, 7, 6, 5], labels=[(i,) for i in range(4)]),
         QuiverForm([1, 3], [1, 2], [(0, 1, 4), (1, 0, 6)]),
     ),
     True,
@@ -303,7 +303,7 @@ def torus_quivers(draw):
 # empty and the first record written comes later
 @example(
     (
-        WeightedQuiver.from_arrows(4, [2, 3, 3], [0, 1, 3], [3, 4, 5], labels=[(i,) for i in range(4)]),
+        from_arrows(4, [2, 3, 3], [0, 1, 3], [3, 4, 5], labels=[(i,) for i in range(4)]),
         QuiverForm([4], [1]),
     ),
     True,
@@ -313,7 +313,7 @@ def torus_quivers(draw):
 # without loops: a first chunk of arrows that are all loops
 @example(
     (
-        WeightedQuiver.from_arrows(3, [0, 1, 1, 2], [0, 1, 2, 2], [3, 4, 5, 6]),
+        from_arrows(3, [0, 1, 1, 2], [0, 1, 2, 2], [3, 4, 5, 6]),
         QuiverForm([3], [1]),
     ),
     False,
@@ -322,7 +322,7 @@ def torus_quivers(draw):
 )
 # without loops: a quiver whose arrows are all loops
 @example(
-    (WeightedQuiver.from_arrows(2, [0, 1], [0, 1], [3, 4], labels=[(1,), (0,)]), QuiverForm([1, 1], [3, 4])),
+    (from_arrows(2, [0, 1], [0, 1], [3, 4], labels=[(1,), (0,)]), QuiverForm([1, 1], [3, 4])),
     False,
     1,
     None,
@@ -412,7 +412,7 @@ def test_writer_argument_errors_are_raised_at_the_call():
     st.lists(st.integers(0, 400), max_size=6),
 )
 # vertices 0, 1 and 2 have no arrows: pieces that start with arrowless vertices
-@example(WeightedQuiver.from_arrows(5, [3, 4, 4], [0, 1, 4], [1, 2, 3]), [1, 2, 4])
+@example(from_arrows(5, [3, 4, 4], [0, 1, 4], [1, 2, 3]), [1, 2, 4])
 def test_arrow_pieces_concatenate_to_the_arrows(quiver, cuts):
     # the writers gather the arrows a run of vertices at a time
     n = quiver.n_vertices

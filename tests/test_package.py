@@ -1,6 +1,8 @@
 """Tests for the package's public namespace."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import quandlequiver
@@ -16,9 +18,11 @@ def test_every_public_name_resolves():
 
 def test_every_public_name_is_used_inside_the_package():
     # each public name is read by some module of the package (as a name, an
-    # attribute or an import), so none is there only for the tests to call
+    # attribute or an import), and each public method, property and
+    # dataclass field of a public class is loaded as an attribute, so none
+    # is there only for the tests to call
     package = Path(quandlequiver.__file__).parent
-    used = set()
+    used, loaded = set(), set()
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -27,6 +31,17 @@ def test_every_public_name_is_used_inside_the_package():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(set(quandlequiver.__all__) - used) == []
+    unread = []
+    for name in quandlequiver.__all__:
+        cls = getattr(quandlequiver, name)
+        if inspect.isclass(cls):
+            members = set(vars(cls))
+            if dataclasses.is_dataclass(cls):
+                members |= {field.name for field in dataclasses.fields(cls)}
+            unread += [f"{name}.{m}" for m in sorted(members - loaded) if not m.startswith("_")]
+    assert unread == []
