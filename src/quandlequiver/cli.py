@@ -233,7 +233,8 @@ def cmd_quiver(args) -> int:
     except CapExceededError as exc:
         print(f"quiver: {exc.size} colorings exceed the enumeration cap", file=sys.stderr)
         return EXIT_CAP
-    quiver = build_quiver(coloring_set)
+    # a collapsed drawing alone prints only the form
+    quiver = build_quiver(coloring_set) if args.compare or not args.collapse else None
     # the blocks, read once from the colorings, for each output that needs them;
     # only the comparison reads each coloring's block, so the export does not hold it
     if args.compare or args.collapse or args.format == "json":

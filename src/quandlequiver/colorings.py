@@ -22,6 +22,8 @@ than return part of its answer over its cap.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .braids import BraidWord, TorusLinkSpec, closure_system, factor_power
@@ -37,9 +39,10 @@ class ColoringSet:
     `colorings` is a read-only int64 array with one row per coloring, its
     strands' colours, rows in lexicographic order, so array equality is
     set equality.  `keys` holds each row read as a base-m number, m the
-    quandle's size (`row_keys`), read-only and strictly increasing.  A row
-    whose width is not the link's strand count, a colour outside 0..m-1,
-    or rows that are not sorted and distinct raise ValueError.
+    quandle's size (`row_keys`), read-only and strictly increasing, which
+    `quotient` looks rows up by for the quiver layer.  A row whose width is
+    not the link's strand count, a colour outside 0..m-1, or rows that are
+    not sorted and distinct raise ValueError.
     """
 
     def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings):
@@ -67,11 +70,63 @@ class ColoringSet:
         """The rows that colour every strand the same."""
         return np.flatnonzero((self.colorings == self.colorings[:, :1]).all(axis=1))
 
+    @functools.cached_property
+    def quotient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(translate, class_of, scaled): the colorings by R_n as K0 + Delta,
+        in three read-only int64 tables made at the first read.
+
+        K0 is the first rows, those colouring strand 1 with 0, and Delta the
+        trivial colorings, so each coloring is c0 + t*1 for one class c0 in
+        K0 and one shift t.  translate[s, c] is the position of K0[c] + s*1,
+        class_of[v] the class of coloring v, and scaled[a, c] the position
+        in K0 of a*K0[c].  A quandle other than R_n raises ValueError, and
+        so does a set the maps x -> a*x + b do not keep, naming a coloring,
+        a map (a, b) and the image that is not a coloring.
+        """
+        quandle, colorings, keys = self.quandle, self.colorings, self.keys
+        if not isinstance(quandle, DihedralQuandle):
+            raise ValueError(f"the quiver layer needs colorings by R_n, got {quandle!r}")
+        n = quandle.n
+        group = colorings[: np.searchsorted(colorings[:, 0], 1)]
+        shifts = np.arange(n)[:, None, None]
+        translate = _positions(keys, (group + shifts) % n, n)
+        if np.any(translate < 0):
+            s, c = np.argwhere(translate < 0)[0]
+            raise _not_closed(group[c], 1, s, n)
+        class_of = np.full(len(colorings), -1)
+        class_of[translate] = np.arange(len(group))
+        if np.any(class_of < 0):
+            # no translate of K0 reaches v, so v - v_1*1 is no coloring
+            v = colorings[np.argmax(class_of < 0)]
+            raise _not_closed(v, 1, -v[0] % n, n)
+        scaled = _positions(keys[: len(group)], shifts * group % n, n)
+        if np.any(scaled < 0):
+            a, c = np.argwhere(scaled < 0)[0]
+            raise _not_closed(group[c], a, 0, n)
+        for table in (translate, class_of, scaled):
+            table.flags.writeable = False
+        return translate, class_of, scaled
+
     def __repr__(self):
         return (
             f"ColoringSet({self.count} colorings of a {self.colorings.shape[1]}-strand "
             f"closure by size-{self.quandle.size} quandle)"
         )
+
+
+def _positions(keys: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """Each of `rows`' position among the rows of sorted base-m keys `keys`, or -1."""
+    wanted = row_keys(rows, m)
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def _not_closed(coloring: np.ndarray, a: int, b: int, n: int) -> ValueError:
+    image = (a * coloring + b) % n
+    return ValueError(
+        f"image {tuple(image.tolist())} of coloring {tuple(coloring.tolist())} "
+        f"under x -> {a}*x + {b} mod {n} is not itself a coloring"
+    )
 
 
 _SLAB = 1 << 16  # state indices handled per batch

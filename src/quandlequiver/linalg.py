@@ -13,7 +13,7 @@ Each entry is cleared in one exact step when the pivot's gcd with L
 divides it, by the pivot's inverse mod L/g; only the others take a Euclid
 step.  The U*A*V check multiplies in int64 when no dot product can pass
 2**63, and on Python ints otherwise.  Kernel vectors are sorted by their
-base-n row keys (`row_keys`), which the quivers module reads too.
+base-n row keys (`row_keys`), which the colorings module reads too.
 """
 
 from __future__ import annotations

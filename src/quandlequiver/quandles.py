@@ -1,13 +1,16 @@
 """Finite quandles and the dihedral family.
 
 A quandle of size m holds its Cayley table as one read-only (m, m) int64
-array.  The n^2 affine maps x -> a*x + b are all the endomorphisms of
-R_n, since a*(2y - x) + b == 2*(a*y + b) - (a*x + b); `quivers.build_quiver`
-applies them through their coefficients, and the tests check that they
-are all against an exhaustive search.
+array; R_n builds it at the first read.  The n^2 affine maps
+x -> a*x + b are all the endomorphisms of R_n, since
+a*(2y - x) + b == 2*(a*y + b) - (a*x + b); `quivers.build_quiver` applies
+them through their coefficients, and the tests check that they are all
+against an exhaustive search.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,34 +37,36 @@ class FiniteQuandle:
         table.flags.writeable = False
         self.size = m
         self.table = table
-        self._inverse: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def inverse_table(self) -> np.ndarray:
         """inverse_table[x, y] is the unique z with z * y == x, as a read-only array."""
-        if self._inverse is None:
-            m, t = self.size, self.table
-            # right translation by y is a bijection when column y is a permutation
-            broken = np.flatnonzero((np.sort(t, axis=0) != np.arange(m)[:, None]).any(axis=0))
-            if broken.size:
-                raise ValueError(f"right translation by {broken[0]} is not a bijection")
-            inverse = np.empty_like(t)
-            inverse[t, np.arange(m)] = np.arange(m)[:, None]
-            inverse.flags.writeable = False
-            self._inverse = inverse
-        return self._inverse
+        m, t = self.size, self.table
+        # right translation by y is a bijection when column y is a permutation
+        broken = np.flatnonzero((np.sort(t, axis=0) != np.arange(m)[:, None]).any(axis=0))
+        if broken.size:
+            raise ValueError(f"right translation by {broken[0]} is not a bijection")
+        inverse = np.empty_like(t)
+        inverse[t, np.arange(m)] = np.arange(m)[:, None]
+        inverse.flags.writeable = False
+        return inverse
 
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
 
 
 class DihedralQuandle(FiniteQuandle):
-    """Z_n with x * y = 2y - x; involutive, so inverse_table equals table."""
+    """Z_n with x * y = 2y - x; involutive, so inverse_table equals table (built at first read)."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"modulus must be at least 1, got {n}")
-        self.n = n
-        x = np.arange(n)
-        super().__init__((2 * x - x[:, None]) % n)
+        self.n = self.size = n
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        x = np.arange(self.n)
+        table = (2 * x - x[:, None]) % self.n
+        table.flags.writeable = False
+        return table
 

@@ -3,35 +3,34 @@
 The quiver of a coloring set by R_n has one vertex per coloring and, for
 each endomorphism phi of R_n, one arrow f -> phi . f; arrows with the same
 endpoints merge into an integer weight, so every row sums to n^2.  The
-endomorphisms are the affine maps x -> a*x + b, and `build_quiver` builds
-the quiver as a lift of its quotient by translation: K0, the colorings
-with strand 1 coloured 0, holds one coloring c0 of each class c0 + t*1,
-and only the scaling a acts on it.  The N/n x n images a*c0 give one row
-per class, spread over the n translates of each image, which the
-`WeightedQuiver` stores once for all n translates of c0.
+endomorphisms are the affine maps x -> a*x + b.  This module reads the
+colorings only through their quotient by translation,
+`ColoringSet.quotient`: K0, the colorings with strand 1 coloured 0, holds
+one coloring c0 of each class c0 + t*1, and the quotient tables the
+translates of K0, each coloring's class and the scalings a*c0 in K0.
+`build_quiver` lifts the quiver from the scalings: one row per class,
+spread over the n translates of each image, which the `WeightedQuiver`
+stores once for all n translates of c0.
 
 A `QuiverForm` (complete blocks and uniform cross arrows) is three int64
-columns: block sizes, block weights and (src, dst, d) cross rows.  It is
-read off the colorings by R_n alone by `lattice_form`, the one reader of
-block structure, with each coloring's block label: it needs no quiver.
+columns: block sizes, block weights and (src, dst, d) cross rows.
+`lattice_form`, the one reader of block structure, reads it off the same
+quotient, with each coloring's block label: it needs no quiver.
 `isomorphic` checks a quiver's stored rows against a form and those
-labels, with no sort and no expansion of the form: each arrow must join
-two blocks the form joins, at the form's weight, and each row must hold
-one arrow per vertex of the blocks its block reaches, which by
-pigeonhole its distinct targets then are.
+labels, sorting only the N (stored row, block) pairs and expanding no
+form: each arrow must join two blocks the form joins, at the form's
+weight, and each row must hold one arrow per vertex of the blocks its
+block reaches, which by pigeonhole its distinct targets then are.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .colorings import ColoringSet
 from .errors import InternalConsistencyError
-from .linalg import row_keys
-from .quandles import DihedralQuandle
 
 
 class WeightedQuiver:
@@ -82,61 +81,21 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray):
     return at, lengths
 
 
-def _positions(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """The position of each of `rows` among the rows whose sorted base-n
-    keys are `keys`, and -1 for a row that is not among them."""
-    wanted = row_keys(rows, n)
-    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    return np.where(keys[at] == wanted, at, -1)
-
-
-def _not_closed(coloring: np.ndarray, a: int, b: int, n: int) -> InternalConsistencyError:
-    image = (a * coloring + b) % n
-    return InternalConsistencyError(
-        f"image {tuple(image.tolist())} of coloring {tuple(coloring.tolist())} "
-        f"under x -> {a}*x + {b} mod {n} is not itself a coloring"
-    )
-
-
 def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
     """The quiver of the colorings by R_n under its n^2 affine maps
     x -> a*x + b, all of End(R_n), lifted from their action on K0.
 
-    K0 is the colorings with strand 1 coloured 0, the first rows, and
-    each coloring is c0 + t*1 for one c0 in K0, its class, and one shift
-    t.  The map (a, b) sends it to a*c0 + (a*t + b)*1, so for each a its
-    n maps send every translate of c0 to each translate of d0 = a*c0 once.
-    Every vertex of a class therefore has one row: one arrow to each
-    translate of each distinct a*c0, weighted by the number of a giving
-    it.  The build looks up the N/n x n scalings a*c0 and the n x N/n
-    translates of K0 among the colorings, sorts each class's row once and
-    stores it as the row of every vertex of the class.  A quandle
-    other than R_n raises ValueError.  An image outside the colorings raises
-    InternalConsistencyError naming a coloring, a map (a, b) sending it
-    there and the image.  Structural laws that hold by construction are
+    The map (a, b) sends the coloring c0 + t*1 (`ColoringSet.quotient`) to
+    a*c0 + (a*t + b)*1, so for each a its n maps send every translate of
+    c0 to each translate of a*c0 once.  All n translates of c0 therefore
+    share one row, sorted once from the quotient's scalings and
+    translates: one arrow to each translate of each distinct a*c0,
+    weighted by the number of a giving it.  The quotient's ValueError
+    passes through.  Structural laws that hold by construction are
     re-checked on every build.
     """
-    quandle, colorings, keys = coloring_set.quandle, coloring_set.colorings, coloring_set.keys
-    if not isinstance(quandle, DihedralQuandle):
-        raise ValueError(f"the quiver needs colorings by R_n, got {quandle!r}")
-    n, count = quandle.n, len(colorings)
-    group = colorings[: np.searchsorted(colorings[:, 0], 1)]  # K0, first when sorted
-    # vertex[s, c] is the coloring K0[c] + s*1, which x -> x + s sends K0[c] to
-    vertex = np.stack([_positions(keys, (group + s) % n, n) for s in range(n)])
-    if np.any(vertex < 0):
-        s, c = np.argwhere(vertex < 0)[0]
-        raise _not_closed(group[c], 1, s, n)
-    class_of = np.full(count, -1)
-    class_of[vertex] = np.arange(len(group))
-    if np.any(class_of < 0):
-        # no translate of K0 reaches v, so v - v_1*1 is no coloring
-        v = colorings[np.argmax(class_of < 0)]
-        raise _not_closed(v, 1, -v[0] % n, n)
-    # scaled[a, c] is the position in K0 of a*K0[c]
-    scaled = np.stack([_positions(keys[: len(group)], a * group % n, n) for a in range(n)])
-    if np.any(scaled < 0):
-        a, c = np.argwhere(scaled < 0)[0]
-        raise _not_closed(group[c], a, 0, n)
+    translate, class_of, scaled = coloring_set.quotient
+    n, count = coloring_set.quandle.n, coloring_set.count
     # a run of one position in a class's sorted images is one image d0,
     # weighted by the run's length
     images = np.sort(scaled.T, axis=1)
@@ -145,14 +104,14 @@ def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
     heads = np.flatnonzero(new_run)
     owner, image, mult = heads // n, images.ravel()[heads], np.diff(heads, append=images.size)
     # each class's row: one arrow to each translate of each of its images, in order
-    targets = vertex[:, image]
+    targets = translate[:, image]
     order = np.argsort(owner * count + targets, axis=None)
     dst, weight = targets.ravel()[order], mult[order % heads.size]
-    indptr = np.append(0, np.cumsum(n * np.bincount(owner, minlength=len(group))))
-    for array in (class_of, indptr, dst, weight):
+    indptr = np.append(0, np.cumsum(n * np.bincount(owner, minlength=scaled.shape[1])))
+    for array in (indptr, dst, weight):
         array.flags.writeable = False
     # each class's row is sorted and merged: the arrays are already canonical
-    quiver = WeightedQuiver(count, class_of, indptr, dst, weight, colorings)
+    quiver = WeightedQuiver(count, class_of, indptr, dst, weight, coloring_set.colorings)
     _check_structure(quiver, coloring_set)
     return quiver
 
@@ -166,29 +125,31 @@ def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet):
     if bad.size:
         i = bad[0]
         raise InternalConsistencyError(f"row {i} sums to {sums[i]}, expected {n * n}")
-    # the arrows of the trivial rows
+    # the arrows of each distinct stored row of the trivial colorings, read
+    # from a trivial vertex holding it; a built quiver's share one row
     trivial = coloring_set.trivial_indices
     position = np.full(quiver.n_vertices, -1)
     position[trivial] = np.arange(trivial.size)
-    at, lengths = _row_positions(quiver.indptr, quiver.row[trivial])
-    src = np.repeat(trivial, lengths)
+    rows, first = np.unique(quiver.row[trivial], return_index=True)
+    at, lengths = _row_positions(quiver.indptr, rows)
+    row_of = np.repeat(np.arange(rows.size), lengths)
     dst, weight = quiver.dst[at], quiver.weight[at]
     leaving = np.flatnonzero(position[dst] < 0)
     if leaving.size:
         k = leaving[0]
         raise InternalConsistencyError(
-            f"arrow from trivial coloring {src[k]} to nontrivial {dst[k]}"
+            f"arrow from trivial coloring {trivial[first[row_of[k]]]} to nontrivial {dst[k]}"
         )
-    # with the full affine family over R_n, every trivial -> trivial
-    # weight is exactly n
-    block = np.zeros((trivial.size, trivial.size), dtype=np.int64)
-    block[position[src], position[dst]] = weight
-    bad = np.argwhere(block != n)
+    # with the full affine family over R_n, each of these rows sends weight
+    # exactly n to each trivial coloring
+    block = np.zeros(rows.size * trivial.size, dtype=np.int64)
+    np.add.at(block, row_of * trivial.size + position[dst], weight)
+    bad = np.flatnonzero(block != n)
     if bad.size:
-        a, b = bad[0]
+        r, b = divmod(bad[0], trivial.size)
         raise InternalConsistencyError(
-            f"trivial block weight at ({trivial[a]}, {trivial[b]}) is "
-            f"{block[a, b]}, expected {n}"
+            f"trivial block weight at ({trivial[first[r]]}, {trivial[b]}) is "
+            f"{block[bad[0]]}, expected {n}"
         )
 
 
@@ -259,53 +220,30 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     """The blocks of build_quiver(coloring_set), read off the colorings by
     R_n alone, with no quiver.
 
-    Returns (form, block_of): `form` has one block per twin class and its
+    Returns (form, block_of): `form` has one block per twin class (the
+    vertices with one out-row and one in-column, the coarsest complete
+    blocks of uniform weights), blocks ordered by least coloring, and its
     `cross` rows sorted; `block_of` is a read-only int64 array, block_of[v]
-    the block of coloring v.  Blocks are ordered by least coloring.  The
-    blocks are the quiver's twin classes, the vertices with one out-row
-    and one in-column, which are the coarsest complete blocks of uniform
-    weights.
+    the block of coloring v.
 
-    The colorings K are a subgroup of Z_n^strands and K = K0 + Delta, the
-    trivial colorings Delta and K0 those colouring strand 1 with 0: the
-    first N/n sorted rows.  The maps x -> ax + b sending c to d are one
-    per a with a(c - c_1) = d - d_1, so each cyclic subgroup C = <g> of K0,
-    of order k, is one complete block: the n phi(k) colorings c with <c - c_1> = C,
-    of weight n/k, sending n/k to each block <j g> for the divisors j > 1
-    of k.  The block is named by its least generator, among the u g for
-    units u mod n, which is also its least coloring.  A quandle other than
-    R_n raises ValueError; colorings that are not such a group raise
-    InternalConsistencyError.
+    The colorings are K0 + Delta (`ColoringSet.quotient`), and the maps
+    x -> ax + b sending c to d are one per a with a(c - c_1) = d - d_1.  So
+    each cyclic subgroup C = <g> of K0, of order k, is one complete block:
+    the n phi(k) colorings c with <c - c_1> = C, of weight n/k, sending n/k
+    to each block <j g> for the divisors j > 1 of k.  The block is named
+    by its least generator, the least of the u g for units u mod n, which
+    is also its least coloring.  The quotient's ValueError passes through.
     """
-    quandle = coloring_set.quandle
-    if not isinstance(quandle, DihedralQuandle):
-        raise ValueError(f"the lattice form needs colorings by R_n, got {quandle!r}")
-    n, colorings = quandle.n, coloring_set.colorings
-    count = len(colorings)
-    if not count or count % n:
-        raise InternalConsistencyError(f"{count} colorings, not a multiple of n = {n}")
-    group, keys = colorings[: count // n], coloring_set.keys[: count // n]
-
-    def position(rows):  # the row of `group` equal to each of `rows`
-        at = _positions(keys, rows, n)
-        if np.any(at < 0):
-            raise InternalConsistencyError(
-                "colorings are not a group holding the trivial colorings"
-            )
-        return at
-
-    block_name = position((colorings - colorings[:, :1]) % n)
-    name = np.arange(len(group))
-    for u in range(2, n):
-        if math.gcd(u, n) == 1:
-            np.minimum(name, position(u * group % n), out=name)
-    names, block_of = np.unique(name[block_name], return_inverse=True)
-    generators = group[names]
+    _, class_of, scaled = coloring_set.quotient
+    n = coloring_set.quandle.n
+    name = scaled[np.gcd(np.arange(n), n) == 1].min(axis=0)
+    names, block_of = np.unique(name[class_of], return_inverse=True)
+    generators = coloring_set.colorings[names]
     orders = n // np.gcd(n, np.gcd.reduce(generators, axis=1))
     # block src sends to the block of <j g> for each divisor j > 1 of its order
     divisors = np.array([j for j in range(2, n + 1) if n % j == 0], dtype=np.int64)
     src, j = np.nonzero(orders[:, None] % divisors == 0)
-    dst = np.searchsorted(names, name[position(divisors[j, None] * generators[src] % n)])
+    dst = np.searchsorted(names, name[scaled[divisors[j] % n, names[src]]])
     cross = np.column_stack((src, dst, n // orders[src]))[np.lexsort((dst, src))]
     block_of.flags.writeable = False
     return QuiverForm(np.bincount(block_of), n // orders, cross), block_of

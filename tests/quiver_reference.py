@@ -23,7 +23,6 @@ from itertools import groupby
 import numpy as np
 
 from quandlequiver.counting import is_prime
-from quandlequiver.errors import InternalConsistencyError
 from quandlequiver.quivers import QuiverForm, WeightedQuiver
 
 
@@ -132,7 +131,7 @@ def build_quiver(coloring_set, endos):
     missing = keys[at] != wanted
     if missing.any():
         e, k = np.unravel_index(missing.argmax(), missing.shape)
-        raise InternalConsistencyError(
+        raise ValueError(
             f"image {tuple(images[e, k].tolist())} of coloring "
             f"{tuple(colorings[k].tolist())} under {endos[e].tolist()} is not itself a coloring"
         )

@@ -292,8 +292,10 @@ def test_counts_walk_one_top_per_shift_orbit(quandle, tops, power, monkeypatch):
 
 
 def test_shift_check_holds_one_row_batch():
-    # R_3000's table is 72 MB; the check may hold a few copies of one batch
+    # R_3000's table is 72 MB, built at its first read, here; the check may
+    # hold a few copies of one batch
     quandle = DihedralQuandle(3000)
+    assert quandle.table.shape == (3000, 3000)
     orbits = []
     assert peak_bytes(lambda: orbits.append(colorings._shift_orbit(quandle))) < 3 * 2**20
     assert orbits == [3000]

@@ -45,3 +45,23 @@ def test_every_public_name_is_used_inside_the_package():
                 members |= {field.name for field in dataclasses.fields(cls)}
             unread += [f"{name}.{m}" for m in sorted(members - loaded) if not m.startswith("_")]
     assert unread == []
+
+
+def test_every_np_unique_call_asks_for_a_return_array():
+    # numpy's plain np.unique(x) takes a hash-table path whose first call in
+    # a process costs 10-15 ms; with a return_* flag it sorts instead
+    package = Path(quandlequiver.__file__).parent
+    plain = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and not any(
+                    (k.arg or "").startswith("return_") and getattr(k.value, "value", None) is True
+                    for k in node.keywords
+                )
+            ):
+                plain.append(f"{path.name}:{node.lineno}")
+    assert plain == []

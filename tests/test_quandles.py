@@ -1,5 +1,6 @@
 """Tests for finite quandles, dihedral tables, and the affine endomorphisms."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -51,6 +52,20 @@ def test_dihedral_table_matches_op():
         for y in range(9):
             assert q.table[x, y] == dihedral_op(9, x, y)
             assert q.inverse_table[q.table[x, y], y] == x
+
+
+def test_dihedral_table_is_built_at_first_read():
+    # R_(10^6)'s table would take 8 TB: the quandle holds n until it is read
+    tracemalloc.start()
+    try:
+        q = DihedralQuandle(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.n == q.size == 10**6 and peak < 2**20
+    for n in range(1, 13):
+        x = np.arange(n)
+        assert np.array_equal(DihedralQuandle(n).table, (2 * x - x[:, None]) % n)
 
 
 def test_mutated_table_fails_with_witness():

@@ -23,9 +23,11 @@ from quiver_reference import (
     weight_triples,
 )
 
+from quandlequiver import colorings, linalg, quivers
 from quandlequiver.braids import BraidWord, TorusLinkSpec
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.errors import CapExceededError, InternalConsistencyError
+from quandlequiver.linalg import row_keys
 from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 from quandlequiver.quivers import (
     QuiverForm,
@@ -164,7 +166,7 @@ def test_build_quiver_rejects_non_closed_set():
     ]
     for rows, named in cases:
         bad = ColoringSet(torus_braid(2, 1), DihedralQuandle(3), rows)
-        with pytest.raises(InternalConsistencyError, match=re.escape(named) + " is not itself"):
+        with pytest.raises(ValueError, match=re.escape(named) + " is not itself"):
             build_quiver(bad)
 
 
@@ -249,7 +251,7 @@ def test_build_quiver_names_a_real_missing_image(p, q, n, drop):
     full = enumerate_colorings_linear(TorusLinkSpec(p, q), n)
     kept = np.delete(full.colorings, drop, axis=0)
     cs = ColoringSet(full.link, full.quandle, kept)
-    with pytest.raises(InternalConsistencyError) as raised:
+    with pytest.raises(ValueError) as raised:
         build_quiver(cs)
     named = re.fullmatch(
         rf"image \((.*)\) of coloring \((.*)\) under x -> (\d+)\*x \+ (\d+) mod {n} "
@@ -267,7 +269,7 @@ def test_build_quiver_names_a_real_missing_image(p, q, n, drop):
 def outcome(build, coloring_set, *endos):
     try:
         return build(coloring_set, *endos)
-    except InternalConsistencyError:
+    except ValueError:
         return "not closed"
 
 
@@ -338,6 +340,16 @@ def test_check_structure_enforces_each_law():
     )
     with pytest.raises(InternalConsistencyError, match=f"row {v} sums to 1,"):
         _check_structure(one_short, cs)
+    # t alone reads a new stored row of five arrows of weight 5 to trivial
+    # colorings, with t repeated and u missing: only the targets break a law
+    row = quiver.row.copy()
+    row[t] = stored
+    targets = np.sort(np.where(trivial == u, t, trivial))
+    indptr = np.append(quiver.indptr, quiver.indptr[-1] + 5)
+    dst, weight = np.append(quiver.dst, targets), np.append(quiver.weight, [5] * 5)
+    repeats = WeightedQuiver(cs.count, row, indptr, dst, weight, quiver.labels)
+    with pytest.raises(InternalConsistencyError, match=rf"at \({t}, {t}\) is 10, expected 5$"):
+        _check_structure(repeats, cs)
 
 
 def test_build_quiver_peak_memory():
@@ -355,6 +367,46 @@ def test_build_quiver_peak_memory():
     arrows = quiver.arrows()[0].size
     assert arrows == 823_249 == 7 * quiver.dst.size
     assert peak < 10 * arrows
+
+
+@pytest.mark.parametrize("q,count", [(1, 3000), (2, 15_000)])
+def test_quiver_path_holds_nothing_n_by_n(q, count):
+    # T(5,1) and T(5,2) by R_3000: N = 3000 and 15,000, with n^2 = 9 * 10^6
+    # arrows among the trivial colorings alone; the build, the form and the
+    # comparison read each stored row of them once, with no n x n block
+    cs = enumerate_colorings_linear(TorusLinkSpec(5, q), 3000)
+    tracemalloc.start()
+    try:
+        quiver = build_quiver(cs)
+        form, block_of = lattice_form(cs)
+        matched = isomorphic(quiver, form, block_of)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matched is True and cs.count == count
+    assert peak < 16 * 2**20
+
+
+def test_lattice_form_reads_the_quotient_the_build_read(monkeypatch):
+    # the quotient is read once per coloring set: after the build, the form
+    # looks up no row keys, and it is the form of a fresh set
+    calls = []
+
+    def counted(rows, m):
+        calls.append(rows.shape)
+        return row_keys(rows, m)
+
+    cells = 0
+    for cs in grid_coloring_sets():
+        build_quiver(cs)
+        with monkeypatch.context() as patch:
+            for module in (colorings, linalg, quivers):
+                patch.setattr(module, "row_keys", counted, raising=False)
+            form, block_of = lattice_form(cs)
+        fresh = lattice_form(ColoringSet(cs.link, cs.quandle, cs.colorings))
+        assert form == fresh[0] and np.array_equal(block_of, fresh[1]), (cs.link, cs.quandle.n)
+        cells += 1
+    assert calls == [] and cells > 700
 
 
 def test_form_constructors_and_validation():
@@ -713,7 +765,7 @@ def test_lattice_form_rejects_other_quandles_and_non_groups():
     table = r3.table.tolist()
     with pytest.raises(ValueError):
         lattice_form(ColoringSet(word, FiniteQuandle(table), [(0, 0)]))
-    # a count that is not a multiple of n; (0, 1) outside the first N/n rows' group
+    # a count that is not a multiple of n; K0 the whole set, with no translates
     for colorings in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 2)]):
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(ValueError, match="is not itself a coloring"):
             lattice_form(ColoringSet(word, r3, colorings))
