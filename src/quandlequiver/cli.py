@@ -2,9 +2,10 @@
 
 Exit codes: 0 clean, 2 a computed/predicted or backend mismatch, a bad
 request or an output file that cannot be written, 3 ambiguity encountered
-(and nothing worse), 4 a size cap exceeded.  A bad request is rejected
-before any work, with one line on stderr and nothing on stdout; a failed
-write also ends with one line on stderr.  A stdout closed before the
+(and nothing worse), 4 a size cap exceeded or a count with more digits
+than the interpreter writes out.  A bad request is rejected before any
+work, with one line on stderr and nothing on stdout; a failed write also
+ends with one line on stderr.  A stdout closed before the
 output is written (``| head -c 0``) is a failed write: exit 2, one line
 on stderr, no traceback.
 
@@ -55,6 +56,11 @@ class BadRequest(Exception):
 
 class WriteFailed(Exception):
     """An output file could not be written: exit 2, one line on stderr."""
+
+
+class CountTooLong(Exception):
+    """A count with more decimal digits than the interpreter writes out
+    (sys.get_int_max_str_digits): exit 4, one line on stderr."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -147,10 +153,19 @@ def _exit_code(statuses) -> int:
 
 
 def _count_row(link: str, cell) -> dict:
-    """Print one count line and return its JSON record."""
+    """Print one count line and return its JSON record; CountTooLong, before
+    anything is printed, when a number of the line is too long to write."""
     prediction = cell.prediction
     status = "ok" if cell.status == STATUS_MATCH else cell.status
     count = cell.computed if cell.computed is not None else prediction.n_colorings
+    limit = sys.get_int_max_str_digits()  # 0 when unlimited
+    values = {count, *(prediction.candidates if prediction is not None else ())} - {None}
+    # 2**(3 * limit) < 10**limit, so only a huge value pays for the power
+    if limit and any(v.bit_length() > 3 * limit and v >= 10**limit for v in values):
+        raise CountTooLong(
+            f"the count for n={cell.n} has more than {limit} digits, "
+            "the interpreter's limit for writing an integer in decimal"
+        )
     row: dict = {"link": link, "n": cell.n}
     if prediction is not None:
         row["case"] = prediction.case
@@ -204,7 +219,7 @@ def cmd_count(args) -> int:
                 )
                 return EXIT_MISMATCH
             records.append(_count_row(args.link.strip(), cell))
-    except CapExceededError as exc:
+    except (CapExceededError, CountTooLong) as exc:
         print(f"count: {exc}", file=sys.stderr)
         return EXIT_CAP
     if args.json:

@@ -40,19 +40,20 @@ class ColoringSet:
     strands' colours, rows in lexicographic order, so array equality is
     set equality.  `keys` holds each row read as a base-m number, m the
     quandle's size (`row_keys`), read-only and strictly increasing, which
-    `quotient` looks rows up by for the quiver layer.  A row whose width is
-    not the link's strand count, a colour outside 0..m-1, or rows that are
-    not sorted and distinct raise ValueError.
+    `quotient` looks rows up by for the quiver layer; a caller that has
+    them already (linalg.kernel_enumerate_mod) passes them in.  A row
+    whose width is not the link's strand count, a colour outside 0..m-1,
+    or rows that are not sorted and distinct raise ValueError.
     """
 
-    def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings):
+    def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings, keys=None):
         colorings = np.asarray(colorings, dtype=np.int64).view()
         strands = link.p if isinstance(link, TorusLinkSpec) else link.strands
         if colorings.ndim != 2 or colorings.shape[1] != strands:
             raise ValueError(f"coloring rows need {strands} colours, got {colorings.shape}")
         if np.any((colorings < 0) | (colorings >= quandle.size)):
             raise ValueError(f"colours must lie in 0..{quandle.size - 1}")
-        keys = row_keys(colorings, quandle.size)
+        keys = row_keys(colorings, quandle.size) if keys is None else keys.view()
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("colorings must be sorted and distinct")
         colorings.flags.writeable = keys.flags.writeable = False
@@ -191,22 +192,24 @@ def _cover(factor: tuple[int, ...], k: int) -> list[tuple[int, int, tuple[int, .
     return cover
 
 
-def _windows(factor: tuple[int, ...], strands: int, m: int):
+def _windows(factor: tuple[int, ...], strands: int, m: int, states: int):
     """(k, cover of the factor by k-strand windows) for the widest k <= strands
-    with m**k <= _WINDOW_STATES whose tables hold at most m**strands / 4
-    entries in all; k = 2 when no width fits.
+    with m**k <= _WINDOW_STATES whose tables hold at most states / 4 entries
+    in all, `states` being the number of states pushed through them; k = 2
+    when no width fits.
     """
     k = strands
     while k > 2 and m**k > _WINDOW_STATES:
         k -= 1
     for k in range(k, 1, -1):
         cover = _cover(factor, k)
-        if k == 2 or 4 * sum(m**width for _, width, _ in cover) <= m**strands:
+        if k == 2 or 4 * sum(m**width for _, width, _ in cover) <= states:
             return k, cover
 
 
-def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index):
-    """One (place value, digit modulus or None, delta table) per window.
+def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index, states: int):
+    """One (place value, digit modulus or None, delta table) per window, the
+    windows sized for `states` states pushed (_windows).
 
     A window on strands lo..lo+width-1 reads its digits as
     s // base % m**width of a state index s, and moves s to
@@ -221,7 +224,7 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
     inverse = quandle.inverse_table.astype(colour) if any(l < 0 for l in factor) else None
     steps = []
     tables: dict[tuple, np.ndarray] = {}
-    for lo, width, letters in _windows(factor, strands, m)[1]:
+    for lo, width, letters in _windows(factor, strands, m, states)[1]:
         base = m ** (strands - lo - width)
         shifted = tuple(l - lo if l > 0 else l + lo for l in letters)
         size = m**width
@@ -237,15 +240,16 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
     return steps
 
 
-def _window_push(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index):
+def _window_push(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index, total: int):
     """The factor as a step on slabs of state indices: push(states, out) writes
     the bottom-state indices of the top states `states` into `out`.
 
-    The factor is compiled into window tables once; each slab then takes
-    one gather per window on its index array.
+    The factor is compiled into window tables once, sized for `total`
+    states pushed in all; each slab then takes one gather per window on
+    its index array.
     """
-    steps = _window_steps(factor, strands, quandle, index)
-    buffers = np.empty((2, min(_SLAB, quandle.size**strands)), dtype=index)
+    steps = _window_steps(factor, strands, quandle, index, total)
+    buffers = np.empty((2, min(_SLAB, total)), dtype=index)
 
     def push(states: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, states)
@@ -271,7 +275,7 @@ def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -
     """The factor's state map: map[k] is the bottom-state index of top-state index k."""
     total = quandle.size**strands
     index = _index_type(total)
-    push = _window_push(factor, strands, quandle, index)
+    push = _window_push(factor, strands, quandle, index, total)
     state_map = np.empty(total, dtype=index)
     for start in range(0, total, _SLAB):
         stop = min(start + _SLAB, total)
@@ -309,8 +313,8 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
     """(power, tops, bottoms) slab by slab over the tops 0..stop-1 for each
     power in ascending order, the bottoms being the tops under factor**power.
 
-    With no power above 1 each slab is pushed through the window tables,
-    and no map is held; power 0 takes no step.  Otherwise the factor's
+    With no power above 1 each slab is pushed through window tables sized
+    for the `stop` tops walked, and no map is held; power 0 takes no step.  Otherwise the factor's
     state map over all m**strands states is built once, and all tops cross
     each gap between powers together: a gather while the gap is odd or at
     most states / tops, else a squaring of the map halves it, so a gap g
@@ -319,7 +323,7 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
     powers = sorted(set(powers))
     index = _index_type(quandle.size**strands)
     if max(powers, default=0) < 2:
-        push = _window_push(factor, strands, quandle, index) if 1 in powers else None
+        push = _window_push(factor, strands, quandle, index, stop) if 1 in powers else None
         buffer = np.empty(min(_SLAB, stop), dtype=index)
         for start in range(0, stop, _SLAB):
             tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
@@ -386,5 +390,5 @@ def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> Coloring
     naming the solution count, when that count is above the enumeration
     cap.
     """
-    kernel = kernel_enumerate_mod(closure_system(link, n), n, cap=cap)
-    return ColoringSet(link, DihedralQuandle(n), kernel)
+    kernel, keys = kernel_enumerate_mod(closure_system(link, n), n, cap=cap)
+    return ColoringSet(link, DihedralQuandle(n), kernel, keys)

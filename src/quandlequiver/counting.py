@@ -23,12 +23,15 @@ explicitly.  evaluate_cells is the one place where cells' routes are run
 and their statuses decided; count hands it one link and verify_counts the
 links T(p, q) of one p, all powers of the factor s_1 ... s_{p-1}
 (braids.factor_power).  It takes one Smith form per link, of the closure
-system mod the lcm of the moduli, and one oracle walk per modulus for
-all the links' powers at once, through colorings.oracle_counts.  On R_n
-that walk takes the n**(p-1) tops with strand 1 coloured 0, one per
-orbit of the colour shift, and multiplies by n; the oracle cap still
-counts all n**p candidate tops.  No route writes a torus link out as
-letters, so every backend answers a huge q.
+system mod the lcm of the moduli, and one oracle walk per prime power r
+dividing a modulus, for all the links' powers at once, through
+colorings.oracle_counts; R_n's oracle count is the product of its prime
+power parts' counts (the Chinese remainder theorem), so no composite
+R_n's table is built.  On R_r that walk takes the r**(p-1) tops with
+strand 1 coloured 0, one per orbit of the colour shift, and multiplies
+by r; the oracle cap still counts all n**p candidate tops of the largest
+requested modulus.  No route writes a torus link out as letters, so
+every backend answers a huge q.
 """
 
 from __future__ import annotations
@@ -89,6 +92,22 @@ def is_prime(n: int) -> bool:
 
 def is_odd_prime(p: int) -> bool:
     return p != 2 and is_prime(p)
+
+
+def _prime_powers(n: int) -> list[int]:
+    """The prime powers exactly dividing n >= 1, ascending by prime, by trial
+    division; [] for n = 1."""
+    parts, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            power = 1
+            while n % d == 0:
+                n, power = n // d, power * d
+            parts.append(power)
+        d += 1
+    if n > 1:
+        parts.append(n)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -237,21 +256,33 @@ def evaluate_cells(
     cap: int | None = None,
 ) -> Iterator[CellRecord]:
     """Evaluate links at each modulus in `ns`, link by link: one Smith form
-    per link, mod the lcm of `ns`; one oracle walk per modulus in
-    `oracle_ns` for all the links' powers, the largest checked against
-    `cap` before any route runs (CapExceededError); and the formula, for
-    T(p, q) with p an odd prime.  The oracle walk needs the links to close
-    powers of one factor (a ValueError otherwise); the formula and the
-    Smith form take each link alone, so they never read its factor."""
+    per link, mod the lcm of `ns`; one oracle walk per prime power dividing
+    a modulus in `oracle_ns` for all the links' powers, the largest modulus
+    checked against `cap` before any route runs (CapExceededError); and the
+    formula, for T(p, q) with p an odd prime.
+
+    An oracle count by R_n is the product of its counts by the R_r, r the
+    prime powers exactly dividing n: x -> (x mod r) is an isomorphism of
+    R_n onto the product of the R_r (the Chinese remainder theorem, as
+    x * y = 2y - x is a ring expression), and a crossing acts on each
+    factor alone, so a top is fixed when each of its parts is.  No table
+    of a composite R_n is built, and a part that no modulus names alone is
+    walked too.  The oracle walk needs the links to close powers of one
+    factor (a ValueError otherwise); the formula and the Smith form take
+    each link alone, so they never read its factor."""
     oracle = {}  # n -> the oracle count of each link
     if oracle_ns:  # only the oracle reads the factor: T(p, q)'s has p - 1 letters
         factors, qs = zip(*(factor_power(link) for link in links))
         [factor] = set(factors)  # a ValueError unless the links share one factor
-        # before R_n's n-by-n table is built
+        # before any table is built
         check_oracle_cap(max(oracle_ns), factor.strands, cap)
+        parts = {n: _prime_powers(n) for n in oracle_ns}
+        walked = {}  # prime power -> the oracle count of each link by its R
+        for part in sorted(set().union(*parts.values())):
+            counts = oracle_counts(factor, DihedralQuandle(part), qs, cap=cap)
+            walked[part] = [counts[q] for q in qs]
         for n in oracle_ns:
-            counts = oracle_counts(factor, DihedralQuandle(n), qs, cap=cap)
-            oracle[n] = [counts[q] for q in qs]
+            oracle[n] = [math.prod(walked[part][i] for part in parts[n]) for i in range(len(links))]
     modulus = _lcm(ns) if linear else None
     for i, link in enumerate(links):
         predict = formula and isinstance(link, TorusLinkSpec) and is_odd_prime(link.p)
@@ -263,8 +294,8 @@ def evaluate_cells(
 
 
 def _verify_p(task: tuple[int, list[int], list[int], int]) -> list[CellRecord]:
-    """The cells of one p, sorted by (q, n): one oracle walk per modulus
-    within the cap counts every q at once."""
+    """The cells of one p, sorted by (q, n): one oracle walk per prime power
+    dividing a modulus within the cap counts every q at once."""
     p, qs, ns, cap = task
     links = [TorusLinkSpec(p, q) for q in qs]  # rejects a negative q before any walk
     return list(evaluate_cells(links, ns, oracle_ns=[n for n in ns if n**p <= cap], cap=cap))

@@ -13,7 +13,8 @@ Each entry is cleared in one exact step when the pivot's gcd with L
 divides it, by the pivot's inverse mod L/g; only the others take a Euclid
 step.  The U*A*V check multiplies in int64 when no dot product can pass
 2**63, and on Python ints otherwise.  Kernel vectors are sorted by their
-base-n row keys (`row_keys`), which the colorings module reads too.
+base-n row keys (`row_keys`) and returned with them, so a ColoringSet
+keeps those keys rather than compute them again.
 """
 
 from __future__ import annotations
@@ -206,9 +207,11 @@ def _kernel_factors(snf: SnfResult, n: int) -> dict[int, int]:
     return factors
 
 
-def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> np.ndarray:
-    """All y in (Z_n)^cols with A*y = 0 mod n, as the rows of a read-only
-    (count, cols) int64 array in lexicographic order.
+def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, keys): all y in (Z_n)^cols with A*y = 0 mod n, as the rows of
+    a read-only (count, cols) int64 array in lexicographic order, and their
+    base-n row_keys, read-only and strictly increasing, which the sort
+    reads and a ColoringSet keeps.
 
     Solutions are generated through the Smith form mod n: with U*A*V = D
     the substitution y = V*z turns the system into independent congruences
@@ -247,6 +250,9 @@ def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> np.ndarray:
             f"enumerated {len(out)} kernel vectors, expected {total}"
         )
     # one stable argsort of base-n keys is the lexicographic order
-    out = out[np.argsort(row_keys(out, n), kind="stable")]
-    out.flags.writeable = False
-    return out
+    keys = row_keys(out, n)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]  # frees the unsorted keys before the rows are copied
+    out = out[order]
+    out.flags.writeable = keys.flags.writeable = False
+    return out, keys

@@ -167,6 +167,43 @@ def test_huge_oracle_count_ends_in_one_short_line(capsys):
     assert captured.err == "count: 5^200000 candidate tops exceed the oracle cap 10000000\n"
 
 
+def test_a_count_too_long_to_write_ends_in_one_line(capsys):
+    # 5^1000003 has about 700000 digits, past the interpreter's int -> str limit
+    code = main(["count", "--link", "torus:1000003,0", "--n", "5", "--backend", "formula"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == (
+        f"count: the count for n=5 has more than {limit} digits, "
+        "the interpreter's limit for writing an integer in decimal\n"
+    )
+
+
+@pytest.mark.parametrize("limit, code", [(642, EXIT_OK), (641, EXIT_CAP)])
+def test_a_count_at_the_digit_limit_still_prints(limit, code, capsys):
+    # 10^641 has 642 digits
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert main(["count", "--link", "torus:641,0", "--n", "10", "--backend", "formula"]) == code
+    finally:
+        sys.set_int_max_str_digits(before)
+    out = capsys.readouterr().out
+    assert out == (f"torus:641,0 n=10: N={10**641} case=free [ok]\n" if code == EXIT_OK else "")
+
+
+@pytest.mark.parametrize("link", ["torus:3,4", "torus:5,10", "torus:4,3", "s1 -s2 s1 s3 -s2 s2 s1 -s3"])
+def test_count_oracle_equals_linear_on_every_modulus(link, capsys):
+    # 6, 10, 12, 14 and 15 are counted from their prime power parts
+    outputs = []
+    for backend in ("oracle", "linear"):
+        assert main(["count", "--link", link, "--n", "2..15", "--backend", backend]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 14
+
+
 @pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3])
 def test_formula_answers_a_huge_prime_p(p, capsys):
     code = main(["count", "--link", f"torus:{p},2", "--n", "5", "--backend", "formula"])

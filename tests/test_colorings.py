@@ -24,7 +24,7 @@ from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, facto
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.counting import verify_counts
 from quandlequiver.errors import CapExceededError
-from quandlequiver.linalg import kernel_count_from_snf, smith_normal_form
+from quandlequiver.linalg import kernel_count_from_snf, row_keys, smith_normal_form
 from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
 from quandlequiver.quivers import build_quiver
 
@@ -306,13 +306,18 @@ def table_entries(cover, m):
 
 
 @settings(max_examples=200)
-@given(factors(strands=(2, 9), letters=40), st.integers(2, 16), st.sampled_from(WINDOW_STATES))
-def test_window_cover(factor, m, window_states):
+@given(
+    factors(strands=(2, 9), letters=40), st.integers(2, 16), st.sampled_from(WINDOW_STATES),
+    st.booleans(),
+)
+def test_window_cover(factor, m, window_states, one_per_orbit):
+    # the walk pushes every state, or only those with strand 1 coloured 0
     strands, letters = factor
     letters = tuple(letters)
+    states = m ** (strands - 1) if one_per_orbit else m**strands
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
-        k, cover = colorings._windows(letters, strands, m)
+        k, cover = colorings._windows(letters, strands, m, states)
     assert 2 <= k <= strands
     assert k == 2 or m**k <= window_states
     assert tuple(l for _, _, run in cover for l in run) == letters
@@ -323,10 +328,10 @@ def test_window_cover(factor, m, window_states):
     for (lo, width, _), (lo2, width2, _) in zip(cover, cover[1:]):
         assert max(lo + width, lo2 + width2) - min(lo, lo2) > k  # could not merge
     # the table budget holds, and no wider window would have kept it
-    assert k == 2 or 4 * table_entries(cover, m) <= m**strands
+    assert k == 2 or 4 * table_entries(cover, m) <= states
     for wider in range(k + 1, strands + 1):
         if m**wider <= window_states:
-            assert 4 * table_entries(colorings._cover(letters, wider), m) > m**strands
+            assert 4 * table_entries(colorings._cover(letters, wider), m) > states
 
 
 def test_oracle_cap_raises_naming_count():
@@ -373,7 +378,8 @@ def built_state_maps(monkeypatch) -> list[tuple[int, int]]:
 def test_verify_builds_one_state_map_per_oracle_modulus(monkeypatch):
     built = built_state_maps(monkeypatch)
     verify_counts([7], range(15), range(2, 8), cap=10**6)
-    assert sorted(built) == [(7, n) for n in range(2, 8)]
+    # R_6 counts as R_2 times R_3, whose maps are built for n = 2 and 3
+    assert sorted(built) == [(7, n) for n in (2, 3, 4, 5, 7)]
 
 
 def test_only_periodic_words_build_a_state_map(monkeypatch):
@@ -411,7 +417,7 @@ def test_aperiodic_word_holds_no_state_map():
     rng = random.Random(9)
     long_word = BraidWord(9, tuple(rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(400)))
     assert factor_power(long_word)[1] == 1
-    assert colorings._windows(long_word.letters, 9, 5)[0] > 2
+    assert colorings._windows(long_word.letters, 9, 5, 5**8)[0] > 2
     cells = [
         (BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8, -1)), 25),
         (long_word, linear_count(long_word, 5)),
@@ -433,7 +439,7 @@ def test_repeated_window_runs_share_one_table():
     rng = random.Random(3)
     word = BraidWord(3, tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(400)))
     assert factor_power(word)[1] == 1
-    assert colorings._windows(word.letters, 3, 100)[0] == 2
+    assert colorings._windows(word.letters, 3, 100, 100**2)[0] == 2
     expected = linear_count(word, 100)
     counts = []
     peak = peak_bytes(lambda: counts.append(colorings.oracle_counts(word, DihedralQuandle(100), [1])[1]))
@@ -502,6 +508,11 @@ def test_coloring_set_rejects_unsorted_colorings():
             ColoringSet(torus_braid(2, 3), r3, bad)
     keys = ColoringSet(TorusLinkSpec(3, 2), r3, [(0, 0, 0), (1, 2, 0)]).keys
     assert keys.tolist() == [0, 15] and not keys.flags.writeable
+    # keys handed in by the caller are checked as the set's own
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        ColoringSet(TorusLinkSpec(3, 2), r3, [(0, 0, 0), (1, 2, 0)], np.array([15, 0]))
+    linear = enumerate_colorings_linear(TorusLinkSpec(3, 2), 9)
+    assert np.array_equal(linear.keys, row_keys(linear.colorings, 9))
 
 
 def test_coloring_set_reads_the_strands_off_the_link(monkeypatch):

@@ -7,14 +7,17 @@ rather than silently picking one.
 
 import concurrent.futures
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braid_reference import torus_braid
 from oracle_reference import enumerate_colorings as reference_colorings
-from quandlequiver.braids import TorusLinkSpec
+from quandlequiver import counting
+from quandlequiver.braids import BraidWord, TorusLinkSpec
 from quandlequiver.counting import (
     CASE_AMBIGUOUS,
     CASE_FREE,
@@ -25,6 +28,7 @@ from quandlequiver.counting import (
     STATUS_MATCH,
     STATUS_MISMATCH,
     _lcm,
+    _prime_powers,
     evaluate_cells,
     is_odd_prime,
     is_prime,
@@ -286,3 +290,59 @@ def test_small_powers_equal_the_reference_on_the_written_word(cell, data):
     [record] = routes(p, [q], n)
     expected = len(reference_colorings(torus_braid(p, q), DihedralQuandle(n)))
     assert record.computed_linear == record.computed_oracle == expected
+
+
+def is_prime_power(r: int) -> bool:
+    d = next(d for d in range(2, r + 1) if r % d == 0)  # r's least prime factor
+    while r % d == 0:
+        r //= d
+    return r == 1
+
+
+def test_dihedral_table_is_the_crt_product_of_its_prime_power_parts():
+    # x -> (x mod r) for the prime powers r exactly dividing n is a bijection
+    # of Z_n onto the product of the Z_r that carries R_n's table onto theirs
+    for n in range(1, 201):
+        parts = _prime_powers(n)
+        assert math.prod(parts) == n and all(map(is_prime_power, parts))
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(parts) for b in parts[i + 1 :])
+        x = np.arange(n)
+        residues = {tuple(int(v) % r for r in parts) for v in x}
+        assert len(residues) == n
+        table = DihedralQuandle(n).table
+        for r in parts:
+            assert np.array_equal(table % r, DihedralQuandle(r).table[np.ix_(x % r, x % r)])
+
+
+def oracle_cells(links, n):
+    cells = evaluate_cells(links, [n], formula=False, linear=False, oracle_ns=[n])
+    return [cell.computed_oracle for cell in cells]
+
+
+@pytest.mark.parametrize("n", [6, 10, 12, 15, 30])
+def test_composite_oracle_counts_equal_full_walks(n, monkeypatch):
+    built = []
+
+    class Recorded(DihedralQuandle):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(counting, "DihedralQuandle", Recorded)
+    quandle = DihedralQuandle(n)
+    rng = random.Random(n)
+    # random words, nearly all aperiodic: each closes its own factor once (q = 1)
+    for strands in range(2, 5):
+        if n**strands > 10**5:
+            continue
+        for _ in range(3):
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(9))
+            word = BraidWord(strands, letters)
+            assert oracle_cells([word], n) == [len(reference_colorings(word, quandle))]
+    # torus powers of one factor: q = 0 and q >= 2 walk its state map
+    for p in (2, 3):
+        qs = [0, 1, 2, 3, 4, 6, 7]
+        expected = [len(reference_colorings(torus_braid(p, q), quandle)) for q in qs]
+        assert oracle_cells([TorusLinkSpec(p, q) for q in qs], n) == expected
+    # only the prime power parts are built, never R_n itself
+    assert set(built) == set(_prime_powers(n))

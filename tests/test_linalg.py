@@ -30,6 +30,7 @@ from quandlequiver.linalg import (
     kernel_count_from_snf,
     kernel_enumerate_mod,
     product_mod,
+    row_keys,
     smith_normal_form,
 )
 
@@ -37,6 +38,13 @@ from quandlequiver.linalg import (
 def linear_count(rows, n):
     """The package's count: one Smith form mod n."""
     return kernel_count_from_snf(smith_normal_form(rows, n), n)
+
+
+def kernel_rows(a, n, cap=None):
+    """The package's kernel rows, once its keys are checked to be theirs."""
+    rows, keys = kernel_enumerate_mod(a, n, cap=cap)
+    assert np.array_equal(keys, row_keys(rows, n)) and not keys.flags.writeable
+    return rows
 
 
 def diag_embed(diag, rows, cols):
@@ -202,7 +210,7 @@ def brute_kernel(a, n):
 def test_kernel_count_and_enumeration_match_brute_force(a, n):
     expected = brute_kernel(a, n)
     assert kernel_count_mod(a, n) == linear_count(a.data, n) == len(expected)
-    assert np.array_equal(kernel_enumerate_mod(a.data, n), expected)
+    assert np.array_equal(kernel_rows(a.data, n), expected)
 
 
 def test_kernel_count_zero_matrix():
@@ -219,18 +227,18 @@ def test_kernel_count_torus_5_2_mod_10():
 
 
 def test_kernel_enumerate_identity():
-    assert np.array_equal(kernel_enumerate_mod(IntMatrix.identity(5).data, 5), [(0, 0, 0, 0, 0)])
+    assert np.array_equal(kernel_rows(IntMatrix.identity(5).data, 5), [(0, 0, 0, 0, 0)])
 
 
 def test_kernel_enumerate_zero_2x2():
-    vectors = kernel_enumerate_mod([[0, 0], [0, 0]], 2)
+    vectors = kernel_rows([[0, 0], [0, 0]], 2)
     assert vectors.dtype == np.int64 and not vectors.flags.writeable
     assert vectors.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_kernel_enumerate_torus_5_2_mod_5():
     a = closure_system(torus_braid(5, 2), 5)
-    vectors = kernel_enumerate_mod(a, 5)
+    vectors = kernel_rows(a, 5)
     assert len(vectors) == 25
     assert np.array_equal(vectors, brute_kernel(IntMatrix(a), 5))
     for y in vectors:
@@ -242,19 +250,19 @@ def test_kernel_enumerate_is_exact_past_int64():
     # z = 5 * 10**9 times V's entry 10**10 - 2 mod n passes 2**63
     half = 5 * 10**9
     expected = [(0, 0), (0, half), (half, 0), (half, half)]
-    assert np.array_equal(kernel_enumerate_mod([[2, 4], [6, 10]], 10**10), expected)
+    assert np.array_equal(kernel_rows([[2, 4], [6, 10]], 10**10), expected)
     # a 160-letter word, whose integer Smith transform passes 2**63, gives
     # the reference's kernel from its form mod 6
     rng = random.Random(160)
     word = BraidWord(4, tuple(rng.choice((1, 2, 3)) for _ in range(160)))
     expected = ref.kernel_enumerate_mod(ref.closure_system(word), 6)
-    assert np.array_equal(kernel_enumerate_mod(closure_system(word, 6), 6), expected)
+    assert np.array_equal(kernel_rows(closure_system(word, 6), 6), expected)
     assert expected == brute_kernel(ref.closure_system(word), 6)
 
 
 def test_kernel_enumerate_sorted_and_distinct():
     a = closure_system(torus_braid(3, 2), 6)
-    vectors = kernel_enumerate_mod(a, 6)
+    vectors = kernel_rows(a, 6)
     rows = list(map(tuple, vectors.tolist()))
     assert rows == sorted(set(rows))
     assert len(vectors) == kernel_count_mod(IntMatrix(a), 6)
@@ -262,19 +270,19 @@ def test_kernel_enumerate_sorted_and_distinct():
 
 def test_kernel_enumerate_cap_names_count():
     with pytest.raises(CapExceededError) as exc:
-        kernel_enumerate_mod([[0] * 4] * 2, 10, cap=100)
+        kernel_rows([[0] * 4] * 2, 10, cap=100)
     assert exc.value.count == 10000
     assert "10000" in str(exc.value)
 
 
 def test_kernel_cap_names_a_long_count_by_its_powers():
     with pytest.raises(CapExceededError) as exc:
-        kernel_enumerate_mod([[0] * 50], 5, cap=100)
+        kernel_rows([[0] * 50], 5, cap=100)
     assert exc.value.count == 5**50
     assert str(exc.value) == "kernel mod 5 has 5^50 vectors, above the enumeration cap 100"
     # one power per factor gcd(d_i, n) > 1: 2 from the pivot, 4 from the free column
     with pytest.raises(CapExceededError) as exc:
-        kernel_enumerate_mod([[2, 0]], 4, cap=2)
+        kernel_rows([[2, 0]], 4, cap=2)
     assert exc.value.count == 8
     assert str(exc.value) == "kernel mod 4 has 2^1*4^1 = 8 vectors, above the enumeration cap 2"
 
@@ -284,7 +292,7 @@ def test_invalid_modulus_rejected(n):
     with pytest.raises(ValueError):
         kernel_count_mod(IntMatrix.identity(2), n)
     with pytest.raises(ValueError):
-        kernel_enumerate_mod([[1, 0], [0, 1]], n)
+        kernel_rows([[1, 0], [0, 1]], n)
     with pytest.raises(ValueError):
         kernel_count_from_snf(smith_normal_form([[1, 0], [0, 1]], 6), n)
 
@@ -313,7 +321,7 @@ def assert_matches_reference(a, ns):
     for n in ns:
         assert kernel_count_from_snf(s, n) == kernel_count_mod(a, n)
         if kernel_count_mod(a, n) <= 2000:
-            assert kernel_enumerate_mod(a.data, n).tolist() == list(
+            assert kernel_rows(a.data, n).tolist() == list(
                 map(list, ref.kernel_enumerate_mod(a, n)))
 
 
