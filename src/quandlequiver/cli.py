@@ -88,7 +88,8 @@ def _request(parse, *args):
 
 
 def _positive(text: str) -> int:
-    """argparse type of the caps and --jobs: the rule the cap variables follow."""
+    """argparse type of the caps and of verify --jobs, which is checked but
+    has no effect: the rule the cap variables follow."""
     try:
         return positive_integer(text)
     except ValueError as exc:
@@ -289,7 +290,7 @@ def cmd_verify(args) -> int:
             raise BadRequest(f"p must be odd primes, got {p}")
     if qs[0] < 0:
         raise BadRequest(f"q must be nonnegative, got {qs[0]}")
-    report = verify_counts(ps, qs, ns, cap=args.oracle_cap, jobs=args.jobs)
+    report = verify_counts(ps, qs, ns, cap=args.oracle_cap)
     mismatches = [r for r in report if r.status == STATUS_MISMATCH]
     resolved = [r for r in report if r.status == STATUS_AMBIGUOUS_RESOLVED]
     print(
@@ -348,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q", required=True, help="range, e.g. 0..20")
     verify.add_argument("--n", required=True, help="range, e.g. 2..9")
     verify.add_argument("--oracle-cap", type=_positive, default=None)
-    verify.add_argument("--jobs", type=_positive, default=1)
+    verify.add_argument("--jobs", type=_positive, default=1,
+                        help="accepted and checked; verify runs in one process")
     verify.add_argument("--out", default=None, help="JSON report path")
     verify.add_argument("--csv", default=None, help="CSV report path")
     verify.set_defaults(func=cmd_verify)

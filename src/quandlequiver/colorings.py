@@ -28,7 +28,7 @@ import numpy as np
 
 from .braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from .config import oracle_cap
-from .errors import CapExceededError, count_text
+from .errors import SHORT_COUNT, CapExceededError, count_text
 from .linalg import kernel_enumerate_mod, row_keys
 from .quandles import DihedralQuandle, FiniteQuandle
 
@@ -347,10 +347,16 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
 
 
 def check_oracle_cap(m: int, strands: int, cap: int | None):
-    """Raise CapExceededError when m**strands candidate tops exceed the cap."""
-    total, power = m**strands, f"{m}^{strands}"
+    """Raise CapExceededError when m**strands candidate tops exceed the cap.
+
+    For m >= 2 the power is at least 2**strands, so a strand count past the
+    bit length of the cap and of SHORT_COUNT is over the cap, and is named
+    by its power alone, without building it (count None)."""
+    power = f"{m}^{strands}"
     limit = oracle_cap() if cap is None else cap
-    if total > limit:
+    huge = m >= 2 and strands > max(limit.bit_length(), SHORT_COUNT.bit_length())
+    total = None if huge else m**strands
+    if huge or total > limit:
         raise CapExceededError(
             f"{count_text(total, power)} candidate tops exceed the oracle cap {limit}",
             count=total,

@@ -258,8 +258,9 @@ def evaluate_cells(
     """Evaluate links at each modulus in `ns`, link by link: one Smith form
     per link, mod the lcm of `ns`; one oracle walk per prime power dividing
     a modulus in `oracle_ns` for all the links' powers, the largest modulus
-    checked against `cap` before any route runs (CapExceededError); and the
-    formula, for T(p, q) with p an odd prime.
+    checked against `cap`, on the links' strand count, before any route
+    runs or any factor is written out (CapExceededError); and the formula,
+    for T(p, q) with p an odd prime.
 
     An oracle count by R_n is the product of its counts by the R_r, r the
     prime powers exactly dividing n: x -> (x mod r) is an isomorphism of
@@ -271,11 +272,13 @@ def evaluate_cells(
     factor (a ValueError otherwise); the formula and the Smith form take
     each link alone, so they never read its factor."""
     oracle = {}  # n -> the oracle count of each link
-    if oracle_ns:  # only the oracle reads the factor: T(p, q)'s has p - 1 letters
+    if oracle_ns:
+        # the cap, on the links' one strand count, before any factor is
+        # written out: only the oracle reads it, and T(p, q)'s has p - 1 letters
+        [strands] = {link.p if isinstance(link, TorusLinkSpec) else link.strands for link in links}
+        check_oracle_cap(max(oracle_ns), strands, cap)
         factors, qs = zip(*(factor_power(link) for link in links))
         [factor] = set(factors)  # a ValueError unless the links share one factor
-        # before any table is built
-        check_oracle_cap(max(oracle_ns), factor.strands, cap)
         parts = {n: _prime_powers(n) for n in oracle_ns}
         walked = {}  # prime power -> the oracle count of each link by its R
         for part in sorted(set().union(*parts.values())):
@@ -293,41 +296,24 @@ def evaluate_cells(
             yield CellRecord(n, prediction, count, oracle[n][i] if n in oracle else None)
 
 
-def _verify_p(task: tuple[int, list[int], list[int], int]) -> list[CellRecord]:
-    """The cells of one p, sorted by (q, n): one oracle walk per prime power
-    dividing a modulus within the cap counts every q at once."""
-    p, qs, ns, cap = task
-    links = [TorusLinkSpec(p, q) for q in qs]  # rejects a negative q before any walk
-    return list(evaluate_cells(links, ns, oracle_ns=[n for n in ns if n**p <= cap], cap=cap))
-
-
-def verify_counts(
-    ps,
-    qs,
-    ns,
-    cap: int | None = None,
-    jobs: int = 1,
-) -> list[CellRecord]:
+def verify_counts(ps, qs, ns, cap: int | None = None) -> list[CellRecord]:
     """Sweep a (p, q, n) grid, comparing backends against predictions.
 
-    Cells with n**p above the oracle cap are checked with the linear
-    backend alone.  Each p is one task, so up to `jobs` workers, one per
-    task at most, split the grid by p.  Results come back sorted by
-    (p, q, n) regardless of worker scheduling.
+    One evaluate_cells call per p counts every q of that p at once: one
+    oracle walk per prime power dividing a modulus within the cap, and the
+    linear backend alone for cells with n**p above it.  Results come
+    sorted by (p, q, n).
     """
     for p in ps:
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
     limit = oracle_cap() if cap is None else cap
     qs, ns = sorted(qs), sorted(ns)
-    tasks = [(p, qs, ns, limit) for p in sorted(ps) if qs]  # an empty grid has no tasks
-    # the pool forks all its workers at once, so it gets one per task at most
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grids = list(pool.map(_verify_p, tasks))
-    else:
-        grids = [_verify_p(task) for task in tasks]
-    return [record for cells in grids for record in cells]
+    records = []
+    for p in sorted(ps) if qs else ():  # an empty q list has no cells
+        links = [TorusLinkSpec(p, q) for q in qs]  # rejects a negative q before any walk
+        # check_oracle_cap's rule: n >= 2, so n**p is past the cap once p
+        # is past its bit length, and that power is never built
+        oracle_ns = [n for n in ns if p <= limit.bit_length() and n**p <= limit]
+        records.extend(evaluate_cells(links, ns, oracle_ns=oracle_ns, cap=limit))
+    return records

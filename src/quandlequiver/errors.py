@@ -9,21 +9,22 @@ from __future__ import annotations
 SHORT_COUNT = 10**30
 
 
-def count_text(count: int, power: str) -> str:
+def count_text(count: int | None, power: str) -> str:
     """`power`, the expression `count` was computed as (such as "5^4"),
-    followed by " = " and the count in decimal when it is short."""
-    return f"{power} = {count}" if count < SHORT_COUNT else power
+    followed by " = " and the count in decimal when it is known and short."""
+    return f"{power} = {count}" if count is not None and count < SHORT_COUNT else power
 
 
 class CapExceededError(RuntimeError):
     """A configured size cap would be exceeded; carries the offending count,
-    exact, and `size`, the count as a message writes it: in decimal when
+    exact, or None when it is past the cap by its bit length and was never
+    computed, and `size`, the count as a message writes it: in decimal when
     short, else `power`, the expression it was computed as."""
 
-    def __init__(self, message: str, count: int, power: str):
+    def __init__(self, message: str, count: int | None, power: str):
         super().__init__(message)
         self.count = count
-        self.size = str(count) if count < SHORT_COUNT else power
+        self.size = str(count) if count is not None and count < SHORT_COUNT else power
 
 
 class InternalConsistencyError(RuntimeError):

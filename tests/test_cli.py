@@ -180,6 +180,19 @@ def test_a_count_too_long_to_write_ends_in_one_line(capsys):
     )
 
 
+@pytest.mark.parametrize("backend", ["all", "oracle"])
+def test_a_huge_strand_count_is_over_the_oracle_cap_before_any_work(backend, time_limit, capsys):
+    # 5^p is past the cap by p's bit length: neither the power nor the
+    # factor's p - 1 letters are built
+    time_limit(5)
+    p = 10**18 + 3
+    code = main(["count", "--link", f"torus:{p},2", "--n", "5", "--backend", backend])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    assert captured.err == f"count: 5^{p} candidate tops exceed the oracle cap 10000000\n"
+
+
 @pytest.mark.parametrize("limit, code", [(642, EXIT_OK), (641, EXIT_CAP)])
 def test_a_count_at_the_digit_limit_still_prints(limit, code, capsys):
     # 10^641 has 642 digits
@@ -447,16 +460,22 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only verify --jobs above 1 uses a process pool, so only it pays the import
+    # verify runs in one process whatever --jobs says: neither the import
+    # nor a verify run with --jobs 2 loads a process pool
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quandlequiver.cli; "
-         "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"],
+         "pool = {'concurrent.futures.process', 'multiprocessing'}; "
+         "print(sorted(pool & set(sys.modules))); "
+         "quandlequiver.cli.main(['verify', '--p', '3,5', '--q', '0..3', '--n', '2,3', '--jobs', '2']); "
+         "print(sorted(pool & set(sys.modules)))"],
         capture_output=True,
         text=True,
         cwd=Path(quandlequiver.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[1].startswith("16 cells: ")
 
 
 PAST_PRIMALITY_BOUND = 3317044064679887385961981

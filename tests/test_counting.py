@@ -5,7 +5,6 @@ both candidates, and the sweep must resolve them against computation
 rather than silently picking one.
 """
 
-import concurrent.futures
 import math
 import random
 
@@ -180,52 +179,16 @@ def test_verify_counts_runs_oracle_when_feasible():
         assert rec.computed_oracle is not None
         assert rec.computed_oracle == rec.computed_linear
         assert rec.status != STATUS_MISMATCH
-
-
-def test_verify_counts_parallel_matches_serial():
-    serial = verify_counts([3], range(0, 7), [2, 3], cap=1, jobs=1)
-    parallel = verify_counts([3], range(0, 7), [2, 3], cap=1, jobs=2)
-    assert serial == parallel
-
-
-def test_verify_counts_parallel_matches_serial_with_the_oracle():
-    # 5**5 <= 4000 < 4**7: p = 3 and 5 run the oracle at every n, p = 7 at n <= 3
-    serial = verify_counts([3, 5, 7], range(0, 15), [2, 3, 4, 5], cap=4000, jobs=1)
-    parallel = verify_counts([3, 5, 7], range(0, 15), [2, 3, 4, 5], cap=4000, jobs=2)
-    assert serial == parallel
-    assert [(r.p, r.q, r.n) for r in serial] == sorted(
+    # 5**5 <= 4000 < 4**7: p = 3 and 5 run the oracle at every n, p = 7 at n <= 3;
+    # the records come sorted by (p, q, n) whatever order the grid is given in
+    report = verify_counts([7, 3, 5], range(14, -1, -1), [5, 3, 2, 4], cap=4000)
+    assert [(r.p, r.q, r.n) for r in report] == sorted(
         (p, q, n) for p in (3, 5, 7) for q in range(15) for n in (2, 3, 4, 5)
     )
-    for rec in serial:
+    for rec in report:
         assert (rec.computed_oracle is not None) == (rec.n**rec.p <= 4000)
         assert rec.computed_oracle in (None, rec.computed_linear)
-
-
-def test_verify_pool_has_at_most_one_worker_per_task(monkeypatch):
-    # the fork pool starts all max_workers processes at its first submit;
-    # this stand-in starts none and maps in the calling process
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = verify_counts([3, 5], range(4), [2, 3], cap=1)
-    assert verify_counts([3, 5], range(4), [2, 3], cap=1, jobs=8) == serial
-    assert pools == [2]
-    assert verify_counts([3], range(4), [2, 3], cap=1, jobs=8) == serial[:8]
-    assert verify_counts([3, 5], [], [2, 3], cap=1, jobs=8) == []
-    assert pools == [2]  # one task or none: no pool
+    assert verify_counts([3, 5], [], [2, 3], cap=4000) == []
 
 
 def test_cell_record_to_dict():
@@ -346,3 +309,77 @@ def test_composite_oracle_counts_equal_full_walks(n, monkeypatch):
         assert oracle_cells([TorusLinkSpec(p, q) for q in qs], n) == expected
     # only the prime power parts are built, never R_n itself
     assert set(built) == set(_prime_powers(n))
+
+
+INVARIANCE_NS = range(2, 10)
+INVARIANCE_CAP = 9**4  # the oracle runs at every n on 4 strands, at n <= 5 on 5
+
+
+def invariant_counts(word):
+    """The closure's count by R_n for n = 2..9, from the linear route and, where
+    n**strands is within a small cap, the oracle, which must agree with it."""
+    oracle_ns = [n for n in INVARIANCE_NS if n**word.strands <= INVARIANCE_CAP]
+    cells = evaluate_cells(
+        [word], INVARIANCE_NS, formula=False, oracle_ns=oracle_ns, cap=INVARIANCE_CAP
+    )
+    counts = []
+    for cell in cells:
+        assert cell.computed_oracle in (None, cell.computed_linear), (word, cell)
+        counts.append(cell.computed_linear)
+    return counts
+
+
+@st.composite
+def signed_words(draw):
+    strands = draw(st.integers(2, 4))
+    letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+    return BraidWord(strands, tuple(draw(st.lists(letter, min_size=1, max_size=8))))
+
+
+@settings(max_examples=60)
+@given(signed_words(), st.data())
+def test_equivalent_braids_have_equal_counts(word, data):
+    # a coloring count is a link invariant: words whose closures are the same
+    # link, or its mirror or reverse, have equal counts by every R_n
+    s, letters = word.strands, word.letters
+    at = data.draw(st.integers(0, len(letters)), label="at")
+
+    def inserted(*extra):
+        return letters[:at] + extra + letters[at:]
+
+    k = data.draw(st.integers(1, s - 1), label="k")
+    sign = data.draw(st.sampled_from((1, -1)), label="sign")
+    equivalent = [
+        BraidWord(s, letters[at:] + letters[:at]),  # a conjugate
+        BraidWord(s + 1, letters + (s,)),  # the two Markov stabilizations
+        BraidWord(s + 1, letters + (-s,)),
+        BraidWord(s, tuple(-l for l in letters)),  # the mirror
+        BraidWord(s, letters[::-1]),  # the reverse
+        BraidWord(s, inserted(sign * k, -sign * k)),  # a cancelling pair
+    ]
+    expected = invariant_counts(word)
+    for other in equivalent:
+        assert invariant_counts(other) == expected, (word, other)
+    # one rewrite by a braid relation, s_i s_i+1 s_i = s_i+1 s_i s_i+1, or by
+    # far commutation, s_i s_j = s_j s_i for |i - j| >= 2, on s + 1 strands so
+    # that s_i+1 exists for every i < s
+    i = data.draw(st.integers(1, s - 1), label="i")
+    far = [e * j for j in range(1, s + 1) if abs(i - j) >= 2 for e in (1, -1)]
+    if far and data.draw(st.booleans(), label="far"):
+        j = data.draw(st.sampled_from(far), label="j")
+        a, b = inserted(sign * i, j), inserted(j, sign * i)
+    else:
+        a = inserted(sign * i, sign * (i + 1), sign * i)
+        b = inserted(sign * (i + 1), sign * i, sign * (i + 1))
+    assert invariant_counts(BraidWord(s + 1, a)) == invariant_counts(BraidWord(s + 1, b)), (a, b)
+
+
+def test_torus_links_are_symmetric_on_the_linear_route():
+    # T(p, q) and T(q, p) are the same link
+    for p in range(2, 6):
+        for q in range(p + 1, 6):
+            counts = [
+                [cell.computed_linear for cell in evaluate_cells([link], INVARIANCE_NS, formula=False)]
+                for link in (TorusLinkSpec(p, q), TorusLinkSpec(q, p))
+            ]
+            assert counts[0] == counts[1], (p, q)
