@@ -40,7 +40,7 @@ from .counting import (
     predict_count,
     verify_counts,
 )
-from .errors import CapExceededError
+from .errors import CapExceededError, CountTooLong
 from .export import csv_chunks, dot_chunks, json_chunks
 from .quivers import build_quiver, isomorphic, lattice_form
 
@@ -56,11 +56,6 @@ class BadRequest(Exception):
 
 class WriteFailed(Exception):
     """An output file could not be written: exit 2, one line on stderr."""
-
-
-class CountTooLong(Exception):
-    """A count with more decimal digits than the interpreter writes out
-    (sys.get_int_max_str_digits): exit 4, one line on stderr."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -163,10 +158,7 @@ def _count_row(link: str, cell) -> dict:
     values = {count, *(prediction.candidates if prediction is not None else ())} - {None}
     # 2**(3 * limit) < 10**limit, so only a huge value pays for the power
     if limit and any(v.bit_length() > 3 * limit and v >= 10**limit for v in values):
-        raise CountTooLong(
-            f"the count for n={cell.n} has more than {limit} digits, "
-            "the interpreter's limit for writing an integer in decimal"
-        )
+        raise CountTooLong(cell.n, limit)
     row: dict = {"link": link, "n": cell.n}
     if prediction is not None:
         row["case"] = prediction.case
@@ -203,6 +195,7 @@ def cmd_count(args) -> int:
         linear="linear" in routes,
         oracle_ns=ns if "oracle" in routes else (),
         cap=args.oracle_cap,
+        digits=sys.get_int_max_str_digits(),
     )
     records = []
     try:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .braids import TorusLinkSpec, closure_system, factor_power
 from .colorings import check_oracle_cap, oracle_counts
 from .config import oracle_cap
+from .errors import CountTooLong
 from .linalg import kernel_count_from_snf, smith_normal_form
 from .quandles import DihedralQuandle
 
@@ -177,6 +178,23 @@ def predict_count(p: int, q: int, n: int) -> CountPrediction:
     return make(CASE_GCD_EVEN, p * n)
 
 
+def _too_long(p: int, q: int, n: int, digits: int) -> bool:
+    """Whether predict_count(p, q, n) has a count of more than `digits`
+    decimal digits, told from (p, q mod 2p, n) before the count is built:
+    for n of b bits, n**p has at least p*(b - 1) + 1 bits and 2**(p-1)*n
+    exactly p - 1 + b.  A power this passes has under 20*digits/3 bits,
+    cheap to build and then checked exactly where it is written."""
+    residue = q % (2 * p)
+    if residue == 0:
+        bits = p * (n.bit_length() - 1) + 1
+    elif residue == p and n % 2 == 0:
+        bits = p - 1 + n.bit_length()
+    else:
+        return False
+    # 2**(bits - 1) >= 10**digits once 3 * (bits - 1) >= 10 * digits, as log2(10) < 10/3
+    return 3 * (bits - 1) >= 10 * digits
+
+
 @dataclass(frozen=True)
 class CellRecord:
     """One (link, n) cell: the count from each route that ran, and its status.
@@ -254,6 +272,7 @@ def evaluate_cells(
     linear: bool = True,
     oracle_ns=(),
     cap: int | None = None,
+    digits: int = 0,
 ) -> Iterator[CellRecord]:
     """Evaluate links at each modulus in `ns`, link by link: one Smith form
     per link, mod the lcm of `ns`; one oracle walk per prime power dividing
@@ -270,7 +289,12 @@ def evaluate_cells(
     of a composite R_n is built, and a part that no modulus names alone is
     walked too.  The oracle walk needs the links to close powers of one
     factor (a ValueError otherwise); the formula and the Smith form take
-    each link alone, so they never read its factor."""
+    each link alone, so they never read its factor.
+
+    With `digits` (0 for no limit), a cell whose formula count is a power
+    of more than `digits` decimal digits by its bit length alone raises
+    CountTooLong there, before the power is built; the cells before it
+    are yielded."""
     oracle = {}  # n -> the oracle count of each link
     if oracle_ns:
         # the cap, on the links' one strand count, before any factor is
@@ -291,6 +315,8 @@ def evaluate_cells(
         predict = formula and isinstance(link, TorusLinkSpec) and is_odd_prime(link.p)
         snf = smith_normal_form(closure_system(link, modulus), modulus) if linear else None
         for n in ns:
+            if predict and digits and _too_long(link.p, link.q, n, digits):
+                raise CountTooLong(n, digits)
             prediction = predict_count(link.p, link.q, n) if predict else None
             count = kernel_count_from_snf(snf, n) if linear else None
             yield CellRecord(n, prediction, count, oracle[n][i] if n in oracle else None)

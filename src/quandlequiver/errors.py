@@ -27,5 +27,17 @@ class CapExceededError(RuntimeError):
         self.size = str(count) if count is not None and count < SHORT_COUNT else power
 
 
+class CountTooLong(Exception):
+    """A count with more than `limit` decimal digits, the most the
+    interpreter writes out (sys.get_int_max_str_digits): exit 4, one line
+    on stderr."""
+
+    def __init__(self, n: int, limit: int):
+        super().__init__(
+            f"the count for n={n} has more than {limit} digits, "
+            "the interpreter's limit for writing an integer in decimal"
+        )
+
+
 class InternalConsistencyError(RuntimeError):
     """A structural invariant that should hold by construction failed."""

@@ -6,11 +6,17 @@ edges, trailing newline), so identical runs yield byte-identical files.
 A quiver's DOT and JSON are written straight from its arrays, laid out
 exactly as the standard library's indenting encoder lays out JSON.  Each
 list (vertices, arrows, blocks) is one record template whose `%d` slots
-are filled from columns: every distinct value of a column is rendered
+are filled from columns, and no int is formatted per record.  For the
+vertices and the blocks every distinct value of a column is rendered
 once, with the template text after its slot, into a table of pieces, and
 a chunk of records is one gather from each column's table and one join.
-The arrows' columns are the vertex range and the stored `dst` and
-`weight`; `WeightedQuiver.arrows` gathers each chunk, whole rows at a time.
+The arrows are written from the stored rows, which the n vertices of a
+translation class share: each distinct (dst, weight) pair is rendered
+once into one table, about N + 5 pieces on a built quiver; each stored
+row is listed once, as E/n references into it in all; and a vertex's
+arrows are one join of its row's list, src + src.join(row), src being
+the text up to the vertex's target.  The loop-free DOT drops a vertex's
+own arrow from its copy of the list alone.
 The writers read no block structure of their own: the collapsed DOT and
 the JSON's "blocks" print the `QuiverForm` the caller passes, such as
 `quivers.lattice_form` reads off the colorings, straight from its
@@ -19,8 +25,10 @@ columns (sizes, weights, and the three columns of its cross rows).
 The writers `dot_chunks`, `json_chunks` and `csv_chunks` check their
 arguments when called and return an iterator of `str` chunks whose join
 is the text.  No writer joins the whole text: a caller that writes each
-chunk as it comes holds one chunk of records at a time, besides the
-tables.  The loop-free DOT drops the loops of each chunk of arrows.
+chunk as it comes holds one chunk of about _CHUNK records at a time,
+besides the tables and the row lists.  On T(5,10) by R_5 (N = 3125,
+E = 78,025) the tracemalloc peak is 0.84 MB for the DOT, with or without
+loops, and 1.16 MB for the JSON.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from .quivers import QuiverForm, WeightedQuiver
 
 # records gathered per join
 _CHUNK = 4096
+# stored arrows per block of rows read into pieces
+_BLOCK = 1 << 16
 
 
 def _table(column: np.ndarray, before: str, after: str):
@@ -65,58 +75,129 @@ def _table(column: np.ndarray, before: str, after: str):
     return pieces, codes
 
 
-def _records(template: str, sep: str, columns, chunks, *, loops: bool = True):
-    """Yield the text of records joined by `sep`, a chunk of records at a time.
+def _records(template: str, sep: str, columns, rows: int):
+    """Yield the text of `rows` records joined by `sep`, _CHUNK records at a time.
 
     The j-th `%d` of `template` takes its values from columns[j], each
     distinct value of which is rendered once, into its column's table of
     pieces: the value followed by the template text after its slot, with
-    `sep` and the template's head in front for column 0.  `chunks` yields
-    each chunk's record count and parts, part j the chunk's values of slot
-    j; an int `chunks` is a count of records taking the columns' entries
-    in turn.  A chunk is then one gather per column and one join; only the
-    output's first record drops its leading `sep`.  Without `loops`, a
-    record whose first two columns are equal is left out, chunk by chunk,
-    and a chunk that keeps no record yields nothing.
+    `sep` and the template's head in front for column 0.  A chunk is then
+    one gather per column and one join; only the output's first record
+    drops its leading `sep`.
     """
-    if isinstance(chunks, (int, np.integer)):
-        rows = chunks
-        chunks = (
-            (min(_CHUNK, rows - start), [column[start : start + _CHUNK] for column in columns])
-            for start in range(0, rows, _CHUNK)
-        )
-    if not all(len(column) for column in columns):
-        return  # a slot with no values has no records
+    if not rows:
+        return
     head, *tails = template.split("%d")
     tables = [
         _table(column, sep + head if j == 0 else "", tail)
         for j, (column, tail) in enumerate(zip(columns, tails, strict=True))
     ]
     lead = len(sep)
-    for count, parts in chunks:
-        if not loops:
-            keep = parts[0] != parts[1]
-            count, parts = np.count_nonzero(keep), [part[keep] for part in parts]
-        if not count:
-            continue
+    for start in range(0, rows, _CHUNK):
         if tables:
-            gathered = [pieces[codes(part)] for part, (pieces, codes) in zip(parts, tables)]
+            gathered = [
+                pieces[codes(column[start : start + _CHUNK])]
+                for column, (pieces, codes) in zip(columns, tables)
+            ]
             text = "".join(np.column_stack(gathered).ravel().tolist())
         else:
-            text = (sep + template) * count
+            text = (sep + template) * min(_CHUNK, rows - start)
         yield text[lead:]
         lead = 0
 
 
-def _arrow_chunks(quiver: WeightedQuiver):
-    """The quiver's arrows as `_records` chunks, whole rows at a time: about
-    _CHUNK arrows each, spanning at most twice the last chunk's vertices."""
-    first, step = 0, 1
-    while first < quiver.n_vertices:
-        parts = quiver.arrows(first, first + step)
-        yield parts[0].size, parts
-        first += step
-        step = max(1, min(2 * step, step * _CHUNK // max(parts[0].size, 1)))
+def _row_pieces(quiver: WeightedQuiver, after_dst: str, after_weight: str) -> list[list[str]]:
+    """Each stored row of `quiver`, a quiver with arrows, as the list of
+    its arrows' pieces: target, `after_dst`, weight, `after_weight`.
+
+    Each distinct (target, weight) pair is rendered once, and the rows
+    list references into that table, E/n of them on a built quiver.  The
+    weights are coded by `_table`, and a pair is keyed by target and weight
+    code; the distinct keys are found with a presence mask over the key
+    range when that is at most 16 bytes per stored arrow, else by a sort.
+    (Plain `np.unique` hashes, and its first call in a process costs more
+    than a writer's whole run.)  The mask is filled, and the rows listed,
+    in blocks of whole rows of about _BLOCK arrows each.
+    """
+    indptr, dst, weight = quiver.indptr, quiver.dst, quiver.weight
+    weight_pieces, weight_codes = _table(weight, after_dst, after_weight)
+    weight_pieces, width = weight_pieces.tolist(), len(weight_pieces)
+    lo = int(dst.min())
+    span = (int(dst.max()) - lo + 1) * width
+    step = max(1, _BLOCK * (indptr.size - 1) // dst.size)
+    blocks = [
+        (first, min(first + step, indptr.size - 1)) for first in range(0, indptr.size - 1, step)
+    ]
+
+    def keys(first, last):
+        at = slice(indptr[first], indptr[last])
+        return (dst[at] - lo) * width + weight_codes(weight[at])
+
+    if span <= 16 * dst.size:
+        present = np.zeros(span, dtype=bool)
+        for first, last in blocks:
+            present[keys(first, last)] = True
+        pairs = np.flatnonzero(present)
+        del present
+    else:
+        pairs = np.sort(keys(0, indptr.size - 1))
+        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+    targets, codes = np.divmod(pairs, width)
+    pieces = np.array(
+        [f"{t + lo}{weight_pieces[c]}" for t, c in zip(targets.tolist(), codes.tolist())],
+        dtype=object,
+    )
+    rows = []
+    for first, last in blocks:
+        flat = pieces[np.searchsorted(pairs, keys(first, last))].tolist()
+        ends = (indptr[first : last + 1] - indptr[first]).tolist()
+        rows.extend(flat[a:b] for a, b in zip(ends, ends[1:]))
+    return rows
+
+
+def _own_arrows(quiver: WeightedQuiver) -> np.ndarray:
+    """The position of each vertex's loop within its stored row, or -1:
+    one vectorised bisection for v among its row's increasing targets."""
+    dst, vertex = quiver.dst, np.arange(quiver.n_vertices)
+    start, end = quiver.indptr[quiver.row], quiver.indptr[quiver.row + 1]
+    lo, hi = start, end
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = open_ & (dst[np.minimum(mid, dst.size - 1)] < vertex)
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+    found = (lo < end) & (dst[np.minimum(lo, dst.size - 1)] == vertex)
+    return np.where(found, lo - start, -1)
+
+
+def _arrow_records(template: str, sep: str, quiver: WeightedQuiver, *, loops: bool):
+    """Yield the text of the quiver's arrows as records of `template`, whose
+    slots take source, target and weight, joined by `sep`: about _CHUNK
+    arrows at a time, whole vertices at a time.
+
+    A stored row's pieces (`_row_pieces`) are shared by the vertices that
+    read it, and a vertex's text is one join of them, src + src.join(row),
+    src being `sep`, the template's head, the vertex and the text after
+    it.  Without `loops` a vertex drops its own arrow from its copy of the
+    row alone.  Only the output's first record drops its leading `sep`.
+    """
+    if not quiver.dst.size:
+        return
+    head, after_src, after_dst, after_weight = template.split("%d")
+    rows = _row_pieces(quiver, after_dst, after_weight)
+    own = [-1] * quiver.n_vertices if loops else _own_arrows(quiver).tolist()
+    parts, count, lead = [], 0, len(sep)
+    for v, (r, k) in enumerate(zip(quiver.row.tolist(), own)):
+        records = rows[r] if k < 0 else rows[r][:k] + rows[r][k + 1 :]
+        if not records:
+            continue
+        src = f"{sep}{head}{v}{after_src}"
+        parts.append(src + src.join(records))
+        count += len(records)
+        if count >= _CHUNK:
+            yield "".join(parts)[lead:]
+            parts, count, lead = [], 0, 0
+    if parts:
+        yield "".join(parts)[lead:]
 
 
 def dot_chunks(graph: WeightedQuiver | QuiverForm, *, include_loops: bool = True) -> Iterator[str]:
@@ -156,8 +237,7 @@ def _quiver_dot(quiver: WeightedQuiver, include_loops: bool):
         colours = quiver.labels.T
         label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
     yield from _records(f'  v%d [label="{label}"];\n', "", columns, n)
-    arrows = [vertex, quiver.dst, quiver.weight]
-    yield from _records('  v%d -> v%d [label="%d"];\n', "", arrows, _arrow_chunks(quiver), loops=include_loops)
+    yield from _arrow_records('  v%d -> v%d [label="%d"];\n', "", quiver, loops=include_loops)
     yield "}\n"
 
 
@@ -173,10 +253,9 @@ def _int_list(width: int, level: int) -> str:
     return f"{_indent(level)}[\n{items}\n{_indent(level)}]"
 
 
-def _json_list(item: str, columns, chunks, level: int):
-    """Yield a JSON list of the records of template `item` that `_records`
-    makes of `columns` and `chunks`, held by a key at `level`."""
-    records = _records(item, ",\n", columns, chunks)
+def _json_list(records, level: int):
+    """Yield a JSON list of `records`, chunks of records joined by ",\n",
+    held by a key at `level`."""
     first = next(records, None)
     if first is None:
         yield "[]"
@@ -194,15 +273,14 @@ def _quiver_json(quiver: WeightedQuiver, form: QuiverForm, params: str):
     if quiver.labels is not None:
         colours = quiver.labels.T
         yield ',\n  "colorings": '
-        yield from _json_list(_int_list(len(colours), 2), colours, quiver.n_vertices, 1)
-    arrows = [np.arange(quiver.n_vertices), quiver.dst, quiver.weight]
+        yield from _json_list(_records(_int_list(len(colours), 2), ",\n", colours, quiver.n_vertices), 1)
     yield ',\n  "weights": '
-    yield from _json_list(_int_list(3, 2), arrows, _arrow_chunks(quiver), 1)
+    yield from _json_list(_arrow_records(_int_list(3, 2), ",\n", quiver, loops=True), 1)
     block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'
     yield ',\n  "blocks": {\n    "blocks": '
-    yield from _json_list(block, [form.sizes, form.weights], form.sizes.size, 2)
+    yield from _json_list(_records(block, ",\n", [form.sizes, form.weights], form.sizes.size), 2)
     yield ',\n    "cross": '
-    yield from _json_list(_int_list(3, 3), form.cross.T, len(form.cross), 2)
+    yield from _json_list(_records(_int_list(3, 3), ",\n", form.cross.T, len(form.cross)), 2)
     yield "\n  }\n}\n"
 
 

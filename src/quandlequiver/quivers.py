@@ -52,12 +52,10 @@ class WeightedQuiver:
         self.row, self.indptr, self.dst, self.weight = row, indptr, dst, weight
         self.labels = labels
 
-    def arrows(self, first: int = 0, last: int | None = None):
-        """The (src, dst, weight) columns of the arrows of vertices first..last-1,
-        in order; by default of every vertex."""
-        last = self.n_vertices if last is None else min(last, self.n_vertices)
-        at, lengths = _row_positions(self.indptr, self.row[first:last])
-        return np.repeat(np.arange(first, last), lengths), self.dst[at], self.weight[at]
+    def arrows(self):
+        """The (src, dst, weight) columns of the quiver's arrows, in order."""
+        at, lengths = _row_positions(self.indptr, self.row)
+        return np.repeat(np.arange(self.n_vertices), lengths), self.dst[at], self.weight[at]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedQuiver):

@@ -193,6 +193,32 @@ def test_a_huge_strand_count_is_over_the_oracle_cap_before_any_work(backend, tim
     assert captured.err == f"count: 5^{p} candidate tops exceed the oracle cap 10000000\n"
 
 
+@pytest.mark.parametrize(
+    "q, ns, out",
+    [
+        ("0", "3", ""),
+        ("P", "2", ""),
+        # n = 3 is odd, so its count is 3; n = 4's is 2^(p-1)*4
+        ("P", "3..4", "torus:P,P n=3: N=3 case=half-period [ok]\n"),
+    ],
+)
+def test_a_huge_prime_power_count_is_too_long_before_it_is_built(q, ns, out, time_limit, capsys):
+    # n^p and 2^(p-1)*n, p about 10^18, are told too long by their bit
+    # length, cell by cell, and never built
+    time_limit(2)
+    p = 10**18 + 3
+    link = f"torus:{p},{p if q == 'P' else q}"
+    code = main(["count", "--link", link, "--n", ns, "--backend", "formula"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == out.replace("P", str(p))
+    n = ns.split("..")[-1]
+    assert captured.err == (
+        f"count: the count for n={n} has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for writing an integer in decimal\n"
+    )
+
+
 @pytest.mark.parametrize("limit, code", [(642, EXIT_OK), (641, EXIT_CAP)])
 def test_a_count_at_the_digit_limit_still_prints(limit, code, capsys):
     # 10^641 has 642 digits

@@ -148,6 +148,21 @@ def test_rejects_non_odd_prime_p(p):
         predict_count(p, 2, 3)
 
 
+@settings(max_examples=300)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 101, 641]),
+    st.integers(0, 3),
+    st.integers(2, 10**4),
+    st.integers(1, 700),
+)
+def test_a_count_too_long_by_its_bit_length_is_too_long(p, k, n, digits):
+    # q = k*p: the powers n^p and 2^(p-1)*n.  evaluate_cells raises
+    # CountTooLong on this test alone, before the count is built; it must
+    # never refuse a count that would print
+    if counting._too_long(p, k * p, n, digits):
+        assert max(predict_count(p, k * p, n).candidates) >= 10**digits
+
+
 def test_rejects_bad_q_and_n():
     with pytest.raises(ValueError):
         predict_count(5, -1, 3)

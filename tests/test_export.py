@@ -20,7 +20,7 @@ from quandlequiver.counting import predict_count, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver import export
 from quandlequiver.export import CSV_HEADER, csv_chunks, dot_chunks, json_chunks
-from quandlequiver.quivers import QuiverForm, build_quiver, lattice_form
+from quandlequiver.quivers import QuiverForm, WeightedQuiver, build_quiver, lattice_form
 
 
 def dot_text(graph, **options):
@@ -192,17 +192,38 @@ def _short_table(column, before, after):
     return pieces, codes
 
 
+def shared_rows(n, rows, row, labels=None):
+    """A quiver on n vertices, vertex v reading stored row row[v] of `rows`,
+    each a list of (target, weight) pairs, through the trusted constructor."""
+    arrows = [sorted(pairs) for pairs in rows]
+    indptr = np.cumsum([0, *map(len, arrows)])
+    dst, weight = np.array([pair for pairs in arrows for pair in pairs], dtype=np.int64).reshape(-1, 2).T
+    labels = None if labels is None else np.array(labels, dtype=np.int64).reshape(n, -1)
+    arrays = [np.array(row, dtype=np.int64), indptr, dst, weight]
+    for a in [*arrays, *([] if labels is None else [labels])]:
+        a.flags.writeable = False
+    return WeightedQuiver(n, *arrays, labels)
+
+
 @st.composite
 def random_quivers(draw):
-    """Up to 12 vertices and 40 arrows, with labels of one width (possibly 0) or none."""
+    """Up to 12 vertices and 40 arrows, with labels of one width (possibly 0)
+    or none: one stored row per vertex, or a drawn map of the vertices onto
+    fewer stored rows, each of distinct targets."""
     n = draw(st.integers(0, 12))
     vertex = st.integers(0, max(n - 1, 0))
-    triples = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3 * 10**4)), max_size=40 if n else 0))
     labels = None
     if draw(st.booleans()):
         width = draw(st.integers(0, 3))
         colour = st.integers(0, 10**3)
         labels = draw(st.lists(st.tuples(*[colour] * width), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        pairs = st.dictionaries(vertex, st.integers(1, 3 * 10**4), max_size=min(n, 40 // k))
+        rows = [list(draw(pairs).items()) for _ in range(k)]
+        row = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        return shared_rows(n, rows, row, labels)
+    triples = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3 * 10**4)), max_size=40 if n else 0))
     src, dst, weight = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     return from_arrows(n, src, dst, weight, labels=labels)
 
@@ -327,10 +348,34 @@ def torus_quivers(draw):
     1,
     None,
 )
+# without loops: a shared row whose arrow to vertex 1 is a loop for vertex 1 only
+@example((shared_rows(3, [[(1, 4), (2, 5)], [(0, 7)]], [0, 0, 1]), QuiverForm([3], [1])), False, 1, None)
+# a vertex whose only arrow is its loop, as the first record: written with
+# loops, and left out without them, so the first record written comes later
+@example(
+    (shared_rows(3, [[(0, 3)], [(0, 2), (1, 6)]], [0, 1, 1], [(5,), (6,), (7,)]), QuiverForm([3], [1])),
+    True,
+    2,
+    None,
+)
+@example((shared_rows(3, [[(0, 3)], [(0, 2), (1, 6)]], [0, 1, 1]), QuiverForm([3], [1])), False, 2, None)
+# targets 0 and 39 and weights 1 and 30000: their pairs' keys span more
+# than a presence mask may, so the pair table is found by a sort
+@example(
+    (shared_rows(40, [[(0, 1), (39, 30000)], [(39, 1)]], [0] * 20 + [1] * 20), QuiverForm([40], [1])),
+    False,
+    3,
+    None,
+)
 def test_writers_match_reference(quiver_and_form, loops, chunk, params):
-    # a chunk of 1 to 5 records puts chunk boundaries inside every list
+    # a chunk of 1 to 5 records puts chunk boundaries inside every list,
+    # and blocks of as many arrows read the stored rows a few at a time
     quiver, form = quiver_and_form
-    with mock.patch.object(export, "_CHUNK", chunk), mock.patch.object(export, "_table", _short_table):
+    with (
+        mock.patch.object(export, "_CHUNK", chunk),
+        mock.patch.object(export, "_BLOCK", chunk),
+        mock.patch.object(export, "_table", _short_table),
+    ):
         chunks = list(dot_chunks(quiver, include_loops=loops))
         assert "" not in chunks
         assert "".join(chunks) == export_reference.to_dot(quiver, loops)
@@ -407,20 +452,19 @@ def test_writer_argument_errors_are_raised_at_the_call():
 
 
 @settings(max_examples=100)
-@given(
-    st.one_of(torus_quivers().map(lambda quiver_and_form: quiver_and_form[0]), random_quivers()),
-    st.lists(st.integers(0, 400), max_size=6),
-)
-# vertices 0, 1 and 2 have no arrows: pieces that start with arrowless vertices
-@example(from_arrows(5, [3, 4, 4], [0, 1, 4], [1, 2, 3]), [1, 2, 4])
-def test_arrow_pieces_concatenate_to_the_arrows(quiver, cuts):
-    # the writers gather the arrows a run of vertices at a time
-    n = quiver.n_vertices
-    bounds = [0, *sorted(cut % (n + 1) for cut in cuts), n]
-    pieces = [quiver.arrows(first, last) for first, last in zip(bounds, bounds[1:])]
-    for first, last, (src, _, _) in zip(bounds, bounds[1:], pieces):
-        assert np.all((first <= src) & (src < last))
-    for j, column in enumerate(quiver.arrows()):
-        assert np.array_equal(np.concatenate([piece[j] for piece in pieces]), column)
-    # a last vertex past the end stops at the end
-    assert all(map(np.array_equal, quiver.arrows(0, n + 5), quiver.arrows()))
+@given(st.one_of(torus_quivers().map(lambda quiver_and_form: quiver_and_form[0]), random_quivers()))
+# vertices 0, 1 and 2 have no arrows
+@example(from_arrows(5, [3, 4, 4], [0, 1, 4], [1, 2, 3]))
+# a pair table found by a sort
+@example(shared_rows(40, [[(0, 1), (39, 30000)], [(39, 1)], [(0, 1)]], [0] * 20 + [2] * 20))
+def test_arrow_pieces_concatenate_to_the_arrows(quiver):
+    # the writers list each stored row once, as pieces of a table holding
+    # each distinct (target, weight) pair once, and read it through `row`
+    _, dst, weight = quiver.arrows()
+    assume(dst.size)
+    rows = export._row_pieces(quiver, "|", ";")
+    assert len(rows) == quiver.indptr.size - 1
+    pieces = [piece for r in quiver.row.tolist() for piece in rows[r]]
+    assert pieces == [f"{d}|{w};" for d, w in zip(dst.tolist(), weight.tolist())]
+    stored = [piece for row in rows for piece in row]
+    assert len(set(map(id, stored))) == len(set(stored))
