@@ -41,8 +41,9 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be at least 1, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(int(l) for l in self.letters))
-        for l in self.letters:
+        letters = tuple(map(int, self.letters))
+        object.__setattr__(self, "letters", letters)
+        for l in dict.fromkeys(letters):  # each distinct letter, first seen first
             if l == 0 or not 1 <= abs(l) < self.strands:
                 raise ValueError(
                     f"letter {l} is not a generator of B_{self.strands}"
@@ -85,7 +86,8 @@ def factor_power(link: BraidWord | TorusLinkSpec) -> tuple[BraidWord, int]:
 def parse_link(text: str) -> BraidWord | TorusLinkSpec:
     """Parse 'torus:p,q' into a TorusLinkSpec, or a braid word like 's1 s2 -s1'.
 
-    For explicit words the strand count is max generator index + 1.
+    For explicit words the strand count is max generator index + 1.  An
+    index is ASCII digits; each distinct token is read once.
     """
     text = text.strip()
     if text.startswith("torus:"):
@@ -94,22 +96,22 @@ def parse_link(text: str) -> BraidWord | TorusLinkSpec:
         if len(parts) != 2:
             raise ValueError(f"expected torus:p,q, got {text!r}")
         return TorusLinkSpec(int(parts[0]), int(parts[1]))
-    letters = []
-    for token in text.split():
-        sign = 1
-        if token.startswith("-"):
-            sign = -1
-            token = token[1:]
-        if not token.startswith("s") or not token[1:].isdigit():
-            raise ValueError(f"bad braid letter {token!r}; use s3 or -s3")
-        k = int(token[1:])
+    tokens = text.split()
+    letter_of = {}
+    for token in dict.fromkeys(tokens):  # each distinct token, first seen first
+        negative = token.startswith("-")
+        name = token[1:] if negative else token
+        index = name[1:]
+        if not name.startswith("s") or not (index.isascii() and index.isdigit()):
+            raise ValueError(f"bad braid letter {name!r}; use s3 or -s3")
+        k = int(index)
         if k < 1:
-            raise ValueError(f"generator index must be at least 1, got {token!r}")
-        letters.append(sign * k)
-    if not letters:
+            raise ValueError(f"generator index must be at least 1, got {name!r}")
+        letter_of[token] = -k if negative else k
+    if not tokens:
         raise ValueError("empty braid word; use torus:p,q for an unlink")
-    strands = max(abs(l) for l in letters) + 1
-    return BraidWord(strands, tuple(letters))
+    strands = max(map(abs, letter_of.values())) + 1
+    return BraidWord(strands, tuple(map(letter_of.__getitem__, tokens)))
 
 
 def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:

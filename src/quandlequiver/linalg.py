@@ -11,16 +11,21 @@ only kernel vectors mod n are int64.
 
 Each entry is cleared in one exact step when the pivot's gcd with L
 divides it, by the pivot's inverse mod L/g; only the others take a Euclid
-step.  The U*A*V check multiplies in int64 when no dot product can pass
-2**63, and on Python ints otherwise.  Kernel vectors are sorted by their
-base-n row keys (`row_keys`) and returned with them, so a ColoringSet
-keeps those keys rather than compute them again.
+step.  A count reads only the diagonal, so a unit pivot clears its column
+alone, and the column operations that would clear its row, which no later
+entry depends on, run only when V is read.  Each form is checked twice
+over: U*A*V0 = R at elimination, and U*A*V = D when V is read; the
+products run in int64 when no dot product can pass 2**63, and on Python
+ints otherwise.  Kernel vectors are sorted by their base-n row keys
+(`row_keys`) and returned with them, so a ColoringSet keeps those keys
+rather than compute them again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +39,20 @@ class SnfResult:
 
     diag holds gcd(d_i, modulus) for the full diagonal of D (length
     min(rows, cols)), 0 standing for d_i = 0 mod modulus; it is a
-    divisibility chain.  right is V, rows of ints in 0..modulus-1.
+    divisibility chain.  columns is A's column count.  right is V, rows of
+    ints in 0..modulus-1, built and checked on first read: a count never
+    reads it.
     """
 
     diag: tuple[int, ...]
-    right: list[list[int]]
     modulus: int
+    columns: int
+    # (A, U, R, V0 transposed, unit rows) as the elimination left them
+    _deferred: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def right(self) -> list[list[int]]:
+        return _right_transform(self.modulus, *self._deferred)
 
 
 def product_mod(a, b, modulus: int) -> np.ndarray:
@@ -70,38 +83,48 @@ def smith_normal_form(a, modulus: int) -> SnfResult:
     every such step.  The diagonal entry d left at a position need not
     divide L; what later reductions mod L keep is that every later entry
     is a multiple of gcd(d, L), so the reported diagonal is those gcds.
-    The chain, and U*A*V == D mod L, are re-verified before returning.
+
+    A unit pivot (g = 1) clears its column by row operations only.  Its
+    column is then zero below it, so the column operations that would
+    clear its row change no later entry, and they are deferred until V is
+    read.  So the elimination leaves U*A*V0 = R mod L: V0 holds the
+    column swaps and the other pivots' column operations, and R is
+    diagonal but for the entries right of a unit pivot in its row.  That
+    shape, the chain and U*(A*V0) = R are checked before returning, A*V0
+    taken by the same column operations on the columns of A; reading
+    `right` runs the deferred operations and checks U*A*V = D.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")
     start = [[int(x) % modulus for x in row] for row in a]
-    m = [row[:] for row in start]
-    nr, nc = len(m), len(m[0])
-    u = _identity(nr, modulus)
-    # V held transposed: vt[j] is column j of V, so a column operation is
-    # one list comprehension
+    nr, nc = len(start), len(start[0])
+    # each working row carries its row of U after its nc entries, so a row
+    # operation is one list comprehension; vt[j] is column j of V0, and
+    # av[j] column j of A*V0, which the check reads
+    w = [row + e for row, e in zip(start, _identity(nr, modulus))]
     vt = _identity(nc, modulus)
+    av = [list(col) for col in zip(*start)]
+    units = []
 
     def row_sub(i, k, q):
-        m[i] = [(x - q * y) % modulus for x, y in zip(m[i], m[k])]
-        u[i] = [(x - q * y) % modulus for x, y in zip(u[i], u[k])]
+        w[i] = [(x - q * y) % modulus for x, y in zip(w[i], w[k])]
 
     def row_swap(i, k):
-        m[i], m[k] = m[k], m[i]
-        u[i], u[k] = u[k], u[i]
+        w[i], w[k] = w[k], w[i]
 
     def col_swap(j, k):
-        # rows above t are zero in every column from t on
-        for row in m[t:]:
+        # rows of unit pivots above t may hold entries in any column
+        for row in w:
             row[j], row[k] = row[k], row[j]
         vt[j], vt[k] = vt[k], vt[j]
+        av[j], av[k] = av[k], av[j]
 
     size = min(nr, nc)
     t = 0
     while t < size:
         best, pi, pj = modulus, -1, -1
         for i in range(t, nr):
-            row = m[i]
+            row = w[i]
             for j in range(t, nc):
                 if row[j]:
                     g = math.gcd(row[j], modulus)
@@ -119,35 +142,41 @@ def smith_normal_form(a, modulus: int) -> SnfResult:
             col_swap(t, pj)
 
         while True:
-            # clear column t below the pivot, then row t right of it; a
-            # Euclid step's remainder, below the pivot, becomes the pivot
-            # and clearing starts over
-            p = m[t][t]
+            # clear column t below the pivot, then, unless the pivot is a
+            # unit, row t right of it; a Euclid step's remainder, below the
+            # pivot, becomes the pivot and clearing starts over
+            p = w[t][t]
             g = math.gcd(p, modulus)
             inverse = pow(p // g, -1, modulus // g)
             restart = False
             for i in range(t + 1, nr):
-                b = m[i][t]
+                b = w[i][t]
                 if b:
                     q = b // g * inverse % modulus if b % g == 0 else b // p
                     if q:
                         row_sub(i, t, q)
-                    if m[i][t]:
+                    if w[i][t]:
                         row_swap(t, i)
                         restart = True
                         break
             if restart:
                 continue
-            pivot_row, pivot_col = m[t], vt[t]
+            if g == 1:
+                units.append(t)
+                break
+            pivot_row, pivot_col = w[t], vt[t]
             for j in range(t + 1, nc):
                 b = pivot_row[j]
                 if b:
                     q = b // g * inverse % modulus if b % g == 0 else b // p
                     # column t is zero below the pivot, so a column
-                    # operation changes only m[t][j] of the working matrix
+                    # operation changes only rows t and above
                     if q:
-                        pivot_row[j] = (b - q * p) % modulus
+                        for row in w[:t + 1]:
+                            if row[t]:
+                                row[j] = (row[j] - q * row[t]) % modulus
                         vt[j] = [(x - q * y) % modulus for x, y in zip(vt[j], pivot_col)]
+                        av[j] = [(x - q * y) % modulus for x, y in zip(av[j], av[t])]
                     if pivot_row[j]:
                         col_swap(t, j)
                         restart = True
@@ -158,21 +187,47 @@ def smith_normal_form(a, modulus: int) -> SnfResult:
             # the pivot must divide everything that remains in Z/L, that
             # is gcd(pivot, L) must divide it; if not, fold the offending
             # row in, which leaves the pivot a Euclid step to take
-            offender = None if g == 1 else next(
-                (i for i in range(t + 1, nr) if any(x % g for x in m[i][t + 1:])), None)
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % g for x in w[i][t + 1:nc])), None)
             if offender is None:
                 break
             row_sub(t, offender, -1)
         t += 1
 
-    right = [list(row) for row in zip(*vt)]
-    want = [[m[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
-    if not np.array_equal(product_mod(u, product_mod(start, right, modulus), modulus), want):
-        raise InternalConsistencyError("U*A*V does not equal the computed diagonal mod L")
-    diag = tuple(math.gcd(m[i][i], modulus) if m[i][i] else 0 for i in range(size))
+    reduced = [row[:nc] for row in w]
+    u = [row[nc:] for row in w]
+    unit_rows = set(units)
+    if any(any(row[:i]) or i not in unit_rows and any(row[i + 1:])
+           for i, row in enumerate(reduced)):
+        raise InternalConsistencyError("R is not diagonal outside the rows of unit pivots")
+    if not np.array_equal(product_mod(u, list(zip(*av)), modulus), reduced):
+        raise InternalConsistencyError("U*A*V0 does not equal the reduced matrix mod L")
+    diag = tuple(math.gcd(reduced[i][i], modulus) if reduced[i][i] else 0 for i in range(size))
     if any(b % a if a else b for a, b in zip(diag, diag[1:])):
         raise InternalConsistencyError(f"divisibility chain broken: {diag}")
-    return SnfResult(diag=diag, right=right, modulus=modulus)
+    return SnfResult(diag, modulus, nc, (start, u, reduced, vt, units))
+
+
+def _right_transform(modulus, start, u, reduced, vt, units) -> list[list[int]]:
+    """V: V0 times the deferred column operations that clear each unit
+    pivot's row, checked by U*A*V = D.  They run from the first unit row
+    down: the rows above a unit pivot are cleared by then, and its column
+    is zero below it, so its column holds the pivot alone, the operations
+    change no other row, and their coefficients are read off R as it
+    stands."""
+    vt, nc = vt[:], len(vt)
+    for t in units:
+        row, pivot_col = reduced[t], vt[t]
+        inverse = pow(row[t], -1, modulus)
+        for j in range(t + 1, nc):
+            if row[j]:
+                q = row[j] * inverse % modulus
+                vt[j] = [(x - q * y) % modulus for x, y in zip(vt[j], pivot_col)]
+    right = [list(row) for row in zip(*vt)]
+    want = [[row[j] if i == j else 0 for j in range(nc)] for i, row in enumerate(reduced)]
+    if not np.array_equal(product_mod(u, product_mod(start, right, modulus), modulus), want):
+        raise InternalConsistencyError("U*A*V does not equal the computed diagonal mod L")
+    return right
 
 
 def row_keys(rows: np.ndarray, m: int) -> np.ndarray:
@@ -203,7 +258,7 @@ def _kernel_factors(snf: SnfResult, n: int) -> dict[int, int]:
     for d in snf.diag:
         g = math.gcd(d, n)
         factors[g] = factors.get(g, 0) + 1
-    factors[n] = factors.get(n, 0) + len(snf.right) - len(snf.diag)
+    factors[n] = factors.get(n, 0) + snf.columns - len(snf.diag)
     return factors
 
 
@@ -233,7 +288,7 @@ def kernel_enumerate_mod(a, n: int, cap: int | None = None) -> tuple[np.ndarray,
             count=total,
             power=power,
         )
-    c = len(s.right)
+    c = s.columns
     diag = list(s.diag) + [0] * (c - len(s.diag))
     # V's entries are below n, but their multiples pass int64 once n is
     # past 3*10**9: they are reduced mod n as Python ints, and sums of two

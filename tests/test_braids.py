@@ -47,6 +47,9 @@ def test_braid_word_validation():
         BraidWord(3, (3,))
     with pytest.raises(ValueError):
         BraidWord(2, (-2,))
+    # the first bad letter in the word is the one named
+    with pytest.raises(ValueError, match="^letter 3 is not a generator of B_3$"):
+        BraidWord(3, (1, 3, 1, 0))
 
 
 def test_torus_spec_validation():
@@ -93,6 +96,26 @@ def test_parse_link():
     for bad in ("x3", "s0", "", "torus:5", "torus:a,b", "s1 t2", "torus:1,2", "torus:5,-1"):
         with pytest.raises(ValueError):
             parse_link(bad)
+
+
+def test_parse_link_reads_ascii_digits_only():
+    # other Unicode digits pass str.isdigit: a fullwidth one read as its
+    # ASCII twin, and a superscript one failed inside int()
+    for text, name in (("s1 s\uff12", "s\uff12"), ("s\u00b2", "s\u00b2"), ("-s\u0663", "s\u0663")):
+        with pytest.raises(ValueError) as exc:
+            parse_link(text)
+        assert str(exc.value) == f"bad braid letter {name!r}; use s3 or -s3"
+    # each distinct token is read once, and the first bad one in the word is named
+    assert parse_link("s2 s1 s2 -s1 s01 -s2") == BraidWord(3, (2, 1, 2, -1, 1, -2))
+    for text, message in (
+        ("s1 -x3 s0", "bad braid letter 'x3'; use s3 or -s3"),
+        ("s1 -s0 x3", "generator index must be at least 1, got 's0'"),
+        ("s1 -", "bad braid letter ''; use s3 or -s3"),
+        ("  ", "empty braid word; use torus:p,q for an unlink"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_link(text)
+        assert str(exc.value) == message
 
 
 def test_propagate_single_positive_crossing():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlequiver
-from quandlequiver import braids, cli, colorings, counting, quivers
+from quandlequiver import braids, cli, colorings, counting, linalg, quivers
 from quandlequiver.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CAP,
@@ -435,6 +435,26 @@ def test_verify_clean_grid_exits_0(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "6 cells: 6 match, 0 ambiguous-resolved, 0 mismatch" in out
+
+
+def test_a_count_never_builds_v(monkeypatch, capsys):
+    # count and verify read only the Smith form's diagonal; V's deferred
+    # column operations run only for an enumeration
+    def refuse(*args):
+        raise AssertionError("V was built")
+
+    monkeypatch.setattr(linalg, "_right_transform", refuse)
+    with pytest.raises(AssertionError, match="V was built"):
+        linalg.smith_normal_form([[1, 2], [3, 4]], 6).right
+    for argv in (
+        ["count", "--link", "s1 s2 -s1 s3 s2 s2 -s3", "--n", "2..9", "--backend", "linear"],
+        ["count", "--link", "s1 -s2 s1 s3", "--n", "2..4", "--backend", "all"],
+        ["count", "--link", "torus:7,4", "--n", "2..12", "--backend", "linear"],
+        ["count", "--link", "torus:5,4", "--n", "2..9"],
+        ["verify", "--p", "3,5,7", "--q", "0..14", "--n", "2..9", "--oracle-cap", "1"],
+    ):
+        assert main(argv) in (EXIT_OK, EXIT_AMBIGUOUS), argv
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_ambiguous_grid_exits_3(tmp_path, capsys):

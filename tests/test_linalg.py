@@ -414,8 +414,11 @@ def test_form_past_2_to_the_32_checks_on_python_ints(monkeypatch):
     monkeypatch.setattr(linalg, "product_mod", recording)
     a = IntMatrix([[2**33 + 6, 4, 10], [6, 2**40 + 9, 15], [2**35, 12, 2**32 + 30]])
     s = smith_normal_form(a.data, big)
-    assert dtypes == [object, object]
+    # the elimination checks U*(A*V0) in one product, reading V two more
+    assert dtypes == [object]
     assert s.diag == bounded_diag(ref.smith_normal_form(a).diag, big)
+    assert math.gcd(det(IntMatrix(s.right)), big) == 1
+    assert dtypes == [object] * 3
 
 
 def test_corrupted_transform_fails_the_check(monkeypatch):
@@ -431,6 +434,120 @@ def test_corrupted_transform_fails_the_check(monkeypatch):
     monkeypatch.setattr(linalg, "_identity", sheared)
     with pytest.raises(InternalConsistencyError, match="U\\*A\\*V"):
         smith_normal_form(a, 30)
+
+
+SNF_MODULUS = 2520  # lcm(2..9), the modulus of a count by every R_n, n <= 9
+residues = st.integers(0, SNF_MODULUS - 1)
+units = residues.filter(lambda x: math.gcd(x, SNF_MODULUS) == 1)
+
+
+@st.composite
+def unit_pivot_blocks(draw, rows, cols):
+    """Lo * Up mod L, Lo lower unitriangular and Up upper triangular with
+    unit diagonal: clearing the first column leaves the product of the
+    trailing parts, so each pivot is a unit on the diagonal."""
+    lower = [[1 if i == j else draw(residues) if j < i else 0 for j in range(rows)]
+             for i in range(rows)]
+    upper = [[draw(units) if i == j else draw(residues) if j > i else 0 for j in range(cols)]
+             for i in range(rows)]
+    return [[x % SNF_MODULUS for x in row] for row in (IntMatrix(lower) @ IntMatrix(upper)).data]
+
+
+def even_blocks(rows, cols):
+    """Even entries mod L: every entry, so every pivot, shares the factor 2 with L."""
+    return st.lists(st.lists(residues.map(lambda x: 2 * x % SNF_MODULUS),
+                             min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+dims = st.integers(1, 6)
+
+
+def assert_form_matches_reference_mod_2520(data):
+    """The form mod L against the integer reference: the diagonal, a V in
+    0..L-1 invertible mod L, and the kernel rows mod divisors of L."""
+    a = IntMatrix(data)
+    s = smith_normal_form(data, SNF_MODULUS)
+    assert s.diag == bounded_diag(ref.smith_normal_form(a).diag, SNF_MODULUS)
+    assert s.columns == a.cols and len(s.right) == a.cols
+    assert all(0 <= x < SNF_MODULUS for row in s.right for x in row)
+    assert math.gcd(det(IntMatrix(s.right)), SNF_MODULUS) == 1
+    for n in (4, 9, 10, 12):
+        if kernel_count_mod(a, n) <= 2000:
+            assert kernel_rows(data, n).tolist() == list(map(list, ref.kernel_enumerate_mod(a, n)))
+    return s.diag
+
+
+@given(dims.flatmap(lambda r: dims.flatmap(lambda c: unit_pivot_blocks(r, c))))
+@settings(max_examples=60, deadline=None)
+def test_form_matches_reference_when_every_pivot_is_a_unit(data):
+    assert assert_form_matches_reference_mod_2520(data) == (1,) * min(len(data), len(data[0]))
+
+
+@given(dims.flatmap(lambda r: dims.flatmap(lambda c: even_blocks(r, c))))
+@settings(max_examples=60, deadline=None)
+def test_form_matches_reference_when_no_pivot_is_a_unit(data):
+    assert 1 not in assert_form_matches_reference_mod_2520(data)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_form_matches_reference_on_mixed_pivots(k, m, data):
+    # unit pivots first, then the even block's, with entries right of the
+    # unit rows in the even block's columns
+    units_block = data.draw(unit_pivot_blocks(k, k), label="units")
+    even = data.draw(even_blocks(m, m), label="even")
+    right = data.draw(st.lists(st.lists(residues, min_size=m, max_size=m),
+                               min_size=k, max_size=k), label="right")
+    rows = [u + r for u, r in zip(units_block, right)] + [[0] * k + e for e in even]
+    diag = assert_form_matches_reference_mod_2520(rows)
+    assert diag[:k] == (1,) * k and 1 not in diag[k:]
+
+
+@pytest.mark.parametrize("sheared,read,message", [
+    # U is built first: the check at elimination fails
+    (1, False, "U\\*A\\*V0 does not"),
+    # V0 second: the check at elimination reads A*V0 as carried by the
+    # column operations, not V0, so only reading V fails
+    (2, True, "U\\*A\\*V does not"),
+])
+def test_a_sheared_transform_fails_its_check(monkeypatch, sheared, read, message):
+    a = [[2, 4, 4], [6, 8, 10], [3, 5, 7]]
+    built = []
+
+    def shear_one(size, modulus):
+        rows = [[int(i == j) for j in range(size)] for i in range(size)]
+        built.append(size)
+        if len(built) == sheared:
+            rows[0][-1] = 1
+        return rows
+
+    monkeypatch.setattr(linalg, "_identity", shear_one)
+    with pytest.raises(InternalConsistencyError, match=message):
+        s = smith_normal_form(a, 30)
+        assert s.diag == (1, 2, 6)
+        if read:
+            s.right
+
+
+def test_a_wrong_deferred_column_operation_fails_when_v_is_read(monkeypatch):
+    a = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    original = linalg._right_transform
+
+    def off_by_one(modulus, start, u, reduced, vt, units):
+        # a unit row's entry right of its pivot, the coefficient of one
+        # deferred column operation, made one larger
+        t = units[0]
+        reduced = [row[:] for row in reduced]
+        reduced[t][-1] = (reduced[t][-1] + 1) % modulus
+        return original(modulus, start, u, reduced, vt, units)
+
+    s = smith_normal_form(a, 30)
+    assert s.diag == (1, 1, 3)
+    monkeypatch.setattr(linalg, "_right_transform", off_by_one)
+    with pytest.raises(InternalConsistencyError, match="U\\*A\\*V does not"):
+        s.right
+    monkeypatch.undo()
+    assert math.gcd(det(IntMatrix(s.right)), 30) == 1
 
 
 def test_int_matrix_validation():

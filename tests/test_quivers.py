@@ -739,6 +739,41 @@ def test_lattice_form_equals_detected_blocks(coloring_set):
     assert isomorphic(quiver, form, block_of) is True
 
 
+def form_multisets(link, n):
+    """The sorted (size, weight) pairs of the link's lattice_form by R_n and
+    its sorted (size_i, size_j, weight) cross rows: the form up to block
+    order; None past a cap of 2000 colorings."""
+    try:
+        form, _ = lattice_form(enumerate_colorings_linear(link, n, cap=2000))
+    except CapExceededError:
+        return None
+    sizes = form.sizes.tolist()
+    return (sorted(zip(sizes, form.weights.tolist())),
+            sorted((sizes[i], sizes[j], d) for i, j, d in form.cross.tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_equivalent_braids_have_equal_lattice_forms(strands, data):
+    # the coloring quiver is a link invariant, so its form is the same up
+    # to block order for a conjugate, both stabilizations and an inserted
+    # cancelling pair
+    letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+    letters = tuple(data.draw(st.lists(letter, min_size=1, max_size=8), label="letters"))
+    at = data.draw(st.integers(0, len(letters)), label="at")
+    word = BraidWord(strands, letters)
+    equivalent = [
+        BraidWord(strands, letters[at:] + letters[:at]),
+        BraidWord(strands + 1, letters + (strands,)),
+        BraidWord(strands + 1, letters + (-strands,)),
+        BraidWord(strands, letters[:at] + (1, -1) + letters[at:]),
+    ]
+    for n in range(2, 8):
+        expected = form_multisets(word, n)
+        for other in equivalent:
+            assert form_multisets(other, n) == expected, (word, other, n)
+
+
 @pytest.mark.parametrize(
     "p,q,n",
     [
