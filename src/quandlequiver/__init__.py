@@ -29,7 +29,7 @@ from .linalg import (
     kernel_enumerate_mod,
     smith_normal_form,
 )
-from .quandles import DihedralQuandle, FiniteQuandle
+from .quandles import DihedralQuandle
 from .quivers import (
     QuiverForm,
     WeightedQuiver,
@@ -45,7 +45,6 @@ __all__ = [
     "ColoringSet",
     "CountPrediction",
     "DihedralQuandle",
-    "FiniteQuandle",
     "InternalConsistencyError",
     "QuiverForm",
     "TorusLinkSpec",

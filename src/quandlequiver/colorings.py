@@ -1,23 +1,23 @@
 """Quandle colorings of braid closures, found two independent ways.
 
-The oracle backend pushes candidate top states through the braid word
-and counts those it maps back to themselves; it works for any finite
-quandle and knows nothing about linearity.  The linear backend solves
-the closure system (M - I) y = 0 mod n through the Smith normal form and
-is specific to dihedral targets.  The two share nothing past the
-crossing convention, which is what makes their agreement meaningful.
+The oracle backend pushes candidate top states through the braid word by
+R_r's Cayley table and counts those it maps back to themselves; it knows
+nothing about linearity.  The linear backend solves the closure system
+(M - I) y = 0 mod n through the Smith normal form.  The two share
+nothing past the crossing convention, which is what makes their
+agreement meaningful.
 
-The oracle has one walk: top states through the link's factor
+The oracle has one walk: top states through a factor of the link
 (braids.factor_power), slab by slab by the factor's window tables when
 no power above 1 is asked for, and otherwise by its state map, built
 once and squared across long gaps between powers, so a power q costs
 about 2 * log2(q) passes over the map.  oracle_counts, the oracle's one
-entry, takes it, walking one top per orbit of the colour shift
-x -> x + 1 mod m, the tops with strand 1 coloured 0, when that shift is
-an automorphism of the Cayley table, and every top otherwise.  The
-linear backend lists the colorings, as one read-only (count, strands)
-int64 array.  Each raises CapExceededError, naming the count, rather
-than return part of its answer over its cap.
+entry, takes it for R_r, walking one top per orbit of the colour shift
+x -> x + 1 mod r, the tops with strand 1 coloured 0; its caller checks
+the oracle cap first (check_oracle_cap).  The linear backend lists the
+colorings, as one read-only (count, strands) int64 array, and raises
+CapExceededError, naming the count, rather than return part of its
+answer over its cap.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import functools
 
 import numpy as np
 
-from .braids import BraidWord, TorusLinkSpec, closure_system, factor_power
+from .braids import BraidWord, TorusLinkSpec, closure_system
 from .config import oracle_cap
 from .errors import SHORT_COUNT, CapExceededError, count_text
 from .linalg import kernel_enumerate_mod, row_keys
-from .quandles import DihedralQuandle, FiniteQuandle
+from .quandles import DihedralQuandle
 
 
 class ColoringSet:
@@ -46,7 +46,7 @@ class ColoringSet:
     or rows that are not sorted and distinct raise ValueError.
     """
 
-    def __init__(self, link: BraidWord | TorusLinkSpec, quandle: FiniteQuandle, colorings, keys=None):
+    def __init__(self, link: BraidWord | TorusLinkSpec, quandle: DihedralQuandle, colorings, keys=None):
         colorings = np.asarray(colorings, dtype=np.int64).view()
         strands = link.p if isinstance(link, TorusLinkSpec) else link.strands
         if colorings.ndim != 2 or colorings.shape[1] != strands:
@@ -132,7 +132,6 @@ def _not_closed(coloring: np.ndarray, a: int, b: int, n: int) -> ValueError:
 
 _SLAB = 1 << 16  # state indices handled per batch
 _WINDOW_STATES = 1 << 16  # largest window table: m**k entries
-_SHIFT_ENTRIES = 1 << 16  # table entries compared per batch of the shift check
 
 
 def _index_type(total: int):
@@ -152,12 +151,12 @@ def _digits(indices: np.ndarray, m: int, strands: int, dtype) -> list[np.ndarray
     return columns
 
 
-def _push(indices: np.ndarray, letters, m: int, strands: int, table, inverse) -> np.ndarray:
+def _push(indices: np.ndarray, letters, m: int, strands: int, table) -> np.ndarray:
     """The indices of the states `letters` makes of the states with these indices.
 
-    Letter by letter, one Cayley-table gather on the states' colour
-    columns; only the table (and, for negative letters, its inverse) is
-    consulted.
+    Letter by letter, one gather of R_m's Cayley table on the states'
+    colour columns.  R_m is involutive, (z * y) * y = z, so a negative
+    letter's inverse operation reads the table itself.
     """
     columns = _digits(indices, m, strands, table.dtype)
     for letter in letters:
@@ -166,7 +165,7 @@ def _push(indices: np.ndarray, letters, m: int, strands: int, table, inverse) ->
         if letter > 0:
             columns[i], columns[i + 1] = y, table[x, y]
         else:
-            columns[i], columns[i + 1] = inverse[y, x], x
+            columns[i], columns[i + 1] = table[y, x], x
     states = columns[0].astype(indices.dtype)
     for column in columns[1:]:
         states *= m
@@ -196,18 +195,18 @@ def _windows(factor: tuple[int, ...], strands: int, m: int, states: int):
     """(k, cover of the factor by k-strand windows) for the widest k <= strands
     with m**k <= _WINDOW_STATES whose tables hold at most states / 4 entries
     in all, `states` being the number of states pushed through them; k = 2
-    when no width fits.
+    when no width fits, and k = 1 for the empty factor on one strand.
     """
     k = strands
     while k > 2 and m**k > _WINDOW_STATES:
         k -= 1
-    for k in range(k, 1, -1):
+    for k in range(k, 0, -1):
         cover = _cover(factor, k)
-        if k == 2 or 4 * sum(m**width for _, width, _ in cover) <= states:
+        if k <= 2 or 4 * sum(m**width for _, width, _ in cover) <= states:
             return k, cover
 
 
-def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index, states: int):
+def _window_steps(factor: tuple[int, ...], strands: int, table: np.ndarray, index, states: int):
     """One (place value, digit modulus or None, delta table) per window, the
     windows sized for `states` states pushed (_windows).
 
@@ -218,10 +217,7 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
     window on strand 1, whose digits are the leading ones.  Runs with the
     same strands and letters share one table.
     """
-    m = quandle.size
-    colour = np.min_scalar_type(m - 1)
-    table = quandle.table.astype(colour)
-    inverse = quandle.inverse_table.astype(colour) if any(l < 0 for l in factor) else None
+    m = len(table)
     steps = []
     tables: dict[tuple, np.ndarray] = {}
     for lo, width, letters in _windows(factor, strands, m, states)[1]:
@@ -233,14 +229,14 @@ def _window_steps(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle,
             delta = np.empty(size, dtype=index)
             for start in range(0, size, _SLAB):
                 tops = np.arange(start, min(start + _SLAB, size), dtype=index)
-                delta[start : start + len(tops)] = _push(tops, shifted, m, width, table, inverse) - tops
+                delta[start : start + len(tops)] = _push(tops, shifted, m, width, table) - tops
             delta *= base
             tables[lo, width, shifted] = delta
         steps.append((base, size if lo else None, delta))
     return steps
 
 
-def _window_push(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, index, total: int):
+def _window_push(factor: tuple[int, ...], strands: int, table: np.ndarray, index, total: int):
     """The factor as a step on slabs of state indices: push(states, out) writes
     the bottom-state indices of the top states `states` into `out`.
 
@@ -248,7 +244,7 @@ def _window_push(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
     states pushed in all; each slab then takes one gather per window on
     its index array.
     """
-    steps = _window_steps(factor, strands, quandle, index, total)
+    steps = _window_steps(factor, strands, table, index, total)
     buffers = np.empty((2, min(_SLAB, total)), dtype=index)
 
     def push(states: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -271,34 +267,16 @@ def _window_push(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
     return push
 
 
-def _factor_map(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle) -> np.ndarray:
+def _factor_map(factor: tuple[int, ...], strands: int, table: np.ndarray) -> np.ndarray:
     """The factor's state map: map[k] is the bottom-state index of top-state index k."""
-    total = quandle.size**strands
+    total = len(table) ** strands
     index = _index_type(total)
-    push = _window_push(factor, strands, quandle, index, total)
+    push = _window_push(factor, strands, table, index, total)
     state_map = np.empty(total, dtype=index)
     for start in range(0, total, _SLAB):
         stop = min(start + _SLAB, total)
         push(np.arange(start, stop, dtype=index), state_map[start:stop])
     return state_map
-
-
-def _shift_orbit(quandle: FiniteQuandle) -> int:
-    """m when the shift x -> x + 1 mod m is an automorphism of the table, else 1.
-
-    Checks table[x + 1, y + 1] == table[x, y] + 1 mod m for every (x, y), a
-    batch of rows at a time, so the check holds a few copies of one batch,
-    never of the whole table.
-    """
-    m, table = quandle.size, quandle.table
-    shift = np.roll(np.arange(m), -1)  # shift[x] = x + 1 mod m
-    step = max(1, _SHIFT_ENTRIES // m)
-    for start in range(0, m, step):
-        # table[x + 1, y + 1] against table[x, y] + 1 for a batch of x
-        rows = shift[start : start + step]
-        if not np.array_equal(table[rows][:, shift], shift[table[start : start + step]]):
-            return 1
-    return m
 
 
 def _gather(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -309,7 +287,7 @@ def _gather(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, powers, stop: int):
+def _power_slabs(factor: tuple[int, ...], strands: int, table: np.ndarray, powers, stop: int):
     """(power, tops, bottoms) slab by slab over the tops 0..stop-1 for each
     power in ascending order, the bottoms being the tops under factor**power.
 
@@ -321,16 +299,16 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
     takes about log2(g) squarings.  Read each slab before the next item.
     """
     powers = sorted(set(powers))
-    index = _index_type(quandle.size**strands)
+    index = _index_type(len(table) ** strands)
     if max(powers, default=0) < 2:
-        push = _window_push(factor, strands, quandle, index, stop) if 1 in powers else None
+        push = _window_push(factor, strands, table, index, stop) if 1 in powers else None
         buffer = np.empty(min(_SLAB, stop), dtype=index)
         for start in range(0, stop, _SLAB):
             tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
             for power in powers:
                 yield power, tops, push(tops, buffer[: len(tops)]) if power else tops
         return
-    state_map = _factor_map(factor, strands, quandle)
+    state_map = _factor_map(factor, strands, table)
     bottoms, spare = np.arange(stop, dtype=index), np.empty(stop, dtype=index)
     for walked, power in zip([0] + powers, powers):
         gap, square = power - walked, state_map
@@ -346,17 +324,25 @@ def _power_slabs(factor: tuple[int, ...], strands: int, quandle: FiniteQuandle, 
             yield power, tops, bottoms[start : start + _SLAB]
 
 
-def check_oracle_cap(m: int, strands: int, cap: int | None):
-    """Raise CapExceededError when m**strands candidate tops exceed the cap.
+def over_oracle_cap(m: int, strands: int, limit: int) -> bool:
+    """Whether m**strands candidate tops exceed `limit`.
 
-    For m >= 2 the power is at least 2**strands, so a strand count past the
-    bit length of the cap and of SHORT_COUNT is over the cap, and is named
-    by its power alone, without building it (count None)."""
-    power = f"{m}^{strands}"
+    For m >= 2 the power is at least 2**strands, so a strand count past
+    the limit's bit length is over it, told without building the power."""
+    return m >= 2 and strands > limit.bit_length() or m**strands > limit
+
+
+def check_oracle_cap(m: int, strands: int, cap: int | None):
+    """Raise CapExceededError when m**strands candidate tops exceed the cap
+    (over_oracle_cap).
+
+    A strand count past the bit length of SHORT_COUNT as well is named by
+    its power alone, without building it (count None)."""
     limit = oracle_cap() if cap is None else cap
-    huge = m >= 2 and strands > max(limit.bit_length(), SHORT_COUNT.bit_length())
-    total = None if huge else m**strands
-    if huge or total > limit:
+    if over_oracle_cap(m, strands, limit):
+        power = f"{m}^{strands}"
+        huge = m >= 2 and strands > max(limit.bit_length(), SHORT_COUNT.bit_length())
+        total = None if huge else m**strands
         raise CapExceededError(
             f"{count_text(total, power)} candidate tops exceed the oracle cap {limit}",
             count=total,
@@ -364,29 +350,27 @@ def check_oracle_cap(m: int, strands: int, cap: int | None):
         )
 
 
-def oracle_counts(link, quandle: FiniteQuandle, powers, cap: int | None = None) -> dict[int, int]:
-    """{k: number of colorings of the closure of link**k} for each k in `powers`.
+def oracle_counts(factor: BraidWord, r: int, powers) -> dict[int, int]:
+    """{k: number of colorings of the closure of factor**k by R_r} for each k in `powers`.
 
-    The one oracle count: the link is read as factor**r (factor_power),
-    and one walk counts the fixed points of factor**(r*k) for every k at
-    once; power 0 fixes every top.  The cap, on all m**strands candidate
-    tops, is checked before any table or map is built.
+    The one oracle count: one walk counts the fixed points of factor**k
+    for every k at once; power 0 fixes every top.  The caller checks the
+    oracle cap first (counting.evaluate_cells, on all candidate tops).
 
-    When the shift x -> x + 1 mod m is an automorphism of the table, the
-    walk takes only the m**(strands - 1) tops with strand 1 coloured 0 and
-    multiplies each count by m.  Crossings read only the table and its
-    inverse, so shifting every strand's colour commutes with the word;
-    the fixed tops of each power are closed under the shift, and each of
-    its orbits holds m tops, one with strand 1 coloured 0.
+    The walk takes only the r**(strands - 1) tops with strand 1 coloured 0
+    and multiplies each count by r.  The shift x -> x + 1 mod r is an
+    automorphism of R_r, as (x + 1) * (y + 1) = 2y - x + 1, and a crossing
+    reads only the table, so shifting every strand's colour commutes
+    with the word; the fixed tops of each power are closed under the
+    shift, and each of its orbits holds r tops, one with strand 1
+    coloured 0.
     """
-    factor, r = factor_power(link)
-    m, strands = quandle.size, factor.strands
-    check_oracle_cap(m, strands, cap)
-    orbit = _shift_orbit(quandle)
-    fixed = dict.fromkeys((r * k for k in powers), 0)
-    for power, tops, bottoms in _power_slabs(factor.letters, strands, quandle, fixed, m**strands // orbit):
+    strands = factor.strands
+    table = DihedralQuandle(r).table.astype(np.min_scalar_type(r - 1))
+    fixed = dict.fromkeys(powers, 0)
+    for power, tops, bottoms in _power_slabs(factor.letters, strands, table, fixed, r ** (strands - 1)):
         fixed[power] += int(np.count_nonzero(bottoms == tops))
-    return {k: orbit * fixed[r * k] for k in powers}
+    return {k: r * fixed[k] for k in powers}
 
 
 def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> ColoringSet:

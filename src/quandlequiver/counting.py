@@ -29,8 +29,9 @@ colorings.oracle_counts; R_n's oracle count is the product of its prime
 power parts' counts (the Chinese remainder theorem), so no composite
 R_n's table is built.  On R_r that walk takes the r**(p-1) tops with
 strand 1 coloured 0, one per orbit of the colour shift, and multiplies
-by r; the oracle cap still counts all n**p candidate tops of the largest
-requested modulus.  No route writes a torus link out as letters, so
+by r; the oracle cap, checked here and nowhere else before a walk, still
+counts all n**p candidate tops of the largest requested modulus, and so
+bounds every part.  No route writes a torus link out as letters, so
 every backend answers a huge q.
 """
 
@@ -41,11 +42,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .braids import TorusLinkSpec, closure_system, factor_power
-from .colorings import check_oracle_cap, oracle_counts
+from .colorings import check_oracle_cap, oracle_counts, over_oracle_cap
 from .config import oracle_cap
 from .errors import CountTooLong
 from .linalg import kernel_count_from_snf, smith_normal_form
-from .quandles import DihedralQuandle
 
 CASE_FREE = "free"
 CASE_TRIVIAL_ONLY = "trivial-only"
@@ -306,7 +306,7 @@ def evaluate_cells(
         parts = {n: _prime_powers(n) for n in oracle_ns}
         walked = {}  # prime power -> the oracle count of each link by its R
         for part in sorted(set().union(*parts.values())):
-            counts = oracle_counts(factor, DihedralQuandle(part), qs, cap=cap)
+            counts = oracle_counts(factor, part, qs)
             walked[part] = [counts[q] for q in qs]
         for n in oracle_ns:
             oracle[n] = [math.prod(walked[part][i] for part in parts[n]) for i in range(len(links))]
@@ -338,8 +338,6 @@ def verify_counts(ps, qs, ns, cap: int | None = None) -> list[CellRecord]:
     records = []
     for p in sorted(ps) if qs else ():  # an empty q list has no cells
         links = [TorusLinkSpec(p, q) for q in qs]  # rejects a negative q before any walk
-        # check_oracle_cap's rule: n >= 2, so n**p is past the cap once p
-        # is past its bit length, and that power is never built
-        oracle_ns = [n for n in ns if p <= limit.bit_length() and n**p <= limit]
+        oracle_ns = [n for n in ns if not over_oracle_cap(n, p, limit)]
         records.extend(evaluate_cells(links, ns, oracle_ns=oracle_ns, cap=limit))
     return records

@@ -230,13 +230,9 @@ def _form_dot(form: QuiverForm):
 def _quiver_dot(quiver: WeightedQuiver, include_loops: bool):
     yield "digraph quiver {\n"
     n = quiver.n_vertices
-    vertex = np.arange(n)
-    if quiver.labels is None:
-        label, columns = "%d", [vertex, vertex]
-    else:
-        colours = quiver.labels.T
-        label, columns = ",".join(["%d"] * len(colours)), [vertex, *colours]
-    yield from _records(f'  v%d [label="{label}"];\n', "", columns, n)
+    colours = quiver.labels.T
+    label = ",".join(["%d"] * len(colours))
+    yield from _records(f'  v%d [label="{label}"];\n', "", [np.arange(n), *colours], n)
     yield from _arrow_records('  v%d -> v%d [label="%d"];\n', "", quiver, loops=include_loops)
     yield "}\n"
 
@@ -270,10 +266,9 @@ def _quiver_json(quiver: WeightedQuiver, form: QuiverForm, params: str):
     count, colorings, weights, and `form` as its blocks."""
     yield "{\n" + params
     yield f'  "count": {quiver.n_vertices}'
-    if quiver.labels is not None:
-        colours = quiver.labels.T
-        yield ',\n  "colorings": '
-        yield from _json_list(_records(_int_list(len(colours), 2), ",\n", colours, quiver.n_vertices), 1)
+    colours = quiver.labels.T
+    yield ',\n  "colorings": '
+    yield from _json_list(_records(_int_list(len(colours), 2), ",\n", colours, quiver.n_vertices), 1)
     yield ',\n  "weights": '
     yield from _json_list(_arrow_records(_int_list(3, 2), ",\n", quiver, loops=True), 1)
     block = f'{_indent(3)}{{\n{_indent(4)}"size": %d,\n{_indent(4)}"weight": %d\n{_indent(3)}}}'

@@ -39,9 +39,9 @@ class WeightedQuiver:
     Vertex v's arrows go to dst[indptr[r]:indptr[r + 1]] of its stored row
     r = row[v], strictly increasing, with the positive weights
     weight[indptr[r]:indptr[r + 1]]; the arrays are int64 and read-only.
-    `labels`, when present, is a read-only int64 array naming vertex i by
-    its coloring labels[i].  `build_quiver` makes one, with one stored row
-    per translation class.
+    `labels` is a read-only int64 array naming vertex i by its coloring
+    labels[i].  `build_quiver` makes one, with one stored row per
+    translation class.
     """
 
     __slots__ = ("n_vertices", "row", "indptr", "dst", "weight", "labels")

@@ -17,12 +17,6 @@ from quiver_reference import from_arrows, weight_triples
 from quandlequiver.quivers import QuiverForm
 
 
-def _label(vertex, labels):
-    if labels is None:
-        return str(vertex)
-    return ",".join(str(c) for c in labels[vertex])
-
-
 def to_dot(graph, include_loops=True):
     lines = ["digraph quiver {"]
     if isinstance(graph, QuiverForm):
@@ -32,7 +26,7 @@ def to_dot(graph, include_loops=True):
             lines.append(f'  b{bi} -> b{bj} [label="{d}"];')
     else:
         for v in range(graph.n_vertices):
-            lines.append(f'  v{v} [label="{_label(v, graph.labels)}"];')
+            lines.append(f'  v{v} [label="{",".join(map(str, graph.labels[v].tolist()))}"];')
         for i, j, w in weight_triples(graph):
             if i == j and not include_loops:
                 continue
@@ -46,8 +40,7 @@ def quiver_to_dict(quiver, form, params=None):
     if params is not None:
         out["params"] = dict(params)
     out["count"] = quiver.n_vertices
-    if quiver.labels is not None:
-        out["colorings"] = quiver.labels.tolist()
+    out["colorings"] = quiver.labels.tolist()
     out["weights"] = [[i, j, w] for i, j, w in weight_triples(quiver)]
     out["blocks"] = {
         "blocks": [
@@ -67,4 +60,4 @@ def quiver_from_json(text):
     """Rebuild a quiver from its JSON text; its params and blocks are not read."""
     payload = json.loads(text)
     arrows = np.array(payload["weights"], dtype=np.int64).reshape(-1, 3)
-    return from_arrows(payload["count"], *arrows.T, labels=payload.get("colorings"))
+    return from_arrows(payload["count"], *arrows.T, labels=payload["colorings"])

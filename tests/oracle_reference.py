@@ -1,13 +1,15 @@
 """Reference oracle used by the tests: every candidate top through every letter.
 
-The package's oracle walks the tops through the window tables (or the
-state map) of the word's repeated factor and keeps the fixed points of
-its q-th power, counting one top per orbit of the colour shift when the
-shift is an automorphism of the table; this is the direct per-letter
-propagation over every top that it must agree with.  `coloring_set` holds
-its colorings in the package's ColoringSet, for tests that compare them
-with the linear backend's or build a quiver on them.  `propagate` pushes
-one top state through the word, crossing by crossing.
+The package's oracle walks the tops with strand 1 coloured 0 through the
+window tables (or the state map) of the link's factor and multiplies by
+the shift orbit's size r, which holds because x -> x + 1 is an
+automorphism of R_r; this is the direct per-letter propagation over
+every top, by any Cayley table, that it must agree with.  A negative
+letter reads the inverse operation, which `right_inverse` derives from
+the table itself.  `coloring_set` holds its colorings in the package's
+ColoringSet, for tests that compare them with the linear backend's or
+build a quiver on them.  `propagate` pushes one top state through the
+word, crossing by crossing.
 """
 
 import numpy as np
@@ -17,13 +19,26 @@ from quandlequiver.colorings import ColoringSet
 _SLAB = 1 << 16  # candidate rows propagated per batch
 
 
+def right_inverse(table) -> np.ndarray:
+    """inverse[x, y], the unique z with z * y == x; a column of the table
+    that is not a permutation raises ValueError."""
+    table = np.asarray(table)
+    m = len(table)
+    broken = np.flatnonzero((np.sort(table, axis=0) != np.arange(m)[:, None]).any(axis=0))
+    if broken.size:
+        raise ValueError(f"right translation by {broken[0]} is not a bijection")
+    inverse = np.empty_like(table)
+    inverse[table, np.arange(m)] = np.arange(m)[:, None]
+    return inverse
+
+
 def enumerate_colorings(word, quandle) -> list[tuple[int, ...]]:
     """The lexicographically sorted tops that `word` maps back to themselves."""
     m = quandle.size
     p = word.strands
     total = m**p
     table = quandle.table
-    inverse = quandle.inverse_table if any(l < 0 for l in word.letters) else None
+    inverse = right_inverse(table) if any(l < 0 for l in word.letters) else None
     powers = [m ** (p - 1 - j) for j in range(p)]
     kept: list[np.ndarray] = []
     for start in range(0, total, _SLAB):
@@ -63,7 +78,7 @@ def propagate(word, quandle, top) -> tuple[int, ...]:
         if not 0 <= c < quandle.size:
             raise ValueError(f"color {c} outside 0..{quandle.size - 1}")
     table = quandle.table.tolist()
-    inverse = quandle.inverse_table.tolist() if any(l < 0 for l in word.letters) else None
+    inverse = right_inverse(quandle.table).tolist() if any(l < 0 for l in word.letters) else None
     for letter in word.letters:
         i = abs(letter) - 1
         x, y = state[i], state[i + 1]

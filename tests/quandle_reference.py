@@ -1,10 +1,11 @@
-"""Reference quandle checks used by the tests: the dihedral operation on
-single elements, the kei law, the quandle axioms checked element by
-element, every endomorphism by exhaustive search, the
-n^2 affine maps of R_n as an image array, and an audit of the affine maps
-against that search.  `quivers.build_quiver` applies the affine maps
-through their coefficients a and b; these are the maps it must agree with,
-and the search shows that they are all of End(R_n)."""
+"""Reference quandle checks used by the tests: a Cayley table of any
+finite magma, the dihedral operation on single elements, the kei law, the
+quandle axioms checked element by element, every endomorphism by
+exhaustive search, the n^2 affine maps of R_n as an image array, and an
+audit of the affine maps against that search.  `quivers.build_quiver`
+applies the affine maps through their coefficients a and b; these are
+the maps it must agree with, and the search shows that they are all of
+End(R_n)."""
 
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,19 @@ class AxiomReport:
             and self.invertible.passed
             and self.idempotent.passed
         )
+
+
+class CayleyTable:
+    """A finite magma by its Cayley table, table[x, y] = x * y, for the
+    checks below and for tests that need a table other than R_n's; the
+    quandle axioms are not checked."""
+
+    def __init__(self, table):
+        self.table = np.array(table, dtype=np.int64)
+        self.size = len(self.table)
+
+    def __repr__(self):
+        return f"CayleyTable(size={self.size})"
 
 
 class NonAffineEndomorphismWarning(UserWarning):

@@ -55,7 +55,8 @@ class DictQuiver:
 
 def from_arrows(n, src, dst, weight, labels=None):
     """The quiver on n vertices with arrows src[k] -> dst[k] of weight
-    weight[k], one stored row per vertex.
+    weight[k], one stored row per vertex, vertex v labelled labels[v], or
+    (v,) when no labels are given.
 
     Arrows with the same endpoints are summed and zero weights dropped.
     A vertex outside 0..n-1, a negative weight, or labels that are not
@@ -63,13 +64,12 @@ def from_arrows(n, src, dst, weight, labels=None):
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64).view()
-        if labels.shape == (0,):
-            labels = labels.reshape(0, 0)
-        if labels.ndim != 2 or len(labels) != n:
-            raise ValueError(f"labels must be {n} rows of one width, got shape {labels.shape}")
-        labels.flags.writeable = False
+    labels = np.arange(n).reshape(n, 1) if labels is None else np.asarray(labels, dtype=np.int64).view()
+    if not n:
+        labels = labels.reshape(0, 0)  # no row carries a width, as in JSON
+    if labels.ndim != 2 or len(labels) != n:
+        raise ValueError(f"labels must be {n} rows of one width, got shape {labels.shape}")
+    labels.flags.writeable = False
     src, dst, weight = (np.array(a, dtype=np.int64).reshape(-1) for a in (src, dst, weight))
     if not src.size == dst.size == weight.size:
         raise ValueError("src, dst and weight must have one length")

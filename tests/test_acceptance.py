@@ -178,8 +178,8 @@ def test_criterion_7_oracle_fixtures_with_negative_crossings():
     fig8 = BraidWord(3, (1, -2, 1, -2))
     t = reference_set(trefoil, DihedralQuandle(3))
     f = reference_set(fig8, DihedralQuandle(5))
-    assert t.count == oracle_counts(trefoil, DihedralQuandle(3), [1])[1] == 9
-    assert f.count == oracle_counts(fig8, DihedralQuandle(5), [1])[1] == 25
+    assert t.count == oracle_counts(trefoil, 3, [1])[1] == 9
+    assert f.count == oracle_counts(fig8, 5, [1])[1] == 25
     assert np.array_equal(enumerate_colorings_linear(trefoil, 3).colorings, t.colorings)
     assert np.array_equal(enumerate_colorings_linear(fig8, 5).colorings, f.colorings)
     report(7, "trefoil over R_3 has 9 colorings, figure-eight over R_5 has 25 (oracle, signed words)")

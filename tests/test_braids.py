@@ -14,6 +14,7 @@ import pytest
 from braid_reference import torus_braid
 from intmatrix_reference import IntMatrix, apply, det
 from oracle_reference import propagate
+from quandle_reference import CayleyTable
 
 from quandlequiver.braids import (
     BraidWord,
@@ -23,11 +24,11 @@ from quandlequiver.braids import (
     parse_link,
     propagation_matrix,
 )
-from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
+from quandlequiver.quandles import DihedralQuandle
 
 
 def alexander_mod5():
-    return FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
+    return CayleyTable([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
 
 
 def random_word(rng, strands, length):

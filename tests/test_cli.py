@@ -125,10 +125,10 @@ def test_huge_q_answers_on_every_backend(q, monkeypatch, capsys):
 def test_count_oracle_cap_reads_the_torus_strands_from_p(monkeypatch, capsys):
     refuse_torus_word(monkeypatch)
 
-    def no_table(n):
-        raise AssertionError(f"R_{n} built before the oracle cap check")
+    def no_walk(factor, r, powers):
+        raise AssertionError(f"R_{r} walked before the oracle cap check")
 
-    monkeypatch.setattr(counting, "DihedralQuandle", no_table)
+    monkeypatch.setattr(counting, "oracle_counts", no_walk)
     for backend in ("oracle", "all"):
         code = main(
             ["count", "--link", "torus:5,7", "--n", "17", "--backend", backend, "--oracle-cap", "100"]
@@ -886,3 +886,29 @@ def test_oracle_cap_flag_does_not_carry_into_the_next_call(capsys):
     captured = capsys.readouterr()
     assert captured.out == "torus:5,2 n=4: N=4 [ok]\n"
     assert captured.err == "count: 4^5 = 1024 candidate tops exceed the oracle cap 100\n" * 2
+
+
+@pytest.mark.parametrize("word", ["s1 s1", "s1 s1 s1", "s1 -s2 s1 -s2", "s2 s1 s2 -s1 s3 s2"])
+def test_stabilization_keeps_each_printed_count(word, capsys):
+    # Markov stabilization, w -> w s_k or w -s_k with k = w's strand count,
+    # closes to the same link on k + 1 strands, so each route prints the
+    # same N for every n
+    k = braids.parse_link(word).strands
+    for backend in ("linear", "oracle"):
+        printed = set()
+        for link in (word, f"{word} s{k}", f"{word} -s{k}"):
+            assert main(["count", "--link", link, "--n", "2..7", "--backend", backend]) == EXIT_OK
+            heads, counts = zip(*(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()))
+            assert heads == tuple(f"{link} n={n}" for n in range(2, 8))
+            printed.add(counts)
+        assert len(printed) == 1, (word, backend, printed)
+
+
+def test_a_word_has_its_largest_letter_plus_one_strands(capsys):
+    # "s1 s1" is the Hopf link on 2 strands, with 3 colorings by R_3; read on
+    # 3 strands it would close to the Hopf link and an unknot, with 9
+    assert braids.parse_link("s1 s1").strands == 2
+    assert braids.parse_link("s1 -s3").strands == 4
+    for backend in ("linear", "oracle"):
+        assert main(["count", "--link", "s1 s1", "--n", "3", "--backend", backend]) == EXIT_OK
+        assert capsys.readouterr().out == "s1 s1 n=3: N=3 [ok]\n"

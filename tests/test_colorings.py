@@ -19,28 +19,16 @@ from braid_reference import torus_braid
 from oracle_reference import coloring_set as reference_set
 from oracle_reference import enumerate_colorings as reference_colorings
 from oracle_reference import propagate
-from quandlequiver import colorings
+from quandlequiver import braids, colorings
 from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
-from quandlequiver.counting import verify_counts
+from quandlequiver.counting import evaluate_cells, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import kernel_count_from_snf, row_keys, smith_normal_form
-from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
+from quandlequiver.quandles import DihedralQuandle
 from quandlequiver.quivers import build_quiver
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
-ALEXANDER_5 = FiniteQuandle([[(2 * x - y) % 5 for y in range(5)] for x in range(5)])
-# R_5 with the colours 0 and 1 swapped: still a quandle, but x -> x + 1 is no
-# longer an automorphism of its table
-SWAP = (1, 0, 2, 3, 4)
-RELABELLED_R5 = FiniteQuandle(
-    [[SWAP[(2 * SWAP[y] - SWAP[x]) % 5] for y in range(5)] for x in range(5)]
-)
-
-
-def trivial_quandle(m):
-    """x * y = x on m elements."""
-    return FiniteQuandle([[x] * m for x in range(m)])
 
 
 def assert_backends_agree(word, n):
@@ -48,7 +36,7 @@ def assert_backends_agree(word, n):
     reference = reference_set(word, DihedralQuandle(n))
     linear = enumerate_colorings_linear(word, n)
     assert np.array_equal(reference.colorings, linear.colorings)
-    assert colorings.oracle_counts(word, DihedralQuandle(n), [1]) == {1: linear.count}
+    assert colorings.oracle_counts(word, n, [1]) == {1: linear.count}
     return linear
 
 
@@ -104,11 +92,15 @@ def test_trivial_colorings_are_the_constants():
     assert np.array_equal(cs.colorings[cs.trivial_indices], [(c,) * 5 for c in range(6)])
 
 
-def test_oracle_works_on_non_dihedral_tables():
-    expected = reference_colorings(FIGURE_EIGHT, ALEXANDER_5)
-    assert colorings.oracle_counts(FIGURE_EIGHT, ALEXANDER_5, [1]) == {1: len(expected)}
-    for c in expected:
-        assert propagate(FIGURE_EIGHT, ALEXANDER_5, c) == c
+def test_dihedral_tables_are_shift_invariant_and_involutive():
+    # the oracle walks one top per shift orbit because x -> x + 1 is an
+    # automorphism of R_r, (x + 1) * (y + 1) = x * y + 1, and reads a
+    # negative crossing from the table itself because (z * y) * y = z
+    for r in range(1, 201):
+        table = DihedralQuandle(r).table
+        shift = (np.arange(r) + 1) % r
+        assert np.array_equal(table[np.ix_(shift, shift)], shift[table]), r
+        assert (table[table, np.arange(r)] == np.arange(r)[:, None]).all(), r
 
 
 def factors(signed=True, strands=(1, 6), letters=12):
@@ -128,11 +120,12 @@ def factors(signed=True, strands=(1, 6), letters=12):
 
 
 @st.composite
-def dihedral_cells(draw):
-    """(strands, factor letters, n) with n in 2..9 and n**strands <= 6**6."""
-    strands, letters = draw(factors())
-    n = draw(st.integers(2, max(m for m in range(2, 10) if m**strands <= 6**6)))
-    return strands, letters, n
+def dihedral_cells(draw, least=2, length=12):
+    """(strands, factor letters, n) with n in least..9, a factor of up to
+    `length` letters and n**strands <= 6**6."""
+    strands, letters = draw(factors(letters=length))
+    n = draw(st.integers(least, max(m for m in range(2, 10) if m**strands <= 6**6)))
+    return strands, tuple(letters), n
 
 
 # window table sizes: below m**2 every window is one run on two strands, and
@@ -140,12 +133,12 @@ def dihedral_cells(draw):
 WINDOW_STATES = (1, 4, 8, 27, 64, 1 << 16)
 
 
-def assert_oracle_matches_reference(word, quandle, window_states):
-    """The oracle counts the reference's colorings; returns them as a ColoringSet."""
-    expected = reference_set(word, quandle)
+def assert_oracle_matches_reference(word, n, window_states):
+    """The oracle counts the reference's colorings by R_n; returns them as a ColoringSet."""
+    expected = reference_set(word, DihedralQuandle(n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
-        count = colorings.oracle_counts(word, quandle, [1])[1]
+        count = colorings.oracle_counts(word, n, [1])[1]
     assert count == expected.count
     return expected
 
@@ -154,113 +147,48 @@ def assert_oracle_matches_reference(word, quandle, window_states):
 @given(dihedral_cells(), st.integers(0, 6), st.sampled_from(WINDOW_STATES))
 def test_oracle_matches_reference_on_dihedral_powers(cell, q, window_states):
     strands, letters, n = cell
-    word = BraidWord(strands, tuple(letters) * q)
-    cs = assert_oracle_matches_reference(word, DihedralQuandle(n), window_states)
+    word = BraidWord(strands, letters * q)
+    cs = assert_oracle_matches_reference(word, n, window_states)
     assert np.array_equal(cs.colorings, enumerate_colorings_linear(word, n).colorings)
-
-
-@settings(max_examples=60)
-@given(factors(), st.integers(0, 6), st.sampled_from(WINDOW_STATES))
-def test_oracle_matches_reference_on_non_dihedral_quandle(factor, q, window_states):
-    strands, letters = factor
-    word = BraidWord(strands, tuple(letters) * q)
-    assert_oracle_matches_reference(word, ALEXANDER_5, window_states)
-
-
-@settings(max_examples=60)
-@given(
-    factors(signed=False),
-    st.integers(0, 6),
-    st.sampled_from(WINDOW_STATES),
-    st.integers(2, 5).flatmap(
-        lambda m: st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m), min_size=m, max_size=m)
-    ),
-)
-def test_oracle_matches_reference_on_non_bijective_tables(factor, q, window_states, table):
-    # rows and columns need not be permutations; positive letters never read the inverse
-    strands, letters = factor
-    word = BraidWord(strands, tuple(letters) * q)
-    assert_oracle_matches_reference(word, FiniteQuandle(table), window_states)
-
-
-@st.composite
-def oracle_quandles(draw):
-    """(strands, factor letters, quandle): a dihedral quandle, ALEXANDER_5, a
-    trivial quandle, RELABELLED_R5, or a table whose rows and columns need
-    not be permutations (positive letters only), with at most 6**6 states."""
-    kind = draw(st.sampled_from(("dihedral", "alexander", "trivial", "relabelled", "table")))
-    strands, letters = draw(factors(signed=kind != "table", letters=8))
-    largest = max(m for m in range(2, 10) if m**strands <= 6**6)
-    if kind == "dihedral":
-        quandle = DihedralQuandle(draw(st.integers(2, largest)))
-    elif kind == "alexander":
-        quandle = ALEXANDER_5
-    elif kind == "trivial":
-        quandle = trivial_quandle(draw(st.integers(1, largest)))
-    elif kind == "relabelled":
-        quandle = RELABELLED_R5
-    else:
-        m = draw(st.integers(2, 5))
-        row = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
-        quandle = FiniteQuandle(draw(st.lists(row, min_size=m, max_size=m)))
-    return strands, tuple(letters), quandle
 
 
 @settings(max_examples=100)
 @given(
-    oracle_quandles(),
+    dihedral_cells(least=1, length=8),
     st.integers(0, 2),
     st.lists(st.integers(0, 5), max_size=6),
     st.sampled_from(WINDOW_STATES),
 )
 def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
     # powers may repeat, come unsorted, or hold 0 and 1; the word is factor**r
-    strands, letters, quandle = cell
+    strands, letters, n = cell
     word = BraidWord(strands, letters * r)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
-        counts = colorings.oracle_counts(word, quandle, powers)
+        counts = colorings.oracle_counts(word, n, powers)
         per_power = {
-            k: colorings.oracle_counts(BraidWord(strands, word.letters * k), quandle, [1])[1]
+            k: colorings.oracle_counts(BraidWord(strands, word.letters * k), n, [1])[1]
             for k in powers
         }
     assert counts == per_power
     for k in set(powers):
-        assert counts[k] == len(reference_colorings(BraidWord(strands, word.letters * k), quandle))
+        assert counts[k] == len(reference_colorings(BraidWord(strands, word.letters * k), DihedralQuandle(n)))
 
 
 @settings(max_examples=150)
-@given(oracle_quandles(), st.sampled_from(WINDOW_STATES), st.sampled_from((7, 1 << 16)))
+@given(dihedral_cells(least=1, length=8), st.sampled_from(WINDOW_STATES), st.sampled_from((7, 1 << 16)))
 def test_orbit_counts_match_reference(cell, window_states, slab):
-    # one top per shift orbit times m, or every top when the shift check
-    # fails, must count what the per-letter reference finds on every top
-    strands, letters, quandle = cell
+    # one top per shift orbit times n must count what the per-letter
+    # reference finds on every top
+    strands, letters, n = cell
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         mp.setattr(colorings, "_SLAB", slab)
-        counts = colorings.oracle_counts(BraidWord(strands, letters), quandle, [0, 1, 2, 3])
+        counts = colorings.oracle_counts(BraidWord(strands, letters), n, [0, 1, 2, 3])
+    quandle = DihedralQuandle(n)
     assert counts == {
         k: len(reference_colorings(BraidWord(strands, letters * k), quandle)) for k in range(4)
     }
-
-
-@pytest.mark.parametrize(
-    "quandle,orbit",
-    [
-        (DihedralQuandle(1), 1),
-        (DihedralQuandle(2), 2),
-        (DihedralQuandle(9), 9),
-        (ALEXANDER_5, 5),
-        (trivial_quandle(4), 4),
-        (RELABELLED_R5, 1),
-        (FiniteQuandle([[0, 0], [0, 0]]), 1),
-    ],
-)
-@pytest.mark.parametrize("batch", [1, 1 << 16])
-def test_shift_check_on_each_table_kind(quandle, orbit, batch, monkeypatch):
-    # a batch of 1 entry checks one row at a time
-    monkeypatch.setattr(colorings, "_SHIFT_ENTRIES", batch)
-    assert colorings._shift_orbit(quandle) == orbit
 
 
 def walked_tops(monkeypatch) -> list[int]:
@@ -278,27 +206,15 @@ def walked_tops(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("power", [1, 3])
-@pytest.mark.parametrize(
-    "quandle,tops", [(DihedralQuandle(5), 5**3), (ALEXANDER_5, 5**3), (RELABELLED_R5, 5**4)]
-)
+@pytest.mark.parametrize("quandle,tops", [(DihedralQuandle(5), 5**3), (DihedralQuandle(6), 6**3)])
 def test_counts_walk_one_top_per_shift_orbit(quandle, tops, power, monkeypatch):
-    # the state map of power 3 still spans all 5**4 states; only the walked
+    # the state map of power 3 still spans all n**4 states; only the walked
     # tops shrink, and the count is still that of every top
     word = BraidWord(4, (1, -2, 3, 2))
     walked = walked_tops(monkeypatch)
-    count = colorings.oracle_counts(word, quandle, [power])[power]
+    count = colorings.oracle_counts(word, quandle.n, [power])[power]
     assert sum(walked) == tops
     assert count == len(reference_colorings(BraidWord(4, word.letters * power), quandle))
-
-
-def test_shift_check_holds_one_row_batch():
-    # R_3000's table is 72 MB, built at its first read, here; the check may
-    # hold a few copies of one batch
-    quandle = DihedralQuandle(3000)
-    assert quandle.table.shape == (3000, 3000)
-    orbits = []
-    assert peak_bytes(lambda: orbits.append(colorings._shift_orbit(quandle))) < 3 * 2**20
-    assert orbits == [3000]
 
 
 def table_entries(cover, m):
@@ -334,9 +250,15 @@ def test_window_cover(factor, m, window_states, one_per_orbit):
             assert 4 * table_entries(colorings._cover(letters, wider), m) > states
 
 
+def oracle_cells(links, n, cap=None):
+    """The oracle's counts of links by R_n, from one evaluate_cells call."""
+    cells = evaluate_cells(links, [n], formula=False, linear=False, oracle_ns=[n], cap=cap)
+    return [cell.computed_oracle for cell in cells]
+
+
 def test_oracle_cap_raises_naming_count():
     with pytest.raises(CapExceededError) as exc:
-        colorings.oracle_counts(torus_braid(5, 2), DihedralQuandle(17), [1], cap=100)
+        oracle_cells([torus_braid(5, 2)], 17, cap=100)
     assert exc.value.count == 17**5
 
 
@@ -346,9 +268,9 @@ def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
 
     monkeypatch.setattr(colorings, "_window_steps", fail)
     with pytest.raises(CapExceededError):
-        colorings.oracle_counts(torus_braid(5, 2), DihedralQuandle(17), [1], cap=100)
+        oracle_cells([torus_braid(5, 2)], 17, cap=100)
     with pytest.raises(CapExceededError):
-        colorings.oracle_counts(BraidWord(3, (1, -2, 1)), DihedralQuandle(5), [1], cap=124)
+        oracle_cells([BraidWord(3, (1, -2, 1))], 5, cap=124)
 
 
 def test_batched_cap_is_checked_before_any_map_is_built(monkeypatch):
@@ -358,18 +280,36 @@ def test_batched_cap_is_checked_before_any_map_is_built(monkeypatch):
     monkeypatch.setattr(colorings, "_window_steps", fail)
     monkeypatch.setattr(colorings, "_factor_map", fail)
     with pytest.raises(CapExceededError) as exc:
-        colorings.oracle_counts(torus_braid(5, 1), DihedralQuandle(17), range(10), cap=100)
+        oracle_cells([TorusLinkSpec(5, q) for q in range(10)], 17, cap=100)
     assert exc.value.count == 17**5
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_verify_runs_the_oracle_exactly_within_the_cap(k, d):
+    # verify_counts runs the oracle on a cell exactly when check_oracle_cap
+    # does not raise, and both when n**p is within the cap; caps at and
+    # around 2**k, with p on both sides of the cap's bit length
+    cap = 2**k + d
+    ps = [p for p in (3, 5, 7, 11, 13) if abs(p - cap.bit_length()) <= 4]
+    for record in verify_counts(ps, [2], range(2, 9), cap=cap):
+        within = record.n**record.p <= cap
+        assert (record.computed_oracle is not None) == within, (record.n, record.p, cap)
+        if within:
+            colorings.check_oracle_cap(record.n, record.p, cap)
+        else:
+            with pytest.raises(CapExceededError):
+                colorings.check_oracle_cap(record.n, record.p, cap)
+
+
 def built_state_maps(monkeypatch) -> list[tuple[int, int]]:
-    """Record (strands, quandle size) of every state map built from now on."""
+    """Record (strands, modulus) of every state map built from now on."""
     built = []
     build = colorings._factor_map
 
-    def recording(factor, strands, quandle):
-        built.append((strands, quandle.size))
-        return build(factor, strands, quandle)
+    def recording(factor, strands, table):
+        built.append((strands, len(table)))
+        return build(factor, strands, table)
 
     monkeypatch.setattr(colorings, "_factor_map", recording)
     return built
@@ -385,9 +325,9 @@ def test_verify_builds_one_state_map_per_oracle_modulus(monkeypatch):
 def test_only_periodic_words_build_a_state_map(monkeypatch):
     built = built_state_maps(monkeypatch)
     for word in (BraidWord(3, (1, -2, 1)), torus_braid(5, 1), torus_braid(5, 0)):
-        colorings.oracle_counts(word, DihedralQuandle(5), [1])
+        oracle_cells([word], 5)
     assert built == []
-    colorings.oracle_counts(FIGURE_EIGHT, DihedralQuandle(5), [1])  # (s1 s2^-1)^2
+    oracle_cells([FIGURE_EIGHT], 5)  # (s1 s2^-1)^2
     assert built == [(3, 5)]
 
 
@@ -425,7 +365,7 @@ def test_aperiodic_word_holds_no_state_map():
     for word, expected in cells:
         tracemalloc.start()
         try:
-            count = colorings.oracle_counts(word, DihedralQuandle(5), [1])[1]
+            count = colorings.oracle_counts(word, 5, [1])[1]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -442,7 +382,7 @@ def test_repeated_window_runs_share_one_table():
     assert colorings._windows(word.letters, 3, 100, 100**2)[0] == 2
     expected = linear_count(word, 100)
     counts = []
-    peak = peak_bytes(lambda: counts.append(colorings.oracle_counts(word, DihedralQuandle(100), [1])[1]))
+    peak = peak_bytes(lambda: counts.append(colorings.oracle_counts(word, 100, [1])[1]))
     assert counts == [expected]
     assert peak < 6 * 100**3
 
@@ -520,7 +460,7 @@ def test_coloring_set_reads_the_strands_off_the_link(monkeypatch):
     def no_factor(link):
         raise AssertionError("factor_power called")
 
-    monkeypatch.setattr(colorings, "factor_power", no_factor)
+    monkeypatch.setattr(braids, "factor_power", no_factor)
     r3 = DihedralQuandle(3)
     assert ColoringSet(TorusLinkSpec(4, 3), r3, [(0, 0, 0, 0)]).colorings.shape == (1, 4)
     word = BraidWord(5, (1, 2) * 50)

@@ -3,10 +3,10 @@
 import pytest
 from braid_reference import torus_braid
 
-from quandlequiver.colorings import enumerate_colorings_linear, oracle_counts
+from quandlequiver.colorings import enumerate_colorings_linear
 from quandlequiver.config import enumeration_cap, oracle_cap, positive_integer
+from quandlequiver.counting import evaluate_cells
 from quandlequiver.errors import CapExceededError
-from quandlequiver.quandles import DihedralQuandle
 
 
 def test_defaults():
@@ -41,7 +41,7 @@ def test_positive_integer_rule():
 def test_env_cap_governs_backends(monkeypatch):
     monkeypatch.setenv("QUANDLEQUIVER_ORACLE_CAP", "100")
     with pytest.raises(CapExceededError):
-        oracle_counts(torus_braid(3, 0), DihedralQuandle(5), [1])
+        list(evaluate_cells([torus_braid(3, 0)], [5], linear=False, oracle_ns=[5]))
     monkeypatch.setenv("QUANDLEQUIVER_ENUM_CAP", "100")
     with pytest.raises(CapExceededError) as exc:
         enumerate_colorings_linear(torus_braid(3, 0), 5)

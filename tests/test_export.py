@@ -87,9 +87,11 @@ def test_quiver_json_round_trip():
     assert again == quiver
 
 
-def test_quiver_json_round_trip_without_labels():
+def test_quiver_json_round_trip_of_a_realized_form():
+    # a quiver realized from a form labels each vertex by its index
     form = quiver_form_for_count(5, 6, 96)
     quiver = realize(form)
+    assert quiver.labels.tolist() == [[v] for v in range(96)]
     assert quiver_from_json(json_text(quiver, form=form)) == quiver
 
 
@@ -108,6 +110,7 @@ def test_empty_quiver_dict():
     empty = from_arrows(0, [], [], [])
     assert json.loads(json_text(empty, form=QuiverForm())) == {
         "count": 0,
+        "colorings": [],
         "weights": [],
         "blocks": {"blocks": [], "cross": []},
     }
@@ -194,22 +197,24 @@ def _short_table(column, before, after):
 
 def shared_rows(n, rows, row, labels=None):
     """A quiver on n vertices, vertex v reading stored row row[v] of `rows`,
-    each a list of (target, weight) pairs, through the trusted constructor."""
+    each a list of (target, weight) pairs, and labelled labels[v], or (v,)
+    when no labels are given, through the trusted constructor."""
     arrows = [sorted(pairs) for pairs in rows]
     indptr = np.cumsum([0, *map(len, arrows)])
     dst, weight = np.array([pair for pairs in arrows for pair in pairs], dtype=np.int64).reshape(-1, 2).T
-    labels = None if labels is None else np.array(labels, dtype=np.int64).reshape(n, -1)
-    arrays = [np.array(row, dtype=np.int64), indptr, dst, weight]
-    for a in [*arrays, *([] if labels is None else [labels])]:
+    labels = np.arange(n) if labels is None else np.array(labels, dtype=np.int64)
+    arrays = [np.array(row, dtype=np.int64), indptr, dst, weight, labels.reshape(n, -1)]
+    for a in arrays:
         a.flags.writeable = False
-    return WeightedQuiver(n, *arrays, labels)
+    return WeightedQuiver(n, *arrays)
 
 
 @st.composite
 def random_quivers(draw):
-    """Up to 12 vertices and 40 arrows, with labels of one width (possibly 0)
-    or none: one stored row per vertex, or a drawn map of the vertices onto
-    fewer stored rows, each of distinct targets."""
+    """Up to 12 vertices and 40 arrows, with drawn labels of one width
+    (possibly 0) or each vertex's index: one stored row per vertex, or a
+    drawn map of the vertices onto fewer stored rows, each of distinct
+    targets."""
     n = draw(st.integers(0, 12))
     vertex = st.integers(0, max(n - 1, 0))
     labels = None

@@ -11,7 +11,7 @@ from braid_reference import torus_braid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle_reference import coloring_set as reference_set
-from quandle_reference import affine_endomorphisms, brute_force_endomorphisms
+from quandle_reference import CayleyTable, affine_endomorphisms, brute_force_endomorphisms
 from quiver_reference import build_quiver as reference_build
 from quiver_reference import (
     dense,
@@ -28,7 +28,7 @@ from quandlequiver.braids import BraidWord, TorusLinkSpec
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.errors import CapExceededError, InternalConsistencyError
 from quandlequiver.linalg import row_keys
-from quandlequiver.quandles import DihedralQuandle, FiniteQuandle
+from quandlequiver.quandles import DihedralQuandle
 from quandlequiver.quivers import (
     QuiverForm,
     WeightedQuiver,
@@ -175,7 +175,7 @@ def test_build_quiver_needs_a_dihedral_quandle():
     table = DihedralQuandle(3).table
     cs = enumerate_colorings_linear(torus_braid(2, 3), 3)
     with pytest.raises(ValueError, match="needs colorings by R_n"):
-        build_quiver(ColoringSet(cs.link, FiniteQuandle(table), cs.colorings))
+        build_quiver(ColoringSet(cs.link, CayleyTable(table), cs.colorings))
 
 
 def test_build_quiver_of_no_colorings_and_of_r1():
@@ -761,17 +761,35 @@ def test_equivalent_braids_have_equal_lattice_forms(strands, data):
     letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
     letters = tuple(data.draw(st.lists(letter, min_size=1, max_size=8), label="letters"))
     at = data.draw(st.integers(0, len(letters)), label="at")
+
+    def inserted(*extra):
+        return letters[:at] + extra + letters[at:]
+
     word = BraidWord(strands, letters)
     equivalent = [
         BraidWord(strands, letters[at:] + letters[:at]),
         BraidWord(strands + 1, letters + (strands,)),
         BraidWord(strands + 1, letters + (-strands,)),
-        BraidWord(strands, letters[:at] + (1, -1) + letters[at:]),
+        BraidWord(strands, inserted(1, -1)),
     ]
+    # one rewrite by a braid relation, s_i s_i+1 s_i = s_i+1 s_i s_i+1, or by
+    # far commutation, s_i s_j = s_j s_i for |i - j| >= 2, on strands + 1
+    # strands so that s_i+1 exists for every i < strands
+    i = data.draw(st.integers(1, strands - 1), label="i")
+    sign = data.draw(st.sampled_from((1, -1)), label="sign")
+    far = [e * j for j in range(1, strands + 1) if abs(i - j) >= 2 for e in (1, -1)]
+    if far and data.draw(st.booleans(), label="far"):
+        j = data.draw(st.sampled_from(far), label="j")
+        a, b = inserted(sign * i, j), inserted(j, sign * i)
+    else:
+        a = inserted(sign * i, sign * (i + 1), sign * i)
+        b = inserted(sign * (i + 1), sign * i, sign * (i + 1))
     for n in range(2, 8):
         expected = form_multisets(word, n)
         for other in equivalent:
             assert form_multisets(other, n) == expected, (word, other, n)
+        rewritten = form_multisets(BraidWord(strands + 1, a), n)
+        assert form_multisets(BraidWord(strands + 1, b), n) == rewritten, (a, b, n)
 
 
 @pytest.mark.parametrize(
@@ -799,7 +817,7 @@ def test_lattice_form_rejects_other_quandles_and_non_groups():
     word = torus_braid(2, 3)
     table = r3.table.tolist()
     with pytest.raises(ValueError):
-        lattice_form(ColoringSet(word, FiniteQuandle(table), [(0, 0)]))
+        lattice_form(ColoringSet(word, CayleyTable(table), [(0, 0)]))
     # a count that is not a multiple of n; K0 the whole set, with no translates
     for colorings in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 2)]):
         with pytest.raises(ValueError, match="is not itself a coloring"):
