@@ -29,7 +29,6 @@ from .linalg import (
     kernel_enumerate_mod,
     smith_normal_form,
 )
-from .quandles import DihedralQuandle
 from .quivers import (
     QuiverForm,
     WeightedQuiver,
@@ -44,7 +43,6 @@ __all__ = [
     "CellRecord",
     "ColoringSet",
     "CountPrediction",
-    "DihedralQuandle",
     "InternalConsistencyError",
     "QuiverForm",
     "TorusLinkSpec",

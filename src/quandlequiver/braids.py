@@ -7,10 +7,10 @@ at position i goes under and leaves colored (under * over):
 
     (x, y) at (i, i+1)  ->  (y, x * y).
 
-A negative letter is the inverse transition, using the inverse quandle
-operation:
+A negative letter is the inverse transition.  R_n is involutive,
+(z * y) * y == z, so it reads the same operation:
 
-    (x, y)  ->  (y *' x, x)        where (z *' y) * y == z.
+    (x, y)  ->  (y * x, x) = (2x - y, x).
 
 With this pairing a letter followed by its inverse restores every color
 exactly, and the classical coloring counts pinned in the test suite
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import integer
 from .linalg import product_mod
 
 
@@ -86,16 +87,17 @@ def factor_power(link: BraidWord | TorusLinkSpec) -> tuple[BraidWord, int]:
 def parse_link(text: str) -> BraidWord | TorusLinkSpec:
     """Parse 'torus:p,q' into a TorusLinkSpec, or a braid word like 's1 s2 -s1'.
 
-    For explicit words the strand count is max generator index + 1.  An
-    index is ASCII digits; each distinct token is read once.
+    p and q are integers in ASCII (config.integer).  For explicit words the
+    strand count is max generator index + 1.  An index is ASCII digits;
+    each distinct token is read once.
     """
     text = text.strip()
     if text.startswith("torus:"):
-        body = text[len("torus:"):]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected torus:p,q, got {text!r}")
-        return TorusLinkSpec(int(parts[0]), int(parts[1]))
+        try:
+            p, q = map(integer, text[len("torus:"):].split(","))
+        except ValueError:
+            raise ValueError(f"expected torus:p,q, got {text!r}") from None
+        return TorusLinkSpec(p, q)
     tokens = text.split()
     letter_of = {}
     for token in dict.fromkeys(tokens):  # each distinct token, first seen first

@@ -29,7 +29,7 @@ import sys
 
 from .braids import TorusLinkSpec, parse_link
 from .colorings import enumerate_colorings_linear
-from .config import check_environment, positive_integer
+from .config import check_environment, integer, positive_integer
 from .counting import (
     STATUS_AMBIGUOUS,
     STATUS_AMBIGUOUS_RESOLVED,
@@ -82,22 +82,28 @@ def _request(parse, *args):
         raise BadRequest(exc) from None
 
 
-def _positive(text: str) -> int:
-    """argparse type of the caps and of verify --jobs, which is checked but
-    has no effect: the rule the cap variables follow."""
-    try:
-        return positive_integer(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument_type(read):
+    """The argparse type that reads an option's text with `read`, a reader
+    of config; its ValueError is reported as the option's."""
+
+    def parse(text: str) -> int:
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _check_outputs(args):
-    """Reject an output path that is a directory or lies in none, before any work."""
+    """Reject an output path that is empty, a directory or lies in none, before any work."""
     # every command's output path options; "-" means stdout
     for dest in ("out", "csv", "json"):
         path = getattr(args, dest, None)
         if path is None or path == "-":
             continue
+        if not path:
+            raise BadRequest(f"--{dest}: empty output path")
         if os.path.isdir(path):
             raise BadRequest(f"cannot write {path!r}: Is a directory")
         directory = os.path.dirname(path) or "."
@@ -117,7 +123,7 @@ def parse_int_list(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         try:
-            lo, hi = (int(x) for x in part.split("..")) if ".." in part else (int(part),) * 2
+            lo, hi = map(integer, part.split("..")) if ".." in part else (integer(part),) * 2
         except ValueError:
             raise ValueError(f"expected an integer or a range like 2..9, got {part!r}") from None
         if hi < lo:
@@ -216,7 +222,7 @@ def cmd_count(args) -> int:
     except (CapExceededError, CountTooLong) as exc:
         print(f"count: {exc}", file=sys.stderr)
         return EXIT_CAP
-    if args.json:
+    if args.json is not None:
         _write(args.json, json_chunks(records))
     return _exit_code({row["status"] for row in records})
 
@@ -295,9 +301,9 @@ def cmd_verify(args) -> int:
             f"  mismatch at (p={record.p}, q={record.q}, n={record.n}): "
             f"predicted {record.prediction.candidates}, computed {record.computed}"
         )
-    if args.out:
+    if args.out is not None:
         _write(args.out, json_chunks(report))
-    if args.csv:
+    if args.csv is not None:
         _write(args.csv, csv_chunks(report))
     return _exit_code({r.status for r in report})
 
@@ -319,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["formula", "linear", "oracle", "all"],
         default="all",
     )
-    count.add_argument("--oracle-cap", type=_positive, default=None)
+    count.add_argument("--oracle-cap", type=_argument_type(positive_integer), default=None)
     count.add_argument("--json", default=None, help="write records to this JSON file")
     count.set_defaults(func=cmd_count)
 
     quiver = sub.add_parser("quiver", help="build the coloring quiver")
     quiver.add_argument("--link", required=True)
-    quiver.add_argument("--n", required=True, type=int)
+    quiver.add_argument("--n", required=True, type=_argument_type(integer))
     quiver.add_argument("--compare", action="store_true",
                         help="check the quiver against the block form of its colorings")
     quiver.add_argument("--format", choices=["dot", "json"], default="dot")
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="collapse uniform blocks (dot only)")
     quiver.add_argument("--no-loops", action="store_true",
                         help="omit loop edges from full dot output")
-    quiver.add_argument("--enum-cap", type=_positive, default=None)
+    quiver.add_argument("--enum-cap", type=_argument_type(positive_integer), default=None)
     quiver.add_argument("--out", default=None, help="output path (default stdout)")
     quiver.set_defaults(func=cmd_quiver)
 
@@ -341,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", required=True, help="odd primes, e.g. 5,7")
     verify.add_argument("--q", required=True, help="range, e.g. 0..20")
     verify.add_argument("--n", required=True, help="range, e.g. 2..9")
-    verify.add_argument("--oracle-cap", type=_positive, default=None)
-    verify.add_argument("--jobs", type=_positive, default=1,
+    verify.add_argument("--oracle-cap", type=_argument_type(positive_integer), default=None)
+    verify.add_argument("--jobs", type=_argument_type(positive_integer), default=1,
                         help="accepted and checked; verify runs in one process")
     verify.add_argument("--out", default=None, help="JSON report path")
     verify.add_argument("--csv", default=None, help="CSV report path")

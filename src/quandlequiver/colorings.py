@@ -30,35 +30,37 @@ from .braids import BraidWord, TorusLinkSpec, closure_system
 from .config import oracle_cap
 from .errors import SHORT_COUNT, CapExceededError, count_text
 from .linalg import kernel_enumerate_mod, row_keys
-from .quandles import DihedralQuandle
 
 
 class ColoringSet:
-    """Colorings of one link by one quandle, in canonical order.
+    """Colorings of one link by R_n, in canonical order.
 
-    `colorings` is a read-only int64 array with one row per coloring, its
-    strands' colours, rows in lexicographic order, so array equality is
-    set equality.  `keys` holds each row read as a base-m number, m the
-    quandle's size (`row_keys`), read-only and strictly increasing, which
-    `quotient` looks rows up by for the quiver layer; a caller that has
-    them already (linalg.kernel_enumerate_mod) passes them in.  A row
-    whose width is not the link's strand count, a colour outside 0..m-1,
-    or rows that are not sorted and distinct raise ValueError.
+    `n` is the modulus, at least 1.  `colorings` is a read-only int64
+    array with one row per coloring, its strands' colours, rows in
+    lexicographic order, so array equality is set equality.  `keys` holds
+    each row read as a base-n number (`row_keys`), read-only and strictly
+    increasing, which `quotient` looks rows up by for the quiver layer; a
+    caller that has them already (linalg.kernel_enumerate_mod) passes them
+    in.  A modulus below 1, a row whose width is not the link's strand
+    count, a colour outside 0..n-1, or rows that are not sorted and
+    distinct raise ValueError.
     """
 
-    def __init__(self, link: BraidWord | TorusLinkSpec, quandle: DihedralQuandle, colorings, keys=None):
+    def __init__(self, link: BraidWord | TorusLinkSpec, n: int, colorings, keys=None):
+        if n < 1:
+            raise ValueError(f"modulus must be at least 1, got {n}")
         colorings = np.asarray(colorings, dtype=np.int64).view()
         strands = link.p if isinstance(link, TorusLinkSpec) else link.strands
         if colorings.ndim != 2 or colorings.shape[1] != strands:
             raise ValueError(f"coloring rows need {strands} colours, got {colorings.shape}")
-        if np.any((colorings < 0) | (colorings >= quandle.size)):
-            raise ValueError(f"colours must lie in 0..{quandle.size - 1}")
-        keys = row_keys(colorings, quandle.size) if keys is None else keys.view()
+        if np.any((colorings < 0) | (colorings >= n)):
+            raise ValueError(f"colours must lie in 0..{n - 1}")
+        keys = row_keys(colorings, n) if keys is None else keys.view()
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("colorings must be sorted and distinct")
         colorings.flags.writeable = keys.flags.writeable = False
         self.link = link
-        self.quandle = quandle
+        self.n = n
         self.colorings = colorings
         self.keys = keys
 
@@ -73,21 +75,18 @@ class ColoringSet:
 
     @functools.cached_property
     def quotient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(translate, class_of, scaled): the colorings by R_n as K0 + Delta,
-        in three read-only int64 tables made at the first read.
+        """(translate, class_of, scaled): the colorings as K0 + Delta, in
+        three read-only int64 tables made at the first read.
 
         K0 is the first rows, those colouring strand 1 with 0, and Delta the
         trivial colorings, so each coloring is c0 + t*1 for one class c0 in
         K0 and one shift t.  translate[s, c] is the position of K0[c] + s*1,
         class_of[v] the class of coloring v, and scaled[a, c] the position
-        in K0 of a*K0[c].  A quandle other than R_n raises ValueError, and
-        so does a set the maps x -> a*x + b do not keep, naming a coloring,
-        a map (a, b) and the image that is not a coloring.
+        in K0 of a*K0[c].  A set the maps x -> a*x + b mod n do not keep
+        raises ValueError, naming a coloring, a map (a, b) and the image
+        that is not a coloring.
         """
-        quandle, colorings, keys = self.quandle, self.colorings, self.keys
-        if not isinstance(quandle, DihedralQuandle):
-            raise ValueError(f"the quiver layer needs colorings by R_n, got {quandle!r}")
-        n = quandle.n
+        n, colorings, keys = self.n, self.colorings, self.keys
         group = colorings[: np.searchsorted(colorings[:, 0], 1)]
         shifts = np.arange(n)[:, None, None]
         translate = _positions(keys, (group + shifts) % n, n)
@@ -111,7 +110,7 @@ class ColoringSet:
     def __repr__(self):
         return (
             f"ColoringSet({self.count} colorings of a {self.colorings.shape[1]}-strand "
-            f"closure by size-{self.quandle.size} quandle)"
+            f"closure by R_{self.n})"
         )
 
 
@@ -324,6 +323,16 @@ def _power_slabs(factor: tuple[int, ...], strands: int, table: np.ndarray, power
             yield power, tops, bottoms[start : start + _SLAB]
 
 
+def _dihedral_table(r: int) -> np.ndarray:
+    """R_r's Cayley table, table[x, y] = x * y = 2y - x mod r, read-only in
+    the smallest dtype that holds r - 1; made in int64, as 2y - x would
+    wrap in that dtype."""
+    x = np.arange(r)
+    table = ((2 * x - x[:, None]) % r).astype(np.min_scalar_type(r - 1))
+    table.flags.writeable = False
+    return table
+
+
 def over_oracle_cap(m: int, strands: int, limit: int) -> bool:
     """Whether m**strands candidate tops exceed `limit`.
 
@@ -366,7 +375,7 @@ def oracle_counts(factor: BraidWord, r: int, powers) -> dict[int, int]:
     coloured 0.
     """
     strands = factor.strands
-    table = DihedralQuandle(r).table.astype(np.min_scalar_type(r - 1))
+    table = _dihedral_table(r)
     fixed = dict.fromkeys(powers, 0)
     for power, tops, bottoms in _power_slabs(factor.letters, strands, table, fixed, r ** (strands - 1)):
         fixed[power] += int(np.count_nonzero(bottoms == tops))
@@ -381,4 +390,4 @@ def enumerate_colorings_linear(link, n: int, cap: int | None = None) -> Coloring
     cap.
     """
     kernel, keys = kernel_enumerate_mod(closure_system(link, n), n, cap=cap)
-    return ColoringSet(link, DihedralQuandle(n), kernel, keys)
+    return ColoringSet(link, n, kernel, keys)

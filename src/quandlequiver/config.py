@@ -25,6 +25,15 @@ def positive_integer(raw: str) -> int:
     return int(text)
 
 
+def integer(raw: str) -> int:
+    """An integer given as text: an optional ASCII sign, then ASCII digits."""
+    text = raw.strip()
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"must be an integer, got {raw!r}")
+    return int(text)
+
+
 def _get(name: str) -> int:
     raw = os.environ.get(name)
     if raw is None:

@@ -3,7 +3,8 @@
 The quiver of a coloring set by R_n has one vertex per coloring and, for
 each endomorphism phi of R_n, one arrow f -> phi . f; arrows with the same
 endpoints merge into an integer weight, so every row sums to n^2.  The
-endomorphisms are the affine maps x -> a*x + b.  This module reads the
+endomorphisms are the affine maps x -> a*x + b: 0 and 1 generate R_n,
+and one affine map sends them to each pair.  This module reads the
 colorings only through their quotient by translation,
 `ColoringSet.quotient`: K0, the colorings with strand 1 coloured 0, holds
 one coloring c0 of each class c0 + t*1, and the quotient tables the
@@ -93,7 +94,7 @@ def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
     re-checked on every build.
     """
     translate, class_of, scaled = coloring_set.quotient
-    n, count = coloring_set.quandle.n, coloring_set.count
+    n, count = coloring_set.n, coloring_set.count
     # a run of one position in a class's sorted images is one image d0,
     # weighted by the run's length
     images = np.sort(scaled.T, axis=1)
@@ -115,7 +116,7 @@ def build_quiver(coloring_set: ColoringSet) -> WeightedQuiver:
 
 
 def _check_structure(quiver: WeightedQuiver, coloring_set: ColoringSet):
-    n = coloring_set.quandle.n
+    n = coloring_set.n
     sums = np.zeros(quiver.dst.size + 1, dtype=np.int64)
     np.cumsum(quiver.weight, out=sums[1:])
     sums = np.diff(sums[quiver.indptr])[quiver.row]
@@ -233,7 +234,7 @@ def lattice_form(coloring_set: ColoringSet) -> tuple[QuiverForm, np.ndarray]:
     is also its least coloring.  The quotient's ValueError passes through.
     """
     _, class_of, scaled = coloring_set.quotient
-    n = coloring_set.quandle.n
+    n = coloring_set.n
     name = scaled[np.gcd(np.arange(n), n) == 1].min(axis=0)
     names, block_of = np.unique(name[class_of], return_inverse=True)
     generators = coloring_set.colorings[names]

@@ -6,10 +6,11 @@ the shift orbit's size r, which holds because x -> x + 1 is an
 automorphism of R_r; this is the direct per-letter propagation over
 every top, by any Cayley table, that it must agree with.  A negative
 letter reads the inverse operation, which `right_inverse` derives from
-the table itself.  `coloring_set` holds its colorings in the package's
-ColoringSet, for tests that compare them with the linear backend's or
-build a quiver on them.  `propagate` pushes one top state through the
-word, crossing by crossing.
+the table itself.  The tables come from the caller (for R_n,
+`quandle_reference.dihedral`), never from the package.  `coloring_set`
+holds the colorings by R_n in the package's ColoringSet, for tests that
+compare them with the linear backend's or build a quiver on them.
+`propagate` pushes one top state through the word, crossing by crossing.
 """
 
 import numpy as np
@@ -62,9 +63,10 @@ def enumerate_colorings(word, quandle) -> list[tuple[int, ...]]:
 
 
 def coloring_set(word, quandle) -> ColoringSet:
-    """enumerate_colorings as a ColoringSet; (0, strands) rows when no top is fixed."""
+    """enumerate_colorings by R_n's table as a ColoringSet by R_n, n the
+    table's size; (0, strands) rows when no top is fixed."""
     rows = np.array(enumerate_colorings(word, quandle), dtype=np.int64).reshape(-1, word.strands)
-    return ColoringSet(word, quandle, rows)
+    return ColoringSet(word, quandle.size, rows)
 
 
 def propagate(word, quandle, top) -> tuple[int, ...]:

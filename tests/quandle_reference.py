@@ -1,18 +1,18 @@
 """Reference quandle checks used by the tests: a Cayley table of any
-finite magma, the dihedral operation on single elements, the kei law, the
-quandle axioms checked element by element, every endomorphism by
-exhaustive search, the n^2 affine maps of R_n as an image array, and an
-audit of the affine maps against that search.  `quivers.build_quiver`
-applies the affine maps through their coefficients a and b; these are
-the maps it must agree with, and the search shows that they are all of
-End(R_n)."""
+finite magma, the dihedral operation on single elements and R_n's table
+filled from it, the kei law, the quandle axioms checked element by
+element, every endomorphism by exhaustive search, the n^2 affine maps of
+R_n as an image array, and an audit of the affine maps against that
+search.  `quivers.build_quiver` applies the affine maps through their
+coefficients a and b; these are the maps it must agree with, and the
+search shows that they are all of End(R_n).  Nothing here reads the
+package, so a wrong table there is not copied into the references."""
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from quandlequiver.quandles import DihedralQuandle
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,14 @@ def dihedral_op(n: int, x: int, y: int) -> int:
     if not 0 <= x < n or not 0 <= y < n:
         raise ValueError(f"elements ({x}, {y}) outside 0..{n - 1}")
     return (2 * y - x) % n
+
+
+@functools.lru_cache(maxsize=32)
+def dihedral(n: int) -> CayleyTable:
+    """R_n as a read-only CayleyTable, filled element by element from dihedral_op."""
+    quandle = CayleyTable([[dihedral_op(n, x, y) for y in range(n)] for x in range(n)])
+    quandle.table.flags.writeable = False
+    return quandle
 
 
 def is_involutive(q) -> bool:
@@ -181,8 +189,7 @@ def audit_affine_completeness(n: int):
     raises a NonAffineEndomorphismWarning when the surplus is nonempty, so
     extra endomorphisms are surfaced rather than silently dropped.
     """
-    q = DihedralQuandle(n)
-    brute = brute_force_endomorphisms(q)
+    brute = brute_force_endomorphisms(dihedral(n))
     affine = set(map(tuple, affine_endomorphisms(n).tolist()))
     brute = list(map(tuple, brute.tolist()))
     missing = affine - set(brute)

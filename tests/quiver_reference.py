@@ -118,7 +118,7 @@ def build_quiver(coloring_set, endos):
     counted into one weight.
     """
     colorings = coloring_set.colorings
-    m, (count, width) = coloring_set.quandle.size, colorings.shape
+    m, (count, width) = coloring_set.n, colorings.shape
     key_type = np.int64 if m**width < 2**63 else object
     place = np.array([m**j for j in reversed(range(width))], dtype=key_type)
     keys = colorings.astype(place.dtype) @ place

@@ -15,6 +15,7 @@ from oracle_reference import coloring_set as reference_set
 from quandle_reference import (
     affine_endomorphisms,
     audit_affine_completeness,
+    dihedral,
     is_involutive,
     verify_quandle_axioms,
 )
@@ -29,7 +30,6 @@ from quandlequiver.counting import (
     predict_count,
     verify_counts,
 )
-from quandlequiver.quandles import DihedralQuandle
 from quandlequiver.quivers import build_quiver, isomorphic, lattice_form
 
 
@@ -141,7 +141,7 @@ def test_criterion_5_counting_sweep():
 def test_criterion_6_property_suite():
     start = time.perf_counter()
     for n in range(1, 51):
-        q = DihedralQuandle(n)
+        q = dihedral(n)
         assert verify_quandle_axioms(q).all_pass, n
         assert is_involutive(q), n
         endos = affine_endomorphisms(n)
@@ -176,8 +176,8 @@ def test_criterion_6_property_suite():
 def test_criterion_7_oracle_fixtures_with_negative_crossings():
     trefoil = BraidWord(2, (1, 1, 1))
     fig8 = BraidWord(3, (1, -2, 1, -2))
-    t = reference_set(trefoil, DihedralQuandle(3))
-    f = reference_set(fig8, DihedralQuandle(5))
+    t = reference_set(trefoil, dihedral(3))
+    f = reference_set(fig8, dihedral(5))
     assert t.count == oracle_counts(trefoil, 3, [1])[1] == 9
     assert f.count == oracle_counts(fig8, 5, [1])[1] == 25
     assert np.array_equal(enumerate_colorings_linear(trefoil, 3).colorings, t.colorings)

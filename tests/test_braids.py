@@ -14,7 +14,7 @@ import pytest
 from braid_reference import torus_braid
 from intmatrix_reference import IntMatrix, apply, det
 from oracle_reference import propagate
-from quandle_reference import CayleyTable
+from quandle_reference import CayleyTable, dihedral
 
 from quandlequiver.braids import (
     BraidWord,
@@ -24,7 +24,6 @@ from quandlequiver.braids import (
     parse_link,
     propagation_matrix,
 )
-from quandlequiver.quandles import DihedralQuandle
 
 
 def alexander_mod5():
@@ -90,6 +89,7 @@ def test_factor_power_finds_the_shortest_period():
 
 def test_parse_link():
     assert parse_link("torus:5,2") == TorusLinkSpec(5, 2)
+    assert parse_link("torus:+5, 2 ") == TorusLinkSpec(5, 2)
     w = parse_link("s1 s2 -s1")
     assert w.strands == 3
     assert w.letters == (1, 2, -1)
@@ -113,6 +113,12 @@ def test_parse_link_reads_ascii_digits_only():
         ("s1 -s0 x3", "generator index must be at least 1, got 's0'"),
         ("s1 -", "bad braid letter ''; use s3 or -s3"),
         ("  ", "empty braid word; use torus:p,q for an unlink"),
+        # torus:p,q reads p and q as config.integer does
+        ("torus:x,2", "expected torus:p,q, got 'torus:x,2'"),
+        ("torus:\uff13,2", "expected torus:p,q, got 'torus:\uff13,2'"),
+        ("torus:1_0,2", "expected torus:p,q, got 'torus:1_0,2'"),
+        (" torus:5,2,1", "expected torus:p,q, got 'torus:5,2,1'"),
+        ("torus:-3,2", "p must be at least 2, got -3"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_link(text)
@@ -120,25 +126,25 @@ def test_parse_link_reads_ascii_digits_only():
 
 
 def test_propagate_single_positive_crossing():
-    r5 = DihedralQuandle(5)
+    r5 = dihedral(5)
     assert propagate(BraidWord(2, (1,)), r5, (1, 3)) == (3, 0)
 
 
 def test_propagate_empty_word_is_identity():
-    r7 = DihedralQuandle(7)
+    r7 = dihedral(7)
     for top in ((0, 0, 0, 0), (1, 2, 3, 4), (6, 6, 0, 1)):
         assert propagate(BraidWord(4, ()), r7, top) == top
 
 
 def test_propagate_input_validation():
-    r3 = DihedralQuandle(3)
+    r3 = dihedral(3)
     with pytest.raises(ValueError):
         propagate(BraidWord(2, (1,)), r3, (0, 0, 0))
     with pytest.raises(ValueError):
         propagate(BraidWord(2, (1,)), r3, (0, 3))
 
 
-@pytest.mark.parametrize("quandle", [DihedralQuandle(4), DihedralQuandle(5), alexander_mod5()])
+@pytest.mark.parametrize("quandle", [dihedral(4), dihedral(5), alexander_mod5()])
 def test_letter_times_inverse_is_identity(quandle):
     n = quandle.size
     for letters in ((1, -1), (-1, 1), (2, -2), (-2, 2)):
@@ -149,7 +155,7 @@ def test_letter_times_inverse_is_identity(quandle):
 
 def test_negative_crossing_on_kei_uses_op_itself():
     # in a kei the inverse operation coincides with the operation
-    r7 = DihedralQuandle(7)
+    r7 = dihedral(7)
     word = BraidWord(2, (-1,))
     for x in range(7):
         for y in range(7):
@@ -158,7 +164,7 @@ def test_negative_crossing_on_kei_uses_op_itself():
 
 def test_braid_relation_on_colors():
     w1, w2 = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
-    for quandle in (DihedralQuandle(5), alexander_mod5()):
+    for quandle in (dihedral(5), alexander_mod5()):
         for top in product(range(quandle.size), repeat=3):
             assert propagate(w1, quandle, top) == propagate(w2, quandle, top)
 
@@ -214,7 +220,7 @@ def test_propagation_matches_matrix_on_torus_grid():
             word = torus_braid(p, q)
             for n in range(2, 10):
                 m = propagation_matrix(word, n)
-                quandle = DihedralQuandle(n)
+                quandle = dihedral(n)
                 for _ in range(5):
                     top = tuple(rng.randrange(n) for _ in range(p))
                     assert propagate(word, quandle, top) == apply(m, top, n)
@@ -227,6 +233,6 @@ def test_propagation_matches_matrix_on_signed_words():
         word = random_word(rng, strands, rng.randint(1, 12))
         n = rng.randint(2, 9)
         m = propagation_matrix(word, n)
-        quandle = DihedralQuandle(n)
+        quandle = dihedral(n)
         top = tuple(rng.randrange(n) for _ in range(strands))
         assert propagate(word, quandle, top) == apply(m, top, n)

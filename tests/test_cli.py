@@ -554,6 +554,13 @@ BAD_REQUESTS = [
     (["count", "--link", "torus:3,3", "--n", "3", "--json", "no-such-dir/x.json"], {}),
     (["verify", "--p", "3", "--q", "2", "--n", "3", "--out", "no-such-dir/x.json"], {}),
     (["verify", "--p", "3", "--q", "2", "--n", "3", "--csv", "no-such-dir/x.csv"], {}),
+    # an integer is an optional ASCII sign and ASCII digits (config.integer)
+    (["count", "--link", "torus:３,2", "--n", "3"], {}),
+    (["count", "--link", "torus:1_0,2", "--n", "3"], {}),
+    (["count", "--link", "torus:3,2", "--n", "３"], {}),
+    (["count", "--link", "torus:3,2", "--n", "1_0"], {}),
+    (["verify", "--p", "3", "--q", "０..1", "--n", "2"], {}),
+    (["quiver", "--link", "torus:3,2", "--n", "３"], {}),
     # a p at or past the bound below which primality is decided
     (["count", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5", "--backend", "formula"], {}),
     (["count", "--link", f"torus:{PAST_PRIMALITY_BOUND},2", "--n", "5"], {}),
@@ -643,6 +650,52 @@ def test_output_path_naming_a_directory_is_rejected_before_any_work(
     assert code == EXIT_MISMATCH
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["count", "--link", "torus:x,2", "--n", "3"], "count: expected torus:p,q, got 'torus:x,2'"),
+        (["count", "--link", "torus:-3,2", "--n", "3"], "count: p must be at least 2, got -3"),
+        (["count", "--link", "torus:3,2", "--n=-2"], "count: n must be at least 2, got -2"),
+        (["quiver", "--link", "torus:3,2", "--n=-2"], "quiver: n must be at least 2, got -2"),
+        (["quiver", "--link", "torus:3,2", "--n", "1_0"], "quiver: argument --n: must be an integer, got '1_0'"),
+    ],
+)
+def test_integer_request_messages(argv, message, capsys):
+    assert main(argv) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+def test_integers_with_sign_or_spaces_are_read_as_before(capsys):
+    def rows(link, n):
+        main(["count", "--link", link, "--n", n])
+        return capsys.readouterr().out.replace(link, "LINK")
+
+    expected = rows("torus:3,2", "2..3")
+    assert rows("torus:+3,2", "2..3") == rows("torus:3, 2", "2..3") == expected
+    assert rows("torus:3,2", " 2 .. 3") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--link", "torus:5,2", "--n", "5", "--json"],
+        ["quiver", "--link", "torus:5,2", "--n", "5", "--out"],
+        ["verify", "--p", "3", "--q", "0..2", "--n", "2..3", "--out"],
+        ["verify", "--p", "3", "--q", "0..2", "--n", "2..3", "--csv"],
+    ],
+)
+def test_empty_output_path_is_rejected_before_any_work(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a rejected request")
+
+    for name in ("evaluate_cells", "verify_counts", "enumerate_colorings_linear"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(argv + [""]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{argv[0]}: {argv[-1]}: empty output path\n")
 
 
 class RecordingWriter:

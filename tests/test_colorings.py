@@ -19,13 +19,13 @@ from braid_reference import torus_braid
 from oracle_reference import coloring_set as reference_set
 from oracle_reference import enumerate_colorings as reference_colorings
 from oracle_reference import propagate
+from quandle_reference import dihedral
 from quandlequiver import braids, colorings
 from quandlequiver.braids import BraidWord, TorusLinkSpec, closure_system, factor_power
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
 from quandlequiver.counting import evaluate_cells, verify_counts
 from quandlequiver.errors import CapExceededError
 from quandlequiver.linalg import kernel_count_from_snf, row_keys, smith_normal_form
-from quandlequiver.quandles import DihedralQuandle
 from quandlequiver.quivers import build_quiver
 
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
@@ -33,7 +33,7 @@ FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
 
 def assert_backends_agree(word, n):
     """The linear listing equals the reference's, and the oracle counts it."""
-    reference = reference_set(word, DihedralQuandle(n))
+    reference = reference_set(word, dihedral(n))
     linear = enumerate_colorings_linear(word, n)
     assert np.array_equal(reference.colorings, linear.colorings)
     assert colorings.oracle_counts(word, n, [1]) == {1: linear.count}
@@ -78,7 +78,7 @@ def test_backends_agree_on_wider_cells(p, q, n):
 
 def test_colorings_are_lex_sorted_and_closed():
     word = torus_braid(5, 2)
-    quandle = DihedralQuandle(5)
+    quandle = dihedral(5)
     cs = enumerate_colorings_linear(word, 5)
     rows = list(map(tuple, cs.colorings.tolist()))
     assert rows == sorted(set(rows))
@@ -95,9 +95,11 @@ def test_trivial_colorings_are_the_constants():
 def test_dihedral_tables_are_shift_invariant_and_involutive():
     # the oracle walks one top per shift orbit because x -> x + 1 is an
     # automorphism of R_r, (x + 1) * (y + 1) = x * y + 1, and reads a
-    # negative crossing from the table itself because (z * y) * y = z
+    # negative crossing from the table itself because (z * y) * y = z;
+    # its table is the reference's, entry for entry
     for r in range(1, 201):
-        table = DihedralQuandle(r).table
+        table = colorings._dihedral_table(r)
+        assert np.array_equal(table, dihedral(r).table), r
         shift = (np.arange(r) + 1) % r
         assert np.array_equal(table[np.ix_(shift, shift)], shift[table]), r
         assert (table[table, np.arange(r)] == np.arange(r)[:, None]).all(), r
@@ -135,7 +137,7 @@ WINDOW_STATES = (1, 4, 8, 27, 64, 1 << 16)
 
 def assert_oracle_matches_reference(word, n, window_states):
     """The oracle counts the reference's colorings by R_n; returns them as a ColoringSet."""
-    expected = reference_set(word, DihedralQuandle(n))
+    expected = reference_set(word, dihedral(n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         count = colorings.oracle_counts(word, n, [1])[1]
@@ -172,7 +174,7 @@ def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
         }
     assert counts == per_power
     for k in set(powers):
-        assert counts[k] == len(reference_colorings(BraidWord(strands, word.letters * k), DihedralQuandle(n)))
+        assert counts[k] == len(reference_colorings(BraidWord(strands, word.letters * k), dihedral(n)))
 
 
 @settings(max_examples=150)
@@ -185,7 +187,7 @@ def test_orbit_counts_match_reference(cell, window_states, slab):
         mp.setattr(colorings, "_WINDOW_STATES", window_states)
         mp.setattr(colorings, "_SLAB", slab)
         counts = colorings.oracle_counts(BraidWord(strands, letters), n, [0, 1, 2, 3])
-    quandle = DihedralQuandle(n)
+    quandle = dihedral(n)
     assert counts == {
         k: len(reference_colorings(BraidWord(strands, letters * k), quandle)) for k in range(4)
     }
@@ -206,13 +208,13 @@ def walked_tops(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("power", [1, 3])
-@pytest.mark.parametrize("quandle,tops", [(DihedralQuandle(5), 5**3), (DihedralQuandle(6), 6**3)])
+@pytest.mark.parametrize("quandle,tops", [(dihedral(5), 5**3), (dihedral(6), 6**3)])
 def test_counts_walk_one_top_per_shift_orbit(quandle, tops, power, monkeypatch):
     # the state map of power 3 still spans all n**4 states; only the walked
     # tops shrink, and the count is still that of every top
     word = BraidWord(4, (1, -2, 3, 2))
     walked = walked_tops(monkeypatch)
-    count = colorings.oracle_counts(word, quandle.n, [power])[power]
+    count = colorings.oracle_counts(word, quandle.size, [power])[power]
     assert sum(walked) == tops
     assert count == len(reference_colorings(BraidWord(4, word.letters * power), quandle))
 
@@ -394,14 +396,16 @@ def test_linear_cap_raises_naming_count():
 
 
 def test_linear_cap_is_checked_before_the_quandle_is_built(monkeypatch):
-    # R_n is an n-by-n table: at n = 10**20 building it would never end
+    # R_n is an n-by-n table: at n = 10**20 building it would never end.
+    # The linear route builds none at any n, under the cap or over it
     def refuse(n):
-        raise AssertionError(f"DihedralQuandle({n}) built before the cap check")
+        raise AssertionError(f"R_{n}'s table built by the linear route")
 
-    monkeypatch.setattr(colorings, "DihedralQuandle", refuse)
+    monkeypatch.setattr(colorings, "_dihedral_table", refuse)
     with pytest.raises(CapExceededError) as exc:
         enumerate_colorings_linear(TorusLinkSpec(3, 2), 10**20)
     assert exc.value.count == 10**20
+    assert enumerate_colorings_linear(TorusLinkSpec(3, 2), 9).count == 27
 
 
 def test_linear_accepts_spec_and_word():
@@ -426,31 +430,29 @@ def test_linear_colorings_hold_one_int64_per_colour():
 
 def test_coloring_rows_must_span_the_strands():
     word = torus_braid(3, 2)
-    r3 = DihedralQuandle(3)
-    assert ColoringSet(word, r3, [(0, 1, 2)]).colorings.shape == (1, 3)
+    assert ColoringSet(word, 3, [(0, 1, 2)]).colorings.shape == (1, 3)
     for bad in ([(0, 1)], [(0, 1, 2, 0)], [0, 1, 2], [(0, 1, 2), (0, 1)]):
         with pytest.raises(ValueError):
-            ColoringSet(word, r3, bad)
+            ColoringSet(word, 3, bad)
 
 
 def test_coloring_set_rejects_unsorted_colorings():
     # rows reversed or repeated, of T(2,3) and of T(3,2) by R_3, are caller
     # input, refused by the set before build_quiver or lattice_form reads them
-    r3 = DihedralQuandle(3)
     for link in (torus_braid(2, 3), TorusLinkSpec(3, 2)):
         colorings = enumerate_colorings_linear(link, 3).colorings
         for bad in (colorings[::-1], np.concatenate((colorings, colorings[-1:]))):
             with pytest.raises(ValueError, match="sorted and distinct"):
-                ColoringSet(link, r3, bad)
+                ColoringSet(link, 3, bad)
     # a colour outside 0..2 would make the row keys out of order
     for bad in ([(0, 0), (0, 3)], [(-1, 0), (0, 0)]):
         with pytest.raises(ValueError, match="colours must lie in 0..2"):
-            ColoringSet(torus_braid(2, 3), r3, bad)
-    keys = ColoringSet(TorusLinkSpec(3, 2), r3, [(0, 0, 0), (1, 2, 0)]).keys
+            ColoringSet(torus_braid(2, 3), 3, bad)
+    keys = ColoringSet(TorusLinkSpec(3, 2), 3, [(0, 0, 0), (1, 2, 0)]).keys
     assert keys.tolist() == [0, 15] and not keys.flags.writeable
     # keys handed in by the caller are checked as the set's own
     with pytest.raises(ValueError, match="sorted and distinct"):
-        ColoringSet(TorusLinkSpec(3, 2), r3, [(0, 0, 0), (1, 2, 0)], np.array([15, 0]))
+        ColoringSet(TorusLinkSpec(3, 2), 3, [(0, 0, 0), (1, 2, 0)], np.array([15, 0]))
     linear = enumerate_colorings_linear(TorusLinkSpec(3, 2), 9)
     assert np.array_equal(linear.keys, row_keys(linear.colorings, 9))
 
@@ -461,12 +463,11 @@ def test_coloring_set_reads_the_strands_off_the_link(monkeypatch):
         raise AssertionError("factor_power called")
 
     monkeypatch.setattr(braids, "factor_power", no_factor)
-    r3 = DihedralQuandle(3)
-    assert ColoringSet(TorusLinkSpec(4, 3), r3, [(0, 0, 0, 0)]).colorings.shape == (1, 4)
+    assert ColoringSet(TorusLinkSpec(4, 3), 3, [(0, 0, 0, 0)]).colorings.shape == (1, 4)
     word = BraidWord(5, (1, 2) * 50)
-    assert ColoringSet(word, r3, [(1,) * 5]).colorings.shape == (1, 5)
+    assert ColoringSet(word, 3, [(1,) * 5]).colorings.shape == (1, 5)
     with pytest.raises(ValueError, match="need 4 colours"):
-        ColoringSet(TorusLinkSpec(4, 3), r3, [(0, 0, 0)])
+        ColoringSet(TorusLinkSpec(4, 3), 3, [(0, 0, 0)])
 
 
 def test_colorings_and_labels_are_read_only():

@@ -4,7 +4,7 @@ import pytest
 from braid_reference import torus_braid
 
 from quandlequiver.colorings import enumerate_colorings_linear
-from quandlequiver.config import enumeration_cap, oracle_cap, positive_integer
+from quandlequiver.config import enumeration_cap, integer, oracle_cap, positive_integer
 from quandlequiver.counting import evaluate_cells
 from quandlequiver.errors import CapExceededError
 
@@ -36,6 +36,15 @@ def test_positive_integer_rule():
     for raw in ("0", "-1", "+5", "1.5", "abc", ""):
         with pytest.raises(ValueError, match="positive integer"):
             positive_integer(raw)
+
+
+def test_integer_rule():
+    # an optional ASCII sign, then ASCII digits; what int() takes beyond
+    # that (other scripts' digits, underscores) is refused
+    assert [integer(raw) for raw in ("7", " -12 ", "+3", "0", "007")] == [7, -12, 3, 0, 7]
+    for raw in ("３", "1_0", "٣", "+", "-", "", "- 3", "+-3", "1.5", "x", "0x10"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            integer(raw)
 
 
 def test_env_cap_governs_backends(monkeypatch):

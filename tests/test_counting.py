@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from braid_reference import torus_braid
 from oracle_reference import enumerate_colorings as reference_colorings
+from quandle_reference import dihedral
 from quandlequiver import counting
 from quandlequiver.braids import BraidWord, TorusLinkSpec
 from quandlequiver.counting import (
@@ -34,7 +35,6 @@ from quandlequiver.counting import (
     predict_count,
     verify_counts,
 )
-from quandlequiver.quandles import DihedralQuandle
 
 
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=40))
@@ -243,7 +243,7 @@ def test_huge_odd_p_powers_equal_their_residue(cell, data, k):
     # one call walks the oracle from r straight to the huge power
     p, n = cell
     r = data.draw(st.integers(0, 2 * p - 1))
-    expected = len(reference_colorings(torus_braid(p, r), DihedralQuandle(n)))
+    expected = len(reference_colorings(torus_braid(p, r), dihedral(n)))
     small, huge = routes(p, [r, r + k * 2 * p], n)
     for record in (small, huge):
         assert record.computed_linear == record.computed_oracle == expected
@@ -266,7 +266,7 @@ def test_small_powers_equal_the_reference_on_the_written_word(cell, data):
     p, n = cell
     q = data.draw(st.integers(0, 4 * p))
     [record] = routes(p, [q], n)
-    expected = len(reference_colorings(torus_braid(p, q), DihedralQuandle(n)))
+    expected = len(reference_colorings(torus_braid(p, q), dihedral(n)))
     assert record.computed_linear == record.computed_oracle == expected
 
 
@@ -287,9 +287,9 @@ def test_dihedral_table_is_the_crt_product_of_its_prime_power_parts():
         x = np.arange(n)
         residues = {tuple(int(v) % r for r in parts) for v in x}
         assert len(residues) == n
-        table = DihedralQuandle(n).table
+        table = dihedral(n).table
         for r in parts:
-            assert np.array_equal(table % r, DihedralQuandle(r).table[np.ix_(x % r, x % r)])
+            assert np.array_equal(table % r, dihedral(r).table[np.ix_(x % r, x % r)])
 
 
 def oracle_cells(links, n):
@@ -307,7 +307,7 @@ def test_composite_oracle_counts_equal_full_walks(n, monkeypatch):
         return walk(factor, r, powers)
 
     monkeypatch.setattr(counting, "oracle_counts", recording)
-    quandle = DihedralQuandle(n)
+    quandle = dihedral(n)
     rng = random.Random(n)
     # random words, nearly all aperiodic: each closes its own factor once (q = 1)
     for strands in range(2, 5):

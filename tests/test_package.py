@@ -65,3 +65,22 @@ def test_every_np_unique_call_asks_for_a_return_array():
             ):
                 plain.append(f"{path.name}:{node.lineno}")
     assert plain == []
+
+
+def test_the_references_do_not_read_the_package():
+    # the references check the package; one that read the package's R_n
+    # would copy a wrong table into the check.  The oracle reference only
+    # hands its colorings over in the package's ColoringSet
+    here = Path(__file__).parent
+    imported = {}
+    for name in ("quandle_reference", "oracle_reference"):
+        names = imported[name] = []
+        for node in ast.walk(ast.parse((here / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names += [a.name for a in node.names if a.name.split(".")[0] == "quandlequiver"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quandlequiver":
+                names += [f"{node.module}.{a.name}" for a in node.names]
+    assert imported == {
+        "quandle_reference": [],
+        "oracle_reference": ["quandlequiver.colorings.ColoringSet"],
+    }

@@ -1,6 +1,5 @@
 """Tests for the dihedral tables, the reference quandle checks, and the affine endomorphisms."""
 
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,12 +9,15 @@ from quandle_reference import (
     CayleyTable,
     affine_endomorphisms,
     brute_force_endomorphisms,
+    dihedral,
     dihedral_op,
     is_involutive,
     verify_quandle_axioms,
 )
 
-from quandlequiver.quandles import DihedralQuandle
+from quandlequiver import colorings
+from quandlequiver.braids import TorusLinkSpec
+from quandlequiver.colorings import ColoringSet
 
 
 def alexander_mod5():
@@ -40,34 +42,21 @@ def test_dihedral_op_range_errors():
 
 @pytest.mark.parametrize("n", list(range(1, 51)))
 def test_dihedral_axioms_and_kei(n):
-    q = DihedralQuandle(n)
+    q = dihedral(n)
     report = verify_quandle_axioms(q)
     assert report.all_pass
     assert is_involutive(q)
 
 
 def test_dihedral_table_matches_op():
-    q = DihedralQuandle(9)
-    assert q.table.shape == (9, 9) and q.table.dtype == np.int64
-    assert not q.table.flags.writeable
-    for x in range(9):
-        for y in range(9):
-            assert q.table[x, y] == dihedral_op(9, x, y)
-            assert q.table[q.table[x, y], y] == x
-
-
-def test_dihedral_table_is_built_at_first_read():
-    # R_(10^6)'s table would take 8 TB: the quandle holds n until it is read
-    tracemalloc.start()
-    try:
-        q = DihedralQuandle(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert q.n == q.size == 10**6 and peak < 2**20
-    for n in range(1, 13):
-        x = np.arange(n)
-        assert np.array_equal(DihedralQuandle(n).table, (2 * x - x[:, None]) % n)
+    # the oracle's table holds r - 1 in the smallest dtype and is read-only;
+    # 2y - x leaves that dtype's range once r passes half of it, so it must
+    # not be computed there
+    for r, dtype in ((9, np.uint8), (200, np.uint8), (256, np.uint8), (257, np.uint16)):
+        table = colorings._dihedral_table(r)
+        assert table.shape == (r, r) and table.dtype == dtype, r
+        assert not table.flags.writeable
+        assert np.array_equal(table, dihedral(r).table), r
 
 
 def test_mutated_table_fails_with_witness():
@@ -150,7 +139,7 @@ def test_affine_composition_law(n):
 def test_brute_force_matches_affine_family(n):
     # the exhaustive search finds no endomorphism of R_n outside the affine
     # family, so the affine maps are the quiver's whole family
-    brute = brute_force_endomorphisms(DihedralQuandle(n))
+    brute = brute_force_endomorphisms(dihedral(n))
     assert not brute.flags.writeable
     # both families are in lexicographic row order
     assert np.array_equal(brute, affine_endomorphisms(n))
@@ -172,7 +161,8 @@ def test_brute_force_on_alexander_quandle():
 
 def test_quandle_table_validation():
     with pytest.raises(ValueError, match="modulus must be at least 1, got 0"):
-        DihedralQuandle(0)
+        ColoringSet(TorusLinkSpec(3, 2), 0, [(0, 0, 0)])
+    one = ColoringSet(TorusLinkSpec(3, 2), 5, [(0, 0, 0)])
+    assert one.n == 5 and repr(one) == "ColoringSet(1 colorings of a 3-strand closure by R_5)"
     with pytest.raises(ValueError):
         affine_endomorphisms(0)
-    assert repr(DihedralQuandle(3)) == "DihedralQuandle(size=3)"

@@ -1,5 +1,6 @@
 """Tests for quiver construction, the lattice form, blocks, and comparison."""
 
+import math
 import random
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ from braid_reference import torus_braid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle_reference import coloring_set as reference_set
-from quandle_reference import CayleyTable, affine_endomorphisms, brute_force_endomorphisms
+from quandle_reference import affine_endomorphisms, brute_force_endomorphisms, dihedral
 from quiver_reference import build_quiver as reference_build
 from quiver_reference import (
     dense,
@@ -26,9 +27,9 @@ from quiver_reference import (
 from quandlequiver import colorings, linalg, quivers
 from quandlequiver.braids import BraidWord, TorusLinkSpec
 from quandlequiver.colorings import ColoringSet, enumerate_colorings_linear
+from quandlequiver.counting import _prime_powers
 from quandlequiver.errors import CapExceededError, InternalConsistencyError
 from quandlequiver.linalg import row_keys
-from quandlequiver.quandles import DihedralQuandle
 from quandlequiver.quivers import (
     QuiverForm,
     WeightedQuiver,
@@ -40,7 +41,7 @@ from quandlequiver.quivers import (
 
 
 def dihedral_quiver(p, q, n):
-    cs = reference_set(torus_braid(p, q), DihedralQuandle(n))
+    cs = reference_set(torus_braid(p, q), dihedral(n))
     return cs, build_quiver(cs)
 
 
@@ -165,24 +166,16 @@ def test_build_quiver_rejects_non_closed_set():
         ),
     ]
     for rows, named in cases:
-        bad = ColoringSet(torus_braid(2, 1), DihedralQuandle(3), rows)
+        bad = ColoringSet(torus_braid(2, 1), 3, rows)
         with pytest.raises(ValueError, match=re.escape(named) + " is not itself"):
             build_quiver(bad)
 
 
-def test_build_quiver_needs_a_dihedral_quandle():
-    # R_3 relabelled is a quandle with the same colorings, but not R_n
-    table = DihedralQuandle(3).table
-    cs = enumerate_colorings_linear(torus_braid(2, 3), 3)
-    with pytest.raises(ValueError, match="needs colorings by R_n"):
-        build_quiver(ColoringSet(cs.link, CayleyTable(table), cs.colorings))
-
-
 def test_build_quiver_of_no_colorings_and_of_r1():
-    empty = ColoringSet(TorusLinkSpec(3, 2), DihedralQuandle(4), np.zeros((0, 3)))
+    empty = ColoringSet(TorusLinkSpec(3, 2), 4, np.zeros((0, 3)))
     quiver = build_quiver(empty)
     assert quiver.n_vertices == 0 and quiver.dst.size == 0 and quiver.indptr.tolist() == [0]
-    one = ColoringSet(TorusLinkSpec(3, 2), DihedralQuandle(1), [(0, 0, 0)])
+    one = ColoringSet(TorusLinkSpec(3, 2), 1, [(0, 0, 0)])
     assert weight_triples(build_quiver(one)) == [(0, 0, 1)]
 
 
@@ -212,7 +205,7 @@ def test_build_quiver_keys_past_int64():
 )
 def test_build_quiver_matches_reference_on_both_lookups(p, q, n, brute):
     cs = enumerate_colorings_linear(TorusLinkSpec(p, q), n)
-    endos = brute_force_endomorphisms(cs.quandle) if brute else affine_endomorphisms(n)
+    endos = brute_force_endomorphisms(dihedral(n)) if brute else affine_endomorphisms(n)
     assert build_quiver(cs) == reference_build(cs, endos)
 
 
@@ -236,8 +229,8 @@ def grid_coloring_sets():
 def test_build_quiver_matches_reference_on_a_grid():
     cells = 0
     for cs in grid_coloring_sets():
-        expected = reference_build(cs, affine_endomorphisms(cs.quandle.n))
-        assert build_quiver(cs) == expected, (cs.link, cs.quandle.n)
+        expected = reference_build(cs, affine_endomorphisms(cs.n))
+        assert build_quiver(cs) == expected, (cs.link, cs.n)
         cells += 1
     assert cells > 700
 
@@ -250,7 +243,7 @@ def test_build_quiver_names_a_real_missing_image(p, q, n, drop):
     # scalings of K0 or a row left without a class can find
     full = enumerate_colorings_linear(TorusLinkSpec(p, q), n)
     kept = np.delete(full.colorings, drop, axis=0)
-    cs = ColoringSet(full.link, full.quandle, kept)
+    cs = ColoringSet(full.link, full.n, kept)
     with pytest.raises(ValueError) as raised:
         build_quiver(cs)
     named = re.fullmatch(
@@ -293,11 +286,11 @@ def coloring_sets(draw):
 @settings(max_examples=150)
 @given(coloring_sets(), st.booleans(), st.data())
 def test_build_quiver_matches_reference(coloring_set, drop, data):
-    n = coloring_set.quandle.n
+    n = coloring_set.n
     if drop:
         colorings = list(coloring_set.colorings)
         del colorings[data.draw(st.integers(0, len(colorings) - 1))]
-        coloring_set = ColoringSet(coloring_set.link, coloring_set.quandle, colorings)
+        coloring_set = ColoringSet(coloring_set.link, n, colorings)
     built = outcome(build_quiver, coloring_set)
     assert built == outcome(reference_build, coloring_set, affine_endomorphisms(n))
     if drop:
@@ -403,8 +396,8 @@ def test_lattice_form_reads_the_quotient_the_build_read(monkeypatch):
             for module in (colorings, linalg, quivers):
                 patch.setattr(module, "row_keys", counted, raising=False)
             form, block_of = lattice_form(cs)
-        fresh = lattice_form(ColoringSet(cs.link, cs.quandle, cs.colorings))
-        assert form == fresh[0] and np.array_equal(block_of, fresh[1]), (cs.link, cs.quandle.n)
+        fresh = lattice_form(ColoringSet(cs.link, cs.n, cs.colorings))
+        assert form == fresh[0] and np.array_equal(block_of, fresh[1]), (cs.link, cs.n)
         cells += 1
     assert calls == [] and cells > 700
 
@@ -732,7 +725,7 @@ def word_coloring_sets(draw):
 def test_lattice_form_equals_detected_blocks(coloring_set):
     # the blocks are the built quiver's twin classes, and the form carries
     # its arrows exactly when laid out by them: together these pin the form
-    n = coloring_set.quandle.size
+    n = coloring_set.n
     quiver = build_quiver(coloring_set)
     form, block_of = lattice_form(coloring_set)
     assert block_lists(block_of) == twin_blocks(quiver)
@@ -812,13 +805,92 @@ def test_lattice_form_on_large_cells(p, q, n):
     assert isomorphic(quiver, form, block_of) is True
 
 
-def test_lattice_form_rejects_other_quandles_and_non_groups():
-    r3 = DihedralQuandle(3)
+def test_lattice_form_rejects_non_groups():
     word = torus_braid(2, 3)
-    table = r3.table.tolist()
-    with pytest.raises(ValueError):
-        lattice_form(ColoringSet(word, CayleyTable(table), [(0, 0)]))
     # a count that is not a multiple of n; K0 the whole set, with no translates
     for colorings in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 2)]):
         with pytest.raises(ValueError, match="is not itself a coloring"):
-            lattice_form(ColoringSet(word, r3, colorings))
+            lattice_form(ColoringSet(word, 3, colorings))
+
+
+# --- a composite R_n as the product of its prime-power parts --------------
+
+KRONECKER_LINKS = [
+    TorusLinkSpec(5, 2),
+    TorusLinkSpec(3, 6),
+    TorusLinkSpec(7, 2),
+    TorusLinkSpec(4, 4),
+    BraidWord(3, (1, -2, 1, -2)),
+    BraidWord(4, (1, 1, 2, -1, 3, 3, -2)),
+]
+
+
+def part_positions(cs, part):
+    """Each coloring of `cs` reduced mod part.n, found among `part`'s rows."""
+    wanted = row_keys(cs.colorings % part.n, part.n)
+    at = np.minimum(np.searchsorted(part.keys, wanted), part.keys.size - 1)
+    assert np.array_equal(part.keys[at], wanted)
+    return at
+
+
+def block_matrix(form):
+    """The form's blocks-by-blocks weights: each block's own weight on the
+    diagonal, the cross rows' weights, summed, off it."""
+    out = np.diag(form.weights)
+    np.add.at(out, (form.cross[:, 0], form.cross[:, 1]), form.cross[:, 2])
+    return out
+
+
+def kronecker_cells():
+    """(colorings by R_n, colorings by each prime power r exactly dividing
+    n) over the grid, each with at most 3000 colorings by R_n."""
+    for link in KRONECKER_LINKS:
+        for n in (6, 10, 12, 15):
+            try:
+                cs = enumerate_colorings_linear(link, n, cap=3000)
+            except CapExceededError:
+                continue
+            yield cs, [enumerate_colorings_linear(link, r) for r in _prime_powers(n)]
+
+
+def test_composite_quiver_is_the_kronecker_product_of_its_parts():
+    # x -> (x mod r) over the prime powers r exactly dividing n carries R_n
+    # onto the product of the R_r, and the affine map (a, b) mod n onto one
+    # affine map per part; so an arrow c -> d by R_n weighs the product of
+    # the parts' weights of (c mod r) -> (d mod r), and its blocks are the
+    # products of the parts' blocks, entry by entry
+    cells = 0
+    for cs, parts in kronecker_cells():
+        # code[v]: coloring v's positions in the parts, as one mixed-radix
+        # number; the reduction is a bijection onto the parts' product
+        code, block_code = np.zeros(cs.count, dtype=np.int64), np.zeros(cs.count, dtype=np.int64)
+        src, dst, weight = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        sizes, matrix = np.ones(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
+        for part in parts:
+            at = part_positions(cs, part)
+            code = code * part.count + at
+            s, d, w = build_quiver(part).arrows()
+            src, dst = (src[:, None] * part.count + s).ravel(), (dst[:, None] * part.count + d).ravel()
+            weight = (weight[:, None] * w).ravel()
+            part_form, part_block_of = lattice_form(part)
+            block_code = block_code * part_form.sizes.size + part_block_of[at]
+            sizes, matrix = np.kron(sizes, part_form.sizes), np.kron(matrix, block_matrix(part_form))
+        vertex = np.full(math.prod(part.count for part in parts), -1)
+        vertex[code] = np.arange(cs.count)
+        assert vertex.size == cs.count and (vertex >= 0).all(), (cs.link, cs.n)
+        # the quiver: every arrow a product of the parts' arrows, and no other
+        src, dst = vertex[src], vertex[dst]
+        order = np.lexsort((dst, src))
+        product = (src[order], dst[order], weight[order])
+        assert all(map(np.array_equal, build_quiver(cs).arrows(), product)), (cs.link, cs.n)
+        # the form: each block by R_n is one product of the parts' blocks,
+        # one to one, of the product's size, weight and cross weights
+        form, block_of = lattice_form(cs)
+        named = np.full(form.sizes.size, -1)
+        named[block_of] = block_code
+        assert np.array_equal(named[block_of], block_code), (cs.link, cs.n)
+        assert np.array_equal(np.sort(named), np.arange(sizes.size)), (cs.link, cs.n)
+        assert np.array_equal(form.sizes, sizes[named])
+        assert np.array_equal(block_matrix(form), matrix[np.ix_(named, named)]), (cs.link, cs.n)
+        cells += 1
+    assert cells == 21
