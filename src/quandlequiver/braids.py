@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import integer
+from .errors import InternalConsistencyError
 from .linalg import product_mod
 
 
@@ -116,25 +117,85 @@ def parse_link(text: str) -> BraidWord | TorusLinkSpec:
     return BraidWord(strands, tuple(map(letter_of.__getitem__, tokens)))
 
 
+def _read_fields(colors: list[int], p: int, width: int, modulus: int) -> np.ndarray:
+    """Each color's p signed fields of `width` bytes, mod `modulus`, as the
+    rows of an array.  2**(F-1) is added to every field, so the colors are
+    nonnegative and their little-endian bytes are the fields' digits base
+    256; each field is then its bytes dotted with 256**k mod L, less
+    2**(F-1) mod L.  That dot product is exact in int64 when
+    width*255*modulus < 2**63, and runs on Python ints otherwise."""
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * p, "little")
+    raw = np.frombuffer(
+        b"".join((c + offset).to_bytes(width * p, "little") for c in colors), np.uint8
+    ).reshape(len(colors), p, width)
+    weights = [pow(256, k, modulus) for k in range(width)]
+    if width * 255 * modulus < 2**63:
+        fields = np.empty((len(colors), p), np.int64)
+        # the product widens its rows to int64: a few MB of them at a time
+        step = max(1, 2**20 // (p * width))
+        for lo in range(0, len(colors), step):
+            fields[lo:lo + step] = raw[lo:lo + step] @ np.array(weights, np.int64)
+    else:
+        fields = raw.astype(object) @ np.array(weights, object)
+    fields -= pow(2, 8 * width - 1, modulus)
+    fields %= modulus
+    return fields
+
+
 def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:
-    """Matrix M with bottom = M * top for dihedral targets R_n, n | modulus.
+    """Matrix M with bottom = M * top for dihedral targets R_n, n | modulus,
+    as rows of ints in 0..modulus-1.
 
     The dihedral rule is linear in both signs: a positive letter sends
     (x, y) to (y, 2y - x), a negative one to (2x - y, x), so the whole
-    word composes to one integer matrix.  Its entries grow geometrically
-    with the word, so the rows are reduced mod `modulus` after every
-    letter and M is returned as rows of ints in 0..modulus-1.
+    word composes to one integer matrix, and one integer coloring walked
+    over Z carries all of it.  Strand j's top color is 2**(F*j), with
+    F = bits(L) + 64 rounded up to whole bytes, so each strand's color is
+    the integer whose F-bit signed fields are its row of M, and a letter
+    is one big-int step, 2*b - a.  The entries grow with the word: each
+    strand keeps a bound on its fields, and a letter that could push one
+    past 2**(F-3) first reduces its two strands mod L.  M is read once
+    (`_read_fields`) and checked: a constant coloring passes every
+    crossing unchanged, so each row of M sums to 1.
     """
     p = word.strands
-    m = [[int(i == j) % modulus for j in range(p)] for i in range(p)]
+    width = (modulus.bit_length() + 64 + 7) // 8
+    bits = 8 * width
+    limit = 1 << (bits - 3)
+    colors = [1 << (bits * j) for j in range(p)]
+    bounds = [1] * p
+
+    def reduce_pair(k):
+        # strands k - 1 and k, their fields mod L packed back
+        for j, row in zip((k - 1, k), _read_fields(colors[k - 1:k + 1], p, width, modulus)):
+            colors[j] = int.from_bytes(
+                b"".join(int(x).to_bytes(width, "little") for x in row), "little")
+            bounds[j] = modulus - 1
+
     for letter in word.letters:
-        i = abs(letter) - 1
-        ri, rj = m[i], m[i + 1]
+        # the letter's strands sit at positions k - 1 and k
         if letter > 0:
-            m[i], m[i + 1] = rj, [(2 * b - a) % modulus for a, b in zip(ri, rj)]
+            k = letter
+            bound = 2 * bounds[k] + bounds[k - 1]
+            if bound > limit:
+                reduce_pair(k)
+                bound = 2 * bounds[k] + bounds[k - 1]
+            a, b = colors[k - 1], colors[k]
+            colors[k - 1], colors[k] = b, 2 * b - a
+            bounds[k - 1], bounds[k] = bounds[k], bound
         else:
-            m[i], m[i + 1] = [(2 * a - b) % modulus for a, b in zip(ri, rj)], ri
-    return m
+            k = -letter
+            bound = 2 * bounds[k - 1] + bounds[k]
+            if bound > limit:
+                reduce_pair(k)
+                bound = 2 * bounds[k - 1] + bounds[k]
+            a, b = colors[k - 1], colors[k]
+            colors[k - 1], colors[k] = 2 * a - b, a
+            bounds[k - 1], bounds[k] = bound, bounds[k - 1]
+    rows = _read_fields(colors, p, width, modulus).tolist()
+    if any(sum(row) % modulus != 1 % modulus for row in rows):
+        raise InternalConsistencyError("a row of the propagation matrix does not sum to 1 mod L")
+    return rows
 
 
 def closure_system(link: BraidWord | TorusLinkSpec, modulus: int) -> list[list[int]]:
@@ -153,4 +214,6 @@ def closure_system(link: BraidWord | TorusLinkSpec, modulus: int) -> list[list[i
     if isinstance(power, np.ndarray):
         # the elimination runs on Python ints, not numpy scalars
         power = power.tolist()
-    return [[(x - (i == j)) % modulus for j, x in enumerate(row)] for i, row in enumerate(power)]
+    for i, row in enumerate(power):
+        row[i] = (row[i] - 1) % modulus
+    return power

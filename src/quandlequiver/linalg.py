@@ -200,7 +200,7 @@ def smith_normal_form(a, modulus: int) -> SnfResult:
     if any(any(row[:i]) or i not in unit_rows and any(row[i + 1:])
            for i, row in enumerate(reduced)):
         raise InternalConsistencyError("R is not diagonal outside the rows of unit pivots")
-    if not np.array_equal(product_mod(u, list(zip(*av)), modulus), reduced):
+    if product_mod(u, list(zip(*av)), modulus).tolist() != reduced:
         raise InternalConsistencyError("U*A*V0 does not equal the reduced matrix mod L")
     diag = tuple(math.gcd(reduced[i][i], modulus) if reduced[i][i] else 0 for i in range(size))
     if any(b % a if a else b for a, b in zip(diag, diag[1:])):
@@ -225,7 +225,7 @@ def _right_transform(modulus, start, u, reduced, vt, units) -> list[list[int]]:
                 vt[j] = [(x - q * y) % modulus for x, y in zip(vt[j], pivot_col)]
     right = [list(row) for row in zip(*vt)]
     want = [[row[j] if i == j else 0 for j in range(nc)] for i, row in enumerate(reduced)]
-    if not np.array_equal(product_mod(u, product_mod(start, right, modulus), modulus), want):
+    if product_mod(u, product_mod(start, right, modulus), modulus).tolist() != want:
         raise InternalConsistencyError("U*A*V does not equal the computed diagonal mod L")
     return right
 

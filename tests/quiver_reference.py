@@ -18,11 +18,11 @@ blocks off the cyclic subgroups of the colorings;
 agree with wherever that table has an answer.
 """
 
+import math
 from itertools import groupby
 
 import numpy as np
 
-from quandlequiver.counting import is_prime
 from quandlequiver.quivers import QuiverForm, WeightedQuiver
 
 
@@ -182,6 +182,11 @@ def reference_isomorphic(quiver, form, block_of):
     return np.array_equal(key[order], target_src * n + target_dst) and np.array_equal(
         weight[order], target_weight
     )
+
+
+def is_prime(n):
+    """Trial division: n has no divisor in 2..isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def quiver_form_for_count(p, n, count):

@@ -10,12 +10,16 @@ import random
 from itertools import product
 
 import intmatrix_reference as ref
+import numpy as np
 import pytest
-from braid_reference import torus_braid
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from braid_reference import shortest_period, torus_braid
 from intmatrix_reference import IntMatrix, apply, det
 from oracle_reference import propagate
 from quandle_reference import CayleyTable, dihedral
 
+from quandlequiver import braids
 from quandlequiver.braids import (
     BraidWord,
     TorusLinkSpec,
@@ -24,6 +28,7 @@ from quandlequiver.braids import (
     parse_link,
     propagation_matrix,
 )
+from quandlequiver.errors import InternalConsistencyError
 
 
 def alexander_mod5():
@@ -74,11 +79,8 @@ def test_factor_power_finds_the_shortest_period():
         factor = random_word(rng, 4, rng.randint(1, 6))
         q = rng.randint(1, 5)
         word = BraidWord(4, factor.letters * q)
-        length = len(word)
-        # the reference: the shortest prefix whose power is the word
-        d = next(d for d in range(1, length + 1)
-                 if length % d == 0 and word.letters[:d] * (length // d) == word.letters)
-        assert factor_power(word) == (BraidWord(4, word.letters[:d]), length // d)
+        d = shortest_period(word)
+        assert factor_power(word) == (BraidWord(4, word.letters[:d]), len(word) // d)
     # an aperiodic word is its own factor, returned as it is
     word = BraidWord(3, (1, 2, 1, 1, 2))
     assert factor_power(word)[0] is word and factor_power(word)[1] == 1
@@ -211,6 +213,91 @@ def test_matrix_concatenation_and_determinant():
         assert propagation_matrix(uv, big) == composed
         assert det(IntMatrix(mu)) % big == 1 % big
         assert det(ref.propagation_matrix(u)) == 1
+
+
+# the packed walk's field width follows bits(L), and its reads run in
+# int64 or on Python ints by L: moduli on both sides of each bound
+WALK_MODULI = (
+    st.sampled_from((1, 2520, 10**30 + 7))
+    | st.integers(2, 60)
+    | st.integers(2**63 - 2**10, 2**63 + 2**10)
+)
+
+
+@st.composite
+def long_words(draw):
+    """Words of 0..700 letters on 1..14 strands: random ones; one letter's
+    power, whose two strands grow on every letter; and s_k s_(k+1)^-1
+    repeated, whose entries grow about 0.7 bits a letter, so that long ones
+    outgrow their fields and are reduced on the way."""
+    strands = draw(st.integers(1, 14))
+    length = draw(st.integers(0, 700)) if strands > 1 else 0
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("random", "power", "growing")))
+    k = rng.randint(1, max(1, strands - 2))
+    if kind == "power" or kind == "growing" and strands < 3:
+        return BraidWord(strands, (rng.choice((k, -k)),) * length)
+    if kind == "growing":
+        return BraidWord(strands, (k, -k - 1) * (length // 2))
+    return random_word(rng, strands, length) if length else BraidWord(strands, ())
+
+
+@given(long_words(), WALK_MODULI)
+@settings(max_examples=150)
+def test_packed_walk_is_the_integer_matrix_reduced(word, big):
+    exact = ref.propagation_matrix(word).data
+    assert propagation_matrix(word, big) == [[x % big for x in row] for row in exact]
+    # a power of one letter closes its factor by square-and-multiply
+    assert closure_system(word, big) == [[(x - (i == j)) % big for j, x in enumerate(row)]
+                                         for i, row in enumerate(exact)]
+
+
+@pytest.mark.parametrize("big", [2, 2520, 2**64, 10**30 + 7])
+@pytest.mark.parametrize("letters", [(-2,), (1, -2)])
+def test_a_long_word_is_reduced_on_the_way(big, letters, monkeypatch):
+    read = braids._read_fields
+    reads = []
+
+    def counting(colors, *args):
+        reads.append(len(colors))
+        return read(colors, *args)
+
+    monkeypatch.setattr(braids, "_read_fields", counting)
+    word = BraidWord(3, letters * (700 // len(letters)))
+    exact = ref.propagation_matrix(word).data
+    assert propagation_matrix(word, big) == [[x % big for x in row] for row in exact]
+    # a letter's two strands are reduced together, then M is read once
+    assert len(reads) > 2 and set(reads[:-1]) == {2} and reads[-1] == 3
+
+
+def test_the_read_is_exact_on_both_sides_of_the_int64_bound():
+    # L = edge is the largest modulus whose byte dot products run in int64;
+    # the extreme fields +-(2**(F-1) - 1) make every byte 255 or 1
+    width = 15
+    edge = (2**63 - 1) // (255 * width)
+    assert (edge.bit_length() + 64 + 7) // 8 == width
+    half = 2 ** (8 * width - 1)
+    fields = [half - 1, 1 - half, 0, 1, -1, half // 3, -edge]
+    color = sum(f << (8 * width * j) for j, f in enumerate(fields))
+    for big, dtype in ((edge, np.int64), (edge + 1, object)):
+        read = braids._read_fields([color, -color], len(fields), width, big)
+        assert read.dtype == dtype
+        assert read.tolist() == [[f % big for f in fields], [-f % big for f in fields]]
+
+
+def test_a_corrupted_read_fails_the_row_sum_check(monkeypatch):
+    read = braids._read_fields
+
+    def corrupted(colors, p, width, modulus):
+        fields = read(colors, p, width, modulus)
+        fields[-1, 0] = (fields[-1, 0] + 1) % modulus
+        return fields
+
+    monkeypatch.setattr(braids, "_read_fields", corrupted)
+    with pytest.raises(InternalConsistencyError, match="does not sum to 1"):
+        propagation_matrix(BraidWord(3, (1, -2, 1)), 2520)
+    with pytest.raises(InternalConsistencyError, match="does not sum to 1"):
+        closure_system(TorusLinkSpec(4, 3), 2**64)
 
 
 def test_propagation_matches_matrix_on_torus_grid():

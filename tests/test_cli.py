@@ -405,6 +405,27 @@ def test_quiver_cap_is_checked_before_the_quandle_is_built(capsys):
     assert captured.err == "quiver: 299999999999999999997 colorings exceed the enumeration cap\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["count", "--link", "s1 s1 s1", "--n", "9223372036854775837", "--backend", "linear"],
+         EXIT_OK, "s1 s1 s1 n=9223372036854775837: N=9223372036854775837 [ok]\n"),
+        (["verify", "--p", "3", "--q", "0..2", "--n", "9223372036854775837"],
+         EXIT_OK, "3 cells: 3 match, 0 ambiguous-resolved, 0 mismatch\n"),
+        (["quiver", "--link", "s1 s1 s1", "--n", "18446744073709551557"], EXIT_CAP, ""),
+    ],
+    ids=["count", "verify", "quiver"],
+)
+def test_moduli_past_2_to_the_63_end_without_a_traceback(argv, code, out, capsys):
+    # the Smith form's checks compare exact ints, so a correct form mod a
+    # modulus past 2**63 passes them
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out)
+    if code == EXIT_CAP:
+        assert captured.err == "quiver: 18446744073709551557 colorings exceed the enumeration cap\n"
+
+
 def random_word_text(strands, length, seed) -> str:
     rng = random.Random(seed)
     letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]

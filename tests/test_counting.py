@@ -271,10 +271,28 @@ def test_small_powers_equal_the_reference_on_the_written_word(cell, data):
 
 
 def is_prime_power(r: int) -> bool:
+    if r < 2:
+        return False
     d = next(d for d in range(2, r + 1) if r % d == 0)  # r's least prime factor
     while r % d == 0:
         r //= d
     return r == 1
+
+
+PRIMES_TO_200 = [d for d in range(2, 201) if all(d % e for e in range(2, d))]
+
+
+def prime_power_parts(n: int) -> list[int]:
+    """The prime powers exactly dividing 1 <= n <= 200, ascending, read off
+    the primes up to 200: the reference for counting._prime_powers."""
+    parts = []
+    for d in PRIMES_TO_200:
+        power = 1
+        while n % (power * d) == 0:
+            power *= d
+        if power > 1:
+            parts.append(power)
+    return parts
 
 
 def test_dihedral_table_is_the_crt_product_of_its_prime_power_parts():
@@ -282,6 +300,7 @@ def test_dihedral_table_is_the_crt_product_of_its_prime_power_parts():
     # of Z_n onto the product of the Z_r that carries R_n's table onto theirs
     for n in range(1, 201):
         parts = _prime_powers(n)
+        assert parts == prime_power_parts(n)
         assert math.prod(parts) == n and all(map(is_prime_power, parts))
         assert all(math.gcd(a, b) == 1 for i, a in enumerate(parts) for b in parts[i + 1 :])
         x = np.arange(n)
@@ -323,7 +342,7 @@ def test_composite_oracle_counts_equal_full_walks(n, monkeypatch):
         expected = [len(reference_colorings(torus_braid(p, q), quandle)) for q in qs]
         assert oracle_cells([TorusLinkSpec(p, q) for q in qs], n) == expected
     # only the prime power parts are walked, never R_n itself
-    assert set(walked) == set(_prime_powers(n))
+    assert set(walked) == {6: {2, 3}, 10: {2, 5}, 12: {3, 4}, 15: {3, 5}, 30: {2, 3, 5}}[n]
 
 
 INVARIANCE_NS = range(2, 10)

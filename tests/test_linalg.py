@@ -421,6 +421,23 @@ def test_form_past_2_to_the_32_checks_on_python_ints(monkeypatch):
     assert dtypes == [object] * 3
 
 
+# moduli past 2**63: numpy reads a list mixing ints below 2**63 with ints
+# in [2**63, 2**64) as float64, so a check that compared a product with a
+# list of such ints failed on correct forms
+WIDE_MODULI = st.integers(2**63 + 1, 2**63 + 2**10) | st.sampled_from((2**64, 2**65, 3**41))
+
+
+@given(WIDE_MODULI, st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=60)
+def test_form_past_2_to_the_63_matches_integer_reference(big, rows, cols, data):
+    entry = st.integers(0, big - 1) | st.integers(0, 2**63 - 1) | st.integers(2**63, big - 1)
+    a = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    s = smith_normal_form(a, big)
+    assert s.diag == bounded_diag(ref.smith_normal_form(IntMatrix(a)).diag, big)
+    assert math.gcd(det(IntMatrix(s.right)), big) == 1
+
+
 def test_corrupted_transform_fails_the_check(monkeypatch):
     a = [[2, 4, 4], [6, 8, 10], [3, 5, 7]]
     assert smith_normal_form(a, 30).diag == (1, 2, 6)

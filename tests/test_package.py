@@ -68,19 +68,34 @@ def test_every_np_unique_call_asks_for_a_return_array():
 
 
 def test_the_references_do_not_read_the_package():
-    # the references check the package; one that read the package's R_n
-    # would copy a wrong table into the check.  The oracle reference only
-    # hands its colorings over in the package's ColoringSet
+    # the references check the package; one that read the package's logic
+    # (its R_n, its period search, its primality test) would copy a wrong
+    # answer into the check.  They take from the package only the data
+    # containers they build or hand results over in, and its error types
     here = Path(__file__).parent
-    imported = {}
-    for name in ("quandle_reference", "oracle_reference"):
-        names = imported[name] = []
-        for node in ast.walk(ast.parse((here / f"{name}.py").read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names += [a.name for a in node.names if a.name.split(".")[0] == "quandlequiver"]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quandlequiver":
-                names += [f"{node.module}.{a.name}" for a in node.names]
-    assert imported == {
-        "quandle_reference": [],
-        "oracle_reference": ["quandlequiver.colorings.ColoringSet"],
+    errors = Path(quandlequiver.__file__).parent / "errors.py"
+    allowed = {
+        "quandlequiver.braids.BraidWord",
+        "quandlequiver.braids.TorusLinkSpec",
+        "quandlequiver.colorings.ColoringSet",
+        "quandlequiver.quivers.QuiverForm",
+        "quandlequiver.quivers.WeightedQuiver",
+    } | {
+        f"quandlequiver.errors.{node.name}"
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
     }
+    references = sorted(here.glob("*_reference.py"))
+    assert {path.name for path in references} >= {
+        "braid_reference.py", "intmatrix_reference.py", "oracle_reference.py", "quiver_reference.py"}
+    read = {}
+    for path in references:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name.split(".")[0] == "quandlequiver"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quandlequiver":
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            read[path.name] = read.get(path.name, []) + [n for n in names if n not in allowed]
+    assert {name: names for name, names in read.items() if names} == {}
