@@ -117,29 +117,38 @@ def parse_link(text: str) -> BraidWord | TorusLinkSpec:
     return BraidWord(strands, tuple(map(letter_of.__getitem__, tokens)))
 
 
-def _read_fields(colors: list[int], p: int, width: int, modulus: int) -> np.ndarray:
-    """Each color's p signed fields of `width` bytes, mod `modulus`, as the
-    rows of an array.  2**(F-1) is added to every field, so the colors are
-    nonnegative and their little-endian bytes are the fields' digits base
-    256; each field is then its bytes dotted with 256**k mod L, less
-    2**(F-1) mod L.  That dot product is exact in int64 when
-    width*255*modulus < 2**63, and runs on Python ints otherwise."""
+def _read_fields(colors: list[int], p: int, width: int, modulus: int) -> list[list[int]]:
+    """Each color's p signed fields of `width` bytes, mod `modulus`, as rows.
+
+    2**(F-1) is added to every field, so the colors are nonnegative and
+    their little-endian bytes hold each field f as the F-bit digit
+    f + 2**(F-1).  The walk keeps |f| <= 2**(F-3), so every digit's top
+    byte lies in 0x60..0xA0; one outside it, whatever the modulus, is a
+    field that overflowed, and the read raises.  When the bytes above
+    every field's low eight only extend its sign, the fields are those
+    eight bytes as int64, reduced in numpy; otherwise each field is read
+    as one Python int.  Either way the read is exact.
+    """
+    size = width * p
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * p, "little")
-    raw = np.frombuffer(
-        b"".join((c + offset).to_bytes(width * p, "little") for c in colors), np.uint8
-    ).reshape(len(colors), p, width)
-    weights = [pow(256, k, modulus) for k in range(width)]
-    if width * 255 * modulus < 2**63:
-        fields = np.empty((len(colors), p), np.int64)
-        # the product widens its rows to int64: a few MB of them at a time
-        step = max(1, 2**20 // (p * width))
-        for lo in range(0, len(colors), step):
-            fields[lo:lo + step] = raw[lo:lo + step] @ np.array(weights, np.int64)
-    else:
-        fields = raw.astype(object) @ np.array(weights, object)
-    fields -= pow(2, 8 * width - 1, modulus)
-    fields %= modulus
-    return fields
+    try:
+        data = b"".join([(c + offset).to_bytes(size, "little") for c in colors])
+    except OverflowError:  # the last field overflowed past the color's bytes
+        raise InternalConsistencyError("a field of the packed coloring overflowed") from None
+    raw = np.frombuffer(data, np.uint8).reshape(len(colors), p, width)
+    # each field's low eight bytes, read in place as int64; the field is
+    # that int64 when its bytes above them are 2**(F-1)'s plus its sign
+    low = np.ndarray(raw.shape[:2], "<i8", data, strides=(size, width))
+    high = raw[..., 8:] ^ np.frombuffer(bytes(width - 9) + b"\x80", np.uint8)
+    if (high == (low >> 63).astype(np.uint8)[..., None]).all():
+        fields = low % modulus if modulus < 2**63 else low.astype(object) % modulus
+        return fields.tolist()
+    if ((raw[..., -1] - np.uint8(0x60)) > 0x40).any():
+        raise InternalConsistencyError("a field of the packed coloring overflowed")
+    half = 1 << (8 * width - 1)
+    view = memoryview(data)
+    return [[(int.from_bytes(view[at:at + width], "little") - half) % modulus
+             for at in range(row, row + size, width)] for row in range(0, len(data), size)]
 
 
 def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:
@@ -155,8 +164,9 @@ def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:
     is one big-int step, 2*b - a.  The entries grow with the word: each
     strand keeps a bound on its fields, and a letter that could push one
     past 2**(F-3) first reduces its two strands mod L.  M is read once
-    (`_read_fields`) and checked: a constant coloring passes every
-    crossing unchanged, so each row of M sums to 1.
+    (`_read_fields`) and checked twice: no field may have left its
+    bound, and since a constant coloring passes every crossing
+    unchanged, each row of M must sum to 1.
     """
     p = word.strands
     width = (modulus.bit_length() + 64 + 7) // 8
@@ -168,31 +178,21 @@ def propagation_matrix(word: BraidWord, modulus: int) -> list[list[int]]:
     def reduce_pair(k):
         # strands k - 1 and k, their fields mod L packed back
         for j, row in zip((k - 1, k), _read_fields(colors[k - 1:k + 1], p, width, modulus)):
-            colors[j] = int.from_bytes(
-                b"".join(int(x).to_bytes(width, "little") for x in row), "little")
+            colors[j] = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
             bounds[j] = modulus - 1
 
     for letter in word.letters:
-        # the letter's strands sit at positions k - 1 and k
-        if letter > 0:
-            k = letter
-            bound = 2 * bounds[k] + bounds[k - 1]
-            if bound > limit:
-                reduce_pair(k)
-                bound = 2 * bounds[k] + bounds[k - 1]
-            a, b = colors[k - 1], colors[k]
-            colors[k - 1], colors[k] = b, 2 * b - a
-            bounds[k - 1], bounds[k] = bounds[k], bound
-        else:
-            k = -letter
-            bound = 2 * bounds[k - 1] + bounds[k]
-            if bound > limit:
-                reduce_pair(k)
-                bound = 2 * bounds[k - 1] + bounds[k]
-            a, b = colors[k - 1], colors[k]
-            colors[k - 1], colors[k] = 2 * a - b, a
-            bounds[k - 1], bounds[k] = bound, bounds[k - 1]
-    rows = _read_fields(colors, p, width, modulus).tolist()
+        # the letter's strands sit at k - 1 and k: the over strand i keeps
+        # its color and moves to j, the under strand leaves i as 2*over - under
+        k = abs(letter)
+        i, j = (k, k - 1) if letter > 0 else (k - 1, k)
+        bound = 2 * bounds[i] + bounds[j]
+        if bound > limit:
+            reduce_pair(k)
+            bound = 2 * bounds[i] + bounds[j]
+        colors[j], colors[i] = colors[i], 2 * colors[i] - colors[j]
+        bounds[j], bounds[i] = bounds[i], bound
+    rows = _read_fields(colors, p, width, modulus)
     if any(sum(row) % modulus != 1 % modulus for row in rows):
         raise InternalConsistencyError("a row of the propagation matrix does not sum to 1 mod L")
     return rows

@@ -10,7 +10,6 @@ import random
 from itertools import product
 
 import intmatrix_reference as ref
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,22 +266,53 @@ def test_a_long_word_is_reduced_on_the_way(big, letters, monkeypatch):
     exact = ref.propagation_matrix(word).data
     assert propagation_matrix(word, big) == [[x % big for x in row] for row in exact]
     # a letter's two strands are reduced together, then M is read once
-    assert len(reads) > 2 and set(reads[:-1]) == {2} and reads[-1] == 3
+    assert reads == [2] * reductions(word, big) + [3] and len(reads) > 2
 
 
-def test_the_read_is_exact_on_both_sides_of_the_int64_bound():
-    # L = edge is the largest modulus whose byte dot products run in int64;
-    # the extreme fields +-(2**(F-1) - 1) make every byte 255 or 1
-    width = 15
-    edge = (2**63 - 1) // (255 * width)
-    assert (edge.bit_length() + 64 + 7) // 8 == width
-    half = 2 ** (8 * width - 1)
-    fields = [half - 1, 1 - half, 0, 1, -1, half // 3, -edge]
+def reductions(word, big):
+    """How often the walk reduces: a strand's fields stay within its bound,
+    2*over + under after a letter and L - 1 after a reduction, and a letter
+    whose bound would pass 2**(F-3) first reduces its two strands."""
+    limit = 2 ** (8 * ((big.bit_length() + 64 + 7) // 8) - 3)
+    bounds, count = [1] * word.strands, 0
+    for letter in word.letters:
+        k = abs(letter)
+        over, under = (k, k - 1) if letter > 0 else (k - 1, k)
+        if 2 * bounds[over] + bounds[under] > limit:
+            bounds[k - 1] = bounds[k] = big - 1
+            count += 1
+        bounds[over], bounds[under] = 2 * bounds[over] + bounds[under], bounds[over]
+    return count
+
+
+@pytest.mark.parametrize("fields", [
+    [2**63 - 1, 1 - 2**63, 0, 1, -1, 12345],   # every field fits int64
+    [2**63, -2**63, 2**77, -2**77, 5, -5],      # some do not
+])
+def test_the_read_is_exact_on_both_sides_of_int64(fields):
+    # F = 80 bits, so 2**77 is the largest field the walk keeps
+    width = 10
     color = sum(f << (8 * width * j) for j, f in enumerate(fields))
-    for big, dtype in ((edge, np.int64), (edge + 1, object)):
-        read = braids._read_fields([color, -color], len(fields), width, big)
-        assert read.dtype == dtype
-        assert read.tolist() == [[f % big for f in fields], [-f % big for f in fields]]
+    for big in (1, 3, 2520, 2**63 - 25, 2**63 + 25, 10**30 + 7):
+        assert braids._read_fields([color, -color], len(fields), width, big) == [
+            [f % big for f in fields], [-f % big for f in fields]]
+
+
+@pytest.mark.parametrize("fields", [
+    # 2**(F-1) + 1 overflows its F bits and carries into the next field,
+    # which reads (1 - 2**(F-1), 1 - 2**(F-1)): the row still sums to 1
+    # mod 3, since 3 divides 2**F - 1, so only the field check sees it
+    [2**71 + 1, -(2**71)],
+    [2**69 + 2**64, 1 - 2**69 - 2**64],         # past the walk's bound
+    [2, 2**71],                                 # past the color's last byte
+    [1, -(2**71) - 1],
+])
+def test_an_overflowed_field_fails_the_read(fields):
+    width = 9
+    color = sum(f << (8 * width * j) for j, f in enumerate(fields))
+    assert sum(fields) % 3 == 1 and 2 * (1 - 2**71) % 3 == 1
+    with pytest.raises(InternalConsistencyError, match="overflowed"):
+        braids._read_fields([color], len(fields), width, 3)
 
 
 def test_a_corrupted_read_fails_the_row_sum_check(monkeypatch):
@@ -290,7 +320,7 @@ def test_a_corrupted_read_fails_the_row_sum_check(monkeypatch):
 
     def corrupted(colors, p, width, modulus):
         fields = read(colors, p, width, modulus)
-        fields[-1, 0] = (fields[-1, 0] + 1) % modulus
+        fields[-1][0] = (fields[-1][0] + 1) % modulus
         return fields
 
     monkeypatch.setattr(braids, "_read_fields", corrupted)
