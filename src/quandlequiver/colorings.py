@@ -11,18 +11,22 @@ The oracle has one walk: top states through a factor of the link
 (braids.factor_power), slab by slab by the factor's window tables when
 no power above 1 is asked for, and otherwise by its state map, built
 once and squared across long gaps between powers, so a power q costs
-about 2 * log2(q) passes over the map.  oracle_counts, the oracle's one
-entry, takes it for R_r, walking one top per orbit of the colour shift
-x -> x + 1 mod r, the tops with strand 1 coloured 0; its caller checks
-the oracle cap first (check_oracle_cap).  The linear backend lists the
-colorings, as one read-only (count, strands) int64 array, and raises
-CapExceededError, naming the count, rather than return part of its
-answer over its cap.
+about 2 * log2(q) passes over the map; fewer than _PUSH_STATES states
+go letter by letter instead.  oracle_counts, the oracle's one entry,
+takes it for R_r, walking one top per orbit of R_r's automorphisms
+x -> a*x + b: for r = l**k a prime power, the tops with strand 1
+coloured 0 whose colours are all multiples of l, and one per orbit of
+the unit scalings among the rest; for any other r, every top with
+strand 1 coloured 0.  Its caller checks the oracle cap first
+(check_oracle_cap).  The linear backend lists the colorings, as one
+read-only (count, strands) int64 array, and raises CapExceededError,
+naming the count, rather than return part of its answer over its cap.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -131,6 +135,10 @@ def _not_closed(coloring: np.ndarray, a: int, b: int, n: int) -> ValueError:
 
 _SLAB = 1 << 16  # state indices handled per batch
 _WINDOW_STATES = 1 << 16  # largest window table: m**k entries
+# fewer states pushed than this go letter by letter: on 36-letter words the
+# window tables (k = 2 at these sizes, about 30 tables) cost more than they
+# save below about 2**11 states, and break even near it
+_PUSH_STATES = 1 << 11
 
 
 def _index_type(total: int):
@@ -241,8 +249,16 @@ def _window_push(factor: tuple[int, ...], strands: int, table: np.ndarray, index
 
     The factor is compiled into window tables once, sized for `total`
     states pushed in all; each slab then takes one gather per window on
-    its index array.
+    its index array.  Fewer than _PUSH_STATES states in all go letter by
+    letter through _push instead, as so few cannot pay for the tables.
     """
+    if total < _PUSH_STATES:
+
+        def push(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.copyto(out, _push(states, factor, len(table), strands, table))
+            return out
+
+        return push
     steps = _window_steps(factor, strands, table, index, total)
     buffers = np.empty((2, min(_SLAB, total)), dtype=index)
 
@@ -286,41 +302,126 @@ def _gather(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _power_slabs(factor: tuple[int, ...], strands: int, table: np.ndarray, powers, stop: int):
-    """(power, tops, bottoms) slab by slab over the tops 0..stop-1 for each
-    power in ascending order, the bottoms being the tops under factor**power.
+def _power_slabs(factor: tuple[int, ...], strands: int, table: np.ndarray, powers, count: int, slabs):
+    """(power, tag, tops, bottoms) slab by slab for each power in ascending
+    order, the bottoms being the tops under factor**power.
 
-    With no power above 1 each slab is pushed through window tables sized
-    for the `stop` tops walked, and no map is held; power 0 takes no step.  Otherwise the factor's
-    state map over all m**strands states is built once, and all tops cross
-    each gap between powers together: a gather while the gap is odd or at
-    most states / tops, else a squaring of the map halves it, so a gap g
-    takes about log2(g) squarings.  Read each slab before the next item.
+    `slabs` yields (tag, tops), `count` tops in all, each slab an index
+    array in the walk's dtype; its tag is handed back with it.  With no
+    power above 1 each slab is pushed as it comes through window tables
+    sized for the `count` tops walked, and no map is held; power 0 takes
+    no step.  Otherwise the factor's state map over all m**strands states
+    is built once, and all tops cross each gap between powers together: a
+    gather while the gap is odd or at most states / tops, else a squaring
+    of the map halves it, so a gap g takes about log2(g) squarings.  Read
+    each slab before the next item.
     """
     powers = sorted(set(powers))
     index = _index_type(len(table) ** strands)
     if max(powers, default=0) < 2:
-        push = _window_push(factor, strands, table, index, stop) if 1 in powers else None
-        buffer = np.empty(min(_SLAB, stop), dtype=index)
-        for start in range(0, stop, _SLAB):
-            tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
+        push = _window_push(factor, strands, table, index, count) if 1 in powers else None
+        buffer = np.empty(min(_SLAB, count), dtype=index)
+        for tag, tops in slabs:
             for power in powers:
-                yield power, tops, push(tops, buffer[: len(tops)]) if power else tops
+                yield power, tag, tops, push(tops, buffer[: len(tops)]) if power else tops
         return
     state_map = _factor_map(factor, strands, table)
-    bottoms, spare = np.arange(stop, dtype=index), np.empty(stop, dtype=index)
+    tops, tags, start = np.empty(count, dtype=index), [], 0
+    for tag, slab in slabs:
+        tops[start : start + len(slab)] = slab
+        tags.append((tag, start, start + len(slab)))
+        start += len(slab)
+    bottoms, spare = tops.copy(), np.empty_like(tops)
     for walked, power in zip([0] + powers, powers):
         gap, square = power - walked, state_map
         while gap:
-            if gap % 2 or gap * stop <= len(square):
+            if gap % 2 or gap * count <= len(square):
                 bottoms, spare = _gather(square, bottoms, spare), bottoms
                 gap -= 1
             else:
                 square = _gather(square, square, np.empty_like(square))
                 gap //= 2
-        for start in range(0, stop, _SLAB):
-            tops = np.arange(start, min(start + _SLAB, stop), dtype=index)
-            yield power, tops, bottoms[start : start + _SLAB]
+        for tag, start, stop in tags:
+            yield power, tag, tops[start:stop], bottoms[start:stop]
+
+
+def _prime_of(r: int) -> int | None:
+    """The prime l with r a power of l, or None when r is 1 or has two primes."""
+    if r < 2:
+        return None
+    ell = next((d for d in range(2, math.isqrt(r) + 1) if r % d == 0), r)
+    while r % ell == 0:
+        r //= ell
+    return ell if r == 1 else None
+
+
+def _digit_sets(r: int, ell: int, digits: int, index) -> tuple[np.ndarray, np.ndarray]:
+    """(multiples, firsts): the ascending base-r numbers of `digits` digits,
+    in dtype `index`, whose digits are all multiples of ell, and those whose
+    first digit prime to ell is 1.
+
+    Each set is built by its leading digit c: multiples from c = 0, ell,
+    2*ell, ... before the multiples one digit shorter; firsts from the
+    shorter firsts behind c = 0, then every number led by c = 1, then the
+    shorter firsts behind c = ell, 2*ell, ...
+    """
+    multiples, firsts = np.zeros(1, dtype=index), np.zeros(0, dtype=index)
+    for place in (r**j for j in range(digits)):
+        leads = np.arange(0, r, ell, dtype=index)[:, None] * place
+        firsts = np.concatenate(
+            [firsts, np.arange(place, 2 * place, dtype=index), (leads[1:] + firsts).ravel()]
+        )
+        multiples = (leads + multiples).ravel()
+    return multiples, firsts
+
+
+def _orbit_tops(r: int, strands: int, index):
+    """(units, count, slabs): the `count` tops the oracle walks on R_r,
+    slab by slab as (lead, tops), tops an index array in dtype `index`
+    whose first `lead` entries every unit scaling x -> a*x fixes, while
+    each later one stands for its orbit of `units` tops.
+
+    Every top colours strand 1 with 0.  For r a power of the prime l
+    (_prime_of), these are the tops whose colours are all multiples of l,
+    and among the rest, whose orbits under the phi(r) = `units` scalings
+    are free, the one per orbit whose first colour prime to l is 1:
+    (r/l)**(s-1) + (r**(s-1) - (r/l)**(s-1)) / phi(r) tops on s strands.
+    The colours split into leading and trailing ones, the trailing ones
+    spanning at most _SLAB tops (_digit_sets gives both sets of each), and
+    each slab is one leading block: all of it when its first colour prime
+    to l is 1, else, for leading multiples of l, the trailing multiples
+    then the trailing representatives.  For any other r, the tops are
+    every one with strand 1 coloured 0, in _SLAB-top slabs, and none is
+    scaled (units 1).
+    """
+    digits = strands - 1
+    ell = _prime_of(r)
+    if ell is None:
+        total = r**digits
+        ranges = (np.arange(start, min(start + _SLAB, total), dtype=index) for start in range(0, total, _SLAB))
+        return 1, total, ((len(tops), tops) for tops in ranges)
+    low = digits
+    while low and r**low > _SLAB:
+        low -= 1
+    size = r**low
+    multiples, firsts = _digit_sets(r, ell, low, index)
+    trailing = np.concatenate([multiples, firsts])
+    high_multiples, high_firsts = _digit_sets(r, ell, digits - low, index)
+    leading = sorted(
+        [(lead, True) for lead in high_multiples.tolist()] + [(lead, False) for lead in high_firsts.tolist()]
+    )
+    units = r - r // ell
+    fixed = (r // ell) ** digits
+    count = fixed + (r**digits - fixed) // units
+
+    def slabs():
+        for lead, multiple in leading:
+            if multiple:
+                yield len(multiples), trailing + lead * size
+            else:
+                yield 0, np.arange(lead * size, (lead + 1) * size, dtype=index)
+
+    return units, count, slabs()
 
 
 def _dihedral_table(r: int) -> np.ndarray:
@@ -366,19 +467,28 @@ def oracle_counts(factor: BraidWord, r: int, powers) -> dict[int, int]:
     for every k at once; power 0 fixes every top.  The caller checks the
     oracle cap first (counting.evaluate_cells, on all candidate tops).
 
-    The walk takes only the r**(strands - 1) tops with strand 1 coloured 0
-    and multiplies each count by r.  The shift x -> x + 1 mod r is an
-    automorphism of R_r, as (x + 1) * (y + 1) = 2y - x + 1, and a crossing
-    reads only the table, so shifting every strand's colour commutes
-    with the word; the fixed tops of each power are closed under the
-    shift, and each of its orbits holds r tops, one with strand 1
-    coloured 0.
+    The walk takes only tops with strand 1 coloured 0 and multiplies
+    each count by r.  The shift x -> x + 1 mod r is an automorphism of
+    R_r, as (x + 1) * (y + 1) = 2y - x + 1, and a crossing reads only the
+    table, so shifting every strand's colour commutes with the word; the
+    fixed tops of each power are closed under the shift, and each of its
+    orbits holds r tops, one with strand 1 coloured 0.  For r = l**k a
+    prime power the unit scalings x -> a*x (a prime to l) are
+    automorphisms too, as a(2y - x) = 2(ay) - ax, and keep strand 1 at 0.
+    They commute with every crossing as the shift does, and move every
+    top with a colour prime to l freely, so among those the walk takes
+    the one per orbit whose first such colour is 1 and counts it phi(r)
+    times; the tops whose colours are all multiples of l are walked all
+    and counted once (_orbit_tops).  So each power counts r * (fixed
+    multiples + phi(r) * fixed representatives).
     """
     strands = factor.strands
     table = _dihedral_table(r)
+    units, count, slabs = _orbit_tops(r, strands, _index_type(r**strands))
     fixed = dict.fromkeys(powers, 0)
-    for power, tops, bottoms in _power_slabs(factor.letters, strands, table, fixed, r ** (strands - 1)):
-        fixed[power] += int(np.count_nonzero(bottoms == tops))
+    for power, lead, tops, bottoms in _power_slabs(factor.letters, strands, table, fixed, count, slabs):
+        hits = bottoms == tops
+        fixed[power] += int(np.count_nonzero(hits[:lead])) + units * int(np.count_nonzero(hits[lead:]))
     return {k: r * fixed[k] for k in powers}
 
 

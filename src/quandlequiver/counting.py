@@ -27,9 +27,12 @@ system mod the lcm of the moduli, and one oracle walk per prime power r
 dividing a modulus, for all the links' powers at once, through
 colorings.oracle_counts; R_n's oracle count is the product of its prime
 power parts' counts (the Chinese remainder theorem), so no composite
-R_n's table is built.  On R_r that walk takes the r**(p-1) tops with
-strand 1 coloured 0, one per orbit of the colour shift, and multiplies
-by r; the oracle cap, checked here and nowhere else before a walk, still
+R_n's table is built.  On R_r = R_(l**k) that walk takes, among the
+tops with strand 1 coloured 0 (one per orbit of the colour shift), the
+(r/l)**(p-1) whose colours are all multiples of l and one per orbit of
+the phi(r) unit scalings x -> a*x among the rest, about r**(p-1)/phi(r)
+tops, and counts r * (fixed multiples + phi(r) * fixed representatives);
+the oracle cap, checked here and nowhere else before a walk, still
 counts all n**p candidate tops of the largest requested modulus, and so
 bounds every part.  No route writes a torus link out as letters, so
 every backend answers a huge q.

@@ -256,6 +256,7 @@ def test_count_oracle_cap_is_checked_before_any_row(monkeypatch, tmp_path, capsy
         raise AssertionError("oracle ran before the cap check")
 
     monkeypatch.setattr(colorings, "_window_steps", fail)
+    monkeypatch.setattr(colorings, "_push", fail)
     path = tmp_path / "counts.json"
     code = main(
         ["count", "--link", "torus:5,2", "--n", "2..12", "--backend", "all",

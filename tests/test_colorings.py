@@ -6,6 +6,7 @@ between them, and of the linear listing with the reference's, is the
 strongest internal check the suite has.
 """
 
+import math
 import random
 import tracemalloc
 from itertools import product
@@ -93,15 +94,18 @@ def test_trivial_colorings_are_the_constants():
 
 
 def test_dihedral_tables_are_shift_invariant_and_involutive():
-    # the oracle walks one top per shift orbit because x -> x + 1 is an
-    # automorphism of R_r, (x + 1) * (y + 1) = x * y + 1, and reads a
-    # negative crossing from the table itself because (z * y) * y = z;
-    # its table is the reference's, entry for entry
+    # the oracle walks one top per orbit of x -> a*x + b, a a unit, because
+    # each is an automorphism of R_r, (a*x + b) * (a*y + b) = a*(x * y) + b,
+    # and reads a negative crossing from the table itself because
+    # (z * y) * y = z; its table is the reference's, entry for entry
     for r in range(1, 201):
         table = colorings._dihedral_table(r)
         assert np.array_equal(table, dihedral(r).table), r
         shift = (np.arange(r) + 1) % r
         assert np.array_equal(table[np.ix_(shift, shift)], shift[table]), r
+        for a in (a for a in range(1, r) if math.gcd(a, r) == 1):
+            scale = (np.arange(r) * a % r).astype(table.dtype)
+            assert np.array_equal(table.take(scale, 0).take(scale, 1), scale.take(table)), (r, a)
         assert (table[table, np.arange(r)] == np.arange(r)[:, None]).all(), r
 
 
@@ -135,11 +139,18 @@ def dihedral_cells(draw, least=2, length=12):
 WINDOW_STATES = (1, 4, 8, 27, 64, 1 << 16)
 
 
+def window_walk(mp, window_states):
+    """Push every walk through window tables of at most `window_states`
+    entries, however few states it pushes."""
+    mp.setattr(colorings, "_WINDOW_STATES", window_states)
+    mp.setattr(colorings, "_PUSH_STATES", 0)
+
+
 def assert_oracle_matches_reference(word, n, window_states):
     """The oracle counts the reference's colorings by R_n; returns them as a ColoringSet."""
     expected = reference_set(word, dihedral(n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        window_walk(mp, window_states)
         count = colorings.oracle_counts(word, n, [1])[1]
     assert count == expected.count
     return expected
@@ -166,7 +177,7 @@ def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
     strands, letters, n = cell
     word = BraidWord(strands, letters * r)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        window_walk(mp, window_states)
         counts = colorings.oracle_counts(word, n, powers)
         per_power = {
             k: colorings.oracle_counts(BraidWord(strands, word.letters * k), n, [1])[1]
@@ -180,11 +191,11 @@ def test_batched_counts_match_per_power_oracle(cell, r, powers, window_states):
 @settings(max_examples=150)
 @given(dihedral_cells(least=1, length=8), st.sampled_from(WINDOW_STATES), st.sampled_from((7, 1 << 16)))
 def test_orbit_counts_match_reference(cell, window_states, slab):
-    # one top per shift orbit times n must count what the per-letter
-    # reference finds on every top
+    # one top per orbit, weighed by its size, must count what the
+    # per-letter reference finds on every top
     strands, letters, n = cell
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(colorings, "_WINDOW_STATES", window_states)
+        window_walk(mp, window_states)
         mp.setattr(colorings, "_SLAB", slab)
         counts = colorings.oracle_counts(BraidWord(strands, letters), n, [0, 1, 2, 3])
     quandle = dihedral(n)
@@ -193,30 +204,84 @@ def test_orbit_counts_match_reference(cell, window_states, slab):
     }
 
 
+# the prime powers `count --n 2..15` walks, and larger ones up to 5**3
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 121, 125)
+
+
+@st.composite
+def prime_power_cells(draw):
+    """(strands, factor letters, r): r a prime power, on at most as many
+    strands as keep r**strands <= 27**3, and a factor of up to 8 letters."""
+    r = draw(st.sampled_from(PRIME_POWERS))
+    strands, letters = draw(factors(strands=(1, max(s for s in range(1, 8) if r**s <= 27**3)), letters=8))
+    return strands, tuple(letters), r
+
+
+@pytest.mark.parametrize("push_states", [0, 1 << 30], ids=["tables", "letter-by-letter"])
+@settings(max_examples=60)
+@given(prime_power_cells(), st.sampled_from((7, 1 << 16)))
+def test_prime_power_counts_match_reference(push_states, cell, slab):
+    # both walks (window tables for powers <= 1, the state map above), each
+    # with every state through window tables (0) or letter by letter; small
+    # slabs split the walked tops into leading and trailing colours
+    strands, letters, r = cell
+    word = BraidWord(strands, letters)
+    quandle = dihedral(r)
+    expected = {k: len(reference_colorings(BraidWord(strands, letters * k), quandle)) for k in range(4)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colorings, "_PUSH_STATES", push_states)
+        mp.setattr(colorings, "_SLAB", slab)
+        assert colorings.oracle_counts(word, r, [0, 1, 2, 3]) == expected
+        assert colorings.oracle_counts(word, r, [1, 0]) == {0: expected[0], 1: expected[1]}
+
+
 def walked_tops(monkeypatch) -> list[int]:
     """Record the number of tops of every slab _power_slabs yields from now on."""
     walked = []
     slabs = colorings._power_slabs
 
     def recording(*args):
-        for power, tops, bottoms in slabs(*args):
+        for power, lead, tops, bottoms in slabs(*args):
             walked.append(len(tops))
-            yield power, tops, bottoms
+            yield power, lead, tops, bottoms
 
     monkeypatch.setattr(colorings, "_power_slabs", recording)
     return walked
 
 
 @pytest.mark.parametrize("power", [1, 3])
-@pytest.mark.parametrize("quandle,tops", [(dihedral(5), 5**3), (dihedral(6), 6**3)])
-def test_counts_walk_one_top_per_shift_orbit(quandle, tops, power, monkeypatch):
-    # the state map of power 3 still spans all n**4 states; only the walked
-    # tops shrink, and the count is still that of every top
+@pytest.mark.parametrize("r,tops", [(4, 2**3 + (4**3 - 2**3) // 2), (5, 1 + (5**3 - 1) // 4),
+                                    (9, 3**3 + (9**3 - 3**3) // 6), (6, 6**3)])
+def test_counts_walk_one_top_per_automorphism_orbit(r, tops, power, monkeypatch):
+    # R_4, R_5 and R_9 on 4 strands walk (r/l)**3 tops of multiples of l and
+    # one top per free orbit of the phi(r) unit scalings among the other
+    # r**3 - (r/l)**3 with strand 1 coloured 0: 36, 32 and 144.  The
+    # composite R_6 walks all 6**3.  The state map of power 3 still spans
+    # all r**4 states; only the walked tops shrink, and the count is still
+    # that of every top
     word = BraidWord(4, (1, -2, 3, 2))
     walked = walked_tops(monkeypatch)
-    count = colorings.oracle_counts(word, quandle.size, [power])[power]
+    count = colorings.oracle_counts(word, r, [power])[power]
     assert sum(walked) == tops
-    assert count == len(reference_colorings(BraidWord(4, word.letters * power), quandle))
+    assert count == len(reference_colorings(BraidWord(4, word.letters * power), dihedral(r)))
+
+
+def test_walk_past_2_31_states_indexes_in_int64(monkeypatch):
+    # 1291**3 > 2**31: the 1293 walked tops all lie below 2**31, but their
+    # bottoms need not, so tops and bottoms alike are int64
+    dtypes = set()
+    slabs = colorings._power_slabs
+
+    def recording(*args):
+        for power, lead, tops, bottoms in slabs(*args):
+            dtypes.update((tops.dtype, bottoms.dtype))
+            yield power, lead, tops, bottoms
+
+    monkeypatch.setattr(colorings, "_power_slabs", recording)
+    for letters in ((1,), (-1, 1), (1, -2, -1)):
+        word = BraidWord(3, letters)
+        assert colorings.oracle_counts(word, 1291, [1]) == {1: linear_count(word, 1291)}
+    assert dtypes == {np.dtype(np.int64)}
 
 
 def table_entries(cover, m):
@@ -266,9 +331,10 @@ def test_oracle_cap_raises_naming_count():
 
 def test_oracle_cap_is_checked_before_any_map_is_built(monkeypatch):
     def fail(*args):
-        raise AssertionError("window tables built over the cap")
+        raise AssertionError("tops pushed over the cap")
 
     monkeypatch.setattr(colorings, "_window_steps", fail)
+    monkeypatch.setattr(colorings, "_push", fail)
     with pytest.raises(CapExceededError):
         oracle_cells([torus_braid(5, 2)], 17, cap=100)
     with pytest.raises(CapExceededError):
